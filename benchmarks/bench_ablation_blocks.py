@@ -9,8 +9,8 @@ the paper's choice of Glimpse sits on.
 
 import pytest
 
+from repro.baselines.scanengine import ScanEngine
 from repro.bench.harness import BenchResult, report
-from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 
@@ -20,10 +20,9 @@ QUERY = "needle"
 
 def build(num_blocks, gen):
     docs = dict(gen.documents())
-    # fast path off: this ablation measures the block-count/scan tradeoff,
-    # which the doc-postings path would short-circuit entirely
-    engine = CBAEngine(loader=docs.__getitem__, num_blocks=num_blocks,
-                       fast_path=False)
+    # the seed scan engine: this ablation measures the block-count/scan
+    # tradeoff, which doc-level postings would short-circuit entirely
+    engine = ScanEngine(loader=docs.__getitem__, num_blocks=num_blocks)
     for rel, text in docs.items():
         engine.index_document(rel, path="/" + rel, mtime=0.0, text=text)
     return engine

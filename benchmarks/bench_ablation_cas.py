@@ -5,21 +5,23 @@ Two path-dimension claims from DESIGN.md §3j, measured on a deep tree
 
 * **Candidate pruning**: a ``scope:<subtree> AND <phrase>`` query must
   verify candidate documents by scanning them (phrases defeat the
-  postings fast path).  Without a CAS index every candidate the block
-  index nominates is fetched and scanned, then discarded by the path
-  predicate; with one, candidates are intersected with the scope's
-  partitions *before* any loader fetch.  Counted in
+  postings path).  The seed scan reference (``ScanEngine``) fetches and
+  scans every candidate the block index nominates, then discards most by
+  the path predicate; the engine intersects candidates with the scope's
+  CAS partitions *before* any loader fetch.  Counted in
   ``engine.docs_scanned`` — the contract is at least 2x fewer
   verifications.
 * **Zero-selectivity short-circuit**: a conjunction with a zero-df term
   or an empty scope returns without nominating blocks, scanning, or
-  probing shards, and says so in ``engine.planner_empty_shortcircuit``.
+  probing shards, and says so in ``engine.planner_empty_shortcircuit``
+  (the reference reaches the same empty answer the long way).
 """
 
 import random
 
 import pytest
 
+from repro.baselines.scanengine import ScanEngine
 from repro.bench.harness import BenchResult, report, time_call
 from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
@@ -52,8 +54,8 @@ def deep_corpus():
     return docs
 
 
-def build_engine(docs, cas):
-    engine = CBAEngine(loader=lambda k: docs[k][1], num_blocks=16, cas=cas)
+def build_engine(docs, cls):
+    engine = cls(loader=lambda k: docs[k][1], num_blocks=16)
     for key, (path, _text) in docs.items():
         engine.index_document(key, path=path, mtime=0.0)
     return engine
@@ -74,8 +76,8 @@ def test_cas_probe_vs_scan_and_filter(benchmark, record_report, record_json):
         docs = deep_corpus()
         queries = scoped_queries(docs)
         out = {}
-        for label, cas in (("scan", False), ("cas", True)):
-            engine = build_engine(docs, cas)
+        for label, cls in (("scan", ScanEngine), ("cas", CBAEngine)):
+            engine = build_engine(docs, cls)
 
             def workload():
                 answers = []
@@ -110,13 +112,13 @@ def test_cas_probe_vs_scan_and_filter(benchmark, record_report, record_json):
 
     # zero-selectivity conjunctions short-circuit without scanning
     empties = ["scope:/d0_0 AND zzznever", "scope:/nowhere AND fingerprint"]
-    for engine in (cas_engine, scan_engine):
-        before = engine.counters.get("engine.docs_scanned")
-        for text in empties:
-            assert engine.search(parse_query(text)).to_bytes() == b""
-        assert engine.counters.get("engine.docs_scanned") == before
-        assert engine.counters.get("engine.planner_empty_shortcircuit") \
-            >= len(empties)
+    before = cas_engine.counters.get("engine.docs_scanned")
+    for text in empties:
+        assert cas_engine.search(parse_query(text)).to_bytes() == \
+            scan_engine.search(parse_query(text)).to_bytes() == b""
+    assert cas_engine.counters.get("engine.docs_scanned") == before
+    assert cas_engine.counters.get("engine.planner_empty_shortcircuit") \
+        >= len(empties)
 
     results = [
         BenchResult("corpus files", n_docs),

@@ -1,15 +1,16 @@
-"""Ablation H — the query fast path, end to end.
+"""Ablation H — the query path vs the seed scan, end to end.
 
-The fast path stacks four mechanisms: planner-ordered conjunctions,
-doc-level postings that answer term queries without any loader fetch,
-per-(doc, query) verification memoisation, and block-exact cache
-invalidation (mutating one doc only evicts results whose candidate blocks
-contain its block).  This ablation drives the same ``ssync``-triggered
-re-evaluation workload — several semantic directories, repeated rounds of
-touching <1 % of the corpus — through two otherwise identical HAC worlds,
-one with ``fast_path=True`` and one with the seed scan-everything
-behaviour, and compares the engine's ``docs_scanned`` counters and the
-wall-clock of the many-matches query the Table 4 bench times.
+The engine's query path stacks four mechanisms: planner-ordered
+conjunctions, doc-level postings that answer term queries without any
+loader fetch, per-(doc, query) verification memoisation, and block-exact
+cache invalidation (mutating one doc only evicts results whose candidate
+blocks contain its block).  This ablation drives the same
+``ssync``-triggered re-evaluation workload — several semantic directories,
+repeated rounds of touching <1 % of the corpus — through two otherwise
+identical HAC worlds, one over the engine and one over the seed
+scan-everything reference (``repro.baselines.scanengine.ScanEngine``), and
+compares the ``docs_scanned`` counters and the wall-clock of the
+many-matches query the Table 4 bench times.
 
 Acceptance shape: >=5x fewer docs scanned on the re-evaluation workload,
 and a measured speedup on the cold many-matches search.
@@ -17,7 +18,9 @@ and a measured speedup on the cold many-matches search.
 
 import pytest
 
+from repro.baselines.scanengine import ScanEngine
 from repro.bench.harness import BenchResult, report, time_call
+from repro.cba.backend import BackendFactory
 from repro.cba.queryparser import parse_query
 from repro.core.hacfs import HacFileSystem
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
@@ -31,7 +34,10 @@ def build_world(fast_path, scale):
     cfg = CorpusConfig(n_files=400 * scale, words_per_file=150, dirs=10,
                        topics=TOPICS, seed=17)
     gen = CorpusGenerator(cfg)
-    hac = HacFileSystem(num_blocks=256, fast_path=fast_path)
+    hac = HacFileSystem(
+        num_blocks=256,
+        backend=None if fast_path
+        else BackendFactory(ScanEngine, segmented=True))
     paths = gen.populate(hac, "/db")
     hac.clock.tick()
     hac.ssync("/")

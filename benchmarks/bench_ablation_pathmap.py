@@ -3,10 +3,11 @@
 Two storage-plane claims from DESIGN.md §3i, measured on the same
 corpus shapes the other ablations use:
 
-* **Path map**: resolving a deep path by component walk costs one step
-  per component; the map answers warmed resolutions with a single hash
-  probe.  Counted in ``vfs.walk_steps`` (deterministic), reported in
-  wall seconds.
+* **Path map**: resolving a deep path by component walk
+  (``FileSystem._walk``, the map's miss path and the reference here)
+  costs one step per component; ``resolve()`` answers warmed resolutions
+  with a single hash probe on the same tree.  Counted in
+  ``vfs.walk_steps`` (deterministic), reported in wall seconds.
 * **Segment plane**: recovery with persisted segments folds rows back
   into the index with zero tokenisation, while a rebuild re-reads and
   re-tokenises the whole corpus.  Counted in ``engine.tokenisations``.
@@ -25,10 +26,10 @@ ROUNDS = 5
 N_FILES = 400
 
 
-def build_deep_fs(path_map: bool):
+def build_deep_fs():
     """A depth-8 tree with files at every level — the worst case for
     component-wise ``namei`` and the best for the map."""
-    fs = FileSystem(path_map=path_map)
+    fs = FileSystem()
     leaves = []
     stack = [("", 0)]
     while stack:
@@ -45,25 +46,31 @@ def build_deep_fs(path_map: bool):
     return fs, leaves
 
 
-def resolve_workload(fs, leaves):
+def resolve_workload(resolve, leaves):
     for _ in range(ROUNDS):
         for path in leaves:
-            fs.stat(path)
+            resolve(path)
 
 
 @pytest.mark.benchmark(group="ablation-pathmap")
 def test_map_vs_walk_resolution(benchmark, record_report, record_json):
     def run():
         out = {}
-        for label, mapped in (("walk", False), ("map", True)):
-            fs, leaves = build_deep_fs(mapped)
-            resolve_workload(fs, leaves)  # warm (and equalize) both worlds
+        fs, leaves = build_deep_fs()
+
+        def walk(path):
+            return fs._walk(path, follow_last=True)
+
+        for label, resolve in (("walk", walk), ("map", fs.resolve)):
+            resolve_workload(resolve, leaves)  # warm both the same way
             steps0 = fs.counters.get("vfs.walk_steps")
-            secs, _ = time_call(lambda: resolve_workload(fs, leaves))
+            hits0 = fs.counters.get("pathmap.hit")
+            secs, _ = time_call(lambda: resolve_workload(resolve, leaves))
             out[label] = (secs,
                           fs.counters.get("vfs.walk_steps") - steps0,
-                          fs.counters.get("pathmap.hit"),
+                          fs.counters.get("pathmap.hit") - hits0,
                           len(leaves))
+        assert all(fs.resolve(p).node is walk(p)[1] for p in leaves)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)

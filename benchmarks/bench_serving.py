@@ -31,8 +31,8 @@ import pytest
 from repro.bench.harness import BenchResult, report, time_call
 from repro.bench.serving import (CostMeter, ServingConfig, poisson_schedule,
                                  simulate, summarize)
+from repro.cba.backend import open_backend
 from repro.cba.queryparser import parse_query
-from repro.cluster import ClusterFactory
 from repro.core.hacfs import HacFileSystem
 from repro.shell.session import HacShell
 from repro.workloads.mailgen import MailGenerator
@@ -44,9 +44,9 @@ QUERIES = ["fingerprint", "project", "fingerprint AND project",
 
 
 def build_world(backend: str) -> HacShell:
-    factory = (ClusterFactory(shards=3, latency=0.0)
-               if backend == "cluster" else None)
-    shell = HacShell(HacFileSystem(engine_factory=factory))
+    shell = HacShell(HacFileSystem(
+        backend=open_backend("cluster", shards=3, latency=0.0)
+        if backend == "cluster" else None))
     hac = shell.hacfs
     hac.makedirs("/mail")
     gen = MailGenerator()

@@ -20,7 +20,9 @@ import pytest
 
 from repro.bench.harness import (BenchResult, merge_breakdowns, report,
                                  time_call, traced_call)
+from repro.baselines.scanengine import ScanEngine
 from repro.bench.tables import PAPER, ratio
+from repro.cba.backend import BackendFactory
 from repro.cba.queryparser import parse_query
 from repro.core.hacfs import HacFileSystem
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
@@ -44,11 +46,12 @@ def build_world(scale):
                        topics=TOPICS, seed=9)
     gen = CorpusGenerator(cfg)
     # many small blocks, as in real Glimpse deployments: selective queries
-    # scan only a handful of candidate files.  Fast path off: this table
-    # compares against the real Glimpse binary's scan behaviour, and the
-    # doc-postings path would answer the term queries without scanning at
+    # scan only a handful of candidate files.  The seed scan engine: this
+    # table compares against the real Glimpse binary's scan behaviour, and
+    # doc-level postings would answer the term queries without scanning at
     # all (bench_ablation_fastpath quantifies that separately)
-    hac = HacFileSystem(num_blocks=512, fast_path=False)
+    hac = HacFileSystem(num_blocks=512,
+                        backend=BackendFactory(ScanEngine, segmented=True))
     gen.populate(hac, "/db")
     hac.clock.tick()
     hac.ssync("/")

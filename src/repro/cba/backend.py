@@ -1,9 +1,7 @@
 """The formal SearchBackend protocol — HAC's CBA seam, written down.
 
 The paper argues its content-based access API is general enough to host
-any search system (§2.2).  Until now that generality was informal: HAC
-talked to "anything shaped like a CBAEngine" and probed optional surface
-with ``hasattr``.  This module makes the contract explicit — a
+any search system (§2.2).  This module makes the contract explicit — a
 :class:`typing.Protocol` that the monolithic
 :class:`~repro.cba.engine.CBAEngine`, the
 :class:`~repro.cluster.ShardedSearchCluster`, and the
@@ -33,6 +31,7 @@ from typing import (Dict, Hashable, Iterable, List, Optional, Protocol, Set,
                     Tuple, runtime_checkable)
 
 from repro.util.bitmap import Bitmap
+from repro.cba.glimpse import DEFAULT_NUM_BLOCKS
 from repro.cba.incremental import ReindexPlan
 from repro.cba.queryast import Node
 
@@ -68,6 +67,9 @@ class SearchBackend(Protocol):
                 ) -> ReindexPlan:
         """Bring the index in line with *current* ``(key, path, mtime)``."""
 
+    def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
+        """Directory rename: re-root every path under *old_prefix*."""
+
     def reserve_doc_id(self) -> int:
         """Claim the next doc id now, for a later pinned ``index_document``."""
 
@@ -101,6 +103,12 @@ class SearchBackend(Protocol):
 
     def extract(self, key: Hashable, query: Node) -> List[str]:
         """Match-carrying lines of one document (``sact``)."""
+
+    def scope_docs(self, prefix: str) -> Bitmap:
+        """Exact set of indexed documents at-or-below a path prefix."""
+
+    def scope_count(self, prefix: str) -> int:
+        """How many indexed documents lie at-or-below a path prefix."""
 
     # -- serving tier --------------------------------------------------------
 
@@ -136,51 +144,61 @@ class SearchBackend(Protocol):
 # unified backend construction
 # ======================================================================
 
-class MonolithFactory:
-    """Engine factory for the single-process :class:`CBAEngine`.
+class BackendFactory:
+    """Builds (and restores) one kind of engine for ``HacFileSystem``.
 
-    The callable-plus-``from_obj`` shape mirrors
-    :class:`~repro.cluster.ClusterFactory`, so ``HacFileSystem`` (and
-    ``restore``) drive every backend kind through one seam.
+    What belongs to the file system — loader, counters, transducer, block
+    count, and the clock for engines that keep time — arrives per call;
+    everything else (cluster topology, fault-injection knobs,
+    ``segmented``) is fixed here as *options* and forwarded to the engine
+    class's constructor, ``from_obj`` and ``from_segments`` alike.
     """
 
-    def __init__(self, segmented: bool = True):
-        self.segmented = segmented
+    def __init__(self, engine_cls, clocked: bool = False, **options):
+        self.engine_cls = engine_cls
+        self.clocked = clocked
+        self.options = options
 
-    def __call__(self, loader, *, counters=None, clock=None, transducer=None,
-                 num_blocks: int = 64, fast_path: bool = True):
-        from repro.cba.engine import CBAEngine
-        from repro.cba.transducers import default_transducer
+    def _config(self, counters=None, clock=None,
+                transducer=None) -> Dict[str, object]:
+        config = dict(self.options, counters=counters, transducer=transducer)
+        if self.clocked:
+            config["clock"] = clock
+        return config
 
-        return CBAEngine(loader=loader, num_blocks=num_blocks,
-                         transducer=transducer or default_transducer,
-                         counters=counters, fast_path=fast_path,
-                         segmented=self.segmented)
+    def __call__(self, loader, *, num_blocks: int = DEFAULT_NUM_BLOCKS,
+                 **site):
+        return self.engine_cls(loader, num_blocks=num_blocks,
+                               **self._config(**site))
 
-    def from_obj(self, obj, *, loader, counters=None, clock=None,
-                 transducer=None, fast_path: bool = True):
-        from repro.cba.engine import CBAEngine
-        from repro.cba.transducers import default_transducer
+    def from_obj(self, obj, *, loader, **site):
+        return self.engine_cls.from_obj(obj, loader, **self._config(**site))
 
-        return CBAEngine.from_obj(obj, loader=loader,
-                                  transducer=transducer or default_transducer,
-                                  counters=counters, fast_path=fast_path,
-                                  segmented=self.segmented)
+    @property
+    def folds_segments(self) -> bool:
+        """Whether a restore may merge this backend back from persisted
+        segments: a segmented single engine (a cluster persists none)."""
+        return bool(self.options.get("segmented")) and \
+            hasattr(self.engine_cls, "from_segments")
+
+    def from_segments(self, store, *, loader, next_doc_id: int,
+                      num_blocks: int, **site):
+        return self.engine_cls.from_segments(
+            store, loader, next_doc_id=next_doc_id, num_blocks=num_blocks,
+            **self._config(**site))
 
 
 def open_backend(spec, **options):
     """One entry point for every search-backend kind.
 
-    Before this, the three backends had three divergent constructor
-    signatures (``CBAEngine(...)``, ``ClusterFactory(...)(...)``,
-    ``SimulatedSearchService(...)``); callers hard-coded which one they
-    were building.  ``open_backend`` takes a *spec* and returns the right
-    thing for the seam the spec names:
+    ``open_backend`` takes a *spec* and returns the right thing for the
+    seam the spec names:
 
-    * ``"monolith"`` → a :class:`MonolithFactory` (pass as
+    * ``"monolith"`` (or ``None``) → a :class:`BackendFactory` over
+      :class:`~repro.cba.engine.CBAEngine`, segmented by default (pass as
       ``HacFileSystem(backend=...)``);
-    * ``"cluster"`` or ``"cluster:<K>"`` → a
-      :class:`~repro.cluster.ClusterFactory` with K shards;
+    * ``"cluster"`` or ``"cluster:<K>"`` → a :class:`BackendFactory` over
+      :class:`~repro.cluster.ShardedSearchCluster` with K shards;
     * ``"remote:<ns_id>"`` → a
       :class:`~repro.remote.searchsvc.SimulatedSearchService` (pass to
       ``smount``);
@@ -192,12 +210,11 @@ def open_backend(spec, **options):
     (``shards=``, ``latency=``, ``documents=``, ``segmented=``, ...).
     """
     if spec is None:
-        return MonolithFactory(**options)
+        spec = "monolith"
     if isinstance(spec, dict):
         spec = dict(spec)
         kind = spec.pop("kind", "monolith")
-        merged = {**spec, **options}
-        return _build_backend(str(kind), merged)
+        return _build_backend(str(kind), {**spec, **options})
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
         merged = dict(options)
@@ -213,11 +230,16 @@ def open_backend(spec, **options):
 
 def _build_backend(kind: str, options: Dict[str, object]):
     if kind == "monolith":
-        return MonolithFactory(**options)
-    if kind == "cluster":
-        from repro.cluster import ClusterFactory
+        from repro.cba.engine import CBAEngine
 
-        return ClusterFactory(**options)
+        options.setdefault("segmented", True)
+        return BackendFactory(CBAEngine, **options)
+    if kind == "cluster":
+        from repro.cluster import ShardedSearchCluster
+
+        shards = options.pop("shards", 3)
+        options.setdefault("shard_ids", [f"shard{i}" for i in range(shards)])
+        return BackendFactory(ShardedSearchCluster, clocked=True, **options)
     if kind == "remote":
         from repro.remote.searchsvc import SimulatedSearchService
 

@@ -101,9 +101,7 @@ class CBAEngine:
                  transducer: Optional[Transducer] = None,
                  cache_size: int = 64,
                  counters: Optional[Counters] = None,
-                 fast_path: bool = True,
-                 segmented: bool = False,
-                 cas: bool = True):
+                 segmented: bool = False):
         self.loader = loader
         self.counters = counters if counters is not None else Counters()
         self._stats = self.counters.scoped("engine")
@@ -111,16 +109,7 @@ class CBAEngine:
         #: both default to shared disabled instances
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
-        #: query fast path: planner-ordered conjunctions, doc-level postings
-        #: answering term queries without a scan, and a per-(doc, query)
-        #: verification memo.  Answers reflect index state — content written
-        #: after the last (re)index is invisible until the next one, the
-        #: paper's §2.4 lazy data-consistency policy.  Turn off to recover
-        #: the seed scan-everything semantics (the block-ablation benchmarks
-        #: do, so the paper's tables stay faithful).
-        self.fast_path = fast_path
-        self.index = GlimpseIndex(num_blocks=num_blocks, counters=self.counters,
-                                  track_doc_postings=fast_path)
+        self.index = GlimpseIndex(num_blocks=num_blocks, counters=self.counters)
         self.min_term_length = min_term_length
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
         #: optional SFS-style attribute extractor; enables field:value terms
@@ -159,11 +148,8 @@ class CBAEngine:
             SegmentStore(counters=self.counters) if segmented else None)
         # Content-and-Structure index: the path dimension interleaved
         # with the term dimension, maintained in lockstep with the
-        # registry.  An accelerator, never an authority — scope terms
-        # evaluate exactly with or without it (scope_docs falls back to
-        # a registry scan), which is what the CAS ablation contrasts.
-        self.cas: Optional[CASIndex] = (
-            CASIndex(counters=self.counters) if cas else None)
+        # registry by the mutation funnels below.
+        self.cas = CASIndex(counters=self.counters)
         self.index.scope_counter = self.scope_count
 
     # ------------------------------------------------------------------
@@ -238,17 +224,10 @@ class CBAEngine:
             text = self.loader(key)
         if doc_id is None:
             doc_id = self.reserve_doc_id()
-        else:
-            if doc_id in self._docs:
-                raise ValueError(f"doc id already in use: {doc_id}")
-            self._next_doc_id = max(self._next_doc_id, doc_id + 1)
+        elif doc_id in self._docs:
+            raise ValueError(f"doc id already in use: {doc_id}")
         terms = self._terms_of(text, path)
-        grew = self.index.add(doc_id, terms)
-        self._docs[doc_id] = Document(doc_id, key, path, mtime, len(text))
-        self._by_key[key] = doc_id
-        if self.cas is not None:
-            self.cas.upsert(doc_id, path, terms)
-        self._note_mutation(doc_id, grew)
+        self._upsert(doc_id, key, path, mtime, len(text), terms)
         self._emit("index", doc_id, key, path, mtime, terms, text)
         self._stats.add("indexed")
         self._stats.add("indexed_bytes", len(text))
@@ -256,14 +235,10 @@ class CBAEngine:
 
     def remove_document(self, key: Hashable) -> int:
         """Withdraw a document; returns the freed doc id."""
-        doc_id = self._by_key.pop(key, None)
+        doc_id = self._by_key.get(key)
         if doc_id is None:
             raise KeyError(f"document not indexed: {key!r}")
-        doc = self._docs.pop(doc_id)
-        self.index.remove(doc_id)
-        if self.cas is not None:
-            self.cas.remove(doc_id)
-        self._note_mutation(doc_id, grew=False)
+        doc = self._withdraw(doc_id)
         self._emit("remove", doc_id, key, doc.path, doc.mtime)
         self._stats.add("removed")
         return doc_id
@@ -277,11 +252,7 @@ class CBAEngine:
         if text is None:
             text = self.loader(key)
         terms = self._terms_of(text, path)
-        grew = self.index.update(doc_id, terms)
-        self._docs[doc_id] = Document(doc_id, key, path, mtime, len(text))
-        if self.cas is not None:
-            self.cas.upsert(doc_id, path, terms)
-        self._note_mutation(doc_id, grew)
+        self._upsert(doc_id, key, path, mtime, len(text), terms)
         self._emit("update", doc_id, key, path, mtime, terms, text)
         self._stats.add("updated")
         return doc_id
@@ -291,17 +262,61 @@ class CBAEngine:
         doc_id = self._by_key.get(key)
         if doc_id is None:
             raise KeyError(f"document not indexed: {key!r}")
+        self._repath(doc_id, new_path)
+        self._emit("rename", doc_id, key, new_path,
+                   self._docs[doc_id].mtime)
+
+    # -- mutation funnels ----------------------------------------------------
+    #
+    # Every way a document version reaches the index — a tokenised write,
+    # a replica replaying ops or folding segments, a restore merging
+    # persisted rows — lands in these three methods, so a new index
+    # dimension is wired here once.
+
+    def _upsert(self, doc_id: int, key: Hashable, path: str, mtime: float,
+                size: int, terms: Iterable[str]) -> None:
+        """Install one pre-tokenised document version (new or changed)."""
+        if doc_id in self.index:
+            grew = self.index.update(doc_id, terms)
+        else:
+            grew = self.index.add(doc_id, terms)
+        self._docs[doc_id] = Document(doc_id, key, path, mtime, size)
+        self._by_key[key] = doc_id
+        self._next_doc_id = max(self._next_doc_id, doc_id + 1)
+        self.cas.upsert(doc_id, path, terms)
+        self._note_mutation(doc_id, grew)
+
+    def _withdraw(self, doc_id: int) -> Document:
+        """Drop one document from every index dimension; returns its row."""
+        doc = self._docs.pop(doc_id)
+        del self._by_key[doc.key]
+        self.index.remove(doc_id)
+        self.cas.remove(doc_id)
+        self._note_mutation(doc_id, grew=False)
+        return doc
+
+    def _repath(self, doc_id: int, new_path: str) -> None:
+        """Move one document's registered path; contents are untouched."""
         self._docs[doc_id] = self._docs[doc_id]._replace(path=new_path)
-        if self.cas is not None:
-            self.cas.set_path(doc_id, new_path)
+        self.cas.set_path(doc_id, new_path)
         # transduced pairs and scope-term verdicts can depend on the path,
         # so memoised verdicts for this doc — and cached results of
         # scope-bearing queries — may no longer hold even though its
         # mtime is unchanged
         self._purge_memo(doc_id)
         self._purge_scope_cache()
-        self._emit("rename", doc_id, key, new_path,
-                   self._docs[doc_id].mtime)
+
+    def _adopt(self, index_obj, docs: Iterable[Document],
+               next_doc_id: int) -> None:
+        """Install a persisted (or copied) block index and registry
+        wholesale — no loader read, no tokenisation — and derive the CAS
+        index from them."""
+        self.index = GlimpseIndex.from_obj(index_obj, counters=self.counters)
+        self.index.scope_counter = self.scope_count
+        self._docs = {doc.doc_id: doc for doc in docs}
+        self._by_key = {doc.key: doc.doc_id for doc in self._docs.values()}
+        self._next_doc_id = next_doc_id
+        self.rebuild_cas()
 
     def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
         """Directory rename: re-root every registered path under
@@ -323,8 +338,7 @@ class CBAEngine:
                 self._purge_memo(doc_id)
                 self._emit("rename", doc_id, doc.key, new_path, doc.mtime)
                 moved += 1
-        if self.cas is not None:
-            self.cas.rebase_prefix(old_prefix, new_prefix)
+        self.cas.rebase_prefix(old_prefix, new_prefix)
         if moved:
             self._purge_scope_cache()
             self._stats.add("paths_rebased", moved)
@@ -448,20 +462,9 @@ class CBAEngine:
 
     def scope_docs(self, prefix: str) -> Bitmap:
         """Exact set of indexed documents whose registered path lies
-        at-or-below *prefix*.  One CAS probe when the index is attached;
-        an exact registry scan otherwise — identical answers either way
-        (the registry is the authority on paths), different work.
-        """
-        if self.cas is not None:
-            self._stats.add("cas_scope_probes")
-            return self.cas.docs_under(prefix)
-        self._stats.add("scope_registry_scans")
-        out = Bitmap()
-        for doc_id, doc in self._docs.items():
-            if pathutil.is_ancestor(prefix, pathutil.canonical(doc.path),
-                                    strict=False):
-                out.add(doc_id)
-        return out
+        at-or-below *prefix*: one CAS probe."""
+        self._stats.add("cas_scope_probes")
+        return self.cas.docs_under(prefix)
 
     def scope_count(self, prefix: str) -> int:
         """Path-dimension selectivity for the planner (exact)."""
@@ -470,10 +473,8 @@ class CBAEngine:
     def rebuild_cas(self) -> None:
         """Repopulate the CAS index from the registry and the block
         index's removal map — zero loader reads, zero tokenisations.
-        Restore paths (from_obj, segment folds, replica hydration) land
-        here because they bypass the per-mutation funnels."""
-        if self.cas is None:
-            return
+        Wholesale adoption (:meth:`_adopt`) and fsck repair land here
+        because they bypass the per-mutation funnels."""
         self.cas.clear()
         lexicon = self.index.lexicon
         for doc_id in sorted(self._docs):
@@ -482,7 +483,7 @@ class CBAEngine:
                      for tid in self.index._doc_terms.get(doc_id, ())]
             self.cas.upsert(doc_id, doc.path, terms)
 
-    # -- postings fast path -------------------------------------------------
+    # -- postings answering ---------------------------------------------------
 
     def _indexable(self, word: str) -> bool:
         return len(word) >= self.min_term_length and word not in self.stopwords
@@ -510,8 +511,8 @@ class CBAEngine:
         if isinstance(node, FieldTerm):
             return True
         if isinstance(node, ScopeTerm):
-            # the registry (via CAS or a scan) answers the path dimension
-            # exactly in any position — scope terms never force a scan
+            # the CAS index answers the path dimension exactly in any
+            # position — scope terms never force a scan
             return True
         if isinstance(node, MatchAll):
             return True
@@ -538,7 +539,7 @@ class CBAEngine:
         if isinstance(node, And):
             out = None
             children = list(node.children)
-            if self.cas is not None and len(children) >= 2 and \
+            if len(children) >= 2 and \
                     isinstance(children[0], ScopeTerm) and \
                     isinstance(children[1], Term):
                 # the planner costed the path dimension cheapest, so
@@ -566,16 +567,17 @@ class CBAEngine:
     def search(self, query: Node, scope: Optional[Bitmap] = None) -> Bitmap:
         """Evaluate a *content-only* query; returns matching doc ids.
 
-        Two-level evaluation, exactly as in Glimpse: the block index nominates
-        candidate blocks, then every candidate document (restricted to
-        *scope* when given) is fetched through the loader and verified by the
-        agrep scanner.  ``MatchAll`` short-circuits without scanning.
-
-        With ``fast_path`` on, the query is first run through the planner
-        (normalisation + selectivity-ordered conjunctions), pure term
-        queries are answered from doc-level postings with no loader fetch at
-        all, and scan verdicts for the rest are memoised per (doc, query)
-        until the doc mutates.
+        The query is first run through the planner (normalisation +
+        selectivity-ordered conjunctions).  The block index then nominates
+        candidate blocks, exactly as in Glimpse; queries the doc-level
+        postings can answer exactly are answered from them with no loader
+        fetch at all, and every other candidate document (restricted to
+        *scope* when given) is fetched through the loader and verified by
+        the agrep scanner, verdicts memoised per (doc, query) until the doc
+        mutates.  ``MatchAll`` short-circuits without scanning.  Answers
+        reflect index state — content written after the last (re)index is
+        invisible until the next one, the paper's §2.4 lazy
+        data-consistency policy.
 
         Results are cached per ``(query, scope)`` until a mutation whose
         block intersects the entry's candidate blocks — SFS's
@@ -588,15 +590,13 @@ class CBAEngine:
             return Bitmap()
         with self.tracer.span("cba.search") as span:
             universe = self.index.all_docs() if scope is None else scope
-            if self.fast_path:
-                with self.tracer.span("cba.plan"):
-                    query = planner.plan(query, self.index, self._stats)
+            with self.tracer.span("cba.plan"):
+                query = planner.plan(query, self.index, self._stats)
             if isinstance(query, MatchAll):
                 span.set(mode="matchall", hits=len(universe))
                 return universe.copy()
-            if self.fast_path and planner.provably_empty(
-                    query, self.index.lexicon.df, self._indexable,
-                    self.scope_count):
+            if planner.provably_empty(query, self.index.lexicon.df,
+                                      self._indexable, self.scope_count):
                 # a required conjunct has zero postings (or the scope
                 # prefix covers nothing): skip candidate blocks, the
                 # postings walk, and the scan fallback outright
@@ -613,25 +613,8 @@ class CBAEngine:
                     span.set(mode="cached", hits=len(cached.result))
                     return cached.result.copy()
             blocks = self.index.candidate_blocks(query)
-            candidates = self.index.docs_in_blocks(blocks)
-            candidates &= universe
             self.metrics.observe("cba.candidate_blocks", len(blocks))
-            if self.fast_path and self._postings_answerable(query):
-                # answered exactly from the doc-level postings: no loader
-                # fetch, no agrep scan, for any of the candidate docs
-                with self.tracer.span("cba.postings"):
-                    result = self._postings_eval(query) & universe
-                self._stats.add("postings_answers")
-                self._stats.add("docs_scan_avoided", len(candidates))
-                span.set(mode="postings")
-            else:
-                candidates = self._prune_by_scope(query, candidates)
-                with self.tracer.span("cba.scan", candidates=len(candidates)):
-                    result = self._scan(query, candidates)
-                span.set(mode="scan")
-                self.metrics.observe("cba.scan_docs", len(candidates))
-            span.set(blocks=len(blocks), candidates=len(candidates),
-                     hits=len(result))
+            result = self._verify(query, blocks, universe, span)
             if cache_key is not None:
                 self._cache[cache_key] = _CacheEntry(result.copy(), blocks)
                 if len(self._cache) > self._cache_capacity:
@@ -662,66 +645,67 @@ class CBAEngine:
             if isinstance(query, MatchAll):
                 span.set(mode="matchall", hits=len(universe))
                 return universe.copy()
-            candidates = self.index.docs_in_blocks(blocks)
-            candidates &= universe
-            if self.fast_path and self._postings_answerable(query):
-                with self.tracer.span("cba.postings"):
-                    result = self._postings_eval(query) & universe
-                self._stats.add("postings_answers")
-                self._stats.add("docs_scan_avoided", len(candidates))
-                span.set(mode="postings")
-            else:
-                candidates = self._prune_by_scope(query, candidates)
-                with self.tracer.span("cba.scan", candidates=len(candidates)):
-                    result = self._scan(query, candidates)
-                span.set(mode="scan")
-                self.metrics.observe("cba.scan_docs", len(candidates))
-            span.set(blocks=len(blocks), candidates=len(candidates),
-                     hits=len(result))
-            return result
+            return self._verify(query, blocks, universe, span)
 
-    def _prune_by_scope(self, query: Node, candidates: Bitmap) -> Bitmap:
-        """Shrink scan candidates by the query's *required* scope
-        prefixes through the CAS index.  Sound because every match must
-        lie under each required prefix, and the scanner applies the same
-        registry-path predicate to whatever survives; without a CAS
-        index the scanner filters alone (the scan-and-filter baseline
-        the CAS ablation contrasts)."""
-        if self.cas is None or not candidates:
-            return candidates
-        for prefix in required_scope_prefixes(query):
-            candidates &= self.cas.docs_under(prefix)
-            if not candidates:
-                break
-        return candidates
+    def _verify(self, query: Node, blocks: Bitmap, universe: Bitmap,
+                span) -> Bitmap:
+        """Second level of the two-level evaluation: the documents of the
+        candidate *blocks*, clamped to *universe*, answered from postings
+        when that is exact and by the scanner otherwise."""
+        candidates = self.index.docs_in_blocks(blocks)
+        candidates &= universe
+        if self._postings_answerable(query):
+            # answered exactly from the doc-level postings: no loader
+            # fetch, no agrep scan, for any of the candidate docs
+            with self.tracer.span("cba.postings"):
+                result = self._postings_eval(query) & universe
+            self._stats.add("postings_answers")
+            self._stats.add("docs_scan_avoided", len(candidates))
+            span.set(mode="postings")
+        else:
+            # every match lies under each required scope prefix, so prune
+            # by them before any loader fetch; the scanner applies the
+            # same registry-path predicate to whatever survives
+            for prefix in required_scope_prefixes(query):
+                if not candidates:
+                    break
+                candidates &= self.cas.docs_under(prefix)
+            with self.tracer.span("cba.scan", candidates=len(candidates)):
+                result = self._scan(query, candidates)
+            span.set(mode="scan")
+            self.metrics.observe("cba.scan_docs", len(candidates))
+        span.set(blocks=len(blocks), candidates=len(candidates),
+                 hits=len(result))
+        return result
 
     def _scan(self, query: Node, candidates: Bitmap) -> Bitmap:
         """Verify *candidates* against *query*, memo-skipping unchanged docs."""
         needs_pairs = self.transducer is not None and has_field_terms(query)
-        use_memo = self.fast_path
         result = Bitmap()
         for doc_id in candidates:
             doc = self._docs.get(doc_id)
             if doc is None:
                 continue
-            if use_memo:
-                hit = self._verify_memo.get(doc_id, {}).get(query)
-                if hit is not None and hit[0] == doc.mtime:
-                    self._stats.add("docs_scan_avoided")
-                    if hit[1]:
-                        result.add(doc_id)
-                    continue
-            text = self.loader(doc.key)
-            self._stats.add("docs_scanned")
-            self._stats.add("bytes_scanned", len(text))
-            pairs = (frozenset(self.transducer(doc.path, text))
-                     if needs_pairs else agrep.NO_PAIRS)
-            verdict = agrep.matches(text, query, pairs, path=doc.path)
-            if use_memo:
+            hit = self._verify_memo.get(doc_id, {}).get(query)
+            if hit is not None and hit[0] == doc.mtime:
+                self._stats.add("docs_scan_avoided")
+                verdict = hit[1]
+            else:
+                verdict = self._agrep_doc(doc, query, needs_pairs)
                 self._memoize(doc_id, query, doc.mtime, verdict)
             if verdict:
                 result.add(doc_id)
         return result
+
+    def _agrep_doc(self, doc: Document, query: Node,
+                   needs_pairs: bool) -> bool:
+        """Fetch one document through the loader and verify it."""
+        text = self.loader(doc.key)
+        self._stats.add("docs_scanned")
+        self._stats.add("bytes_scanned", len(text))
+        pairs = (frozenset(self.transducer(doc.path, text))
+                 if needs_pairs else agrep.NO_PAIRS)
+        return agrep.matches(text, query, pairs, path=doc.path)
 
     def naive_search(self, query: Node, scope: Optional[Bitmap] = None) -> Bitmap:
         """Scan every document in scope, bypassing the block index.
@@ -949,34 +933,23 @@ class CBAEngine:
 
     @classmethod
     def from_obj(cls, obj, loader: Callable[[Hashable], str],
-                 transducer: Optional[Transducer] = None,
-                 counters: Optional[Counters] = None,
-                 fast_path: bool = True,
-                 cache_size: int = 64,
-                 segmented: bool = False,
-                 cas: bool = True) -> "CBAEngine":
+                 **config) -> "CBAEngine":
         """Rebuild an engine from :meth:`to_obj` output without re-reading
-        or re-tokenising a single document.  With *segmented*, a fresh
-        store is attached and seeded with a base segment covering the
-        restored documents, so later compactions and segment restores
-        have an upsert row for every live document.  The CAS index is
-        derived state (registry paths x index terms) and is rebuilt, not
-        persisted."""
-        engine = cls(loader=loader, transducer=transducer, counters=counters,
-                     fast_path=fast_path, cache_size=cache_size,
-                     segmented=segmented, cas=cas)
-        engine.index = GlimpseIndex.from_obj(obj["index"],
-                                             counters=engine.counters,
-                                             track_doc_postings=fast_path)
-        engine.index.scope_counter = engine.scope_count
-        for doc_id, raw_key, path, mtime, size in obj["docs"]:
-            key = (raw_key[0], raw_key[1])
-            engine._docs[doc_id] = Document(doc_id, key, path, mtime, size)
-            engine._by_key[key] = doc_id
-        engine._next_doc_id = obj["next"]
+        or re-tokenising a single document; *config* is any constructor
+        keyword but ``num_blocks``, which the persisted index fixes.  With
+        ``segmented``, the fresh store is seeded with a base segment
+        covering the restored documents, so later compactions and segment
+        restores have an upsert row for every live document.  The CAS
+        index is derived state (registry paths x index terms) and is
+        rebuilt, not persisted."""
+        engine = cls(loader, num_blocks=obj["index"]["num_blocks"], **config)
+        engine._adopt(obj["index"],
+                      (Document(doc_id, (raw_key[0], raw_key[1]), path, mtime,
+                                size)
+                       for doc_id, raw_key, path, mtime, size in obj["docs"]),
+                      obj["next"])
         if engine.segments is not None:
             engine.segments.seed_base(engine.doc_rows())
-        engine.rebuild_cas()
         engine._stats.add("restored_docs", len(engine._docs))
         return engine
 
@@ -997,34 +970,20 @@ class CBAEngine:
     @classmethod
     def from_segments(cls, store: SegmentStore,
                       loader: Callable[[Hashable], str],
-                      next_doc_id: int = 0,
-                      transducer: Optional[Transducer] = None,
-                      counters: Optional[Counters] = None,
-                      fast_path: bool = True,
-                      cache_size: int = 64,
-                      num_blocks: int = DEFAULT_NUM_BLOCKS,
-                      cas: bool = True) -> "CBAEngine":
+                      next_doc_id: int = 0, **config) -> "CBAEngine":
         """Rebuild an engine by folding *store*'s frozen segments —
         reindex-as-merge.  Each document's newest upsert row carries the
         term set the original engine computed, so the rebuild is pure
         index insertion: zero loader reads, zero tokenisations (the
-        counter Ablation N's merge-vs-rebuild guard compares)."""
-        engine = cls(loader=loader, num_blocks=num_blocks,
-                     transducer=transducer, counters=counters,
-                     fast_path=fast_path, cache_size=cache_size,
-                     segmented=True, cas=cas)
+        counter Ablation N's merge-vs-rebuild guard compares).  *config*
+        is any constructor keyword; ``segmented`` is implied."""
+        engine = cls(loader, **dict(config, segmented=True))
         engine.segments = store
         rows = store.live_rows()
         for key, row in sorted(rows.items(), key=lambda kv: kv[1].doc_id):
-            engine.index.add(row.doc_id, row.terms)
-            engine._docs[row.doc_id] = Document(row.doc_id, key, row.path,
-                                                row.mtime, row.size)
-            engine._by_key[key] = row.doc_id
-            engine._next_doc_id = max(engine._next_doc_id, row.doc_id + 1)
+            engine._upsert(row.doc_id, key, row.path, row.mtime, row.size,
+                           row.terms)
         engine._next_doc_id = max(engine._next_doc_id, next_doc_id)
-        # the segment rows carry path + terms, so the CAS rebuild is the
-        # same zero-tokenisation fold the block index just did
-        engine.rebuild_cas()
         engine._stats.add("restored_docs", len(engine._docs))
         engine._stats.add("merged_rows", len(rows))
         return engine

@@ -58,10 +58,10 @@ def _eval(node: Node, engine: CBAEngine,
     if isinstance(node, And):
         # narrow the scope child by child; directory references first, since
         # they are set lookups while content terms cost index + scan work —
-        # then content operands most-selective-first when the planner is on
+        # then content operands most-selective-first
         dir_children = [c for c in node.children if isinstance(c, DirRef)]
         other_children = [c for c in node.children if not isinstance(c, DirRef)]
-        if engine.fast_path and len(other_children) > 1:
+        if len(other_children) > 1:
             other_children = planner.order_children(
                 other_children, engine.index,
                 engine.counters.scoped("engine"))

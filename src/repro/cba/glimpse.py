@@ -138,8 +138,7 @@ class GlimpseIndex:
     """Block-level inverted index over bags of terms."""
 
     def __init__(self, num_blocks: int = DEFAULT_NUM_BLOCKS,
-                 counters: Optional[Counters] = None,
-                 track_doc_postings: bool = True):
+                 counters: Optional[Counters] = None):
         if num_blocks <= 0:
             raise ValueError("num_blocks must be positive")
         self.num_blocks = num_blocks
@@ -153,18 +152,17 @@ class GlimpseIndex:
         self._doc_terms: Dict[int, Set[int]] = {}
         #: block id → bitmap of member doc ids
         self._block_docs: Dict[int, Bitmap] = {}
-        #: term-id → bitmap of doc ids — the query fast path's exact
-        #: doc-level postings.  An in-memory acceleration structure, not
+        #: term-id → bitmap of doc ids — the exact doc-level postings
+        #: term queries are answered from.  An in-memory structure, not
         #: part of the paper's two-level on-disk index: it is not
         #: persisted (rebuilt from ``_doc_terms`` on restore) and not
         #: counted in :meth:`index_size_bytes`.
-        self.track_doc_postings = track_doc_postings
         self._doc_postings: Dict[int, Bitmap] = {}
         self._all_docs = Bitmap()
         self._all_blocks = Bitmap()
         #: exact count of indexed docs under a path prefix — wired by the
-        #: owning engine (CAS index or registry scan) so scope terms get
-        #: real selectivity in :meth:`estimate_docs`
+        #: owning engine (its CAS index) so scope terms get real
+        #: selectivity in :meth:`estimate_docs`
         self.scope_counter: Optional[Callable[[str], int]] = None
 
     # ------------------------------------------------------------------
@@ -200,12 +198,11 @@ class GlimpseIndex:
             if block not in posting:
                 posting.add(block)
                 grew = True
-        if self.track_doc_postings:
-            for tid in term_ids:
-                docs = self._doc_postings.get(tid)
-                if docs is None:
-                    docs = self._doc_postings[tid] = Bitmap()
-                docs.add(doc_id)
+        for tid in term_ids:
+            docs = self._doc_postings.get(tid)
+            if docs is None:
+                docs = self._doc_postings[tid] = Bitmap()
+            docs.add(doc_id)
         self._doc_terms[doc_id] = term_ids
         self._block_docs.setdefault(block, Bitmap()).add(doc_id)
         self._all_docs.add(doc_id)
@@ -232,12 +229,11 @@ class GlimpseIndex:
                 self._postings[tid].discard(block)
                 if not self._postings[tid]:
                     del self._postings[tid]
-            if self.track_doc_postings:
-                docs = self._doc_postings.get(tid)
-                if docs is not None:
-                    docs.discard(doc_id)
-                    if not docs:
-                        del self._doc_postings[tid]
+            docs = self._doc_postings.get(tid)
+            if docs is not None:
+                docs.discard(doc_id)
+                if not docs:
+                    del self._doc_postings[tid]
             self.lexicon.drop_occurrence(term)
         block_docs = self._block_docs[block]
         block_docs.discard(doc_id)
@@ -321,17 +317,11 @@ class GlimpseIndex:
         return self._all_docs.copy()
 
     # ------------------------------------------------------------------
-    # doc-level postings (query fast path)
+    # doc-level postings
     # ------------------------------------------------------------------
 
     def docs_with_term(self, term: str) -> Bitmap:
-        """Exact document set containing *term* (fast path only).
-
-        Requires ``track_doc_postings``; raises otherwise so a misconfigured
-        engine fails loudly instead of silently returning nothing.
-        """
-        if not self.track_doc_postings:
-            raise RuntimeError("doc-level postings are not being tracked")
+        """Exact document set containing *term*."""
         tid = self.lexicon.lookup(term)
         if tid is None:
             return Bitmap()
@@ -341,7 +331,7 @@ class GlimpseIndex:
     def doc_postings_bytes(self) -> int:
         """In-memory footprint of the doc-level postings, reported apart
         from :meth:`index_size_bytes` so the paper's Table-3 space-overhead
-        shape is unaffected by the fast path."""
+        shape is unaffected by them."""
         return sum(bm.nbytes for bm in self._doc_postings.values())
 
     # ------------------------------------------------------------------
@@ -399,8 +389,8 @@ class GlimpseIndex:
         }
 
     @classmethod
-    def from_obj(cls, obj, counters: Optional[Counters] = None,
-                 track_doc_postings: bool = True) -> "GlimpseIndex":
+    def from_obj(cls, obj,
+                 counters: Optional[Counters] = None) -> "GlimpseIndex":
         from array import array
 
         def unpack(raw):
@@ -408,8 +398,7 @@ class GlimpseIndex:
             arr.frombytes(raw)
             return arr
 
-        idx = cls(num_blocks=obj["num_blocks"], counters=counters,
-                  track_doc_postings=track_doc_postings)
+        idx = cls(num_blocks=obj["num_blocks"], counters=counters)
         idx.lexicon = Lexicon.from_obj(obj["lexicon"])
         idx._postings = {int(t): Bitmap.from_bytes(raw)
                          for t, raw in obj["postings"].items()}
@@ -426,13 +415,12 @@ class GlimpseIndex:
             idx._all_docs.add(doc)
         for block in idx._block_docs:
             idx._all_blocks.add(block)
-        if track_doc_postings:
-            # doc postings are not persisted (an in-memory acceleration
-            # structure); rebuild from the removal map we already keep
-            for doc, tids in idx._doc_terms.items():
-                for tid in tids:
-                    docs = idx._doc_postings.get(tid)
-                    if docs is None:
-                        docs = idx._doc_postings[tid] = Bitmap()
-                    docs.add(doc)
+        # doc postings are not persisted (an in-memory structure);
+        # rebuild from the removal map we already keep
+        for doc, tids in idx._doc_terms.items():
+            for tid in tids:
+                docs = idx._doc_postings.get(tid)
+                if docs is None:
+                    docs = idx._doc_postings[tid] = Bitmap()
+                docs.add(doc)
         return idx

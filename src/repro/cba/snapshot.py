@@ -11,7 +11,7 @@ from an immutable **published snapshot** — the engine state as of the last
 once per drained batch.
 
 A snapshot is materialised as a :class:`ReadReplica`: a full private
-:class:`~repro.cba.engine.CBAEngine` (same block count, same fast path)
+:class:`~repro.cba.engine.CBAEngine` (same block count, same tokeniser)
 over a replica-local text store, so snapshot reads touch **no shared
 state at all** — no scheduler drain, no live-tree loader, no device
 charges against the primary.  Replicas catch up by replaying the
@@ -45,7 +45,6 @@ from typing import Dict, Hashable, List, Optional
 from repro.util.bitmap import Bitmap
 from repro.util.stats import Counters
 from repro.cba.engine import CBAEngine, Document, IndexOp
-from repro.cba.glimpse import GlimpseIndex
 
 __all__ = ["IndexOp", "ReadReplica"]
 
@@ -60,7 +59,7 @@ class ReadReplica:
     publish.  Query callers treat the replica like an engine: it forwards
     the read surface (``search``/``search_blocks``/``all_docs``/
     ``doc_by_id``/``estimate_docs``) plus the attributes the evaluator
-    and planner touch (``fast_path``, ``index``, ``counters``).
+    and planner touch (``index``, ``counters``).
     """
 
     def __init__(self, replica_id: str, primary: CBAEngine):
@@ -73,9 +72,7 @@ class ReadReplica:
                                 stopwords=primary.stopwords,
                                 transducer=primary.transducer,
                                 cache_size=0,  # snapshots are short-lived
-                                counters=self.counters,
-                                fast_path=primary.fast_path,
-                                cas=primary.cas is not None)
+                                counters=self.counters)
         #: last published version this replica has applied
         self.version = 0
         #: index into the primary's shared op log (ops before it are applied)
@@ -101,16 +98,8 @@ class ReadReplica:
         tree, and the same text an eager scan would have read right now.
         """
         engine = self.engine
-        engine.index = GlimpseIndex.from_obj(
-            primary.index.to_obj(), counters=self.counters,
-            track_doc_postings=primary.fast_path)
-        engine.index.scope_counter = engine.scope_count
-        engine._docs = dict(primary._docs)
-        engine._by_key = dict(primary._by_key)
-        engine._next_doc_id = primary._next_doc_id
-        # the CAS index is derived (registry x term sets); rebuild it
-        # from the copied state rather than shipping it
-        engine.rebuild_cas()
+        engine._adopt(primary.index.to_obj(), primary._docs.values(),
+                      primary._next_doc_id)
         self._texts = {doc.key: primary.loader(doc.key)
                        for doc in primary._docs.values()}
         self.version = version
@@ -121,49 +110,24 @@ class ReadReplica:
         """Replay ``ops[self.cursor:upto]`` and stamp *version*.
 
         Replay is direct index manipulation — shipped term sets, no
-        tokenizer, no loader — mirroring exactly what the primary's
-        mutation methods did (including the block-exact cache/memo
-        invalidation via ``_note_mutation``).  Returns ops applied.
+        tokenizer, no loader — through the same engine funnels the
+        primary's mutation methods use (including the block-exact
+        cache/memo invalidation).  Returns ops applied.
         """
         engine = self.engine
         applied = 0
         for op in ops[self.cursor:upto]:
-            if op.kind == "index":
-                grew = engine.index.add(op.doc_id, op.terms)
-                engine._docs[op.doc_id] = Document(
-                    op.doc_id, op.key, op.path, op.mtime,
-                    len(op.text or ""))
-                engine._by_key[op.key] = op.doc_id
-                engine._next_doc_id = max(engine._next_doc_id, op.doc_id + 1)
-                if engine.cas is not None:
-                    engine.cas.upsert(op.doc_id, op.path, op.terms)
-                engine._note_mutation(op.doc_id, grew)
-                self._texts[op.key] = op.text or ""
-            elif op.kind == "update":
-                grew = engine.index.update(op.doc_id, op.terms)
-                engine._docs[op.doc_id] = Document(
-                    op.doc_id, op.key, op.path, op.mtime,
-                    len(op.text or ""))
-                if engine.cas is not None:
-                    engine.cas.upsert(op.doc_id, op.path, op.terms)
-                engine._note_mutation(op.doc_id, grew)
-                self._texts[op.key] = op.text or ""
+            if op.kind in ("index", "update"):
+                text = op.text or ""
+                engine._upsert(op.doc_id, op.key, op.path, op.mtime,
+                               len(text), op.terms)
+                self._texts[op.key] = text
             elif op.kind == "remove":
-                engine._by_key.pop(op.key, None)
-                engine._docs.pop(op.doc_id, None)
-                engine.index.remove(op.doc_id)
-                if engine.cas is not None:
-                    engine.cas.remove(op.doc_id)
-                engine._note_mutation(op.doc_id, grew=False)
+                engine._withdraw(op.doc_id)
                 self._texts.pop(op.key, None)
             elif op.kind == "rename":
-                doc = engine._docs.get(op.doc_id)
-                if doc is not None:
-                    engine._docs[op.doc_id] = doc._replace(path=op.path)
-                    if engine.cas is not None:
-                        engine.cas.set_path(op.doc_id, op.path)
-                    engine._purge_memo(op.doc_id)
-                    engine._purge_scope_cache()
+                if op.doc_id in engine._docs:
+                    engine._repath(op.doc_id, op.path)
             else:  # pragma: no cover - emission is closed over four kinds
                 raise ValueError(f"unknown index op kind: {op.kind!r}")
             applied += 1
@@ -190,62 +154,31 @@ class ReadReplica:
         for seg in log[self.cursor:upto]:
             for row in seg.rows:
                 final[row.key] = _coalesce(final.get(row.key), row)
-        applied = 0
         for key, row in final.items():
+            old_id = engine._by_key.get(key)
             if row.kind == "upsert":
-                old_id = engine._by_key.get(key)
                 if old_id is not None and old_id != row.doc_id:
                     # tombstone + revival coalesced across the window:
                     # retire the old incarnation before adding the new
-                    engine._docs.pop(old_id, None)
-                    engine.index.remove(old_id)
-                    if engine.cas is not None:
-                        engine.cas.remove(old_id)
-                    engine._note_mutation(old_id, grew=False)
-                if row.doc_id in engine.index:
-                    grew = engine.index.update(row.doc_id, row.terms)
-                else:
-                    grew = engine.index.add(row.doc_id, row.terms)
-                engine._docs[row.doc_id] = Document(
-                    row.doc_id, key, row.path, row.mtime, row.size)
-                engine._by_key[key] = row.doc_id
-                engine._next_doc_id = max(engine._next_doc_id,
-                                          row.doc_id + 1)
-                if engine.cas is not None:
-                    engine.cas.upsert(row.doc_id, row.path, row.terms)
-                engine._note_mutation(row.doc_id, grew)
+                    engine._withdraw(old_id)
+                engine._upsert(row.doc_id, key, row.path, row.mtime,
+                               row.size, row.terms)
                 self._texts[key] = row.text or ""
             elif row.kind == "remove":
-                old_id = engine._by_key.pop(key, None)
                 if old_id is not None:
-                    engine._docs.pop(old_id, None)
-                    engine.index.remove(old_id)
-                    if engine.cas is not None:
-                        engine.cas.remove(old_id)
-                    engine._note_mutation(old_id, grew=False)
+                    engine._withdraw(old_id)
                 self._texts.pop(key, None)
-            else:  # a rename whose upsert predates this window
-                doc_id = engine._by_key.get(key)
-                if doc_id is not None:
-                    engine._docs[doc_id] = \
-                        engine._docs[doc_id]._replace(path=row.path)
-                    if engine.cas is not None:
-                        engine.cas.set_path(doc_id, row.path)
-                    engine._purge_memo(doc_id)
-                    engine._purge_scope_cache()
-            applied += 1
+            elif old_id is not None:
+                # a rename whose upsert predates this window
+                engine._repath(old_id, row.path)
         self.cursor = upto
         self.version = version
-        self._stats.add("segment_rows_applied", applied)
-        return applied
+        self._stats.add("segment_rows_applied", len(final))
+        return len(final)
 
     # ------------------------------------------------------------------
     # the read surface (what the evaluator / shell / bench touch)
     # ------------------------------------------------------------------
-
-    @property
-    def fast_path(self) -> bool:
-        return self.engine.fast_path
 
     @property
     def index(self):

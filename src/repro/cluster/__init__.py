@@ -9,21 +9,18 @@ substrate, and merges per-shard bitmaps into answers bit-identical to a
 monolithic engine — degrading to partial results (``missing_shards``)
 when shards are unreachable instead of failing.
 
-:class:`ClusterFactory` adapts the cluster to the ``engine_factory`` seam
-on :class:`~repro.core.hacfs.HacFileSystem`, so semantic directories, the
-consistency cascade, and ``ssync`` run unchanged against shards.
+``open_backend("cluster:<K>")`` (:mod:`repro.cba.backend`) builds the
+factory :class:`~repro.core.hacfs.HacFileSystem` takes as ``backend=``, so
+semantic directories, the consistency cascade, and ``ssync`` run unchanged
+against shards.
 """
 
-from typing import Callable, Iterable, Optional
-
-from repro.cba.glimpse import DEFAULT_NUM_BLOCKS
 from repro.cluster.coordinator import (ClusterSnapshotView, RebalancePlan,
                                        ShardedSearchCluster)
 from repro.cluster.shard import SearchShard, ShardProbe
 from repro.cluster.shardmap import Move, ShardMap
 
 __all__ = [
-    "ClusterFactory",
     "ClusterSnapshotView",
     "Move",
     "RebalancePlan",
@@ -33,55 +30,3 @@ __all__ = [
     "ShardedSearchCluster",
 ]
 
-
-class ClusterFactory:
-    """Engine factory building :class:`ShardedSearchCluster` instances.
-
-    Matches the calling convention of ``HacFileSystem(engine_factory=...)``
-    and ``HacFileSystem.restore(engine_factory=...)``: construction
-    parameters that belong to the file system (loader, counters, clock,
-    transducer, block count, fast path) arrive per call; cluster topology
-    and fault-injection knobs are fixed at factory creation.
-    """
-
-    def __init__(self, shards: int = 3,
-                 shard_ids: Optional[Iterable[str]] = None,
-                 latency: float = 0.05,
-                 seed: int = 0,
-                 retry_factory: Optional[Callable] = None,
-                 breaker_factory: Optional[Callable] = None,
-                 replicas_per_shard: int = 1,
-                 segmented: bool = False,
-                 cas: bool = True):
-        if shard_ids is None:
-            shard_ids = [f"shard{i}" for i in range(shards)]
-        self.shard_ids = list(shard_ids)
-        self.latency = latency
-        self.seed = seed
-        self.retry_factory = retry_factory
-        self.breaker_factory = breaker_factory
-        self.replicas_per_shard = replicas_per_shard
-        self.segmented = segmented
-        self.cas = cas
-
-    def __call__(self, loader, *, counters=None, clock=None, transducer=None,
-                 num_blocks: int = DEFAULT_NUM_BLOCKS,
-                 fast_path: bool = True) -> ShardedSearchCluster:
-        return ShardedSearchCluster(
-            loader, self.shard_ids, num_blocks=num_blocks,
-            transducer=transducer, counters=counters, fast_path=fast_path,
-            clock=clock, latency=self.latency, seed=self.seed,
-            retry_factory=self.retry_factory,
-            breaker_factory=self.breaker_factory,
-            replicas_per_shard=self.replicas_per_shard,
-            segmented=self.segmented, cas=self.cas)
-
-    def from_obj(self, obj, *, loader, counters=None, clock=None,
-                 transducer=None, fast_path: bool = True
-                 ) -> ShardedSearchCluster:
-        return ShardedSearchCluster.from_obj(
-            obj, loader, transducer=transducer, counters=counters,
-            fast_path=fast_path, clock=clock, latency=self.latency,
-            seed=self.seed, retry_factory=self.retry_factory,
-            breaker_factory=self.breaker_factory,
-            segmented=self.segmented, cas=self.cas)

@@ -176,7 +176,6 @@ class ClusterSnapshotView:
         versions = [r.version for r in self.replicas.values()]
         self.version = min(versions) if versions else 0
         self.skew = (max(versions) - self.version) if versions else 0
-        self.fast_path = cluster.fast_path
         self.counters = cluster.counters
         self.index = _ViewSelectivity(self)
 
@@ -216,14 +215,13 @@ class ClusterSnapshotView:
                                   version=self.version,
                                   skew=self.skew) as span:
             universe = self.all_docs() if scope is None else scope
-            if self.fast_path:
-                query = planner.plan(query, self.index, cluster._stats)
+            query = planner.plan(query, self.index, cluster._stats)
             if isinstance(query, MatchAll):
                 span.set(mode="matchall", hits=len(universe))
                 return universe.copy()
-            if self.fast_path and planner.provably_empty(
-                    query, self.index._df, cluster._indexable,
-                    self.index._scope_count):
+            if planner.provably_empty(query, self.index._df,
+                                      cluster._indexable,
+                                      self.index._scope_count):
                 cluster._stats.add("planner_empty_shortcircuit")
                 span.set(mode="empty", hits=0)
                 return Bitmap()
@@ -291,7 +289,6 @@ class ShardedSearchCluster:
                  stopwords: Optional[Set[str]] = None,
                  transducer: Optional[Transducer] = None,
                  counters: Optional[Counters] = None,
-                 fast_path: bool = True,
                  clock: Optional[VirtualClock] = None,
                  latency: float = 0.05,
                  seed: int = 0,
@@ -299,8 +296,7 @@ class ShardedSearchCluster:
                  breaker_factory: Optional[
                      Callable[[str], CircuitBreaker]] = None,
                  replicas_per_shard: int = 1,
-                 segmented: bool = False,
-                 cas: bool = True):
+                 segmented: bool = False):
         self.loader = loader
         self.counters = counters if counters is not None else Counters()
         self._stats = self.counters.scoped("cluster")
@@ -309,12 +305,9 @@ class ShardedSearchCluster:
         self.min_term_length = min_term_length
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
         self.transducer = transducer
-        self.fast_path = fast_path
         #: shard engines keep segmented (memtable + frozen segment)
         #: storage, so per-shard publishes hand replicas segment lists
         self.segmented = segmented
-        #: shard engines keep a CAS path dimension (subtree scope probes)
-        self._cas_enabled = cas
         self.latency = latency
         self.seed = seed
         self._retry_factory = retry_factory
@@ -344,14 +337,16 @@ class ShardedSearchCluster:
         #: the degradation flag HAC turns into per-directory staleness
         self.missing_shards: Set[str] = set()
 
+    def _shard_config(self) -> Dict[str, object]:
+        """Constructor keywords every shard engine shares."""
+        return dict(min_term_length=self.min_term_length,
+                    stopwords=self.stopwords, transducer=self.transducer,
+                    cache_size=0,  # answers depend on shipped blocks
+                    counters=self.counters, segmented=self.segmented)
+
     def _build_shard(self, shard_id: str) -> SearchShard:
-        engine = CBAEngine(loader=self.loader, num_blocks=self.num_blocks,
-                           min_term_length=self.min_term_length,
-                           stopwords=self.stopwords,
-                           transducer=self.transducer,
-                           cache_size=0,  # answers depend on shipped blocks
-                           counters=self.counters, fast_path=self.fast_path,
-                           segmented=self.segmented, cas=self._cas_enabled)
+        engine = CBAEngine(self.loader, num_blocks=self.num_blocks,
+                           **self._shard_config())
         engine.tracer = self._tracer
         engine.metrics = self._metrics
         # a shard added mid-life starts at the cluster's published version,
@@ -536,20 +531,14 @@ class ShardedSearchCluster:
     # the path dimension (per-shard CAS indexes, merged by global ids)
     # ------------------------------------------------------------------
 
-    @property
-    def cas(self):
-        """Truthy when the shard engines keep a CAS path dimension.  The
-        coordinator holds no CAS index of its own: subtree probes scatter
-        to the shards and merge by union — shard answers are already
-        global doc ids, so the merge is exact."""
-        return True if self._cas_enabled else None
-
     def _indexable(self, word: str) -> bool:
         return len(word) >= self.min_term_length and word not in self.stopwords
 
     def scope_docs(self, prefix: str) -> Bitmap:
         """Global ids registered under *prefix*: union of per-shard
-        probes.  Read directly off the shard engines like the planner
+        probes (the coordinator holds no CAS index of its own; shard
+        answers are already global doc ids, so the merge is exact).  Read
+        directly off the shard engines like the planner
         statistics — scope resolution is maintenance-side, not a query
         RPC, so it stays whole while shards are partitioned off."""
         out = Bitmap()
@@ -622,15 +611,14 @@ class ShardedSearchCluster:
             return Bitmap()
         with self._tracer.span("cluster.search") as span:
             universe = self._all if scope is None else scope
-            if self.fast_path:
-                with self._tracer.span("cluster.plan"):
-                    query = planner.plan(query, self.index, self._stats)
+            with self._tracer.span("cluster.plan"):
+                query = planner.plan(query, self.index, self._stats)
             if isinstance(query, MatchAll):
                 span.set(mode="matchall", hits=len(universe))
                 return universe.copy()
-            if self.fast_path and planner.provably_empty(
-                    query, self.index._df, self._indexable,
-                    self.index._scope_count):
+            if planner.provably_empty(query, self.index._df,
+                                      self._indexable,
+                                      self.index._scope_count):
                 # summed df / scope counts prove emptiness exactly as the
                 # monolith's lexicon would: skip both scatter phases
                 self._stats.add("planner_empty_shortcircuit")
@@ -935,41 +923,20 @@ class ShardedSearchCluster:
         }
 
     @classmethod
-    def from_obj(cls, obj, loader: Callable[[Hashable], str], *,
-                 min_term_length: int = 2,
-                 stopwords: Optional[Set[str]] = None,
-                 transducer: Optional[Transducer] = None,
-                 counters: Optional[Counters] = None,
-                 fast_path: bool = True,
-                 clock: Optional[VirtualClock] = None,
-                 latency: float = 0.05,
-                 seed: int = 0,
-                 retry_factory: Optional[Callable[[str], RetryPolicy]] = None,
-                 breaker_factory: Optional[
-                     Callable[[str], CircuitBreaker]] = None,
-                 segmented: bool = False,
-                 cas: bool = True
-                 ) -> "ShardedSearchCluster":
+    def from_obj(cls, obj, loader: Callable[[Hashable], str],
+                 shard_ids: Optional[Iterable[str]] = None,
+                 **config) -> "ShardedSearchCluster":
         """Rebuild a cluster from :meth:`to_obj` output without re-reading
-        or re-tokenising a single document."""
+        or re-tokenising a single document.  *config* is any constructor
+        keyword but ``num_blocks``; *shard_ids* is accepted for symmetry
+        with the constructor and ignored — topology and block count are
+        whatever was persisted."""
         cluster = cls(loader, obj["shard_ids"],
                       num_blocks=obj.get("num_blocks", DEFAULT_NUM_BLOCKS),
-                      min_term_length=min_term_length, stopwords=stopwords,
-                      transducer=transducer, counters=counters,
-                      fast_path=fast_path, clock=clock, latency=latency,
-                      seed=seed, retry_factory=retry_factory,
-                      breaker_factory=breaker_factory, segmented=segmented,
-                      cas=cas)
+                      **config)
         for sid, shard in cluster.shards.items():
-            engine = CBAEngine.from_obj(obj["shards"][sid], loader=loader,
-                                        transducer=transducer,
-                                        counters=cluster.counters,
-                                        fast_path=fast_path, cache_size=0,
-                                        segmented=segmented, cas=cas)
-            # from_obj builds with tokeniser defaults; restore the
-            # cluster's configuration for post-restore maintenance
-            engine.min_term_length = cluster.min_term_length
-            engine.stopwords = cluster.stopwords
+            engine = CBAEngine.from_obj(obj["shards"][sid], loader,
+                                        **cluster._shard_config())
             engine.tracer = cluster._tracer
             engine.metrics = cluster._metrics
             shard.engine = engine

@@ -222,7 +222,7 @@ def _check_segments(hacfs, repair: bool = False) -> List[Finding]:
 
 
 def _check_cas(hacfs, repair: bool = False) -> List[Finding]:
-    """Path-dimension agreement: every engine keeping a CAS index must
+    """Path-dimension agreement: every engine's CAS index must
     agree with its document registry doc-for-doc — same membership, same
     paths.  A path mismatch is the signature of a missed prefix rebase
     after a directory rename (``cas-divergence``); a partition whose
@@ -238,10 +238,8 @@ def _check_cas(hacfs, repair: bool = False) -> List[Finding]:
     else:
         engines = [("engine", engine)]
     for label, eng in engines:
-        cas = getattr(eng, "cas", None)
-        if cas is None or not hasattr(cas, "doc_ids"):
-            continue
-        registry = getattr(eng, "_docs", {})
+        cas = eng.cas
+        registry = eng._docs
         cas_ids = set(cas.doc_ids())
         diverged = False
         for doc_id in sorted(cas_ids - set(registry)):

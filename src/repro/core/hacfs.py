@@ -45,7 +45,8 @@ from repro.vfs.filesystem import FileSystem, StatResult
 from repro.vfs.inode import FileNode, SymlinkNode
 from repro.vfs.walker import walk
 from repro.cba import agrep
-from repro.cba.engine import CBAEngine
+from repro.cba.backend import open_backend
+from repro.cba.glimpse import DEFAULT_NUM_BLOCKS
 from repro.cba.incremental import ReindexPlan
 from repro.cba.queryast import content_projection
 from repro.cba.queryparser import parse_query
@@ -65,24 +66,15 @@ from repro.remote.namespace import NameSpace
 from repro.remote.semmount import SemanticMountTable
 
 
-def _resolve_backend(backend, engine_factory):
-    """Fold the deprecated ``engine_factory=`` shim into the unified
-    ``backend=`` seam (one release of :class:`DeprecationWarning`, then
-    the kwarg goes away).  Returns an engine factory or None (the
-    built-in monolith path)."""
-    if engine_factory is not None:
-        import warnings
+#: aux record holding what a reopen must hand the engine it builds
+ENGINE_RECORD = "engineconf"
 
-        warnings.warn(
-            "HacFileSystem(engine_factory=...) is deprecated; pass "
-            "backend=open_backend(spec) (repro.cba.backend) instead",
-            DeprecationWarning, stacklevel=3)
-        if backend is None:
-            return engine_factory
+
+def _backend_factory(backend, segmented: bool):
+    """``backend=None`` is the built-in monolith, whose storage plane the
+    *segmented* argument picks; any other spec carries its own options."""
     if backend is None:
-        return None
-    from repro.cba.backend import open_backend
-
+        return open_backend("monolith", segmented=segmented)
     return open_backend(backend)
 
 
@@ -92,50 +84,58 @@ class HacFileSystem:
     def __init__(self, fs: Optional[FileSystem] = None,
                  clock: Optional[VirtualClock] = None,
                  counters: Optional[Counters] = None,
-                 num_blocks: int = 64,
+                 num_blocks: int = DEFAULT_NUM_BLOCKS,
                  attr_cache_capacity: int = 256,
-                 fast_path: bool = True,
                  obs: Optional[Observability] = None,
-                 engine_factory=None,
-                 path_map: bool = True,
                  segmented: bool = True,
                  backend=None):
-        engine_factory = _resolve_backend(backend, engine_factory)
+        self._init_base(fs, clock, counters, obs)
+        self._init_components(GlobalDirectoryMap(), DependencyGraph(),
+                              attr_cache_capacity)
+        # the engine seam: anything honouring the SearchBackend protocol
+        # works here — ``backend="cluster:3"`` builds a sharded cluster,
+        # for instance (the paper's CBA generality argument, §2.2)
+        self.engine = _backend_factory(backend, segmented)(
+            num_blocks=num_blocks, **self._engine_site())
+        # the root's (empty) HAC state — uid 0 is pre-registered in the map
+        self.meta.create(GlobalDirectoryMap.ROOT_UID)
+        # block placement is doc_id % num_blocks, so a reopen must rebuild
+        # with the same count whichever path it takes
+        self.meta.flush_aux(ENGINE_RECORD, {"num_blocks": num_blocks})
+        self.tenants = TenantManager(self)
+        self._persist_maps()
+        self._wire_obs()
+
+    def _init_base(self, fs: Optional[FileSystem],
+                   clock: Optional[VirtualClock],
+                   counters: Optional[Counters],
+                   obs: Optional[Observability]) -> None:
+        """First half of construction, shared with :meth:`restore`: the
+        planes that exist before any persisted structure is consulted."""
         self.counters = counters if counters is not None else Counters()
         self.clock = clock if clock is not None else VirtualClock()
         #: the observability plane — disabled by default; enable with
         #: ``hac.obs.enable()`` (or pass one in already enabled)
         self.obs = obs if obs is not None else Observability(
             clock=self.clock, counters=self.counters)
-        # *path_map* only shapes a FileSystem built here; a caller-supplied
-        # *fs* keeps whatever resolution cache it was constructed with
         self.fs = fs if fs is not None else FileSystem(
-            name="hac", clock=self.clock, counters=self.counters,
-            path_map=path_map)
+            name="hac", clock=self.clock, counters=self.counters)
         self._hac = self.counters.scoped("hac")
-        self.dirmap = GlobalDirectoryMap()
         self.meta = MetaStore(self.fs.device)
         self.journal = Journal(self.fs.device, self.counters,
                                tracer=self.obs.trace)
         self.last_recovery = None
-        self.depgraph = DependencyGraph()
-        # the engine seam: anything honouring the CBAEngine protocol works
-        # here — a ShardedSearchCluster via repro.cluster.ClusterFactory,
-        # for instance (the paper's CBA generality argument, §2.2)
-        if engine_factory is not None:
-            self.engine = engine_factory(loader=self._load_doc,
-                                         counters=self.counters,
-                                         clock=self.clock,
-                                         transducer=default_transducer,
-                                         num_blocks=num_blocks,
-                                         fast_path=fast_path)
-        else:
-            self.engine = CBAEngine(loader=self._load_doc,
-                                    num_blocks=num_blocks,
-                                    transducer=default_transducer,
-                                    counters=self.counters,
-                                    fast_path=fast_path,
-                                    segmented=segmented)
+
+    def _init_components(self, dirmap: GlobalDirectoryMap,
+                         depgraph: DependencyGraph,
+                         attr_cache_capacity: int = 256) -> None:
+        """Second half, shared with :meth:`restore`: every component that
+        hangs off the (fresh or reloaded) directory map and dependency
+        graph.  The engine is built afterwards by the caller, through the
+        backend factory — nothing here touches it at construction."""
+        self.dirmap = dirmap
+        self.depgraph = depgraph
+        self.engine = None
         self.semmounts = SemanticMountTable(uid_of=self.dirmap.uid_of,
                                             path_of=self.dirmap.path_of)
         self.scopes = ScopeResolver(self)
@@ -159,13 +159,11 @@ class HacFileSystem:
         self._fs_registry: Dict[str, Tuple[FileSystem, str]] = {
             self.fs.fsid: (self.fs, "")
         }
-        # the root's (empty) HAC state — uid 0 is pre-registered in the map
-        self.meta.create(GlobalDirectoryMap.ROOT_UID)
-        #: multi-tenant namespaces over this shared file system; empty
-        #: until the first ``tenants.create(...)`` and costs nothing before
-        self.tenants = TenantManager(self)
-        self._persist_maps()
-        self._wire_obs()
+
+    def _engine_site(self) -> Dict[str, object]:
+        """What this file system supplies to whichever engine it builds."""
+        return dict(loader=self._load_doc, counters=self.counters,
+                    clock=self.clock, transducer=default_transducer)
 
     # ==================================================================
     # plumbing
@@ -520,9 +518,7 @@ class HacFileSystem:
                 # paths and CAS prefix keys follow the moved subtree
                 # immediately, so scope: queries stay correct without
                 # waiting for an ssync to notice the drift
-                rebase = getattr(self.engine, "rebase_paths", None)
-                if callable(rebase):
-                    rebase(old_canon, new_canon)
+                self.engine.rebase_paths(old_canon, new_canon)
                 moved_uid = self.dirmap.uid_of(new_canon)
                 new_parent_uid = self.dirmap.uid_of(pathutil.dirname(new_canon))
                 if moved_uid is not None and new_parent_uid is not None:
@@ -1093,9 +1089,7 @@ class HacFileSystem:
                 clock: Optional[VirtualClock] = None,
                 counters: Optional[Counters] = None,
                 reuse_index: bool = True,
-                fast_path: bool = True,
                 obs: Optional[Observability] = None,
-                engine_factory=None,
                 backend=None,
                 segmented: bool = True) -> "HacFileSystem":
         """Rebuild a HAC file system from the records persisted on *fs*'s
@@ -1109,26 +1103,21 @@ class HacFileSystem:
 
         Link classifications and queries come back verbatim; the content
         index is restored from the persisted copy when one exists (see
-        :meth:`save_index`), else — with *segmented* — merged back from
-        the persisted segment list with zero tokenisation
+        :meth:`save_index`), else — for a segmented monolith — merged back
+        from the persisted segment list with zero tokenisation
         (reindex-as-merge), and brought current by an incremental sync;
-        it is rebuilt from scratch only when neither record exists.  An
-        *unreadable* ``cbaindex`` record is neither: it raises
-        :class:`~repro.errors.CorruptRecord` (and counts
-        ``restore.index_corrupt``) instead of silently rebuilding — a
-        checksum failure means data loss the caller must acknowledge
-        (``reuse_index=False`` opts into the rebuild)."""
+        it is rebuilt from scratch only when neither record exists.  All
+        three go through the one *backend* factory, with the block count
+        the original instance persisted.  An *unreadable* ``cbaindex``
+        record is neither: it raises :class:`~repro.errors.CorruptRecord`
+        (and counts ``restore.index_corrupt``) instead of silently
+        rebuilding — a checksum failure means data loss the caller must
+        acknowledge (``reuse_index=False`` opts into the rebuild)."""
         from repro.core.recovery import (RecoveryReport, recover_records,
                                          undo_tree)
 
-        engine_factory = _resolve_backend(backend, engine_factory)
         hacfs = cls.__new__(cls)
-        hacfs.counters = counters if counters is not None else Counters()
-        hacfs.clock = clock if clock is not None else VirtualClock()
-        hacfs.obs = obs if obs is not None else Observability(
-            clock=hacfs.clock, counters=hacfs.counters)
-        hacfs.fs = fs
-        hacfs._hac = hacfs.counters.scoped("hac")
+        hacfs._init_base(fs, clock, counters, obs)
         fs.device.clear_faults()  # the reboot: the device comes back up
         # the reopened instance resolves paths itself from here on; cached
         # generations from the pre-crash instance must not survive the reboot
@@ -1136,34 +1125,17 @@ class HacFileSystem:
         fs.reset_path_map()
         fs.tracer = hacfs.obs.trace
         fs.device.tracer = hacfs.obs.trace
-        hacfs.meta = MetaStore(fs.device)
-        hacfs.journal = Journal(fs.device, hacfs.counters,
-                                tracer=hacfs.obs.trace)
         report = RecoveryReport()
         with hacfs.obs.trace.span("hac.recover") as span:
             pending = recover_records(hacfs.journal, report)
             span.set(rolled_back=len(pending))
         hacfs.last_recovery = report
         raw_map = hacfs.meta.load_aux("globalmap") or {"0": "/"}
-        hacfs.dirmap = GlobalDirectoryMap.restore(
-            {int(u): p for u, p in raw_map.items()})
         raw_graph = hacfs.meta.load_aux("depgraph")
-        hacfs.depgraph = (DependencyGraph.from_obj(raw_graph)
-                          if raw_graph else DependencyGraph())
-        hacfs.engine = None  # chosen below: restored or fresh
-        hacfs.semmounts = SemanticMountTable(uid_of=hacfs.dirmap.uid_of,
-                                             path_of=hacfs.dirmap.path_of)
-        hacfs.scopes = ScopeResolver(hacfs)
-        hacfs.consistency = ConsistencyManager(hacfs)
-        hacfs.maintenance = MaintenanceScheduler(hacfs)
-        hacfs.admission = AdmissionController(hacfs)
-        hacfs.scheduler = ReindexScheduler(hacfs)
-        hacfs.watches = WatchManager(hacfs)
-        hacfs.attrcache = AttributeCache(counters=hacfs.counters)
-        hacfs._stat_identity = {}
-        hacfs.fdtable = FDTable()
-        hacfs._loader_fds = FDTable()
-        hacfs._fs_registry = {fs.fsid: (fs, "")}
+        hacfs._init_components(
+            GlobalDirectoryMap.restore({int(u): p for u, p in raw_map.items()}),
+            DependencyGraph.from_obj(raw_graph) if raw_graph
+            else DependencyGraph())
         hacfs.meta.reload_all()
         # tree-level undo needs map + states loaded, but not the engine
         undo_tree(hacfs, pending, report)
@@ -1175,48 +1147,25 @@ class HacFileSystem:
             except CorruptRecord:
                 restore_stats.add("index_corrupt")
                 raise
+        if backend is None and isinstance(saved, dict) and saved.get("cluster"):
+            # a persisted sharded index restores as a cluster even when
+            # the caller did not name the backend it was built with
+            backend = "cluster"
+        factory = _backend_factory(backend, segmented)
+        conf = hacfs.meta.load_aux(ENGINE_RECORD) or {}
+        num_blocks = int(conf.get("num_blocks", DEFAULT_NUM_BLOCKS))
+        site = hacfs._engine_site()
         if saved is not None:
-            if engine_factory is not None:
-                hacfs.engine = engine_factory.from_obj(
-                    saved, loader=hacfs._load_doc,
-                    transducer=default_transducer, counters=hacfs.counters,
-                    clock=hacfs.clock, fast_path=fast_path)
-            elif isinstance(saved, dict) and saved.get("cluster"):
-                # a persisted sharded index restores as a cluster even when
-                # the caller did not pass the factory it was built with
-                from repro.cluster import ShardedSearchCluster
-
-                hacfs.engine = ShardedSearchCluster.from_obj(
-                    saved, loader=hacfs._load_doc,
-                    transducer=default_transducer, counters=hacfs.counters,
-                    clock=hacfs.clock, fast_path=fast_path)
-            else:
-                hacfs.engine = CBAEngine.from_obj(
-                    saved, loader=hacfs._load_doc,
-                    transducer=default_transducer, counters=hacfs.counters,
-                    fast_path=fast_path, segmented=segmented)
+            hacfs.engine = factory.from_obj(saved, **site)
             restore_stats.add("index_restored")
-        elif (reuse_index and segmented and engine_factory is None
-              and (segment_state := cls._load_segments(hacfs)) is not None):
-            store, next_doc, num_blocks = segment_state
-            hacfs.engine = CBAEngine.from_segments(
-                store, loader=hacfs._load_doc, next_doc_id=next_doc,
-                transducer=default_transducer, counters=hacfs.counters,
-                fast_path=fast_path, num_blocks=num_blocks)
+        elif (reuse_index and factory.folds_segments
+              and (folded := cls._load_segments(hacfs)) is not None):
+            store, next_doc = folded
+            hacfs.engine = factory.from_segments(
+                store, next_doc_id=next_doc, num_blocks=num_blocks, **site)
             restore_stats.add("index_from_segments")
-        elif engine_factory is not None:
-            hacfs.engine = engine_factory(loader=hacfs._load_doc,
-                                          counters=hacfs.counters,
-                                          clock=hacfs.clock,
-                                          transducer=default_transducer,
-                                          fast_path=fast_path)
-            restore_stats.add("index_rebuilds")
         else:
-            hacfs.engine = CBAEngine(loader=hacfs._load_doc,
-                                     transducer=default_transducer,
-                                     counters=hacfs.counters,
-                                     fast_path=fast_path,
-                                     segmented=segmented)
+            hacfs.engine = factory(num_blocks=num_blocks, **site)
             restore_stats.add("index_rebuilds")
         hacfs._wire_obs()
         hacfs.tenants = TenantManager(hacfs)
@@ -1227,12 +1176,13 @@ class HacFileSystem:
 
     @staticmethod
     def _load_segments(hacfs: "HacFileSystem"):
-        """Load the persisted segment list, or ``None`` when there is no
-        usable manifest.  A manifest naming a missing segment record is
-        treated as unusable (counted, rebuild takes over) — recovery has
-        already rolled incomplete intents back, so this only happens when
-        records were lost outside any journaled write.  An unreadable
-        segment raises :class:`~repro.errors.CorruptRecord`, the same
+        """Load the persisted segment list as ``(store, next doc id)``, or
+        ``None`` when there is no usable manifest.  A manifest naming a
+        missing segment record is treated as unusable (counted, rebuild
+        takes over) — recovery has already rolled incomplete intents back,
+        so this only happens when records were lost outside any journaled
+        write.  An unreadable segment raises
+        :class:`~repro.errors.CorruptRecord`, the same
         acknowledge-your-data-loss contract as ``cbaindex``."""
         from repro.cba.segments import Segment, SegmentStore
 
@@ -1253,6 +1203,4 @@ class HacFileSystem:
             raise
         store = SegmentStore(counters=hacfs.counters)
         store.load_frozen(manifest, segments)
-        return (store, int(manifest.get("next", 0)),
-                int(manifest.get("num_blocks", 64)))
-
+        return store, int(manifest.get("next", 0))

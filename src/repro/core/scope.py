@@ -121,16 +121,14 @@ class ScopeResolver:
         local = Bitmap()
         remote: Set[RemoteId] = set()
         fs = self.hacfs.fs
-        # CAS routing: when the engine keeps a path dimension and no index
-        # maintenance is pending (registry paths == live tree), the subtree's
-        # regular files resolve in one interleaved-index probe instead of a
-        # doc-id lookup per walked file.  Symlink targets and mounted name
-        # spaces are not registry rows, so the walk still collects those.
-        engine = self.hacfs.engine
-        cas_fast = (getattr(engine, "cas", None) is not None
-                    and self.hacfs.maintenance.pending == 0)
+        # CAS routing: when no index maintenance is pending (registry
+        # paths == live tree), the subtree's regular files resolve in one
+        # interleaved-index probe instead of a doc-id lookup per walked
+        # file.  Symlink targets and mounted name spaces are not registry
+        # rows, so the walk still collects those.
+        cas_fast = self.hacfs.maintenance.pending == 0
         if cas_fast:
-            local |= engine.scope_docs(path)
+            local |= self.hacfs.engine.scope_docs(path)
         for dirpath, dirnames, filenames in walk(fs, path):
             dir_uid = self.hacfs.dirmap.uid_of(dirpath)
             dir_state = self.hacfs.meta.get(dir_uid) if dir_uid is not None else None

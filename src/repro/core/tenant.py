@@ -247,12 +247,9 @@ class Tenant:
     def _indexed_docs(self) -> int:
         """Documents the shared index holds under this root, plus updates
         still queued in this tenant's drain bucket."""
-        count = 0
-        scope_count = getattr(self._hacfs.engine, "scope_count", None)
-        if callable(scope_count):
-            count = scope_count(self.root)
         pending = self._hacfs.maintenance.pending_by_tenant()
-        return count + pending.get(self.name, 0)
+        return self._hacfs.engine.scope_count(self.root) + \
+            pending.get(self.name, 0)
 
     def _charge_new_file(self, nbytes: int) -> None:
         self.ledger.check("inodes", 1)

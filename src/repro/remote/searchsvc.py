@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.cba.engine import CBAEngine, Document
-from repro.cba.glimpse import GlimpseIndex
 from repro.cba.queryparser import parse_query
 from repro.remote.namespace import NameSpace, RemoteDoc
 from repro.remote.rpc import RpcTransport
@@ -151,6 +150,9 @@ class SimulatedSearchService(NameSpace):
     def rename_document(self, key: str, new_path: str) -> None:
         self._engine.rename_document(key, new_path)
 
+    def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
+        return self._engine.rebase_paths(old_prefix, new_prefix)
+
     def reindex(self, current, previous=None):
         return self._engine.reindex(current, previous)
 
@@ -180,6 +182,12 @@ class SimulatedSearchService(NameSpace):
 
     def extract(self, key: str, query) -> List[str]:
         return self._engine.extract(key, query)
+
+    def scope_docs(self, prefix: str):
+        return self._engine.scope_docs(prefix)
+
+    def scope_count(self, prefix: str) -> int:
+        return self._engine.scope_count(prefix)
 
     def publish(self) -> int:
         return self._engine.publish()
@@ -223,12 +231,7 @@ class SimulatedSearchService(NameSpace):
                       titles=obj.get("titles"))
         service._docs = dict(obj["docs"])
         service._version = obj.get("version", 0)
-        engine = service._engine
-        engine.index = GlimpseIndex.from_obj(
-            obj["index"], counters=engine.counters,
-            track_doc_postings=engine.fast_path)
-        for doc_id, key, path, mtime, size in obj["registry"]:
-            engine._docs[doc_id] = Document(doc_id, key, path, mtime, size)
-            engine._by_key[key] = doc_id
-        engine._next_doc_id = obj["next"]
+        service._engine._adopt(obj["index"],
+                               (Document(*row) for row in obj["registry"]),
+                               obj["next"])
         return service

@@ -242,7 +242,7 @@ class HacShell:
         factory = open_backend(f"cluster:{shards}")
         cluster = factory(hacfs._load_doc, counters=hacfs.counters,
                           clock=hacfs.clock, transducer=old.transducer,
-                          num_blocks=num_blocks, fast_path=old.fast_path)
+                          num_blocks=num_blocks)
         hacfs.adopt_engine(cluster)
         return (f"sharded cluster with {shards} shard(s), "
                 f"{len(cluster)} docs indexed")

@@ -106,8 +106,7 @@ class FileSystem:
                  clock: Optional[VirtualClock] = None,
                  counters: Optional[Counters] = None,
                  device: Optional[BlockDevice] = None,
-                 fsid: Optional[str] = None,
-                 path_map: bool = True):
+                 fsid: Optional[str] = None):
         self.name = name
         # fsid defaults to a process-unique id; callers needing runs that
         # are reproducible across processes (the chaos soak hashes doc
@@ -132,11 +131,11 @@ class FileSystem:
         #: events through it when enabled — one attribute check when not
         self.tracer = NULL_TRACER
         #: the tree folded into a map (see repro.vfs.pathmap): literal
-        #: resolutions are served from one dict probe; mutators keep it
-        #: coherent with fs-local canonical keys.  None == walk-only.
-        self._pathmap: Optional[PathMap] = (
-            PathMap(is_live=self._node_is_live, counters=self.counters)
-            if path_map else None)
+        #: resolutions are served from one dict probe, :meth:`_walk` is
+        #: only its miss path; mutators keep it coherent with fs-local
+        #: canonical keys.
+        self._pathmap = PathMap(is_live=self._node_is_live,
+                                counters=self.counters)
 
     def _node_is_live(self, node) -> bool:
         return self._inodes.get(node.ino) is node
@@ -205,15 +204,12 @@ class FileSystem:
         resolution (see :meth:`_walk`'s cacheability rules), so a hit is
         valid for both ``follow`` modes and always owned by *self*.
         """
-        pm = self._pathmap
-        if pm is not None:
-            node = pm.lookup(norm)
-            if node is not None:
-                return self, node
+        node = self._pathmap.lookup(norm)
+        if node is not None:
+            return self, node
         fs, node, literal = self._walk(norm, follow_last=follow)
-        if (pm is not None and literal and fs is self
-                and not node.is_symlink):
-            pm.insert(norm, node)
+        if literal and fs is self and not node.is_symlink:
+            self._pathmap.insert(norm, node)
         return fs, node
 
     def _walk(self, path: str,
@@ -305,16 +301,12 @@ class FileSystem:
         before the handover would otherwise revalidate as live and serve
         resolutions the new owner never vetted.
         """
-        pm = self._pathmap
-        if pm is not None:
-            pm.clear()
+        self._pathmap.clear()
 
     def _pm_invalidate(self, parent: DirNode, name: str,
                        prefix: bool = False) -> None:
         """Invalidate the map entry for ``parent/name`` on *this* fs."""
         pm = self._pathmap
-        if pm is None:
-            return
         key = self._pm_key(parent, name)
         if key is None:
             pm.clear()
@@ -577,15 +569,14 @@ class FileSystem:
         oparent.detach(oname)
         nparent.attach(nname, node)
         pm = ofs._pathmap
-        if pm is not None:
-            if old_key is None or new_key is None:
-                pm.clear()
+        if old_key is None or new_key is None:
+            pm.clear()
+        else:
+            pm.invalidate(new_key)
+            if node.is_dir:
+                pm.rebase_prefix(old_key, new_key)
             else:
-                pm.invalidate(new_key)
-                if node.is_dir:
-                    pm.rebase_prefix(old_key, new_key)
-                else:
-                    pm.invalidate(old_key)
+                pm.invalidate(old_key)
         now = self.clock.now
         oparent.attrs.mtime = now
         nparent.attrs.mtime = now
@@ -768,12 +759,11 @@ class FileSystem:
         if fs is self:
             raise InvalidArgument(path, "cannot mount a file system on itself")
         pm = res.fs._pathmap
-        if pm is not None:
-            cover = res.fs.path_of_ino(res.node.ino)
-            if cover is None:
-                pm.clear()
-            else:
-                pm.invalidate_prefix(cover)
+        cover = res.fs.path_of_ino(res.node.ino)
+        if cover is None:
+            pm.clear()
+        else:
+            pm.invalidate_prefix(cover)
         res.fs._mounts[res.node.ino] = fs
         self._notify("mount", path=pathutil.normalize(path), fs=res.fs, mounted=fs)
 

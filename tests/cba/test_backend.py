@@ -30,6 +30,25 @@ def test_every_backend_satisfies_the_protocol(backend):
     # runtime_checkable verifies method presence; the equivalence suites
     # verify behaviour — together they replace the old hasattr sniffing
     assert isinstance(backend, SearchBackend)
+    # the path dimension is part of the contract, not optional surface:
+    # scope resolution, tenant doc counts and dir renames call it directly
+    assert backend.scope_docs("/nowhere").to_bytes() == b""
+    assert backend.scope_count("/nowhere") == 0
+    assert backend.rebase_paths("/nowhere", "/elsewhere") == 0
+
+
+def test_path_dimension_is_required_by_the_protocol():
+    names = [name for name in vars(SearchBackend)
+             if not name.startswith("_") or name in ("__len__",
+                                                     "__contains__")]
+
+    def stub_backend(without=None):
+        return type("Stub", (), {name: lambda self, *a, **k: None
+                                 for name in names if name != without})()
+
+    assert isinstance(stub_backend(), SearchBackend)
+    for name in ("scope_docs", "scope_count", "rebase_paths"):
+        assert not isinstance(stub_backend(without=name), SearchBackend), name
 
 
 def test_protocol_is_not_vacuous():
@@ -135,22 +154,25 @@ def test_service_roundtrips_through_to_obj():
 
 class TestOpenBackend:
     def test_none_and_monolith_specs_build_an_engine(self):
-        from repro.cba.backend import MonolithFactory, open_backend
+        from repro.cba.backend import BackendFactory, open_backend
 
         for spec in (None, "monolith", {"kind": "monolith"}):
             factory = open_backend(spec)
-            assert isinstance(factory, MonolithFactory)
+            assert isinstance(factory, BackendFactory)
             engine = factory(_loader)
             assert isinstance(engine, CBAEngine)
+            assert engine.segments is not None  # today's default
 
     def test_cluster_spec_parses_shard_count(self):
-        from repro.cba.backend import open_backend
-        from repro.cluster import ClusterFactory
+        from repro.cba.backend import BackendFactory, open_backend
 
         factory = open_backend("cluster:4")
-        assert isinstance(factory, ClusterFactory)
+        assert isinstance(factory, BackendFactory)
         cluster = factory(_loader)
+        assert isinstance(cluster, ShardedSearchCluster)
         assert len(cluster.shards) == 4
+        # shard engines keep the op log by default
+        assert all(s.engine.segments is None for s in cluster.shards.values())
 
     def test_cluster_dict_spec_passes_options(self):
         from repro.cba.backend import open_backend
@@ -184,24 +206,32 @@ class TestOpenBackend:
         service = SimulatedSearchService("svc", documents=CORPUS)
         assert open_backend(service) is service
 
-    def test_engine_factory_kwarg_is_a_deprecated_shim(self):
+    def test_removed_twin_keywords_raise_type_error(self):
+        """The on/off twins and the ``engine_factory=`` shim are gone, not
+        ignored: a stale caller fails loudly at the call site."""
+        from repro.cba.glimpse import GlimpseIndex
         from repro.core.hacfs import HacFileSystem
-        from repro.cluster import ClusterFactory
+        from repro.vfs.filesystem import FileSystem
 
-        with pytest.warns(DeprecationWarning, match="engine_factory"):
-            hac = HacFileSystem(engine_factory=ClusterFactory(
-                shards=2, latency=0.0))
+        hac = HacFileSystem(backend="cluster:2")
         assert len(hac.engine.shards) == 2
-
-    def test_backend_kwarg_is_the_replacement(self):
-        import warnings
-
-        from repro.core.hacfs import HacFileSystem
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            hac = HacFileSystem(backend="cluster:2")
-        assert len(hac.engine.shards) == 2
+        for build in (
+                lambda: HacFileSystem(engine_factory=lambda **kw: None),
+                lambda: HacFileSystem(fast_path=False),
+                lambda: HacFileSystem(path_map=False),
+                lambda: HacFileSystem.restore(hac.fs, fast_path=False),
+                lambda: HacFileSystem.restore(hac.fs, engine_factory=None),
+                lambda: FileSystem(path_map=False),
+                lambda: CBAEngine(_loader, fast_path=False),
+                lambda: CBAEngine(_loader, cas=False),
+                lambda: CBAEngine.from_obj(CBAEngine(_loader).to_obj(),
+                                           _loader, fast_path=False),
+                lambda: ShardedSearchCluster(_loader, ["s0"], cas=False),
+                lambda: ShardedSearchCluster(_loader, ["s0"],
+                                             fast_path=False),
+                lambda: GlimpseIndex(track_doc_postings=False)):
+            with pytest.raises(TypeError):
+                build()
 
     def test_restore_accepts_a_backend_spec(self):
         from repro.core.hacfs import HacFileSystem

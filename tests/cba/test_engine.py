@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.scanengine import ScanEngine
 from repro.cba.engine import CBAEngine
 from repro.cba.queryast import MatchAll, Not, Term
 from repro.cba.queryparser import parse_query
@@ -15,9 +16,9 @@ CORPUS = {
 }
 
 
-def build_engine(**kwargs):
+def build_engine(cls=CBAEngine, **kwargs):
     store = dict(CORPUS)
-    eng = CBAEngine(loader=lambda k: store.get(k, ""), **kwargs)
+    eng = cls(loader=lambda k: store.get(k, ""), **kwargs)
     eng.store = store  # test hook
     for i, (key, text) in enumerate(sorted(store.items())):
         eng.index_document(key, path=f"/{key}.txt", mtime=1.0)
@@ -109,15 +110,15 @@ class TestSearch:
         assert scanned <= 1  # only block holding "c" gets scanned
 
     def test_stale_loader_content_is_consistent_with_scan(self):
-        # scan-path semantics (fast path off): content changed but not
-        # reindexed — the index still nominates the doc, the scan sees the
-        # new text — data inconsistency, §2.4 style
-        engine = build_engine(fast_path=False)
+        # scan-path semantics (the seed reference engine): content changed
+        # but not reindexed — the index still nominates the doc, the scan
+        # sees the new text — data inconsistency, §2.4 style
+        engine = build_engine(cls=ScanEngine)
         engine.store["d"] = "totally different now"
         assert keys_of(engine, engine.search(Term("fingerprint"))) == ["a", "b"]
 
     def test_stale_loader_content_fast_path_answers_from_index(self, engine):
-        # fast-path semantics: term queries are answered from the index
+        # the engine's semantics: term queries are answered from the index
         # state, so unindexed content changes stay invisible until the next
         # reindex — the other consistent reading of the §2.4 lazy policy
         engine.store["d"] = "totally different now"

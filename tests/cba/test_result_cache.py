@@ -9,10 +9,9 @@ from repro.util.bitmap import Bitmap
 CORPUS = {"a": "alpha beta", "b": "alpha gamma", "c": "delta"}
 
 
-def build(cache_size=64, fast_path=True):
+def build(cache_size=64):
     store = dict(CORPUS)
-    eng = CBAEngine(loader=lambda k: store.get(k, ""), cache_size=cache_size,
-                    fast_path=fast_path)
+    eng = CBAEngine(loader=lambda k: store.get(k, ""), cache_size=cache_size)
     eng.store = store
     for key in sorted(store):
         eng.index_document(key, path=f"/{key}", mtime=0.0)
@@ -90,14 +89,17 @@ class TestInvalidation:
         assert eng.counters.get("engine.cache_hits") == 0
 
     def test_cache_disabled(self):
-        # scan-path engine: with the fast path on, term queries never scan,
-        # so there would be nothing for the missing cache to save
-        eng = build(cache_size=0, fast_path=False)
-        ast = parse_query("alpha")
+        # a phrase query: term queries are answered from postings and never
+        # scan, so there would be nothing for the missing cache to save
+        eng = build(cache_size=0)
+        ast = parse_query('"alpha beta"')
         eng.search(ast)
+        scanned = eng.counters.get("engine.docs_scanned")
+        assert scanned >= 1
         eng.search(ast)
         assert eng.counters.get("engine.cache_hits") == 0
-        assert eng.counters.get("engine.docs_scanned") >= 2
+        # the repeat went through the verification memo, not a result cache
+        assert eng.counters.get("engine.docs_scan_avoided") == scanned
 
     def test_fine_grained_invalidation_spares_unrelated_entries(self):
         # blocks partition docs by id; mutating a doc in one block must not
@@ -190,10 +192,11 @@ class TestLRUDiscipline:
         assert eng.counters.get("engine.cache_hits") == hits + 2
 
     def test_clear_query_cache_forces_cold_rescan(self):
-        eng = build(fast_path=False)
-        ast = parse_query("alpha")
+        eng = build()
+        ast = parse_query('"alpha gamma"')   # phrases always scan
         eng.search(ast)
         scanned = eng.counters.get("engine.docs_scanned")
+        assert scanned >= 1
         eng.clear_query_cache()
         eng.search(ast)
         assert eng.counters.get("engine.cache_hits") == 0

@@ -8,14 +8,13 @@ from repro.errors import AdmissionRejected, BackendUnavailable
 
 def _clustered(populated, shards=2):
     """Adopt a sharded cluster so a shard can be deterministically killed."""
-    from repro.cluster import ClusterFactory
+    from repro.cba.backend import open_backend
 
-    factory = ClusterFactory(shards=shards, latency=0.0)
+    factory = open_backend("cluster", shards=shards, latency=0.0)
     cluster = factory(populated._load_doc, counters=populated.counters,
                       clock=populated.clock,
                       transducer=populated.engine.transducer,
-                      num_blocks=populated.engine.num_blocks,
-                      fast_path=populated.engine.fast_path)
+                      num_blocks=populated.engine.num_blocks)
     populated.adopt_engine(cluster)
     return cluster
 

@@ -3,7 +3,8 @@ persistence, and the shell commands."""
 
 import pytest
 
-from repro.cluster import ClusterFactory, ShardedSearchCluster
+from repro.cba.backend import open_backend
+from repro.cluster import ShardedSearchCluster
 from repro.core.hacfs import HacFileSystem
 from repro.shell import cli
 from repro.shell.session import HacShell
@@ -36,7 +37,7 @@ def key_of(hacfs, path):
 @pytest.fixture
 def cfs():
     """A HAC file system running over a 3-shard cluster."""
-    fs = HacFileSystem(engine_factory=ClusterFactory(shards=3))
+    fs = HacFileSystem(backend=open_backend("cluster:3"))
     populate(fs)
     fs.smkdir("/q", "fingerprint")
     return fs
@@ -70,11 +71,10 @@ class TestEngineSeam:
         populate(fs)
         fs.smkdir("/q", "fingerprint")
         before = set(fs.links("/q"))
-        cluster = ClusterFactory(shards=2)(
+        cluster = open_backend("cluster:2")(
             fs._load_doc, counters=fs.counters, clock=fs.clock,
             transducer=fs.engine.transducer,
-            num_blocks=fs.engine.index.num_blocks,
-            fast_path=fs.engine.fast_path)
+            num_blocks=fs.engine.index.num_blocks)
         fs.adopt_engine(cluster)
         assert fs.engine is cluster
         assert len(cluster) > 0
@@ -143,7 +143,7 @@ class TestPersistence:
     def test_restore_with_factory_and_saved_index(self, cfs):
         cfs.save_index()
         again = HacFileSystem.restore(
-            cfs.fs, engine_factory=ClusterFactory(shards=3))
+            cfs.fs, backend=open_backend("cluster:3"))
         assert isinstance(again.engine, ShardedSearchCluster)
         assert len(again.engine) == len(cfs.engine)
         assert set(again.links("/q")) == set(cfs.links("/q"))
@@ -151,7 +151,7 @@ class TestPersistence:
     def test_restore_with_factory_builds_fresh_when_unsaved(self, cfs):
         # no save_index(): the factory must rebuild from the corpus
         again = HacFileSystem.restore(
-            cfs.fs, engine_factory=ClusterFactory(shards=2))
+            cfs.fs, backend=open_backend("cluster:2"))
         assert isinstance(again.engine, ShardedSearchCluster)
         assert len(again.engine.shards) == 2
         again.ssync("/")

@@ -3,11 +3,11 @@ rebalancing, and persistence."""
 
 import pytest
 
+from repro.cba.backend import open_backend
 from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
 from repro.cba.transducers import default_transducer
-from repro.cluster import (ClusterFactory, RebalancePlan, ShardedSearchCluster,
-                           ShardMap)
+from repro.cluster import RebalancePlan, ShardedSearchCluster, ShardMap
 from repro.obs import Observability
 from repro.util.bitmap import Bitmap
 from repro.util.clock import VirtualClock
@@ -391,7 +391,7 @@ class TestPersistence:
         assert sorted(again.search(parse_query("omega"))) == [doc_id]
 
     def test_factory_builds_and_restores(self, store):
-        factory = ClusterFactory(shards=2, latency=0.0)
+        factory = open_backend("cluster", shards=2, latency=0.0)
         counters = Counters()
         clu = factory(lambda k: store.get(k, ""), counters=counters,
                       num_blocks=4)

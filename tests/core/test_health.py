@@ -72,14 +72,13 @@ def test_health_keeps_raising_on_unknown_directories(populated):
 def test_combined_degradation_one_report(degraded_remote):
     """Stale shard + open remote breaker + pending maintenance at once:
     every axis lands in the same ``health()`` snapshot."""
-    from repro.cluster import ClusterFactory
+    from repro.cba.backend import open_backend
 
     hac = degraded_remote                      # digilib breaker already open
-    factory = ClusterFactory(shards=2, latency=0.0)
+    factory = open_backend("cluster", shards=2, latency=0.0)
     cluster = factory(hac._load_doc, counters=hac.counters,
                       clock=hac.clock, transducer=hac.engine.transducer,
-                      num_blocks=hac.engine.num_blocks,
-                      fast_path=hac.engine.fast_path)
+                      num_blocks=hac.engine.num_blocks)
     hac.adopt_engine(cluster)
     victim = cluster.shard_of(next(iter(cluster.all_docs()), 0)) or "shard0"
     cluster.kill_shard(victim)
@@ -110,14 +109,13 @@ def test_combined_degradation_one_report(degraded_remote):
 
 
 def test_dead_shard_surfaces_in_health(populated):
-    from repro.cluster import ClusterFactory
+    from repro.cba.backend import open_backend
 
-    factory = ClusterFactory(shards=3, latency=0.0)
+    factory = open_backend("cluster", shards=3, latency=0.0)
     cluster = factory(populated._load_doc, counters=populated.counters,
                       clock=populated.clock,
                       transducer=populated.engine.transducer,
-                      num_blocks=populated.engine.num_blocks,
-                      fast_path=populated.engine.fast_path)
+                      num_blocks=populated.engine.num_blocks)
     populated.adopt_engine(cluster)
     populated.smkdir("/fp", "fingerprint")
     victim = cluster.shard_of(next(iter(cluster.all_docs()), 0)) or "shard0"

@@ -92,6 +92,29 @@ class TestHacRecovery:
         assert revived.counters.get("engine.restored_docs") == 0
         assert len(revived.engine) == 5
 
+    @pytest.mark.parametrize("backend", ["monolith", "cluster:3"])
+    def test_restore_keeps_num_blocks_on_every_rebuild_path(self, backend):
+        """Block placement is ``doc_id % num_blocks`` and the stopword-region
+        semantics depend on collocation, so every way ``restore`` builds an
+        engine — saved index, segment merge, fresh rebuild — must come back
+        with the block count the original was constructed with."""
+        hac = HacFileSystem(num_blocks=256, backend=backend)
+        hac.makedirs("/notes")
+        for i in range(6):
+            hac.write_file(f"/notes/n{i}.txt", b"the fingerprint ridge %d" % i)
+        hac.clock.tick()
+        hac.ssync("/")
+        query = parse_query('"the fingerprint"')
+        want = hac.engine.search(query).to_bytes()
+        for kwargs in ({}, {"reuse_index": False}, {"segmented": False}):
+            again = HacFileSystem.restore(hac.fs, backend=backend, **kwargs)
+            assert again.engine.num_blocks == 256, (backend, kwargs)
+            assert again.engine.search(query).to_bytes() == want
+        hac.save_index()
+        again = HacFileSystem.restore(hac.fs, backend=backend)
+        assert again.counters.get("restore.index_restored") == 1
+        assert again.engine.num_blocks == 256
+
     def test_restored_world_is_fsck_clean(self, populated):
         populated.smkdir("/fp", "fingerprint")
         populated.unlink("/fp/msg1.txt")

@@ -6,32 +6,28 @@ queries prune on *where* and *what* in one probe.  Its contract is the
 same bit-identity every other accelerator in this repo signs up to: for
 any corpus shape, any fuzzed query mixing scope predicates with the full
 content grammar, and any interleaving of writes, removals, single-doc
-renames, and whole-directory rebases, a CAS-backed engine's answers must
-serialise byte-for-byte equal (``Bitmap.to_bytes``) to a CAS-less twin
-that evaluates scopes by scanning the document registry — and both must
-agree with the exhaustive naive scan whenever the naive scan is a sound
-oracle (everything indexable).
+renames, and whole-directory rebases, the engine's answers must
+serialise byte-for-byte equal (``Bitmap.to_bytes``) to the seed scan
+reference (``tests/properties/reference.py``), which verifies every
+candidate against the registry-path predicate and never consults the CAS
+index — and both must agree with the exhaustive naive scan whenever the
+naive scan is a sound oracle (everything indexable).
 
-``CAS_SEED`` shifts the fuzz seeds and ``CAS_K`` (>0) runs the same
-equivalence against a sharded search cluster (CI matrix runs monolith
-and K=3).  Structural invariants of the partition scheme (containment,
-split behaviour, one-pass rebase) are checked directly on
-:class:`CASIndex`, and a crash test arms a device fault inside the
-seal/compact drain to prove ``hacfsck`` finds no ``cas-divergence``
-after restore.
+``REF_SEED`` shifts the fuzz seeds and ``REF_K`` (>0) puts a sharded
+search cluster under test (CI matrix runs monolith and K=3).  Structural
+invariants of the partition scheme (containment, split behaviour,
+one-pass rebase) are checked directly on :class:`CASIndex`, and a crash
+test arms a device fault inside the seal/compact drain to prove
+``hacfsck`` finds no ``cas-divergence`` after restore.
 """
 
-import os
 import random
 
 import pytest
 
-from repro.cba import planner
 from repro.cba.cas import CASIndex, SPLIT_THRESHOLD
-from repro.cba.engine import CBAEngine
 from repro.cba.queryast import And, Not, ScopeTerm, Term
 from repro.cba.queryparser import parse_query
-from repro.cluster import ShardedSearchCluster
 from repro.core.hacfs import HacFileSystem
 from repro.errors import DeviceCrashed
 from repro.shell.session import HacShell
@@ -39,11 +35,9 @@ from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.vfs.blockdev import FaultPlan
 
+from tests.properties.reference import K, SEED, build_pair
 from tests.properties.test_query_fuzz import (CONTENT_KINDS, WORDS,
                                               QueryFuzzer)
-
-SEED = int(os.environ.get("CAS_SEED", "0"))
-K = int(os.environ.get("CAS_K", "0"))
 
 DIRS = ["/", "/projects", "/projects/mail", "/projects/mail/drafts",
         "/projects/fbi", "/projects/fbi/cases", "/archive",
@@ -77,23 +71,10 @@ def random_docs(rng, n_docs):
     return docs
 
 
-def build_twins(docs, **kwargs):
-    """One CAS-backed backend and one scan-and-filter backend over the
-    same keys, paths, and ids — plus the store for later mutation."""
-    store = {i: text for i, (_p, text) in enumerate(docs)}
-    out = []
-    for cas in (True, False):
-        if K:
-            backend = ShardedSearchCluster(
-                lambda key: store.get(key, ""),
-                [f"s{i}" for i in range(K)], latency=0.0, cas=cas, **kwargs)
-        else:
-            backend = CBAEngine(loader=lambda key: store.get(key, ""),
-                                cas=cas, **kwargs)
-        for i, (path, _text) in enumerate(docs):
-            backend.index_document(i, path=path, mtime=0.0)
-        out.append(backend)
-    return out[0], out[1], store
+def indexable_pair(docs):
+    """Engine under test + scan reference, everything indexable."""
+    return build_pair(docs, num_blocks=64, min_term_length=1,
+                      stopwords=set())
 
 
 # ----------------------------------------------------------------------
@@ -123,21 +104,18 @@ def test_fuzz_scope_roundtrip():
 # ----------------------------------------------------------------------
 
 def test_fuzz_cas_bit_identical_to_scan_and_filter():
-    """Indexable-only config: the naive scan referees both twins."""
+    """Indexable-only config: the naive scan referees both engines."""
     rng = random.Random(0x1D0 + SEED)
     fuzz = ScopedFuzzer(rng)
     probes = 0.0
     for _ in range(20):
-        docs = random_docs(rng, rng.randint(0, 40))
-        with_cas, without, _store = build_twins(
-            docs, min_term_length=1, stopwords=set())
+        pair = indexable_pair(random_docs(rng, rng.randint(0, 40)))
         for _ in range(4):
             ast = fuzz.node()
-            want = without.search(ast).to_bytes()
-            assert with_cas.search(ast).to_bytes() == want, ast
-            if not K:  # clusters have no naive scan; the twin is oracle
-                assert without.naive_search(ast).to_bytes() == want, ast
-        probes += with_cas.counters.get("cas.probes")
+            want = pair.check(ast)
+            assert pair.reference.naive_search(ast).to_bytes() == \
+                want.to_bytes(), ast
+        probes += pair.subject.counters.get("cas.probes")
     assert probes > 0, "the fuzz never exercised a CAS probe"
 
 
@@ -152,68 +130,58 @@ def test_fuzz_cas_equivalence_under_renames():
                ("/scratch/cases", "/projects/fbi/cases")]
     for round_no in range(12):
         docs = random_docs(rng, rng.randint(5, 40))
-        with_cas, without, store = build_twins(
-            docs, min_term_length=1, stopwords=set())
+        pair = indexable_pair(docs)
+        store = pair.store
         live = list(range(len(docs)))
         fuzz = ScopedFuzzer(rng, prefixes=PREFIXES +
                             ["/archive/mail", "/scratch/cases"])
         for _ in range(6):
             r = rng.random()
             if r < 0.30:
-                old, new = rng.choice(rebases)
-                for backend in (with_cas, without):
-                    backend.rebase_paths(old, new)
+                pair.both("rebase_paths", *rng.choice(rebases))
             elif r < 0.45 and live:
                 key = rng.choice(live)
-                new_path = pathutil.join(rng.choice(DIRS),
-                                         f"moved{round_no}_{key}.txt")
-                for backend in (with_cas, without):
-                    backend.rename_document(key, new_path)
+                pair.both("rename_document", key, pathutil.join(
+                    rng.choice(DIRS), f"moved{round_no}_{key}.txt"))
             elif r < 0.55 and live:
                 key = rng.choice(live)
                 live.remove(key)
-                for backend in (with_cas, without):
-                    backend.remove_document(key)
+                pair.both("remove_document", key)
             elif r < 0.65:
                 key = len(store)
                 store[key] = " ".join(rng.choices(WORDS, k=6))
                 live.append(key)
                 path = pathutil.join(rng.choice(DIRS), f"new{key}.txt")
-                for backend in (with_cas, without):
-                    backend.index_document(key, path=path, mtime=1.0)
-            ast = fuzz.node()
-            assert with_cas.search(ast).to_bytes() == \
-                without.search(ast).to_bytes(), (round_no, ast)
+                pair.both("index_document", key, path=path, mtime=1.0)
+            pair.check(fuzz.node())
             for prefix in PREFIXES:
-                assert with_cas.scope_docs(prefix).to_bytes() == \
-                    without.scope_docs(prefix).to_bytes(), (round_no, prefix)
+                assert pair.subject.scope_docs(prefix).to_bytes() == \
+                    pair.scan_under(prefix).to_bytes(), (round_no, prefix)
 
 
 def test_zero_selectivity_conjunction_short_circuits():
     """A conjunction with a provably-empty leaf (zero-df term or
     zero-count scope) returns empty without nominating candidates or
     falling back to the scanner — and says so in its counters."""
-    docs = [("/projects/mail/a.txt", "alpha beta"),
-            ("/projects/mail/b.txt", "beta gamma")]
-    with_cas, without, _store = build_twins(
-        docs, min_term_length=1, stopwords=set())
-    for backend in (with_cas, without):
-        before = backend.counters.get("engine.planner_empty_shortcircuit") \
-            + backend.counters.get("cluster.planner_empty_shortcircuit")
-        for text in ("scope:/nowhere AND alpha",
-                     "alpha AND zzznever",
-                     "scope:/archive AND (alpha OR beta)"):
-            scanned0 = backend.counters.get("engine.docs_scanned")
-            assert backend.search(parse_query(text)).to_bytes() == b"", text
-            assert backend.counters.get("engine.docs_scanned") == scanned0, \
-                f"{text}: short-circuit still scanned documents"
-        after = backend.counters.get("engine.planner_empty_shortcircuit") \
-            + backend.counters.get("cluster.planner_empty_shortcircuit")
-        assert after == before + 3
+    pair = indexable_pair([("/projects/mail/a.txt", "alpha beta"),
+                           ("/projects/mail/b.txt", "beta gamma")])
+    counters = pair.subject.counters
+
+    def shortcircuits():
+        return counters.get("engine.planner_empty_shortcircuit") \
+            + counters.get("cluster.planner_empty_shortcircuit")
+
+    before = shortcircuits()
+    for text in ("scope:/nowhere AND alpha",
+                 "alpha AND zzznever",
+                 "scope:/archive AND (alpha OR beta)"):
+        scanned0 = counters.get("engine.docs_scanned")
+        assert pair.check(parse_query(text)).to_bytes() == b"", text
+        assert counters.get("engine.docs_scanned") == scanned0, \
+            f"{text}: short-circuit still scanned documents"
+    assert shortcircuits() == before + 3
     # NOT over an empty branch proves nothing — must not short-circuit
-    ast = Not(Term("zzznever"))
-    assert with_cas.search(ast).to_bytes() == \
-        without.search(ast).to_bytes()
+    pair.check(Not(Term("zzznever")))
 
 
 # ----------------------------------------------------------------------

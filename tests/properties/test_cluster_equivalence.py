@@ -31,12 +31,11 @@ SEED = int(os.environ.get("CLUSTER_SEED", "0"))
 KS = [int(x) for x in os.environ.get("CLUSTER_K", "1,3,8").split(",")]
 
 
-def build_cluster(texts, k, num_blocks=4, fast_path=True, **kwargs):
+def build_cluster(texts, k, num_blocks=4, **kwargs):
     store = dict(enumerate(texts))
     cluster = ShardedSearchCluster(lambda key: store.get(key, ""),
                                    [f"s{i}" for i in range(k)],
-                                   num_blocks=num_blocks,
-                                   fast_path=fast_path, latency=0.0,
+                                   num_blocks=num_blocks, latency=0.0,
                                    **kwargs)
     for key in store:
         cluster.index_document(key, path=f"/{key}", mtime=0.0)

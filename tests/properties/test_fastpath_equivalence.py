@@ -1,13 +1,16 @@
-"""Property tests for the query fast path.
+"""Property tests for the query path.
 
-The fast path (planner normalisation + selectivity ordering, doc-level
+The query path (planner normalisation + selectivity ordering, doc-level
 postings answering, verification memoisation, block-exact cache
 invalidation) is pure optimisation: for any corpus, any mutation history,
-and any query, an engine with ``fast_path=True`` must return exactly what
-the seed scan-everything engine — and the exhaustive ``naive_search`` —
+and any query, the engine must return exactly what the seed
+scan-everything reference (:class:`~repro.baselines.scanengine.ScanEngine`)
+— and, when everything is indexable, the exhaustive ``naive_search`` —
 return.  These tests sample all of that, including the stopword corner
 where the postings path must refuse to answer (a stopword never reaches
 the index, but the scanner can still see it on candidate documents).
+``REF_K`` puts a K-shard cluster under test instead of the monolith (see
+``tests/properties/reference.py``).
 
 Also here: the big-int :class:`Bitmap` kernels must serialise byte-for-byte
 identically to the bytearray implementation they replaced, since bitmaps
@@ -18,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cba import evaluator
-from repro.cba.engine import CBAEngine
 from repro.cba.queryast import And, Approx, Not, Or, Phrase, Term
 from repro.util.bitmap import Bitmap
+
+from tests.properties.reference import K, build_pair
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
 
@@ -45,24 +49,18 @@ queries = st.recursive(
     max_leaves=6)
 
 
-def build_engine(texts, num_blocks=4, fast_path=True, **kwargs):
-    store = dict(enumerate(texts))
-    engine = CBAEngine(loader=lambda k: store.get(k, ""),
-                       num_blocks=num_blocks, min_term_length=1,
-                       stopwords=set(), fast_path=fast_path, **kwargs)
-    engine.store = store
-    for key, text in store.items():
-        engine.index_document(key, path=f"/{key}", mtime=0.0)
-    return engine
+def indexable_pair(texts, num_blocks=4):
+    """Everything indexable: the exhaustive scan is a sound oracle too."""
+    return build_pair(texts, num_blocks, min_term_length=1, stopwords=set())
 
 
 @settings(max_examples=80, deadline=None)
 @given(documents, queries, st.sampled_from([1, 3, 16]))
 def test_fast_path_search_equals_naive_scan(texts, query, num_blocks):
-    engine = build_engine(texts, num_blocks)
-    assert engine.search(query) == engine.naive_search(query)
+    pair = indexable_pair(texts, num_blocks)
+    assert pair.check(query) == pair.reference.naive_search(query)
     # and again, through the warm cache/memo
-    assert engine.search(query) == engine.naive_search(query)
+    assert pair.check(query) == pair.reference.naive_search(query)
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,59 +68,52 @@ def test_fast_path_search_equals_naive_scan(texts, query, num_blocks):
 def test_fast_path_survives_mutations(texts, query, data):
     """Interleave searches with index mutations: memoised verdicts and
     surviving cache entries must never leak stale answers."""
-    engine = build_engine(texts)
-    assert engine.search(query) == engine.naive_search(query)
-    keys = sorted(engine.store)
+    pair = indexable_pair(texts)
+    assert pair.check(query) == pair.reference.naive_search(query)
+    keys = sorted(pair.store)
     if keys:
         victim = data.draw(st.sampled_from(keys))
         action = data.draw(st.sampled_from(["update", "remove", "add"]))
         if action == "update":
-            engine.store[victim] = data.draw(
+            pair.store[victim] = data.draw(
                 st.lists(words, max_size=8).map(" ".join))
-            engine.update_document(victim, path=f"/{victim}", mtime=1.0)
+            pair.both("update_document", victim, path=f"/{victim}",
+                      mtime=1.0)
         elif action == "remove":
-            del engine.store[victim]
-            engine.remove_document(victim)
+            del pair.store[victim]
+            pair.both("remove_document", victim)
         else:
             new_key = max(keys) + 1
-            engine.store[new_key] = data.draw(
+            pair.store[new_key] = data.draw(
                 st.lists(words, max_size=8).map(" ".join))
-            engine.index_document(new_key, path=f"/{new_key}", mtime=1.0)
-    assert engine.search(query) == engine.naive_search(query)
+            pair.both("index_document", new_key, path=f"/{new_key}",
+                      mtime=1.0)
+    assert pair.check(query) == pair.reference.naive_search(query)
 
 
 @settings(max_examples=60, deadline=None)
 @given(documents, queries, st.data())
 def test_fast_path_evaluate_equals_naive_scan(texts, query, data):
-    """The boolean evaluator (content-only queries, arbitrary scope) with
-    the planner on must agree with the exhaustive scan."""
-    engine = build_engine(texts)
-    universe = sorted(engine.all_docs())
+    """The boolean evaluator (content-only queries, arbitrary scope) must
+    agree with the exhaustive scan."""
+    pair = indexable_pair(texts)
+    universe = sorted(pair.subject.all_docs())
     scope = Bitmap(data.draw(st.sets(st.sampled_from(universe))
                              if universe else st.just(set())))
-    got = evaluator.evaluate(query, engine,
+    got = evaluator.evaluate(query, pair.subject,
                              resolve_dirref=lambda uid: Bitmap(),
                              scope=scope)
-    assert got == engine.naive_search(query, scope)
+    assert got == pair.reference.naive_search(query, scope)
 
 
 @settings(max_examples=60, deadline=None)
 @given(documents, queries, st.sampled_from([1, 3, 16]))
 def test_fast_path_matches_scan_path_with_stopwords(texts, query, num_blocks):
     """With real stopwords/min-length the index cannot see every token and
-    ``naive_search`` is no longer the oracle — the seed scan-path engine is.
-    The fast path must reproduce it exactly (the answerability gate)."""
-    def build(fast_path):
-        store = dict(enumerate(texts))
-        engine = CBAEngine(loader=lambda k: store.get(k, ""),
-                           num_blocks=num_blocks, min_term_length=2,
-                           stopwords={"alpha", "eta"}, fast_path=fast_path)
-        for key in store:
-            engine.index_document(key, path=f"/{key}", mtime=0.0)
-        return engine
-
-    fast, slow = build(True), build(False)
-    assert fast.search(query) == slow.search(query)
+    ``naive_search`` is no longer the oracle — the seed scan reference is.
+    The engine must reproduce it exactly (the answerability gate)."""
+    build_pair(texts, num_blocks, min_term_length=2,
+               stopwords={"alpha", "eta"}).check(query)
 
 
 # ----------------------------------------------------------------------
@@ -133,64 +124,58 @@ def test_fast_path_matches_scan_path_with_stopwords(texts, query, num_blocks):
 # match through the branch the postings path evaluated as empty.
 # ----------------------------------------------------------------------
 
-def _stopword_engine(texts, fast_path, num_blocks=1):
-    store = dict(enumerate(texts))
-    engine = CBAEngine(loader=lambda k: store.get(k, ""),
-                       num_blocks=num_blocks, min_term_length=2,
-                       stopwords={"the"}, fast_path=fast_path)
-    for key in store:
-        engine.index_document(key, path=f"/{key}", mtime=0.0)
-    return engine
+def _stopword_pair(texts, num_blocks=1):
+    return build_pair(texts, num_blocks, min_term_length=2,
+                      stopwords={"the"})
+
+
+def _postings_answers(pair):
+    return pair.subject.counters.get("engine.postings_answers")
 
 
 def test_stopword_in_and_under_not_forces_scan():
     # the postings path would see the stopword as an empty doc set, the
     # And as empty and the Not as all docs — but the scanner sees
     # stopwords in raw tokens and excludes docs holding both terms
-    texts = ["the quick apple", "banana orange", "apple banana"]
+    pair = _stopword_pair(["the quick apple", "banana orange",
+                           "apple banana"])
     query = Not(And([Term("the"), Term("apple")]))
-    fast, slow = (_stopword_engine(texts, fp) for fp in (True, False))
-    got = fast.search(query)
-    assert got == slow.search(query) == slow.naive_search(query)
+    got = pair.check(query)
+    assert got == pair.reference.naive_search(query)
     assert sorted(got) == [1, 2]
-    assert fast.counters.get("engine.postings_answers") == 0
+    assert _postings_answers(pair) == 0
 
 
 def test_stopword_and_branch_under_or_forces_scan():
     # doc 0 shares a block with doc 1 (num_blocks=1), so the scanner
     # reaches it through the "banana" branch's candidates and matches it
     # through the stopword And branch
-    texts = ["the apple", "banana"]
+    pair = _stopword_pair(["the apple", "banana"])
     query = Or([And([Term("the"), Term("apple")]), Term("banana")])
-    fast, slow = (_stopword_engine(texts, fp) for fp in (True, False))
-    got = fast.search(query)
-    assert got == slow.search(query)
-    assert sorted(got) == [0, 1]
-    assert fast.counters.get("engine.postings_answers") == 0
+    assert sorted(pair.check(query)) == [0, 1]
+    assert _postings_answers(pair) == 0
 
 
 def test_stopword_and_branch_under_or_under_not_forces_scan():
-    texts = ["the apple", "banana", "apple pear"]
+    pair = _stopword_pair(["the apple", "banana", "apple pear"])
     query = Not(Or([And([Term("the"), Term("apple")]), Term("banana")]))
-    fast, slow = (_stopword_engine(texts, fp) for fp in (True, False))
-    got = fast.search(query)
-    assert got == slow.search(query) == slow.naive_search(query)
+    got = pair.check(query)
+    assert got == pair.reference.naive_search(query)
     assert sorted(got) == [2]
-    assert fast.counters.get("engine.postings_answers") == 0
+    assert _postings_answers(pair) == 0
 
 
 def test_stopword_on_pure_and_spine_still_postings_answered():
     # the sound exemption survives the fix: at top level the stopword's
     # empty block nomination forces both paths to the empty result, so
     # the postings path may (and does) answer without scanning
-    texts = ["the quick apple", "apple banana"]
+    pair = _stopword_pair(["the quick apple", "apple banana"])
     query = And([Term("the"), Term("apple")])
-    fast, slow = (_stopword_engine(texts, fp) for fp in (True, False))
-    got = fast.search(query)
-    assert got == slow.search(query)
-    assert not got
-    assert fast.counters.get("engine.postings_answers") == 1
-    assert fast.counters.get("engine.docs_scanned") == 0
+    assert not pair.check(query)
+    # one answer per engine that saw the query: the monolith, or every
+    # shard holding an in-scope document
+    assert 1 <= _postings_answers(pair) <= max(K, 1)
+    assert pair.subject.counters.get("engine.docs_scanned") == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded grammar fuzz for the query language and the fast path.
+"""Seeded grammar fuzz for the query language and the query path.
 
 Complements ``test_fastpath_equivalence.py`` (hypothesis strategies over a
 small word pool) with a plain seeded :class:`random.Random` grammar fuzzer
@@ -6,16 +6,18 @@ that is deterministic run-to-run with no external machinery:
 
 * **roundtrips** — for random ASTs, ``parse(print(ast)) == ast``, including
   directory references rendered through a live directory map;
-* **equivalence** — the planner + fast path answer bit-identically
-  (``Bitmap.to_bytes``) to the exhaustive naive scan when everything is
-  indexable, to the seed scan-path engine under real stopwords (where the
-  naive scan stops being the oracle), and to the naive scan through the
+* **equivalence** — the planned/postings/memoised engine answers
+  bit-identically (``Bitmap.to_bytes``) to the seed scan reference
+  (``tests/properties/reference.py``) — which, when everything is
+  indexable, the exhaustive naive scan referees too; under real stopwords
+  the reference alone is the oracle — and to the naive scan through the
   boolean evaluator under arbitrary scopes.
 
 The word pool deliberately mixes ordinary words, stopwords (``the``,
 ``a``, ``of``) and tokenizer edge shapes (digits, underscores), because
-the stopword/answerability corner is where the fast path has historically
-diverged.
+the stopword/answerability corner is where the postings path has
+historically diverged.  ``REF_SEED`` shifts the fuzz seeds and ``REF_K``
+puts a K-shard cluster under test.
 """
 
 import random
@@ -37,6 +39,8 @@ from repro.cba.queryparser import parse_query
 from repro.cba.tokenizer import DEFAULT_STOPWORDS
 from repro.core.hacfs import HacFileSystem
 from repro.util.bitmap import Bitmap
+
+from tests.properties.reference import SEED, build_pair
 
 #: parser keywords can never be bare terms; stopwords deliberately can
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "the", "a", "of",
@@ -89,10 +93,10 @@ def random_corpus(rng: random.Random, n_docs: int):
             for _ in range(n_docs)]
 
 
-def build_engine(texts, num_blocks=4, fast_path=True, **kwargs):
+def build_engine(texts, num_blocks=4, **kwargs):
     store = dict(enumerate(texts))
     engine = CBAEngine(loader=lambda k: store.get(k, ""),
-                       num_blocks=num_blocks, fast_path=fast_path, **kwargs)
+                       num_blocks=num_blocks, **kwargs)
     for key in store:
         engine.index_document(key, path=f"/{key}", mtime=0.0)
     return engine
@@ -129,58 +133,51 @@ def test_fuzz_roundtrip_with_dir_refs():
 
 
 # ----------------------------------------------------------------------
-# planner + fast path vs the naive evaluator, bit-identical
+# the engine vs the scan reference and the naive evaluator, bit-identical
 # ----------------------------------------------------------------------
 
 def test_fuzz_fast_path_bit_identical_to_naive():
-    """With everything indexable the exhaustive scan is the oracle; the
+    """With everything indexable the exhaustive scan is an oracle too; the
     planned/postings/memoised answer must serialise byte-for-byte equal."""
-    rng = random.Random(2024)
+    rng = random.Random(2024 + SEED)
     fuzz = QueryFuzzer(rng, kinds=CONTENT_KINDS)
     for _ in range(120):
-        engine = build_engine(random_corpus(rng, rng.randint(0, 14)),
-                              num_blocks=rng.choice([1, 3, 8]),
-                              min_term_length=1, stopwords=set())
+        pair = build_pair(random_corpus(rng, rng.randint(0, 14)),
+                          num_blocks=rng.choice([1, 3, 8]),
+                          min_term_length=1, stopwords=set())
         for _ in range(3):
             ast = fuzz.node()
-            got = engine.search(ast)
-            want = engine.naive_search(ast)
-            assert got == want, ast
-            assert got.to_bytes() == want.to_bytes(), ast
+            want = pair.check(ast)
+            assert want.to_bytes() == \
+                pair.reference.naive_search(ast).to_bytes(), ast
 
 
 def test_fuzz_fast_path_matches_seed_scan_under_stopwords():
     """Under real stopwords + min length the index is blind to some tokens
-    and the seed scan-path engine becomes the oracle (the answerability
+    and the seed scan reference alone is the oracle (the answerability
     gate must refuse unsound postings answers)."""
-    rng = random.Random(7)
+    rng = random.Random(7 + SEED)
     fuzz = QueryFuzzer(rng, kinds=CONTENT_KINDS)
     for _ in range(100):
-        texts = random_corpus(rng, rng.randint(0, 12))
-        num_blocks = rng.choice([1, 2, 6])
-        fast = build_engine(texts, num_blocks, fast_path=True,
-                            min_term_length=2,
-                            stopwords=set(DEFAULT_STOPWORDS))
-        slow = build_engine(texts, num_blocks, fast_path=False,
-                            min_term_length=2,
-                            stopwords=set(DEFAULT_STOPWORDS))
+        pair = build_pair(random_corpus(rng, rng.randint(0, 12)),
+                          num_blocks=rng.choice([1, 2, 6]),
+                          min_term_length=2,
+                          stopwords=set(DEFAULT_STOPWORDS))
         for _ in range(3):
-            ast = fuzz.node()
-            assert fast.search(ast).to_bytes() == \
-                slow.search(ast).to_bytes(), ast
+            pair.check(fuzz.node())
 
 
 def test_fuzz_evaluator_matches_naive_under_scopes():
-    """The boolean evaluator with the planner on, over random scopes."""
-    rng = random.Random(99)
+    """The boolean evaluator over random scopes."""
+    rng = random.Random(99 + SEED)
     fuzz = QueryFuzzer(rng, kinds=CONTENT_KINDS)
     for _ in range(100):
-        engine = build_engine(random_corpus(rng, rng.randint(0, 12)),
-                              min_term_length=1, stopwords=set())
-        universe = sorted(engine.all_docs())
+        pair = build_pair(random_corpus(rng, rng.randint(0, 12)),
+                          min_term_length=1, stopwords=set())
+        universe = sorted(pair.subject.all_docs())
         scope = Bitmap(doc for doc in universe if rng.random() < 0.6)
         ast = fuzz.node()
-        got = evaluator.evaluate(ast, engine,
+        got = evaluator.evaluate(ast, pair.subject,
                                  resolve_dirref=lambda uid: Bitmap(),
                                  scope=scope)
-        assert got == engine.naive_search(ast, scope), ast
+        assert got == pair.reference.naive_search(ast, scope), ast

@@ -17,18 +17,17 @@ mount and unmount — on a deep warmed tree, and after **every** op:
   tombstone at most the one exact entry, a mount/unmount must kill the
   covered prefix.
 
-``PATHMAP_SEED`` shifts the fuzz seed (CI matrix shares it with the
+``REF_SEED`` shifts the fuzz seed (CI matrix shares it with the
 equivalence harness).
 """
 
-import os
 import random
 
 import pytest
 
 from repro.vfs.filesystem import FileSystem
 
-BASE_SEED = int(os.environ.get("PATHMAP_SEED", "0"))
+from tests.properties.reference import SEED as BASE_SEED
 
 TOP = ["/a", "/b", "/c"]
 MIDS = ["m0", "m1"]

@@ -27,9 +27,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cba.backend import open_backend
 from repro.cba.queryparser import parse_query
 from repro.chaos.invariants import state_digest
-from repro.cluster import ClusterFactory
 from repro.core.hacfs import HacFileSystem
 from repro.errors import DeviceCrashed
 from repro.shell.session import HacShell
@@ -57,11 +57,10 @@ def build_world(segmented: bool) -> HacShell:
     counters = Counters()
     fs = FileSystem(name="hac", clock=clock, counters=counters,
                     fsid="hac#segeq")
-    factory = (ClusterFactory(shards=K, latency=0.0, segmented=segmented)
-               if K else None)
+    backend = (open_backend("cluster", shards=K, latency=0.0,
+                            segmented=segmented) if K else None)
     shell = HacShell(HacFileSystem(fs=fs, clock=clock, counters=counters,
-                                   engine_factory=factory,
-                                   segmented=segmented))
+                                   backend=backend, segmented=segmented))
     hac = shell.hacfs
     hac.makedirs("/mail")
     hac.write_file("/mail/seed.txt", b"fingerprint ridge baseline\n")

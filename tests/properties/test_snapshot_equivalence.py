@@ -29,8 +29,8 @@ import random
 
 import pytest
 
+from repro.cba.backend import open_backend
 from repro.cba.queryparser import parse_query
-from repro.cluster import ClusterFactory
 from repro.core.hacfs import HacFileSystem
 from repro.shell.session import HacShell
 
@@ -45,8 +45,8 @@ QUERIES = ["fingerprint", "banana AND recipe", "fingerprint OR lunch",
 
 
 def build_world(mode: str) -> HacShell:
-    factory = ClusterFactory(shards=K, latency=0.0) if K else None
-    shell = HacShell(HacFileSystem(engine_factory=factory))
+    backend = open_backend("cluster", shards=K, latency=0.0) if K else None
+    shell = HacShell(HacFileSystem(backend=backend))
     hac = shell.hacfs
     hac.makedirs("/mail")
     hac.write_file("/mail/seed.txt", b"fingerprint ridge baseline\n")

@@ -57,3 +57,27 @@ class TestHarness:
             assert_shape("bad", 5.0, 1.0, 2.0)
         assert "bad" in str(exc.value)
         assert "5.000" in str(exc.value)
+
+
+class TestE2ELayerCatalogue:
+    def test_every_traced_name_resolves(self):
+        """``benchmarks/e2e/trace.py`` wraps layers by name and only
+        *reports* a name that no longer exists, so a refactor could
+        un-instrument a layer without any benchmark failing.  Installing
+        the wrappers must find every ``(module, class, function)``."""
+        import importlib
+        import pathlib
+        import sys
+
+        bench_dir = str(pathlib.Path(__file__).parent.parent / "benchmarks")
+        sys.path.insert(0, bench_dir)
+        try:
+            trace = importlib.import_module("e2e.trace")
+        finally:
+            sys.path.remove(bench_dir)
+        patches, missing = trace.install(trace.Tracer())
+        trace.uninstall(patches)
+        assert missing == []
+        assert {patch.name for patch in patches} >= {
+            "scope_docs", "scope_count", "rebuild_cas", "reset_path_map",
+            "walk", "apply_segments"}

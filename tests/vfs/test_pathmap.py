@@ -177,10 +177,18 @@ class TestFileSystemIntegration:
         fs.unmount("/mnt/sub")
         assert fs.isdir("/mnt/sub")
 
-    def test_path_map_off_never_caches(self):
-        fs = FileSystem(path_map=False)
+    def test_walk_reference_never_touches_the_map(self):
+        """``_walk`` is the map's miss path and the suites' reference: it
+        resolves by components alone, neither probing nor filling the map."""
+        fs = FileSystem()
         fs.mkdir("/a")
-        fs.stat("/a")
-        fs.stat("/a")
-        assert fs._pathmap is None
-        assert fs.counters.get("pathmap.hit") == 0
+        fs.write_file("/a/f.txt", b"x")
+        before = fs.counters.snapshot()
+        owner, node, literal = fs._walk("/a/f.txt", follow_last=True)
+        assert (owner, node, literal) == (fs, fs.resolve("/a/f.txt").node,
+                                          True)
+        after = fs.counters.diff(before)
+        assert after.get("vfs.walk_steps") == 2
+        assert not any(key.startswith("pathmap.") and key != "pathmap.hit"
+                       for key in after), after
+        assert after.get("pathmap.hit") == 1  # the resolve() above, only
