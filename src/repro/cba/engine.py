@@ -26,7 +26,7 @@ from repro.util.stats import Counters
 from repro.cba import agrep, planner
 from repro.cba.cas import CASIndex
 from repro.cba.glimpse import DEFAULT_NUM_BLOCKS, GlimpseIndex
-from repro.cba.incremental import ReindexPlan, plan_reindex
+from repro.cba.incremental import ReindexPlan, execute_reindex
 from repro.cba.queryast import (
     And,
     FieldTerm,
@@ -40,6 +40,7 @@ from repro.cba.queryast import (
     has_scope_terms,
     required_scope_prefixes,
 )
+from repro.cba.registry import DocRegistry, Document
 from repro.cba.segments import SegmentRow, SegmentStore
 from repro.cba.tokenizer import DEFAULT_STOPWORDS, index_terms
 from repro.cba.transducers import Transducer
@@ -55,16 +56,6 @@ class _CacheEntry(NamedTuple):
 
     result: Bitmap
     blocks: Bitmap
-
-
-class Document(NamedTuple):
-    """Registry entry for one indexed document."""
-
-    doc_id: int
-    key: Hashable
-    path: str
-    mtime: float
-    size: int
 
 
 class IndexOp(NamedTuple):
@@ -87,7 +78,7 @@ class IndexOp(NamedTuple):
     text: Optional[str] = None
 
 
-class CBAEngine:
+class CBAEngine(DocRegistry):
     """Glimpse-style content-based access over externally stored documents.
 
     :param loader: ``loader(key) -> str`` fetches a document's current text.
@@ -114,9 +105,7 @@ class CBAEngine:
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
         #: optional SFS-style attribute extractor; enables field:value terms
         self.transducer = transducer
-        self._docs: Dict[int, Document] = {}
-        self._by_key: Dict[Hashable, int] = {}
-        self._next_doc_id = 0
+        self._init_registry()
         # SFS-style result cache (§5: SFS "caches the contents of different
         # virtual directories to save query processing costs").  Keyed by
         # (query, scope).  Invalidation is block-exact: a mutation of doc d
@@ -153,31 +142,11 @@ class CBAEngine:
         self.index.scope_counter = self.scope_count
 
     # ------------------------------------------------------------------
-    # registry
+    # registry (state and accessors: DocRegistry)
     # ------------------------------------------------------------------
-
-    def doc_by_id(self, doc_id: int) -> Optional[Document]:
-        return self._docs.get(doc_id)
-
-    def doc_by_key(self, key: Hashable) -> Optional[Document]:
-        doc_id = self._by_key.get(key)
-        return self._docs.get(doc_id) if doc_id is not None else None
-
-    def doc_id_of(self, key: Hashable) -> Optional[int]:
-        return self._by_key.get(key)
 
     def all_docs(self) -> Bitmap:
         return self.index.all_docs()
-
-    def __len__(self) -> int:
-        return len(self._docs)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._by_key
-
-    def mtime_snapshot(self) -> Dict[Hashable, float]:
-        """``{key: mtime}`` as of the last (re)index — the §2.4 snapshot."""
-        return {doc.key: doc.mtime for doc in self._docs.values()}
 
     # ------------------------------------------------------------------
     # maintenance
@@ -194,19 +163,6 @@ class CBAEngine:
                       for field, value in self.transducer(path, text)}
         return terms
 
-    def reserve_doc_id(self) -> int:
-        """Claim the next doc id without indexing anything yet.
-
-        The maintenance scheduler reserves ids at enqueue time so a
-        coalesced batch assigns the same ids — hence the same
-        ``doc_id % num_blocks`` block placement — the eager sequence
-        would have.  Reserved ids that go unused stay burned; ids are
-        never reused either way.
-        """
-        doc_id = self._next_doc_id
-        self._next_doc_id += 1
-        return doc_id
-
     def index_document(self, key: Hashable, path: str, mtime: float,
                        text: Optional[str] = None,
                        doc_id: Optional[int] = None) -> int:
@@ -218,14 +174,9 @@ class CBAEngine:
         num_blocks``) — and with it every candidate-block computation —
         matches the monolithic engine bit-for-bit.
         """
-        if key in self._by_key:
-            raise ValueError(f"document already indexed: {key!r}")
+        doc_id = self._claim_doc_id(key, doc_id)
         if text is None:
             text = self.loader(key)
-        if doc_id is None:
-            doc_id = self.reserve_doc_id()
-        elif doc_id in self._docs:
-            raise ValueError(f"doc id already in use: {doc_id}")
         terms = self._terms_of(text, path)
         self._upsert(doc_id, key, path, mtime, len(text), terms)
         self._emit("index", doc_id, key, path, mtime, terms, text)
@@ -356,30 +307,7 @@ class CBAEngine:
         Returns the executed :class:`ReindexPlan` so callers can report how
         much work the lazy data-consistency policy saved.
         """
-        listing = {key: (path, mtime) for key, path, mtime in current}
-        baseline = self.mtime_snapshot() if previous is None else previous
-        plan = plan_reindex(baseline,
-                            {key: mtime for key, (_path, mtime) in listing.items()})
-        for key in plan.removed:
-            self.remove_document(key)
-        for key in plan.added:
-            path, mtime = listing[key]
-            self.index_document(key, path, mtime)
-        for key in plan.changed:
-            path, mtime = listing[key]
-            self.update_document(key, path, mtime)
-        # paths may drift without mtime changes (rename); refresh cheaply —
-        # unless a transducer derives terms from the name, in which case the
-        # document must be re-tokenised under its new path
-        for key, (path, mtime) in listing.items():
-            doc_id = self._by_key.get(key)
-            if doc_id is not None and self._docs[doc_id].path != path:
-                if self.transducer is not None:
-                    self.update_document(key, path, mtime)
-                else:
-                    self.rename_document(key, path)
-        self._stats.add("reindex_runs")
-        return plan
+        return execute_reindex(self, current, previous)
 
     # ------------------------------------------------------------------
     # search
@@ -590,19 +518,12 @@ class CBAEngine:
             return Bitmap()
         with self.tracer.span("cba.search") as span:
             universe = self.index.all_docs() if scope is None else scope
-            with self.tracer.span("cba.plan"):
-                query = planner.plan(query, self.index, self._stats)
-            if isinstance(query, MatchAll):
-                span.set(mode="matchall", hits=len(universe))
-                return universe.copy()
-            if planner.provably_empty(query, self.index.lexicon.df,
-                                      self._indexable, self.scope_count):
-                # a required conjunct has zero postings (or the scope
-                # prefix covers nothing): skip candidate blocks, the
-                # postings walk, and the scan fallback outright
-                self._stats.add("planner_empty_shortcircuit")
-                span.set(mode="empty", hits=0)
-                return Bitmap()
+            query, answer = planner.settle(
+                query, self.index,
+                (self.index.lexicon.df, self._indexable, self.scope_count),
+                universe, self._stats, span, self.tracer.span("cba.plan"))
+            if answer is not None:
+                return answer
             cache_key = None
             if self._cache_capacity > 0:
                 cache_key = (query, None if scope is None else scope.to_bytes())
@@ -987,6 +908,3 @@ class CBAEngine:
         engine._stats.add("restored_docs", len(engine._docs))
         engine._stats.add("merged_rows", len(rows))
         return engine
-
-    def corpus_bytes(self) -> int:
-        return sum(doc.size for doc in self._docs.values())

@@ -8,11 +8,13 @@ classify every document as added, removed, changed, or untouched.
 
 The planner is pure data — it never touches the index — so it can be tested
 exhaustively and benchmarked against full rebuilds (ablation D).
+:func:`execute_reindex` is the one place a plan is carried out, against
+whichever back-end (monolithic engine or cluster coordinator) is handed in.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, NamedTuple, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class ReindexPlan(NamedTuple):
@@ -57,6 +59,43 @@ def plan_reindex(previous: Dict[Hashable, float],
     removed = [key for key in previous if key not in current]
     return ReindexPlan(added=added, removed=removed,
                        changed=changed, unchanged=unchanged)
+
+
+def execute_reindex(backend,
+                    current: Iterable[Tuple[Hashable, str, float]],
+                    previous: Optional[Dict[Hashable, float]] = None
+                    ) -> ReindexPlan:
+    """Bring *backend* in line with *current* ``(key, path, mtime)`` files
+    through its own maintenance methods; returns the executed plan.
+
+    *previous* restricts the comparison baseline (default: the back-end's
+    whole :meth:`mtime_snapshot`) so documents outside a reindexed subtree
+    are not treated as removed.
+    """
+    listing = {key: (path, mtime) for key, path, mtime in current}
+    baseline = backend.mtime_snapshot() if previous is None else previous
+    plan = plan_reindex(baseline,
+                        {key: mtime for key, (_path, mtime) in listing.items()})
+    for key in plan.removed:
+        backend.remove_document(key)
+    for key in plan.added:
+        path, mtime = listing[key]
+        backend.index_document(key, path, mtime)
+    for key in plan.changed:
+        path, mtime = listing[key]
+        backend.update_document(key, path, mtime)
+    # paths may drift without mtime changes (rename); refresh cheaply —
+    # unless a transducer derives terms from the name, in which case the
+    # document must be re-tokenised under its new path
+    for key, (path, mtime) in listing.items():
+        doc = backend.doc_by_key(key)
+        if doc is not None and doc.path != path:
+            if backend.transducer is not None:
+                backend.update_document(key, path, mtime)
+            else:
+                backend.rename_document(key, path)
+    backend._stats.add("reindex_runs")
+    return plan
 
 
 def merge_plans(first: ReindexPlan, second: ReindexPlan) -> ReindexPlan:

@@ -14,7 +14,9 @@ CSI-style engines order conjunctive predicates by selectivity (PAPERS.md:
 * :func:`order_children` sorts the operands of a conjunction so the most
   selective (fewest estimated matching documents) runs first, shrinking
   the candidate set before the expensive operands see it;
-* :func:`plan` composes the two.
+* :func:`plan` composes the two;
+* :func:`settle` is the prologue every search entry point runs: plan, then
+  answer outright when planning alone decides the query.
 
 Selectivity estimates come from :meth:`GlimpseIndex.estimate_docs`, which
 reads exact document frequencies out of the lexicon — no sampling, no
@@ -25,8 +27,9 @@ lookup, cheaper than any index probe.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.util.bitmap import Bitmap
 from repro.cba.queryast import (And, DirRef, FieldTerm, MatchAll, Node, Not,
                                 Or, Phrase, ScopeTerm, Term)
 
@@ -143,6 +146,34 @@ def provably_empty(node: Node, df: Callable[[str], int],
 def plan(node: Node, index, stats=None) -> Node:
     """Normalize *node* and selectivity-order every conjunction in it."""
     return _order_tree(normalize(node), index, stats)
+
+
+def settle(query: Node, index, proof: tuple, universe: Bitmap, stats,
+           span, plan_span) -> Tuple[Node, Optional[Bitmap]]:
+    """Plan *query*; answer it when the plan alone settles it.
+
+    Returns ``(planned query, answer)``.  *answer* is a fresh bitmap when
+    no index probe is needed — a planned ``MatchAll`` is *universe*
+    itself, a :func:`provably_empty` query (*proof* is its ``(df,
+    indexable, scope_count)`` sources) matches nothing — and ``None``
+    when evaluation must go on.  The monolithic engine, the cluster
+    coordinator and a snapshot cut all start here, each with its own
+    statistics, so the three reach the same verdict on the same corpus.
+    *span* is the caller's search span (tagged with the verdict),
+    *plan_span* the one to time planning under.
+    """
+    with plan_span:
+        query = plan(query, index, stats)
+    if isinstance(query, MatchAll):
+        span.set(mode="matchall", hits=len(universe))
+        return query, universe.copy()
+    if provably_empty(query, *proof):
+        # a required conjunct has zero postings (or a scope prefix covers
+        # nothing): skip candidate blocks, probes and the scan outright
+        stats.add("planner_empty_shortcircuit")
+        span.set(mode="empty", hits=0)
+        return query, Bitmap()
+    return query, None
 
 
 def _order_tree(node: Node, index, stats) -> Node:

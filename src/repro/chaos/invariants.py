@@ -62,22 +62,24 @@ def heal(world) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _tree(world) -> Dict[str, str]:
-    fs = world.hac.fs
+def tree_of(surface) -> Dict[str, str]:
+    """``{path: "dir" | "link:<target>" | "file:<sha256>"}`` for every
+    entry below ``/`` of *surface* — a :class:`FileSystem` or a
+    :class:`~repro.core.tenant.Tenant` (whose paths are tenant-relative)."""
     out: Dict[str, str] = {}
     stack = ["/"]
     while stack:
         path = stack.pop()
-        for name in sorted(fs.listdir(path)):
+        for name in sorted(surface.listdir(path)):
             child = (path.rstrip("/") or "") + "/" + name
-            st = fs.lstat(child)
+            st = surface.lstat(child)
             if st.is_dir:
                 out[child] = "dir"
                 stack.append(child)
             elif st.is_symlink:
-                out[child] = "link:" + fs.readlink(child)
+                out[child] = "link:" + surface.readlink(child)
             else:
-                digest = hashlib.sha256(fs.read_file(child)).hexdigest()
+                digest = hashlib.sha256(surface.read_file(child)).hexdigest()
                 out[child] = "file:" + digest
     return out
 
@@ -121,7 +123,7 @@ def _semdirs(world,
 def state_digest(world, queries: Sequence[str] = ()) -> str:
     """SHA-256 of the world's canonical observable state."""
     obj = {
-        "tree": _tree(world),
+        "tree": tree_of(world.hac.fs),
         "semdirs": _semdirs(world),
         "queries": {q: world.shell.glimpse(q, consistency="strong")
                     for q in queries},

@@ -37,6 +37,7 @@ from repro.util.clock import VirtualClock
 from repro.core.hacfs import HacFileSystem
 from repro.core.quota import QuotaSpec
 from repro.vfs.filesystem import FileSystem
+from repro.chaos.invariants import tree_of
 from repro.workloads.coderepo import CodeRepoGenerator
 from repro.workloads.digilib import DigitalLibraryGenerator
 
@@ -53,21 +54,7 @@ def tenant_digest(tenant) -> str:
     the tenant's own state matches.
     """
     tenant.barrier()
-    tree: Dict[str, str] = {}
-    stack = ["/"]
-    while stack:
-        path = stack.pop()
-        for name in sorted(tenant.listdir(path)):
-            child = (path.rstrip("/") or "") + "/" + name
-            st = tenant.lstat(child)
-            if st.is_dir:
-                tree[child] = "dir"
-                stack.append(child)
-            elif st.is_symlink:
-                tree[child] = "link:" + tenant.readlink(child)
-            else:
-                tree[child] = "file:" + hashlib.sha256(
-                    tenant.read_file(child)).hexdigest()
+    tree = tree_of(tenant)
     semdirs = {}
     for path in [p for p in tree if tree[p] == "dir"] + ["/"]:
         if tenant.is_semantic(path):
@@ -282,5 +269,5 @@ class TenantIsolationSoak:
 
 
 def run_soak(seed: int = 0, k: int = 0, steps: int = 30) -> Dict[str, object]:
-    """Convenience entry point (the CI tenant-sweep calls this)."""
+    """Convenience entry point (the CI ``tenant-*`` sweep cells call this)."""
     return TenantIsolationSoak(seed=seed, k=k, steps=steps).run()

@@ -45,12 +45,13 @@ it the way PR 2 surfaces ``degraded_remote``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (Callable, Dict, Hashable, Iterable, List, NamedTuple,
                     Optional, Set, Tuple)
 
 from repro.errors import BackendUnavailable, ShardUnavailable
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NOOP_SPAN, NULL_TRACER
 from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.util.clock import VirtualClock
@@ -58,11 +59,10 @@ from repro.util.stats import Counters
 from repro.cba import agrep, planner
 from repro.cba.engine import CBAEngine, Document
 from repro.cba.glimpse import DEFAULT_NUM_BLOCKS, eval_blocks, estimate_docs
-from repro.cba.incremental import ReindexPlan, plan_reindex
+from repro.cba.incremental import ReindexPlan, execute_reindex, plan_reindex
 from repro.cba.queryast import (
     And,
     FieldTerm,
-    MatchAll,
     Node,
     Not,
     Or,
@@ -70,10 +70,11 @@ from repro.cba.queryast import (
     ScopeTerm,
     Term,
 )
+from repro.cba.registry import DocRegistry
 from repro.cba.tokenizer import DEFAULT_STOPWORDS
 from repro.cba.transducers import Transducer
-from repro.remote.rpc import CircuitBreaker, RetryPolicy, RpcTransport
-from repro.cluster.shard import SearchShard
+from repro.remote.rpc import CircuitBreaker, RpcTransport
+from repro.cluster.shard import SearchShard, ShardProbe, probe_index
 from repro.cluster.shardmap import Move, ShardMap
 
 #: default shard breaker: trips fast (queries hit every shard, so a dead
@@ -103,55 +104,127 @@ def _probe_terms(node: Node, out: Set[str]) -> None:
     # Approx / MatchAll consult no term postings
 
 
-class _ClusterSelectivity:
-    """Planner-facing view: document frequencies summed across shards.
+class _SummedSelectivity:
+    """Planner-facing statistics summed over the members of a partition.
 
-    df and corpus size are additive over a partition, so estimates — and
-    the planner's stable sort — match the monolithic engine exactly.  (A
-    real deployment would ship these statistics on shard heartbeats; here
-    the coordinator reads them directly, off the query path.)
+    df, corpus size and scope counts are additive over a partition, so
+    estimates — and the planner's stable sort — match the monolithic
+    engine exactly.  *parts* yields the current members on each call: live
+    shard engines for the cluster (a real deployment would ship these
+    statistics on shard heartbeats; here the coordinator reads them
+    directly, off the query path), the chosen replicas for a snapshot cut,
+    which therefore plans exactly as the live path would have *at the
+    publish point*.
     """
 
-    def __init__(self, cluster: "ShardedSearchCluster"):
-        self._cluster = cluster
+    def __init__(self, parts: Callable[[], Iterable]):
+        self._parts = parts
 
-    def _df(self, term: str) -> int:
-        return sum(shard.engine.index.lexicon.df(term)
-                   for shard in self._cluster.shards.values())
+    def df(self, term: str) -> int:
+        return sum(part.index.lexicon.df(term) for part in self._parts())
 
-    def _scope_count(self, prefix: str) -> int:
-        # scope counts are additive over a partition, exactly like df
-        return sum(shard.engine.scope_count(prefix)
-                   for shard in self._cluster.shards.values())
+    def scope_count(self, prefix: str) -> int:
+        return sum(part.scope_count(prefix) for part in self._parts())
 
     def estimate_docs(self, node: Node) -> int:
-        return estimate_docs(node, self._df, len(self._cluster),
-                             self._scope_count)
+        return estimate_docs(node, self.df,
+                             sum(len(part) for part in self._parts()),
+                             self.scope_count)
 
 
-class _ViewSelectivity:
-    """Planner statistics over a snapshot view's chosen replicas.
+class _Part(NamedTuple):
+    """One member of a partition of the corpus, as the scatter-gather
+    algebra sees it: a live shard behind its transport, or one replica of
+    a snapshot cut.  *probe* and *verify* may raise
+    :class:`~repro.errors.BackendUnavailable`."""
 
-    Same additive-df argument as :class:`_ClusterSelectivity`, read from
-    the replica indexes instead of the live shard engines, so planning on
-    the snapshot path orders conjunctions exactly as the live path would
-    have *at the publish point*.
+    sid: str
+    #: global doc ids living on this member
+    members: Bitmap
+    #: ``probe(terms) -> ShardProbe`` — phase 1
+    probe: Callable[[List[str]], ShardProbe]
+    #: ``verify(query, blocks, scope) -> Bitmap`` — phase 2
+    verify: Callable[[Node, Bitmap, Optional[Bitmap]], Bitmap]
+
+
+def _gather(query: Node, blocks: Bitmap, scope: Optional[Bitmap],
+            parts: Iterable[_Part], missing: Set[str], stats, tracer,
+            metrics,
+            occupied_by: Optional[Dict[str, Bitmap]] = None) -> Bitmap:
+    """Phase 2: every part verifies the planned *query* against the
+    global candidate *blocks*; the merge is a union masked by membership.
+
+    A part holding nothing in *scope* is skipped (no RPC); one that fails
+    lands in *missing* and the union of the survivors stands.  With
+    *occupied_by* (the probe phase's per-part occupied blocks) each
+    part's share of the candidate blocks is counted.
     """
+    result = Bitmap()
+    for part in parts:
+        part_scope = None if scope is None else scope & part.members
+        if part_scope is not None and not part_scope:
+            continue
+        if occupied_by is not None:
+            part_blocks = len(blocks & occupied_by[part.sid])
+            stats.add(f"shard.{part.sid}.candidate_blocks", part_blocks)
+            metrics.observe(f"cluster.shard.{part.sid}.candidate_blocks",
+                            part_blocks)
+        try:
+            with tracer.span("cluster.scatter", shard=part.sid):
+                hits = part.verify(query, blocks, part_scope)
+        except BackendUnavailable:
+            missing.add(part.sid)
+            continue
+        result |= hits & part.members
+    return result
 
-    def __init__(self, view: "ClusterSnapshotView"):
-        self._view = view
 
-    def _df(self, term: str) -> int:
-        return sum(replica.index.lexicon.df(term)
-                   for replica in self._view.replicas.values())
+def _scatter_gather(query: Node, scope: Optional[Bitmap],
+                    parts: Iterable[_Part], missing: Set[str], stats,
+                    tracer, metrics) -> Tuple[Bitmap, Bitmap]:
+    """Both phases over *parts*; returns ``(hits, candidate blocks)``.
 
-    def _scope_count(self, prefix: str) -> int:
-        return sum(replica.scope_count(prefix)
-                   for replica in self._view.replicas.values())
+    Phase 1 (*probe*) gathers each reachable part's per-term block
+    postings and occupied blocks, unions them per term — block candidacy
+    does not distribute over ``And``/``Phrase`` at whole-query
+    granularity — and evaluates the candidate-block algebra once,
+    globally.  Phase 2 is :func:`_gather` over the parts that answered.
+    Live shards and the replicas of a snapshot cut are two views of one
+    partition, so this is the only copy of the algebra.
+    """
+    terms: Set[str] = set()
+    _probe_terms(query, terms)
+    wanted = sorted(terms)
+    term_blocks: Dict[str, Bitmap] = {}
+    occupied = Bitmap()
+    occupied_by: Dict[str, Bitmap] = {}
+    reachable: List[_Part] = []
+    for part in parts:
+        try:
+            with tracer.span("cluster.probe", shard=part.sid):
+                probe = part.probe(wanted)
+        except BackendUnavailable:
+            missing.add(part.sid)
+            continue
+        reachable.append(part)
+        occupied |= probe.occupied
+        occupied_by[part.sid] = probe.occupied
+        for term, blocks in probe.term_blocks.items():
+            seen = term_blocks.get(term)
+            if seen is None:
+                term_blocks[term] = blocks
+            else:
+                seen |= blocks
 
-    def estimate_docs(self, node: Node) -> int:
-        return estimate_docs(node, self._df, len(self._view),
-                             self._scope_count)
+    def lookup(term: str) -> Bitmap:
+        found = term_blocks.get(term)
+        return found.copy() if found is not None else Bitmap()
+
+    blocks = eval_blocks(query, lookup, occupied)
+    metrics.observe("cluster.candidate_blocks", len(blocks))
+    metrics.observe("cluster.fanout", len(reachable))
+    return _gather(query, blocks, scope, reachable, missing, stats, tracer,
+                   metrics, occupied_by), blocks
 
 
 class ClusterSnapshotView:
@@ -161,12 +234,11 @@ class ClusterSnapshotView:
     attached replica is chosen (the shard engine's own freshness-aware
     rotation), and the cut's ``version`` is the *minimum* replica version
     — with lockstep publishes and no injected lag every replica agrees,
-    and ``skew`` is 0.  Queries then re-run the coordinator's two-phase
-    algebra entirely in-process over the chosen replicas: per-term block
-    postings unioned across replicas, one global ``eval_blocks``, then
-    per-replica block verification merged by masked union.  Same
-    invariants (global ids, plan-once, union-per-term), same bits — as of
-    the cut — with no RPC, no drain, and no shared engine state touched.
+    and ``skew`` is 0.  Queries then run the coordinator's two-phase
+    algebra (:func:`_scatter_gather`) entirely in-process, with the chosen
+    replicas as the partition members.  Same invariants (global ids,
+    plan-once, union-per-term), same bits — as of the cut — with no RPC,
+    no drain, and no shared engine state touched.
     """
 
     def __init__(self, cluster: "ShardedSearchCluster"):
@@ -177,7 +249,7 @@ class ClusterSnapshotView:
         self.version = min(versions) if versions else 0
         self.skew = (max(versions) - self.version) if versions else 0
         self.counters = cluster.counters
-        self.index = _ViewSelectivity(self)
+        self.index = _SummedSelectivity(self.replicas.values)
 
     def all_docs(self) -> Bitmap:
         out = Bitmap()
@@ -205,6 +277,13 @@ class ClusterSnapshotView:
     def __len__(self) -> int:
         return sum(len(replica) for replica in self.replicas.values())
 
+    def _parts(self) -> List[_Part]:
+        """The cut as a partition: each replica's own index, no transport."""
+        return [_Part(sid, replica.all_docs(),
+                      partial(probe_index, sid, replica.index),
+                      replica.search_blocks)
+                for sid, replica in self.replicas.items()]
+
     def search(self, query: Node, scope: Optional[Bitmap] = None) -> Bitmap:
         """The zero-barrier scatter-gather, replayed over the cut."""
         cluster = self._cluster
@@ -214,45 +293,18 @@ class ClusterSnapshotView:
         with cluster._tracer.span("cluster.snapshot_search",
                                   version=self.version,
                                   skew=self.skew) as span:
-            universe = self.all_docs() if scope is None else scope
-            query = planner.plan(query, self.index, cluster._stats)
-            if isinstance(query, MatchAll):
-                span.set(mode="matchall", hits=len(universe))
-                return universe.copy()
-            if planner.provably_empty(query, self.index._df,
-                                      cluster._indexable,
-                                      self.index._scope_count):
-                cluster._stats.add("planner_empty_shortcircuit")
-                span.set(mode="empty", hits=0)
-                return Bitmap()
-
-            terms: Set[str] = set()
-            _probe_terms(query, terms)
-            term_blocks: Dict[str, Bitmap] = {}
-            occupied = Bitmap()
-            for replica in self.replicas.values():
-                occupied |= replica.index.occupied_blocks()
-                for term in terms:
-                    blocks = replica.index.blocks_with_term(term)
-                    seen = term_blocks.get(term)
-                    if seen is None:
-                        term_blocks[term] = blocks
-                    else:
-                        seen |= blocks
-
-            def lookup(term: str) -> Bitmap:
-                found = term_blocks.get(term)
-                return found.copy() if found is not None else Bitmap()
-
-            blocks = eval_blocks(query, lookup, occupied)
-            result = Bitmap()
-            for replica in self.replicas.values():
-                members = replica.all_docs()
-                replica_scope = members if scope is None else scope & members
-                if not replica_scope:
-                    continue
-                hits = replica.search_blocks(query, blocks, replica_scope)
-                result |= hits & members
+            query, answer = planner.settle(
+                query, self.index,
+                (self.index.df, cluster._indexable, self.index.scope_count),
+                self.all_docs() if scope is None else scope,
+                cluster._stats, span, NOOP_SPAN)
+            if answer is not None:
+                return answer
+            # no transport in front of a replica: nothing can go missing,
+            # and the cut stays out of the live path's spans and histograms
+            result, blocks = _scatter_gather(
+                query, scope, self._parts(), set(), cluster._stats,
+                NULL_TRACER, NULL_METRICS)
             span.set(blocks=len(blocks), hits=len(result))
             return result
 
@@ -274,7 +326,7 @@ class RebalancePlan(NamedTuple):
         return len(self.moves)
 
 
-class ShardedSearchCluster:
+class ShardedSearchCluster(DocRegistry):
     """K :class:`CBAEngine` shards behind one engine-protocol facade.
 
     Drop-in for a single engine everywhere HAC talks to one: semantic
@@ -292,7 +344,6 @@ class ShardedSearchCluster:
                  clock: Optional[VirtualClock] = None,
                  latency: float = 0.05,
                  seed: int = 0,
-                 retry_factory: Optional[Callable[[str], RetryPolicy]] = None,
                  breaker_factory: Optional[
                      Callable[[str], CircuitBreaker]] = None,
                  replicas_per_shard: int = 1,
@@ -310,7 +361,6 @@ class ShardedSearchCluster:
         self.segmented = segmented
         self.latency = latency
         self.seed = seed
-        self._retry_factory = retry_factory
         self._breaker_factory = breaker_factory
         self._tracer = NULL_TRACER
         self._metrics = NULL_METRICS
@@ -324,15 +374,14 @@ class ShardedSearchCluster:
             sid: self._build_shard(sid) for sid in self.shardmap.shard_ids}
         #: planner selectivity source (same attribute name as the engine's
         #: block index, so ``evaluator`` and ``planner`` code is agnostic)
-        self.index = _ClusterSelectivity(self)
-        self._docs: Dict[int, Document] = {}
-        self._by_key: Dict[Hashable, int] = {}
+        self.index = _SummedSelectivity(
+            lambda: (shard.engine for shard in self.shards.values()))
+        self._init_registry()
         self._owners: Dict[int, str] = {}
         self._members: Dict[str, Bitmap] = {
             sid: Bitmap() for sid in self.shardmap.shard_ids}
         self._all = Bitmap()
         self._dirty = Bitmap()
-        self._next_doc_id = 0
         #: shards skipped since the last :meth:`reset_missing_shards` —
         #: the degradation flag HAC turns into per-directory staleness
         self.missing_shards: Set[str] = set()
@@ -357,11 +406,10 @@ class ShardedSearchCluster:
                                        cooldown=BREAKER_COOLDOWN,
                                        counters=self.counters,
                                        name=f"shard.{shard_id}"))
-        retry = self._retry_factory(shard_id) if self._retry_factory else None
         transport = RpcTransport(name=f"shard.{shard_id}", clock=self.clock,
                                  latency=self.latency, seed=self.seed,
-                                 counters=self.counters, retry=retry,
-                                 breaker=breaker, tracer=self._tracer,
+                                 counters=self.counters, breaker=breaker,
+                                 tracer=self._tracer,
                                  error_cls=ShardUnavailable)
         return SearchShard(shard_id, engine, transport)
 
@@ -393,30 +441,12 @@ class ShardedSearchCluster:
             shard.engine.metrics = value
 
     # ------------------------------------------------------------------
-    # registry (authoritative; shard registries are routing copies)
+    # registry (authoritative; shard registries are routing copies —
+    # state and accessors: DocRegistry)
     # ------------------------------------------------------------------
-
-    def doc_by_id(self, doc_id: int) -> Optional[Document]:
-        return self._docs.get(doc_id)
-
-    def doc_by_key(self, key: Hashable) -> Optional[Document]:
-        doc_id = self._by_key.get(key)
-        return self._docs.get(doc_id) if doc_id is not None else None
-
-    def doc_id_of(self, key: Hashable) -> Optional[int]:
-        return self._by_key.get(key)
 
     def all_docs(self) -> Bitmap:
         return self._all.copy()
-
-    def __len__(self) -> int:
-        return len(self._docs)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._by_key
-
-    def mtime_snapshot(self) -> Dict[Hashable, float]:
-        return {doc.key: doc.mtime for doc in self._docs.values()}
 
     def shard_of(self, key: Hashable) -> str:
         """Current owner of *key* (placement for unindexed keys)."""
@@ -435,32 +465,12 @@ class ShardedSearchCluster:
     # current, so revival needs no resync — see repro.cluster.shard)
     # ------------------------------------------------------------------
 
-    def reserve_doc_id(self) -> int:
-        """Claim the next global doc id without indexing anything yet.
-
-        The maintenance scheduler reserves ids at enqueue time so a
-        coalesced batch assigns the same ids — hence the same
-        ``doc_id % num_blocks`` block placement — the eager sequence
-        would have.  Reserved ids that never get used stay burned;
-        ids are never reused either way.
-        """
-        doc_id = self._next_doc_id
-        self._next_doc_id += 1
-        return doc_id
-
     def index_document(self, key: Hashable, path: str, mtime: float,
                        text: Optional[str] = None,
                        doc_id: Optional[int] = None) -> int:
-        if key in self._by_key:
-            raise ValueError(f"document already indexed: {key!r}")
+        doc_id = self._claim_doc_id(key, doc_id)
         if text is None:
             text = self.loader(key)
-        if doc_id is None:
-            doc_id = self.reserve_doc_id()
-        elif doc_id in self._docs:
-            raise ValueError(f"doc id already in use: {doc_id}")
-        else:
-            self._next_doc_id = max(self._next_doc_id, doc_id + 1)
         owner = self.shardmap.owner(key)
         self.shards[owner].engine.index_document(key, path, mtime, text=text,
                                                  doc_id=doc_id)
@@ -549,32 +559,12 @@ class ShardedSearchCluster:
     def scope_count(self, prefix: str) -> int:
         """Documents under *prefix*, summed across shards (additive over
         a partition, exactly like document frequency)."""
-        return self.index._scope_count(prefix)
+        return self.index.scope_count(prefix)
 
     def reindex(self, current: Iterable[Tuple[Hashable, str, float]],
                 previous: Optional[Dict[Hashable, float]] = None) -> ReindexPlan:
         """Same contract as :meth:`CBAEngine.reindex`, routed per owner."""
-        listing = {key: (path, mtime) for key, path, mtime in current}
-        baseline = self.mtime_snapshot() if previous is None else previous
-        plan = plan_reindex(baseline,
-                            {key: mtime for key, (_path, mtime) in listing.items()})
-        for key in plan.removed:
-            self.remove_document(key)
-        for key in plan.added:
-            path, mtime = listing[key]
-            self.index_document(key, path, mtime)
-        for key in plan.changed:
-            path, mtime = listing[key]
-            self.update_document(key, path, mtime)
-        for key, (path, mtime) in listing.items():
-            doc_id = self._by_key.get(key)
-            if doc_id is not None and self._docs[doc_id].path != path:
-                if self.transducer is not None:
-                    self.update_document(key, path, mtime)
-                else:
-                    self.rename_document(key, path)
-        self._stats.add("reindex_runs")
-        return plan
+        return execute_reindex(self, current, previous)
 
     def dirty_docs(self) -> Bitmap:
         return self._dirty.copy()
@@ -590,14 +580,8 @@ class ShardedSearchCluster:
     def search(self, query: Node, scope: Optional[Bitmap] = None) -> Bitmap:
         """Two-phase distributed evaluation; bit-identical to the monolith.
 
-        Phase 1 (*probe*) gathers each reachable shard's per-term block
-        postings and occupied blocks; the coordinator unions them per term
-        and evaluates the candidate-block algebra once, globally.  Phase 2
-        (*scatter*) ships the planned query plus the global block set to
-        each shard for verification; the gather step unions the per-shard
-        bitmaps masked by shard membership.
-
-        A planned ``MatchAll`` short-circuits from the coordinator's own
+        Plans once with summed statistics, then runs
+        :func:`_scatter_gather` over the live shards.  A planned ``MatchAll`` short-circuits from the coordinator's own
         registry without touching the network — which also means it stays
         whole while shards are down, exactly like the monolith's
         registry-only answer.
@@ -610,76 +594,18 @@ class ShardedSearchCluster:
         if scope is not None and not scope:
             return Bitmap()
         with self._tracer.span("cluster.search") as span:
-            universe = self._all if scope is None else scope
-            with self._tracer.span("cluster.plan"):
-                query = planner.plan(query, self.index, self._stats)
-            if isinstance(query, MatchAll):
-                span.set(mode="matchall", hits=len(universe))
-                return universe.copy()
-            if planner.provably_empty(query, self.index._df,
-                                      self._indexable,
-                                      self.index._scope_count):
-                # summed df / scope counts prove emptiness exactly as the
-                # monolith's lexicon would: skip both scatter phases
-                self._stats.add("planner_empty_shortcircuit")
-                span.set(mode="empty", hits=0)
-                return Bitmap()
-
-            terms: Set[str] = set()
-            _probe_terms(query, terms)
-            wanted = sorted(terms)
-            term_blocks: Dict[str, Bitmap] = {}
-            occupied = Bitmap()
-            occupied_by: Dict[str, Bitmap] = {}
-            reachable: List[str] = []
+            query, answer = planner.settle(
+                query, self.index,
+                (self.index.df, self._indexable, self.index.scope_count),
+                self._all if scope is None else scope,
+                self._stats, span, self._tracer.span("cluster.plan"))
+            if answer is not None:
+                return answer
             missing: Set[str] = set()
-            for sid, shard in self.shards.items():
-                try:
-                    with self._tracer.span("cluster.probe", shard=sid):
-                        probe = shard.probe(wanted)
-                except BackendUnavailable:
-                    missing.add(sid)
-                    continue
-                reachable.append(sid)
-                occupied |= probe.occupied
-                occupied_by[sid] = probe.occupied
-                for term, blocks in probe.term_blocks.items():
-                    seen = term_blocks.get(term)
-                    if seen is None:
-                        term_blocks[term] = blocks
-                    else:
-                        seen |= blocks
-
-            def lookup(term: str) -> Bitmap:
-                found = term_blocks.get(term)
-                return found.copy() if found is not None else Bitmap()
-
-            blocks = eval_blocks(query, lookup, occupied)
-            self._metrics.observe("cluster.candidate_blocks", len(blocks))
-            self._metrics.observe("cluster.fanout", len(reachable))
-
-            result = Bitmap()
-            for sid in reachable:
-                shard = self.shards[sid]
-                shard_members = self._members[sid]
-                shard_scope = None if scope is None else scope & shard_members
-                if shard_scope is not None and not shard_scope:
-                    continue  # nothing in scope lives here; skip the RPC
-                shard_blocks = len(blocks & occupied_by[sid])
-                self._stats.add(f"shard.{sid}.candidate_blocks", shard_blocks)
-                self._metrics.observe(f"cluster.shard.{sid}.candidate_blocks",
-                                      shard_blocks)
-                try:
-                    with self._tracer.span("cluster.scatter", shard=sid):
-                        hits = shard.search(query, blocks, shard_scope)
-                except BackendUnavailable:
-                    missing.add(sid)
-                    continue
-                result |= hits & shard_members
-
-            if missing:
-                self.missing_shards |= missing
-                self._stats.add("partial_results")
+            result, blocks = _scatter_gather(
+                query, scope, self._parts(), missing, self._stats,
+                self._tracer, self._metrics)
+            self._note_missing(missing)
             span.set(blocks=len(blocks), hits=len(result),
                      shards=len(self.shards), missing=sorted(missing))
             return result
@@ -694,26 +620,23 @@ class ShardedSearchCluster:
         if scope is not None and not scope:
             return Bitmap()
         with self._tracer.span("cluster.search_blocks") as span:
-            result = Bitmap()
             missing: Set[str] = set()
-            for sid, shard in self.shards.items():
-                shard_members = self._members[sid]
-                shard_scope = None if scope is None else scope & shard_members
-                if shard_scope is not None and not shard_scope:
-                    continue
-                try:
-                    with self._tracer.span("cluster.scatter", shard=sid):
-                        hits = shard.search(query, blocks, shard_scope)
-                except BackendUnavailable:
-                    missing.add(sid)
-                    continue
-                result |= hits & shard_members
-            if missing:
-                self.missing_shards |= missing
-                self._stats.add("partial_results")
+            result = _gather(query, blocks, scope, self._parts(), missing,
+                             self._stats, self._tracer, self._metrics)
+            self._note_missing(missing)
             span.set(blocks=len(blocks), hits=len(result),
                      missing=sorted(missing))
             return result
+
+    def _parts(self) -> List[_Part]:
+        """The live partition: each shard behind its transport."""
+        return [_Part(sid, self._members[sid], shard.probe, shard.search)
+                for sid, shard in self.shards.items()]
+
+    def _note_missing(self, missing: Set[str]) -> None:
+        if missing:
+            self.missing_shards |= missing
+            self._stats.add("partial_results")
 
     def reset_missing_shards(self) -> Set[str]:
         """Clear and return the accumulated degradation flag (callers
@@ -904,9 +827,6 @@ class ShardedSearchCluster:
         return registry + sum(shard.engine.index_size_bytes()
                               for shard in self.shards.values())
 
-    def corpus_bytes(self) -> int:
-        return sum(doc.size for doc in self._docs.values())
-
     def to_obj(self):
         """Dump shards + registry to plain primitives (same ``(str, int)``
         key assumption as :meth:`CBAEngine.to_obj`)."""
@@ -935,11 +855,8 @@ class ShardedSearchCluster:
                       num_blocks=obj.get("num_blocks", DEFAULT_NUM_BLOCKS),
                       **config)
         for sid, shard in cluster.shards.items():
-            engine = CBAEngine.from_obj(obj["shards"][sid], loader,
-                                        **cluster._shard_config())
-            engine.tracer = cluster._tracer
-            engine.metrics = cluster._metrics
-            shard.engine = engine
+            shard.engine = CBAEngine.from_obj(obj["shards"][sid], loader,
+                                              **cluster._shard_config())
         for doc_id, raw_key, path, mtime, size, owner in obj["docs"]:
             key = (raw_key[0], raw_key[1])
             cluster._docs[doc_id] = Document(doc_id, key, path, mtime, size)

@@ -35,6 +35,15 @@ class ShardProbe(NamedTuple):
     occupied: Bitmap
 
 
+def probe_index(shard_id: str, index, terms: List[str]) -> ShardProbe:
+    """Phase-1 answer read off one block *index* (a live shard engine's,
+    or a snapshot replica's): per-term block postings plus occupied blocks."""
+    return ShardProbe(
+        shard_id=shard_id,
+        term_blocks={t: index.blocks_with_term(t) for t in terms},
+        occupied=index.occupied_blocks())
+
+
 class SearchShard:
     """A :class:`CBAEngine` plus the transport guarding its query path."""
 
@@ -54,13 +63,9 @@ class SearchShard:
         block candidacy does not distribute over ``And``/``Phrase`` at
         whole-query granularity.
         """
-        def run() -> ShardProbe:
-            index = self.engine.index
-            return ShardProbe(
-                shard_id=self.shard_id,
-                term_blocks={t: index.blocks_with_term(t) for t in terms},
-                occupied=index.occupied_blocks())
-        return self.transport.call("probe", run)
+        return self.transport.call(
+            "probe",
+            lambda: probe_index(self.shard_id, self.engine.index, terms))
 
     def search(self, query: Node, blocks: Bitmap,
                scope: Optional[Bitmap] = None) -> Bitmap:

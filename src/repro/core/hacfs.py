@@ -35,6 +35,7 @@ from repro.errors import (
     NotASemanticDirectory,
 )
 from repro.obs import Observability
+from repro.obs.trace import NOOP_SPAN
 from repro.util import pathutil
 from repro.util.clock import VirtualClock
 from repro.util.idmap import GlobalDirectoryMap
@@ -44,7 +45,7 @@ from repro.vfs.fd import FDTable
 from repro.vfs.filesystem import FileSystem, StatResult
 from repro.vfs.inode import FileNode, SymlinkNode
 from repro.vfs.walker import walk
-from repro.cba import agrep
+from repro.cba import agrep, evaluator
 from repro.cba.backend import open_backend
 from repro.cba.glimpse import DEFAULT_NUM_BLOCKS
 from repro.cba.incremental import ReindexPlan
@@ -85,13 +86,11 @@ class HacFileSystem:
                  clock: Optional[VirtualClock] = None,
                  counters: Optional[Counters] = None,
                  num_blocks: int = DEFAULT_NUM_BLOCKS,
-                 attr_cache_capacity: int = 256,
                  obs: Optional[Observability] = None,
                  segmented: bool = True,
                  backend=None):
         self._init_base(fs, clock, counters, obs)
-        self._init_components(GlobalDirectoryMap(), DependencyGraph(),
-                              attr_cache_capacity)
+        self._init_components(GlobalDirectoryMap(), DependencyGraph())
         # the engine seam: anything honouring the SearchBackend protocol
         # works here — ``backend="cluster:3"`` builds a sharded cluster,
         # for instance (the paper's CBA generality argument, §2.2)
@@ -127,8 +126,7 @@ class HacFileSystem:
         self.last_recovery = None
 
     def _init_components(self, dirmap: GlobalDirectoryMap,
-                         depgraph: DependencyGraph,
-                         attr_cache_capacity: int = 256) -> None:
+                         depgraph: DependencyGraph) -> None:
         """Second half, shared with :meth:`restore`: every component that
         hangs off the (fresh or reloaded) directory map and dependency
         graph.  The engine is built afterwards by the caller, through the
@@ -148,8 +146,7 @@ class HacFileSystem:
         self.admission = AdmissionController(self)
         self.scheduler = ReindexScheduler(self)
         self.watches = WatchManager(self)
-        self.attrcache = AttributeCache(capacity=attr_cache_capacity,
-                                        counters=self.counters)
+        self.attrcache = AttributeCache(counters=self.counters)
         #: path → (fsid, ino, type) companion to the attribute cache
         self._stat_identity: Dict[str, Tuple[str, int, object]] = {}
         self.fdtable = FDTable()
@@ -696,6 +693,41 @@ class HacFileSystem:
     def prohibited(self, path: str) -> List[str]:
         _uid, state = self._state_of(path)
         return sorted(str(t) for t in state.links.prohibited)
+
+    def query_docs(self, ast, scope=None, consistency: str = "strong",
+                   tenant: Optional[str] = None) -> list:
+        """The registry rows matching a parsed query — the one answer
+        path behind every ad-hoc ``glimpse``.
+
+        ``strong`` drains pending maintenance first (only *tenant*'s
+        bucket when one is named) and answers from the live engine;
+        ``snapshot`` answers from the last published version with no
+        barrier at all.  *scope* is a zero-argument callable producing
+        the scope bitmap — called after the barrier, because provided
+        scopes read engine state — or ``None`` for everything the
+        answering surface holds.
+        """
+        if consistency not in ("strong", "snapshot"):
+            raise ValueError(f"unknown consistency level: {consistency!r}")
+        if consistency == "snapshot":
+            surface = self.engine.snapshot_view()
+            universe = surface.all_docs()
+            bitmap = universe if scope is None else scope() & universe
+            span = self.obs.trace.span("hac.glimpse_snapshot",
+                                       version=surface.version,
+                                       skew=getattr(surface, "skew", 0))
+        else:
+            self.maintenance.barrier(tenant=tenant)
+            surface = self.engine
+            bitmap = None if scope is None else scope()
+            span = NOOP_SPAN
+        with span:
+            hits = evaluator.evaluate(
+                ast, surface, scope=bitmap,
+                resolve_dirref=lambda uid: self.scopes.provided_by_uid(uid).local)
+            span.set(hits=len(hits))
+        return [doc for doc in map(surface.doc_by_id, hits)
+                if doc is not None]
 
     def health(self, path: Optional[str] = None) -> Dict[str, object]:
         """One structured degradation report for the whole name space —

@@ -1,9 +1,15 @@
-"""Per-tenant resource budgets: specs, a charge-before-commit ledger.
+"""Per-tenant resource budgets: specs, a check-then-measure ledger.
 
 The tenant facade (:mod:`repro.core.tenant`) checks every mutation against
 the tenant's :class:`QuotaSpec` *before* delegating to the shared
 :class:`~repro.core.hacfs.HacFileSystem` — a rejected request raises
-:class:`~repro.errors.QuotaExceeded` with nothing to roll back.  Budgets:
+:class:`~repro.errors.QuotaExceeded` with nothing to roll back.  The
+pre-check is an *upper bound* on what the operation may add; what is
+committed afterwards is a *measurement* — :func:`usage_at` of every tree
+site the operation could change, after minus before — so the ledger
+cannot drift from the tree by mispredicting an operation (an ``open(p,
+"w")`` truncation, a rename replacing a file, a write into the middle of
+a file).  Budgets:
 
 * **inodes** — directories and regular files under the tenant root (the
   root itself is free; symlinks are uncharged because semantic-directory
@@ -28,9 +34,11 @@ underlying op runs the admission gate (whole-system backpressure).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.errors import QuotaExceeded
+from repro.errors import (FileNotFound, NotADirectory, QuotaExceeded,
+                          SymlinkLoop)
+from repro.util import pathutil
 
 #: ledger resources, in reporting order
 RESOURCES = ("inodes", "bytes", "docs")
@@ -77,7 +85,8 @@ class QuotaSpec:
 
 
 class QuotaLedger:
-    """Running usage for one tenant, charged ahead of every mutation."""
+    """Running usage for one tenant: checked ahead of every mutation,
+    committed from what the mutation measurably did."""
 
     __slots__ = ("tenant", "spec", "inodes", "bytes")
 
@@ -120,29 +129,42 @@ class QuotaLedger:
         return {"inodes": self.inodes, "bytes": self.bytes}
 
 
+def usage_at(fs, path: str, follow: bool = False) -> Tuple[int, int]:
+    """``(inodes, bytes)`` charged for the one tree entry at *path*.
+
+    A directory or a regular file is one inode, a file also its content
+    bytes.  A missing entry is nothing, and so is a symlink — links are
+    uncharged because semantic-directory re-evaluation materialises and
+    drops them behind the tenant's back.  *follow* measures the file a
+    link names instead (content written through a link lands there).
+    """
+    try:
+        st = fs.stat(path) if follow else fs.lstat(path)
+    except (FileNotFound, NotADirectory, SymlinkLoop):
+        return 0, 0
+    if st.is_symlink:
+        return 0, 0
+    return 1, (st.size if st.is_file else 0)
+
+
 def recompute_usage(fs, root: str) -> Dict[str, int]:
     """Recount a tenant subtree from the live tree (restore / fsck audit).
 
     Counts every directory and regular file strictly below *root* (the
     root itself is infrastructure, not tenant usage) and sums file
-    content bytes.  Symlinks are skipped to match the facade's charging
-    policy — re-evaluation materialises and drops them behind the
-    tenant's back, so charging them would make recounts drift from the
-    charged ledger.
+    content bytes — :func:`usage_at` per entry, the same rule the facade
+    commits by.
     """
-    from repro.util import pathutil
     from repro.vfs.walker import walk
 
     inodes = 0
     total_bytes = 0
-    for dirpath, dirnames, filenames in walk(fs, root):
+    for dirpath, _dirnames, filenames in walk(fs, root):
         if pathutil.canonical(dirpath) != pathutil.canonical(root):
             inodes += 1
         for name in filenames:
-            entry = pathutil.join(dirpath, name)
-            if fs.islink(entry):
-                continue
-            inodes += 1
-            if fs.isfile(entry):
-                total_bytes += fs.stat(entry).size
+            entry_inodes, entry_bytes = usage_at(
+                fs, pathutil.join(dirpath, name))
+            inodes += entry_inodes
+            total_bytes += entry_bytes
     return {"inodes": inodes, "bytes": total_bytes}

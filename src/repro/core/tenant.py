@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import InvalidArgument, UnknownTenant
 from repro.util import pathutil
-from repro.core.quota import QuotaLedger, QuotaSpec, recompute_usage
+from repro.core.quota import (QuotaLedger, QuotaSpec, recompute_usage,
+                              usage_at)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
@@ -228,9 +229,24 @@ class Tenant:
         return None
 
     @contextmanager
-    def _op(self, op: str, **tags):
+    def _op(self, op: str, sites: Sequence[str] = (),
+            creates: Optional[str] = None, grows: int = 0,
+            replaces: bool = False, follow: bool = False, **tags):
         """One facade operation: a tenant-tagged span, tenant-attributed
-        journal intents, and a per-tenant op counter."""
+        journal intents, a per-tenant op counter — and the quota.
+
+        *sites* are the host paths whose tree entries the operation may
+        add, remove, or resize.  They are measured first
+        (:func:`~repro.core.quota.usage_at`; *follow* measures the file a
+        link names, where content written through it lands) and an upper
+        bound on the charge is checked, so
+        :class:`~repro.errors.QuotaExceeded` fires before any byte lands:
+        with *creates* (``"dir"`` or ``"file"``) every missing site may
+        become an inode — a file also an indexed document — and the sites
+        may gain *grows* bytes, on top of what they hold or, with
+        *replaces*, in place of it.  After the operation succeeds they
+        are measured again, and the difference is what the ledger commits.
+        """
         hacfs = self._hacfs
         self._stats.add("ops")
         prev = hacfs.journal.tenant
@@ -238,11 +254,36 @@ class Tenant:
         try:
             with hacfs.obs.trace.span(f"tenant.{op}", tenant=self.name,
                                       **tags):
+                if not sites:
+                    yield
+                    return
+                ledger = self.ledger
+                inodes, nbytes = self._usage_at(sites, follow)
+                if creates is not None and inodes < len(sites):
+                    ledger.check("inodes", len(sites) - inodes)
+                    if creates == "file":
+                        ledger.check_docs(self._indexed_docs())
+                ledger.check("bytes", grows - nbytes if replaces else grows)
                 yield
+                now_inodes, now_bytes = self._usage_at(sites, follow)
+                if now_inodes != inodes:
+                    ledger.commit("inodes", now_inodes - inodes)
+                if now_bytes != nbytes:
+                    ledger.commit("bytes", now_bytes - nbytes)
         finally:
             hacfs.journal.tenant = prev
 
     # -- quota plumbing -----------------------------------------------------
+
+    def _usage_at(self, sites: Sequence[str], follow: bool):
+        """``(inodes, bytes)`` the tree holds at *sites* right now."""
+        fs = self._hacfs.fs
+        inodes = nbytes = 0
+        for site in sites:
+            site_inodes, site_bytes = usage_at(fs, site, follow)
+            inodes += site_inodes
+            nbytes += site_bytes
+        return inodes, nbytes
 
     def _indexed_docs(self) -> int:
         """Documents the shared index holds under this root, plus updates
@@ -250,11 +291,6 @@ class Tenant:
         pending = self._hacfs.maintenance.pending_by_tenant()
         return self._hacfs.engine.scope_count(self.root) + \
             pending.get(self.name, 0)
-
-    def _charge_new_file(self, nbytes: int) -> None:
-        self.ledger.check("inodes", 1)
-        self.ledger.check("bytes", nbytes)
-        self.ledger.check_docs(self._indexed_docs())
 
     def usage(self) -> Dict[str, int]:
         return self.ledger.usage()
@@ -272,52 +308,35 @@ class Tenant:
     # -- hierarchical operations --------------------------------------------
 
     def mkdir(self, path: str, mode: int = 0o755):
-        with self._op("mkdir", path=path):
-            self.ledger.check("inodes", 1)
-            stat = self._hacfs.mkdir(self._host(path), mode=mode)
-            self.ledger.commit("inodes", 1)
-            return stat
+        host = self._host(path)
+        with self._op("mkdir", (host,), creates="dir", path=path):
+            return self._hacfs.mkdir(host, mode=mode)
 
     def makedirs(self, path: str, mode: int = 0o755) -> None:
         host = self._host(path)
-        missing = sum(1 for p in list(pathutil.ancestors(host)) + [host]
-                      if p.startswith(self.root) and not self._hacfs.exists(p))
-        with self._op("makedirs", path=path):
-            self.ledger.check("inodes", missing)
+        below_root = [p for p in list(pathutil.ancestors(host)) + [host]
+                      if len(p) > len(self.root)]
+        with self._op("makedirs", below_root, creates="dir", path=path):
             self._hacfs.makedirs(host, mode=mode)
-            self.ledger.commit("inodes", missing)
 
     def rmdir(self, path: str) -> None:
         host = self._host(path)
         if host == self.root:
             raise InvalidArgument(path, "cannot remove the tenant root")
-        with self._op("rmdir", path=path):
+        with self._op("rmdir", (host,), path=path):
             self._hacfs.rmdir(host)
-            self.ledger.commit("inodes", -1)
 
     def create(self, path: str, mode: int = 0o644):
-        with self._op("create", path=path):
-            self._charge_new_file(0)
-            stat = self._hacfs.create(self._host(path), mode=mode)
-            self.ledger.commit("inodes", 1)
-            return stat
+        host = self._host(path)
+        with self._op("create", (host,), creates="file", path=path):
+            return self._hacfs.create(host, mode=mode)
 
     def write_file(self, path: str, data: bytes, append: bool = False) -> int:
         host = self._host(path)
-        with self._op("write_file", path=path):
-            is_new = not self._hacfs.exists(host, follow=False)
-            old = 0 if is_new else (self._hacfs.fs.stat(host).size
-                                    if self._hacfs.fs.isfile(host) else 0)
-            new = old + len(data) if append else len(data)
-            if is_new:
-                self._charge_new_file(new)
-            else:
-                self.ledger.check("bytes", new - old)
-            n = self._hacfs.write_file(host, data, append=append)
-            if is_new:
-                self.ledger.commit("inodes", 1)
-            self.ledger.commit("bytes", new - old)
-            return n
+        with self._op("write_file", (host,), creates="file",
+                      grows=len(data), replaces=not append, follow=True,
+                      path=path):
+            return self._hacfs.write_file(host, data, append=append)
 
     def read_file(self, path: str) -> bytes:
         with self._op("read_file", path=path):
@@ -325,22 +344,14 @@ class Tenant:
 
     def truncate(self, path: str, size: int = 0) -> None:
         host = self._host(path)
-        with self._op("truncate", path=path):
-            old = self._hacfs.fs.stat(host).size
-            self.ledger.check("bytes", size - old)
+        with self._op("truncate", (host,), grows=size, replaces=True,
+                      follow=True, path=path):
             self._hacfs.truncate(host, size)
-            self.ledger.commit("bytes", size - old)
 
     def unlink(self, path: str) -> None:
         host = self._host(path)
-        with self._op("unlink", path=path):
-            is_file = (not self._hacfs.islink(host)
-                       and self._hacfs.fs.isfile(host))
-            released = self._hacfs.fs.stat(host).size if is_file else 0
+        with self._op("unlink", (host,), path=path):
             self._hacfs.unlink(host)
-            if is_file:
-                self.ledger.commit("inodes", -1)
-                self.ledger.commit("bytes", -released)
 
     def symlink(self, target: str, linkpath: str):
         # links are uncharged: re-evaluation materialises and drops them
@@ -350,8 +361,10 @@ class Tenant:
             return self._hacfs.symlink(host_target, self._host(linkpath))
 
     def rename(self, old: str, new: str) -> None:
-        with self._op("rename", old=old, new=new):
-            self._hacfs.rename(self._host(old), self._host(new))
+        host_old, host_new = self._host(old), self._host(new)
+        # a rename charges nothing, but may release what it replaces
+        with self._op("rename", (host_old, host_new), old=old, new=new):
+            self._hacfs.rename(host_old, host_new)
 
     # -- read-side pass-throughs --------------------------------------------
 
@@ -389,17 +402,24 @@ class Tenant:
     # -- descriptor I/O -----------------------------------------------------
 
     def open(self, path: str, mode: str = "r") -> int:
-        return self._hacfs.open(self._host(path), mode)
+        host = self._host(path)
+        if mode == "r":
+            return self._hacfs.open(host, mode)
+        # write modes create a missing file, and "w" truncates a present one
+        with self._op("open", (host,), creates="file", replaces=mode == "w",
+                      follow=True, path=path, mode=mode):
+            return self._hacfs.open(host, mode)
 
     def read(self, fd: int, size: int = -1) -> bytes:
         return self._hacfs.read(fd, size)
 
     def write(self, fd: int, data: bytes) -> int:
-        with self._op("write", fd=fd):
-            self.ledger.check("bytes", len(data))
-            n = self._hacfs.write(fd, data)
-            self.ledger.commit("bytes", n)
-            return n
+        of = self._hacfs.fdtable.get(fd)
+        live = of.fs.path_of_ino(of.node.ino)
+        # an unlinked (or moved-out) open file is no longer tenant usage
+        sites = (live,) if live and self._rel(live) is not None else ()
+        with self._op("write", sites, grows=len(data), fd=fd):
+            return self._hacfs.write(fd, data)
 
     def lseek(self, fd: int, offset: int, whence: int = 0) -> int:
         return self._hacfs.lseek(fd, offset, whence)
@@ -414,11 +434,11 @@ class Tenant:
         return self._hacfs.dirmap.uid_of(self._host(path))
 
     def smkdir(self, path: str, query: str) -> str:
-        with self._op("smkdir", path=path, query=query):
-            self.ledger.check("inodes", 1)
-            canon = self._hacfs.smkdir(self._host(path), query,
+        host = self._host(path)
+        with self._op("smkdir", (host,), creates="dir", path=path,
+                      query=query):
+            canon = self._hacfs.smkdir(host, query,
                                        resolve_dir=self._resolve_dir)
-            self.ledger.commit("inodes", 1)
             return self._rel(canon) or canon
 
     def set_query(self, path: str, query: Optional[str]) -> None:
@@ -491,34 +511,18 @@ class Tenant:
         version with no barrier at all.
         """
         from repro.cba.queryparser import parse_query
-        from repro.cba import evaluator, queryast
+        from repro.cba import queryast
 
-        if consistency not in ("strong", "snapshot"):
-            raise ValueError(f"unknown consistency level: {consistency!r}")
         hacfs = self._hacfs
         consistency = hacfs.admission.admit_read(consistency)
         host_scope = self._host(scope_path)
         with self._op("glimpse", query=query, consistency=consistency):
             ast = parse_query(query, resolve_dir=self._resolve_dir)
-            scoped = queryast.scoped(ast, host_scope)
-            resolve = lambda uid: hacfs.scopes.provided_by_uid(uid).local
-            if consistency == "snapshot":
-                view = hacfs.engine.snapshot_view()
-                hits = evaluator.evaluate(scoped, view, resolve_dirref=resolve,
-                                          scope=view.all_docs())
-                docs = (view.doc_by_id(d) for d in hits)
-            else:
-                self.barrier()
-                hits = evaluator.evaluate(scoped, hacfs.engine,
-                                          resolve_dirref=resolve, scope=None)
-                docs = (hacfs.engine.doc_by_id(d) for d in hits)
-            out = []
-            for doc in docs:
-                if doc is None:
-                    continue
-                rel = self._rel(doc.path)
-                if rel is not None:
-                    out.append(rel)
+            docs = hacfs.query_docs(queryast.scoped(ast, host_scope),
+                                    consistency=consistency,
+                                    tenant=self.name)
+            out = [rel for rel in (self._rel(doc.path) for doc in docs)
+                   if rel is not None]
         return sorted(out)
 
     # -- status -------------------------------------------------------------

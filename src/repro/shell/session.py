@@ -401,70 +401,23 @@ class HacShell:
         batched updates newer than the last publish.
         """
         from repro.cba.queryparser import parse_query
-        from repro.cba import evaluator
 
-        if consistency not in ("strong", "snapshot"):
-            raise ValueError(f"unknown consistency level: {consistency!r}")
         if self.tenant is not None:
             return self.tenant.glimpse(query, scope_path=scope_path,
                                        consistency=consistency)
+        hacfs = self.hacfs
         # the admission gate may downgrade a strong read to snapshot while
         # back-ends are degraded (a no-op until 'admit on')
-        consistency = self.hacfs.admission.admit_read(consistency)
-        if consistency == "snapshot":
-            return self._glimpse_snapshot(query, scope_path)
-        # ad-hoc searches honour the same pre-query barrier as semantic
-        # directories: never answer over a torn (undrained) batch
-        self.hacfs.maintenance.barrier()
-        ast = parse_query(query, resolve_dir=self.hacfs.dirmap.uid_of)
-        scope = self.hacfs.scopes.provided(self.resolve_path(scope_path))
-        hits = evaluator.evaluate(
-            ast, self.hacfs.engine,
-            resolve_dirref=lambda uid: self.hacfs.scopes.provided_by_uid(uid).local,
-            scope=scope.local)
-        out = []
-        for doc_id in hits:
-            doc = self.hacfs.engine.doc_by_id(doc_id)
-            if doc is not None:
-                out.append(doc.path)
-        return sorted(out)
-
-    def _glimpse_snapshot(self, query: str, scope_path: str) -> List[str]:
-        """The zero-barrier read path: evaluate against the engine's
-        published snapshot view.
-
-        The content half of the query sees exactly the last published
-        index version.  Directory scopes (the *scope_path* restriction and
-        any ``DirRef`` operand) still resolve through the live directory
-        state — they are set lookups, not index reads — so a query scoped
-        to a semantic directory can mix a fresher membership with
-        as-of-publish content; the property suite therefore fuzzes the
-        content path, and callers needing scope-exact answers use
-        ``consistency='strong'``.
-        """
-        from repro.cba.queryparser import parse_query
-        from repro.cba import evaluator
-
-        hacfs = self.hacfs
-        view = hacfs.engine.snapshot_view()
-        with hacfs.obs.trace.span("hac.glimpse_snapshot",
-                                  version=view.version,
-                                  skew=getattr(view, "skew", 0)) as span:
-            ast = parse_query(query, resolve_dir=hacfs.dirmap.uid_of)
-            target = self.resolve_path(scope_path)
-            if hacfs._canonical_dir(target) == "/":
-                scope = view.all_docs()
-            else:
-                scope = hacfs.scopes.provided(target).local & view.all_docs()
-            hits = evaluator.evaluate(
-                ast, view,
-                resolve_dirref=lambda uid:
-                    hacfs.scopes.provided_by_uid(uid).local,
-                scope=scope)
-            out = []
-            for doc_id in hits:
-                doc = view.doc_by_id(doc_id)
-                if doc is not None:
-                    out.append(doc.path)
-            span.set(hits=len(hits))
-        return sorted(out)
+        consistency = hacfs.admission.admit_read(consistency)
+        ast = parse_query(query, resolve_dir=hacfs.dirmap.uid_of)
+        target = self.resolve_path(scope_path)
+        # scopes resolve through the *live* directory state at either level,
+        # so a snapshot read scoped to a semantic directory can mix a
+        # fresher membership with as-of-publish content (callers needing
+        # scope-exact answers use ``consistency='strong'``)
+        if consistency == "snapshot" and hacfs._canonical_dir(target) == "/":
+            scope = None  # the whole cut, not the live root's documents
+        else:
+            scope = lambda: hacfs.scopes.provided(target).local
+        return sorted(doc.path for doc in
+                      hacfs.query_docs(ast, scope, consistency))

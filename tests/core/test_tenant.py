@@ -144,6 +144,55 @@ class TestQuotas:
         acme.symlink("/f.txt", "/l")
         assert recompute_usage(hac.fs, acme.root) == acme.ledger.usage()
 
+    @staticmethod
+    def assert_ledger_is_the_tree(hac, tenant):
+        assert tenant.usage() == recompute_usage(hac.fs, tenant.root)
+        assert [f for f in hac.fsck() if f.kind.startswith("tenant-")] == []
+
+    def test_truncating_open_releases_the_old_bytes(self, hac, acme):
+        acme.write_file("/keep.txt", b"k" * 40)
+        acme.write_file("/f.txt", b"x" * 100)
+        fd = acme.open("/f.txt", "w")
+        acme.write(fd, b"y" * 50)
+        acme.close(fd)
+        assert acme.usage() == {"inodes": 2, "bytes": 90}
+        self.assert_ledger_is_the_tree(hac, acme)
+
+    def test_fd_write_inside_a_file_charges_only_the_growth(self, hac, acme):
+        acme.write_file("/f.txt", b"x" * 100)
+        fd = acme.open("/f.txt", "rw")
+        acme.write(fd, b"y" * 50)
+        acme.close(fd)
+        assert acme.usage()["bytes"] == 100
+        self.assert_ledger_is_the_tree(hac, acme)
+
+    def test_rename_over_a_file_releases_what_it_replaced(self, hac, acme):
+        acme.write_file("/a.txt", b"a" * 150)
+        acme.write_file("/b.txt", b"b" * 40)
+        acme.rename("/b.txt", "/a.txt")
+        assert acme.usage() == {"inodes": 1, "bytes": 40}
+        self.assert_ledger_is_the_tree(hac, acme)
+
+    def test_open_for_writing_is_charged_like_any_new_file(self, hac):
+        t = hac.tenants.create("tiny", quota=QuotaSpec(max_inodes=1))
+        t.write_file("/only.txt", b"ok")
+        with pytest.raises(QuotaExceeded) as exc:
+            t.open("/second.txt", "w")
+        assert exc.value.resource == "inodes"
+        assert not t.exists("/second.txt")
+        t.unlink("/only.txt")
+        t.close(t.open("/second.txt", "w"))
+        assert t.usage() == {"inodes": 1, "bytes": 0}
+        self.assert_ledger_is_the_tree(hac, t)
+
+    def test_writes_through_a_link_charge_the_file_it_names(self, hac, acme):
+        acme.write_file("/f.txt", b"data")
+        acme.symlink("/f.txt", "/l")
+        acme.write_file("/l", b"twelve bytes")
+        acme.truncate("/l", 5)
+        assert acme.usage() == {"inodes": 1, "bytes": 5}
+        self.assert_ledger_is_the_tree(hac, acme)
+
     def test_set_quota_keeps_usage(self, hac, acme):
         acme.write_file("/f.txt", b"1234")
         hac.tenants.set_quota("acme", QuotaSpec(max_bytes=4))

@@ -1,7 +1,7 @@
 """The chaos soak as a tier-1 gate, plus the CI sweep entry point.
 
 The default run executes one short smoke seed (fast enough for every
-test invocation).  The CI ``chaos-soak`` job re-runs this module with
+test invocation).  The CI ``sweeps`` matrix (``chaos-*`` cells) re-runs this module with
 ``CHAOS_SEED`` / ``CHAOS_K`` / ``CHAOS_STEPS`` set to sweep three seeds
 across both topologies at full length — same test, bigger soak.
 """

@@ -11,7 +11,7 @@ mutations.
 
 ``REF_SEED`` shifts the fuzz seeds and ``REF_K`` (>0) puts a K-shard
 cluster under test instead of the monolithic engine (the CI
-reference-equivalence matrix runs 3 seeds x {monolith, K=3}).
+``reference-*`` cells of the ``sweeps`` matrix run 3 seeds x {monolith, K=3}).
 """
 
 import os

@@ -12,7 +12,7 @@ This is the fault-free half of the isolation story; the chaos half
 (faults aimed at one tenant) lives in :mod:`repro.chaos.tenantsoak`.
 
 ``TENANT_SEED`` shifts the fuzz seeds and ``TENANT_K`` (>0) runs the
-shared world over a sharded search cluster (the CI tenant-sweep matrix
+shared world over a sharded search cluster (the CI ``sweeps`` matrix
 runs monolith and K=3; the solo twins always run the monolith, so K>0
 also cross-checks cluster answers against monolith answers).
 """
@@ -22,7 +22,7 @@ import random
 
 from repro.chaos.tenantsoak import tenant_digest
 from repro.core.hacfs import HacFileSystem
-from repro.core.quota import QuotaSpec
+from repro.core.quota import QuotaSpec, recompute_usage
 
 SEED = int(os.environ.get("TENANT_SEED", "0"))
 K = int(os.environ.get("TENANT_K", "0"))
@@ -75,9 +75,21 @@ class TenantOpFuzzer:
             path = (d.rstrip("/") or "") + f"/f{self.counter}.txt"
             self.files.append(path)
             return ("write", path, self._text())
-        if r < 0.42:
+        if r < 0.38:
             return ("write", self.rng.choice(self.files), self._text())
-        if r < 0.50:
+        if r < 0.44:
+            # descriptor I/O: truncate-and-rewrite, append, or overwrite
+            # in place from offset 0
+            return ("fdwrite", self.rng.choice(self.files),
+                    self.rng.choice(("w", "a", "rw")), self._text())
+        if r < 0.47:
+            return ("truncate", self.rng.choice(self.files),
+                    self.rng.randrange(0, 40))
+        if r < 0.50 and len(self.files) > 1:
+            old, new = self.rng.sample(self.files, 2)
+            self.files.remove(old)  # *new* keeps its name, gets old's bytes
+            return ("rename", old, new)
+        if r < 0.54:
             d = self.rng.choice(self.dirs)
             path = (d.rstrip("/") or "") + f"/d{self.counter}"
             self.dirs.append(path)
@@ -102,6 +114,12 @@ def apply_op(tenant, op):
     kind = op[0]
     if kind == "write":
         tenant.write_file(op[1], op[2])
+    elif kind == "fdwrite":
+        fd = tenant.open(op[1], op[2])
+        tenant.write(fd, op[3])
+        tenant.close(fd)
+    elif kind == "truncate":
+        tenant.truncate(op[1], op[2])
     elif kind == "mkdir":
         tenant.mkdir(op[1])
     elif kind == "rename":
@@ -136,6 +154,11 @@ def test_fuzzed_interleavings_match_solo_twins():
             theirs = apply_op(solos[name], op)
             assert ours == theirs, \
                 (round_no, step, name, op[0], ours, theirs)
+            # the quota ledger is a measurement of the tree, on either host
+            assert tenants[name].usage() == recompute_usage(
+                shared.fs, tenants[name].root), (round_no, step, name, op)
+            assert solos[name].usage() == recompute_usage(
+                solos[name]._hacfs.fs, solos[name].root), (step, name, op)
             if rng.random() < 0.2:  # host-namespace noise, tenant-invisible
                 shared.write_file(f"/noise/h{round_no}_{step}.txt",
                                   b"host fingerprint noise")
