@@ -3,11 +3,12 @@
 The paper argues its content-based access API is general enough to host
 any search system (§2.2).  This module makes the contract explicit — a
 :class:`typing.Protocol` that the monolithic
-:class:`~repro.cba.engine.CBAEngine`, the
-:class:`~repro.cluster.ShardedSearchCluster`, and the
-:class:`~repro.remote.searchsvc.SimulatedSearchService` all satisfy — so
+:class:`~repro.cba.engine.CBAEngine` and the
+:class:`~repro.cluster.ShardedSearchCluster` both satisfy — so
 ``HacFileSystem`` and friends can type against one name and drop the
-ad-hoc sniffing.
+ad-hoc sniffing.  (A semantically mounted remote system is a
+:class:`~repro.remote.namespace.NameSpace`, a different and much
+narrower seam.)
 
 Two method families beyond the obvious maintenance/query core deserve a
 note:
@@ -199,15 +200,12 @@ def open_backend(spec, **options):
       ``HacFileSystem(backend=...)``);
     * ``"cluster"`` or ``"cluster:<K>"`` → a :class:`BackendFactory` over
       :class:`~repro.cluster.ShardedSearchCluster` with K shards;
-    * ``"remote:<ns_id>"`` → a
-      :class:`~repro.remote.searchsvc.SimulatedSearchService` (pass to
-      ``smount``);
     * a dict ``{"kind": ..., **kwargs}`` — the explicit form of any of
       the above;
-    * an already-built factory/namespace passes through unchanged.
+    * an already-built factory passes through unchanged.
 
     Keyword *options* are forwarded to the underlying constructor
-    (``shards=``, ``latency=``, ``documents=``, ``segmented=``, ...).
+    (``shards=``, ``latency=``, ``segmented=``, ...).
     """
     if spec is None:
         spec = "monolith"
@@ -218,11 +216,8 @@ def open_backend(spec, **options):
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
         merged = dict(options)
-        if arg:
-            if kind == "cluster":
-                merged.setdefault("shards", int(arg))
-            elif kind == "remote":
-                merged.setdefault("namespace_id", arg)
+        if arg and kind == "cluster":
+            merged.setdefault("shards", int(arg))
         return _build_backend(kind, merged)
     # anything already satisfying a backend seam passes through
     return spec
@@ -240,13 +235,5 @@ def _build_backend(kind: str, options: Dict[str, object]):
         shards = options.pop("shards", 3)
         options.setdefault("shard_ids", [f"shard{i}" for i in range(shards)])
         return BackendFactory(ShardedSearchCluster, clocked=True, **options)
-    if kind == "remote":
-        from repro.remote.searchsvc import SimulatedSearchService
-
-        ns_id = options.pop("namespace_id", None)
-        if ns_id is None:
-            raise ValueError("remote backend spec needs a namespace id "
-                             "('remote:<ns_id>')")
-        return SimulatedSearchService(str(ns_id), **options)
     raise ValueError(f"unknown backend kind: {kind!r} "
-                     "(monolith | cluster | remote)")
+                     "(monolith | cluster)")

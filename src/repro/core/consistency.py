@@ -34,6 +34,7 @@ from repro.cba import evaluator
 from repro.cba.results import RemoteId
 from repro.core.links import Target
 from repro.core.scope import Scope
+from repro.vfs.inode import SymlinkNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
@@ -349,14 +350,15 @@ class ConsistencyManager:
         # refresh link text of survivors whose target path drifted
         for name, target in state.links.transient.items():
             if target in old_targets and target in new_targets:
-                entry = pathutil.join(path, name)
+                node = dir_entries.get(name)
                 text = self._link_text(target)
-                try:
-                    if fs.islink(entry) and fs.readlink(entry) != text:
+                if isinstance(node, SymlinkNode) and node.target != text:
+                    entry = pathutil.join(path, name)
+                    try:
                         fs.unlink(entry)
                         fs.symlink(text, entry)
-                except Exception:
-                    pass
+                    except Exception:
+                        pass
         if changed:
             self._stats.add("transient_updates")
         return changed

@@ -72,7 +72,7 @@ def hacfsck(hacfs: "HacFileSystem", repair: bool = False) -> List[Finding]:
 # ----------------------------------------------------------------------
 
 def _live_dirs(hacfs) -> List[str]:
-    return [dirpath for dirpath, _d, _f in walk(hacfs.fs, "/")]
+    return [dirpath for dirpath, _d, _f, _listed in walk(hacfs.fs, "/")]
 
 
 def _check_device(hacfs) -> List[Finding]:

@@ -882,7 +882,7 @@ class HacFileSystem:
         self.fs.mount(canon, other)
         self._fs_registry[other.fsid] = (other, canon)
         # adopt every directory of the mounted tree into map/graph/state
-        for dirpath, _dirs, _files in walk(self.fs, canon):
+        for dirpath, _dirs, _files, _listed in walk(self.fs, canon):
             if self.dirmap.uid_of(dirpath) is None:
                 uid = self.dirmap.register(dirpath)
                 self.depgraph.add_node(uid)
@@ -994,13 +994,13 @@ class HacFileSystem:
         self.maintenance.barrier()
         canon = self._canonical_dir(path)
         current: List[Tuple[Tuple[str, int], str, float]] = []
-        for dirpath, _dirs, filenames in walk(self.fs, canon):
+        for dirpath, _dirs, filenames, (owner, dirnode) in walk(self.fs, canon):
             for name in filenames:
-                fpath = pathutil.join(dirpath, name)
-                res = self.fs.resolve(fpath, follow=False)
-                if isinstance(res.node, FileNode):
-                    current.append(((res.fs.fsid, res.node.ino), fpath,
-                                    res.node.attrs.mtime))
+                node = dirnode.entries[name]
+                if isinstance(node, FileNode):
+                    current.append(((owner.fsid, node.ino),
+                                    pathutil.join(dirpath, name),
+                                    node.attrs.mtime))
         current_keys = {key for key, _p, _m in current}
         previous = {}
         for key, mtime in self.engine.mtime_snapshot().items():

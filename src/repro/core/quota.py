@@ -142,9 +142,14 @@ def usage_at(fs, path: str, follow: bool = False) -> Tuple[int, int]:
         st = fs.stat(path) if follow else fs.lstat(path)
     except (FileNotFound, NotADirectory, SymlinkLoop):
         return 0, 0
-    if st.is_symlink:
+    return _charge(st)
+
+
+def _charge(entry) -> Tuple[int, int]:
+    """The ``(inodes, bytes)`` rule for one entry, an inode or its stat."""
+    if entry.is_symlink:
         return 0, 0
-    return 1, (st.size if st.is_file else 0)
+    return 1, (entry.attrs.size if entry.is_file else 0)
 
 
 def recompute_usage(fs, root: str) -> Dict[str, int]:
@@ -152,19 +157,18 @@ def recompute_usage(fs, root: str) -> Dict[str, int]:
 
     Counts every directory and regular file strictly below *root* (the
     root itself is infrastructure, not tenant usage) and sums file
-    content bytes — :func:`usage_at` per entry, the same rule the facade
-    commits by.
+    content bytes — :func:`usage_at`'s rule per entry, the same one the
+    facade commits by.
     """
     from repro.vfs.walker import walk
 
     inodes = 0
     total_bytes = 0
-    for dirpath, _dirnames, filenames in walk(fs, root):
+    for dirpath, _dirnames, filenames, (_owner, dirnode) in walk(fs, root):
         if pathutil.canonical(dirpath) != pathutil.canonical(root):
             inodes += 1
         for name in filenames:
-            entry_inodes, entry_bytes = usage_at(
-                fs, pathutil.join(dirpath, name))
+            entry_inodes, entry_bytes = _charge(dirnode.entries[name])
             inodes += entry_inodes
             total_bytes += entry_bytes
     return {"inodes": inodes, "bytes": total_bytes}

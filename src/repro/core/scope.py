@@ -29,6 +29,7 @@ from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.cba.results import RemoteId
 from repro.vfs.inode import FileNode, SymlinkNode
+from repro.vfs.walker import walk
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
@@ -86,69 +87,55 @@ class ScopeResolver:
     # ------------------------------------------------------------------
 
     def _root_scope(self) -> Scope:
-        return Scope(
-            local=self.hacfs.engine.all_docs(),
-            remote=set(),
-            namespaces=set(self.hacfs.semmounts.all_namespace_ids()),
-        )
+        return Scope(local=self.hacfs.engine.all_docs(),
+                     namespaces=set(self.hacfs.semmounts.all_namespace_ids()))
 
     def _semantic_scope(self, path: str, state) -> Scope:
         local = Bitmap()
         remote: Set[RemoteId] = set()
         for target in state.links.all_targets():
             if target.is_local:
-                doc_id = self.hacfs.engine.doc_id_of(target.key)
-                if doc_id is not None:
-                    local.add(doc_id)
+                self._add_doc(target.key, local)
             else:
                 remote.add(target.remote_id())
         # regular files placed directly in the directory are part of the
         # curated result ("adding regular files to that directory", §2.3)
-        fs = self.hacfs.fs
-        for name in fs.listdir(path):
-            child_path = pathutil.join(path, name)
-            res = fs.resolve(child_path, follow=False)
-            if isinstance(res.node, FileNode):
-                doc_id = self.hacfs.engine.doc_id_of((res.fs.fsid, res.node.ino))
-                if doc_id is not None:
-                    local.add(doc_id)
+        self._add_tree_members(path, local, remote, recurse=False)
         namespaces = set(self.hacfs.semmounts.namespaces_at(path))
         return Scope(local=local, remote=remote, namespaces=namespaces)
 
     def _syntactic_scope(self, path: str) -> Scope:
-        from repro.vfs.walker import walk  # local import avoids cycles
-
         local = Bitmap()
         remote: Set[RemoteId] = set()
-        fs = self.hacfs.fs
-        # CAS routing: when no index maintenance is pending (registry
-        # paths == live tree), the subtree's regular files resolve in one
-        # interleaved-index probe instead of a doc-id lookup per walked
-        # file.  Symlink targets and mounted name spaces are not registry
-        # rows, so the walk still collects those.
-        cas_fast = self.hacfs.maintenance.pending == 0
-        if cas_fast:
-            local |= self.hacfs.engine.scope_docs(path)
-        for dirpath, dirnames, filenames in walk(fs, path):
+        self._add_tree_members(path, local, remote, recurse=True)
+        namespaces = set(self.hacfs.semmounts.namespaces_under(path))
+        return Scope(local=local, remote=remote, namespaces=namespaces)
+
+    def _add_tree_members(self, top: str, local: Bitmap,
+                          remote: Set[RemoteId], recurse: bool) -> None:
+        """One read of the live tree at *top*: every indexed regular file,
+        plus the targets of symlinks in plain directories (a semantic
+        directory's links are its result, taken from its link table)."""
+        for dirpath, dirnames, filenames, (owner, dirnode) in walk(
+                self.hacfs.fs, top):
+            if not recurse:
+                del dirnames[:]
             dir_uid = self.hacfs.dirmap.uid_of(dirpath)
             dir_state = self.hacfs.meta.get(dir_uid) if dir_uid is not None else None
             dir_is_semantic = dir_state is not None and dir_state.is_semantic
             for name in filenames:
-                child = fs.resolve(pathutil.join(dirpath, name), follow=False)
-                node = child.node
+                node = dirnode.entries[name]
                 if isinstance(node, FileNode):
-                    if cas_fast:
-                        continue  # covered wholesale by the CAS probe above
-                    doc_id = self.hacfs.engine.doc_id_of((child.fs.fsid, node.ino))
-                    if doc_id is not None:
-                        local.add(doc_id)
-                elif isinstance(node, SymlinkNode) and not dir_is_semantic:
+                    self._add_doc((owner.fsid, node.ino), local)
+                elif not dir_is_semantic:
                     self._add_symlink_target(node, local, remote)
-            # semantic descendants contribute their physical files (walked
-            # above) but not their curated links: prune nothing, links are
-            # filtered by dir_is_semantic when visited
-        namespaces = set(self.hacfs.semmounts.namespaces_under(path))
-        return Scope(local=local, remote=remote, namespaces=namespaces)
+
+    def _add_doc(self, key, local: Bitmap) -> None:
+        """Add the document indexed under *key*; an unindexed file is in
+        no scope yet (data consistency is lazy, §2.4)."""
+        doc_id = self.hacfs.engine.doc_id_of(key)
+        if doc_id is not None:
+            local.add(doc_id)
 
     def _add_symlink_target(self, node: SymlinkNode,
                             local: Bitmap, remote: Set[RemoteId]) -> None:
@@ -164,6 +151,4 @@ class ScopeResolver:
         except Exception:
             return  # dangling link: contributes nothing (data inconsistency)
         if isinstance(res.node, FileNode):
-            doc_id = self.hacfs.engine.doc_id_of((res.fs.fsid, res.node.ino))
-            if doc_id is not None:
-                local.add(doc_id)
+            self._add_doc((res.fs.fsid, res.node.ino), local)

@@ -13,9 +13,9 @@ references — exactly the constraint multiple semantic mounts impose.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-from repro.cba.engine import CBAEngine, Document
+from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
 from repro.remote.namespace import NameSpace, RemoteDoc
 from repro.remote.rpc import RpcTransport
@@ -121,117 +121,3 @@ class SimulatedSearchService(NameSpace):
 
     def title_of(self, doc: str) -> Optional[str]:
         return self._titles.get(doc)
-
-    # -- the SearchBackend protocol ---------------------------------------------
-    #
-    # The service's own engine surface, exposed so the same
-    # :class:`~repro.cba.backend.SearchBackend` contract covers all three
-    # back-ends.  Document keys here are plain strings (document names),
-    # not HAC's ``(fsid, ino)`` pairs, which is why the service carries
-    # its own ``to_obj``/``from_obj`` format instead of borrowing the
-    # engine's.  ``search`` keeps its wire signature (query *text* over
-    # RPC) — the protocol checks presence, and remote queries are exactly
-    # the calls that must cross the simulated network.
-
-    def index_document(self, key: str, path: str, mtime: float,
-                       text: Optional[str] = None,
-                       doc_id: Optional[int] = None) -> int:
-        if text is not None:
-            self._docs[key] = text
-        return self._engine.index_document(key, path, mtime, text=text,
-                                           doc_id=doc_id)
-
-    def update_document(self, key: str, path: str, mtime: float,
-                        text: Optional[str] = None) -> int:
-        if text is not None:
-            self._docs[key] = text
-        return self._engine.update_document(key, path, mtime, text=text)
-
-    def rename_document(self, key: str, new_path: str) -> None:
-        self._engine.rename_document(key, new_path)
-
-    def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
-        return self._engine.rebase_paths(old_prefix, new_prefix)
-
-    def reindex(self, current, previous=None):
-        return self._engine.reindex(current, previous)
-
-    def reserve_doc_id(self) -> int:
-        return self._engine.reserve_doc_id()
-
-    def doc_by_id(self, doc_id: int):
-        return self._engine.doc_by_id(doc_id)
-
-    def doc_by_key(self, key: str):
-        return self._engine.doc_by_key(key)
-
-    def doc_id_of(self, key: str) -> Optional[int]:
-        return self._engine.doc_id_of(key)
-
-    def all_docs(self):
-        return self._engine.all_docs()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._engine
-
-    def search_blocks(self, query, blocks, scope=None):
-        return self._engine.search_blocks(query, blocks, scope)
-
-    def estimate_docs(self, node) -> int:
-        return self._engine.estimate_docs(node)
-
-    def extract(self, key: str, query) -> List[str]:
-        return self._engine.extract(key, query)
-
-    def scope_docs(self, prefix: str):
-        return self._engine.scope_docs(prefix)
-
-    def scope_count(self, prefix: str) -> int:
-        return self._engine.scope_count(prefix)
-
-    def publish(self) -> int:
-        return self._engine.publish()
-
-    def snapshot_view(self):
-        return self._engine.snapshot_view()
-
-    def snapshot_info(self) -> Dict[str, object]:
-        return self._engine.snapshot_info()
-
-    def shard_of(self, key: str) -> None:
-        return None
-
-    def reset_missing_shards(self) -> Set[str]:
-        return set()
-
-    def health(self) -> Dict[str, str]:
-        return {}
-
-    def to_obj(self):
-        """Dump corpus + index to plain primitives (string doc keys)."""
-        return {
-            "service": 1,
-            "docs": dict(self._docs),
-            "titles": dict(self._titles),
-            "version": self._version,
-            "index": self._engine.index.to_obj(),
-            "registry": [[doc.doc_id, doc.key, doc.path, doc.mtime, doc.size]
-                         for doc in self._engine._docs.values()],
-            "next": self._engine._next_doc_id,
-        }
-
-    @classmethod
-    def from_obj(cls, obj, loader=None, *, namespace_id: str = "service",
-                 transport: Optional[RpcTransport] = None
-                 ) -> "SimulatedSearchService":
-        """Rebuild a service from :meth:`to_obj` output without
-        re-tokenising (*loader* is accepted for protocol symmetry and
-        ignored — the corpus travels inside the object)."""
-        service = cls(namespace_id, transport=transport,
-                      titles=obj.get("titles"))
-        service._docs = dict(obj["docs"])
-        service._version = obj.get("version", 0)
-        service._engine._adopt(obj["index"],
-                               (Document(*row) for row in obj["registry"]),
-                               obj["next"])
-        return service

@@ -1,27 +1,35 @@
 """Recursive traversal helpers over a :class:`~repro.vfs.filesystem.FileSystem`.
 
-``walk`` mirrors :func:`os.walk`; ``iter_files`` yields every regular file
-with its absolute path, optionally descending into syntactic mounts (the HAC
-indexer uses this to enumerate its whole personal name space).  Symbolic
-links are reported but never followed during traversal, so link cycles
-cannot hang a walk.
+``walk`` mirrors :func:`os.fwalk`: beside the names it hands out the
+directory it is listing, so a consumer reads a child as
+``dirnode.entries[name]`` instead of resolving the joined path again.
+``iter_files`` yields every regular file with its absolute path, optionally
+descending into syntactic mounts (the HAC indexer uses this to enumerate
+its whole personal name space).  Symbolic links are reported but never
+followed during traversal, so link cycles cannot hang a walk.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.util import pathutil
 from repro.vfs.filesystem import FileSystem
-from repro.vfs.inode import DirNode, FileNode, Inode, SymlinkNode
+from repro.vfs.inode import DirNode, FileNode, SymlinkNode
+
+#: the directory a walk step lists: its owning file system (the mounted one
+#: once a syntactic mount has been crossed) and its node
+Listed = Tuple[FileSystem, DirNode]
 
 
-def walk(fs: FileSystem, top: str = "/",
-         cross_mounts: bool = True) -> Iterator[Tuple[str, List[str], List[str]]]:
-    """Yield ``(dirpath, dirnames, filenames)`` top-down.
+def walk(fs: FileSystem, top: str = "/", cross_mounts: bool = True
+         ) -> Iterator[Tuple[str, List[str], List[str], Listed]]:
+    """Yield ``(dirpath, dirnames, filenames, (owner, dirnode))`` top-down.
 
     ``dirnames`` may be pruned in place by the caller, as with ``os.walk``.
-    Symlinks appear in ``filenames`` regardless of what they point at.
+    Symlinks appear in ``filenames`` regardless of what they point at, and
+    every name in ``filenames`` is a key of ``dirnode.entries`` owned by
+    ``owner``.
     """
     res = fs.resolve(top)
     if not res.node.is_dir:
@@ -47,7 +55,7 @@ def walk(fs: FileSystem, top: str = "/",
                 children[name] = (target_fs, child)
             else:
                 filenames.append(name)
-        yield dirpath, dirnames, filenames
+        yield dirpath, dirnames, filenames, (cur_fs, dirnode)
         # honour caller-side pruning of dirnames
         for name in reversed(dirnames):
             if name in children:
@@ -55,51 +63,22 @@ def walk(fs: FileSystem, top: str = "/",
                 stack.append((pathutil.join(dirpath, name), sub_fs, sub_node))
 
 
+def _iter_kind(fs: FileSystem, top: str, cross_mounts: bool, kind: type):
+    for dirpath, _dirnames, filenames, (_owner, dirnode) in walk(
+            fs, top, cross_mounts=cross_mounts):
+        for name in filenames:
+            node = dirnode.entries[name]
+            if isinstance(node, kind):
+                yield pathutil.join(dirpath, name), node
+
+
 def iter_files(fs: FileSystem, top: str = "/",
                cross_mounts: bool = True) -> Iterator[Tuple[str, FileNode]]:
     """Yield ``(path, FileNode)`` for every regular file under *top*."""
-    for dirpath, _dirnames, filenames in walk(fs, top, cross_mounts=cross_mounts):
-        for name in filenames:
-            path = pathutil.join(dirpath, name)
-            res = fs.resolve(path, follow=False)
-            if isinstance(res.node, FileNode):
-                yield path, res.node
+    return _iter_kind(fs, top, cross_mounts, FileNode)
 
 
 def iter_symlinks(fs: FileSystem, top: str = "/",
                   cross_mounts: bool = True) -> Iterator[Tuple[str, SymlinkNode]]:
     """Yield ``(path, SymlinkNode)`` for every symlink under *top*."""
-    for dirpath, _dirnames, filenames in walk(fs, top, cross_mounts=cross_mounts):
-        for name in filenames:
-            path = pathutil.join(dirpath, name)
-            res = fs.resolve(path, follow=False)
-            if isinstance(res.node, SymlinkNode):
-                yield path, res.node
-
-
-def find(fs: FileSystem, top: str = "/",
-         predicate: Optional[Callable[[str, Inode], bool]] = None,
-         cross_mounts: bool = True) -> List[str]:
-    """Paths of every node under *top* matching *predicate* (default: all)."""
-    out: List[str] = []
-    for dirpath, dirnames, filenames in walk(fs, top, cross_mounts=cross_mounts):
-        for name in list(dirnames) + list(filenames):
-            path = pathutil.join(dirpath, name)
-            node = fs.resolve(path, follow=False).node
-            if predicate is None or predicate(path, node):
-                out.append(path)
-    return sorted(out)
-
-
-def tree_size(fs: FileSystem, top: str = "/") -> Tuple[int, int, int]:
-    """Return ``(directories, files, symlinks)`` counts under *top*."""
-    dirs = files = links = 0
-    for _dirpath, dirnames, filenames in walk(fs, top):
-        dirs += len(dirnames)
-        for name in filenames:
-            node = fs.resolve(pathutil.join(_dirpath, name), follow=False).node
-            if node.is_symlink:
-                links += 1
-            else:
-                files += 1
-    return dirs, files, links
+    return _iter_kind(fs, top, cross_mounts, SymlinkNode)

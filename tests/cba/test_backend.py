@@ -1,29 +1,21 @@
-"""The SearchBackend protocol: one formal contract, three back-ends."""
+"""The SearchBackend protocol: one formal contract, two back-ends."""
 
 import pytest
 
 from repro.cba.backend import SearchBackend
 from repro.cba.engine import CBAEngine
 from repro.cluster import ShardedSearchCluster
-from repro.remote.searchsvc import SimulatedSearchService
-
-CORPUS = {
-    "fp-survey": "a survey of fingerprint recognition techniques",
-    "nn-paper": "neural networks and their discontents",
-}
 
 
 def _loader(_key):
     return ""
 
 
-@pytest.fixture(params=["engine", "cluster", "service"])
+@pytest.fixture(params=["engine", "cluster"])
 def backend(request):
     if request.param == "engine":
         return CBAEngine(loader=_loader)
-    if request.param == "cluster":
-        return ShardedSearchCluster(_loader, ["s0", "s1"], latency=0.0)
-    return SimulatedSearchService("svc", documents=CORPUS)
+    return ShardedSearchCluster(_loader, ["s0", "s1"], latency=0.0)
 
 
 def test_every_backend_satisfies_the_protocol(backend):
@@ -31,7 +23,7 @@ def test_every_backend_satisfies_the_protocol(backend):
     # verify behaviour — together they replace the old hasattr sniffing
     assert isinstance(backend, SearchBackend)
     # the path dimension is part of the contract, not optional surface:
-    # scope resolution, tenant doc counts and dir renames call it directly
+    # scope: terms, tenant doc counts and dir renames call it directly
     assert backend.scope_docs("/nowhere").to_bytes() == b""
     assert backend.scope_count("/nowhere") == 0
     assert backend.rebase_paths("/nowhere", "/elsewhere") == 0
@@ -122,31 +114,6 @@ def test_serving_surface_is_uniform(backend):
     assert all(r["version"] == after["version"] for r in after["replicas"])
 
 
-def test_service_snapshot_tracks_publishes():
-    service = SimulatedSearchService("svc", documents=CORPUS)
-    view = service.snapshot_view()
-    before = view.all_docs().to_bytes()
-    service.add_document("late", "late breaking fingerprint news")
-    assert service.snapshot_view().all_docs().to_bytes() == before
-    service.publish()
-    assert service.snapshot_view().all_docs().to_bytes() == \
-        service.all_docs().to_bytes()
-
-
-def test_service_roundtrips_through_to_obj():
-    service = SimulatedSearchService("svc", documents=CORPUS,
-                                     titles={"fp-survey": "The Survey"})
-    service.add_document("late", "late breaking fingerprint news")
-    restored = SimulatedSearchService.from_obj(service.to_obj(),
-                                               namespace_id="svc")
-    assert sorted(restored.search("fingerprint")) == \
-        sorted(service.search("fingerprint"))
-    assert restored.title_of("fp-survey") == "The Survey"
-    assert restored.fetch("late") == "late breaking fingerprint news"
-    assert restored.mtime_snapshot() == service.mtime_snapshot()
-    assert restored._engine._next_doc_id == service._engine._next_doc_id
-
-
 # ---------------------------------------------------------------------------
 # open_backend: the unified construction surface
 # ---------------------------------------------------------------------------
@@ -181,30 +148,19 @@ class TestOpenBackend:
                                 "latency": 0.0})
         assert len(factory(_loader).shards) == 2
 
-    def test_remote_spec_builds_a_service(self):
-        from repro.cba.backend import open_backend
-
-        service = open_backend("remote:digilib")
-        assert isinstance(service, SimulatedSearchService)
-        assert service.namespace_id == "digilib"
-
-    def test_remote_spec_requires_a_namespace(self):
-        from repro.cba.backend import open_backend
-
-        with pytest.raises(ValueError):
-            open_backend("remote")
-
     def test_unknown_kind_is_rejected(self):
         from repro.cba.backend import open_backend
 
-        with pytest.raises(ValueError):
-            open_backend("warehouse")
+        # a mounted remote system is a NameSpace, not a search back-end
+        for spec in ("warehouse", "remote", "remote:digilib"):
+            with pytest.raises(ValueError):
+                open_backend(spec)
 
     def test_backend_objects_pass_through(self):
         from repro.cba.backend import open_backend
 
-        service = SimulatedSearchService("svc", documents=CORPUS)
-        assert open_backend(service) is service
+        factory = open_backend("cluster:2")
+        assert open_backend(factory) is factory
 
     def test_removed_twin_keywords_raise_type_error(self):
         """The on/off twins and the ``engine_factory=`` shim are gone, not

@@ -95,3 +95,78 @@ class TestSemanticScope:
 
     def test_repr(self, populated):
         assert "Scope(" in repr(populated.scopes.provided("/"))
+
+
+def _lingering_row_world(pending_elsewhere):
+    from repro.core.hacfs import HacFileSystem
+
+    hac = HacFileSystem()
+    hac.makedirs("/proj/src")
+    hac.makedirs("/other")
+    hac.write_file("/proj/src/a.txt", b"fingerprint alpha")
+    hac.write_file("/proj/src/b.txt", b"fingerprint beta")
+    hac.clock.tick()
+    hac.ssync("/")
+    hac.smkdir("/proj/q", "fingerprint")
+    hac.unlink("/proj/src/b.txt")  # unwatched: its index row lingers (§2.4)
+    if pending_elsewhere:
+        hac.watch("/other")
+        hac.maintenance.set_mode("batched")
+        hac.write_file("/other/x.txt", b"unrelated")
+        assert hac.maintenance.pending == 1
+    return hac
+
+
+class TestScopeIsTreeTruth:
+    """scope(d) is a function of the tree and the index, never of the
+    maintenance queue (docs/SEMANTICS.md §3)."""
+
+    def test_plain_scope_ignores_unrelated_queue_state(self):
+        drained = _lingering_row_world(pending_elsewhere=False)
+        queued = _lingering_row_world(pending_elsewhere=True)
+        assert list(drained.scopes.provided("/proj").local) == \
+            list(queued.scopes.provided("/proj").local) == \
+            sorted(doc_ids(drained, "/proj/src/a.txt"))
+
+    @staticmethod
+    def _world_with(files):
+        from repro.core.hacfs import HacFileSystem
+
+        hac = HacFileSystem()
+        for i in range(files):
+            sub = f"/p/d{i % 5}"
+            if not hac.exists(sub):
+                hac.makedirs(sub)
+            hac.write_file(f"{sub}/f{i}.txt", b"fingerprint ridge")
+        hac.clock.tick()
+        hac.ssync("/")
+        return hac
+
+    @staticmethod
+    def _delta(hac, op, *names):
+        before = hac.counters.snapshot()
+        op()
+        after = hac.counters.snapshot()
+        return [after.get(n, 0) - before.get(n, 0) for n in names]
+
+    def test_provided_cost_is_independent_of_subtree_size(self):
+        """The traversal reads children from the directory it holds: one
+        path lookup (the top) per ``provided()``, no CAS probe."""
+        costs = {}
+        for files in (50, 200):
+            hac = self._world_with(files)
+            costs[files] = self._delta(
+                hac, lambda: hac.scopes.provided("/p"),
+                "vfs.namei", "engine.cas_scope_probes")
+            assert len(hac.scopes.provided("/p").local) == files
+        assert costs[50] == costs[200]
+        namei, probes = costs[200]
+        assert namei <= 2 and probes == 0
+
+    def test_reindex_namei_is_independent_of_subtree_size(self):
+        costs = {}
+        for files in (50, 200):
+            hac = self._world_with(files)
+            costs[files] = self._delta(hac, lambda: hac.reindex("/p"),
+                                       "vfs.namei")
+        assert costs[50] == costs[200]

@@ -108,7 +108,7 @@ class TestSoak:
             assert uid in world.depgraph
         # every live directory is registered
         from repro.vfs.walker import walk
-        for dirpath, _d, _f in walk(world.fs, "/"):
+        for dirpath, _d, _f, _listed in walk(world.fs, "/"):
             assert world.dirmap.uid_of(dirpath) is not None, dirpath
 
     def test_engine_registry_matches_live_files(self, world):

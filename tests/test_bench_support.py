@@ -75,9 +75,17 @@ class TestE2ELayerCatalogue:
             trace = importlib.import_module("e2e.trace")
         finally:
             sys.path.remove(bench_dir)
+        import repro.core.hacfs as hacfs_module
+
         patches, missing = trace.install(trace.Tracer())
         trace.uninstall(patches)
         assert missing == []
         assert {patch.name for patch in patches} >= {
             "scope_docs", "scope_count", "rebuild_cas", "reset_path_map",
             "walk", "apply_segments"}
+        # module-level functions are also patched where ``from x import f``
+        # bound them; hacfs's traversal and parser calls are traced only
+        # through these two bindings, so dropping an import must fail here
+        import_sites = {(patch.owner, patch.name) for patch in patches}
+        assert (hacfs_module, "walk") in import_sites
+        assert (hacfs_module, "parse_query") in import_sites
