@@ -4,88 +4,17 @@ The paper stores each directory's result as an N/8-byte bitmap, arguing it
 is compact and fast to combine.  This ablation quantifies both claims in
 our substrate: serialized size and intersection throughput against a plain
 ``set`` of ints at several result densities.
-
-It also pits the current big-int kernels (one ``int.from_bytes``, whole-set
-``|``/``&``/``&~`` in C, ``int.bit_count()`` popcount) against the seed
-bytearray implementation they replaced, at 10k/100k/1M id scales — the
-byte-at-a-time Python loops are the part the rewrite deleted.
 """
 
 import random
 
 import pytest
 
-from repro.bench.harness import BenchResult, report, time_call
+from repro.bench.harness import BenchResult, report
 from repro.util.bitmap import Bitmap
 
 N = 20000
 DENSITY = 0.3
-
-_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
-
-
-class SeedBitmap:
-    """The seed's bytearray bitmap, kept verbatim as the ablation baseline
-    (construction, in-place algebra, and popcount kernels only)."""
-
-    __slots__ = ("_bits",)
-
-    def __init__(self, ids=()):
-        self._bits = bytearray()
-        for i in ids:
-            self.add(i)
-
-    def add(self, i):
-        byte, bit = divmod(i, 8)
-        if byte >= len(self._bits):
-            self._bits.extend(b"\x00" * (byte + 1 - len(self._bits)))
-        self._bits[byte] |= 1 << bit
-
-    def to_bytes(self):
-        return bytes(self._bits)
-
-    def copy(self):
-        bm = SeedBitmap()
-        bm._bits = bytearray(self._bits)
-        return bm
-
-    def __ior__(self, other):
-        if len(other._bits) > len(self._bits):
-            self._bits.extend(b"\x00" * (len(other._bits) - len(self._bits)))
-        for idx, byte in enumerate(other._bits):
-            self._bits[idx] |= byte
-        return self
-
-    def __iand__(self, other):
-        n = min(len(self._bits), len(other._bits))
-        del self._bits[n:]
-        for idx in range(n):
-            self._bits[idx] &= other._bits[idx]
-        self._trim()
-        return self
-
-    def __isub__(self, other):
-        n = min(len(self._bits), len(other._bits))
-        for idx in range(n):
-            self._bits[idx] &= ~other._bits[idx] & 0xFF
-        self._trim()
-        return self
-
-    def __len__(self):
-        return sum(_POPCOUNT[b] for b in self._bits)
-
-    def _trim(self):
-        while self._bits and self._bits[-1] == 0:
-            del self._bits[-1]
-
-
-KERNEL_SCALES = (10_000, 100_000, 1_000_000)
-KERNEL_DENSITY = 0.3
-
-
-def make_ids(n, seed):
-    rng = random.Random(seed)
-    return [i for i in range(n) if rng.random() < KERNEL_DENSITY]
 
 
 def make_pair(seed):
@@ -130,84 +59,3 @@ def test_bitmap_size_claim(benchmark, record_report):
     # at 30% density the bitmap wins by ~10x; it loses only below ~3% density
     assert bitmap_bytes < set_bytes
     assert bitmap_bytes <= N // 8 + 1
-
-
-@pytest.mark.benchmark(group="ablation-bitmap-kernels")
-@pytest.mark.parametrize("impl", [Bitmap, SeedBitmap],
-                         ids=["bigint", "seed-bytearray"])
-def test_bulk_construct_speed(benchmark, impl):
-    ids = make_ids(100_000, seed=5)
-    result = benchmark(lambda: impl(ids))
-    assert len(result) == len(ids)
-
-
-@pytest.mark.benchmark(group="ablation-bitmap-kernels")
-@pytest.mark.parametrize("impl", [Bitmap, SeedBitmap],
-                         ids=["bigint", "seed-bytearray"])
-def test_inplace_union_speed(benchmark, impl):
-    a = impl(make_ids(100_000, seed=5))
-    b = impl(make_ids(100_000, seed=6))
-
-    def union():
-        acc = impl()
-        acc |= a
-        acc |= b
-        return acc
-
-    result = benchmark(union)
-    assert len(result) >= len(a)
-
-
-@pytest.mark.benchmark(group="ablation-bitmap-kernels")
-@pytest.mark.parametrize("impl", [Bitmap, SeedBitmap],
-                         ids=["bigint", "seed-bytearray"])
-def test_popcount_speed(benchmark, impl):
-    bm = impl(make_ids(100_000, seed=5))
-    count = benchmark(lambda: len(bm))
-    assert count > 0
-
-
-@pytest.mark.benchmark(group="ablation-bitmap-kernels-report")
-def test_kernel_sweep_report(benchmark, record_report):
-    """Big-int vs seed bytearray kernels at 10k/100k/1M id scales."""
-
-    def ops(impl, ids_a, ids_b):
-        construct, a = time_call(lambda: impl(ids_a))
-        b = impl(ids_b)
-        def inplace():
-            acc = a.copy()
-            acc |= b
-            acc &= a
-            acc -= b
-            return acc
-        algebra, _ = time_call(inplace)
-        popcount, _ = time_call(lambda: len(a))
-        return construct, algebra, popcount
-
-    def sweep():
-        rows = []
-        for n in KERNEL_SCALES:
-            ids_a, ids_b = make_ids(n, seed=5), make_ids(n, seed=6)
-            rows.append((n, ops(Bitmap, ids_a, ids_b),
-                         ops(SeedBitmap, ids_a, ids_b)))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    results = []
-    for n, new, old in rows:
-        for label, new_t, old_t in zip(("construct", "in-place ops",
-                                        "popcount"), new, old):
-            results.append(BenchResult(
-                f"n={n}: {label} speedup", old_t / max(new_t, 1e-9)))
-    record_report(report(
-        "Ablation A2: big-int vs seed bytearray kernels", results))
-
-    # serialization must agree at every scale (the byte-identity criterion)
-    for n in KERNEL_SCALES:
-        ids = make_ids(n, seed=7)
-        assert Bitmap(ids).to_bytes() == SeedBitmap(ids).to_bytes()
-    # the whole point of the rewrite: algebra and popcount get faster, and
-    # decisively so at the large scales (C loops vs Python byte loops)
-    _n, new_big, old_big = rows[-1]
-    assert new_big[1] < old_big[1], "in-place algebra must beat the seed"
-    assert new_big[2] < old_big[2], "popcount must beat the seed"

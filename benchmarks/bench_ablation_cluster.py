@@ -9,11 +9,6 @@ exactly once no matter how many shards exist, and the duplicated work of
 fanning one query out to K shards is bounded by K× the monolith's scan
 work (each shard verifies only its own members of the shared blocks).
 
-The JSON artefact carries the scatter-gather span breakdown
-(``cluster.plan`` / ``cluster.probe`` / ``cluster.scatter`` / ``rpc.call``)
-and the per-shard candidate-block counters, so regressions in either the
-merge or the partitioning are visible, not just total wall time.
-
 Wall times are report-only; every asserted guard reads deterministic
 counters.
 """
@@ -22,11 +17,10 @@ import random
 
 import pytest
 
-from repro.bench.harness import BenchResult, report, time_call, traced_call
+from repro.bench.harness import BenchResult, report, time_call
 from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
 from repro.cluster import ShardedSearchCluster
-from repro.obs import Observability
 from repro.util.stats import Counters
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
@@ -73,7 +67,7 @@ def build_cluster(texts):
 
 
 @pytest.mark.benchmark(group="ablation-cluster")
-def test_scatter_gather_fanout(benchmark, record_report, record_json, scale):
+def test_scatter_gather_fanout(benchmark, record_report, scale):
     texts = build_corpus(scale)
     asts = [parse_query(q) for q in QUERIES]
 
@@ -87,17 +81,13 @@ def test_scatter_gather_fanout(benchmark, record_report, record_json, scale):
         cluster_counters.reset()
         mono_secs, mono_answers = time_call(
             lambda: [mono.search(ast).to_bytes() for ast in asts])
-        obs = Observability()
-        cluster.tracer = obs.trace
-        cluster.metrics = obs.metrics
-        cluster_secs, cluster_answers, breakdown = traced_call(
-            obs, lambda: [cluster.search(ast).to_bytes() for ast in asts])
+        cluster_secs, cluster_answers = time_call(
+            lambda: [cluster.search(ast).to_bytes() for ast in asts])
         return (mono, mono_counters, mono_secs, mono_answers, indexed,
-                cluster, cluster_counters, cluster_secs, cluster_answers,
-                breakdown)
+                cluster, cluster_counters, cluster_secs, cluster_answers)
 
     (mono, mono_counters, mono_secs, mono_answers, indexed, cluster,
-     cluster_counters, cluster_secs, cluster_answers, breakdown) = \
+     cluster_counters, cluster_secs, cluster_answers) = \
         benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)
 
     # --- correctness: the merge is bit-identical ------------------------
@@ -135,8 +125,7 @@ def test_scatter_gather_fanout(benchmark, record_report, record_json, scale):
         BenchResult("corpus docs", len(texts)),
         BenchResult("queries", len(QUERIES)),
         BenchResult("monolith search s", mono_secs, unit="s"),
-        BenchResult(f"cluster (K={K}) search s", cluster_secs, unit="s",
-                    spans=breakdown),
+        BenchResult(f"cluster (K={K}) search s", cluster_secs, unit="s"),
         BenchResult("monolith docs scanned", mono_scanned),
         BenchResult("cluster docs scanned", cluster_scanned),
         BenchResult("scan amplification (<= K)",
@@ -150,6 +139,3 @@ def test_scatter_gather_fanout(benchmark, record_report, record_json, scale):
         BenchResult(f"candidate blocks [{sid}]", blocks)
         for sid, blocks in sorted(per_shard.items()))
     record_report(report("Ablation J: sharded scatter-gather", results))
-    record_json("ablation_cluster", results, spans=breakdown,
-                extra={"shards": K,
-                       "per_shard_candidate_blocks": per_shard})

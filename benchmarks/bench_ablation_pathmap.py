@@ -16,6 +16,7 @@ corpus shapes the other ablations use:
 import pytest
 
 from repro.bench.harness import BenchResult, report, time_call
+from repro.cba.backend import open_backend
 from repro.core.hacfs import HacFileSystem
 from repro.vfs.filesystem import FileSystem
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
@@ -53,7 +54,7 @@ def resolve_workload(resolve, leaves):
 
 
 @pytest.mark.benchmark(group="ablation-pathmap")
-def test_map_vs_walk_resolution(benchmark, record_report, record_json):
+def test_map_vs_walk_resolution(benchmark, record_report):
     def run():
         out = {}
         fs, leaves = build_deep_fs()
@@ -83,7 +84,7 @@ def test_map_vs_walk_resolution(benchmark, record_report, record_json):
         BenchResult("walk-only steps", walk_steps),
         BenchResult("path-map steps", map_steps),
         # a fully-warmed map walks zero steps; clamp the denominator so
-        # the ratio stays a finite (JSON-clean) lower bound
+        # the ratio stays a finite lower bound
         BenchResult("walk / map step ratio",
                     walk_steps / max(map_steps, 1)),
         BenchResult("path-map hits", map_hits),
@@ -92,7 +93,6 @@ def test_map_vs_walk_resolution(benchmark, record_report, record_json):
     ]
     record_report(report("Ablation N: path resolution — component walk "
                          "vs folded map", results))
-    record_json("ablation_pathmap", results)
 
     # the contract: a warmed map resolves without re-walking — at least
     # 2x fewer steps than namei (in practice it is ~steps-per-path x)
@@ -114,8 +114,7 @@ def build_corpus_world():
 
 
 @pytest.mark.benchmark(group="ablation-pathmap")
-def test_segment_merge_vs_rebuild_recovery(benchmark, record_report,
-                                           record_json):
+def test_segment_merge_vs_rebuild_recovery(benchmark, record_report):
     def run():
         merge_world = build_corpus_world()
         merge_s, merged = time_call(
@@ -125,8 +124,9 @@ def test_segment_merge_vs_rebuild_recovery(benchmark, record_report,
 
         rebuild_world = build_corpus_world()
         rebuild_s, rebuilt = time_call(
-            lambda: HacFileSystem.restore(rebuild_world.fs,
-                                          segmented=False))
+            lambda: HacFileSystem.restore(
+                rebuild_world.fs,
+                backend=open_backend("monolith", segmented=False)))
         rebuild_tok = rebuilt.counters.get("engine.tokenisations")
         return merge_s, merge_tok, merge_docs, rebuild_s, rebuild_tok
 
@@ -144,7 +144,6 @@ def test_segment_merge_vs_rebuild_recovery(benchmark, record_report,
     ]
     record_report(report("Ablation N2: recovery — segment merge vs "
                          "rebuild", results))
-    record_json("ablation_pathmap_segments", results)
 
     # reindex-as-merge: recovery folds persisted term sets back without
     # running the tokenizer; a rebuild re-tokenises every document

@@ -10,11 +10,9 @@ every multi-structure mutation.
 
 import pytest
 
-from repro.bench.harness import (BenchResult, merge_breakdowns, report,
-                                 time_call)
+from repro.bench.harness import BenchResult, report, time_call
 from repro.core.hacfs import HacFileSystem
 from repro.errors import DeviceCrashed
-from repro.obs import Observability
 from repro.vfs.blockdev import FaultPlan
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 
@@ -33,41 +31,33 @@ def build():
 
 
 @pytest.mark.benchmark(group="ablation-recovery")
-def test_rebuild_vs_restore(benchmark, record_report, record_json):
+def test_rebuild_vs_restore(benchmark, record_report):
     def run(repetitions=2):
         rebuild_s = restore_s = None
-        rebuild_spans = restore_spans = None
         for _ in range(repetitions):
             cold = build()
-            obs = Observability(enabled=True)
             secs, revived = time_call(
-                lambda: HacFileSystem.restore(cold.fs, reuse_index=False,
-                                              obs=obs))
+                lambda: HacFileSystem.restore(cold.fs, reuse_index=False))
             rebuild_retokenised = revived.counters.get("engine.indexed")
-            rebuild_spans = obs.trace.breakdown()
             rebuild_s = secs if rebuild_s is None else min(rebuild_s, secs)
 
             warm = build()
             saved_bytes = warm.save_index()
-            obs = Observability(enabled=True)
             secs, revived = time_call(
-                lambda: HacFileSystem.restore(warm.fs, obs=obs))
-            restore_spans = obs.trace.breakdown()
+                lambda: HacFileSystem.restore(warm.fs))
             restore_s = secs if restore_s is None else min(restore_s, secs)
             retokenised = revived.counters.get("engine.indexed")
         return (rebuild_s, restore_s, saved_bytes, retokenised,
-                rebuild_retokenised, rebuild_spans, restore_spans)
+                rebuild_retokenised)
 
-    (rebuild_s, restore_s, saved_bytes, retokenised, rebuild_retokenised,
-     rebuild_spans, restore_spans) = benchmark.pedantic(
+    (rebuild_s, restore_s, saved_bytes, retokenised,
+     rebuild_retokenised) = benchmark.pedantic(
         run, rounds=1, iterations=1, warmup_rounds=1)
 
     results = [
         BenchResult("corpus files", N_FILES),
-        BenchResult("recovery by full rebuild s", rebuild_s,
-                    spans=rebuild_spans),
-        BenchResult("recovery from saved index s", restore_s,
-                    spans=restore_spans),
+        BenchResult("recovery by full rebuild s", rebuild_s),
+        BenchResult("recovery from saved index s", restore_s),
         BenchResult("rebuild / restore", rebuild_s / restore_s),
         BenchResult("saved index bytes", saved_bytes),
         BenchResult("docs re-tokenised on restore", retokenised),
@@ -75,8 +65,6 @@ def test_rebuild_vs_restore(benchmark, record_report, record_json):
     ]
     record_report(report("Ablation G: recovery — rebuild vs saved index",
                          results))
-    record_json("ablation_recovery", results,
-                spans=merge_breakdowns(rebuild_spans, restore_spans))
 
     # the saved index wins because it skips re-tokenising the corpus;
     # asserted on doc counts, which cannot flake (the wall times above are
@@ -88,8 +76,7 @@ def test_rebuild_vs_restore(benchmark, record_report, record_json):
 
 
 @pytest.mark.benchmark(group="ablation-recovery")
-def test_journal_replay_and_write_amplification(benchmark, record_report,
-                                                record_json):
+def test_journal_replay_and_write_amplification(benchmark, record_report):
     def run():
         # -- crash replay: restore with one interrupted intent in the wal --
         crashed = build()
@@ -100,10 +87,8 @@ def test_journal_replay_and_write_amplification(benchmark, record_report,
             crashed.smkdir("/crashq", "data")
         except DeviceCrashed:
             pass
-        obs = Observability(enabled=True)
         replay_s, revived = time_call(
-            lambda: HacFileSystem.restore(crashed.fs, obs=obs))
-        replay_spans = obs.trace.breakdown()
+            lambda: HacFileSystem.restore(crashed.fs))
         rolled_back = len(revived.last_recovery.rolled_back)
 
         clean = build()
@@ -127,15 +112,14 @@ def test_journal_replay_and_write_amplification(benchmark, record_report,
         payload_writes = total_ops - 2 * wal_writes
         amplification = total_ops / payload_writes
         return (replay_s, clean_s, rolled_back, wal_writes, payload_writes,
-                amplification, replay_spans)
+                amplification)
 
     (replay_s, clean_s, rolled_back, wal_writes, payload_writes,
-     amplification, replay_spans) = benchmark.pedantic(
+     amplification) = benchmark.pedantic(
         run, rounds=1, iterations=1, warmup_rounds=1)
 
     results = [
-        BenchResult("restore with wal replay s", replay_s,
-                    spans=replay_spans),
+        BenchResult("restore with wal replay s", replay_s),
         BenchResult("restore with empty wal s", clean_s),
         BenchResult("intents rolled back", rolled_back),
         BenchResult("wal record writes", wal_writes),
@@ -144,7 +128,6 @@ def test_journal_replay_and_write_amplification(benchmark, record_report,
     ]
     record_report(report("Ablation G2: journal — replay cost and "
                          "write amplification", results))
-    record_json("ablation_journal", results, spans=replay_spans)
 
     assert rolled_back == 1, "the interrupted intent must be rolled back"
     assert amplification <= 4.0, (

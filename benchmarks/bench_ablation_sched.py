@@ -22,7 +22,7 @@ Wall times are report-only; every asserted guard reads counters.
 
 import pytest
 
-from repro.bench.harness import BenchResult, report, time_call, traced_call
+from repro.bench.harness import BenchResult, report, time_call
 from repro.cba.queryparser import parse_query
 from repro.core.hacfs import HacFileSystem
 from repro.workloads.mailgen import MailGenerator
@@ -84,8 +84,7 @@ def answers(hac):
 
 
 @pytest.mark.benchmark(group="ablation-sched")
-def test_batched_maintenance_cost(benchmark, record_report, record_json,
-                                  scale):
+def test_batched_maintenance_cost(benchmark, record_report, scale):
     count = 60 * scale
 
     def run():
@@ -96,15 +95,14 @@ def test_batched_maintenance_cost(benchmark, record_report, record_json,
 
         batched = build_world("batched")
         base = snapshot(batched)
-        batched_secs, _, breakdown = traced_call(
-            batched.obs, lambda: run_workload(batched, count))
+        batched_secs, _ = time_call(lambda: run_workload(batched, count))
         batched_cost = delta(base, snapshot(batched))
         return (eager, eager_secs, eager_cost,
-                batched, batched_secs, batched_cost, breakdown)
+                batched, batched_secs, batched_cost)
 
-    (eager, eager_secs, eager_cost, batched, batched_secs, batched_cost,
-     breakdown) = benchmark.pedantic(run, rounds=1, iterations=1,
-                                     warmup_rounds=1)
+    (eager, eager_secs, eager_cost, batched, batched_secs,
+     batched_cost) = benchmark.pedantic(run, rounds=1, iterations=1,
+                                        warmup_rounds=1)
 
     # --- correctness: the two worlds are indistinguishable --------------
     assert answers(batched) == answers(eager)
@@ -132,8 +130,7 @@ def test_batched_maintenance_cost(benchmark, record_report, record_json,
         BenchResult("messages", count),
         BenchResult("write events", eager_cost["events"]),
         BenchResult("eager workload s", eager_secs, unit="s"),
-        BenchResult("batched workload s", batched_secs, unit="s",
-                    spans=breakdown),
+        BenchResult("batched workload s", batched_secs, unit="s"),
         BenchResult("eager wal record writes", eager_cost["wal"]),
         BenchResult("batched wal record writes", batched_cost["wal"]),
         BenchResult("wal write ratio (>= 2)", wal_ratio),
@@ -145,7 +142,3 @@ def test_batched_maintenance_cost(benchmark, record_report, record_json,
         BenchResult("batched events coalesced", batched_cost["coalesced"]),
     ]
     record_report(report("Ablation K: batched maintenance pipeline", results))
-    record_json("ablation_sched", results, spans=breakdown,
-                extra={"versions_per_message": VERSIONS,
-                       "wal_write_ratio": wal_ratio,
-                       "tokenisation_ratio": tok_ratio})

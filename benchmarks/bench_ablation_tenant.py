@@ -87,8 +87,7 @@ def run_shared(scale):
 
 
 @pytest.mark.benchmark(group="ablation-tenant")
-def test_fair_share_drain_latency(benchmark, record_report, record_json,
-                                  scale):
+def test_fair_share_drain_latency(benchmark, record_report, scale):
     def run():
         shared = run_shared(scale)
         solo_hac, solo_beta = build_solo()
@@ -132,6 +131,3 @@ def test_fair_share_drain_latency(benchmark, record_report, record_json,
     ]
     record_report(report(
         "Ablation P: fair-share drain under a 10:1 neighbour", results))
-    record_json("ablation_tenant", results,
-                extra={"skew": SKEW, "drain_ratio": drain_ratio,
-                       "latency_ratio": wall_ratio})

@@ -84,7 +84,7 @@ def run_admission_arm(enabled: bool) -> dict:
 
 
 @pytest.mark.benchmark(group="chaos")
-def test_chaos_soak_and_admission_ab(benchmark, record_report, record_json):
+def test_chaos_soak_and_admission_ab(benchmark, record_report):
     def run():
         soaks = []
         for seed in SOAK_SEEDS:
@@ -140,9 +140,3 @@ def test_chaos_soak_and_admission_ab(benchmark, record_report, record_json):
         BenchResult("on: queue depth after burst", on["pending"]),
     ])
     record_report(report("Chaos soak sweep + admission A/B", results))
-    record_json("chaos_soak", results, extra={
-        "soaks": measured["soaks"],
-        "admission_ab": measured["arms"],
-        "queue_depth": QUEUE_DEPTH,
-        "write_burst": WRITE_BURST,
-    })

@@ -18,8 +18,7 @@ any machine — a loaded CI runner cannot flake them.
 
 import pytest
 
-from repro.bench.harness import (BenchResult, merge_breakdowns, report,
-                                 time_call, traced_call)
+from repro.bench.harness import BenchResult, report, time_call
 from repro.baselines.scanengine import ScanEngine
 from repro.bench.tables import PAPER, ratio
 from repro.cba.backend import BackendFactory
@@ -60,7 +59,7 @@ def build_world(scale):
 
 def measure(hac, topic, repetitions=3):
     """One topic's measurements: wall seconds (min over repetitions),
-    deterministic op costs (first repetition), span breakdowns, matches.
+    deterministic op costs (first repetition), matches.
 
     The query cache is cleared before every timed call: the comparison is
     against the real Glimpse binary, which starts cold per invocation.
@@ -71,34 +70,28 @@ def measure(hac, topic, repetitions=3):
         hac.engine.clear_query_cache()
         return time_call(lambda: hac.engine.search(ast))[0]
 
-    hac.engine.clear_query_cache()
     ops0 = _op_cost(hac)
-    first, _, direct_spans = traced_call(hac.obs,
-                                         lambda: hac.engine.search(ast))
+    first = direct_once()
     direct_ops = _op_cost(hac) - ops0
     direct = min([first] + [direct_once() for _ in range(repetitions - 1)])
 
     smkdir_times = []
-    smkdir_ops = smkdir_spans = None
+    smkdir_ops = None
     for rep in range(repetitions):
         hac.engine.clear_query_cache()
+        ops0 = _op_cost(hac)
+        secs, _ = time_call(lambda: hac.smkdir(f"/q-{topic}-{rep}", topic))
         if rep == 0:
-            ops0 = _op_cost(hac)
-            secs, _, smkdir_spans = traced_call(
-                hac.obs, lambda: hac.smkdir(f"/q-{topic}-{rep}", topic))
             smkdir_ops = _op_cost(hac) - ops0
-        else:
-            secs, _ = time_call(lambda: hac.smkdir(f"/q-{topic}-{rep}", topic))
         smkdir_times.append(secs)
     matches = len(hac.engine.search(ast))
     return {"direct": direct, "smkdir": min(smkdir_times),
             "direct_ops": direct_ops, "smkdir_ops": smkdir_ops,
-            "direct_spans": direct_spans, "smkdir_spans": smkdir_spans,
             "matches": matches}
 
 
 @pytest.mark.benchmark(group="table4")
-def test_table4_query_overhead(benchmark, record_report, record_json, scale):
+def test_table4_query_overhead(benchmark, record_report, scale):
     def run():
         hac, _gen = build_world(scale)
         return {topic: measure(hac, topic) for topic in TOPICS}
@@ -115,20 +108,14 @@ def test_table4_query_overhead(benchmark, record_report, record_json, scale):
         op_ratios[label] = ratio(m["smkdir_ops"], m["direct_ops"])
         paper = PAPER["table4"][label]["ratio"]
         results.append(BenchResult(f"{label}: files matched", m["matches"]))
-        results.append(BenchResult(f"{label}: direct search s", m["direct"],
-                                   spans=m["direct_spans"]))
-        results.append(BenchResult(f"{label}: smkdir s", m["smkdir"],
-                                   spans=m["smkdir_spans"]))
+        results.append(BenchResult(f"{label}: direct search s", m["direct"]))
+        results.append(BenchResult(f"{label}: smkdir s", m["smkdir"]))
         results.append(BenchResult(f"{label}: smkdir/search ratio",
                                    ratios[label], paper))
         results.append(BenchResult(f"{label}: smkdir/search device ops",
                                    op_ratios[label]))
     record_report(report(
         "Table 4: semantic directory creation vs direct search", results))
-    record_json("table4_queries", results,
-                spans=merge_breakdowns(*(data[t][k] for t in TOPICS
-                                         for k in ("direct_spans",
-                                                   "smkdir_spans"))))
     benchmark.extra_info.update({k: round(v, 2) for k, v in ratios.items()})
 
     # --- shape assertions ----------------------------------------------------

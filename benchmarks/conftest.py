@@ -42,15 +42,3 @@ def record_report():
 
     return _record
 
-
-@pytest.fixture
-def record_json():
-    """Write ``BENCH_<name>.json`` with the bench's rows; every row carries
-    a span breakdown (its own traced one, or the bench-level fallback)."""
-
-    def _record(name, results, spans=None, extra=None):
-        from repro.bench.harness import write_bench_json
-        write_bench_json(REPORT_DIR / f"BENCH_{name}.json", name, results,
-                         spans=spans, extra=extra)
-
-    return _record

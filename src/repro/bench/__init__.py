@@ -6,10 +6,6 @@ machinery so each bench file stays a readable experiment description.
 """
 
 from repro.bench.harness import BenchResult, time_call
-from repro.bench.serving import (CostMeter, ServingConfig, percentile,
-                                 poisson_schedule, simulate, summarize)
 from repro.bench.tables import PAPER
 
-__all__ = ["BenchResult", "CostMeter", "PAPER", "ServingConfig",
-           "percentile", "poisson_schedule", "simulate", "summarize",
-           "time_call"]
+__all__ = ["BenchResult", "PAPER", "time_call"]

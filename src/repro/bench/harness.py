@@ -9,7 +9,6 @@ tolerances, and table rendering for the human-readable output the benches
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
@@ -19,35 +18,19 @@ T = TypeVar("T")
 
 
 class BenchResult:
-    """One measured quantity with an optional paper expectation.
-
-    ``spans`` attaches the span breakdown of the traced call that produced
-    the measurement (see :func:`traced_call`), so the JSON artefact can say
-    *where* the time went, not just how much there was.
-    """
+    """One measured quantity with an optional paper expectation."""
 
     def __init__(self, name: str, measured: float,
-                 paper: Optional[float] = None, unit: str = "",
-                 spans: Optional[Dict[str, Dict[str, float]]] = None):
+                 paper: Optional[float] = None, unit: str = ""):
         self.name = name
         self.measured = measured
         self.paper = paper
         self.unit = unit
-        self.spans = spans
 
     def row(self) -> List[str]:
         paper = f"{self.paper:g}" if self.paper is not None else "-"
         return [self.name, f"{self.measured:.4g}{self.unit}",
                 f"{paper}{self.unit if self.paper is not None else ''}"]
-
-    def to_obj(self) -> Dict[str, object]:
-        obj: Dict[str, object] = {"name": self.name, "measured": self.measured}
-        if self.unit:
-            obj["unit"] = self.unit
-        if self.paper is not None:
-            obj["paper"] = self.paper
-        obj["spans"] = self.spans or {}
-        return obj
 
 
 def time_call(fn: Callable[[], T]) -> "tuple[float, T]":
@@ -55,57 +38,6 @@ def time_call(fn: Callable[[], T]) -> "tuple[float, T]":
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result
-
-
-def traced_call(obs, fn: Callable[[], T]) -> "tuple[float, T, Dict]":
-    """Wall-clock one call under span capture; returns
-    (seconds, result, span breakdown of exactly this call).
-
-    The trace buffer is cleared first so the breakdown covers nothing but
-    *fn*; capture is switched off afterwards unless it was already on.
-    """
-    was_enabled = obs.trace.enabled
-    obs.trace.clear()
-    obs.trace.enable()
-    try:
-        seconds, result = time_call(fn)
-    finally:
-        if not was_enabled:
-            obs.trace.disable()
-    return seconds, result, obs.trace.breakdown()
-
-
-def merge_breakdowns(*breakdowns: Optional[Dict]) -> Dict:
-    """Union of several span breakdowns (summed counts and times) — the
-    bench-level fallback for rows that were not themselves traced."""
-    out: Dict[str, Dict[str, float]] = {}
-    for breakdown in breakdowns:
-        for name, row in (breakdown or {}).items():
-            agg = out.setdefault(name, {"count": 0, "wall_ms": 0.0,
-                                        "self_ms": 0.0})
-            agg["count"] += row["count"]
-            agg["wall_ms"] = round(agg["wall_ms"] + row["wall_ms"], 6)
-            agg["self_ms"] = round(agg["self_ms"] + row["self_ms"], 6)
-    return out
-
-
-def write_bench_json(path, title: str, results: Sequence[BenchResult],
-                     spans: Optional[Dict] = None,
-                     extra: Optional[Dict[str, object]] = None) -> None:
-    """Write one ``BENCH_*.json`` artefact.  Rows without their own traced
-    breakdown inherit the bench-level one, so every row carries spans."""
-    rows = []
-    for result in results:
-        obj = result.to_obj()
-        if not obj["spans"]:
-            obj["spans"] = spans or {}
-        rows.append(obj)
-    payload: Dict[str, object] = {"bench": title, "rows": rows}
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def report(title: str, results: Sequence[BenchResult]) -> str:

@@ -9,7 +9,7 @@ it does.
 
 from __future__ import annotations
 
-#: every number the evaluation section reports
+#: every table of the evaluation section
 PAPER = {
     "table1": {
         # Andrew benchmark seconds, per phase
@@ -40,15 +40,6 @@ PAPER = {
         "few": {"ratio": 4.0, "note": ">4x slower, tiny absolute cost"},
         "intermediate": {"ratio": 1.15},
         "many": {"ratio": 1.02},
-    },
-    "in_text": {
-        # space overheads quoted in the prose of section 4
-        "metadata_unix_kb": 210,
-        "metadata_hac_kb": 222,
-        "metadata_overhead_pct": 5.0,
-        "shared_memory_per_process_kb": 16,
-        "bitmap_bytes_per_semdir": "N/8",
-        "bitmap_example_kb": 2,      # for ~17,000 indexed files
     },
 }
 

@@ -13,7 +13,8 @@ at the two points where load enters the system:
   path is entirely in-process, so it keeps serving complete as-of-publish
   answers while the live scatter-gather would return partial results
   (``admission.downgraded_reads`` counts these);
-* **writes** (``HacFileSystem.write_file``/``create`` before any bytes
+* **writes** (``HacFileSystem.write_file``/``create``/``truncate``,
+  descriptor ``write`` and write-mode ``open``, each before any bytes
   land, and the scheduler's enqueue for direct callers) — when back-ends
   are degraded *and* the pending maintenance queue has reached
   ``max_queue_depth``, the write is *shed* with
@@ -138,11 +139,12 @@ class AdmissionController:
             + (f" ({path})" if path else ""))
 
     def admit_enqueue(self) -> None:
-        """Gate for direct upsert enqueues (watch events that did not
-        pass through a gated file operation, e.g. ``truncate``).  Within
-        a gated ``write_file``/``create`` the check re-runs against the
-        same deterministic state and passes again, so a write never
-        sheds *after* its bytes landed.
+        """Gate for upsert enqueues made directly on the scheduler
+        (``maintenance.note_upsert``), which pass through no file
+        operation.  Every content-changing file operation is gated by
+        :meth:`admit_write` before it touches state; its watch event's
+        check here re-runs against the same deterministic state and
+        passes again, so a write never sheds *after* its bytes landed.
 
         Only upserts are gated: a shed upsert leaves the index stale
         until the next sync's mtime diff repairs it (info-severity at

@@ -71,14 +71,6 @@ from repro.remote.semmount import SemanticMountTable
 ENGINE_RECORD = "engineconf"
 
 
-def _backend_factory(backend, segmented: bool):
-    """``backend=None`` is the built-in monolith, whose storage plane the
-    *segmented* argument picks; any other spec carries its own options."""
-    if backend is None:
-        return open_backend("monolith", segmented=segmented)
-    return open_backend(backend)
-
-
 class HacFileSystem:
     """A personal name space with both path-name and content-based access."""
 
@@ -87,14 +79,13 @@ class HacFileSystem:
                  counters: Optional[Counters] = None,
                  num_blocks: int = DEFAULT_NUM_BLOCKS,
                  obs: Optional[Observability] = None,
-                 segmented: bool = True,
                  backend=None):
         self._init_base(fs, clock, counters, obs)
         self._init_components(GlobalDirectoryMap(), DependencyGraph())
         # the engine seam: anything honouring the SearchBackend protocol
         # works here — ``backend="cluster:3"`` builds a sharded cluster,
         # for instance (the paper's CBA generality argument, §2.2)
-        self.engine = _backend_factory(backend, segmented)(
+        self.engine = open_backend(backend)(
             num_blocks=num_blocks, **self._engine_site())
         # the root's (empty) HAC state — uid 0 is pre-registered in the map
         self.meta.create(GlobalDirectoryMap.ROOT_UID)
@@ -420,6 +411,7 @@ class HacFileSystem:
         return self.fs.read_file(path)
 
     def truncate(self, path: str, size: int = 0) -> None:
+        self.admission.admit_write(path)
         self.fs.truncate(path, size)
         self._invalidate_attrs(pathutil.normalize(path))
         self.watches.on_content_changed(pathutil.normalize(path))
@@ -583,6 +575,9 @@ class HacFileSystem:
     # -- descriptor I/O through the per-process table ---------------------------
 
     def open(self, path: str, mode: str = "r") -> int:
+        # write modes create a missing file and "w" truncates a present one
+        if mode != "r":
+            self.admission.admit_write(path)
         self._hac.add("open")
         self._library_resolve(path)
         fd = self.fs.open(self.fdtable, path, mode)
@@ -595,8 +590,9 @@ class HacFileSystem:
 
     def write(self, fd: int, data: bytes) -> int:
         of = self.fdtable.get(fd)
-        n = self.fs.write(self.fdtable, fd, data)
         live = of.fs.path_of_ino(of.node.ino)
+        self.admission.admit_write(live or "")
+        n = self.fs.write(self.fdtable, fd, data)
         if live is not None:
             self._invalidate_attrs(live)
             self.watches.on_content_changed(live)
@@ -1122,8 +1118,7 @@ class HacFileSystem:
                 counters: Optional[Counters] = None,
                 reuse_index: bool = True,
                 obs: Optional[Observability] = None,
-                backend=None,
-                segmented: bool = True) -> "HacFileSystem":
+                backend=None) -> "HacFileSystem":
         """Rebuild a HAC file system from the records persisted on *fs*'s
         device (crash recovery / reopen).
 
@@ -1183,7 +1178,7 @@ class HacFileSystem:
             # a persisted sharded index restores as a cluster even when
             # the caller did not name the backend it was built with
             backend = "cluster"
-        factory = _backend_factory(backend, segmented)
+        factory = open_backend(backend)
         conf = hacfs.meta.load_aux(ENGINE_RECORD) or {}
         num_blocks = int(conf.get("num_blocks", DEFAULT_NUM_BLOCKS))
         site = hacfs._engine_site()

@@ -175,7 +175,9 @@ class TestOpenBackend:
                 lambda: HacFileSystem(engine_factory=lambda **kw: None),
                 lambda: HacFileSystem(fast_path=False),
                 lambda: HacFileSystem(path_map=False),
+                lambda: HacFileSystem(segmented=False),
                 lambda: HacFileSystem.restore(hac.fs, fast_path=False),
+                lambda: HacFileSystem.restore(hac.fs, segmented=False),
                 lambda: HacFileSystem.restore(hac.fs, engine_factory=None),
                 lambda: FileSystem(path_map=False),
                 lambda: CBAEngine(_loader, fast_path=False),

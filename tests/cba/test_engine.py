@@ -163,3 +163,28 @@ class TestReporting:
     def test_sizes(self, engine):
         assert engine.index_size_bytes() > 0
         assert engine.corpus_bytes() == sum(len(t) for t in CORPUS.values())
+
+
+class TestBlockCountTradeoff:
+    def test_more_blocks_cost_index_bytes_and_save_scanning(self):
+        """The curve Glimpse's two-level index sits on (Ablation B), on
+        the scan reference: doc-level postings would hide the scanning."""
+        import random
+
+        rng = random.Random(13)
+        vocab = [f"word{i}" for i in range(40)]
+        docs = {i: " ".join(rng.choice(vocab) for _ in range(12))
+                + (" needle" if i % 10 == 0 else "") for i in range(100)}
+        sizes, scans, hits = [], [], []
+        for num_blocks in (4, 32, 256):
+            eng = ScanEngine(loader=docs.__getitem__, num_blocks=num_blocks)
+            for key in docs:
+                eng.index_document(key, path=f"/{key}", mtime=0.0)
+            eng.counters.reset()
+            hits.append(keys_of(eng, eng.search(Term("needle"))))
+            scans.append(eng.counters.get("engine.docs_scanned"))
+            sizes.append(eng.index_size_bytes())
+        assert hits[0] == hits[1] == hits[2] == list(range(0, 100, 10))
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+        assert scans == [50, 31, 10]   # doc_id % num_blocks placement
+        assert scans[-1] >= len(hits[-1])

@@ -59,7 +59,8 @@ def test_degraded_backend_downgrades_strong_reads(populated):
     assert admission.admit_read("strong") == "strong"
 
 
-def test_overload_sheds_writes_before_any_bytes_land(populated):
+def _overload(populated):
+    """Queue at the bound, one shard dead, gate on: every write sheds."""
     cluster = _clustered(populated)
     admission = populated.admission
     admission.max_queue_depth = 2
@@ -72,6 +73,11 @@ def test_overload_sheds_writes_before_any_bytes_land(populated):
     admission.enable()
     cluster.kill_shard("shard0")
     assert admission.state() == "overloaded"
+    return admission
+
+
+def test_overload_sheds_writes_before_any_bytes_land(populated):
+    admission = _overload(populated)
     with pytest.raises(AdmissionRejected) as exc:
         populated.write_file("/notes/q3.txt", b"never lands\n")
     assert isinstance(exc.value, BackendUnavailable)
@@ -80,6 +86,22 @@ def test_overload_sheds_writes_before_any_bytes_land(populated):
     assert admission.status()["shed_writes"] == 1
     # reads keep serving (downgraded), snapshot path untouched
     assert admission.admit_read("strong") == "snapshot"
+
+
+@pytest.mark.parametrize("shed", [
+    lambda hac, fd: hac.truncate("/notes/recipe.txt", 0),
+    lambda hac, fd: hac.write(fd, b"sixteen bytes..\n"),
+    lambda hac, fd: hac.open("/notes/recipe.txt", "w"),
+], ids=["truncate", "fd_write", "open_w"])
+def test_shed_content_ops_leave_the_file_untouched(populated, shed):
+    before = populated.read_file("/notes/recipe.txt")
+    fd = populated.open("/notes/recipe.txt", "a")   # opened while healthy
+    admission = _overload(populated)
+    with pytest.raises(AdmissionRejected):
+        shed(populated, fd)
+    assert populated.read_file("/notes/recipe.txt") == before
+    assert populated.stat("/notes/recipe.txt").attrs.size == len(before)
+    assert admission.status()["shed_writes"] == 1
 
 
 def test_enqueue_gate_spares_removes_and_moves(populated):

@@ -106,10 +106,54 @@ class TestAlgorithmGuarantees:
         # /a itself plus its two dependents, each exactly once
         assert populated.counters.get("consistency.reevaluations") == 3
 
+    def test_topological_order_visits_once_where_a_blind_sweep_repeats(self):
+        """Ablation C in counts: on a chain of directories that each
+        refine the previous one by reference, a curation change at the
+        head reaches the tail in one visit per member; an order-oblivious
+        fixpoint sweep fixes one level per pass."""
+        from repro.core.hacfs import HacFileSystem
+
+        depth = 6
+
+        def chain_with_head_prohibition():
+            hac = HacFileSystem()
+            hac.write_file("/f.txt", b"alpha\n")
+            hac.write_file("/g.txt", b"alpha\n")
+            hac.clock.tick()
+            hac.ssync("/")
+            hac.smkdir("/c0", "alpha")
+            for i in range(1, depth):
+                hac.smkdir(f"/c{i}", f"alpha AND /c{i - 1}")
+            # edit the stored state directly, so nothing has cascaded yet
+            uid0 = hac.dirmap.uid_of("/c0")
+            state = hac.meta.require(uid0)
+            state.links.prohibit("f.txt")
+            hac.fs.unlink("/c0/f.txt")
+            hac.meta.flush(uid0)
+            hac.counters.reset()
+            return hac, uid0
+
+        topo, uid0 = chain_with_head_prohibition()
+        topo.consistency.on_scope_changed([uid0], include_origins=True)
+        assert topo.counters.get("consistency.reevaluations") == depth
+
+        blind, _ = chain_with_head_prohibition()
+        order = [blind.dirmap.uid_of(p)
+                 for p in sorted(blind.semantic_dirs(), reverse=True)]
+        # a list, not a generator: every pass sweeps the whole chain
+        while any([blind.consistency.reevaluate(uid) for uid in order]):
+            pass
+        assert blind.counters.get("consistency.reevaluations") \
+            >= depth * (depth - 1)
+        for i in range(depth):
+            assert names(topo, f"/c{i}") == names(blind, f"/c{i}") == {"g.txt"}
+
     def test_result_cache_updated(self, populated):
         populated.smkdir("/fp", "fingerprint")
         uid = populated.dirmap.uid_of("/fp")
         state = populated.meta.require(uid)
+        # the paper's N/8 rule: one bit per indexed file, no more
+        assert 0 < state.result_cache.nbytes <= (len(populated.engine) + 7) // 8
         assert len(state.result_cache) == 3
         populated.unlink("/fp/msg1.txt")
         state = populated.meta.require(uid)

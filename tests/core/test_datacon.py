@@ -67,6 +67,23 @@ class TestSubtreeReindex:
     def test_reindex_noop_when_unchanged(self, populated):
         assert populated.reindex("/").is_noop
 
+    def test_reindex_tokenises_exactly_the_change_set(self, populated):
+        """§2.4's economics (Ablation D): a periodic reindex costs in
+        proportion to what changed, not to the corpus."""
+        def tokenised():
+            return (populated.counters.get("engine.indexed")
+                    + populated.counters.get("engine.updated"))
+
+        populated.clock.tick()
+        for path in ("/mail/msg1.txt", "/src/match.c"):
+            populated.write_file(path, b"freshly changed fingerprint text\n")
+        populated.clock.tick()
+        before = tokenised()
+        plan = populated.reindex("/")
+        assert plan.touched == 2 and plan.unchanged == 3
+        assert not plan.added and not plan.removed
+        assert tokenised() - before == 2
+
 
 class TestScheduler:
     def test_periodic_reindex_fires_on_clock(self, populated):

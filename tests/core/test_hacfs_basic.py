@@ -155,6 +155,11 @@ class TestCountersAndReporting:
         hacfs.write_file("/f", b"x")
         hacfs.stat("/f")
         assert hacfs.shared_memory_bytes() > 0
+        # §4: tens of KB per process however many files are touched
+        for i in range(300):
+            hacfs.write_file(f"/f{i}", b"x")
+            hacfs.stat(f"/f{i}")
+        assert hacfs.shared_memory_bytes() < 64 * 1024
 
     def test_semantic_dirs_listing(self, populated):
         assert populated.semantic_dirs() == []

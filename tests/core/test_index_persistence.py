@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cba.backend import open_backend
 from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
 from repro.cba.transducers import default_transducer
@@ -70,7 +71,8 @@ class TestHacRecovery:
 
     def test_restore_without_segments_rebuilds(self, populated):
         populated.smkdir("/fp", "fingerprint")
-        revived = HacFileSystem.restore(populated.fs, segmented=False)
+        revived = HacFileSystem.restore(
+            populated.fs, backend=open_backend("monolith", segmented=False))
         assert revived.counters.get("engine.restored_docs") == 0
         assert revived.counters.get("engine.indexed") == 5
         assert sorted(revived.links("/fp")) == sorted(populated.links("/fp"))
@@ -106,8 +108,11 @@ class TestHacRecovery:
         hac.ssync("/")
         query = parse_query('"the fingerprint"')
         want = hac.engine.search(query).to_bytes()
-        for kwargs in ({}, {"reuse_index": False}, {"segmented": False}):
-            again = HacFileSystem.restore(hac.fs, backend=backend, **kwargs)
+        for kwargs in (
+                {"backend": backend},
+                {"backend": backend, "reuse_index": False},
+                {"backend": open_backend(backend, segmented=False)}):
+            again = HacFileSystem.restore(hac.fs, **kwargs)
             assert again.engine.num_blocks == 256, (backend, kwargs)
             assert again.engine.search(query).to_bytes() == want
         hac.save_index()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cba.backend import open_backend
 from repro.errors import CorruptRecord, DeviceCrashed, NoSpace
 from repro.core.hacfs import HacFileSystem
 from repro.vfs.blockdev import FaultPlan
@@ -144,8 +145,9 @@ class TestIndexRestoreDistinction:
         from repro.util.stats import Counters
 
         counters = Counters()
-        restored = HacFileSystem.restore(populated.fs, counters=counters,
-                                         segmented=False)
+        restored = HacFileSystem.restore(
+            populated.fs, counters=counters,
+            backend=open_backend("monolith", segmented=False))
         assert counters.get("restore.index_rebuilds") == 1
         assert counters.get("restore.index_restored") == 0
         assert errors(restored) == []

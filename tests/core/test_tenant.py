@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import (FileNotFound, InvalidArgument, QuotaExceeded,
-                          UnknownTenant)
+from repro.errors import (AdmissionRejected, FileNotFound, InvalidArgument,
+                          QuotaExceeded, UnknownTenant)
 from repro.core.hacfs import HacFileSystem
 from repro.core.quota import QuotaSpec, recompute_usage
 
@@ -192,6 +192,30 @@ class TestQuotas:
         acme.truncate("/l", 5)
         assert acme.usage() == {"inodes": 1, "bytes": 5}
         self.assert_ledger_is_the_tree(hac, acme)
+
+    @pytest.mark.parametrize("shed", [
+        lambda t, fd: t.truncate("/f.txt", 0),
+        lambda t, fd: t.write(fd, b"y" * 16),
+        lambda t, fd: t.open("/f.txt", "w"),
+    ], ids=["truncate", "fd_write", "open_w"])
+    def test_a_shed_write_charges_nothing(self, shed):
+        """The admission gate sheds before the tree changes, so the
+        commit ``_op`` skips on the exception had nothing to record."""
+        hac = HacFileSystem(backend="cluster:3")
+        t = hac.tenants.create("acme")
+        t.watch("/")
+        hac.maintenance.set_mode("batched")
+        t.write_file("/f.txt", b"twelve bytes")
+        t.write_file("/g.txt", b"g" * 18)
+        fd = t.open("/g.txt", "a")
+        assert hac.maintenance.pending >= 2
+        hac.admission.max_queue_depth = 2
+        hac.admission.enable()
+        hac.engine.kill_shard("shard0")
+        with pytest.raises(AdmissionRejected):
+            shed(t, fd)
+        assert t.usage() == {"inodes": 2, "bytes": 30}
+        assert t.usage() == recompute_usage(hac.fs, t.root)
 
     def test_set_quota_keeps_usage(self, hac, acme):
         acme.write_file("/f.txt", b"1234")

@@ -100,6 +100,26 @@ class TestInteractionWithCuration:
                              append=True)
         assert "msg1.txt" not in populated.listdir("/fp")
 
+    def test_eager_pays_per_write_what_lazy_pays_at_sync(self, populated):
+        """Ablation E in counts: freshness costs one tokenisation per
+        watched write, the lazy side pays nothing until the sync and then
+        the whole burst at once."""
+        def tokenised():
+            return populated.counters.get("engine.tokenisations")
+
+        populated.watch("/mail")
+        burst = 4
+        for i in range(burst):
+            before = tokenised()
+            populated.write_file(f"/mail/new{i}.txt", b"hotword inside\n")
+            assert tokenised() - before == 1
+            populated.write_file(f"/notes/new{i}.txt", b"hotword inside\n")
+            assert tokenised() - before == 1          # unwatched: no cost
+        populated.clock.tick()
+        before = tokenised()
+        populated.ssync("/")
+        assert tokenised() - before == burst
+
     def test_watch_counters(self, populated):
         populated.watch("/mail")
         populated.write_file("/mail/a.txt", b"x")

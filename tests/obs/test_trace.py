@@ -1,9 +1,10 @@
-"""Unit tests for the span tracer."""
+"""Unit tests for the span tracer, and what a file system emits into it."""
 
 import json
 
 import pytest
 
+from repro.core.hacfs import HacFileSystem
 from repro.obs.trace import NOOP_SPAN, NULL_TRACER, TraceContext
 from repro.util.clock import VirtualClock
 
@@ -152,3 +153,55 @@ def test_to_obj_shape():
     assert obj["op"] == 9
     assert obj["t1"] >= obj["t0"]
     assert "attrs" not in obj  # empty attrs stay out of the export
+
+
+def _mixed_workload(hac):
+    """Touches every instrumented layer: VFS, device, CBA, cascade, WAL."""
+    hac.makedirs("/docs")
+    for i in range(6):
+        hac.write_file(f"/docs/f{i}.txt",
+                       f"alpha beta gamma doc{i}\n".encode())
+    hac.clock.tick()
+    hac.ssync("/")
+    hac.smkdir("/q-alpha", "alpha")
+    hac.smkdir("/q-beta", "beta AND gamma")
+    hac.set_query("/q-beta", "beta")
+    hac.unlink("/docs/f0.txt")
+    hac.clock.tick()
+    hac.ssync("/")
+
+
+def test_a_file_system_captures_nothing_until_asked():
+    plain = HacFileSystem()
+    _mixed_workload(plain)
+    assert not plain.obs.enabled
+    assert plain.obs.trace.spans() == []
+    assert plain.obs.metrics.histograms() == {}
+
+
+def test_every_journaled_op_owns_one_root_span_across_all_layers():
+    traced = HacFileSystem()
+    traced.obs.enable()
+    _mixed_workload(traced)
+    trace = traced.obs.trace
+    spans = trace.spans()
+    assert trace.dropped == 0
+
+    # journal seq <-> root span op id, for committed intents too (the
+    # crash sweep checks the rolled-back ones)
+    begin_seqs = {s.op_id for s in trace.spans(name="journal.begin")}
+    root_op_ids = {s.op_id for s in spans
+                   if s.parent_id is None and s.op_id is not None}
+    assert begin_seqs and root_op_ids == begin_seqs
+    assert traced.counters.get("journal.begins") == len(begin_seqs)
+
+    by_id = {s.span_id for s in spans}
+    assert all(s.parent_id in by_id for s in spans
+               if s.parent_id is not None)
+    assert {"vfs.write_file", "dev.write_record", "cba.search",
+            "hac.cascade", "hac.reevaluate", "journal.begin",
+            "journal.commit", "hac.smkdir"} <= {s.name for s in spans}
+    hist = traced.obs.metrics.histogram("cba.candidate_blocks")
+    assert hist is not None and hist.count > 0
+    for name, row in trace.breakdown().items():
+        assert row["self_ms"] <= row["wall_ms"] + 1e-6, name

@@ -58,9 +58,10 @@ def build_world(segmented: bool) -> HacShell:
     fs = FileSystem(name="hac", clock=clock, counters=counters,
                     fsid="hac#segeq")
     backend = (open_backend("cluster", shards=K, latency=0.0,
-                            segmented=segmented) if K else None)
+                            segmented=segmented) if K
+               else open_backend("monolith", segmented=segmented))
     shell = HacShell(HacFileSystem(fs=fs, clock=clock, counters=counters,
-                                   backend=backend, segmented=segmented))
+                                   backend=backend))
     hac = shell.hacfs
     hac.makedirs("/mail")
     hac.write_file("/mail/seed.txt", b"fingerprint ridge baseline\n")

@@ -24,16 +24,21 @@ class TestGlimpseConsistency:
     def test_default_is_strong(self, shell):
         shell.write("/mail/msg3.txt", "late fingerprint news\n")
         shell.hacfs.clock.tick()
+        drains = shell.hacfs.counters.get("sched.drains")
         hits = shell.glimpse("fingerprint")
         assert any(p.endswith("msg3.txt") for p in hits)
+        # the barrier: a strong read pays for the pending batch
+        assert shell.hacfs.counters.get("sched.drains") == drains + 1
 
     def test_snapshot_serves_the_published_past(self, shell):
         assert shell.glimpse("fingerprint", consistency="snapshot") == \
             shell.glimpse("fingerprint", consistency="strong")
         shell.write("/mail/msg3.txt", "late fingerprint news\n")
         shell.hacfs.clock.tick()
+        drains = shell.hacfs.counters.get("sched.drains")
         stale = shell.glimpse("fingerprint", consistency="snapshot")
         assert not any(p.endswith("msg3.txt") for p in stale)
+        assert shell.hacfs.counters.get("sched.drains") == drains
         shell.sched_drain()
         fresh = shell.glimpse("fingerprint", consistency="snapshot")
         assert any(p.endswith("msg3.txt") for p in fresh)

@@ -1,5 +1,8 @@
 """The benchmark support machinery itself."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.bench.harness import (
@@ -14,8 +17,7 @@ from repro.bench.tables import PAPER, ratio, slowdown_pct
 
 class TestTables:
     def test_paper_constants_cover_every_table(self):
-        assert set(PAPER) == {"table1", "table2", "table3", "table4",
-                              "in_text"}
+        assert set(PAPER) == {"table1", "table2", "table3", "table4"}
         assert PAPER["table1"]["unix"]["total"] == 38
         assert PAPER["table2"]["hac"] == 46.0
         assert PAPER["table4"]["few"]["ratio"] == 4.0
@@ -59,6 +61,19 @@ class TestHarness:
         assert "5.000" in str(exc.value)
 
 
+class TestBenchSuite:
+    def test_every_bench_has_a_caller(self):
+        """A bench nobody runs rots: every ``benchmarks/bench_*.py`` is a
+        guard CI names, or one of the paper's four tables."""
+        root = pathlib.Path(__file__).parent.parent
+        ci = (root / ".github" / "workflows" / "ci.yml").read_text()
+        orphans = [bench.name
+                   for bench in sorted((root / "benchmarks").glob("bench_*.py"))
+                   if not re.fullmatch(r"bench_table[1-4]_\w+\.py", bench.name)
+                   and f"benchmarks/{bench.name}" not in ci]
+        assert orphans == []
+
+
 class TestE2ELayerCatalogue:
     def test_every_traced_name_resolves(self):
         """``benchmarks/e2e/trace.py`` wraps layers by name and only
@@ -66,7 +81,6 @@ class TestE2ELayerCatalogue:
         un-instrument a layer without any benchmark failing.  Installing
         the wrappers must find every ``(module, class, function)``."""
         import importlib
-        import pathlib
         import sys
 
         bench_dir = str(pathlib.Path(__file__).parent.parent / "benchmarks")

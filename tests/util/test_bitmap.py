@@ -122,6 +122,12 @@ class TestSerialization:
         bm = Bitmap([0, 9, 100, 8191])
         assert Bitmap.from_bytes(bm.to_bytes()) == bm
 
+    def test_layout_is_little_endian_bit_per_id(self):
+        # the on-disk format, pinned: id i is bit i % 8 of byte i // 8,
+        # trailing zero bytes trimmed (the paper's N/8-byte result record)
+        assert Bitmap([0, 3, 8, 17]).to_bytes() == b"\x09\x01\x02"
+        assert Bitmap().to_bytes() == b""
+
     def test_from_bytes_trims(self):
         bm = Bitmap.from_bytes(b"\x01\x00\x00")
         assert bm.nbytes == 1

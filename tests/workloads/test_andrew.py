@@ -56,6 +56,14 @@ class TestPhases:
         timings = bench.run()
         assert timings["total"] > 0
 
+    def test_hac_metadata_is_a_modest_fraction_of_the_tree(self):
+        # §4 in text: HAC's structures cost ~5 % on top of the UNIX tree
+        raw = RawFsAdapter(FileSystem())
+        AndrewBenchmark(raw, SMALL).run()
+        hac = HacFileSystem()
+        AndrewBenchmark(hac, SMALL).run()
+        assert 0 < hac.metadata_bytes() < 0.6 * raw.fs.device.used_bytes
+
     def test_runs_on_jade(self):
         jade = JadeFileSystem(FileSystem())
         timings = AndrewBenchmark(jade, SMALL).run()
