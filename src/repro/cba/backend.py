@@ -80,6 +80,9 @@ class SearchBackend(Protocol):
 
     def doc_by_key(self, key: Hashable): ...
 
+    def paths_of(self, hits: Bitmap) -> List[str]:
+        """Registered paths of the live documents in *hits* (bulk read)."""
+
     def doc_id_of(self, key: Hashable) -> Optional[int]: ...
 
     def all_docs(self) -> Bitmap: ...

@@ -246,7 +246,10 @@ class CASIndex:
         return len(self.docs_under(prefix))
 
     def _gather(self, prefix: str, term: Optional[str]) -> Bitmap:
+        # partition roots and registered paths were normalised on the way
+        # in, so once the probe prefix is, ancestry is a string test
         prefix = pathutil.normalize(prefix)
+        below = prefix if prefix == pathutil.ROOT else prefix + pathutil.SEP
         self._stats.add("probes")
         out = Bitmap()
         for root, part in self._roots.items():
@@ -254,13 +257,14 @@ class CASIndex:
                       else part.postings.get(term))
             if source is None or not source:
                 continue
-            if pathutil.is_ancestor(prefix, root, strict=False):
+            if root == prefix or root.startswith(below):
                 out |= source             # wholesale: containment
-            elif pathutil.is_ancestor(root, prefix, strict=True):
+            elif root == pathutil.ROOT or \
+                    prefix.startswith(root + pathutil.SEP):
                 for doc_id in source:     # residual: filter by path
                     self._stats.add("residual_checks")
-                    if pathutil.is_ancestor(prefix, self._docs[doc_id][0],
-                                            strict=False):
+                    path = self._docs[doc_id][0]
+                    if path == prefix or path.startswith(below):
                         out.add(doc_id)
         return out
 
@@ -296,11 +300,12 @@ class CASIndex:
 
     def _assign_root(self, parent: str) -> str:
         """Deepest existing partition root that is an ancestor-or-equal
-        of *parent* (the root partition guarantees one exists)."""
+        of normalised *parent* (the root partition guarantees one
+        exists)."""
         best = pathutil.ROOT
         for root in self._roots:
             if len(root) > len(best) and \
-                    pathutil.is_ancestor(root, parent, strict=False):
+                    (parent == root or parent.startswith(root + pathutil.SEP)):
                 best = root
         return best
 

@@ -20,7 +20,6 @@ from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optiona
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_TRACER
-from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.util.stats import Counters
 from repro.cba import agrep, planner
@@ -186,9 +185,7 @@ class CBAEngine(DocRegistry):
 
     def remove_document(self, key: Hashable) -> int:
         """Withdraw a document; returns the freed doc id."""
-        doc_id = self._by_key.get(key)
-        if doc_id is None:
-            raise KeyError(f"document not indexed: {key!r}")
+        doc_id = self._indexed_id(key)
         doc = self._withdraw(doc_id)
         self._emit("remove", doc_id, key, doc.path, doc.mtime)
         self._stats.add("removed")
@@ -197,9 +194,7 @@ class CBAEngine(DocRegistry):
     def update_document(self, key: Hashable, path: str, mtime: float,
                         text: Optional[str] = None) -> int:
         """Re-tokenise a changed document in place (doc id preserved)."""
-        doc_id = self._by_key.get(key)
-        if doc_id is None:
-            raise KeyError(f"document not indexed: {key!r}")
+        doc_id = self._indexed_id(key)
         if text is None:
             text = self.loader(key)
         terms = self._terms_of(text, path)
@@ -210,12 +205,9 @@ class CBAEngine(DocRegistry):
 
     def rename_document(self, key: Hashable, new_path: str) -> None:
         """Update the display path (contents unchanged, no retokenising)."""
-        doc_id = self._by_key.get(key)
-        if doc_id is None:
-            raise KeyError(f"document not indexed: {key!r}")
-        self._repath(doc_id, new_path)
-        self._emit("rename", doc_id, key, new_path,
-                   self._docs[doc_id].mtime)
+        doc_id = self._indexed_id(key)
+        doc = self._repath(doc_id, new_path)
+        self._emit("rename", doc_id, key, new_path, doc.mtime)
 
     # -- mutation funnels ----------------------------------------------------
     #
@@ -231,24 +223,21 @@ class CBAEngine(DocRegistry):
             grew = self.index.update(doc_id, terms)
         else:
             grew = self.index.add(doc_id, terms)
-        self._docs[doc_id] = Document(doc_id, key, path, mtime, size)
-        self._by_key[key] = doc_id
-        self._next_doc_id = max(self._next_doc_id, doc_id + 1)
+        self._put(doc_id, key, path, mtime, size)
         self.cas.upsert(doc_id, path, terms)
         self._note_mutation(doc_id, grew)
 
     def _withdraw(self, doc_id: int) -> Document:
         """Drop one document from every index dimension; returns its row."""
-        doc = self._docs.pop(doc_id)
-        del self._by_key[doc.key]
+        doc = self._drop(doc_id)
         self.index.remove(doc_id)
         self.cas.remove(doc_id)
         self._note_mutation(doc_id, grew=False)
         return doc
 
-    def _repath(self, doc_id: int, new_path: str) -> None:
+    def _repath(self, doc_id: int, new_path: str) -> Document:
         """Move one document's registered path; contents are untouched."""
-        self._docs[doc_id] = self._docs[doc_id]._replace(path=new_path)
+        doc = self._move(doc_id, new_path)
         self.cas.set_path(doc_id, new_path)
         # transduced pairs and scope-term verdicts can depend on the path,
         # so memoised verdicts for this doc — and cached results of
@@ -256,6 +245,7 @@ class CBAEngine(DocRegistry):
         # mtime is unchanged
         self._purge_memo(doc_id)
         self._purge_scope_cache()
+        return doc
 
     def _adopt(self, index_obj, docs: Iterable[Document],
                next_doc_id: int) -> None:
@@ -264,9 +254,7 @@ class CBAEngine(DocRegistry):
         index from them."""
         self.index = GlimpseIndex.from_obj(index_obj, counters=self.counters)
         self.index.scope_counter = self.scope_count
-        self._docs = {doc.doc_id: doc for doc in docs}
-        self._by_key = {doc.key: doc.doc_id for doc in self._docs.values()}
-        self._next_doc_id = next_doc_id
+        self._load(docs, next_doc_id)
         self.rebuild_cas()
 
     def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
@@ -278,22 +266,15 @@ class CBAEngine(DocRegistry):
         replicas follow), and scope-sensitive cache eviction.  Returns
         documents moved.
         """
-        old_prefix = pathutil.normalize(old_prefix)
-        new_prefix = pathutil.normalize(new_prefix)
-        moved = 0
-        for doc_id, doc in list(self._docs.items()):
-            path = pathutil.canonical(doc.path)
-            if pathutil.is_ancestor(old_prefix, path, strict=False):
-                new_path = pathutil.rebase(path, old_prefix, new_prefix)
-                self._docs[doc_id] = doc._replace(path=new_path)
-                self._purge_memo(doc_id)
-                self._emit("rename", doc_id, doc.key, new_path, doc.mtime)
-                moved += 1
+        moved = self._rebase_rows(old_prefix, new_prefix)
+        for doc in moved:
+            self._purge_memo(doc.doc_id)
+            self._emit("rename", doc.doc_id, doc.key, doc.path, doc.mtime)
         self.cas.rebase_prefix(old_prefix, new_prefix)
         if moved:
             self._purge_scope_cache()
-            self._stats.add("paths_rebased", moved)
-        return moved
+            self._stats.add("paths_rebased", len(moved))
+        return len(moved)
 
     def reindex(self, current: Iterable[Tuple[Hashable, str, float]],
                 previous: Optional[Dict[Hashable, float]] = None) -> ReindexPlan:
@@ -405,8 +386,7 @@ class CBAEngine(DocRegistry):
         because they bypass the per-mutation funnels."""
         self.cas.clear()
         lexicon = self.index.lexicon
-        for doc_id in sorted(self._docs):
-            doc = self._docs[doc_id]
+        for doc_id, doc in sorted(self._docs.items()):
             terms = [lexicon.term(tid)
                      for tid in self.index._doc_terms.get(doc_id, ())]
             self.cas.upsert(doc_id, doc.path, terms)
@@ -904,7 +884,7 @@ class CBAEngine(DocRegistry):
         for key, row in sorted(rows.items(), key=lambda kv: kv[1].doc_id):
             engine._upsert(row.doc_id, key, row.path, row.mtime, row.size,
                            row.terms)
-        engine._next_doc_id = max(engine._next_doc_id, next_doc_id)
+        engine._burn_ids(next_doc_id)
         engine._stats.add("restored_docs", len(engine._docs))
         engine._stats.add("merged_rows", len(rows))
         return engine

@@ -10,7 +10,10 @@ once and both inherit them.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, NamedTuple, Optional
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional
+
+from repro.util import pathutil
+from repro.util.bitmap import Bitmap
 
 
 class Document(NamedTuple):
@@ -24,21 +27,32 @@ class Document(NamedTuple):
 
 
 class DocRegistry:
-    """Mixin: the registry state and its protocol accessors.
+    """Mixin: the registry state, its protocol accessors and its writes.
 
-    Subclasses call :meth:`_init_registry` from their constructor and
-    write ``_docs`` / ``_by_key`` from their own mutation paths (an index
-    mutation always accompanies a registry one); everything that only
-    *reads* the registry, plus doc-id allocation, is here.
+    Subclasses call :meth:`_init_registry` from their constructor and pair
+    every index mutation with a row write here (:meth:`_put`, :meth:`_drop`,
+    :meth:`_move`, :meth:`_rebase_rows`, :meth:`_load`); nothing else
+    assigns ``_docs``, ``_by_key`` or ``_next_doc_id``.  That one funnel
+    keeps ``_paths`` — a dense ``doc_id -> path`` column beside the rows,
+    ``None`` where an id is burned or withdrawn — exact, with
+    ``len(_paths) >= _next_doc_id``, so :meth:`paths_of` is one bulk gather.
     """
 
     def _init_registry(self) -> None:
         self._docs: Dict[int, Document] = {}
         self._by_key: Dict[Hashable, int] = {}
+        self._paths: List[Optional[str]] = []
         self._next_doc_id = 0
 
     def doc_by_id(self, doc_id: int) -> Optional[Document]:
         return self._docs.get(doc_id)
+
+    def paths_of(self, hits: Bitmap) -> List[str]:
+        """Paths of the live documents in *hits*, in doc-id order."""
+        paths = hits.select(self._paths)
+        if None in paths:
+            return [path for path in paths if path is not None]
+        return paths
 
     def doc_by_key(self, key: Hashable) -> Optional[Document]:
         doc_id = self._by_key.get(key)
@@ -70,7 +84,7 @@ class DocRegistry:
         never reused either way.
         """
         doc_id = self._next_doc_id
-        self._next_doc_id += 1
+        self._burn_ids(doc_id + 1)
         return doc_id
 
     def _claim_doc_id(self, key: Hashable, doc_id: Optional[int]) -> int:
@@ -83,5 +97,60 @@ class DocRegistry:
             return self.reserve_doc_id()
         if doc_id in self._docs:
             raise ValueError(f"doc id already in use: {doc_id}")
-        self._next_doc_id = max(self._next_doc_id, doc_id + 1)
+        self._burn_ids(doc_id + 1)
         return doc_id
+
+    def _indexed_id(self, key: Hashable) -> int:
+        doc_id = self._by_key.get(key)
+        if doc_id is None:
+            raise KeyError(f"document not indexed: {key!r}")
+        return doc_id
+
+    # -- row writes ------------------------------------------------------------
+
+    def _burn_ids(self, next_doc_id: int) -> None:
+        """Ids below *next_doc_id* are taken; each gets a column slot."""
+        if next_doc_id > self._next_doc_id:
+            self._next_doc_id = next_doc_id
+            self._paths.extend([None] * (next_doc_id - len(self._paths)))
+
+    def _put(self, doc_id: int, key: Hashable, path: str, mtime: float,
+             size: int) -> None:
+        """Install the row of a new or changed document version."""
+        self._burn_ids(doc_id + 1)
+        self._docs[doc_id] = Document(doc_id, key, path, mtime, size)
+        self._by_key[key] = doc_id
+        self._paths[doc_id] = path
+
+    def _drop(self, doc_id: int) -> Document:
+        """Withdraw a row (its id stays burned); returns it."""
+        doc = self._docs.pop(doc_id)
+        del self._by_key[doc.key]
+        self._paths[doc_id] = None
+        return doc
+
+    def _move(self, doc_id: int, new_path: str) -> Document:
+        """Re-register a row under *new_path*; returns the new row."""
+        doc = self._docs[doc_id] = self._docs[doc_id]._replace(path=new_path)
+        self._paths[doc_id] = new_path
+        return doc
+
+    def _rebase_rows(self, old_prefix: str, new_prefix: str) -> List[Document]:
+        """Re-root every row at-or-below *old_prefix* under *new_prefix*;
+        returns the moved rows as they now read."""
+        old = pathutil.normalize(old_prefix)
+        below = old if old == pathutil.ROOT else old + pathutil.SEP
+        moved = []
+        for doc_id, doc in list(self._docs.items()):
+            path = pathutil.canonical(doc.path)
+            if path == old or path.startswith(below):
+                moved.append(self._move(
+                    doc_id, pathutil.rebase(path, old, new_prefix)))
+        return moved
+
+    def _load(self, docs: Iterable[Document], next_doc_id: int) -> None:
+        """Replace the whole registry with persisted (or copied) rows."""
+        self._init_registry()
+        for doc in docs:
+            self._put(*doc)
+        self._burn_ids(next_doc_id)

@@ -125,10 +125,11 @@ def _coalesce(prior: Optional[SegmentRow], row: SegmentRow) -> SegmentRow:
     """Newest-wins merge of two rows for the same document key.
 
     Upserts and removes replace outright; a rename folds its path into a
-    prior upsert (the document's contents are unchanged) and stands alone
-    otherwise, waiting for an older segment's upsert to absorb it.
+    prior upsert (the document's contents are unchanged), replaces a prior
+    rename, and stands alone otherwise, waiting for an older segment's
+    upsert to absorb it.
     """
-    if row.kind != "rename" or prior is None:
+    if row.kind != "rename" or prior is None or prior.kind == "rename":
         return row
     if prior.kind == "upsert":
         return prior._replace(path=row.path, mtime=row.mtime)

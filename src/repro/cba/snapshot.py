@@ -206,6 +206,9 @@ class ReadReplica:
     def doc_by_id(self, doc_id: int) -> Optional[Document]:
         return self.engine.doc_by_id(doc_id)
 
+    def paths_of(self, hits: Bitmap) -> List[str]:
+        return self.engine.paths_of(hits)
+
     def doc_by_key(self, key: Hashable) -> Optional[Document]:
         return self.engine.doc_by_key(key)
 

@@ -52,7 +52,6 @@ from typing import (Callable, Dict, Hashable, Iterable, List, NamedTuple,
 from repro.errors import BackendUnavailable, ShardUnavailable
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NOOP_SPAN, NULL_TRACER
-from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.util.clock import VirtualClock
 from repro.util.stats import Counters
@@ -271,6 +270,12 @@ class ClusterSnapshotView:
                 return doc
         return None
 
+    def paths_of(self, hits: Bitmap) -> List[str]:
+        """Paths of *hits* as of the cut, each replica answering for its
+        own slice: grouped by shard, doc-id order within each."""
+        return [path for replica in self.replicas.values()
+                for path in replica.paths_of(hits & replica.all_docs())]
+
     def estimate_docs(self, node: Node) -> int:
         return self.index.estimate_docs(node)
 
@@ -474,8 +479,7 @@ class ShardedSearchCluster(DocRegistry):
         owner = self.shardmap.owner(key)
         self.shards[owner].engine.index_document(key, path, mtime, text=text,
                                                  doc_id=doc_id)
-        self._docs[doc_id] = Document(doc_id, key, path, mtime, len(text))
-        self._by_key[key] = doc_id
+        self._put(doc_id, key, path, mtime, len(text))
         self._owners[doc_id] = owner
         self._members[owner].add(doc_id)
         self._all.add(doc_id)
@@ -484,12 +488,10 @@ class ShardedSearchCluster(DocRegistry):
         return doc_id
 
     def remove_document(self, key: Hashable) -> int:
-        doc_id = self._by_key.pop(key, None)
-        if doc_id is None:
-            raise KeyError(f"document not indexed: {key!r}")
+        doc_id = self._indexed_id(key)
         owner = self._owners.pop(doc_id)
         self.shards[owner].engine.remove_document(key)
-        del self._docs[doc_id]
+        self._drop(doc_id)
         self._members[owner].discard(doc_id)
         self._all.discard(doc_id)
         self._dirty.add(doc_id)
@@ -498,24 +500,20 @@ class ShardedSearchCluster(DocRegistry):
 
     def update_document(self, key: Hashable, path: str, mtime: float,
                         text: Optional[str] = None) -> int:
-        doc_id = self._by_key.get(key)
-        if doc_id is None:
-            raise KeyError(f"document not indexed: {key!r}")
+        doc_id = self._indexed_id(key)
         if text is None:
             text = self.loader(key)
         self.shards[self._owners[doc_id]].engine.update_document(
             key, path, mtime, text=text)
-        self._docs[doc_id] = Document(doc_id, key, path, mtime, len(text))
+        self._put(doc_id, key, path, mtime, len(text))
         self._dirty.add(doc_id)
         self._stats.add("updated")
         return doc_id
 
     def rename_document(self, key: Hashable, new_path: str) -> None:
-        doc_id = self._by_key.get(key)
-        if doc_id is None:
-            raise KeyError(f"document not indexed: {key!r}")
+        doc_id = self._indexed_id(key)
         self.shards[self._owners[doc_id]].engine.rename_document(key, new_path)
-        self._docs[doc_id] = self._docs[doc_id]._replace(path=new_path)
+        self._move(doc_id, new_path)
 
     def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
         """Directory rename: the engine's one-pass path rebase, mirrored
@@ -523,14 +521,7 @@ class ShardedSearchCluster(DocRegistry):
         (each shard rebases its own registry slice and CAS prefix keys).
         Maintenance-side like all mutations — no RPC.  Returns documents
         moved in the coordinator registry."""
-        old_prefix = pathutil.normalize(old_prefix)
-        new_prefix = pathutil.normalize(new_prefix)
-        moved = 0
-        for doc_id, doc in list(self._docs.items()):
-            if pathutil.is_ancestor(old_prefix, doc.path, strict=False):
-                self._docs[doc_id] = doc._replace(
-                    path=pathutil.rebase(doc.path, old_prefix, new_prefix))
-                moved += 1
+        moved = len(self._rebase_rows(old_prefix, new_prefix))
         for shard in self.shards.values():
             shard.engine.rebase_paths(old_prefix, new_prefix)
         if moved:
@@ -785,7 +776,7 @@ class ShardedSearchCluster(DocRegistry):
         text through the loader, like any reindex addition.
         """
         with self._tracer.span("cluster.rebalance") as span:
-            keys = [self._docs[doc_id].key for doc_id in sorted(self._docs)]
+            keys = [doc.key for _doc_id, doc in sorted(self._docs.items())]
             moves = self.shardmap.moves(new_map, keys)
             outgoing: Dict[str, Dict[Hashable, float]] = {}
             incoming: Dict[str, Dict[Hashable, float]] = {}
@@ -797,8 +788,8 @@ class ShardedSearchCluster(DocRegistry):
                 sid: plan_reindex(outgoing.get(sid, {}), incoming.get(sid, {}))
                 for sid in sorted(set(outgoing) | set(incoming))}
             for move in moves:
-                doc_id = self._by_key[move.key]
-                doc = self._docs[doc_id]
+                doc = self.doc_by_key(move.key)
+                doc_id = doc.doc_id
                 text = self.loader(move.key)
                 self.shards[move.source].engine.remove_document(move.key)
                 self.shards[move.dest].engine.index_document(
@@ -859,12 +850,11 @@ class ShardedSearchCluster(DocRegistry):
                                               **cluster._shard_config())
         for doc_id, raw_key, path, mtime, size, owner in obj["docs"]:
             key = (raw_key[0], raw_key[1])
-            cluster._docs[doc_id] = Document(doc_id, key, path, mtime, size)
-            cluster._by_key[key] = doc_id
+            cluster._put(doc_id, key, path, mtime, size)
             cluster._owners[doc_id] = owner
             cluster._members[owner].add(doc_id)
             cluster._all.add(doc_id)
-        cluster._next_doc_id = obj["next"]
+        cluster._burn_ids(obj["next"])
         cluster._stats.add("restored_docs", len(cluster._docs))
         return cluster
 

@@ -690,16 +690,19 @@ class HacFileSystem:
         _uid, state = self._state_of(path)
         return sorted(str(t) for t in state.links.prohibited)
 
-    def query_docs(self, ast, scope=None, consistency: str = "strong",
-                   tenant: Optional[str] = None) -> list:
-        """The registry rows matching a parsed query — the one answer
-        path behind every ad-hoc ``glimpse``.
+    def query_paths(self, ast, scope: Optional[str] = None,
+                    consistency: str = "strong",
+                    tenant: Optional[str] = None) -> List[str]:
+        """Host paths of the documents matching a parsed query, unsorted
+        — the one answer path behind every ad-hoc ``glimpse``.  The
+        answer stays a bitmap until the last line, where the answering
+        surface's registry gathers its paths in bulk.
 
         ``strong`` drains pending maintenance first (only *tenant*'s
         bucket when one is named) and answers from the live engine;
         ``snapshot`` answers from the last published version with no
-        barrier at all.  *scope* is a zero-argument callable producing
-        the scope bitmap — called after the barrier, because provided
+        barrier at all.  *scope* is the directory whose provided scope
+        bounds the answer — resolved after the barrier, because provided
         scopes read engine state — or ``None`` for everything the
         answering surface holds.
         """
@@ -707,23 +710,22 @@ class HacFileSystem:
             raise ValueError(f"unknown consistency level: {consistency!r}")
         if consistency == "snapshot":
             surface = self.engine.snapshot_view()
-            universe = surface.all_docs()
-            bitmap = universe if scope is None else scope() & universe
             span = self.obs.trace.span("hac.glimpse_snapshot",
                                        version=surface.version,
                                        skew=getattr(surface, "skew", 0))
         else:
             self.maintenance.barrier(tenant=tenant)
-            surface = self.engine
-            bitmap = None if scope is None else scope()
-            span = NOOP_SPAN
+            surface, span = self.engine, NOOP_SPAN
+        bitmap = None
+        if scope is not None:
+            # the live scope may name documents newer than a cut
+            bitmap = self.scopes.provided(scope).local & surface.all_docs()
         with span:
             hits = evaluator.evaluate(
                 ast, surface, scope=bitmap,
                 resolve_dirref=lambda uid: self.scopes.provided_by_uid(uid).local)
             span.set(hits=len(hits))
-        return [doc for doc in map(surface.doc_by_id, hits)
-                if doc is not None]
+        return surface.paths_of(hits)
 
     def health(self, path: Optional[str] = None) -> Dict[str, object]:
         """One structured degradation report for the whole name space —

@@ -78,11 +78,16 @@ class ScopeResolver:
         norm = pathutil.normalize(path)
         if norm == "/":
             return self._root_scope()
-        uid = self.hacfs.dirmap.uid_of(norm)
-        state = self.hacfs.meta.get(uid) if uid is not None else None
-        if state is not None and state.is_semantic:
+        state = self.semantic_state(norm)
+        if state is not None:
             return self._semantic_scope(norm, state)
         return self._syntactic_scope(norm)
+
+    def semantic_state(self, norm: str):
+        """State of the semantic directory at normalised *norm*, if any."""
+        uid = self.hacfs.dirmap.uid_of(norm)
+        state = self.hacfs.meta.get(uid) if uid is not None else None
+        return state if state is not None and state.is_semantic else None
 
     # ------------------------------------------------------------------
 

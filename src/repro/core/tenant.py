@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import InvalidArgument, UnknownTenant
@@ -503,12 +504,14 @@ class Tenant:
                 consistency: str = "strong") -> List[str]:
         """Ad-hoc search confined to the tenant subtree.
 
-        The parsed query is wrapped in a ``scope:`` term for the tenant
-        root, so the CAS index answers the subtree restriction from its
-        prefix partitions in one probe (PR 9) — no per-tenant index, no
-        walk.  ``strong`` drains only this tenant's bucket first
-        (fair-share), ``snapshot`` answers from the last published
-        version with no barrier at all.
+        The parsed query is wrapped in a ``scope:`` term, so the CAS
+        index answers the subtree restriction from its prefix partitions
+        in one probe (PR 9) — no per-tenant index, no walk.  A plain
+        *scope_path* is that term; a semantic one provides its curated
+        result as the scope (docs/SEMANTICS.md §2, as in the shell) and
+        the term confines it to the tenant root.  ``strong`` drains only
+        this tenant's bucket first (fair-share), ``snapshot`` answers from
+        the last published version with no barrier at all.
         """
         from repro.cba.queryparser import parse_query
         from repro.cba import queryast
@@ -518,12 +521,18 @@ class Tenant:
         host_scope = self._host(scope_path)
         with self._op("glimpse", query=query, consistency=consistency):
             ast = parse_query(query, resolve_dir=self._resolve_dir)
-            docs = hacfs.query_docs(queryast.scoped(ast, host_scope),
-                                    consistency=consistency,
-                                    tenant=self.name)
-            out = [rel for rel in (self._rel(doc.path) for doc in docs)
-                   if rel is not None]
-        return sorted(out)
+            curated = hacfs.scopes.semantic_state(host_scope) is not None
+            paths = hacfs.query_paths(
+                queryast.scoped(ast, self.root if curated else host_scope),
+                host_scope if curated else None, consistency, self.name)
+            paths.sort()
+            # strings sorted between two that start with ``cut`` start
+            # with it too: the ends prove confinement for the whole answer
+            cut = self.root + "/"
+            if paths and not (paths[0].startswith(cut)
+                              and paths[-1].startswith(cut)):
+                paths = [path for path in paths if path.startswith(cut)]
+            return list(map(str.removeprefix, paths, repeat(self.root)))
 
     # -- status -------------------------------------------------------------
 

@@ -44,12 +44,8 @@ class RemoteHacFileSystem(NameSpace):
             ast = parse_query(query_text)  # exporter hierarchy not exposed
             scope = self.hacfs.scopes.provided(self.export_root)
             hits = self.hacfs.engine.search(ast, scope=scope.local)
-            out: List[RemoteDoc] = []
-            for doc_id in hits:
-                doc = self.hacfs.engine.doc_by_id(doc_id)
-                if doc is not None:
-                    out.append(RemoteDoc(doc=doc.path, title=doc.path))
-            return sorted(out)
+            return sorted(RemoteDoc(doc=path, title=path)
+                          for path in self.hacfs.engine.paths_of(hits))
         return self.transport.call("search", run)
 
     def fetch(self, doc: str) -> str:

@@ -416,8 +416,5 @@ class HacShell:
         # fresher membership with as-of-publish content (callers needing
         # scope-exact answers use ``consistency='strong'``)
         if consistency == "snapshot" and hacfs._canonical_dir(target) == "/":
-            scope = None  # the whole cut, not the live root's documents
-        else:
-            scope = lambda: hacfs.scopes.provided(target).local
-        return sorted(doc.path for doc in
-                      hacfs.query_docs(ast, scope, consistency))
+            target = None  # the whole cut, not the live root's documents
+        return sorted(hacfs.query_paths(ast, target, consistency))

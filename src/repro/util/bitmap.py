@@ -15,11 +15,21 @@ is unchanged from the byte-array implementation this replaced: little-endian
 ``N/8`` bytes, bit ``i % 8`` of byte ``i // 8``, trailing zero bytes trimmed
 so that equality and ``nbytes`` reflect the logical set, not the allocation
 history.
+
+Turning a set back into ids has two kernels, chosen per set from its own
+``bit_count()`` and ``bit_length()``: peeling the lowest set bit off a copy
+of the integer (k steps that each touch the whole integer — cheapest for a
+handful of members), or rendering it once as 0/1 selectors for
+``itertools.compress`` — one C-level pass over the span however dense.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
+
+#: ``bin()`` digits -> ``compress`` selectors (``b"0"`` alone is truthy)
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Bitmap:
@@ -48,11 +58,6 @@ class Bitmap:
         self._n = int.from_bytes(buf, "little")
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_ids(cls, ids: Iterable[int]) -> "Bitmap":
-        """Bulk-construct from an iterable of ids (no per-id method calls)."""
-        return cls(ids)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitmap":
@@ -128,12 +133,36 @@ class Bitmap:
     def __bool__(self) -> bool:
         return self._n != 0
 
-    def __iter__(self) -> Iterator[int]:
+    def _is_sparse(self) -> bool:
+        """Whether peeling beats the linear pass: a peel step costs about
+        eight ``compress`` steps plus one per 256 bits it copies, the
+        linear pass one step per bit of the span."""
+        span = self._n.bit_length()
+        return self._n.bit_count() * (8 + (span >> 8)) <= span
+
+    def _peel(self) -> Iterator[int]:
         n = self._n
         while n:
             lsb = n & -n
             yield lsb.bit_length() - 1
             n ^= lsb
+
+    def _selectors(self) -> bytes:
+        return bin(self._n)[:1:-1].encode().translate(_SELECTORS)
+
+    def __iter__(self) -> Iterator[int]:
+        if self._is_sparse():
+            return self._peel()
+        return compress(range(self._n.bit_length()), self._selectors())
+
+    def select(self, column: Sequence) -> list:
+        """``[column[i] for i in self]``, gathered in bulk; raises
+        :class:`IndexError` when *column* stops short of the largest id."""
+        if len(column) < self._n.bit_length():
+            raise IndexError(f"no column entry for id {self.max_id()}")
+        if self._is_sparse():
+            return [column[i] for i in self._peel()]
+        return list(compress(column, self._selectors()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bitmap):

@@ -51,6 +51,13 @@ class TestCoalesce:
         b = row("rename", 1, ("f", 1), path="/new")
         assert _coalesce(None, b) is b
 
+    def test_rename_after_rename_keeps_the_newer_path(self):
+        """A directory moved there and back inside one seal window: the
+        row that waits for its upsert must carry where the document is."""
+        a = row("rename", 1, ("f", 1), path="/there")
+        b = row("rename", 1, ("f", 1), path="/back")
+        assert _coalesce(a, b) is b
+
 
 class TestRowAndSegmentSerialization:
     def test_roundtrip_drops_text_keeps_terms(self):

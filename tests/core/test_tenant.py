@@ -314,6 +314,100 @@ class TestIsolationAndScoping:
         assert "a.txt" in hac.links("/all")
 
 
+class TestGlimpseAnswerPath:
+    """The answer stays a bitmap to the last line of the facade: one bulk
+    ``paths_of``, one sort, one prefix cut (DESIGN.md §3b)."""
+
+    LEVELS = ("strong", "snapshot")
+
+    @staticmethod
+    def count_calls(monkeypatch, cls, name):
+        calls = []
+        real = getattr(cls, name)
+
+        def spy(self, *args):
+            calls.append(args)
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, spy)
+        return calls
+
+    def test_no_per_hit_work_in_the_facade(self, hac, buyco, monkeypatch):
+        from repro.cba.registry import DocRegistry
+        from repro.core.tenant import Tenant
+
+        for i in range(300):
+            buyco.write_file(f"/f{i:03d}.txt", b"fingerprint ridge")
+        buyco.barrier()
+        hac.maintenance.publish()
+        rows = self.count_calls(monkeypatch, DocRegistry, "doc_by_id")
+        rebased = self.count_calls(monkeypatch, Tenant, "_rel")
+        want = [f"/f{i:03d}.txt" for i in range(300)]
+        for level in self.LEVELS:
+            assert buyco.glimpse("fingerprint", consistency=level) == want
+        assert rows == [] and rebased == []
+
+    def test_isolation_survives_a_lost_scope_term(self, hac, acme, buyco,
+                                                  monkeypatch):
+        """The ends of the sorted answer prove confinement; when they do
+        not, the per-path filter still runs."""
+        acme.write_file("/a.txt", b"fingerprint alpha")
+        acme.write_file("/z.txt", b"fingerprint omega")
+        buyco.write_file("/b.txt", b"fingerprint beta")
+        hac.makedirs("/aaa")
+        hac.write_file("/aaa/host.txt", b"fingerprint host")
+        hac.ssync("/")
+        hac.maintenance.publish()
+        monkeypatch.setattr("repro.cba.queryast.scoped",
+                            lambda node, prefix: node)
+        for level in self.LEVELS:
+            assert acme.glimpse("fingerprint", consistency=level) == \
+                ["/a.txt", "/z.txt"]
+            assert buyco.glimpse("fingerprint", consistency=level) == \
+                ["/b.txt"]
+
+    def test_semantic_scope_answers_like_the_shell(self, hac, acme):
+        """docs/SEMANTICS.md §2: a semantic directory provides its curated
+        result as the scope — for a tenant as for the shell."""
+        from repro.shell.session import HacShell
+
+        acme.makedirs("/docs")
+        acme.write_file("/docs/x.txt", b"alpha beta")
+        acme.write_file("/docs/y.txt", b"alpha gamma")
+        acme.write_file("/z.txt", b"alpha beta")
+        acme.smkdir("/sel", "beta")
+        acme.barrier()
+        hac.maintenance.publish()
+        shell = HacShell(hac)
+        for level in self.LEVELS:
+            got = acme.glimpse("alpha", scope_path="/sel", consistency=level)
+            assert got == ["/docs/x.txt", "/z.txt"]
+            assert [acme.root + path for path in got] == shell.glimpse(
+                "alpha", scope_path=acme.root + "/sel", consistency=level)
+
+    def test_answers_are_sorted_and_tenant_relative(self, hac, acme, buyco):
+        acme.makedirs("/docs/deep")
+        # written out of order: the answer is sorted, not id-ordered
+        for path in ("/z.txt", "/docs/y.txt", "/a.txt", "/docs/deep/m.txt"):
+            acme.write_file(path, b"fingerprint ridge")
+        buyco.makedirs("/docs")
+        buyco.write_file("/docs/other.txt", b"fingerprint ridge")
+        hac.ssync("/")
+        hac.maintenance.publish()
+        for level in self.LEVELS:
+            def ask(scope_path):
+                return acme.glimpse("fingerprint", scope_path=scope_path,
+                                    consistency=level)
+            everything = ["/a.txt", "/docs/deep/m.txt", "/docs/y.txt",
+                          "/z.txt"]
+            assert ask("/") == everything
+            assert ask("/docs") == ["/docs/deep/m.txt", "/docs/y.txt"]
+            assert ask("/missing") == []
+            assert ask("/z.txt/below") == []
+            # ``..`` clamps at the tenant's own root (chroot semantics)
+            assert ask("/../../tenants/buyco") == []
+            assert ask("/docs/../..") == everything
+
+
 class TestRestore:
     def test_tenants_survive_a_reopen(self, hac, acme):
         acme.write_file("/f.txt", b"fingerprint data")

@@ -19,11 +19,29 @@ import os
 from repro.baselines.scanengine import ScanEngine
 from repro.cba.engine import CBAEngine
 from repro.cluster import ShardedSearchCluster
+from repro.cluster.coordinator import ClusterSnapshotView
 from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 
 SEED = int(os.environ.get("REF_SEED", "0"))
 K = int(os.environ.get("REF_K", "0"))
+
+
+def assert_paths_column(surface) -> None:
+    """The bulk answer read agrees with the per-row one on *surface* (an
+    engine, a cluster, a replica or a cluster cut): ``paths_of`` over
+    everything it holds is ``doc_by_id(i).path`` for each id — in id
+    order, except that a cluster cut answers shard by shard."""
+    ids = surface.all_docs()
+    want = [surface.doc_by_id(i).path for i in ids]
+    got = surface.paths_of(ids)
+    if isinstance(surface, ClusterSnapshotView):
+        got, want = sorted(got), sorted(want)
+    assert got == want, surface
+    column = getattr(surface, "_paths", None)
+    if column is not None:
+        assert len(column) >= surface._next_doc_id, surface
+        assert sum(path is not None for path in column) == len(surface)
 
 
 class Pair:
@@ -38,6 +56,7 @@ class Pair:
         """Apply one maintenance call to both engines."""
         for backend in (self.subject, self.reference):
             getattr(backend, method)(*args, **kwargs)
+            assert_paths_column(backend)
 
     def check(self, ast, scope=None) -> Bitmap:
         """Assert bit-identity on *ast*; returns the reference answer."""

@@ -6,12 +6,25 @@ from hypothesis import strategies as st
 from repro.util.bitmap import Bitmap
 
 ids = st.sets(st.integers(min_value=0, max_value=2000))
+#: sparse-in-a-wide-span, dense, and anything between: both scan kernels
+shapes = ids | st.sets(st.integers(min_value=0, max_value=20000)) \
+    | st.builds(lambda lo, n, drop: set(range(lo, lo + n)) - drop,
+                st.integers(0, 500), st.integers(0, 600), ids)
 
 
 @given(ids)
 def test_roundtrip_matches_set(xs):
     assert set(Bitmap(xs)) == xs
     assert len(Bitmap(xs)) == len(xs)
+
+
+@given(shapes, st.integers(min_value=0, max_value=40))
+def test_iter_and_select_read_like_the_sorted_set(xs, slack):
+    want = sorted(xs)
+    bm = Bitmap(xs)
+    column = list(range(100, 101 + bm.max_id() + slack))
+    assert list(bm) == want
+    assert bm.select(column) == [column[i] for i in want]
 
 
 @given(ids, ids)

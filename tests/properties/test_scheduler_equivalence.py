@@ -26,6 +26,8 @@ from repro.cba.queryparser import parse_query
 from repro.core.hacfs import HacFileSystem
 from repro.shell.session import HacShell
 
+from tests.properties.reference import assert_paths_column
+
 BASE_SEED = int(os.environ.get("SCHED_SEED", "0"))
 K = int(os.environ.get("SCHED_K", "0"))
 
@@ -104,6 +106,7 @@ def engine_state(hac: HacFileSystem) -> dict:
     # shifts ino allocation), so docs are identified by doc id — which the
     # reservation scheme pins — plus path and mtime
     eng = hac.engine
+    assert_paths_column(eng)
     docs = []
     for doc_id in eng.all_docs():
         doc = eng.doc_by_id(doc_id)

@@ -39,6 +39,8 @@ from repro.util.stats import Counters
 from repro.vfs.blockdev import FaultPlan
 from repro.vfs.filesystem import FileSystem
 
+from tests.properties.reference import assert_paths_column
+
 BASE_SEED = int(os.environ.get("SEG_SEED", "0"))
 K = int(os.environ.get("SEG_K", "0"))
 
@@ -135,6 +137,7 @@ def apply_op(shell: HacShell, op):
 
 def engine_state(hac: HacFileSystem) -> dict:
     eng = hac.engine
+    assert_paths_column(eng)
     docs = []
     for doc_id in eng.all_docs():
         doc = eng.doc_by_id(doc_id)

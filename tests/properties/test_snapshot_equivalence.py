@@ -34,6 +34,8 @@ from repro.cba.queryparser import parse_query
 from repro.core.hacfs import HacFileSystem
 from repro.shell.session import HacShell
 
+from tests.properties.reference import assert_paths_column
+
 BASE_SEED = int(os.environ.get("SNAP_SEED", "0"))
 K = int(os.environ.get("SNAP_K", "0"))
 
@@ -115,6 +117,7 @@ def raw_answers(hac: HacFileSystem) -> dict:
 
 def engine_state(hac: HacFileSystem) -> dict:
     eng = hac.engine
+    assert_paths_column(eng)
     docs = []
     for doc_id in eng.all_docs():
         doc = eng.doc_by_id(doc_id)
@@ -132,6 +135,7 @@ def check_snapshot_read(hac: HacFileSystem, version_content, context):
     drains = hac.counters.get("sched.drains")
     view = hac.engine.snapshot_view()
     assert view.version in version_content, (context, view.version)
+    assert_paths_column(view)
     expected = version_content[view.version]
     for query in QUERIES:
         got = view.search(parse_query(query)).to_bytes()

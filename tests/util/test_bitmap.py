@@ -1,5 +1,8 @@
 """Unit tests for the N/8-byte bitmap representation."""
 
+import random
+from itertools import compress
+
 import pytest
 
 from repro.util.bitmap import Bitmap
@@ -58,6 +61,56 @@ class TestBasics:
         assert Bitmap([16]).nbytes == 3
         # the paper's example: ~17,000 files -> ~2 KB
         assert Bitmap([16999]).nbytes == 2125
+
+
+class TestKernels:
+    """Iteration and ``select`` pick a sparse or a linear kernel from the
+    set's own shape; either way they read like ``sorted(set(ids))``."""
+
+    SHAPES = {
+        "empty": [],
+        "one": [0],
+        "one-far": [20_000],
+        "sparse": [3, 977, 977, 15_000, 19_999],
+        "dense": [i for i in range(2_000) if i % 10],
+        "random": random.Random(19).sample(range(20_000), 10_000),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_iter_and_select_match_the_reference(self, shape):
+        ids = self.SHAPES[shape]
+        want = sorted(set(ids))
+        bm = Bitmap(ids)
+        column = [f"row{i}" for i in range(20_050)]
+        assert list(bm) == want
+        # a column longer than bit_length(), and one exactly that long
+        assert bm.select(column) == [column[i] for i in want]
+        assert bm.select(column[:bm.max_id() + 1]) == \
+            [column[i] for i in want]
+
+    @pytest.mark.parametrize("shape", ["one-far", "sparse", "dense", "random"])
+    def test_select_rejects_a_short_column(self, shape):
+        bm = Bitmap(self.SHAPES[shape])
+        with pytest.raises(IndexError):
+            bm.select(["row"] * bm.max_id())   # one short: no truncation
+
+    def test_the_kernel_follows_the_sets_own_shape(self):
+        few = Bitmap(random.Random(7).sample(range(20_000), 10))
+        half = Bitmap(self.SHAPES["random"])
+        assert few._is_sparse() and not half._is_sparse()
+        # the linear kernel is one C-level pass over the span, not a
+        # big-integer copy per member
+        assert isinstance(iter(half), compress)
+        assert not isinstance(iter(few), compress)
+
+    def test_iteration_is_a_snapshot(self):
+        for ids in (self.SHAPES["sparse"], self.SHAPES["dense"]):
+            bm = Bitmap(ids)
+            seen = []
+            for i in bm:
+                bm.discard(i)
+                seen.append(i)
+            assert seen == sorted(set(ids)) and not bm
 
 
 class TestAlgebra:
