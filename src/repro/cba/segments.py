@@ -14,13 +14,15 @@ is pure index manipulation: the tokenizer never runs off the write path.
 
 Three consumers share the structure:
 
-* **Persistence** — :class:`~repro.core.hacfs.HacFileSystem` writes each
-  frozen segment as a ``seg:<id>`` device record plus a ``segmanifest``
-  listing the live segment ids, *only inside journal intents* (the
-  scheduler's ``sched_batch`` drains and ``reindex``), so the WAL's
-  pre-images roll a mid-seal or mid-compaction crash back to a
-  consistent segment list.  Serialized segments drop the document text
-  (recovery re-reads through the loader) to keep WAL amplification flat.
+* **Persistence** — :meth:`SegmentStore.sync` writes each frozen segment
+  as a ``seg:<id>`` device record plus a ``segmanifest`` listing the live
+  segment ids (only this module knows the two formats);
+  :class:`~repro.core.hacfs.HacFileSystem` says *when*, and calls it
+  *only inside journal intents* (the scheduler's ``sched_batch`` drains
+  and ``reindex``), so the WAL's pre-images roll a mid-seal or
+  mid-compaction crash back to a consistent segment list.  Serialized
+  segments drop the document text (recovery re-reads through the
+  loader) to keep WAL amplification flat.
 * **Publication** — ``publish()`` seals the memtable and hands replicas
   the frozen segments appended since their cursor (an append-only sealed
   log, truncated at the min-cursor like the op log it replaces) instead
@@ -41,13 +43,19 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
-from repro.util import pathutil
+from repro.errors import CorruptRecord
+from repro.util import pathutil, serialization
 from repro.util.stats import Counters
 
 #: memtable rows before a drain-time seal (publish-time seals ignore it)
 DEFAULT_SEAL_THRESHOLD = 32
 #: frozen segments before drain-time compaction folds them into one
 DEFAULT_COMPACT_THRESHOLD = 8
+
+#: device records: one per frozen segment (prefix + segment id), and the
+#: manifest naming the live ids in fold order plus the two id counters
+SEGMENT_PREFIX = "seg:"
+MANIFEST_RECORD = "segmanifest"
 
 
 class SegmentRow(NamedTuple):
@@ -139,11 +147,10 @@ def _coalesce(prior: Optional[SegmentRow], row: SegmentRow) -> SegmentRow:
 class SegmentStore:
     """The memtable + frozen-segment list behind a segmented engine.
 
-    Pure data structure: it never touches the device.  The owning
-    :class:`~repro.core.hacfs.HacFileSystem` persists frozen segments
-    inside journal intents and records what it wrote in
-    :attr:`persisted`, so a later persist pass knows which segments need
-    writing and which device records became garbage after a compaction.
+    The store formats, reads and audits its own device records
+    (:meth:`sync`, :meth:`load`, :meth:`audit`) but holds no device: the
+    owning :class:`~repro.core.hacfs.HacFileSystem` passes one in,
+    together with the open journal intent every ``sync`` must run under.
     """
 
     def __init__(self, counters: Optional[Counters] = None,
@@ -156,8 +163,6 @@ class SegmentStore:
         #: append-only seal order for replica catch-up; truncated at the
         #: replicas' min cursor, never rewritten by compaction
         self.sealed_log: List[Segment] = []
-        #: segment ids with a current ``seg:<id>`` device record
-        self.persisted: Set[str] = set()
         self.seal_threshold = seal_threshold
         self.compact_threshold = compact_threshold
         self._next_seg = 0
@@ -276,16 +281,10 @@ class SegmentStore:
         return {key: row for key, row in folded.items()
                 if row.kind == "upsert"}
 
-    def to_manifest(self) -> Dict[str, object]:
-        """The ``segmanifest`` payload: live segment ids in fold order."""
-        return {"segments": [seg.seg_id for seg in self.frozen],
-                "next_seg": self._next_seg}
-
     def load_frozen(self, manifest: Dict[str, object],
                     segments: List[Segment]) -> None:
         """Adopt persisted segments as the frozen list (restore path)."""
         self.frozen = list(segments)
-        self.persisted = {seg.seg_id for seg in segments}
         self._next_seg = int(manifest.get("next_seg", len(segments)))
         self._stats.add("segments_loaded", len(segments))
 
@@ -306,7 +305,101 @@ class SegmentStore:
         self.frozen.insert(0, base)
         self._stats.add("base_seeded", len(base))
 
+    # ------------------------------------------------------------------
+    # device records
+    # ------------------------------------------------------------------
+
+    def sync(self, device, next_doc_id: int, tracer,
+             force_seal: bool = False, force_compact: bool = False) -> None:
+        """Seal and compact as the thresholds (or the caller) demand, then
+        make *device* hold exactly the frozen list.  MUST run inside an
+        open journal intent.  What to write and delete is derived from
+        the records the device holds, not from a memory of past syncs: a
+        soft-failure rollback can restore records underneath the store,
+        and re-deriving self-heals that divergence."""
+        changed = False
+        if force_seal or self.should_seal:
+            with tracer.span("cba.seal", rows=len(self.memtable)):
+                changed = self.seal() is not None or changed
+        if force_compact or self.should_compact:
+            with tracer.span("cba.compact", segments=len(self.frozen)):
+                changed = self.compact() is not None or changed
+        on_device = _segment_ids(device)
+        live = [seg.seg_id for seg in self.frozen]
+        for seg in self.frozen:
+            if seg.seg_id not in on_device:
+                device.write_record(SEGMENT_PREFIX + seg.seg_id,
+                                    serialization.dumps(seg.to_obj()))
+                changed = True
+        for seg_id in sorted(on_device.difference(live)):
+            device.delete_record(SEGMENT_PREFIX + seg_id)
+            changed = True
+        if changed:
+            device.write_record(MANIFEST_RECORD, serialization.dumps(
+                {"segments": live, "next_seg": self._next_seg,
+                 "next": next_doc_id}))
+
+    @classmethod
+    def load(cls, device, counters: Counters
+             ) -> Optional[Tuple["SegmentStore", int]]:
+        """The persisted segment list as ``(store, next doc id)``, or
+        ``None`` when *device* holds no usable manifest.  One naming a
+        missing segment record is unusable (counted; a rebuild takes
+        over) — recovery has already rolled incomplete intents back, so
+        records were lost outside any journaled write.  An unreadable
+        record raises :class:`~repro.errors.CorruptRecord`, the same
+        acknowledge-your-data-loss contract as ``cbaindex``."""
+        restore_stats = counters.scoped("restore")
+        try:
+            manifest = _read(device, MANIFEST_RECORD)
+            if not manifest:
+                return None
+            segments = []
+            for seg_id in manifest.get("segments", ()):
+                raw = _read(device, SEGMENT_PREFIX + seg_id)
+                if raw is None:
+                    restore_stats.add("segment_missing")
+                    return None
+                segments.append(Segment.from_obj(raw))
+        except CorruptRecord:
+            restore_stats.add("segment_corrupt")
+            raise
+        store = cls(counters=counters)
+        store.load_frozen(manifest, segments)
+        return store, int(manifest.get("next", 0))
+
+    @staticmethod
+    def audit(device) -> List[Tuple[str, str, str]]:
+        """Disagreements between *device*'s segment records and manifest
+        as ``(kind, record key, detail)``.  An ``orphan-segment`` is what
+        a crashed (un-rolled-back) seal or compaction left behind —
+        unreachable, since :meth:`load` folds only what the manifest
+        names; a ``missing-segment`` is state the manifest promises and
+        recovery cannot deliver."""
+        try:
+            manifest = _read(device, MANIFEST_RECORD) or {}
+        except CorruptRecord:
+            manifest = {}
+        named, held = set(manifest.get("segments", ())), _segment_ids(device)
+        return [("orphan-segment", SEGMENT_PREFIX + seg_id,
+                 "segment record not named by the manifest")
+                for seg_id in sorted(held - named)] + [
+                ("missing-segment", SEGMENT_PREFIX + seg_id,
+                 "manifest names a segment with no record")
+                for seg_id in sorted(named - held)]
+
     def __repr__(self):
         return (f"SegmentStore(memtable={len(self.memtable)}, "
                 f"frozen={len(self.frozen)}, "
                 f"log={len(self.sealed_log)})")
+
+
+def _segment_ids(device) -> Set[str]:
+    """Ids of the segment records *device* holds."""
+    return {key[len(SEGMENT_PREFIX):] for key in device.record_keys()
+            if key.startswith(SEGMENT_PREFIX)}
+
+
+def _read(device, key: str):
+    raw = device.read_record(key)
+    return serialization.loads(raw) if raw is not None else None

@@ -30,10 +30,11 @@ symlink vanished.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, TYPE_CHECKING
+from typing import List, NamedTuple, TYPE_CHECKING
 
 from repro.util import pathutil
 from repro.errors import DependencyCycle
+from repro.cba.segments import SegmentStore
 from repro.vfs.walker import walk
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -194,30 +195,18 @@ def _check_links(hacfs, repair: bool) -> List[Finding]:
 
 
 def _check_segments(hacfs, repair: bool = False) -> List[Finding]:
-    """Segment-store agreement: every ``seg:`` record on the device must
-    be named by the ``segmanifest``, and every manifest entry must have a
-    record.  An orphan record is data a crashed (un-rolled-back) seal or
-    compaction left behind; a missing record means the manifest promises
-    state recovery cannot deliver.  ``repair`` deletes orphan records
+    """Segment-store agreement, as the store itself audits it
+    (:meth:`~repro.cba.segments.SegmentStore.audit`): every segment
+    record on the device must be named by the manifest, and every
+    manifest entry must have a record.  ``repair`` deletes orphan records
     (they are unreachable by construction — restore folds only what the
     manifest names)."""
     out: List[Finding] = []
     device = hacfs.fs.device
-    on_device = {key[4:] for key in device.record_keys()
-                 if key.startswith("seg:")}
-    try:
-        manifest = hacfs.meta.load_aux("segmanifest") or {}
-    except Exception:
-        manifest = {}
-    named = set(manifest.get("segments", ()))
-    for seg_id in sorted(on_device - named):
-        out.append(Finding("error", "orphan-segment", f"seg:{seg_id}",
-                           "segment record not named by the manifest"))
-        if repair:
-            device.delete_record(f"seg:{seg_id}")
-    for seg_id in sorted(named - on_device):
-        out.append(Finding("error", "missing-segment", f"seg:{seg_id}",
-                           "manifest names a segment with no record"))
+    for kind, key, detail in SegmentStore.audit(device):
+        out.append(Finding("error", kind, key, detail))
+        if repair and kind == "orphan-segment":
+            device.delete_record(key)
     return out
 
 
@@ -299,7 +288,7 @@ def _check_tenants(hacfs, repair: bool) -> List[Finding]:
     inside the declared budgets.  ``repair=True`` adopts the recount as the
     ledger (the recount is derived from the crash-consistent tree, so it
     wins every disagreement)."""
-    from repro.core.quota import recompute_usage
+    from repro.core.quota import RESOURCES, recompute_usage
 
     out: List[Finding] = []
     tenants = getattr(hacfs, "tenants", None)
@@ -321,11 +310,12 @@ def _check_tenants(hacfs, repair: bool) -> List[Finding]:
             if repair:
                 tenant.ledger.inodes = actual["inodes"]
                 tenant.ledger.bytes = actual["bytes"]
-        for resource in ("inodes", "bytes"):
+        measured = dict(actual, docs=hacfs.engine.scope_count(tenant.root))
+        for resource in RESOURCES:
             limit = tenant.ledger.spec.limit_of(resource)
-            if limit is not None and actual[resource] > limit:
+            if limit is not None and measured[resource] > limit:
                 out.append(Finding("warn", "tenant-over-quota", tenant.root,
-                                   f"{resource} usage {actual[resource]} "
+                                   f"{resource} usage {measured[resource]} "
                                    f"exceeds the budget {limit} (grew "
                                    f"outside the facade?)"))
     return out

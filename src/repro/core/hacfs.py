@@ -51,6 +51,7 @@ from repro.cba.glimpse import DEFAULT_NUM_BLOCKS
 from repro.cba.incremental import ReindexPlan
 from repro.cba.queryast import content_projection
 from repro.cba.queryparser import parse_query
+from repro.cba.segments import SegmentStore
 from repro.cba.transducers import default_transducer
 from repro.core.admission import AdmissionController
 from repro.core.consistency import ConsistencyManager
@@ -81,7 +82,7 @@ class HacFileSystem:
                  obs: Optional[Observability] = None,
                  backend=None):
         self._init_base(fs, clock, counters, obs)
-        self._init_components(GlobalDirectoryMap(), DependencyGraph())
+        self._init_components()
         # the engine seam: anything honouring the SearchBackend protocol
         # works here — ``backend="cluster:3"`` builds a sharded cluster,
         # for instance (the paper's CBA generality argument, §2.2)
@@ -116,14 +117,14 @@ class HacFileSystem:
                                tracer=self.obs.trace)
         self.last_recovery = None
 
-    def _init_components(self, dirmap: GlobalDirectoryMap,
-                         depgraph: DependencyGraph) -> None:
-        """Second half, shared with :meth:`restore`: every component that
-        hangs off the (fresh or reloaded) directory map and dependency
-        graph.  The engine is built afterwards by the caller, through the
+    def _init_components(self) -> None:
+        """Second half, shared with :meth:`restore`: an empty directory
+        map and dependency graph (a reopen fills them through
+        :meth:`reload_persisted`) and every component that hangs off
+        them.  The engine is built afterwards by the caller, through the
         backend factory — nothing here touches it at construction."""
-        self.dirmap = dirmap
-        self.depgraph = depgraph
+        self.dirmap = GlobalDirectoryMap()
+        self.depgraph = DependencyGraph()
         self.engine = None
         self.semmounts = SemanticMountTable(uid_of=self.dirmap.uid_of,
                                             path_of=self.dirmap.path_of)
@@ -246,16 +247,15 @@ class HacFileSystem:
     def _persist_maps(self) -> None:
         self.meta.flush_aux("globalmap",
                             {str(u): p for u, p in self.dirmap.items()})
-        self.meta.flush_aux("depgraph", self.depgraph.to_obj())
 
     def _planned_path(self, path: str) -> str:
         """Canonical path a not-yet-created entry will get (for intents)."""
-        norm = pathutil.normalize(path)
+        parent, name = pathutil.split(path)
         try:
-            parent = self._canonical_dir(pathutil.dirname(norm))
+            parent = self._canonical_dir(parent)
         except Exception:
-            return norm
-        return pathutil.join(parent, pathutil.basename(norm))
+            pass
+        return pathutil.join(parent, name)
 
     @contextmanager
     def _journaled(self, op: str, payload: Dict[str, object]):
@@ -298,15 +298,18 @@ class HacFileSystem:
             self.journal.commit(intent)
 
     def reload_persisted(self) -> None:
-        """Reload every persisted structure from the device records
-        (after an in-process rollback rewrote them)."""
-        raw_map = self.meta.load_aux("globalmap") or {"0": "/"}
-        self.dirmap.load_snapshot({int(u): p for u, p in raw_map.items()})
-        raw_graph = self.meta.load_aux("depgraph")
-        self.depgraph = (DependencyGraph.from_obj(raw_graph)
-                         if raw_graph else DependencyGraph())
-        self.depgraph.tracer = self.obs.trace
+        """Load the name space from the device records — the one loader
+        behind a reopen (:meth:`restore`) and an in-process rollback (which
+        just rewrote them): the global map and the per-directory states
+        are read, the dependency graph is derived from the two."""
         self.meta.reload_all()
+        queries = (self.meta.require(uid).query for uid in self.meta.uids())
+        raw_map = self.meta.load_aux("globalmap") or {"0": "/"}
+        self.dirmap.load_snapshot(
+            {int(u): p for u, p in raw_map.items()},
+            {ref for q in queries if q is not None for ref in q.dir_refs()})
+        self.depgraph = DependencyGraph.derive(self.dirmap, self.meta)
+        self.depgraph.tracer = self.obs.trace
         self._clear_attrs()
 
     def _library_resolve(self, path: str) -> str:
@@ -423,8 +426,8 @@ class HacFileSystem:
         if self.obs.trace.enabled:
             self.obs.trace.event("hac.unlink", path=path)
         res = self.fs.resolve(path, follow=False)
-        parent_dir = pathutil.dirname(pathutil.normalize(path))
-        name = pathutil.basename(pathutil.normalize(path))
+        norm = pathutil.normalize(path)
+        parent_dir, name = pathutil.split(norm)
         if isinstance(res.node, SymlinkNode):
             uid = self.dirmap.uid_of(self._canonical_dir(parent_dir))
             state = self.meta.get(uid) if uid is not None else None
@@ -439,13 +442,13 @@ class HacFileSystem:
                 self.consistency.on_scope_changed([uid], include_origins=True)
                 return
             self.fs.unlink(path)
-            self._invalidate_attrs(pathutil.normalize(path))
+            self._invalidate_attrs(norm)
             self.consistency.on_scope_changed(self._chain_uids(parent_dir))
             return
         key = (res.fs.fsid, res.node.ino) if isinstance(res.node, FileNode) \
             else None
         self.fs.unlink(path)
-        self._invalidate_attrs(pathutil.normalize(path))
+        self._invalidate_attrs(norm)
         # the index entry lingers until reindex (data inconsistency, §2.4) —
         # unless a watch covers the file, which withdraws it immediately
         if key is not None:
@@ -459,8 +462,7 @@ class HacFileSystem:
         if self.obs.trace.enabled:
             self.obs.trace.event("hac.symlink", target=target, link=linkpath)
         stat = self.fs.symlink(target, linkpath)
-        parent_dir = pathutil.dirname(pathutil.normalize(linkpath))
-        name = pathutil.basename(pathutil.normalize(linkpath))
+        parent_dir, name = pathutil.split(linkpath)
         uid = self.dirmap.uid_of(self._canonical_dir(parent_dir))
         state = self.meta.get(uid) if uid is not None else None
         if state is not None and state.is_semantic:
@@ -493,11 +495,10 @@ class HacFileSystem:
         res = self.fs.resolve(old, follow=False)
         moving_dir = res.node.is_dir
         old_canon = self._canonical_dir(old) if moving_dir else None
-        old_parent = pathutil.dirname(pathutil.normalize(old))
-        new_parent = pathutil.dirname(pathutil.normalize(new))
-        origins = self._chain_uids(old_parent)
-        payload = {"old": old_canon if moving_dir else pathutil.normalize(old),
-                   "new": self._planned_path(new), "dir": moving_dir}
+        old_norm, new_norm = pathutil.normalize(old), pathutil.normalize(new)
+        origins = self._chain_uids(pathutil.dirname(old_norm))
+        payload = {"old": old_canon if moving_dir else old_norm,
+                   "new": self._planned_path(new_norm), "dir": moving_dir}
         with self._journaled("rename", payload):
             self.fs.rename(old, new)
             if moving_dir:
@@ -517,14 +518,14 @@ class HacFileSystem:
                 if moved_uid is not None:
                     origins.append(moved_uid)
             else:
-                self._invalidate_attrs(pathutil.normalize(old))
-                self._invalidate_attrs(pathutil.normalize(new))
+                self._invalidate_attrs(old_norm)
+                self._invalidate_attrs(new_norm)
                 if isinstance(res.node, FileNode):
                     key = (res.fs.fsid, res.node.ino)
                     live = self.path_for_target(Target.local(*key))
                     if live is not None and not self.watches.on_file_moved(key, live):
                         self.maintenance.note_rename(key, live)
-            origins.extend(self._chain_uids(new_parent))
+            origins.extend(self._chain_uids(pathutil.dirname(new_norm)))
             self.consistency.on_scope_changed(origins)
 
     # -- pass-throughs with caching ------------------------------------------
@@ -637,29 +638,22 @@ class HacFileSystem:
                              if resolve_dir is not None
                              else self.dirmap.uid_of)
         with self._journaled("set_query", {"path": canon, "query": query}):
-            if query is None:
+            # validate/settle reference edges first: a cycle must leave the
+            # old query fully intact
+            self.depgraph.set_reference_edges(
+                uid, () if ast is None else ast.dir_refs())
+            if ast is None:
                 # detach: drop transient links, keep permanent/prohibited
                 for name in list(state.links.transient):
                     entry = pathutil.join(canon, name)
                     if self.fs.islink(entry):
                         self.fs.unlink(entry)
                     state.links.forget(name)
-                state.query = None
-                state.query_text = None
                 state.result_cache = state.result_cache.__class__()
-                self.depgraph.set_reference_edges(uid, [])
-                self.meta.flush(uid)
-                self._persist_maps()
-                self.consistency.on_scope_changed([uid])
-                return
-            # validate/settle reference edges first: a cycle must leave the
-            # old query fully intact
-            self.depgraph.set_reference_edges(uid, set(ast.dir_refs()))
-            state.query = ast
-            state.query_text = query
+            state.query, state.query_text = ast, query
             self.meta.flush(uid)
-            self._persist_maps()
-            self.consistency.on_scope_changed([uid], include_origins=True)
+            self.consistency.on_scope_changed([uid],
+                                              include_origins=ast is not None)
 
     def get_query(self, path: str) -> Optional[str]:
         """The directory's query, rendered with *current* directory paths —
@@ -807,8 +801,7 @@ class HacFileSystem:
 
     def classify(self, link_path: str) -> Optional[str]:
         """'permanent' | 'transient' | None for one directory entry."""
-        parent = pathutil.dirname(pathutil.normalize(link_path))
-        name = pathutil.basename(pathutil.normalize(link_path))
+        parent, name = pathutil.split(link_path)
         _uid, state = self._state_of(parent)
         if name in state.links.permanent:
             return "permanent"
@@ -826,8 +819,7 @@ class HacFileSystem:
         soak caught the un-journaled version persisting "permanent" in
         memory only, which a later crash silently demoted.
         """
-        parent = pathutil.dirname(pathutil.normalize(link_path))
-        name = pathutil.basename(pathutil.normalize(link_path))
+        parent, name = pathutil.split(link_path)
         uid, state = self._state_of(parent)
         if name not in state.links.transient:
             raise InvalidArgument(link_path, "not a transient link")
@@ -853,8 +845,7 @@ class HacFileSystem:
     def sact(self, link_path: str) -> List[str]:
         """Extract the query-matching lines of a link's file (§4's ``sact``)."""
         self._hac.add("sact")
-        parent = pathutil.dirname(pathutil.normalize(link_path))
-        name = pathutil.basename(pathutil.normalize(link_path))
+        parent, name = pathutil.split(link_path)
         _uid, state = self._state_of(parent)
         if not state.is_semantic:
             raise NotASemanticDirectory(parent)
@@ -938,51 +929,20 @@ class HacFileSystem:
 
     def _persist_segments(self, force_seal: bool = False,
                           force_compact: bool = False) -> None:
-        """Seal/compact the engine's segment store and sync it to disk.
-
-        MUST run inside an open journal intent: segment records and the
-        manifest are written (and compacted-away records deleted) under
-        the intent's pre-image capture, so a crash at any device write
-        rolls the whole segment list back to its pre-intent state.  The
-        scheduler calls this from every ``sched_batch`` drain
-        (threshold-policed); ``reindex`` forces a full seal + merge —
-        reindex *is* compaction in the segmented design.  Engines
-        without a store (clusters, segments-off) make this a no-op.
-        """
+        """Seal/compact the engine's segment store and sync it to disk
+        (:meth:`~repro.cba.segments.SegmentStore.sync`).  MUST run inside
+        an open journal intent: the store's record writes and deletes are
+        then pre-imaged, so a crash at any of them rolls the whole segment
+        list back.  The scheduler calls this from every ``sched_batch``
+        drain (threshold-policed); ``reindex`` forces a full seal + merge
+        — reindex *is* compaction in the segmented design.  Engines
+        without a store (clusters, segments-off) make this a no-op."""
         store = getattr(self.engine, "segments", None)
-        if store is None:
-            return
-        from repro.util import serialization
-
-        device = self.fs.device
-        changed = False
-        if force_seal or store.should_seal:
-            with self.obs.trace.span("cba.seal", rows=len(store.memtable)):
-                changed = store.seal() is not None or changed
-        if force_compact or store.should_compact:
-            with self.obs.trace.span("cba.compact",
-                                     segments=len(store.frozen)):
-                changed = store.compact() is not None or changed
-        # on-device truth, not the in-memory set: a soft-failure rollback
-        # can restore records underneath us, and re-deriving what needs
-        # writing from record_keys() self-heals that divergence
-        on_device = {key[4:] for key in device.record_keys()
-                     if key.startswith("seg:")}
-        live = {seg.seg_id for seg in store.frozen}
-        for seg in store.frozen:
-            if seg.seg_id not in on_device:
-                device.write_record(f"seg:{seg.seg_id}",
-                                    serialization.dumps(seg.to_obj()))
-                changed = True
-        for seg_id in sorted(on_device - live):
-            device.delete_record(f"seg:{seg_id}")
-            changed = True
-        store.persisted = live
-        if changed:
-            manifest = dict(store.to_manifest())
-            manifest["next"] = getattr(self.engine, "_next_doc_id", 0)
-            manifest["num_blocks"] = self.engine.num_blocks
-            self.meta.flush_aux("segmanifest", manifest)
+        if store is not None:
+            store.sync(self.fs.device,
+                       getattr(self.engine, "_next_doc_id", 0),
+                       self.obs.trace,
+                       force_seal=force_seal, force_compact=force_compact)
 
     def reindex(self, path: str = "/") -> ReindexPlan:
         """Reindex the files under *path* (crossing syntactic mounts)."""
@@ -1009,15 +969,6 @@ class HacFileSystem:
                 previous[key] = mtime
         with self._journaled("reindex", {"path": canon}):
             plan = self.engine.reindex(current, previous=previous)
-            # persist the compact file table (the paper's "compact
-            # representation of the list of all file names") so the index maps
-            # back to names after a crash; part of HAC's on-disk footprint
-            self.meta.flush_aux("filetable", {
-                str(doc.doc_id): [doc.path, doc.mtime]
-                for doc in (self.engine.doc_by_id(d)
-                            for d in self.engine.all_docs())
-                if doc is not None
-            })
             # reindex-as-merge: everything the reindex noted is sealed and
             # the frozen list folded to one segment, inside this intent
             self._persist_segments(force_seal=True, force_compact=True)
@@ -1159,13 +1110,8 @@ class HacFileSystem:
             pending = recover_records(hacfs.journal, report)
             span.set(rolled_back=len(pending))
         hacfs.last_recovery = report
-        raw_map = hacfs.meta.load_aux("globalmap") or {"0": "/"}
-        raw_graph = hacfs.meta.load_aux("depgraph")
-        hacfs._init_components(
-            GlobalDirectoryMap.restore({int(u): p for u, p in raw_map.items()}),
-            DependencyGraph.from_obj(raw_graph) if raw_graph
-            else DependencyGraph())
-        hacfs.meta.reload_all()
+        hacfs._init_components()
+        hacfs.reload_persisted()
         # tree-level undo needs map + states loaded, but not the engine
         undo_tree(hacfs, pending, report)
         restore_stats = hacfs.counters.scoped("restore")
@@ -1188,7 +1134,8 @@ class HacFileSystem:
             hacfs.engine = factory.from_obj(saved, **site)
             restore_stats.add("index_restored")
         elif (reuse_index and factory.folds_segments
-              and (folded := cls._load_segments(hacfs)) is not None):
+              and (folded := SegmentStore.load(fs.device, hacfs.counters))
+              is not None):
             store, next_doc = folded
             hacfs.engine = factory.from_segments(
                 store, next_doc_id=next_doc, num_blocks=num_blocks, **site)
@@ -1202,34 +1149,3 @@ class HacFileSystem:
         # a saved index makes this incremental (Θ(changes), not Θ(corpus))
         hacfs.ssync("/")
         return hacfs
-
-    @staticmethod
-    def _load_segments(hacfs: "HacFileSystem"):
-        """Load the persisted segment list as ``(store, next doc id)``, or
-        ``None`` when there is no usable manifest.  A manifest naming a
-        missing segment record is treated as unusable (counted, rebuild
-        takes over) — recovery has already rolled incomplete intents back,
-        so this only happens when records were lost outside any journaled
-        write.  An unreadable segment raises
-        :class:`~repro.errors.CorruptRecord`, the same
-        acknowledge-your-data-loss contract as ``cbaindex``."""
-        from repro.cba.segments import Segment, SegmentStore
-
-        restore_stats = hacfs.counters.scoped("restore")
-        try:
-            manifest = hacfs.meta.load_aux("segmanifest")
-            if not manifest:
-                return None
-            segments = []
-            for seg_id in manifest.get("segments", ()):
-                raw = hacfs.meta.load_aux(f"seg:{seg_id}")
-                if raw is None:
-                    restore_stats.add("segment_missing")
-                    return None
-                segments.append(Segment.from_obj(raw))
-        except CorruptRecord:
-            restore_stats.add("segment_corrupt")
-            raise
-        store = SegmentStore(counters=hacfs.counters)
-        store.load_frozen(manifest, segments)
-        return store, int(manifest.get("next", 0))

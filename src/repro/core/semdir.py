@@ -7,6 +7,8 @@ link sets; records the directory in the global map; and adds an empty node
 to the dependency graph — all persisted to disk.  We reproduce that
 faithfully: **every** directory gets a :class:`SemanticDirState`; a
 directory is "semantic" exactly when a query has been attached to it.
+(The graph alone is not persisted: it is derived from the other two on
+load, :meth:`~repro.core.depgraph.DependencyGraph.derive`.)
 
 :class:`MetaStore` persists each state record write-through onto the
 simulated block device using the record codec, so the Makedir/Copy overheads
@@ -90,8 +92,8 @@ class MetaStore:
 
     Records:
       * ``semdir:<uid>`` — one per directory;
-      * ``globalmap`` — the UID ↔ path table;
-      * ``depgraph`` — dependency edges.
+      * their owners' auxiliary records (:meth:`flush_aux`) —
+        ``globalmap`` (the UID ↔ path table), ``engineconf``, ``tenants``.
 
     The in-memory copy is authoritative during a run; the store exists to
     (a) charge honest I/O for every state mutation and (b) support
@@ -133,7 +135,7 @@ class MetaStore:
                                  serialization.dumps(state.to_obj()))
 
     def flush_aux(self, name: str, obj) -> None:
-        """Persist an auxiliary structure (global map, dependency graph)."""
+        """Persist an auxiliary structure (global map, tenant table)."""
         self.device.write_record(name, serialization.dumps(obj))
 
     def load_aux(self, name: str):

@@ -95,6 +95,10 @@ class TenantManager:
                                    {"tenant": name, "root": root}):
             self.hacfs.makedirs(root)
             tenant = self._attach(name, spec)
+            # always index-fresh on its own writes: the root watch makes
+            # every mutation enqueue (so it counts against the doc budget
+            # and lands in the tenant's fair-share bucket) right away
+            self.hacfs.watch(root)
             self._persist()
         return tenant
 
@@ -157,11 +161,6 @@ class TenantManager:
         tenant = Tenant(self, name, spec)
         self._tenants[name] = tenant
         self.hacfs.maintenance.register_tenant(name, spec.weight)
-        # a tenant namespace is always index-fresh on its own writes: the
-        # watch makes every mutation enqueue (and thus count against the
-        # doc budget and land in the tenant's fair-share bucket) instead
-        # of waiting for a whole-tree ssync
-        self.hacfs.watch(tenant.root)
         return tenant
 
     def _persist(self) -> None:
@@ -172,7 +171,8 @@ class TenantManager:
 
     def reload(self) -> int:
         """Re-attach every persisted tenant (the restore path); usage is
-        recounted from the live tree, which recovery already healed."""
+        recounted from the live tree, which recovery already healed.  Root
+        watches are only registered: ``restore``'s one ``ssync("/")`` syncs."""
         raw = self.hacfs.meta.load_aux(TENANTS_RECORD) or {}
         for name in sorted(raw):
             if name in self._tenants:
@@ -180,6 +180,7 @@ class TenantManager:
             spec = QuotaSpec.from_obj(raw[name].get("quota", {}))
             tenant = self._attach(name, spec)
             if self.hacfs.fs.isdir(tenant.root):
+                self.hacfs.watches.register(tenant.root)
                 tenant.recount()
         return len(self._tenants)
 
@@ -490,8 +491,11 @@ class Tenant:
             return self._rel(host_root) or host_root
 
     def unwatch(self, path: str = "/") -> bool:
+        host = self._hacfs.watches.root_named(self._host(path))
+        if host == self.root:
+            raise InvalidArgument(path, "cannot lift the tenant root watch")
         with self._op("unwatch", path=path):
-            return self._hacfs.unwatch(self._host(path))
+            return self._hacfs.unwatch(host)
 
     def barrier(self) -> int:
         """Drain only this tenant's pending maintenance (fair-share: a

@@ -15,8 +15,9 @@ freshness, quantified by ``benchmarks/bench_ablation_watch.py``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, TYPE_CHECKING
+from typing import List, Set, TYPE_CHECKING
 
+from repro.errors import VfsError
 from repro.util import pathutil
 from repro.vfs.inode import FileNode
 
@@ -36,20 +37,34 @@ class WatchManager:
     # registration
     # ------------------------------------------------------------------
 
-    def add(self, path: str) -> str:
-        """Watch the subtree at *path*; returns the normalised root.
-
-        Adding a watch first syncs the subtree, so the eager guarantee
-        ("results reflect every write") holds from this moment on.
-        """
+    def register(self, path: str) -> str:
+        """Cover the subtree at *path* from now on; returns the canonical
+        root.  The caller owes a sync covering the files already there
+        (:meth:`add` runs one; ``restore`` ends in a whole-tree one)."""
         root = self.hacfs._canonical_dir(path)
         self._roots.add(root)
-        self.hacfs.ssync(root)
         self._stats.add("added")
         return root
 
+    def add(self, path: str) -> str:
+        """Watch the subtree at *path*, syncing it first so the eager
+        guarantee ("results reflect every write") holds from now on;
+        returns the canonical root."""
+        root = self.register(path)
+        self.hacfs.ssync(root)
+        return root
+
+    def root_named(self, path: str) -> str:
+        """The root a watch on *path* is registered under: its canonical
+        directory, whatever name (a symlink, say) asks for it — a
+        directory that is gone has only its name."""
+        try:
+            return self.hacfs._canonical_dir(path)
+        except VfsError:
+            return pathutil.normalize(path)
+
     def remove(self, path: str) -> bool:
-        root = pathutil.normalize(path)
+        root = self.root_named(path)
         if root in self._roots:
             self._roots.discard(root)
             self._stats.add("removed")

@@ -16,19 +16,9 @@ whole subtree in :meth:`rename_subtree`.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.util import pathutil
-
-
-class UidAllocator:
-    """Monotonic allocator for directory UIDs (never reused)."""
-
-    def __init__(self, start: int = 1):
-        self._counter = itertools.count(start)
-
-    def allocate(self) -> int:
-        return next(self._counter)
 
 
 class GlobalDirectoryMap:
@@ -40,7 +30,8 @@ class GlobalDirectoryMap:
     ROOT_UID = 0
 
     def __init__(self):
-        self._alloc = UidAllocator(start=1)
+        #: the next fresh UID — monotonic, none is ever handed out twice
+        self._fresh = itertools.count(1)
         self._uid_to_path: Dict[int, str] = {self.ROOT_UID: "/"}
         self._path_to_uid: Dict[str, int] = {"/": self.ROOT_UID}
 
@@ -51,7 +42,7 @@ class GlobalDirectoryMap:
         norm = pathutil.normalize(path)
         if norm in self._path_to_uid:
             raise ValueError(f"path already registered: {norm}")
-        uid = self._alloc.allocate()
+        uid = next(self._fresh)
         self._uid_to_path[uid] = norm
         self._path_to_uid[norm] = uid
         return uid
@@ -121,26 +112,22 @@ class GlobalDirectoryMap:
 
     # -- persistence ----------------------------------------------------------
 
-    def snapshot(self) -> Dict[int, str]:
-        """A copy of the UID→path table, for the MetaStore."""
-        return dict(self._uid_to_path)
-
-    def load_snapshot(self, snapshot: Dict[int, str]) -> None:
+    def load_snapshot(self, snapshot: Dict[int, str],
+                      named: Iterable[int]) -> None:
         """Replace the whole table *in place* (rollback/recovery reload).
 
         In place matters: other components hold this map's bound methods
         (``uid_of``/``path_of``), so recovery must mutate the live object
         rather than swap in a new one.
+
+        A removed directory's UID lives on in the queries that *named*
+        it and must keep meaning "gone": the allocator restarts above
+        those too, so no reload hands one out again.
         """
         self._uid_to_path = dict(snapshot)
         self._path_to_uid = {p: u for u, p in snapshot.items()}
         if self.ROOT_UID not in self._uid_to_path:
             self._uid_to_path[self.ROOT_UID] = "/"
             self._path_to_uid["/"] = self.ROOT_UID
-        self._alloc = UidAllocator(start=max(self._uid_to_path) + 1)
-
-    @classmethod
-    def restore(cls, snapshot: Dict[int, str]) -> "GlobalDirectoryMap":
-        gm = cls()
-        gm.load_snapshot(snapshot)
-        return gm
+        self._fresh = itertools.count(
+            max(max(self._uid_to_path), max(named, default=0)) + 1)

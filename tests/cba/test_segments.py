@@ -12,7 +12,11 @@ from repro.cba.segments import (
     _coalesce,
 )
 from repro.cba.transducers import default_transducer
+from repro.errors import CorruptRecord
+from repro.obs.trace import NULL_TRACER
+from repro.util import serialization
 from repro.util.stats import Counters
+from repro.vfs.blockdev import BlockDevice
 
 
 def row(kind, doc_id, key, path="/f", mtime=1.0, terms=None, text=None):
@@ -154,16 +158,14 @@ class TestSegmentStore:
     def test_manifest_roundtrip(self):
         store = SegmentStore()
         store.note("index", 1, ("f", 1), "/a", 1.0, {"x"}, "x")
-        store.seal()
-        manifest = store.to_manifest()
-        assert manifest["segments"] == ["s000000"]
-        revived = SegmentStore()
-        revived.load_frozen(manifest,
-                            [Segment.from_obj(s.to_obj())
-                             for s in store.frozen])
+        dev = BlockDevice()
+        store.sync(dev, 2, NULL_TRACER, force_seal=True)
+        assert sorted(dev.record_keys()) == ["seg:s000000", "segmanifest"]
+        revived, next_doc_id = SegmentStore.load(dev, Counters())
+        assert next_doc_id == 2
+        assert [seg.seg_id for seg in revived.frozen] == ["s000000"]
         assert revived.live_rows().keys() == store.live_rows().keys()
         assert revived._next_seg == store._next_seg
-        assert revived.persisted == {"s000000"}
 
     def test_seed_base_prepends(self):
         store = SegmentStore()
@@ -178,6 +180,96 @@ class TestSegmentStore:
         store.seed_base({})                  # empty: no-op
         assert len(store.frozen) == 2
         assert "memtable" in repr(store)
+
+
+class TestDeviceRecords:
+    """``sync`` / ``load`` / ``audit`` over a bare device: the store owns
+    the ``seg:`` and manifest formats, the caller only supplies where."""
+
+    def sealed(self, n=2, counters=None):
+        store = SegmentStore(counters=counters)
+        dev = BlockDevice()
+        for i in range(n):
+            store.note("index", i, ("f", i), f"/d{i}", 1.0, {f"t{i}"}, "x")
+            store.sync(dev, i + 1, NULL_TRACER, force_seal=True)
+        return store, dev
+
+    def test_sync_policy_is_the_stores_own(self):
+        store = SegmentStore(seal_threshold=2, compact_threshold=2)
+        dev = BlockDevice()
+        store.note("index", 0, ("f", 0), "/a", 1.0, {"x"}, "x")
+        store.sync(dev, 1, NULL_TRACER)
+        assert dev.record_keys() == []           # below the seal threshold
+        store.note("index", 1, ("f", 1), "/b", 1.0, {"y"}, "y")
+        store.sync(dev, 2, NULL_TRACER)
+        assert sorted(dev.record_keys()) == ["seg:s000000", "segmanifest"]
+        store.note("index", 2, ("f", 2), "/c", 1.0, {"z"}, "z")
+        store.sync(dev, 3, NULL_TRACER, force_seal=True)
+        assert len(store.frozen) == 2            # at the compact threshold
+        store.note("index", 3, ("f", 3), "/d", 1.0, {"w"}, "w")
+        store.sync(dev, 4, NULL_TRACER, force_seal=True)
+        # past it: folded to one segment, the merged-away records deleted
+        assert sorted(dev.record_keys()) == ["seg:s000003", "segmanifest"]
+        assert SegmentStore.audit(dev) == []
+
+    def test_sync_with_nothing_to_do_writes_nothing(self):
+        store, dev = self.sealed()
+        before = dev.record_write_index
+        store.sync(dev, 2, NULL_TRACER)
+        assert dev.record_write_index == before
+
+    def test_the_store_keeps_no_device(self):
+        store, dev = self.sealed()
+        assert dev not in vars(store).values()
+
+    def test_load_without_a_manifest(self):
+        assert SegmentStore.load(BlockDevice(), Counters()) is None
+
+    def test_missing_segment_is_unusable_and_counted(self):
+        _store, dev = self.sealed()
+        dev.delete_record("seg:s000001")
+        counters = Counters()
+        assert SegmentStore.load(dev, counters) is None
+        assert counters.get("restore.segment_missing") == 1
+        assert [(kind, key) for kind, key, _d in SegmentStore.audit(dev)] \
+            == [("missing-segment", "seg:s000001")]
+
+    def test_corrupt_segment_raises(self):
+        _store, dev = self.sealed()
+        dev.corrupt_record("seg:s000000")
+        counters = Counters()
+        with pytest.raises(CorruptRecord):
+            SegmentStore.load(dev, counters)
+        assert counters.get("restore.segment_corrupt") == 1
+
+    def test_orphan_is_an_audit_finding_and_sync_deletes_it(self):
+        store, dev = self.sealed()
+        dev.write_record("seg:zz9999", serialization.dumps(["bogus"]))
+        assert [(kind, key) for kind, key, _d in SegmentStore.audit(dev)] \
+            == [("orphan-segment", "seg:zz9999")]
+        store.sync(dev, 2, NULL_TRACER)
+        assert "seg:zz9999" not in dev.record_keys()
+        assert SegmentStore.audit(dev) == []
+
+    def test_sync_heals_a_rollback_underneath_the_store(self):
+        """A soft-failure rollback restores the device to its pre-intent
+        records while the store has already compacted in memory: the
+        merged record vanishes, the merged-away ones reappear.  The next
+        sync re-derives what to write from the device and converges."""
+        store, dev = self.sealed()
+        before = {key: dev.read_record(key) for key in dev.record_keys()}
+        store.sync(dev, 2, NULL_TRACER, force_compact=True)
+        assert sorted(dev.record_keys()) == ["seg:s000002", "segmanifest"]
+        for key in dev.record_keys():            # the rollback
+            dev.delete_record(key)
+        for key, data in before.items():
+            dev.write_record(key, data)
+        assert SegmentStore.audit(dev) == []     # consistent, but stale
+        store.sync(dev, 2, NULL_TRACER)
+        assert sorted(dev.record_keys()) == ["seg:s000002", "segmanifest"]
+        revived, _next = SegmentStore.load(dev, Counters())
+        assert revived.live_rows() == {
+            key: r._replace(text=None) for key, r in store.live_rows().items()}
 
 
 def build_engine(segmented=True):

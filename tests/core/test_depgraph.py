@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import DependencyCycle
+from repro.cba.queryast import And, DirRef, Term
 from repro.core.depgraph import ROOT_UID, DependencyGraph
+from repro.core.semdir import MetaStore
+from repro.util.idmap import GlobalDirectoryMap
+from repro.vfs.blockdev import BlockDevice
+
+from tests.properties.derived import graph_shape
 
 
 @pytest.fixture
@@ -137,10 +143,68 @@ class TestOrdering:
         assert graph.affected_order(4) == []
 
 
-class TestPersistence:
-    def test_obj_roundtrip(self, graph):
+class TestDerive:
+    """The graph is never persisted: a load derives it from the global
+    map (hierarchy edges) and the directories' queries (reference
+    edges)."""
+
+    @pytest.fixture
+    def namespace(self):
+        """The fixture graph's tree as the two primary structures:
+        /d1, /d2, /d1/d3, /d1/d3/d4 registered in uid order."""
+        dirmap = GlobalDirectoryMap()
+        for path in ("/d1", "/d2", "/d1/d3", "/d1/d3/d4"):
+            dirmap.register(path)
+        meta = MetaStore(BlockDevice())
+        for uid in dirmap.uids():
+            meta.create(uid)
+        return dirmap, meta
+
+    def test_derive_roundtrip(self, graph, namespace):
+        dirmap, meta = namespace
         graph.set_reference_edges(2, [4])
-        restored = DependencyGraph.from_obj(graph.to_obj())
-        assert restored.providers_of(2) == graph.providers_of(2)
-        assert restored.full_order() == graph.full_order()
-        assert restored.dependents_of(3) == graph.dependents_of(3)
+        meta.require(2).query = And([Term("x"), DirRef(4)])
+        derived = DependencyGraph.derive(dirmap, meta)
+        assert graph_shape(derived) == graph_shape(graph)
+        assert derived.full_order() == graph.full_order()
+
+    def test_dangling_and_root_references_add_no_edge(self, namespace):
+        dirmap, meta = namespace
+        meta.require(2).query = And([DirRef(999), DirRef(ROOT_UID)])
+        derived = DependencyGraph.derive(dirmap, meta)
+        assert derived.providers_of(2) == {ROOT_UID: "hierarchy"}
+
+    def test_unregistered_parent_leaves_no_hierarchy_edge(self):
+        dirmap = GlobalDirectoryMap()
+        uid = dirmap.register("/gone/child")
+        derived = DependencyGraph.derive(dirmap, MetaStore(BlockDevice()))
+        assert uid in derived and derived.hierarchy_parent(uid) is None
+
+    def test_persisted_cycle_raises(self, namespace):
+        dirmap, meta = namespace
+        meta.require(1).query = DirRef(4)    # 4 sits under 3 under 1
+        with pytest.raises(DependencyCycle):
+            DependencyGraph.derive(dirmap, meta)
+        meta.require(1).query = DirRef(1)
+        with pytest.raises(DependencyCycle):
+            DependencyGraph.derive(dirmap, meta)
+
+
+class TestParentAlsoReferenced:
+    """A query may name the directory's own parent: the pair then carries
+    both edge kinds, and neither edit disturbs the other."""
+
+    def test_reference_to_parent_keeps_the_hierarchy_edge(self, graph):
+        graph.set_reference_edges(3, [1])
+        assert graph.hierarchy_parent(3) == 1
+        graph.set_reference_edges(3, [])
+        assert graph.hierarchy_parent(3) == 1
+        assert 3 in graph.dependents_of(1)
+
+    def test_moving_away_keeps_the_reference_edge(self, graph):
+        graph.set_reference_edges(3, [2])
+        graph.set_hierarchy_edge(3, 2)       # moved under what it names
+        graph.set_hierarchy_edge(3, 1)       # and back out
+        assert graph.providers_of(3) == {1: "hierarchy", 2: "reference"}
+        assert 3 in graph.dependents_of(2)
+        assert graph.affected_order(2) == [3, 4]

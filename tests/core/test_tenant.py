@@ -133,6 +133,29 @@ class TestQuotas:
             t.write_file("/c.txt", b"fingerprint three")
         assert exc.value.resource == "docs"
 
+    def test_root_watch_cannot_be_lifted(self, hac):
+        """The root watch is what makes every write count: without it the
+        doc budget only sees the index, which un-watched writes never
+        reach until an ``ssync`` lands them all at once."""
+        t = hac.tenants.create("a", quota=QuotaSpec(max_docs=3))
+        t.write_file("/f0.txt", b"alpha 0")
+        t.write_file("/f1.txt", b"alpha 1")
+        t.symlink("/", "/lnk")
+        for name in ("/", "/lnk"):
+            with pytest.raises(InvalidArgument):
+                t.unwatch(name)
+        assert hac.watches.roots() == [t.root]
+        t.write_file("/f2.txt", b"alpha 2")
+        with pytest.raises(QuotaExceeded) as exc:
+            t.write_file("/f3.txt", b"alpha 3")
+        assert exc.value.resource == "docs"
+        t.ssync("/")
+        assert hac.engine.scope_count(t.root) == 3
+        # watches below the root still come and go
+        t.mkdir("/sub")
+        assert t.watch("/sub") == "/sub"
+        assert t.unwatch("/sub") is True
+
     def test_recompute_matches_the_charged_ledger(self, hac, acme):
         acme.makedirs("/a/b")
         acme.write_file("/a/b/f.txt", b"fingerprint data")
@@ -441,3 +464,13 @@ class TestFsck:
         assert [f for f in hac.fsck()
                 if f.kind == "tenant-usage-drift"] == []
         assert acme.ledger.usage()["inodes"] == 1
+
+    def test_index_past_the_doc_budget_is_over_quota(self, hac):
+        t = hac.tenants.create("a", quota=QuotaSpec(max_docs=3))
+        for i in range(5):
+            hac.write_file(f"/tenants/a/f{i}.txt", b"alpha %d" % i)
+        hac.maintenance.barrier()
+        assert hac.engine.scope_count(t.root) == 5
+        over = [f for f in hac.fsck() if f.kind == "tenant-over-quota"]
+        assert len(over) == 1 and over[0].severity == "warn"
+        assert "docs usage 5 exceeds the budget 3" in over[0].detail

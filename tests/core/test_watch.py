@@ -23,6 +23,27 @@ class TestWatchRegistration:
         assert populated.unwatch("/mail") is False
         assert populated.watches.roots() == []
 
+    def test_remove_through_a_symlink(self, populated):
+        populated.symlink("/mail", "/lnk")
+        assert populated.watch("/lnk") == "/mail"
+        assert populated.unwatch("/lnk") is True
+        assert populated.watches.roots() == []
+
+    def test_remove_after_the_directory_is_gone(self, populated):
+        populated.mkdir("/tmp")
+        populated.watch("/tmp")
+        populated.rmdir("/tmp")
+        assert populated.unwatch("/tmp") is True
+        assert populated.watches.roots() == []
+
+    def test_register_covers_without_syncing(self, populated):
+        populated.write_file("/mail/pre.txt", b"fingerprint before watch")
+        populated.clock.tick()
+        before = populated.counters.get("hac.reindex")
+        assert populated.watches.register("/mail") == "/mail"
+        assert populated.counters.get("hac.reindex") == before
+        assert populated.watches.covers("/mail/pre.txt")
+
     def test_covers(self, populated):
         populated.watch("/mail")
         assert populated.watches.covers("/mail/x.txt")

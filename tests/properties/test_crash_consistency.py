@@ -31,6 +31,8 @@ from repro.core.hacfs import HacFileSystem
 from repro.obs import Observability
 from repro.vfs.blockdev import FaultPlan
 
+from tests.properties.derived import assert_graph_is_derived, graph_shape
+
 SEED = int(os.environ.get("CRASH_SWEEP_SEED", "0"))
 
 
@@ -154,13 +156,16 @@ OPERATIONS = {
 }
 
 
-def _writes_used(op_name) -> int:
-    """Dry run: how many record writes the operation performs."""
+def _dry_run(op_name):
+    """Fault-free run: how many record writes the operation performs, and
+    the dependency graph the world maintains without and with it."""
     mutate, _state = OPERATIONS[op_name]
     hac = build_world()
+    graphs = {"absent": graph_shape(hac.depgraph)}
     start = hac.fs.device.record_write_index
     mutate(hac)
-    return hac.fs.device.record_write_index - start
+    graphs["applied"] = graph_shape(hac.depgraph)
+    return hac.fs.device.record_write_index - start, graphs
 
 
 def _assert_rollbacks_correlate(op_name, offset, crashed, recovery_obs,
@@ -188,7 +193,7 @@ def _assert_rollbacks_correlate(op_name, offset, crashed, recovery_obs,
 @pytest.mark.parametrize("op_name", sorted(OPERATIONS))
 def test_crash_sweep(op_name):
     mutate, state_of = OPERATIONS[op_name]
-    n_writes = _writes_used(op_name)
+    n_writes, graphs = _dry_run(op_name)
     assert n_writes > 0, f"{op_name} is not journaled (no record writes)"
     rollbacks_seen = 0
     for offset in range(n_writes):
@@ -208,6 +213,11 @@ def test_crash_sweep(op_name):
         assert errors == [], (op_name, offset, [str(f) for f in errors])
         state = state_of(restored)
         assert state != "partial", (op_name, offset)
+        # the graph is derived on reopen, never read back: it must be the
+        # one a world that never crashed maintains in the same state
+        assert graph_shape(restored.depgraph) == graphs[state], \
+            (op_name, offset, state)
+        assert_graph_is_derived(restored, (op_name, offset))
         _assert_rollbacks_correlate(op_name, offset, hac, recovery_obs,
                                     restored.last_recovery)
         rollbacks_seen += len(restored.last_recovery.rolled_back)
@@ -221,7 +231,7 @@ def test_tear_sweep(op_name):
     """Torn-write variant: the crashing write persists garbage; recovery
     must detect it (checksums) and heal it from the journal."""
     mutate, state_of = OPERATIONS[op_name]
-    n_writes = _writes_used(op_name)
+    n_writes, _graphs = _dry_run(op_name)
     for offset in range(n_writes):
         hac = build_world()
         dev = hac.fs.device

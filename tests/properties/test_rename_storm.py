@@ -166,3 +166,89 @@ def test_rename_storm_never_serves_stale(seed: int = BASE_SEED):
 @pytest.mark.parametrize("seed", [BASE_SEED + 1, BASE_SEED + 2])
 def test_rename_storm_more_seeds(seed):
     test_rename_storm_never_serves_stale(seed)
+
+
+# ----------------------------------------------------------------------
+# the same storm one layer up: the dependency graph stays derivable
+# ----------------------------------------------------------------------
+
+def build_hac():
+    from repro.core.hacfs import HacFileSystem
+
+    hac = HacFileSystem()
+    for top in TOP:
+        hac.mkdir(top)
+        for mid in MIDS:
+            hac.mkdir(f"{top}/{mid}")
+            hac.write_file(f"{top}/{mid}/f.txt", b"alpha data")
+    hac.ssync("/")
+    return hac
+
+
+@pytest.mark.parametrize("seed", [BASE_SEED, BASE_SEED + 1])
+def test_storm_keeps_the_graph_derived(seed):
+    """Directory moves (under older and younger directories alike),
+    queries naming random directories (some rejected as cycles and rolled
+    back), detaches, removals of referenced directories, a mount and its
+    unmount, and a tenant resolving references in its own name space:
+    after **every** step, accepted or refused, the graph HAC maintains is
+    the graph its map and queries imply, and fsck agrees."""
+    from repro.errors import ReproError
+    from tests.properties.derived import assert_graph_is_derived
+
+    rng = random.Random(seed)
+    hac = build_hac()
+    tenant = hac.tenants.create("t")
+    tenant.mkdir("/src")
+    tenant.write_file("/src/x.txt", b"alpha tenant")
+    subfs = FileSystem(name="storm-sub")
+    subfs.mkdir("/inner")
+    subfs.write_file("/inner/i.txt", b"alpha mounted")
+    mounted_at = None
+    refused = 0
+
+    for step in range(120):
+        dirs = sorted(p for _uid, p in hac.dirmap.items()
+                      if p != "/" and not p.startswith("/tenants"))
+        semantic = [p for p in hac.semantic_dirs()
+                    if not p.startswith("/tenants")]
+        naming = " OR ".join(rng.sample(dirs, rng.randint(1, 2)))
+        r = rng.random()
+        try:
+            if r < 0.30:
+                src = rng.choice(dirs)
+                dst = (rng.choice(dirs + ["/"]).rstrip("/")) + f"/r{step}"
+                if src == mounted_at:
+                    continue
+                hac.rename(src, dst)
+            elif r < 0.50:
+                parent = rng.choice(dirs + ["/"]).rstrip("/")
+                hac.smkdir(f"{parent}/q{step}", f"alpha AND ({naming})")
+            elif r < 0.65 and semantic:
+                hac.set_query(rng.choice(semantic), f"alpha AND ({naming})")
+            elif r < 0.70 and semantic:
+                hac.set_query(rng.choice(semantic), None)
+            elif r < 0.82:
+                victim = rng.choice(dirs)
+                if victim != mounted_at:
+                    hac.rmdir(victim)
+            elif r < 0.88 and mounted_at is None:
+                cover = f"/mnt{step}"
+                hac.mkdir(cover)
+                hac.mount(cover, subfs)
+                mounted_at = cover
+            elif r < 0.92 and mounted_at is not None:
+                hac.unmount(mounted_at)
+                mounted_at = None
+            else:
+                tenant.smkdir(f"/q{step}", "alpha AND /src")
+        except ReproError:
+            # a cycle, a non-empty rmdir, a move into its own subtree or
+            # across the mount: refused, rolled back, and still derivable
+            refused += 1
+        assert_graph_is_derived(hac, step)
+        errors = [f for f in hac.fsck() if f.severity == "error"]
+        assert errors == [], (step, [str(f) for f in errors])
+
+    assert refused > 0
+    assert hac.semantic_dirs()

@@ -84,13 +84,20 @@ class TestSubtreeAndSnapshot:
         assert gm.uid_of("/a") not in strict
 
     def test_snapshot_restore_roundtrip(self, gm):
-        snap = gm.snapshot()
-        restored = GlobalDirectoryMap.restore(snap)
+        snap = dict(gm.items())
+        restored = GlobalDirectoryMap()
+        restored.load_snapshot(snap, ())
         assert restored.uid_of("/a/b/c") == gm.uid_of("/a/b/c")
         # the allocator must not clash with restored uids
         fresh = restored.register("/new")
         assert fresh not in snap
 
     def test_restore_reinstates_root(self):
-        restored = GlobalDirectoryMap.restore({5: "/only"})
+        restored = GlobalDirectoryMap()
+        restored.load_snapshot({5: "/only"}, ())
         assert restored.uid_of("/") == 0
+
+    def test_reload_never_reuses_a_uid_a_query_still_names(self):
+        restored = GlobalDirectoryMap()
+        restored.load_snapshot({1: "/a"}, {2, 7})
+        assert restored.register("/new") == 8
