@@ -36,6 +36,9 @@ class DocRegistry:
     keeps ``_paths`` — a dense ``doc_id -> path`` column beside the rows,
     ``None`` where an id is burned or withdrawn — exact, with
     ``len(_paths) >= _next_doc_id``, so :meth:`paths_of` is one bulk gather.
+    ``paths_moved`` counts the times a live row's path changed, so a reader
+    that cached paths (a semantic directory's link texts) can tell in one
+    comparison that none did.
     """
 
     def _init_registry(self) -> None:
@@ -43,6 +46,7 @@ class DocRegistry:
         self._by_key: Dict[Hashable, int] = {}
         self._paths: List[Optional[str]] = []
         self._next_doc_id = 0
+        self.paths_moved = 0
 
     def doc_by_id(self, doc_id: int) -> Optional[Document]:
         return self._docs.get(doc_id)
@@ -118,6 +122,7 @@ class DocRegistry:
              size: int) -> None:
         """Install the row of a new or changed document version."""
         self._burn_ids(doc_id + 1)
+        self.paths_moved += self._paths[doc_id] not in (None, path)
         self._docs[doc_id] = Document(doc_id, key, path, mtime, size)
         self._by_key[key] = doc_id
         self._paths[doc_id] = path
@@ -132,6 +137,7 @@ class DocRegistry:
     def _move(self, doc_id: int, new_path: str) -> Document:
         """Re-register a row under *new_path*; returns the new row."""
         doc = self._docs[doc_id] = self._docs[doc_id]._replace(path=new_path)
+        self.paths_moved += 1
         self._paths[doc_id] = new_path
         return doc
 

@@ -32,13 +32,28 @@ from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.cba import evaluator
 from repro.cba.results import RemoteId
-from repro.core.links import Target
+from repro.core.links import LinkSets, Target
 from repro.core.scope import Scope
 from repro.vfs.inode import SymlinkNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
     from repro.core.semdir import SemanticDirState
+
+
+class _Cascade:
+    """What the directories of one cascade share.  A *plain* directory's
+    provided scope is a function of the tree and the index, and a cascade
+    changes neither — it only moves symlinks inside semantic directories,
+    which a tree read skips — so each plain parent is read once and every
+    dependent gets the same :class:`Scope`.  A semantic parent is never
+    shared: it is re-evaluated first, and its scope is its link table."""
+
+    __slots__ = ("scopes", "scope_reads", "unchanged")
+
+    def __init__(self):
+        self.scopes: Dict[str, Scope] = {}
+        self.scope_reads = self.unchanged = 0
 
 
 class ConsistencyManager:
@@ -56,7 +71,7 @@ class ConsistencyManager:
                          include_origins: bool = False) -> int:
         """Re-evaluate everything affected by scope changes at *origins*.
 
-        Returns the number of semantic directories re-evaluated.
+        Returns the number of semantic directories whose result changed.
         """
         graph = self.hacfs.depgraph
         affected: Set[int] = set()
@@ -68,21 +83,29 @@ class ConsistencyManager:
             return 0
         order = graph.topo_order(affected)
         touched = self._origin_tenants(origin_uids)
-        count = 0
         with self.hacfs.obs.trace.span("hac.cascade",
                                        affected=len(order)) as span:
-            for uid in order:
-                if touched is not None and self._foreign_tenant_dir(uid, touched):
-                    # a tenant's query is scope-filtered to its own subtree,
-                    # so a mutation that stayed outside that subtree cannot
-                    # change its results — skipping both saves the work and
-                    # keeps another tenant's fault window off this record
-                    self._stats.add("cross_tenant_skips")
-                    continue
-                if self.reevaluate(uid):
-                    count += 1
-            span.set(reevaluated=count)
+            count = self._cascade(order, touched, span)
         self._stats.add("cascades")
+        return count
+
+    def _cascade(self, order: List[int], touched: Optional[Set[str]] = None,
+                 span=None) -> int:
+        """Re-evaluate each directory of *order* once (see :class:`_Cascade`)."""
+        cascade = _Cascade()
+        count = 0
+        for uid in order:
+            if touched is not None and self._foreign_tenant_dir(uid, touched):
+                # a tenant's query is scope-filtered to its own subtree,
+                # so a mutation that stayed outside that subtree cannot
+                # change its results — skipping both saves the work and
+                # keeps another tenant's fault window off this record
+                self._stats.add("cross_tenant_skips")
+            elif self.reevaluate(uid, cascade):
+                count += 1
+        if span is not None:
+            span.set(reevaluated=count, scope_reads=cascade.scope_reads,
+                     unchanged=cascade.unchanged)
         return count
 
     def _origin_tenants(self, origin_uids: List[int]) -> Optional[Set[str]]:
@@ -111,10 +134,7 @@ class ConsistencyManager:
 
     def reevaluate_all(self) -> int:
         """Global pass in full topological order (used after reindexing)."""
-        count = 0
-        for uid in self.hacfs.depgraph.full_order():
-            if self.reevaluate(uid):
-                count += 1
+        count = self._cascade(self.hacfs.depgraph.full_order())
         self._stats.add("full_passes")
         return count
 
@@ -122,12 +142,12 @@ class ConsistencyManager:
     # the per-directory algorithm
     # ------------------------------------------------------------------
 
-    def reevaluate(self, uid: int) -> bool:
+    def reevaluate(self, uid: int, cascade: Optional["_Cascade"] = None) -> bool:
         """Re-establish the scope invariant for one directory.
 
         Plain directories have no stored transient set, so they are a no-op
         (their provided scope is always derived live).  Returns True when a
-        semantic directory was actually re-evaluated.
+        semantic directory's result changed.
         """
         state = self.hacfs.meta.get(uid)
         if state is None or not state.is_semantic:
@@ -137,16 +157,36 @@ class ConsistencyManager:
             return False
         # pre-query barrier: a semantic directory must never be evaluated
         # over a torn batch, so any pending maintenance drains first (a
-        # no-op mid-drain — the scheduler's own cascade lands here)
+        # no-op mid-drain — the scheduler's own cascade lands here).  That
+        # drain runs its own cascade: *cascade* shares nothing read earlier.
         self.hacfs.maintenance.barrier()
         self._stats.add("reevaluations")
         with self.hacfs.obs.trace.span("hac.reevaluate", uid=uid, path=path):
-            return self._reevaluate_semantic(uid, state, path)
+            return self._reevaluate_semantic(uid, state, path,
+                                             cascade or _Cascade())
+
+    def _parent_scope(self, parent: str, cascade: "_Cascade") -> Scope:
+        scope = cascade.scopes.get(parent)
+        if scope is None:
+            scope = self.hacfs.scopes.provided(parent)
+            cascade.scope_reads += 1
+            self._stats.add("scope_reads")
+            if self.hacfs.scopes.semantic_state(parent) is None:
+                cascade.scopes[parent] = scope
+        return scope
+
+    def ids_of(self, targets) -> Bitmap:
+        """Doc ids of the indexed local *targets*, resolved now: a key is
+        given a new id when its document is withdrawn and revived."""
+        doc_id_of = self.hacfs.engine.doc_id_of
+        ids = (doc_id_of(t.key) for t in targets if t.is_local)
+        return Bitmap(i for i in ids if i is not None)
 
     def _reevaluate_semantic(self, uid: int, state: "SemanticDirState",
-                             path: str) -> bool:
-        parent_path = pathutil.dirname(path)
-        scope = self.hacfs.scopes.provided(parent_path)
+                             path: str, cascade: "_Cascade") -> bool:
+        scope = self._parent_scope(pathutil.dirname(path), cascade)
+        links = state.links
+        degraded = (dict(state.degraded_remote), dict(state.degraded_shards))
 
         # 1. re-evaluate the query over the current scope.  A sharded
         # back-end accumulates the shards it could not reach during the
@@ -155,26 +195,23 @@ class ConsistencyManager:
         # missing set is simply always empty).
         engine = self.hacfs.engine
         engine.reset_missing_shards()
-        local_hits = evaluator.evaluate(
+        hits = evaluator.evaluate(
             state.query, engine,
             resolve_dirref=self._dirref_local, scope=scope.local)
         remote_hits = self._remote_matches(state, scope)
         missing: Set[str] = set(engine.missing_shards)
 
         # 2. discard permanent and prohibited targets; the rest is transient
-        permanent = set(state.links.permanent.values())
-        new_targets: Set[Target] = set()
-        for doc_id in local_hits:
-            doc = self.hacfs.engine.doc_by_id(doc_id)
-            if doc is None:
-                continue
-            target = Target.local(doc.key[0], doc.key[1])
-            if target not in permanent and target not in state.links.prohibited:
-                new_targets.add(target)
-        for rid in remote_hits:
-            target = Target.from_remote_id(rid)
-            if target not in permanent and target not in state.links.prohibited:
-                new_targets.add(target)
+        # — in doc-id algebra, so only links that come or go are looked at
+        dead = links.bind(engine) if links.bound is not engine else []
+        permanent = self.ids_of(links.permanent.values())
+        barred = permanent | self.ids_of(links.prohibited)
+        old = links.transient_ids
+        new = hits - barred
+        old_remote = set(links.remote)
+        new_remote = {Target.from_remote_id(rid) for rid in remote_hits}
+        new_remote -= links.prohibited
+        new_remote.difference_update(links.permanent.values())
 
         # degrade gracefully over missing shards, mirroring the remote
         # back-end policy: local links whose document lives on a shard the
@@ -183,12 +220,9 @@ class ConsistencyManager:
         # evaluation succeeds again
         if missing:
             self._stats.add("partial_evaluations")
-            for target in state.links.transient.values():
-                if target.is_local and target not in new_targets \
-                        and target not in permanent \
-                        and target not in state.links.prohibited \
-                        and engine.shard_of(target.key) in missing:
-                    new_targets.add(target)
+            new |= Bitmap(
+                i for i in old - new - barred if engine.shard_of(
+                    links.transient[links.name_by_id[i]].key) in missing)
             for shard_id in sorted(missing):
                 if shard_id not in state.degraded_shards:
                     state.degraded_shards[shard_id] = self.hacfs.clock.now
@@ -198,21 +232,35 @@ class ConsistencyManager:
                 del state.degraded_shards[shard_id]
                 self._stats.add("shard_recoveries")
 
+        # 3. an unchanged directory writes nothing: no pre-image, no record,
+        # no entry touched.  ``result`` is the stored N/8 bitmap (local only).
+        result = new | permanent
+        added, removed = new - old, old - new
+        changed = bool(added or removed or dead) \
+            or new_remote != old_remote or result != state.result_cache
+        dirty = changed \
+            or degraded != (state.degraded_remote, state.degraded_shards)
+        drifted = self._drifted_links(path, links)
+        if not (dirty or drifted):
+            cascade.unchanged += 1
+            self._stats.add("unchanged")
+            return False
+
         # write-ahead for the tree: journal this directory's record
         # pre-image *before* materialisation mutates its entries, so a
         # crash mid-materialisation still tells recovery to reconcile here
         self.hacfs.journal.capture(f"semdir:{uid}")
-        changed = self._apply_transient(path, state, new_targets)
-        # the stored N/8-byte result: the directory's *current* local result
-        # (transient plus permanent), i.e. the customised query result
-        result = Bitmap()
-        for target in state.links.all_targets():
-            if target.is_local:
-                doc_id = self.hacfs.engine.doc_id_of(target.key)
-                if doc_id is not None:
-                    result.add(doc_id)
-        state.result_cache = result
-        self.hacfs.meta.flush(uid)
+        gone = [links.transient_name[t] for t in old_remote - new_remote]
+        for name in gone:
+            links.forget(name)
+        gone += dead + [links.drop_transient_id(i) for i in removed]
+        self._materialise(path, links, gone, added,
+                          sorted(new_remote - old_remote), drifted)
+        if dirty:
+            state.result_cache = result
+            self.hacfs.meta.flush(uid)
+        if changed:
+            self._stats.add("transient_updates")
         return changed
 
     def _dirref_local(self, uid: int) -> Bitmap:
@@ -311,84 +359,71 @@ class ConsistencyManager:
     # materialisation
     # ------------------------------------------------------------------
 
-    def _apply_transient(self, path: str, state: "SemanticDirState",
-                         new_targets: Set[Target]) -> bool:
-        """Sync the transient link set (and its symlink entries) to
-        *new_targets*; returns True when anything changed."""
+    def _materialise(self, path: str, links: LinkSets, gone: List[str],
+                     added: Bitmap, added_remote: List[Target],
+                     drifted: List[tuple]) -> None:
+        """Bring the symlink entries of *path* in line: unlink *gone*,
+        rewrite the *drifted* texts, link the *added* documents (in doc-id
+        order) and remote targets under freshly invented names."""
         fs = self.hacfs.fs
-        old = dict(state.links.transient)
-        old_targets = set(old.values())
-        changed = False
-
-        # remove entries whose target fell out of the result
-        for name, target in old.items():
-            if target in new_targets:
-                continue
+        for name in gone:
             entry = pathutil.join(path, name)
-            try:
-                if fs.islink(entry):
-                    fs.unlink(entry)
-            except Exception:
-                pass
-            state.links.forget(name)
-            changed = True
-
-        # add entries for new targets; the directory node is resolved once
-        # so name invention never re-walks the path per candidate
-        try:
-            dir_entries = fs.resolve(path).node.entries  # type: ignore[union-attr]
-        except Exception:
-            dir_entries = {}
-        for target in sorted(new_targets - old_targets):
-            name = self._invent_name(path, state, target, dir_entries)
-            text = self._link_text(target)
-            entry = pathutil.join(path, name)
-            fs.symlink(text, entry)
-            state.links.add_transient(name, target)
-            changed = True
-
-        # refresh link text of survivors whose target path drifted
-        for name, target in state.links.transient.items():
-            if target in old_targets and target in new_targets:
-                node = dir_entries.get(name)
-                text = self._link_text(target)
-                if isinstance(node, SymlinkNode) and node.target != text:
-                    entry = pathutil.join(path, name)
-                    try:
-                        fs.unlink(entry)
-                        fs.symlink(text, entry)
-                    except Exception:
-                        pass
-        if changed:
-            self._stats.add("transient_updates")
-        return changed
-
-    def _link_text(self, target: Target) -> str:
-        if target.is_remote:
-            return target.remote_id().uri()
-        doc = self.hacfs.engine.doc_by_key(target.key)
-        if doc is not None:
-            return doc.path
-        live = self.hacfs.path_for_target(target)
-        return live if live is not None else f"#dangling:{target}"
-
-    def _invent_name(self, path: str, state: "SemanticDirState",
-                     target: Target, existing_entries) -> str:
-        if target.is_remote:
+            if fs.islink(entry):
+                fs.unlink(entry)
+            else:   # already gone, or user data squatting on the name
+                self._stats.add("materialise_skips")
+        for name, text in drifted:
+            if links.target_of(name) is not None:
+                fs.unlink(pathutil.join(path, name))
+                fs.symlink(text, pathutil.join(path, name))
+        if not (added or added_remote):
+            return
+        # node and used names are read once: inventing a name re-walks nothing
+        entries = fs.resolve(path).node.entries  # type: ignore[union-attr]
+        used = links.used_names()
+        for doc_id in added:
+            doc = self.hacfs.engine.doc_by_id(doc_id)
+            target = Target.local(*doc.key)
+            # a link's text, as in the drift pass and fsck: where the file is
+            text = self.hacfs.path_for_target(target) or doc.path
+            name = _invent_name(pathutil.basename(text), used, entries)
+            fs.symlink(text, pathutil.join(path, name))
+            links.add_transient(name, target, doc_id)
+        for target in added_remote:
             namespace = self.hacfs.semmounts.get(target.realm)
             title = namespace.title_of(target.ident) if namespace else None
-            base = title or target.ident
-        else:
-            doc = self.hacfs.engine.doc_by_key(target.key)
-            base = pathutil.basename(doc.path) if doc is not None else target.ident
-        base = _sanitize(base)
-        used = state.links.used_names()
-        candidate = base
-        suffix = 2
-        while candidate in used or candidate in existing_entries:
-            candidate = f"{base}~{suffix}"
-            suffix += 1
-        return candidate
+            name = _invent_name(title or target.ident, used, entries)
+            fs.symlink(target.remote_id().uri(), pathutil.join(path, name))
+            links.add_transient(name, target)
+
+    def _drifted_links(self, path: str, links: LinkSets) -> List[tuple]:
+        """``(name, text)`` of the local links whose symlink no longer
+        spells where its file lives (a rename moved it) — nothing, and no
+        per-link work, while no registered path moved since the last look."""
+        moved = self.hacfs.engine.paths_moved
+        if links.texts_at == moved:
+            return []
+        links.texts_at = moved
+        entries = self.hacfs.fs.resolve(path).node.entries  # type: ignore[union-attr]
+        drifted = []
+        for name in links.names():
+            node, target = entries.get(name), links.target_of(name)
+            text = self.hacfs.path_for_target(target)
+            if isinstance(node, SymlinkNode) and text not in (None, node.target):
+                drifted.append((name, text))
+        return drifted
+
+
+def _invent_name(base: str, used: Set[str], entries) -> str:
+    """A name for a new link: *base*, sanitised and suffixed until it is
+    neither a tracked link nor a directory entry; added to *used*."""
+    base = candidate = _sanitize(base)
+    suffix = 2
+    while candidate in used or candidate in entries:
+        candidate = f"{base}~{suffix}"
+        suffix += 1
+    used.add(candidate)
+    return candidate
 
 
 def _sanitize(name: str) -> str:

@@ -17,15 +17,17 @@ Checks:
   sort succeeds);
 * **links** — every tracked link name is a live symlink in its directory,
   its text agrees with the tracked target (remote URIs, or the target's
-  current path for local files), and no *tracked-as-transient* entry is
-  missing from the directory;
+  current path for local files), no *tracked-as-transient* entry is
+  missing from the directory, and a semantic directory's stored result is
+  the doc ids of its permanent and transient targets (``stale-result`` —
+  child directories are evaluated over it);
 * **index** — every indexed document's key resolves to a live file
   (stale entries are legal between syncs — reported as ``stale-doc`` with
   severity "info" — but ino collisions are not).
 
 ``repair=True`` fixes what is safely fixable: drops orphan state records,
-re-materialises missing transient links, removes tracked entries whose
-symlink vanished.
+removes tracked entries whose symlink vanished, rewrites stale link text,
+recomputes a stale stored result.
 """
 
 from __future__ import annotations
@@ -191,6 +193,14 @@ def _check_links(hacfs, repair: bool) -> List[Finding]:
                 if repair:
                     hacfs.fs.unlink(entry)
                     hacfs.fs.symlink(expected, entry)
+        result = hacfs.consistency.ids_of(state.links.all_targets())
+        if state.is_semantic and result != state.result_cache:
+            out.append(Finding("error", "stale-result", path,
+                               f"stores {len(state.result_cache)} documents,"
+                               f" its link tables hold {len(result)}"))
+            if repair:
+                state.result_cache = result
+                hacfs.meta.flush(uid)
     return out
 
 

@@ -435,7 +435,7 @@ class HacFileSystem:
                     and state.links.target_of(name) is not None:
                 state.links.prohibit(name)
                 self.fs.unlink(path)
-                self.meta.flush(uid)
+                self._flush_links(uid, state)
                 self._hac.add("prohibitions")
                 # the directory's own result changed too: refresh it (the
                 # prohibition keeps the link out) and cascade to dependents
@@ -469,12 +469,19 @@ class HacFileSystem:
             resolved = self._target_of_link_text(target)
             if resolved is not None:
                 state.links.add_permanent(name, resolved)
-                self.meta.flush(uid)
+                self._flush_links(uid, state)
                 self._hac.add("permanent_links")
-            self.consistency.on_scope_changed([uid])
+            # its own result grew too (a transient link to the file gives way)
+            self.consistency.on_scope_changed([uid], include_origins=True)
         else:
             self.consistency.on_scope_changed(self._chain_uids(parent_dir))
         return stat
+
+    def _flush_links(self, uid: int, state) -> None:
+        """A hand edit of the link tables and the result it implies change
+        together — in memory, and in the one record write."""
+        state.result_cache = self.consistency.ids_of(state.links.all_targets())
+        self.meta.flush(uid)
 
     def _target_of_link_text(self, text: str) -> Optional[Target]:
         if "://" in text:
@@ -504,15 +511,17 @@ class HacFileSystem:
             if moving_dir:
                 new_canon = self._canonical_dir(new)
                 self.dirmap.rename_subtree(old_canon, new_canon)
+                # the edge first: a move the graph refuses as a cycle must
+                # not have touched the engine, which no rollback rewinds
+                moved_uid = self.dirmap.uid_of(new_canon)
+                new_parent_uid = self.dirmap.uid_of(pathutil.dirname(new_canon))
+                if moved_uid is not None and new_parent_uid is not None:
+                    self.depgraph.set_hierarchy_edge(moved_uid, new_parent_uid)
                 # one-pass path rebase alongside the path map: registry
                 # paths and CAS prefix keys follow the moved subtree
                 # immediately, so scope: queries stay correct without
                 # waiting for an ssync to notice the drift
                 self.engine.rebase_paths(old_canon, new_canon)
-                moved_uid = self.dirmap.uid_of(new_canon)
-                new_parent_uid = self.dirmap.uid_of(pathutil.dirname(new_canon))
-                if moved_uid is not None and new_parent_uid is not None:
-                    self.depgraph.set_hierarchy_edge(moved_uid, new_parent_uid)
                 self._clear_attrs()
                 self._persist_maps()
                 if moved_uid is not None:
@@ -648,7 +657,7 @@ class HacFileSystem:
                     entry = pathutil.join(canon, name)
                     if self.fs.islink(entry):
                         self.fs.unlink(entry)
-                    state.links.forget(name)
+                state.links.clear_transient()
                 state.result_cache = state.result_cache.__class__()
             state.query, state.query_text = ast, query
             self.meta.flush(uid)
@@ -729,6 +738,8 @@ class HacFileSystem:
             {"backends":    {ns_id: breaker state},          # semantic mounts
              "shards":      {shard_id: health},              # search back-end
              "tenants":     {name: {usage, quota, pending}}, # namespaces
+             "cascades":    {cascades, reevaluations,        # consistency
+                             scope_reads, unchanged},        # counters
              "directories": {dir_path: {
                  "degraded_remote": {ns_id: since},
                  "degraded_shards": {shard_id: since},
@@ -770,6 +781,9 @@ class HacFileSystem:
                 "breakers": breakers,
                 "admission": self.admission.status(),
                 "tenants": self.tenants.describe(),
+                "cascades": {name: self.counters.get(f"consistency.{name}")
+                             for name in ("cascades", "reevaluations",
+                                          "scope_reads", "unchanged")},
                 "directories": directories}
 
     def describe_scope(self, path: str) -> Dict[str, object]:
@@ -826,8 +840,7 @@ class HacFileSystem:
         with self._journaled("make_permanent",
                              {"path": self.dirmap.path_of(uid),
                               "link": name}):
-            target = state.links.transient.pop(name)
-            state.links.add_permanent(name, target)
+            state.links.add_permanent(name, state.links.forget(name))
             self.meta.flush(uid)
 
     def unprohibit(self, dir_path: str, target_text: str) -> bool:
@@ -838,7 +851,7 @@ class HacFileSystem:
             return False
         lifted = state.links.unprohibit(target)
         if lifted:
-            self.meta.flush(uid)
+            self._flush_links(uid, state)
             self.consistency.on_scope_changed([uid], include_origins=True)
         return lifted
 

@@ -72,11 +72,13 @@ class PendingDoc:
     (last-write-wins), whether the document is alive, whether an older
     incarnation must be removed first (*tombstoned* — the key was in the
     engine when a removal event arrived), a reserved doc id for documents
-    the engine has not seen yet, and an optional untracked-rename fixup.
+    the engine has not seen yet.  The path is advisory (tenant
+    attribution, origins): a document is applied under the path its file
+    has at the drain.
     """
 
     __slots__ = ("key", "doc_id", "alive", "tombstoned", "path", "mtime",
-                 "renamed_to", "tenant")
+                 "tenant")
 
     def __init__(self, key, doc_id: Optional[int], alive: bool,
                  tombstoned: bool, path: str, mtime: float):
@@ -86,7 +88,6 @@ class PendingDoc:
         self.tombstoned = tombstoned
         self.path = path
         self.mtime = mtime
-        self.renamed_to: Optional[str] = None
         #: owning tenant's drain bucket (None = shared namespace)
         self.tenant: Optional[str] = None
 
@@ -207,7 +208,6 @@ class MaintenanceScheduler:
                 entry.alive = True
             entry.path = path
             entry.mtime = mtime
-            entry.renamed_to = None
         else:
             doc_id = None if key in engine else engine.reserve_doc_id()
             entry = PendingDoc(key, doc_id, alive=True, tombstoned=False,
@@ -231,7 +231,6 @@ class MaintenanceScheduler:
         if entry is not None:
             self._stats.add("coalesced")
             entry.alive = False
-            entry.renamed_to = None
             if key in engine:
                 entry.tombstoned = True
         else:
@@ -262,7 +261,6 @@ class MaintenanceScheduler:
                 entry.alive = True
                 entry.mtime = mtime
             entry.path = new_path
-            entry.renamed_to = None
         else:
             doc = engine.doc_by_key(key)
             if doc is not None:
@@ -284,8 +282,7 @@ class MaintenanceScheduler:
         path: no re-tokenisation, the display path just drifts along)."""
         entry = self._pending.get(key)
         if entry is not None and entry.alive:
-            entry.renamed_to = new_path
-            return
+            return   # applied at the drain, under the path it has then
         if key in self.hacfs.engine:
             self.hacfs.engine.rename_document(key, new_path)
 
@@ -516,7 +513,11 @@ class MaintenanceScheduler:
                 engine.remove_document(entry.key)
                 ops += 1
             return ops
-        if self.hacfs.path_for_target(Target.local(*entry.key)) is None:
+        # index under the path the file has now: a directory rename since
+        # the enqueue moved it, and ``entry.path`` with the old prefix
+        # would re-register the document where nothing lives
+        live = self.hacfs.path_for_target(Target.local(*entry.key))
+        if live is None:
             # vanished without a removal event (unmount, coverage change):
             # never index a dead file, withdraw any lingering entry
             if in_engine:
@@ -524,14 +525,11 @@ class MaintenanceScheduler:
                 ops += 1
             return ops
         if in_engine:
-            engine.update_document(entry.key, entry.path, entry.mtime)
+            engine.update_document(entry.key, live, entry.mtime)
         else:
-            engine.index_document(entry.key, entry.path, entry.mtime,
+            engine.index_document(entry.key, live, entry.mtime,
                                   doc_id=entry.doc_id)
-        ops += 1
-        if entry.renamed_to is not None:
-            engine.rename_document(entry.key, entry.renamed_to)
-        return ops
+        return ops + 1
 
     # ------------------------------------------------------------------
     # internals

@@ -96,13 +96,13 @@ class ScopeResolver:
                      namespaces=set(self.hacfs.semmounts.all_namespace_ids()))
 
     def _semantic_scope(self, path: str, state) -> Scope:
-        local = Bitmap()
-        remote: Set[RemoteId] = set()
-        for target in state.links.all_targets():
-            if target.is_local:
-                self._add_doc(target.key, local)
-            else:
-                remote.add(target.remote_id())
+        # the local half is the stored N/8 bitmap, exact after every link
+        # edit (fsck: stale-result); a document withdrawn since is in no scope
+        local = state.result_cache & self.hacfs.engine.all_docs()
+        links = state.links
+        remote = {t.remote_id() for t in links.remote}
+        remote.update(t.remote_id() for t in links.permanent.values()
+                      if t.is_remote)
         # regular files placed directly in the directory are part of the
         # curated result ("adding regular files to that directory", §2.3)
         self._add_tree_members(path, local, remote, recurse=False)

@@ -41,8 +41,8 @@ class SemanticDirState:
         #: the original query text as the user typed it (for display)
         self.query_text: Optional[str] = None
         self.links = LinkSets()
-        #: cached bitmap of local doc-ids in the last evaluated result
-        #: (the paper's N/8-byte stored representation)
+        #: doc ids of the local permanent and transient targets: the paper's
+        #: N/8-byte stored result, the scope its children see (``stale-result``)
         self.result_cache = Bitmap()
         #: namespace id → virtual time since when that back-end has been
         #: unreachable; its links are last-known-good (stale) while listed

@@ -172,10 +172,10 @@ def test_rename_storm_more_seeds(seed):
 # the same storm one layer up: the dependency graph stays derivable
 # ----------------------------------------------------------------------
 
-def build_hac():
+def build_hac(backend=None):
     from repro.core.hacfs import HacFileSystem
 
-    hac = HacFileSystem()
+    hac = HacFileSystem(backend=backend)
     for top in TOP:
         hac.mkdir(top)
         for mid in MIDS:
@@ -186,18 +186,20 @@ def build_hac():
 
 
 @pytest.mark.parametrize("seed", [BASE_SEED, BASE_SEED + 1])
-def test_storm_keeps_the_graph_derived(seed):
+def test_storm_keeps_the_graph_derived(seed, backend=None):
     """Directory moves (under older and younger directories alike),
     queries naming random directories (some rejected as cycles and rolled
     back), detaches, removals of referenced directories, a mount and its
     unmount, and a tenant resolving references in its own name space:
     after **every** step, accepted or refused, the graph HAC maintains is
-    the graph its map and queries imply, and fsck agrees."""
+    the graph its map and queries imply, every semantic directory's links
+    are the links a from-scratch evaluation gives, and fsck agrees."""
     from repro.errors import ReproError
     from tests.properties.derived import assert_graph_is_derived
+    from tests.properties.reference import assert_links_from_scratch
 
     rng = random.Random(seed)
-    hac = build_hac()
+    hac = build_hac(backend)
     tenant = hac.tenants.create("t")
     tenant.mkdir("/src")
     tenant.write_file("/src/x.txt", b"alpha tenant")
@@ -247,8 +249,13 @@ def test_storm_keeps_the_graph_derived(seed):
             # across the mount: refused, rolled back, and still derivable
             refused += 1
         assert_graph_is_derived(hac, step)
+        assert_links_from_scratch(hac, step)
         errors = [f for f in hac.fsck() if f.severity == "error"]
         assert errors == [], (step, [str(f) for f in errors])
 
     assert refused > 0
     assert hac.semantic_dirs()
+
+
+def test_storm_on_a_cluster():
+    test_storm_keeps_the_graph_derived(BASE_SEED, backend="cluster:3")
