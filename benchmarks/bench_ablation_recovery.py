@@ -131,15 +131,15 @@ def test_journal_replay_and_write_amplification(benchmark, record_report):
 
     assert rolled_back == 1, "the interrupted intent must be rolled back"
     # The script is fixed (30 mkdir + 30 set_query), so the guard pins the
-    # quantities that must not grow instead of their ratio: the ratio's
-    # denominator shrank when set_query stopped writing its record a second
-    # time, unchanged (120 -> 90 payload writes), while the WAL cost the
-    # old `<= 4.0` bound watched stayed where it was.  150 wal writes and
-    # 420 device ops are what the same script cost under that bound.
-    assert wal_writes <= 150, (
+    # quantities that must not grow instead of their ratio: each operation
+    # journals one begin and one pre-image and writes one record — its
+    # directory's own.  120 wal writes and 300 device ops are what the
+    # script costs; a mkdir that wrote a whole-map record again (150 and
+    # 420) fails here.
+    assert wal_writes <= 120, (
         f"WAL steady-state write cost regressed: {wal_writes} wal writes "
         f"for 60 journaled operations")
-    assert total_ops <= 420, (
+    assert total_ops <= 300, (
         f"device record ops regressed: {total_ops} "
         f"({wal_writes} wal writes, {payload_writes} payload writes)")
     assert preimages <= payload_writes, (preimages, payload_writes)

@@ -328,12 +328,6 @@ class GlimpseIndex:
         docs = self._doc_postings.get(tid)
         return docs.copy() if docs is not None else Bitmap()
 
-    def doc_postings_bytes(self) -> int:
-        """In-memory footprint of the doc-level postings, reported apart
-        from :meth:`index_size_bytes` so the paper's Table-3 space-overhead
-        shape is unaffected by them."""
-        return sum(bm.nbytes for bm in self._doc_postings.values())
-
     # ------------------------------------------------------------------
     # selectivity estimation (query planner)
     # ------------------------------------------------------------------

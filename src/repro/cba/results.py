@@ -10,7 +10,7 @@ the token).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, NamedTuple, Optional, Set
+from typing import Iterable, NamedTuple, Optional, Set
 
 from repro.util.bitmap import Bitmap
 
@@ -82,9 +82,6 @@ class ResultSet:
     def issubset(self, other: "ResultSet") -> bool:
         return (self.local.issubset(other.local)
                 and self.remote.issubset(other.remote))
-
-    def remote_frozen(self) -> FrozenSet[RemoteId]:
-        return frozenset(self.remote)
 
     def __repr__(self):
         return f"ResultSet(local={len(self.local)}, remote={len(self.remote)})"

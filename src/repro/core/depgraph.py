@@ -38,10 +38,10 @@ REFERENCE = "reference"
 class DependencyGraph:
     """Directed graph: provider → dependent, with labelled edge kinds.
 
-    An index over two primary structures — the global map fixes every
-    hierarchy edge, the directories' queries every reference edge — so
-    it is never persisted: :meth:`derive` rebuilds it on every load and
-    the mutators below keep it current in between.
+    An index over the directories' records — the global map derived from
+    their places fixes every hierarchy edge, their queries every
+    reference edge — so it is never persisted: :meth:`derive` rebuilds
+    it on every load and the mutators below keep it current in between.
     """
 
     def __init__(self):

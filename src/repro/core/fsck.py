@@ -9,12 +9,12 @@ the invariant "everything HAC believes is true of the tree".
 Checks:
 
 * **map↔tree** — every registered path is a live directory, every live
-  directory is registered, no duplicate UIDs;
-* **state** — every registered directory owns a MetaStore record (and no
-  orphan records exist);
-* **graph** — every directory is a graph node with a hierarchy edge to its
-  registered parent; no dangling nodes; the graph is acyclic (topological
-  sort succeeds);
+  directory is registered;
+* **state** — every registered directory owns a MetaStore record, and
+  every record is one the map places (no orphan records);
+* **graph** — every directory is a graph node with a hierarchy edge to the
+  parent its record names; no dangling nodes; the graph is acyclic
+  (topological sort succeeds);
 * **links** — every tracked link name is a live symlink in its directory,
   its text agrees with the tracked target (remote URIs, or the target's
   current path for local files), no *tracked-as-transient* entry is
@@ -99,12 +99,7 @@ def _check_device(hacfs) -> List[Finding]:
 def _check_map_vs_tree(hacfs) -> List[Finding]:
     out: List[Finding] = []
     live = set(_live_dirs(hacfs))
-    seen_uids = set()
     for uid, path in list(hacfs.dirmap.items()):
-        if uid in seen_uids:
-            out.append(Finding("error", "dup-uid", path,
-                               f"uid {uid} registered twice"))
-        seen_uids.add(uid)
         if path not in live:
             out.append(Finding("error", "ghost-path", path,
                                f"registered (uid {uid}) but not a live directory"))
@@ -125,9 +120,8 @@ def _check_states(hacfs, repair: bool) -> List[Finding]:
                                "registered directory has no MetaStore record"))
     for uid in list(hacfs.meta.uids()):
         if uid not in registered:
-            path = f"uid:{uid}"
-            out.append(Finding("warn", "orphan-state", path,
-                               "MetaStore record for an unregistered directory"))
+            out.append(Finding("warn", "orphan-state", f"uid:{uid}",
+                               "MetaStore record the map could not place"))
             if repair:
                 hacfs.meta.drop(uid)
     return out
@@ -142,14 +136,16 @@ def _check_graph(hacfs) -> List[Finding]:
                                hacfs.dirmap.path_of(uid) or f"uid:{uid}",
                                "directory absent from the dependency graph"))
             continue
-        path = hacfs.dirmap.path_of(uid)
-        if uid == 0 or path is None:
+        state = hacfs.meta.get(uid)
+        # one placed below a directory HAC does not know has no edge
+        if uid == 0 or state is None or "/" in state.name:
             continue
-        parent_uid = hacfs.dirmap.uid_of(pathutil.dirname(path))
         actual = hacfs.depgraph.hierarchy_parent(uid)
-        if parent_uid is not None and actual != parent_uid:
-            out.append(Finding("error", "bad-hierarchy-edge", path,
-                               f"graph parent {actual}, map parent {parent_uid}"))
+        if actual != state.parent:
+            out.append(Finding("error", "bad-hierarchy-edge",
+                               hacfs.dirmap.path_of(uid),
+                               f"graph parent {actual}, "
+                               f"record parent {state.parent}"))
     for uid in hacfs.depgraph.nodes():
         if uid not in registered:
             out.append(Finding("warn", "orphan-node", f"uid:{uid}",

@@ -88,13 +88,12 @@ class HacFileSystem:
         # for instance (the paper's CBA generality argument, §2.2)
         self.engine = open_backend(backend)(
             num_blocks=num_blocks, **self._engine_site())
-        # the root's (empty) HAC state — uid 0 is pre-registered in the map
-        self.meta.create(GlobalDirectoryMap.ROOT_UID)
+        # the root's (empty) HAC state, the one record with no parent
+        self.meta.create(GlobalDirectoryMap.ROOT_UID, None, "")
         # block placement is doc_id % num_blocks, so a reopen must rebuild
         # with the same count whichever path it takes
         self.meta.flush_aux(ENGINE_RECORD, {"num_blocks": num_blocks})
         self.tenants = TenantManager(self)
-        self._persist_maps()
         self._wire_obs()
 
     def _init_base(self, fs: Optional[FileSystem],
@@ -244,10 +243,6 @@ class HacFileSystem:
                 uids.append(uid)
         return uids
 
-    def _persist_maps(self) -> None:
-        self.meta.flush_aux("globalmap",
-                            {str(u): p for u, p in self.dirmap.items()})
-
     def _planned_path(self, path: str) -> str:
         """Canonical path a not-yet-created entry will get (for intents)."""
         parent, name = pathutil.split(path)
@@ -300,13 +295,12 @@ class HacFileSystem:
     def reload_persisted(self) -> None:
         """Load the name space from the device records — the one loader
         behind a reopen (:meth:`restore`) and an in-process rollback (which
-        just rewrote them): the global map and the per-directory states
-        are read, the dependency graph is derived from the two."""
+        just rewrote them): the per-directory states are read, the global
+        map and the dependency graph are derived from them."""
         self.meta.reload_all()
         queries = (self.meta.require(uid).query for uid in self.meta.uids())
-        raw_map = self.meta.load_aux("globalmap") or {"0": "/"}
-        self.dirmap.load_snapshot(
-            {int(u): p for u, p in raw_map.items()},
+        self.dirmap.load_places(
+            self.meta.places(),
             {ref for q in queries if q is not None for ref in q.dir_refs()})
         self.depgraph = DependencyGraph.derive(self.dirmap, self.meta)
         self.depgraph.tracer = self.obs.trace
@@ -344,15 +338,24 @@ class HacFileSystem:
         self._hac.add("mkdir")
         with self._journaled("mkdir", {"path": self._planned_path(path)}):
             stat = self.fs.mkdir(path, mode=mode)
-            canon = self._canonical_dir(path)
-            uid = self.dirmap.register(canon)
-            self.depgraph.add_node(uid)
-            parent_uid = self.dirmap.uid_of(pathutil.dirname(canon))
-            if parent_uid is not None:
-                self.depgraph.set_hierarchy_edge(uid, parent_uid)
-            self.meta.create(uid)
-            self._persist_maps()
+            self._register_dir(self._canonical_dir(path))
         return stat
+
+    def _register_dir(self, path: str) -> None:
+        """A new directory's uid, graph node and record, which places it."""
+        uid = self.dirmap.register(path)
+        self.depgraph.add_node(uid)
+        parent_uid = self.dirmap.uid_of(pathutil.dirname(path))
+        if parent_uid is not None:
+            self.depgraph.set_hierarchy_edge(uid, parent_uid)
+        self.meta.create(uid, *self.dirmap.place_of(path))
+
+    def _forget_dir(self, path: str) -> None:
+        """A removed directory's uid, graph node and record go."""
+        uid = self.dirmap.unregister(path)
+        self.depgraph.remove_node(uid)
+        self.meta.drop(uid)
+        self.semmounts.drop_uid(uid)
 
     def makedirs(self, path: str, mode: int = 0o755) -> None:
         norm = pathutil.normalize(path)
@@ -367,14 +370,9 @@ class HacFileSystem:
         canon = self._canonical_dir(path)
         with self._journaled("rmdir", {"path": canon}):
             self.fs.rmdir(canon)
-            uid = self.dirmap.uid_of(canon)
-            if uid is not None:
-                self.dirmap.unregister(canon)
-                self.depgraph.remove_node(uid)
-                self.meta.drop(uid)
-                self.semmounts.drop_uid(uid)
+            if self.dirmap.uid_of(canon) is not None:
+                self._forget_dir(canon)
             self._invalidate_attrs(canon)
-            self._persist_maps()
 
     def create(self, path: str, mode: int = 0o644) -> StatResult:
         """Create a file; HAC also primes the attribute cache (§4)."""
@@ -510,7 +508,7 @@ class HacFileSystem:
             self.fs.rename(old, new)
             if moving_dir:
                 new_canon = self._canonical_dir(new)
-                self.dirmap.rename_subtree(old_canon, new_canon)
+                moved = self.dirmap.rename_subtree(old_canon, new_canon)
                 # the edge first: a move the graph refuses as a cycle must
                 # not have touched the engine, which no rollback rewinds
                 moved_uid = self.dirmap.uid_of(new_canon)
@@ -523,7 +521,14 @@ class HacFileSystem:
                 # waiting for an ssync to notice the drift
                 self.engine.rebase_paths(old_canon, new_canon)
                 self._clear_attrs()
-                self._persist_maps()
+                # a directory placed under a moved one sits where it did:
+                # only those placed outside the move get a new place
+                moved_uids = {uid for uid, _old, _new in moved}
+                for uid, _old, path in moved:
+                    state = self.meta.get(uid)
+                    if state is not None and state.parent not in moved_uids:
+                        state.parent, state.name = self.dirmap.place_of(path)
+                        self.meta.flush(uid)
                 if moved_uid is not None:
                     origins.append(moved_uid)
             else:
@@ -886,13 +891,7 @@ class HacFileSystem:
         # adopt every directory of the mounted tree into map/graph/state
         for dirpath, _dirs, _files, _listed in walk(self.fs, canon):
             if self.dirmap.uid_of(dirpath) is None:
-                uid = self.dirmap.register(dirpath)
-                self.depgraph.add_node(uid)
-                parent_uid = self.dirmap.uid_of(pathutil.dirname(dirpath))
-                if parent_uid is not None:
-                    self.depgraph.set_hierarchy_edge(uid, parent_uid)
-                self.meta.create(uid)
-        self._persist_maps()
+                self._register_dir(dirpath)
         self.consistency.on_scope_changed(self._chain_uids(canon))
 
     def unmount(self, path: str) -> FileSystem:
@@ -901,12 +900,7 @@ class HacFileSystem:
         detached = self.fs.unmount(canon)
         self._fs_registry.pop(detached.fsid, None)
         for uid in self.dirmap.subtree_uids(canon, strict=True):
-            sub_path = self.dirmap.path_of(uid)
-            self.dirmap.unregister(sub_path)
-            self.depgraph.remove_node(uid)
-            self.meta.drop(uid)
-            self.semmounts.drop_uid(uid)
-        self._persist_maps()
+            self._forget_dir(self.dirmap.path_of(uid))
         self.consistency.on_scope_changed(self._chain_uids(canon))
         return detached
 

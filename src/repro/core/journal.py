@@ -349,7 +349,3 @@ class Journal:
                 self.device.delete_record(key)
                 dropped += 1
         return dropped
-
-    def wal_record_count(self) -> int:
-        return sum(1 for key in self.device.record_keys()
-                   if key.startswith(WAL_PREFIX))

@@ -139,7 +139,8 @@ def _undo_rename(hacfs: "HacFileSystem", payload, report) -> None:
     if not moved:
         return
     if payload.get("dir"):
-        # the map was rolled back to the old path; move the tree back too
+        # the moved directory's record was rolled back to its old place,
+        # so the map derived from it has the old path; move the tree back
         if hacfs.dirmap.uid_of(old) is not None \
                 and hacfs.dirmap.uid_of(new) is None:
             hacfs.fs.rename(new, old)

@@ -7,8 +7,9 @@ link sets; records the directory in the global map; and adds an empty node
 to the dependency graph — all persisted to disk.  We reproduce that
 faithfully: **every** directory gets a :class:`SemanticDirState`; a
 directory is "semantic" exactly when a query has been attached to it.
-(The graph alone is not persisted: it is derived from the other two on
-load, :meth:`~repro.core.depgraph.DependencyGraph.derive`.)
+Each state also holds its directory's place, ``(parent uid, name)``; the
+global map and the dependency graph are derived from these records on
+load, never persisted themselves.
 
 :class:`MetaStore` persists each state record write-through onto the
 simulated block device using the record codec, so the Makedir/Copy overheads
@@ -19,7 +20,7 @@ bench can report HAC's metadata footprint the way the paper does (222 KB vs
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.util import serialization
 from repro.util.bitmap import Bitmap
@@ -31,11 +32,14 @@ from repro.core.links import LinkSets
 class SemanticDirState:
     """Everything HAC knows about one directory beyond the VFS itself."""
 
-    __slots__ = ("uid", "query", "query_text", "links", "result_cache",
-                 "degraded_remote", "degraded_shards")
+    __slots__ = ("uid", "parent", "name", "query", "query_text", "links",
+                 "result_cache", "degraded_remote", "degraded_shards")
 
     def __init__(self, uid: int):
         self.uid = uid
+        #: its place (GlobalDirectoryMap.place_of); the root's has no parent
+        self.parent: Optional[int] = None
+        self.name = ""
         #: the user's query AST, or None for a plain directory
         self.query: Optional[queryast.Node] = None
         #: the original query text as the user typed it (for display)
@@ -59,6 +63,7 @@ class SemanticDirState:
     def to_obj(self):
         return {
             "uid": self.uid,
+            "place": [self.parent, self.name],
             "query": self.query.to_obj() if self.query is not None else None,
             "query_text": self.query_text,
             "links": self.links.to_obj(),
@@ -70,16 +75,15 @@ class SemanticDirState:
     @classmethod
     def from_obj(cls, obj) -> "SemanticDirState":
         state = cls(obj["uid"])
+        state.parent, state.name = obj["place"]
         if obj["query"] is not None:
             state.query = queryast.from_obj(obj["query"])
         state.query_text = obj["query_text"]
         state.links = LinkSets.from_obj(obj["links"])
         state.result_cache = Bitmap.from_bytes(obj["result"])
-        # records written before degradation tracking lack the fields
-        state.degraded_remote = {str(k): float(v)
-                                 for k, v in obj.get("degraded_remote", {}).items()}
-        state.degraded_shards = {str(k): float(v)
-                                 for k, v in obj.get("degraded_shards", {}).items()}
+        for field in ("degraded_remote", "degraded_shards"):
+            setattr(state, field, {str(k): float(v)
+                                   for k, v in obj[field].items()})
         return state
 
     def __repr__(self):
@@ -91,9 +95,9 @@ class MetaStore:
     """Write-through persistence of HAC state onto the block device.
 
     Records:
-      * ``semdir:<uid>`` — one per directory;
+      * ``semdir:<uid>`` — one per directory, the global map's source;
       * their owners' auxiliary records (:meth:`flush_aux`) —
-        ``globalmap`` (the UID ↔ path table), ``engineconf``, ``tenants``.
+        ``engineconf``, ``tenants``.
 
     The in-memory copy is authoritative during a run; the store exists to
     (a) charge honest I/O for every state mutation and (b) support
@@ -107,10 +111,12 @@ class MetaStore:
 
     # -- directory state ------------------------------------------------------
 
-    def create(self, uid: int) -> SemanticDirState:
+    def create(self, uid: int, parent: Optional[int],
+               name: str) -> SemanticDirState:
         if uid in self._states:
             raise ValueError(f"state already exists for uid {uid}")
         state = SemanticDirState(uid)
+        state.parent, state.name = parent, name
         self._states[uid] = state
         self.flush(uid)
         return state
@@ -135,7 +141,7 @@ class MetaStore:
                                  serialization.dumps(state.to_obj()))
 
     def flush_aux(self, name: str, obj) -> None:
-        """Persist an auxiliary structure (global map, tenant table)."""
+        """Persist an auxiliary structure (engine config, tenant table)."""
         self.device.write_record(name, serialization.dumps(obj))
 
     def load_aux(self, name: str):
@@ -144,6 +150,10 @@ class MetaStore:
 
     def uids(self) -> Iterator[int]:
         return iter(list(self._states))
+
+    def places(self) -> Dict[int, Tuple[Optional[int], str]]:
+        """``uid → (parent, name)`` of every record: the global map's input."""
+        return {uid: (s.parent, s.name) for uid, s in self._states.items()}
 
     def __len__(self) -> int:
         return len(self._states)

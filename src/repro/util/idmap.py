@@ -11,6 +11,8 @@ queries.
 :class:`GlobalDirectoryMap` owns that mapping.  A rename of ``/a`` to ``/b``
 must also re-root every registered path under ``/a`` — the map handles the
 whole subtree in :meth:`rename_subtree`.
+It is never persisted: a directory's record holds its place
+(:meth:`place_of`), and a load folds the places back (:meth:`load_places`).
 """
 
 from __future__ import annotations
@@ -68,9 +70,6 @@ class GlobalDirectoryMap:
     def __len__(self) -> int:
         return len(self._uid_to_path)
 
-    def uids(self) -> Iterator[int]:
-        return iter(list(self._uid_to_path))
-
     def items(self) -> Iterator[Tuple[int, str]]:
         return iter(list(self._uid_to_path.items()))
 
@@ -112,22 +111,37 @@ class GlobalDirectoryMap:
 
     # -- persistence ----------------------------------------------------------
 
-    def load_snapshot(self, snapshot: Dict[int, str],
-                      named: Iterable[int]) -> None:
-        """Replace the whole table *in place* (rollback/recovery reload).
+    def place_of(self, path: str) -> Tuple[int, str]:
+        """The UID of *path*'s nearest registered proper ancestor and the
+        path below it — the name, unless an unknown directory is between."""
+        above = pathutil.dirname(path)
+        while above not in self._path_to_uid:
+            above = pathutil.dirname(above)
+        return self._path_to_uid[above], pathutil.relative_to(path, above)
 
-        In place matters: other components hold this map's bound methods
-        (``uid_of``/``path_of``), so recovery must mutate the live object
-        rather than swap in a new one.
-
-        A removed directory's UID lives on in the queries that *named*
-        it and must keep meaning "gone": the allocator restarts above
-        those too, so no reload hands one out again.
-        """
-        self._uid_to_path = dict(snapshot)
-        self._path_to_uid = {p: u for u, p in snapshot.items()}
-        if self.ROOT_UID not in self._uid_to_path:
-            self._uid_to_path[self.ROOT_UID] = "/"
-            self._path_to_uid["/"] = self.ROOT_UID
+    def load_places(self, places: Dict[int, Tuple[Optional[int], str]],
+                    named: Iterable[int]) -> None:
+        """Replace the whole table *in place* — other components hold its
+        bound methods — with the one the records' ``uid → (parent, name)``
+        places imply: one breadth-first pass from the root, siblings in UID
+        order, the first claim on a path winning.  A record whose parent
+        chain misses the root is never reached, so the pass ends on every
+        input and leaves it out.  The allocator restarts above every UID a
+        record carries or a query *names*: a removed directory's UID lives
+        on in those queries and must keep meaning "gone"."""
+        children: Dict[object, List[Tuple[int, str]]] = {}
+        for uid, (parent, name) in sorted(places.items()):
+            children.setdefault(parent, []).append((uid, name))
+        self._uid_to_path = {self.ROOT_UID: "/"}
+        self._path_to_uid = {"/": self.ROOT_UID}
+        placed = [self.ROOT_UID]
+        for above in placed:  # grows as the pass goes: breadth first
+            for uid, name in children.get(above, ()):
+                path = pathutil.join(self._uid_to_path[above], name)
+                if uid not in self._uid_to_path \
+                        and path not in self._path_to_uid:
+                    self._uid_to_path[uid] = path
+                    self._path_to_uid[path] = uid
+                    placed.append(uid)
         self._fresh = itertools.count(
-            max(max(self._uid_to_path), max(named, default=0)) + 1)
+            max(max(places, default=0), max(named, default=0)) + 1)

@@ -647,11 +647,6 @@ class FileSystem:
         res.node.attrs.ctime = self.clock.now
         res.fs.device.charge_meta_write()
 
-    def utime(self, path: str, mtime: Optional[float] = None) -> None:
-        res = self.resolve(path)
-        res.node.attrs.mtime = self.clock.now if mtime is None else mtime
-        res.fs.device.charge_meta_write()
-
     # ------------------------------------------------------------------
     # descriptor-based I/O
     # ------------------------------------------------------------------

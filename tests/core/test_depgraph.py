@@ -156,8 +156,8 @@ class TestDerive:
         for path in ("/d1", "/d2", "/d1/d3", "/d1/d3/d4"):
             dirmap.register(path)
         meta = MetaStore(BlockDevice())
-        for uid in dirmap.uids():
-            meta.create(uid)
+        for uid, path in dirmap.items():
+            meta.create(uid, *dirmap.place_of(path))
         return dirmap, meta
 
     def test_derive_roundtrip(self, graph, namespace):

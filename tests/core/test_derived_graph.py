@@ -1,6 +1,7 @@
-"""The dependency graph is derived state: whatever sequence of mutations,
-rollbacks and reopens a name space has been through, the graph it keeps
-equals the one its global map and queries imply — the named cases here,
+"""The global map and the dependency graph are derived state: whatever
+sequence of mutations, rollbacks and reopens a name space has been
+through, the map it keeps equals the one its records' places imply and
+the graph the one that map and the queries imply — the named cases here,
 the random ones in ``tests/properties``."""
 
 import pytest
@@ -10,7 +11,7 @@ from repro.core.hacfs import HacFileSystem
 from repro.vfs.blockdev import FaultPlan
 from repro.vfs.filesystem import FileSystem
 
-from tests.properties.derived import assert_graph_is_derived, graph_shape
+from tests.properties.derived import assert_is_derived, graph_shape
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def test_directory_renamed_under_a_younger_one(world):
     world.mkdir("/young")
     world.rename("/old", "/young/old")
     assert world.dirmap.uid_of("/young/old") < world.dirmap.uid_of("/young")
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
 
 
 def test_removed_reference_dangles_on_both_sides(world):
@@ -36,7 +37,7 @@ def test_removed_reference_dangles_on_both_sides(world):
     assert gone in world.depgraph.providers_of(world.dirmap.uid_of("/q"))
     world.rmdir("/gone")
     assert gone not in world.depgraph
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
 
 
 def test_reopen_never_reuses_a_uid_a_query_still_names(world):
@@ -49,14 +50,20 @@ def test_reopen_never_reuses_a_uid_a_query_still_names(world):
     world.set_query("/a", "fingerprint AND /b")
     gone = world.dirmap.uid_of("/b")
     world.rmdir("/b")
+    # the newest directory is gone and so is its record: the map the
+    # reopen derives from the records is the one before it, and only the
+    # query that names the uid keeps the allocator above it
+    assert gone == max(world.meta.uids()) + 1
+    before = dict(world.dirmap.items())
     hac = HacFileSystem.restore(world.fs)
-    assert_graph_is_derived(hac)
+    assert dict(hac.dirmap.items()) == before
+    assert_is_derived(hac)
     hac.mkdir("/a/c")
     hac.mkdir("/c")
     assert gone not in (hac.dirmap.uid_of("/a/c"), hac.dirmap.uid_of("/c"))
-    assert_graph_is_derived(hac)
+    assert_is_derived(hac)
     hac = HacFileSystem.restore(hac.fs)
-    assert_graph_is_derived(hac)
+    assert_is_derived(hac)
     assert hac.fsck() == []
     # an in-process rollback runs the same loader
     dev = hac.fs.device
@@ -66,7 +73,7 @@ def test_reopen_never_reuses_a_uid_a_query_still_names(world):
     dev.clear_faults()
     hac.mkdir("/d")
     assert hac.dirmap.uid_of("/d") != gone
-    assert_graph_is_derived(hac)
+    assert_is_derived(hac)
 
 
 def test_query_naming_its_own_parent(world):
@@ -74,12 +81,12 @@ def test_query_naming_its_own_parent(world):
     directory away keeps the dependency its query still states."""
     world.smkdir("/notes/q", "fingerprint AND /notes")
     assert world.fsck() == []
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
     world.rename("/notes/q", "/q")
     notes, q = world.dirmap.uid_of("/notes"), world.dirmap.uid_of("/q")
     assert world.depgraph.providers_of(q) == {0: "hierarchy",
                                               notes: "reference"}
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
 
 
 def test_mount_adopts_and_unmount_forgets(world):
@@ -90,9 +97,9 @@ def test_mount_adopts_and_unmount_forgets(world):
     world.mkdir("/mnt")
     world.mount("/mnt", other)
     world.smkdir("/q", "fingerprint AND /mnt/inner")
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
     world.unmount("/mnt")
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
 
 
 def test_tenant_resolved_references(world):
@@ -103,7 +110,7 @@ def test_tenant_resolved_references(world):
     q = world.dirmap.uid_of("/tenants/t/q")
     src = world.dirmap.uid_of("/tenants/t/src")
     assert world.depgraph.providers_of(q)[src] == "reference"
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
 
 
 def test_rejected_cycle_rolls_back_to_the_derived_graph(world):
@@ -113,7 +120,7 @@ def test_rejected_cycle_rolls_back_to_the_derived_graph(world):
     with pytest.raises(DependencyCycle):
         world.set_query("/p", "fingerprint AND /q")
     assert graph_shape(world.depgraph) == before
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
 
 
 @pytest.mark.parametrize("op", [
@@ -138,12 +145,12 @@ def test_soft_failure_reloads_the_same_graph(world, op):
             op(world)
         except NoSpace:
             assert graph_shape(world.depgraph) == before, offset
-            assert_graph_is_derived(world, offset)
+            assert_is_derived(world, offset)
             offset += 1
             continue
         break
     assert offset > 0
     dev.clear_faults()
-    assert_graph_is_derived(world)
+    assert_is_derived(world)
     reopened = HacFileSystem.restore(world.fs)
     assert graph_shape(reopened.depgraph) == graph_shape(world.depgraph)

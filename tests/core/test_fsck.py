@@ -47,7 +47,7 @@ class TestDetection:
         assert "unregistered-dir" in kinds(findings)
 
     def test_orphan_state(self, populated):
-        populated.meta.create(4242)
+        populated.meta.create(4242, None, "stray")
         findings = hacfsck(populated)
         assert "orphan-state" in kinds(findings)
 
@@ -77,14 +77,14 @@ class TestDetection:
         assert "bad-hierarchy-edge" in kinds(hacfsck(populated))
 
     def test_finding_str(self, populated):
-        populated.meta.create(777)
+        populated.meta.create(777, None, "stray")
         finding = [f for f in hacfsck(populated) if f.kind == "orphan-state"][0]
         assert "orphan-state" in str(finding) and "[warn]" in str(finding)
 
 
 class TestRepair:
     def test_repair_orphan_state(self, populated):
-        populated.meta.create(999)
+        populated.meta.create(999, None, "stray")
         hacfsck(populated, repair=True)
         assert hacfsck(populated) == []
 

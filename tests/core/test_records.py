@@ -8,7 +8,7 @@ import pytest
 from repro.core.hacfs import HacFileSystem
 
 #: every record kind HAC persists once its intents have committed
-FAMILIES = {"engineconf", "globalmap", "semdir", "tenants",
+FAMILIES = {"engineconf", "semdir", "tenants",
             "seg", "segmanifest", "cbaindex"}
 
 
@@ -81,17 +81,17 @@ def test_record_catalogue():
 
 
 @pytest.mark.parametrize("bound, op", [
-    (8, lambda t: t.mkdir("/m")),
-    (10, lambda t: t.smkdir("/s", "alpha")),
+    (5, lambda t: t.mkdir("/m")),
+    (7, lambda t: t.smkdir("/s", "alpha")),
     (6, lambda t: t.set_query("/q", "alpha AND 1")),
-    (8, lambda t: t.rename("/empty", "/moved")),
-    (8, lambda t: t.rmdir("/empty")),
+    (5, lambda t: t.rename("/empty", "/moved")),
+    (5, lambda t: t.rmdir("/empty")),
 ], ids=["mkdir", "smkdir", "set_query", "rename_dir", "rmdir"])
 def test_structural_ops_write_each_fact_once(world, bound, op):
     """Device writes (deletes included) per call: the intent's begin, one
     pre-image and one write per record touched, the commit's deletes —
-    and the records touched are the directory's own and the global map,
-    not a second copy of either."""
+    and the one record touched is the directory's own: the global map is
+    derived from the places the records hold, never written."""
     hac, tenant = world
     tenant.smkdir("/q", "alpha")
     tenant.mkdir("/empty")
@@ -99,6 +99,43 @@ def test_structural_ops_write_each_fact_once(world, bound, op):
     before = device.record_write_index
     op(tenant)
     assert device.record_write_index - before <= bound
+
+
+def bytes_and_key_lengths(device, op):
+    """Bytes written to the device while *op* runs, and the summed length
+    of the record keys they were written under."""
+    written = []
+    write = device.write_record
+
+    def spy(key, data):
+        written.append((len(key), len(data)))
+        return write(key, data)
+
+    device.write_record = spy
+    try:
+        op()
+    finally:
+        del device.write_record
+    return sum(n for _k, n in written), sum(k for k, _n in written)
+
+
+@pytest.mark.parametrize("op", [
+    lambda h: h.mkdir("/new"),
+    lambda h: h.rename("/d0005", "/moved"),
+], ids=["mkdir", "rename_dir"])
+def test_namespace_writes_are_flat_in_the_directory_count(op):
+    """A directory's record says where it sits, so a ``mkdir`` or a
+    directory ``rename`` writes the same bytes among 1 000 siblings as
+    among 10 — up to the longer uid and journal sequence in the record
+    names, which is all that may grow."""
+    def cost(siblings):
+        hac = HacFileSystem()
+        for i in range(siblings):
+            hac.mkdir(f"/d{i:04d}")
+        return bytes_and_key_lengths(hac.fs.device, lambda: op(hac))
+
+    (small, small_keys), (large, large_keys) = cost(10), cost(1000)
+    assert 0 <= large - small <= large_keys - small_keys
 
 
 def test_restore_syncs_the_tree_once():

@@ -29,8 +29,10 @@ class TestState:
         state.links.add_transient("t", Target.remote("n", "d"))
         state.links.prohibit("t")
         state.result_cache = Bitmap([3, 99])
+        state.parent, state.name = 2, "raw/five"
         restored = SemanticDirState.from_obj(state.to_obj())
         assert restored.uid == 5
+        assert (restored.parent, restored.name) == (2, "raw/five")
         assert restored.query == state.query
         assert restored.query_text == "a AND NOT b"
         assert restored.links.permanent == state.links.permanent
@@ -53,7 +55,7 @@ def store():
 
 class TestMetaStore:
     def test_create_get_require(self, store):
-        state = store.create(7)
+        state = store.create(7, 0, "d7")
         assert store.get(7) is state
         assert store.require(7) is state
         assert store.get(8) is None
@@ -61,24 +63,26 @@ class TestMetaStore:
             store.require(8)
 
     def test_duplicate_create_rejected(self, store):
-        store.create(7)
+        store.create(7, 0, "d7")
         with pytest.raises(ValueError):
-            store.create(7)
+            store.create(7, 0, "d7")
 
     def test_create_persists_immediately(self, store):
-        store.create(7)
+        store.create(7, 0, "d7")
         assert "semdir:7" in store.device.record_keys()
+        store.reload_all()
+        assert store.places() == {7: (0, "d7")}
         assert store.metadata_bytes() > 0
 
     def test_drop(self, store):
-        store.create(7)
+        store.create(7, 0, "d7")
         store.drop(7)
         assert store.get(7) is None
         assert "semdir:7" not in store.device.record_keys()
         store.drop(7)  # idempotent
 
     def test_flush_writes_current_state(self, store):
-        state = store.create(7)
+        state = store.create(7, 0, "d7")
         state.query = parse_query("x")
         state.query_text = "x"
         store.flush(7)
@@ -87,7 +91,7 @@ class TestMetaStore:
 
     def test_reload_all_rebuilds_everything(self, store):
         for uid in (1, 2, 3):
-            state = store.create(uid)
+            state = store.create(uid, 0, f"d{uid}")
             state.links.add_permanent(f"n{uid}", Target.local("f", uid))
             store.flush(uid)
         store.reload_all()
@@ -95,16 +99,16 @@ class TestMetaStore:
         assert store.require(2).links.target_of("n2") == Target.local("f", 2)
 
     def test_aux_records(self, store):
-        store.flush_aux("globalmap", {"0": "/"})
-        assert store.load_aux("globalmap") == {"0": "/"}
+        store.flush_aux("engineconf", {"num_blocks": 8})
+        assert store.load_aux("engineconf") == {"num_blocks": 8}
         assert store.load_aux("absent") is None
 
     def test_metadata_bytes_tracks_store(self, store):
         before = store.metadata_bytes()
-        store.create(1)
+        store.create(1, 0, "d1")
         assert store.metadata_bytes() > before
 
     def test_uids_and_contains(self, store):
-        store.create(3)
+        store.create(3, 0, "d3")
         assert list(store.uids()) == [3]
         assert 3 in store and 4 not in store

@@ -1,10 +1,14 @@
-"""Derived = maintained: the dependency graph is never persisted, so the
-graph ``HacFileSystem`` keeps current mutation by mutation must at every
-moment be the graph :meth:`DependencyGraph.derive` would rebuild from the
-two primary structures — the global map and the directories' queries.
+"""Derived = maintained: neither the global map nor the dependency graph
+is persisted, so the map and graph ``HacFileSystem`` keeps current
+mutation by mutation must at every moment be the ones a load would
+rebuild — the map from the places the device's ``semdir:`` records hold
+(:meth:`GlobalDirectoryMap.load_places`), the graph from that map and the
+directories' queries (:meth:`DependencyGraph.derive`).
 """
 
 from repro.core.depgraph import DependencyGraph
+from repro.core.semdir import MetaStore
+from repro.util.idmap import GlobalDirectoryMap
 
 
 def graph_shape(graph: DependencyGraph):
@@ -15,6 +19,22 @@ def graph_shape(graph: DependencyGraph):
             for uid in graph.nodes()}
 
 
-def assert_graph_is_derived(hac, where=None) -> None:
+def map_from_records(device) -> GlobalDirectoryMap:
+    """The global map a load derives from *device*'s records alone."""
+    meta = MetaStore(device)
+    meta.reload_all()
+    loaded = GlobalDirectoryMap()
+    loaded.load_places(meta.places(), ())
+    return loaded
+
+
+def assert_map_is_derived(dirmap, device, where=None) -> None:
+    assert dict(map_from_records(device).items()) == dict(dirmap.items()), \
+        where
+
+
+def assert_is_derived(hac, where=None) -> None:
+    """The map and the graph *hac* maintains are the ones it would load."""
+    assert_map_is_derived(hac.dirmap, hac.fs.device, where)
     derived = DependencyGraph.derive(hac.dirmap, hac.meta)
     assert graph_shape(derived) == graph_shape(hac.depgraph), where

@@ -30,8 +30,9 @@ from repro.errors import DeviceCrashed
 from repro.core.hacfs import HacFileSystem
 from repro.obs import Observability
 from repro.vfs.blockdev import FaultPlan
+from repro.vfs.filesystem import FileSystem
 
-from tests.properties.derived import assert_graph_is_derived, graph_shape
+from tests.properties.derived import assert_is_derived, graph_shape
 
 SEED = int(os.environ.get("CRASH_SWEEP_SEED", "0"))
 
@@ -217,13 +218,60 @@ def test_crash_sweep(op_name):
         # one a world that never crashed maintains in the same state
         assert graph_shape(restored.depgraph) == graphs[state], \
             (op_name, offset, state)
-        assert_graph_is_derived(restored, (op_name, offset))
+        assert_is_derived(restored, (op_name, offset))
         _assert_rollbacks_correlate(op_name, offset, hac, recovery_obs,
                                     restored.last_recovery)
         rollbacks_seen += len(restored.last_recovery.rolled_back)
     # a sweep that never rolled anything back would vacuously pass the
     # correlation contract; every journaled op crashes mid-intent somewhere
     assert rollbacks_seen > 0, op_name
+
+
+def build_mount_world(unmounted: bool) -> HacFileSystem:
+    """The sweep world after a mount adopted two directories into the map
+    (each record placing its directory) and, when *unmounted*, after the
+    unmount dropped their records again."""
+    hac = build_world()
+    other = FileSystem(name="other")
+    other.mkdir("/inner")
+    other.mkdir("/inner/deeper")
+    other.write_file("/inner/c.txt", b"mounted fingerprint\n")
+    hac.mkdir("/mnt")
+    hac.mount("/mnt", other)
+    if unmounted:
+        hac.unmount("/mnt")
+    return hac
+
+
+@pytest.mark.parametrize("unmounted", [False, True],
+                         ids=["mounted", "unmounted"])
+@pytest.mark.parametrize("op_name", ["mkdir", "rmdir", "rename_dir"])
+def test_crash_sweep_keeps_adopted_places(op_name, unmounted):
+    """Crash at every write of a structural operation in a world whose
+    map a mount grew and an unmount shrank: the map a reopen derives from
+    the records is the one the world maintained, with the adopted
+    directories where the mount put them — or gone, after the unmount."""
+    mutate, state_of = OPERATIONS[op_name]
+    dry = build_mount_world(unmounted)
+    start = dry.fs.device.record_write_index
+    mutate(dry)
+    n_writes = dry.fs.device.record_write_index - start
+    for offset in range(n_writes):
+        hac = build_mount_world(unmounted)
+        adopted = hac.dirmap.uid_of("/mnt/inner/deeper")
+        dev = hac.fs.device
+        dev.set_fault_plan(
+            FaultPlan(crash_at=dev.record_write_index + offset))
+        with pytest.raises(DeviceCrashed):
+            mutate(hac)
+        restored = HacFileSystem.restore(hac.fs)
+        where = (op_name, unmounted, offset)
+        errors = [f for f in restored.fsck() if f.severity == "error"]
+        assert errors == [], (where, [str(f) for f in errors])
+        assert state_of(restored) != "partial", where
+        assert restored.dirmap.uid_of("/mnt/inner/deeper") == adopted, where
+        assert (adopted is None) == unmounted, where
+        assert_is_derived(restored, where)
 
 
 @pytest.mark.parametrize("op_name", ["smkdir", "set_query"])

@@ -5,7 +5,7 @@ says keep the graph acyclic, (b) produce orders networkx validates as
 topological, and (c) leave the maintained graph equal, after every step,
 to the one ``derive`` rebuilds from a global map and the queries alone —
 whose single whole-graph validation must reject exactly what the per-edge
-check rejected.
+check rejected — and that map equal to the one the records' places load.
 """
 
 import networkx as nx
@@ -21,7 +21,7 @@ from repro.core.semdir import MetaStore
 from repro.util.idmap import GlobalDirectoryMap
 from repro.vfs.blockdev import BlockDevice
 
-from tests.properties.derived import graph_shape
+from tests.properties.derived import assert_map_is_derived, graph_shape
 
 N_NODES = 8
 
@@ -49,7 +49,7 @@ def build(ops):
         graph.set_hierarchy_edge(uid, ROOT_UID)
         model.add_edge(ROOT_UID, uid)
         assert dirmap.register(f"/d{uid}") == uid
-        meta.create(uid)
+        meta.create(uid, ROOT_UID, f"d{uid}")
     refs = {uid: set() for uid in range(1, N_NODES + 1)}
     for dependent, provider in ops:
         wanted = refs[dependent] | {provider}
@@ -70,6 +70,7 @@ def build(ops):
             state.query = settled
         assert graph_shape(DependencyGraph.derive(dirmap, meta)) \
             == graph_shape(graph), (dependent, provider)
+        assert_map_is_derived(dirmap, meta.device, (dependent, provider))
         if accepted:
             refs[dependent] = wanted
             model.remove_edges_from([(p, dependent) for p in list(model.predecessors(dependent))

@@ -169,7 +169,7 @@ def test_rename_storm_more_seeds(seed):
 
 
 # ----------------------------------------------------------------------
-# the same storm one layer up: the dependency graph stays derivable
+# the same storm one layer up: the map and the graph stay derivable
 # ----------------------------------------------------------------------
 
 def build_hac(backend=None):
@@ -191,11 +191,12 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
     queries naming random directories (some rejected as cycles and rolled
     back), detaches, removals of referenced directories, a mount and its
     unmount, and a tenant resolving references in its own name space:
-    after **every** step, accepted or refused, the graph HAC maintains is
-    the graph its map and queries imply, every semantic directory's links
+    after **every** step, accepted or refused, the map HAC maintains is
+    the map its records' places load, the graph HAC maintains is the
+    graph its map and queries imply, every semantic directory's links
     are the links a from-scratch evaluation gives, and fsck agrees."""
     from repro.errors import ReproError
-    from tests.properties.derived import assert_graph_is_derived
+    from tests.properties.derived import assert_is_derived
     from tests.properties.reference import assert_links_from_scratch
 
     rng = random.Random(seed)
@@ -248,7 +249,7 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
             # a cycle, a non-empty rmdir, a move into its own subtree or
             # across the mount: refused, rolled back, and still derivable
             refused += 1
-        assert_graph_is_derived(hac, step)
+        assert_is_derived(hac, step)
         assert_links_from_scratch(hac, step)
         errors = [f for f in hac.fsck() if f.severity == "error"]
         assert errors == [], (step, [str(f) for f in errors])

@@ -73,7 +73,7 @@ class TestDispatch:
 
     def test_fsck_command(self, shell):
         assert execute(shell, "fsck") == "clean"
-        shell.hacfs.meta.create(31337)       # plant an orphan record
+        shell.hacfs.meta.create(31337, None, "x")      # plant an orphan record
         assert "orphan-state" in execute(shell, "fsck")
         assert execute(shell, "fsck --repair") != "clean"  # reports as it fixes
         assert execute(shell, "fsck") == "clean"

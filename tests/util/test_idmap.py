@@ -84,20 +84,65 @@ class TestSubtreeAndSnapshot:
         assert gm.uid_of("/a") not in strict
 
     def test_snapshot_restore_roundtrip(self, gm):
-        snap = dict(gm.items())
+        """What the records store — each directory's place — loads back
+        into the very map that placed them."""
+        places = {uid: gm.place_of(path) for uid, path in gm.items()
+                  if uid != 0}
+        assert places[gm.uid_of("/a/b/c")] == (gm.uid_of("/a/b"), "c")
         restored = GlobalDirectoryMap()
-        restored.load_snapshot(snap, ())
-        assert restored.uid_of("/a/b/c") == gm.uid_of("/a/b/c")
+        restored.load_places(places, ())
+        assert dict(restored.items()) == dict(gm.items())
         # the allocator must not clash with restored uids
         fresh = restored.register("/new")
-        assert fresh not in snap
+        assert fresh not in places
 
     def test_restore_reinstates_root(self):
         restored = GlobalDirectoryMap()
-        restored.load_snapshot({5: "/only"}, ())
+        restored.load_places({5: (0, "only")}, ())
         assert restored.uid_of("/") == 0
+        assert restored.path_of(5) == "/only"
 
     def test_reload_never_reuses_a_uid_a_query_still_names(self):
         restored = GlobalDirectoryMap()
-        restored.load_snapshot({1: "/a"}, {2, 7})
+        restored.load_places({1: (0, "a")}, {2, 7})
         assert restored.register("/new") == 8
+        # an unplaceable record's uid is taken too: a record carries it
+        restored.load_places({1: (0, "a"), 9: (4, "lost")}, ())
+        assert restored.register("/new") == 10
+
+
+class TestPlaces:
+    """``load_places`` is the restore boundary: it ends, and gives one
+    answer, on every input."""
+
+    def test_place_below_an_unknown_directory(self, gm):
+        assert gm.place_of("/a/raw/sub") == (gm.uid_of("/a"), "raw/sub")
+        assert gm.place_of("/top") == (0, "top")
+        restored = GlobalDirectoryMap()
+        restored.load_places({1: (0, "a"), 2: (1, "raw/sub")}, ())
+        assert restored.path_of(2) == "/a/raw/sub"
+
+    def test_placed_before_its_parent_by_uid(self):
+        restored = GlobalDirectoryMap()
+        restored.load_places({1: (3, "old"), 3: (0, "young")}, ())
+        assert restored.path_of(1) == "/young/old"
+
+    @pytest.mark.parametrize("places", [
+        {4: (99, "lost")},                 # missing parent
+        {4: (4, "self")},                  # itself as its parent
+        {4: (5, "x"), 5: (4, "y")},        # a cycle
+        {4: (None, "none")},               # no parent, not the root
+    ], ids=["missing", "self", "cycle", "none"])
+    def test_unreachable_records_stay_out(self, places):
+        restored = GlobalDirectoryMap()
+        restored.load_places(places, ())
+        assert dict(restored.items()) == {0: "/"}
+
+    def test_two_claims_on_one_path_load_the_same_way(self):
+        places = {7: (0, "a"), 3: (0, "a"), 8: (7, "child")}
+        for order in (places, dict(reversed(list(places.items())))):
+            restored = GlobalDirectoryMap()
+            restored.load_places(order, ())
+            # siblings in uid order: 3 is reached first; 7 and what it
+            # holds stay out
+            assert dict(restored.items()) == {0: "/", 3: "/a"}
