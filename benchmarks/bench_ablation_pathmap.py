@@ -11,6 +11,10 @@ corpus shapes the other ablations use:
 * **Segment plane**: recovery with persisted segments folds rows back
   into the index with zero tokenisation, while a rebuild re-reads and
   re-tokenises the whole corpus.  Counted in ``engine.tokenisations``.
+  And publishing is not persisting: one-document drains write the same
+  device records with a snapshot replica attached as without one, and
+  no segment below the seal threshold.  Counted in ``blockdev.write_ops``
+  and ``segments.seals`` / ``segments.compactions``.
 """
 
 import pytest
@@ -153,3 +157,48 @@ def test_segment_merge_vs_rebuild_recovery(benchmark, record_report):
     assert merge_tok == 0, "segment restore ran the tokenizer"
     assert merge_docs >= N_FILES
     assert rebuild_tok >= N_FILES
+
+
+DRAINS = 20
+COUNTED = ("blockdev.write_ops", "segments.seals", "segments.compactions")
+
+
+def drain_counts(with_replica: bool):
+    """Deltas of :data:`COUNTED` over ``DRAINS`` one-document drains of
+    distinct files, with or without a snapshot replica attached."""
+    hac = HacFileSystem()
+    hac.makedirs("/inbox")
+    hac.write_file("/inbox/seed.txt", b"fingerprint baseline\n")
+    hac.clock.tick()
+    hac.ssync("/")
+    hac.watch("/inbox")
+    hac.maintenance.set_mode("batched")
+    if with_replica:
+        hac.engine.attach_replica()
+    before = [hac.counters.get(name) for name in COUNTED]
+    for i in range(DRAINS):
+        hac.clock.tick()
+        hac.write_file(f"/inbox/m{i}.txt", b"fingerprint lead %d\n" % i)
+        hac.maintenance.drain()
+    return {name: hac.counters.get(name) - was
+            for name, was in zip(COUNTED, before)}
+
+
+@pytest.mark.benchmark(group="ablation-pathmap")
+def test_replica_does_not_change_what_drains_persist(benchmark,
+                                                     record_report):
+    plain, replicated = benchmark.pedantic(
+        lambda: (drain_counts(False), drain_counts(True)),
+        rounds=1, iterations=1)
+
+    results = [BenchResult("one-document drains", DRAINS)]
+    for name in COUNTED:
+        results.append(BenchResult(f"{name} (no replica)", plain[name]))
+        results.append(BenchResult(f"{name} (replica)", replicated[name]))
+    record_report(report("Ablation N3: publishing is not persisting",
+                         results))
+
+    # a snapshot reader must not change what drains persist: no seal on
+    # publish, so no segment record and no compaction below the threshold
+    assert replicated == plain, (replicated, plain)
+    assert plain["segments.seals"] == plain["segments.compactions"] == 0

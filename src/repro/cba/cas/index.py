@@ -53,7 +53,7 @@ catch a missed rebase.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.util import pathutil
 from repro.util.bitmap import Bitmap
@@ -141,6 +141,17 @@ class CASIndex:
         self._stats.add("upserts")
         if len(part.members) >= part.next_split_at:
             self._split(part)
+
+    def fill_terms(self, terms_of: Callable[[int], Iterable[str]]) -> None:
+        """Give every member its terms in the partition it sits in — the
+        second pass of a bulk load whose term-less upserts laid the
+        partitions out.  Splits read member counts and paths only, so the
+        layout is the one term-bearing upserts would have built, without
+        moving postings through every split."""
+        for doc_id, (path, root, _terms) in self._docs.items():
+            terms = tuple(terms_of(doc_id))
+            self._roots[root].add(doc_id, terms)
+            self._docs[doc_id] = (path, root, terms)
 
     def remove(self, doc_id: int) -> None:
         entry = self._docs.pop(doc_id, None)

@@ -383,13 +383,15 @@ class CBAEngine(DocRegistry):
         """Repopulate the CAS index from the registry and the block
         index's removal map — zero loader reads, zero tokenisations.
         Wholesale adoption (:meth:`_adopt`) and fsck repair land here
-        because they bypass the per-mutation funnels."""
+        because they bypass the per-mutation funnels.  Each document is
+        placed once: term-less inserts lay the partitions out, then every
+        document's terms land in its final partition."""
         self.cas.clear()
-        lexicon = self.index.lexicon
         for doc_id, doc in sorted(self._docs.items()):
-            terms = [lexicon.term(tid)
-                     for tid in self.index._doc_terms.get(doc_id, ())]
-            self.cas.upsert(doc_id, doc.path, terms)
+            self.cas.upsert(doc_id, doc.path, ())
+        term, doc_terms = self.index.lexicon.term, self.index._doc_terms
+        self.cas.fill_terms(
+            lambda doc_id: [term(tid) for tid in doc_terms.get(doc_id, ())])
 
     # -- postings answering ---------------------------------------------------
 
@@ -651,9 +653,9 @@ class CBAEngine(DocRegistry):
               mtime: float, terms: Optional[Set[str]] = None,
               text: Optional[str] = None) -> None:
         if self.segments is not None:
-            # the memtable subsumes the op log: replicas catch up from
-            # sealed segments, persistence folds them, so every mutation
-            # is noted regardless of whether a replica is attached
+            # the store subsumes the op log: every mutation reaches the
+            # memtable for persistence, and the next publication cut too
+            # once a replica reads cuts
             self.segments.note(kind, doc_id, key, path, mtime, terms, text)
         elif self._replicas:
             self._pending_ops.append(
@@ -662,45 +664,34 @@ class CBAEngine(DocRegistry):
     def publish(self) -> int:
         """Publish the current index state as the next snapshot version.
 
-        Replicas that are not deliberately lagged replay the buffered op
-        log and stamp the new version; the fully-applied prefix of the
-        buffer is then truncated (lagged replicas pin their suffix).
-        With the segmented store, the memtable is sealed (an exact
-        snapshot cut) and replicas are handed the frozen segments
-        appended since their cursor instead of replaying ops — the
-        sealed log is truncated at the min cursor the same way.
-        Returns the new version.
+        Replicas that are not deliberately lagged catch up from the log
+        and stamp the new version; the fully-applied prefix of the log is
+        then truncated (lagged replicas pin their suffix).  Without the
+        segmented store the log holds one :class:`IndexOp` per mutation
+        and replicas replay it.  With it, the rows noted since the last
+        publish are closed into one publication cut, coalesced per key,
+        which replicas fold (:meth:`SegmentStore.cut`).  Publishing never
+        seals: what is persisted, and when, is the store's own threshold
+        policy, whether or not a replica is attached.  Returns the new
+        version.
         """
         self._published_version += 1
         version = self._published_version
-        if self._replicas and self.segments is not None:
-            self.segments.seal()
-            log = self.segments.sealed_log
-            upto = len(log)
+        if self._replicas:
+            if self.segments is not None:
+                log, upto = self.segments.log, self.segments.cut()
+            else:
+                log, upto = self._pending_ops, len(self._pending_ops)
             for replica in self._replicas:
                 if replica.lag > 0:
                     replica.lag -= 1
                     continue
-                replica.apply_segments(log, upto, version)
+                catch_up = (replica.apply if self.segments is None
+                            else replica.apply_segments)
+                catch_up(log, upto, version)
             low = min(r.cursor for r in self._replicas)
             if low:
-                self.segments.truncate_log(low)
-                for replica in self._replicas:
-                    replica.cursor -= low
-        elif self.segments is not None:
-            # nobody consumes the sealed log without replicas; drop it
-            # (a later attach starts its cursor at the log tail anyway)
-            self.segments.truncate_log(len(self.segments.sealed_log))
-        elif self._replicas:
-            upto = len(self._pending_ops)
-            for replica in self._replicas:
-                if replica.lag > 0:
-                    replica.lag -= 1
-                    continue
-                replica.apply(self._pending_ops, upto, version)
-            low = min(r.cursor for r in self._replicas)
-            if low:
-                del self._pending_ops[:low]
+                del log[:low]
                 for replica in self._replicas:
                     replica.cursor -= low
         self._stats.add("publishes")
@@ -711,8 +702,12 @@ class CBAEngine(DocRegistry):
 
         Hydration copies the engine's current state — between drains the
         engine is at rest at the last published version, so the replica
-        starts consistent with it; its op-log cursor starts at the
-        buffer's tail so the next publish replays only what it missed.
+        starts consistent with it; its cursor starts at the log's tail so
+        the next publish ships only what it missed.  With the segmented
+        store, attaching closes the publication cut first: hydration
+        already holds the unpublished rows, which replicas attached
+        earlier still need and this one must not apply twice.  From the
+        first attach on, the store buffers rows for publication.
         """
         from repro.cba.snapshot import ReadReplica
 
@@ -721,9 +716,7 @@ class CBAEngine(DocRegistry):
         replica = ReadReplica(replica_id, self)
         replica.hydrate(self, self._published_version)
         if self.segments is not None:
-            # hydration copies live state, which includes the memtable's
-            # unsealed rows — the replica is current past the whole log
-            replica.cursor = len(self.segments.sealed_log)
+            replica.cursor = self.segments.cut()
         else:
             replica.cursor = len(self._pending_ops)
         replica.lag = lag
@@ -754,9 +747,9 @@ class CBAEngine(DocRegistry):
     def snapshot_info(self) -> Dict[str, object]:
         """Published version, buffered op count, and per-replica state.
 
-        Under the segmented store "pending" counts memtable rows plus
-        sealed rows some replica has yet to apply, and the live frozen
-        segment count is reported alongside.
+        Under the segmented store "pending" counts the unpublished rows
+        plus the published rows some replica has yet to apply, and the
+        live frozen segment count is reported alongside.
         """
         info = {
             "version": self._published_version,
@@ -766,8 +759,8 @@ class CBAEngine(DocRegistry):
         }
         if self.segments is not None:
             info["pending_ops"] = (
-                len(self.segments.memtable)
-                + sum(len(s) for s in self.segments.sealed_log))
+                len(self.segments.unpublished or ())
+                + sum(len(cut) for cut in self.segments.log))
             info["segments"] = len(self.segments.frozen)
         return info
 

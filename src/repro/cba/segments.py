@@ -12,42 +12,47 @@ document key winning.  Rows carry the term set the engine computed, so
 every downstream consumer — replica catch-up, compaction, recovery —
 is pure index manipulation: the tokenizer never runs off the write path.
 
-Three consumers share the structure:
+Three consumers share the rows, and only the first one seals:
 
-* **Persistence** — :meth:`SegmentStore.sync` writes each frozen segment
-  as a ``seg:<id>`` device record plus a ``segmanifest`` listing the live
-  segment ids (only this module knows the two formats);
+* **Persistence** — :meth:`SegmentStore.sync` seals and compacts as the
+  store's thresholds (or a forcing caller) demand, then writes each
+  frozen segment as a ``seg:<id>`` device record plus a ``segmanifest``
+  listing the live segment ids (only this module knows the two formats);
   :class:`~repro.core.hacfs.HacFileSystem` says *when*, and calls it
   *only inside journal intents* (the scheduler's ``sched_batch`` drains
   and ``reindex``), so the WAL's pre-images roll a mid-seal or
   mid-compaction crash back to a consistent segment list.  Serialized
   segments drop the document text (recovery re-reads through the
   loader) to keep WAL amplification flat.
-* **Publication** — ``publish()`` seals the memtable and hands replicas
-  the frozen segments appended since their cursor (an append-only sealed
-  log, truncated at the min-cursor like the op log it replaces) instead
-  of replaying per-op deltas.
+* **Publication** — ``publish()`` closes a *publication cut*
+  (:meth:`SegmentStore.cut`): the rows noted since the last cut,
+  coalesced per key, join an append-only log that replicas catch up
+  from, truncated at their min cursor.  Rows are buffered for it only
+  while a replica reads publications.  A cut is never persisted and
+  never seals, so whether a snapshot reader exists changes nothing about
+  what is written to the device, or when.
 * **Recovery** — restore folds the persisted segments back into engine
   state with **zero tokenisation** (reindex-as-merge); rows that were
   still in the memtable at the crash are healed by the recovery
   ``ssync``'s mtime diff, exactly like any other un-reindexed write.
 
 Compaction policy: seal when the memtable holds ``seal_threshold`` rows
-(or at every publish with replicas attached — the snapshot cut must be
-exact), compact when the frozen list exceeds ``compact_threshold``
-segments.  Both thresholds are knobs; the crash sweep pins
-``seal_threshold=1`` to force a seal-and-persist inside every drain.
+(or when ``reindex`` forces it), compact when the frozen list exceeds
+``compact_threshold`` segments (or at ``reindex``).  Both thresholds are
+knobs; the crash sweep pins ``seal_threshold=1`` to force a
+seal-and-persist inside every drain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
+from typing import (Dict, Hashable, Iterable, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from repro.errors import CorruptRecord
 from repro.util import pathutil, serialization
 from repro.util.stats import Counters
 
-#: memtable rows before a drain-time seal (publish-time seals ignore it)
+#: memtable rows before a drain-time seal
 DEFAULT_SEAL_THRESHOLD = 32
 #: frozen segments before drain-time compaction folds them into one
 DEFAULT_COMPACT_THRESHOLD = 8
@@ -90,7 +95,8 @@ class SegmentRow(NamedTuple):
 
 
 class Segment:
-    """An immutable, doc-id-sorted run of rows produced by one seal."""
+    """An immutable run of rows: a doc-id-sorted seal or compaction, or
+    one publication cut (rows in noting order, never persisted)."""
 
     __slots__ = ("seg_id", "rows")
 
@@ -160,9 +166,12 @@ class SegmentStore:
         self.memtable: Dict[Hashable, SegmentRow] = {}
         #: the live segment list, oldest first (compaction rewrites it)
         self.frozen: List[Segment] = []
-        #: append-only seal order for replica catch-up; truncated at the
-        #: replicas' min cursor, never rewritten by compaction
-        self.sealed_log: List[Segment] = []
+        #: rows noted since the last publication cut, coalesced per key;
+        #: ``None`` until the first cut — nobody reads publications yet
+        self.unpublished: Optional[Dict[Hashable, SegmentRow]] = None
+        #: publication cuts for replica catch-up, oldest first; the engine
+        #: truncates it at the replicas' min cursor
+        self.log: List[Segment] = []
         self.seal_threshold = seal_threshold
         self.compact_threshold = compact_threshold
         self._next_seg = 0
@@ -176,7 +185,8 @@ class SegmentStore:
     def note(self, kind: str, doc_id: int, key: Hashable, path: str,
              mtime: float, terms: Optional[Set[str]] = None,
              text: Optional[str] = None) -> None:
-        """Append one engine mutation to the memtable (coalescing).
+        """Append one engine mutation to the memtable (coalescing), and
+        to the next publication cut once cuts are read.
 
         ``kind`` uses the engine's emission vocabulary: ``index`` and
         ``update`` both become upserts, ``remove`` a tombstone,
@@ -194,6 +204,8 @@ class SegmentStore:
         else:
             raise ValueError(f"unknown segment row kind: {kind!r}")
         self.memtable[key] = _coalesce(self.memtable.get(key), row)
+        if self.unpublished is not None:
+            self.unpublished[key] = _coalesce(self.unpublished.get(key), row)
         self._stats.add("noted")
 
     # ------------------------------------------------------------------
@@ -208,24 +220,23 @@ class SegmentStore:
     def should_compact(self) -> bool:
         return len(self.frozen) > self.compact_threshold
 
-    def seal(self) -> Optional[Segment]:
-        """Freeze the memtable into a new immutable segment.
+    def _mint(self, rows: Iterable[SegmentRow]) -> Segment:
+        """A doc-id-sorted segment of *rows* under the next unused id."""
+        seg = Segment(f"s{self._next_seg:06d}",
+                      tuple(sorted(rows, key=lambda r: (r.doc_id, r.kind))))
+        self._next_seg += 1
+        return seg
 
-        The segment joins both the live list and the sealed log; returns
-        ``None`` when the memtable is empty (sealing is idempotent at
-        publish boundaries).
-        """
+    def seal(self) -> Optional[Segment]:
+        """Freeze the memtable into a new immutable segment at the end of
+        the live list; returns ``None`` when the memtable is empty."""
         if not self.memtable:
             return None
-        rows = tuple(sorted(self.memtable.values(),
-                            key=lambda r: (r.doc_id, r.kind)))
+        seg = self._mint(self.memtable.values())
         self.memtable.clear()
-        seg = Segment(f"s{self._next_seg:06d}", rows)
-        self._next_seg += 1
         self.frozen.append(seg)
-        self.sealed_log.append(seg)
         self._stats.add("seals")
-        self._stats.add("sealed_rows", len(rows))
+        self._stats.add("sealed_rows", len(seg))
         return seg
 
     def compact(self) -> Optional[Tuple[Segment, List[str]]]:
@@ -243,25 +254,26 @@ class SegmentStore:
         for seg in self.frozen:
             for row in seg.rows:
                 merged[row.key] = _coalesce(merged.get(row.key), row)
-        rows = tuple(sorted(
-            (r for r in merged.values() if r.kind != "remove"),
-            key=lambda r: (r.doc_id, r.kind)))
         dropped = [seg.seg_id for seg in self.frozen]
-        seg = Segment(f"s{self._next_seg:06d}", rows)
-        self._next_seg += 1
+        seg = self._mint(r for r in merged.values() if r.kind != "remove")
         self.frozen = [seg]
         self._stats.add("compactions")
-        self._stats.add("compacted_rows", len(rows))
+        self._stats.add("compacted_rows", len(seg))
         return seg, dropped
 
     # ------------------------------------------------------------------
-    # replica handoff
+    # publication
     # ------------------------------------------------------------------
 
-    def truncate_log(self, upto: int) -> None:
-        """Drop the fully-applied prefix of the sealed log."""
-        if upto:
-            del self.sealed_log[:upto]
+    def cut(self) -> int:
+        """Close the publication cut: the rows noted since the last cut
+        join :attr:`log` as one coalesced run, and noting buffers rows for
+        the next one from here on.  Seals nothing.  Returns the log
+        length — the cursor of a reader current as of this moment."""
+        if self.unpublished:
+            self.log.append(Segment("cut", tuple(self.unpublished.values())))
+        self.unpublished = {}
+        return len(self.log)
 
     # ------------------------------------------------------------------
     # recovery
@@ -285,8 +297,20 @@ class SegmentStore:
                     segments: List[Segment]) -> None:
         """Adopt persisted segments as the frozen list (restore path)."""
         self.frozen = list(segments)
-        self._next_seg = int(manifest.get("next_seg", len(segments)))
+        self._next_seg = max(self._next_seg,
+                             int(manifest.get("next_seg", len(segments))))
         self._stats.add("segments_loaded", len(segments))
+
+    def resume(self, device) -> None:
+        """Continue segment ids above every ``seg:`` id *device* holds,
+        renumbering the segments minted before the device was known (a
+        base seeded over a restored ``cbaindex``).  :meth:`sync` takes an
+        id already on the device as written, so a reopen that reused one
+        would keep the stale record and delete every newer segment."""
+        held = [int(seg_id[1:]) for seg_id in _segment_ids(device)
+                if seg_id[1:].isdigit()]
+        self._next_seg = max([self._next_seg] + [n + 1 for n in held])
+        self.frozen = [self._mint(seg.rows) for seg in self.frozen]
 
     def seed_base(self, rows: Dict[Hashable, SegmentRow]) -> None:
         """Install a synthetic base segment covering *rows*.
@@ -298,10 +322,7 @@ class SegmentStore:
         """
         if not rows:
             return
-        base = Segment(f"s{self._next_seg:06d}",
-                       tuple(sorted(rows.values(),
-                                    key=lambda r: (r.doc_id, r.kind))))
-        self._next_seg += 1
+        base = self._mint(rows.values())
         self.frozen.insert(0, base)
         self._stats.add("base_seeded", len(base))
 
@@ -365,6 +386,7 @@ class SegmentStore:
             restore_stats.add("segment_corrupt")
             raise
         store = cls(counters=counters)
+        store.resume(device)
         store.load_frozen(manifest, segments)
         return store, int(manifest.get("next", 0))
 
@@ -391,7 +413,7 @@ class SegmentStore:
     def __repr__(self):
         return (f"SegmentStore(memtable={len(self.memtable)}, "
                 f"frozen={len(self.frozen)}, "
-                f"log={len(self.sealed_log)})")
+                f"log={len(self.log)})")
 
 
 def _segment_ids(device) -> Set[str]:

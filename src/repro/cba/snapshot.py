@@ -14,8 +14,11 @@ A snapshot is materialised as a :class:`ReadReplica`: a full private
 :class:`~repro.cba.engine.CBAEngine` (same block count, same tokeniser)
 over a replica-local text store, so snapshot reads touch **no shared
 state at all** — no scheduler drain, no live-tree loader, no device
-charges against the primary.  Replicas catch up by replaying the
-primary's :class:`~repro.cba.engine.IndexOp` log:
+charges against the primary.  Replicas catch up from the primary's
+log — :class:`~repro.cba.engine.IndexOp` replay, or, under the segmented
+store, publication cuts: the rows noted between two publishes,
+coalesced per key (:meth:`~repro.cba.segments.SegmentStore.cut`).
+Either way:
 
 * **No re-tokenisation.**  Ops ship the term set the primary computed, so
   replica catch-up never runs the tokenizer (``engine.tokenisations``
@@ -32,10 +35,12 @@ primary's :class:`~repro.cba.engine.IndexOp` log:
 
 Replicas attach lazily: an engine with no replicas buffers nothing and
 :meth:`~repro.cba.engine.CBAEngine.publish` is a version bump — eager
-mode publishes on every drain without paying anything for it.  A
-replica's ``lag`` knob makes it skip publishes (the freshness-injection
-control the cluster's routing tests use); a lagged replica's cursor into
-the shared op log is preserved, so catch-up replays everything it missed.
+mode publishes on every drain without paying anything for it.  Nor does
+a replica change persistence: a cut never seals, so the segment records
+a drain writes are the same with or without one.  A replica's ``lag``
+knob makes it skip publishes (the freshness-injection control the
+cluster's routing tests use); a lagged replica's cursor into the shared
+log is preserved, so catch-up applies everything it missed.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ class ReadReplica:
                                 counters=self.counters)
         #: last published version this replica has applied
         self.version = 0
-        #: index into the primary's shared op log (ops before it are applied)
+        #: index into the primary's shared log (entries before it are applied)
         self.cursor = 0
         #: publishes to skip (staleness injection; catch-up replays them)
         self.lag = 0
@@ -137,10 +142,10 @@ class ReadReplica:
         return applied
 
     def apply_segments(self, log, upto: int, version: int) -> int:
-        """Catch up from ``log[self.cursor:upto]`` frozen segments.
+        """Catch up from ``log[self.cursor:upto]`` publication cuts.
 
         The segmented handoff: instead of replaying per-op deltas, the
-        segments' rows are folded newest-wins per document key and only
+        cuts' rows are folded newest-wins per document key and only
         each document's *final* state is applied — an index state is a
         pure function of the current per-document term sets, so the
         coalesced apply converges to exactly what replay would have

@@ -1139,6 +1139,10 @@ class HacFileSystem:
         site = hacfs._engine_site()
         if saved is not None:
             hacfs.engine = factory.from_obj(saved, **site)
+            store = getattr(hacfs.engine, "segments", None)
+            if store is not None:
+                # the seeded base must not reuse an id the device holds
+                store.resume(fs.device)
             restore_stats.add("index_restored")
         elif (reuse_index and factory.folds_segments
               and (folded := SegmentStore.load(fs.device, hacfs.counters))

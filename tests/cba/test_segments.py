@@ -109,7 +109,8 @@ class TestSegmentStore:
         assert [r.doc_id for r in seg.rows] == [2, 5]  # doc-id sorted
         assert store.memtable == {}
         assert store.frozen == [seg]
-        assert store.sealed_log == [seg]
+        # sealing is persistence only: nothing reaches the publication log
+        assert store.log == [] and store.unpublished is None
 
     def test_compact_folds_newest_wins_and_drops_tombstones(self):
         counters = Counters()
@@ -143,17 +144,24 @@ class TestSegmentStore:
         assert live[("f", 1)].path == "/moved"
         assert live[("f", 1)].terms == frozenset({"x"})
 
-    def test_truncate_log_keeps_frozen(self):
-        store = SegmentStore()
+    def test_publication_cut_leaves_persistence_alone(self):
+        store = SegmentStore(seal_threshold=1)
         store.note("index", 1, ("f", 1), "/a", 1.0, {"x"}, "x")
-        store.seal()
-        store.note("index", 2, ("f", 2), "/b", 1.0, {"y"}, "y")
-        store.seal()
-        store.truncate_log(1)
-        assert len(store.sealed_log) == 1
-        assert len(store.frozen) == 2        # compaction never touches it
-        store.truncate_log(0)                # no-op
-        assert len(store.sealed_log) == 1
+        assert store.unpublished is None     # nobody reads cuts yet
+        assert store.cut() == 0              # empty: opens buffering only
+        store.note("update", 1, ("f", 1), "/a", 2.0, {"y"}, "y")
+        store.note("index", 2, ("f", 2), "/b", 1.0, {"z"}, "z")
+        assert store.cut() == 1
+        [cut] = store.log
+        # coalesced per key, newest row winning
+        assert [(r.doc_id, r.terms) for r in cut.rows] == \
+            [(1, frozenset({"y"})), (2, frozenset({"z"}))]
+        assert store.unpublished == {}
+        # the memtable still holds every row for the next seal, and the
+        # cut sealed nothing although the memtable is past its threshold
+        assert len(store.memtable) == 2 and store.frozen == []
+        assert store.should_seal
+        assert store.cut() == 1              # nothing noted: no empty cut
 
     def test_manifest_roundtrip(self):
         store = SegmentStore()
@@ -166,6 +174,27 @@ class TestSegmentStore:
         assert [seg.seg_id for seg in revived.frozen] == ["s000000"]
         assert revived.live_rows().keys() == store.live_rows().keys()
         assert revived._next_seg == store._next_seg
+
+    def test_resume_continues_above_the_device(self):
+        """A store seeded before it knew the device (a reopen over a
+        ``cbaindex``) renumbers its base above every id the device holds,
+        so ``sync`` writes it instead of keeping a stale namesake."""
+        dev = BlockDevice()
+        old = SegmentStore()
+        old.note("index", 1, ("f", 1), "/a", 1.0, {"stale"}, "x")
+        old.sync(dev, 2, NULL_TRACER, force_seal=True)
+        dev.write_record("seg:s000004", serialization.dumps(["orphan"]))
+        store = SegmentStore()
+        store.seed_base({("f", 1): row("upsert", 1, ("f", 1),
+                                       terms={"fresh"})})
+        assert [seg.seg_id for seg in store.frozen] == ["s000000"]
+        store.resume(dev)
+        assert [seg.seg_id for seg in store.frozen] == ["s000005"]
+        store.sync(dev, 2, NULL_TRACER)
+        assert sorted(dev.record_keys()) == ["seg:s000005", "segmanifest"]
+        revived, _next = SegmentStore.load(dev, Counters())
+        assert revived.live_rows()[("f", 1)].terms == frozenset({"fresh"})
+        assert revived._next_seg == 6
 
     def test_seed_base_prepends(self):
         store = SegmentStore()

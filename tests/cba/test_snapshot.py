@@ -68,6 +68,43 @@ class TestBufferDiscipline:
         assert len({r.version for r in engine.replicas}) == 1
 
 
+class TestSegmentedBufferDiscipline(TestBufferDiscipline):
+    """The same discipline over the segmented store, whose log holds
+    publication cuts instead of ops."""
+
+    @pytest.fixture
+    def engine(self):
+        return build_engine(segmented=True)
+
+    def test_attach_closes_the_cut(self, engine):
+        """Rows noted before an attach are in the new replica's hydrated
+        state, so it applies exactly the rows noted after — while a
+        replica attached earlier still gets the earlier ones."""
+        first = engine.attach_replica("first")
+        engine.store["e"] = "late arrival"
+        engine.index_document("e", path="/e.txt", mtime=2.0)
+        second = engine.attach_replica("second")
+        engine.store["f"] = "later still"
+        engine.index_document("f", path="/f.txt", mtime=3.0)
+        engine.remove_document("c")
+        assert engine.snapshot_info()["pending_ops"] == 3
+        engine.publish()
+        applied = "replica.segment_rows_applied"
+        assert first.counters.get(applied) == 3
+        assert second.counters.get(applied) == 2
+        assert answers(first) == answers(second) == answers(engine)
+        assert engine.snapshot_info()["pending_ops"] == 0
+
+    def test_publishing_never_seals(self, engine):
+        engine.attach_replica()
+        engine.store["e"] = "late arrival"
+        engine.index_document("e", path="/e.txt", mtime=2.0)
+        engine.publish()
+        assert engine.segments.frozen == []
+        assert len(engine.segments.memtable) == 5
+        assert engine.counters.get("segments.seals") == 0
+
+
 class TestHydrationAndReplay:
     def test_attach_matches_primary_bit_for_bit(self, engine):
         replica = engine.attach_replica()

@@ -88,6 +88,27 @@ class TestHacRecovery:
         assert revived.counters.get("engine.removed") == 1   # only msg2
         assert "late.txt" in revived.listdir("/fp")
 
+    def test_reopen_never_reuses_a_segment_id(self):
+        """Each reopen over a ``cbaindex`` seeds a base segment.  Had it
+        reused an id the device already held, ``sync`` would keep the
+        stale record under it, and a later reopen from segments alone
+        would bring back the old text."""
+        hac = HacFileSystem()
+        hac.mkdir("/d")
+        hac.write_file("/d/a.txt", b"alpha words here")
+        hac.save_index()
+        hac = HacFileSystem.restore(hac.fs)
+        hac.watch("/d")
+        hac.write_file("/d/a.txt", b"beta words here")
+        hac.maintenance.drain()
+        hac.save_index()
+        hac = HacFileSystem.restore(hac.fs)
+        hac.fs.device.delete_record("cbaindex")
+        hac = HacFileSystem.restore(hac.fs)
+        assert hac.counters.get("restore.index_from_segments") == 1
+        assert hac.query_paths(parse_query("beta")) == ["/d/a.txt"]
+        assert hac.query_paths(parse_query("alpha")) == []
+
     def test_reuse_index_opt_out(self, populated):
         populated.save_index()
         revived = HacFileSystem.restore(populated.fs, reuse_index=False)

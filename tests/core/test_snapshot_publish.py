@@ -10,6 +10,8 @@ bidirectional correlation to snapshot publishes.
 
 import pytest
 
+from repro.cba.queryparser import parse_query
+
 
 @pytest.fixture
 def watched(populated):
@@ -108,3 +110,59 @@ class TestJournalCorrelation:
         before = watched.counters.get("journal.publishes")
         watched.maintenance.publish()
         assert watched.counters.get("journal.publishes") == before + 1
+
+
+
+COUNTED = ("blockdev.write_ops", "segments.seals", "segments.compactions")
+
+
+def _drain_twenty(with_replica: bool):
+    """Twenty one-document drains over twenty distinct files; returns the
+    drains' deltas of :data:`COUNTED` plus their ``seg:`` record writes,
+    and the world."""
+    from repro.core.hacfs import HacFileSystem
+
+    hac = HacFileSystem()
+    hac.makedirs("/docs")
+    hac.write_file("/docs/seed.txt", b"fingerprint baseline\n")
+    hac.clock.tick()
+    hac.ssync("/")
+    hac.watch("/docs")
+    hac.maintenance.set_mode("batched")
+    if with_replica:
+        hac.engine.attach_replica()
+    dev = hac.fs.device
+    seg_writes = []
+    write_record = dev.write_record
+
+    def spy(key, data):
+        if key.startswith("seg:"):
+            seg_writes.append(key)
+        write_record(key, data)
+
+    dev.write_record = spy
+    before = [hac.counters.get(name) for name in COUNTED]
+    for i in range(20):
+        hac.clock.tick()
+        hac.write_file(f"/docs/f{i}.txt", b"fingerprint lead %d\n" % i)
+        hac.maintenance.drain()
+    counts = {name: hac.counters.get(name) - was
+              for name, was in zip(COUNTED, before)}
+    counts["seg_writes"] = len(seg_writes)
+    return counts, hac
+
+
+class TestPublishingIsNotPersisting:
+    def test_a_replica_changes_no_device_write(self):
+        """Twenty drains below the seal threshold persist no segment, and
+        a snapshot reader does not change that: publishing hands it a cut
+        of the noted rows without sealing the memtable."""
+        plain, _hac = _drain_twenty(False)
+        counts, hac = _drain_twenty(True)
+        assert counts == plain
+        assert counts["seg_writes"] == counts["segments.seals"] == \
+            counts["segments.compactions"] == 0
+        replica = hac.engine.snapshot_view()
+        assert replica.counters.get("replica.segment_rows_applied") == 20
+        assert len(hac.query_paths(parse_query("lead"),
+                                   consistency="snapshot")) == 20

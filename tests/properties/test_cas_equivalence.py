@@ -26,6 +26,7 @@ import random
 import pytest
 
 from repro.cba.cas import CASIndex, SPLIT_THRESHOLD
+from repro.cba.engine import CBAEngine
 from repro.cba.queryast import And, Not, ScopeTerm, Term
 from repro.cba.queryparser import parse_query
 from repro.core.hacfs import HacFileSystem
@@ -234,6 +235,38 @@ def test_flat_directory_never_degenerates():
     assert cas.roots() == ["/", "/flat"]
     assert len(cas.docs_under("/flat")) == 4 * SPLIT_THRESHOLD
     _assert_containment(cas)
+
+
+def _cas_state(cas):
+    """Everything a CAS index holds, as plain comparable data."""
+    parts = {root: (part.members.to_bytes(), part.next_split_at,
+                    {t: bm.to_bytes() for t, bm in part.postings.items()})
+             for root, part in cas._roots.items()}
+    docs = {doc_id: (path, root, frozenset(terms))
+            for doc_id, (path, root, terms) in cas._docs.items()}
+    return parts, docs
+
+
+@pytest.mark.parametrize("shape", ["deep", "flat"])
+def test_rebuild_places_each_document_once(shape):
+    """``rebuild_cas`` lays the partitions out term-less and then adds
+    each document's terms in its final partition; the index it builds is
+    the one per-document insertion built, split for split."""
+    rng = random.Random(0xB01D + SEED)
+    texts = {}
+    eng = CBAEngine(loader=texts.__getitem__)
+    for doc_id in range(6 * SPLIT_THRESHOLD):
+        comps = ([f"d{rng.randint(0, 2)}" for _ in range(rng.randint(0, 4))]
+                 if shape == "deep" else ["flat"])
+        texts[doc_id] = " ".join(rng.choice(WORDS) for _ in range(4))
+        eng.index_document(doc_id, pathutil.join("/", *comps, f"f{doc_id}"),
+                           mtime=1.0)
+    inserted = _cas_state(eng.cas)
+    splits = eng.counters.get("cas.splits")
+    assert splits > 0
+    eng.rebuild_cas()
+    assert _cas_state(eng.cas) == inserted
+    assert eng.counters.get("cas.splits") == 2 * splits
 
 
 def test_rebase_prefix_is_one_pass_and_exact():

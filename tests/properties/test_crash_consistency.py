@@ -32,7 +32,8 @@ from repro.obs import Observability
 from repro.vfs.blockdev import FaultPlan
 from repro.vfs.filesystem import FileSystem
 
-from tests.properties.derived import assert_is_derived, graph_shape
+from tests.properties.derived import (assert_is_derived,
+                                     assert_segments_are_derived, graph_shape)
 
 SEED = int(os.environ.get("CRASH_SWEEP_SEED", "0"))
 
@@ -219,6 +220,7 @@ def test_crash_sweep(op_name):
         assert graph_shape(restored.depgraph) == graphs[state], \
             (op_name, offset, state)
         assert_is_derived(restored, (op_name, offset))
+        assert_segments_are_derived(restored, (op_name, offset))
         _assert_rollbacks_correlate(op_name, offset, hac, recovery_obs,
                                     restored.last_recovery)
         rollbacks_seen += len(restored.last_recovery.rolled_back)
@@ -272,6 +274,7 @@ def test_crash_sweep_keeps_adopted_places(op_name, unmounted):
         assert restored.dirmap.uid_of("/mnt/inner/deeper") == adopted, where
         assert (adopted is None) == unmounted, where
         assert_is_derived(restored, where)
+        assert_segments_are_derived(restored, where)
 
 
 @pytest.mark.parametrize("op_name", ["smkdir", "set_query"])
@@ -293,6 +296,7 @@ def test_tear_sweep(op_name):
         errors = [f for f in restored.fsck() if f.severity == "error"]
         assert errors == [], (op_name, offset, [str(f) for f in errors])
         assert all(dev.verify_record(k) for k in dev.record_keys())
+        assert_segments_are_derived(restored, (op_name, offset))
         assert state_of(restored) != "partial", (op_name, offset)
 
 
@@ -336,6 +340,7 @@ def test_crash_sweep_sched_batch():
         restored = HacFileSystem.restore(hac.fs, obs=recovery_obs)
         errors = [f for f in restored.fsck() if f.severity == "error"]
         assert errors == [], (offset, [str(f) for f in errors])
+        assert_segments_are_derived(restored, offset)
         # every rolled-back intent is a batch group commit, stamped onto
         # the root span of whatever forced the drain: the explicit drain
         # itself, or the cascade whose pre-query barrier drained early
@@ -434,6 +439,7 @@ def test_crash_sweep_seal_intent():
         restored = HacFileSystem.restore(hac.fs)
         errors = [f for f in restored.fsck() if f.severity == "error"]
         assert errors == [], (offset, [str(f) for f in errors])
+        assert_segments_are_derived(restored, offset)
         _assert_segment_list_consistent(restored, offset)
         names = fp_link_names(restored)
         assert "new1.txt" in names, offset
@@ -479,6 +485,7 @@ def test_crash_sweep_compact_intent():
         restored = HacFileSystem.restore(hac.fs)
         errors = [f for f in restored.fsck() if f.severity == "error"]
         assert errors == [], (offset, [str(f) for f in errors])
+        assert_segments_are_derived(restored, offset)
         _assert_segment_list_consistent(restored, offset)
         rollbacks_seen += len(restored.last_recovery.rolled_back)
         # whatever the crash point, the reopened world answers current
