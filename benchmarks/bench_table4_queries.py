@@ -134,7 +134,8 @@ def test_table4_query_overhead(benchmark, record_report, scale):
     assert op_ratios["many"] <= op_ratios["intermediate"] * 1.15, \
         f"the tail must not grow with match count: {shape}"
     # the paper sees 4x for "few"; in op counts the constant cost (journal,
-    # directory records, metadata flush) is ~5x the four-file scan
+    # the directory's one record, metadata flush) is ~3x the scan of the
+    # four matching files' blocks
     assert op_ratios["few"] > 3.0, \
         "few matches: the constant directory-creation cost should dominate"
     # each of the ~400 matches costs a scan read on both sides plus one

@@ -121,10 +121,22 @@ def _semdirs(world,
 
 
 def state_digest(world, queries: Sequence[str] = ()) -> str:
-    """SHA-256 of the world's canonical observable state."""
+    """SHA-256 of the world's canonical observable state.
+
+    A semantic directory's links count by class and target, not by name.
+    A link is named after its file's basename when it is made, so a file
+    written and then renamed is linked under its old name where the write
+    was indexed at once, and under its new one where a batched drain
+    indexed it after the rename — both worlds are correct."""
+    semdirs = _semdirs(world)
+    tree = tree_of(world.hac.fs)
+    for path, sd in semdirs.items():
+        for name in sd["links"]:
+            tree.pop(f"{path}/{name}", None)
+        sd["links"] = sorted(sd["links"].values())
     obj = {
-        "tree": tree_of(world.hac.fs),
-        "semdirs": _semdirs(world),
+        "tree": tree,
+        "semdirs": semdirs,
         "queries": {q: world.shell.glimpse(q, consistency="strong")
                     for q in queries},
     }

@@ -232,32 +232,30 @@ class ConsistencyManager:
                 del state.degraded_shards[shard_id]
                 self._stats.add("shard_recoveries")
 
-        # 3. an unchanged directory writes nothing: no pre-image, no record,
-        # no entry touched.  ``result`` is the stored N/8 bitmap (local only).
+        # 3. the transient class lives in the tree, so moving links writes
+        # no record; only a changed degradation map is persisted.  An
+        # unchanged directory touches nothing.  ``result`` is the N/8
+        # bitmap its children are evaluated over (local only, in memory).
         result = new | permanent
         added, removed = new - old, old - new
         changed = bool(added or removed or dead) \
             or new_remote != old_remote or result != state.result_cache
-        dirty = changed \
-            or degraded != (state.degraded_remote, state.degraded_shards)
+        flags_moved = degraded != (state.degraded_remote,
+                                   state.degraded_shards)
         drifted = self._drifted_links(path, links)
-        if not (dirty or drifted):
+        if not (changed or flags_moved or drifted):
             cascade.unchanged += 1
             self._stats.add("unchanged")
             return False
 
-        # write-ahead for the tree: journal this directory's record
-        # pre-image *before* materialisation mutates its entries, so a
-        # crash mid-materialisation still tells recovery to reconcile here
-        self.hacfs.journal.capture(f"semdir:{uid}")
         gone = [links.transient_name[t] for t in old_remote - new_remote]
         for name in gone:
             links.forget(name)
         gone += dead + [links.drop_transient_id(i) for i in removed]
         self._materialise(path, links, gone, added,
                           sorted(new_remote - old_remote), drifted)
-        if dirty:
-            state.result_cache = result
+        state.result_cache = result
+        if flags_moved:
             self.hacfs.meta.flush(uid)
         if changed:
             self._stats.add("transient_updates")

@@ -16,18 +16,15 @@ Checks:
   parent its record names; no dangling nodes; the graph is acyclic
   (topological sort succeeds);
 * **links** — every tracked link name is a live symlink in its directory,
-  its text agrees with the tracked target (remote URIs, or the target's
-  current path for local files), no *tracked-as-transient* entry is
-  missing from the directory, and a semantic directory's stored result is
-  the doc ids of its permanent and transient targets (``stale-result`` —
-  child directories are evaluated over it);
+  and its text agrees with the tracked target (remote URIs, or the target's
+  current path for local files);
 * **index** — every indexed document's key resolves to a live file
   (stale entries are legal between syncs — reported as ``stale-doc`` with
   severity "info" — but ino collisions are not).
 
 ``repair=True`` fixes what is safely fixable: drops orphan state records,
-removes tracked entries whose symlink vanished, rewrites stale link text,
-recomputes a stale stored result.
+drops a permanent link whose symlink vanished, re-evaluates a directory
+that lost a transient one, rewrites stale link text.
 """
 
 from __future__ import annotations
@@ -165,16 +162,19 @@ def _check_links(hacfs, repair: bool) -> List[Finding]:
             continue
         tracked = dict(state.links.permanent)
         tracked.update(state.links.transient)
+        lost_transient = False
         for name, target in tracked.items():
             entry = pathutil.join(path, name)
             if not hacfs.fs.islink(entry):
-                kind = ("missing-transient"
-                        if name in state.links.transient else "missing-permanent")
+                transient = name in state.links.transient
+                kind = "missing-transient" if transient else "missing-permanent"
                 out.append(Finding("error", kind, entry,
                                    f"tracked link has no symlink ({target})"))
                 if repair:
                     state.links.forget(name)
-                    hacfs.meta.flush(uid)
+                    lost_transient |= transient
+                    if not transient:
+                        hacfs.meta.flush(uid)
                 continue
             text = hacfs.fs.readlink(entry)
             expected = (target.remote_id().uri() if target.is_remote
@@ -189,14 +189,9 @@ def _check_links(hacfs, repair: bool) -> List[Finding]:
                 if repair:
                     hacfs.fs.unlink(entry)
                     hacfs.fs.symlink(expected, entry)
-        result = hacfs.consistency.ids_of(state.links.all_targets())
-        if state.is_semantic and result != state.result_cache:
-            out.append(Finding("error", "stale-result", path,
-                               f"stores {len(state.result_cache)} documents,"
-                               f" its link tables hold {len(result)}"))
-            if repair:
-                state.result_cache = result
-                hacfs.meta.flush(uid)
+        if lost_transient:
+            # the tree is the transient table: evaluation links it again
+            hacfs.consistency.reevaluate(uid)
     return out
 
 

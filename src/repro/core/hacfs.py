@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import (
     CorruptRecord,
     DeviceCrashed,
+    FileExists,
     FileNotFound,
     InvalidArgument,
     NotASemanticDirectory,
@@ -292,11 +293,15 @@ class HacFileSystem:
                 raise
             self.journal.commit(intent)
 
-    def reload_persisted(self) -> None:
-        """Load the name space from the device records — the one loader
-        behind a reopen (:meth:`restore`) and an in-process rollback (which
-        just rewrote them): the per-directory states are read, the global
-        map and the dependency graph are derived from them."""
+    def reload_persisted(self, pending, report) -> None:
+        """Load the name space from the device records and the tree — the
+        one loader behind a reopen (:meth:`restore`) and an in-process
+        rollback: the per-directory states are read, the global map and
+        the dependency graph derived from them, the *pending* intents' tree
+        effects undone (:func:`~repro.core.recovery.undo_tree`), and the
+        transient links read from the symlinks."""
+        from repro.core.recovery import undo_tree
+
         self.meta.reload_all()
         queries = (self.meta.require(uid).query for uid in self.meta.uids())
         self.dirmap.load_places(
@@ -304,7 +309,23 @@ class HacFileSystem:
             {ref for q in queries if q is not None for ref in q.dir_refs()})
         self.depgraph = DependencyGraph.derive(self.dirmap, self.meta)
         self.depgraph.tracer = self.obs.trace
+        undo_tree(self, pending, report)
+        self._load_links()
         self._clear_attrs()
+
+    def _load_links(self) -> None:
+        """Every symlink in a semantic directory that is not a permanent
+        name is a transient link (:meth:`LinkSets.adopt`): each directory
+        is resolved once and each link's text once.  Debris — a text that
+        names no file, or a target another name holds — is unlinked; a
+        link to a directory is the user's, and stays."""
+        for path in filter(self.fs.isdir, self.semantic_dirs()):
+            state = self.meta.require(self.dirmap.uid_of(path))
+            entries = self.fs.resolve(path).node.entries  # type: ignore[union-attr]
+            for name in state.links.adopt(entries, self._target_of_link_text):
+                entry = pathutil.join(path, name)
+                if not self.fs.isdir(entry):
+                    self.fs.unlink(entry)
 
     def _library_resolve(self, path: str) -> str:
         """The §4 interposition cost: HAC is a user-level library that
@@ -427,13 +448,19 @@ class HacFileSystem:
         norm = pathutil.normalize(path)
         parent_dir, name = pathutil.split(norm)
         if isinstance(res.node, SymlinkNode):
-            uid = self.dirmap.uid_of(self._canonical_dir(parent_dir))
+            canon_dir = self._canonical_dir(parent_dir)
+            uid = self.dirmap.uid_of(canon_dir)
             state = self.meta.get(uid) if uid is not None else None
             if state is not None and state.is_semantic \
                     and state.links.target_of(name) is not None:
-                state.links.prohibit(name)
-                self.fs.unlink(path)
-                self._flush_links(uid, state)
+                # the prohibition lands before the symlink goes; a rollback
+                # puts the symlink back from the intent's text
+                with self._journaled("unlink",
+                                     {"path": pathutil.join(canon_dir, name),
+                                      "text": res.node.target}):
+                    state.links.prohibit(name)
+                    self.meta.flush(uid)
+                    self.fs.unlink(path)
                 self._hac.add("prohibitions")
                 # the directory's own result changed too: refresh it (the
                 # prohibition keeps the link out) and cascade to dependents
@@ -459,27 +486,30 @@ class HacFileSystem:
         self._hac.add("symlink")
         if self.obs.trace.enabled:
             self.obs.trace.event("hac.symlink", target=target, link=linkpath)
-        stat = self.fs.symlink(target, linkpath)
         parent_dir, name = pathutil.split(linkpath)
-        uid = self.dirmap.uid_of(self._canonical_dir(parent_dir))
+        canon_dir = self._canonical_dir(parent_dir)
+        uid = self.dirmap.uid_of(canon_dir)
         state = self.meta.get(uid) if uid is not None else None
-        if state is not None and state.is_semantic:
-            resolved = self._target_of_link_text(target)
-            if resolved is not None:
+        semantic = state is not None and state.is_semantic
+        resolved = self._target_of_link_text(target) if semantic else None
+        if resolved is None:
+            stat = self.fs.symlink(target, linkpath)
+        else:
+            # a rollback removes the symlink, so it must be this op's own
+            if self.fs.exists(linkpath, follow=False):
+                raise FileExists(linkpath)
+            with self._journaled("symlink",
+                                 {"path": pathutil.join(canon_dir, name)}):
+                stat = self.fs.symlink(target, linkpath)
                 state.links.add_permanent(name, resolved)
-                self._flush_links(uid, state)
-                self._hac.add("permanent_links")
+                self.meta.flush(uid)
+            self._hac.add("permanent_links")
+        if semantic:
             # its own result grew too (a transient link to the file gives way)
             self.consistency.on_scope_changed([uid], include_origins=True)
         else:
             self.consistency.on_scope_changed(self._chain_uids(parent_dir))
         return stat
-
-    def _flush_links(self, uid: int, state) -> None:
-        """A hand edit of the link tables and the result it implies change
-        together — in memory, and in the one record write."""
-        state.result_cache = self.consistency.ids_of(state.links.all_targets())
-        self.meta.flush(uid)
 
     def _target_of_link_text(self, text: str) -> Optional[Target]:
         if "://" in text:
@@ -664,6 +694,15 @@ class HacFileSystem:
                         self.fs.unlink(entry)
                 state.links.clear_transient()
                 state.result_cache = state.result_cache.__class__()
+            elif not state.is_semantic:
+                # symlinks to files the user put here before the query are
+                # permanent, not the transient links a load would read
+                entries = self.fs.resolve(canon).node.entries  # type: ignore[union-attr]
+                for name, node in entries.items():
+                    target = self._target_of_link_text(node.target) \
+                        if isinstance(node, SymlinkNode) else None
+                    if target and name not in state.links.permanent:
+                        state.links.add_permanent(name, target)
             state.query, state.query_text = ast, query
             self.meta.flush(uid)
             self.consistency.on_scope_changed([uid],
@@ -854,11 +893,14 @@ class HacFileSystem:
         target = self._target_of_link_text(target_text)
         if target is None:
             return False
-        lifted = state.links.unprohibit(target)
-        if lifted:
-            self._flush_links(uid, state)
-            self.consistency.on_scope_changed([uid], include_origins=True)
-        return lifted
+        if target not in state.links.prohibited:
+            return False
+        with self._journaled("unprohibit", {"path": self.dirmap.path_of(uid),
+                                            "target": target_text}):
+            state.links.unprohibit(target)
+            self.meta.flush(uid)
+        self.consistency.on_scope_changed([uid], include_origins=True)
+        return True
 
     def sact(self, link_path: str) -> List[str]:
         """Extract the query-matching lines of a link's file (§4's ``sact``)."""
@@ -1084,11 +1126,13 @@ class HacFileSystem:
 
         The reopen doubles as the crash-recovery path: any fault plan on the
         device is lifted (the reboot), incomplete journal intents are rolled
-        back at the record level, and the VFS tree is reconciled against the
-        healed records before anything is rebuilt — see
-        :mod:`repro.core.recovery`; the report lands in ``last_recovery``.
+        back at the record level, and their structural tree effects are
+        undone before the links are read — see :mod:`repro.core.recovery`;
+        the report lands in ``last_recovery``.
 
-        Link classifications and queries come back verbatim; the content
+        Queries, permanent links and prohibitions come back verbatim from
+        the records, the transient links (names and texts) from the tree,
+        and the closing sync re-evaluates every directory; the content
         index is restored from the persisted copy when one exists (see
         :meth:`save_index`), else — for a segmented monolith — merged back
         from the persisted segment list with zero tokenisation
@@ -1100,8 +1144,7 @@ class HacFileSystem:
         (and counts ``restore.index_corrupt``) instead of silently
         rebuilding — a checksum failure means data loss the caller must
         acknowledge (``reuse_index=False`` opts into the rebuild)."""
-        from repro.core.recovery import (RecoveryReport, recover_records,
-                                         undo_tree)
+        from repro.core.recovery import RecoveryReport, recover_records
 
         hacfs = cls.__new__(cls)
         hacfs._init_base(fs, clock, counters, obs)
@@ -1118,9 +1161,8 @@ class HacFileSystem:
             span.set(rolled_back=len(pending))
         hacfs.last_recovery = report
         hacfs._init_components()
-        hacfs.reload_persisted()
-        # tree-level undo needs map + states loaded, but not the engine
-        undo_tree(hacfs, pending, report)
+        # the tree-level undo needs map + states loaded, but not the engine
+        hacfs.reload_persisted(pending, report)
         restore_stats = hacfs.counters.scoped("restore")
         saved = None
         if reuse_index:

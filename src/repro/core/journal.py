@@ -21,8 +21,9 @@ A crash at any point therefore leaves either no ``begin`` record (the
 operation never started, or committed: nothing to do) or a ``begin`` plus a
 prefix of pre-images (roll back by restoring pre-images in reverse order —
 see :mod:`repro.core.recovery`).  Rolling back restores the *records*
-exactly; the VFS tree, which is not record-backed, is reconciled against the
-restored records by the recovery pass.
+exactly; the VFS tree, which is not record-backed, has its structure undone
+by the recovery pass, and its semantic-directory links are re-evaluated
+from the restored records.
 
 The same rollback runs in-process when an operation fails softly (e.g. a
 transient ``ENOSPC`` mid-``smkdir``), which is what makes journaled
@@ -75,7 +76,7 @@ class Intent:
 class PendingIntent:
     """An intent read back from the device during recovery."""
 
-    __slots__ = ("seq", "op", "payload", "pre_images", "keys")
+    __slots__ = ("seq", "op", "payload", "pre_images")
 
     def __init__(self, seq: int, op: str, payload: Dict[str, object],
                  pre_images: List[Dict[str, object]]):
@@ -84,7 +85,6 @@ class PendingIntent:
         self.payload = payload
         #: [{"key", "existed", "data"}] in capture order
         self.pre_images = pre_images
-        self.keys = [p["key"] for p in pre_images]
 
     def __repr__(self):
         return f"PendingIntent(seq={self.seq}, op={self.op!r}, " \
@@ -145,17 +145,12 @@ class Journal:
         self._stats.add("wal_bytes", len(payload))
 
     def capture(self, key: str) -> None:
-        """Journal *key*'s pre-image now, ahead of tree-side effects.
+        """Journal *key*'s pre-image now, before the record is written.
 
-        The hook only fires when a record is written, but some operations
-        mutate the (non-record-backed) VFS tree first — e.g. a re-evaluation
-        materialises a directory's symlinks before flushing its record.  A
-        crash in that window would leave tree debris with no journaled key
-        telling recovery which directory to reconcile.  Capturing the
-        pre-image first extends the write-ahead rule to the tree: a
-        directory's entries never change unless its record's old value is
-        already in the journal.  No-op outside an intent or on a key the
-        intent already captured.
+        No operation needs it since the tree stopped mirroring a record
+        (semantic-directory links are re-evaluated on recovery, not
+        reconciled); it stays because the e2e benchmark's tracer lists it
+        by name.  No-op outside an intent or on a key already captured.
         """
         if self._active is None or key in self._active.captured:
             return

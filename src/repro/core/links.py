@@ -21,6 +21,10 @@ what the scope-consistency algorithm preserves:
 
 :class:`LinkSets` owns the three collections plus the link *names* under
 which permanent and transient targets are materialised as symlink entries.
+Only what the user said is persisted — the permanent and prohibited sets.
+The transient class is a function of the query, the scope and the index,
+and each of its links already exists in the tree as a symlink, so a load
+reads it back from there (:meth:`LinkSets.adopt`).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Set
 
 from repro.cba.results import RemoteId
 from repro.util.bitmap import Bitmap
+from repro.vfs.inode import SymlinkNode
 
 LOCAL = "local"
 REMOTE = "remote"
@@ -100,13 +105,13 @@ class LinkSets:
     materialised under inside the directory; prohibited targets are pure
     tombstones (the entry is gone).
 
-    Beside the persisted tables sits a derived view of the transient class,
-    the only one that grows with the corpus: ``transient_ids``, the doc ids
-    of its local targets in the engine ``bound`` names, and ``name_by_id``,
-    the entry each is materialised under.  The consistency pass maintains
-    the view link by link; an edit from anywhere else unbinds it, and the
-    next evaluation derives it again (:meth:`bind`).  ``remote`` is the
-    class's few remote targets, kept by every mutator.
+    Beside the tables sits a derived view of the transient class, the only
+    one that grows with the corpus: ``transient_ids``, the doc ids of its
+    local targets in the engine ``bound`` names, and ``name_by_id``, the
+    entry each is materialised under.  The consistency pass maintains the
+    view link by link; a hand edit or a load unbinds it, and the next
+    evaluation derives it again (:meth:`bind`).  ``remote`` is the class's
+    few remote targets, kept by every mutator.
     """
 
     def __init__(self):
@@ -171,11 +176,32 @@ class LinkSets:
         self.transient_ids = Bitmap(self.name_by_id)
         return dead
 
+    def adopt(self, entries, resolve) -> List[str]:
+        """Read the transient class from a directory's *entries*: every
+        symlink not under a permanent name is transient, its target the
+        one ``resolve(text)`` gives.  Returns the names left out — whose
+        text resolves to no file, or to a target another name already
+        holds — for the caller to unlink, a user's link to a directory
+        excepted."""
+        held = set(self.permanent.values())
+        debris = []
+        for name, node in entries.items():
+            if not isinstance(node, SymlinkNode) or name in self.permanent:
+                continue
+            target = resolve(node.target)
+            if target is None or target in held:
+                debris.append(name)
+            else:
+                held.add(target)
+                self.add_transient(name, target)
+        return debris
+
     def add_permanent(self, name: str, target: Target) -> None:
         """User created a link: permanent, and any prohibition is lifted
         (re-adding by hand is the paper's "direct action by the user")."""
         self.prohibited.discard(target)
         self.permanent[name] = target
+        self._unbind(target)
 
     def add_transient(self, name: str, target: Target,
                       doc_id: Optional[int] = None) -> None:
@@ -209,18 +235,25 @@ class LinkSets:
         target = self.permanent.pop(name, None)
         if target is None:
             target = self.transient.pop(name, None)
-            if target is not None:
-                del self.transient_name[target]
-                self.remote.discard(target)
-                if target.is_local:
-                    self.bound = None
+            if target is None:
+                return None
+            del self.transient_name[target]
+            self.remote.discard(target)
+        self._unbind(target)
         return target
 
     def unprohibit(self, target: Target) -> bool:
         """Explicitly lift a tombstone (the sophisticated-user API)."""
         lifted = target in self.prohibited
         self.prohibited.discard(target)
+        self._unbind(target)
         return lifted
+
+    def _unbind(self, target: Target) -> None:
+        """An edit outside evaluation moved a local target: the id view
+        and the result derived from it are stale until rebound."""
+        if target.is_local:
+            self.bound = None
 
     def clear_transient(self) -> None:
         self.transient.clear()
@@ -231,9 +264,9 @@ class LinkSets:
     # -- persistence ----------------------------------------------------------------
 
     def to_obj(self):
+        """The user's facts only; the transient class lives in the tree."""
         return {
             "permanent": {n: t.to_obj() for n, t in self.permanent.items()},
-            "transient": {n: t.to_obj() for n, t in self.transient.items()},
             "prohibited": [t.to_obj() for t in sorted(self.prohibited)],
         }
 
@@ -241,8 +274,6 @@ class LinkSets:
     def from_obj(cls, obj) -> "LinkSets":
         ls = cls()
         ls.permanent = {n: Target.from_obj(t) for n, t in obj["permanent"].items()}
-        for n, t in obj["transient"].items():
-            ls.add_transient(n, Target.from_obj(t))
         ls.prohibited = {Target.from_obj(t) for t in obj["prohibited"]}
         return ls
 

@@ -8,16 +8,21 @@ Recovery has two layers, matching what the journal protects:
   pass the record store holds exactly the persisted state from before each
   incomplete operation.
 * **Tree** (:func:`undo_tree`) — the VFS tree (directories, files, symlinks)
-  is not record-backed, so a crashed operation can leave tree-side effects
+  is not record-backed, so a crashed operation can leave structural effects
   the record rollback cannot see: the directory an ``smkdir`` created, the
-  ``rename`` it performed, symlinks a re-evaluation materialised.  Using the
-  intent's operation name and arguments plus the set of directories whose
-  records it touched, this pass puts the tree back in agreement with the
-  (already rolled-back) records: stray directories are scrubbed, renames
-  reversed, and every touched directory's symlink entries reconciled with
-  its tracked link sets.
+  ``rename`` it performed.  Using the intent's operation name and
+  arguments, this pass puts the tree's structure back in agreement with
+  the (already rolled-back) records: stray directories are scrubbed,
+  removed ones re-created, renames reversed.
 
-The same two layers run in-process (:func:`rollback_in_process`) when a
+Symlinks need no pass of their own.  A semantic directory's transient
+links are not recorded anywhere but the tree, so the loader reads them
+back as they are, and the re-evaluation that ends every recovery — the
+``ssync`` of ``restore``, the ``reevaluate_all`` of
+:func:`rollback_in_process` — recomputes them from the rolled-back
+queries, permanent and prohibited sets and index.
+
+The same layers run in-process (:func:`rollback_in_process`) when a
 journaled operation fails softly — a transient ``ENOSPC`` mid-``smkdir``
 must leave the file system exactly as it was, not merely recoverable after
 a restart.
@@ -25,9 +30,7 @@ a restart.
 Semantics worth stating (also in DESIGN.md §3c): recovery *rolls back*
 incomplete intents rather than rolling them forward, so every crash point
 lands on "operation fully absent" (a crash after commit is "fully
-present").  Untracked symlinks inside a *semantic* directory whose record
-the crashed intent touched are removed — HAC owns semantic directory
-entries, and a name the restored link sets do not know is crash debris.
+present").
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from __future__ import annotations
 from typing import List, TYPE_CHECKING
 
 from repro.util import pathutil
-from repro.core.journal import Journal, PendingIntent, WAL_PREFIX
+from repro.core.journal import Intent, Journal, PendingIntent, WAL_PREFIX
+from repro.vfs.inode import SymlinkNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
-    from repro.core.links import Target
 
 
 class RecoveryReport:
@@ -47,14 +50,13 @@ class RecoveryReport:
     ``HacFileSystem.last_recovery``)."""
 
     __slots__ = ("rolled_back", "records_restored", "tree_fixes",
-                 "links_reconciled", "strays_removed", "wal_records_cleared")
+                 "strays_removed", "wal_records_cleared")
 
     def __init__(self):
         #: [(seq, op)] of intents rolled back, oldest first
         self.rolled_back: List[tuple] = []
         self.records_restored = 0
         self.tree_fixes = 0
-        self.links_reconciled = 0
         self.strays_removed = 0
         self.wal_records_cleared = 0
 
@@ -66,7 +68,6 @@ class RecoveryReport:
         return (f"RecoveryReport(rolled_back={self.rolled_back}, "
                 f"records_restored={self.records_restored}, "
                 f"tree_fixes={self.tree_fixes}, "
-                f"links_reconciled={self.links_reconciled}, "
                 f"strays_removed={self.strays_removed})")
 
 
@@ -99,14 +100,16 @@ def recover_records(journal: Journal,
 # tree-level recovery (needs dirmap + MetaStore loaded; not the engine)
 # ----------------------------------------------------------------------
 
-def undo_tree(hacfs: "HacFileSystem", pending: List[PendingIntent],
+def undo_tree(hacfs: "HacFileSystem", pending: List[Intent | PendingIntent],
               report: RecoveryReport) -> None:
-    """Reconcile the VFS tree with the rolled-back records."""
+    """Undo the structural tree effects of the rolled-back intents: the
+    ones read back from the wal, or the active one an in-process rollback
+    undoes (only ``op`` and ``payload`` are read)."""
     for intent in reversed(pending):
         _undo_one(hacfs, intent, report)
 
 
-def _undo_one(hacfs: "HacFileSystem", intent: PendingIntent,
+def _undo_one(hacfs: "HacFileSystem", intent: Intent | PendingIntent,
               report: RecoveryReport) -> None:
     op, payload = intent.op, intent.payload
     if op in ("mkdir", "smkdir"):
@@ -122,12 +125,16 @@ def _undo_one(hacfs: "HacFileSystem", intent: PendingIntent,
             report.tree_fixes += 1
     elif op == "rename":
         _undo_rename(hacfs, payload, report)
-    # set_query / reindex / ssync / save_index / sched_batch (the
-    # maintenance pipeline's group commit — its payload deliberately
-    # carries counts, not paths) touch no tree structure of their own;
-    # their symlink churn is handled by reconciliation below
-    for uid in _touched_uids(hacfs, intent):
-        _reconcile_links(hacfs, uid, report)
+    elif op == "unlink" and not hacfs.fs.exists(payload["path"], follow=False):
+        # the symlink of a tracked link, permanent or transient
+        hacfs.fs.symlink(payload["text"], payload["path"])
+        report.tree_fixes += 1
+    elif op == "symlink" and hacfs.fs.islink(payload["path"]):
+        hacfs.fs.unlink(payload["path"])
+        report.tree_fixes += 1
+    # set_query / unprohibit / reindex / ssync / save_index / sched_batch
+    # touch no tree structure of their own; their symlink churn is
+    # re-evaluated away
 
 
 def _undo_rename(hacfs: "HacFileSystem", payload, report) -> None:
@@ -138,38 +145,32 @@ def _undo_rename(hacfs: "HacFileSystem", payload, report) -> None:
         and not hacfs.fs.exists(old, follow=False)
     if not moved:
         return
-    if payload.get("dir"):
-        # the moved directory's record was rolled back to its old place,
-        # so the map derived from it has the old path; move the tree back
-        if hacfs.dirmap.uid_of(old) is not None \
-                and hacfs.dirmap.uid_of(new) is None:
-            hacfs.fs.rename(new, old)
-            report.tree_fixes += 1
-    else:
-        # a replaced destination inode is unrecoverable (no data journal);
-        # reversing the move itself still restores name-level atomicity
-        hacfs.fs.rename(new, old)
-        report.tree_fixes += 1
+    # the moved directory's record was rolled back to its old place, so
+    # the map derived from it has the old path; move the tree back
+    if payload.get("dir") and not (hacfs.dirmap.uid_of(old) is not None
+                                   and hacfs.dirmap.uid_of(new) is None):
+        return
+    # a replaced destination inode is unrecoverable (no data journal);
+    # reversing the move itself still restores name-level atomicity
+    hacfs.fs.rename(new, old)
+    report.tree_fixes += 1
+    _retext_links(hacfs, new, old, report)
 
 
-def _touched_uids(hacfs: "HacFileSystem", intent: PendingIntent) -> List[int]:
-    uids = set()
-    for key in intent.keys:
-        if isinstance(key, str) and key.startswith("semdir:"):
-            try:
-                uids.add(int(key.split(":")[1]))
-            except (IndexError, ValueError):
-                continue
-    # an operation can mutate the tree (e.g. a detach unlinking entries)
-    # before its first record write persists — a crash there captures no
-    # semdir pre-image, so also reconcile the directories the intent named
-    for field in ("path", "old", "new"):
-        value = intent.payload.get(field)
-        if isinstance(value, str) and value:
-            uid = hacfs.dirmap.uid_of(value)
-            if uid is not None:
-                uids.add(uid)
-    return sorted(uids)
+def _retext_links(hacfs: "HacFileSystem", new: str, old: str,
+                  report: RecoveryReport) -> None:
+    """Re-aim at *old* the semantic-directory symlinks whose text the
+    reversed move's re-evaluation had moved to *new* (or below it): a load
+    reads each transient link's target from its text."""
+    for path in filter(hacfs.fs.isdir, hacfs.semantic_dirs()):
+        entries = hacfs.fs.resolve(path).node.entries  # type: ignore[union-attr]
+        for name, node in list(entries.items()):
+            if isinstance(node, SymlinkNode) and (
+                    node.target == new or node.target.startswith(new + "/")):
+                entry = pathutil.join(path, name)
+                hacfs.fs.unlink(entry)
+                hacfs.fs.symlink(old + node.target[len(new):], entry)
+                report.tree_fixes += 1
 
 
 def _scrub_dir(hacfs: "HacFileSystem", path: str,
@@ -190,49 +191,6 @@ def _scrub_dir(hacfs: "HacFileSystem", path: str,
     return True
 
 
-def _expected_link_text(hacfs: "HacFileSystem", target: "Target") -> str:
-    if target.is_remote:
-        return target.remote_id().uri()
-    live = hacfs.path_for_target(target)
-    return live if live is not None else f"#dangling:{target}"
-
-
-def _reconcile_links(hacfs: "HacFileSystem", uid: int,
-                     report: RecoveryReport) -> None:
-    """Make a directory's symlink entries agree with its tracked link sets
-    (the rolled-back truth).  Tracked names get their entry re-materialised
-    with the expected text; in a semantic directory, untracked symlinks are
-    crash debris and are removed."""
-    state = hacfs.meta.get(uid)
-    path = hacfs.dirmap.path_of(uid)
-    if state is None or path is None or not hacfs.fs.isdir(path):
-        return
-    fs = hacfs.fs
-    tracked = dict(state.links.permanent)
-    tracked.update(state.links.transient)
-    for name, target in tracked.items():
-        entry = pathutil.join(path, name)
-        text = _expected_link_text(hacfs, target)
-        if fs.islink(entry):
-            if fs.readlink(entry) != text:
-                fs.unlink(entry)
-                fs.symlink(text, entry)
-                report.links_reconciled += 1
-        elif not fs.exists(entry, follow=False):
-            fs.symlink(text, entry)
-            report.links_reconciled += 1
-        # a non-link squatting on a tracked name is user data: leave it for
-        # fsck to report rather than destroy it here
-    if state.is_semantic:
-        for name in list(fs.listdir(path)):
-            if name in tracked:
-                continue
-            entry = pathutil.join(path, name)
-            if fs.islink(entry):
-                fs.unlink(entry)
-                report.strays_removed += 1
-
-
 # ----------------------------------------------------------------------
 # in-process rollback (soft failures: ENOSPC and friends)
 # ----------------------------------------------------------------------
@@ -241,17 +199,13 @@ def rollback_in_process(hacfs: "HacFileSystem", intent) -> RecoveryReport:
     """Undo a journaled operation that failed without crashing the device.
 
     Restores the records from the wal, reloads every persisted structure
-    into memory, and reconciles the tree — after this the operation is
-    fully absent and the instance remains usable.
+    into memory (undoing the operation's structural tree effects), and
+    re-evaluates every semantic directory, as ``restore`` ends — after
+    this the operation is fully absent and the instance remains usable.
     """
     report = RecoveryReport()
-    journal = hacfs.journal
-    report.records_restored += journal.rollback_active(intent)
+    report.records_restored += hacfs.journal.rollback_active(intent)
     report.rolled_back.append((intent.seq, intent.op))
-    hacfs.reload_persisted()
-    undo_tree(hacfs,
-              [PendingIntent(intent.seq, intent.op, intent.payload,
-                             [{"key": k, "existed": True, "data": b""}
-                              for k in intent.capture_order])],
-              report)
+    hacfs.reload_persisted([intent], report)
+    hacfs.consistency.reevaluate_all()
     return report

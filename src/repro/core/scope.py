@@ -96,10 +96,14 @@ class ScopeResolver:
                      namespaces=set(self.hacfs.semmounts.all_namespace_ids()))
 
     def _semantic_scope(self, path: str, state) -> Scope:
-        # the local half is the stored N/8 bitmap, exact after every link
-        # edit (fsck: stale-result); a document withdrawn since is in no scope
-        local = state.result_cache & self.hacfs.engine.all_docs()
+        # the local half is the result bitmap the last evaluation left;
+        # links loaded or hand-edited since are unbound, and their result is
+        # derived here.  A document withdrawn since is in no scope.
         links = state.links
+        if links.bound is not self.hacfs.engine:
+            state.result_cache = self.hacfs.consistency.ids_of(
+                links.all_targets())
+        local = state.result_cache & self.hacfs.engine.all_docs()
         remote = {t.remote_id() for t in links.remote}
         remote.update(t.remote_id() for t in links.permanent.values()
                       if t.is_remote)

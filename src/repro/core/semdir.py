@@ -4,12 +4,17 @@ The paper's Table 1 analysis is explicit about what HAC does on every
 ``mkdir``: it creates and initialises *to empty* the data structures storing
 the directory's query, its query-result, and its permanent and prohibited
 link sets; records the directory in the global map; and adds an empty node
-to the dependency graph — all persisted to disk.  We reproduce that
-faithfully: **every** directory gets a :class:`SemanticDirState`; a
-directory is "semantic" exactly when a query has been attached to it.
-Each state also holds its directory's place, ``(parent uid, name)``; the
-global map and the dependency graph are derived from these records on
-load, never persisted themselves.
+to the dependency graph — all persisted to disk.  **Every** directory gets
+a :class:`SemanticDirState` and its record; a directory is "semantic"
+exactly when a query has been attached to it.  The record holds what the
+user said — the directory's place ``(parent uid, name)``, its query, the
+permanent and prohibited sets — and the degradation maps.  One deliberate
+departure from the paper's list: the query-result is not persisted.  It
+is the transient links plus the permanent ones, the transient links are
+symlinks in the tree already (read back on load), and the result bitmap
+is derived from them in memory, so nothing stored can go stale and a
+re-evaluation writes no record.  The global map and the dependency graph
+are likewise derived from these records on load, never persisted.
 
 :class:`MetaStore` persists each state record write-through onto the
 simulated block device using the record codec, so the Makedir/Copy overheads
@@ -45,8 +50,9 @@ class SemanticDirState:
         #: the original query text as the user typed it (for display)
         self.query_text: Optional[str] = None
         self.links = LinkSets()
-        #: doc ids of the local permanent and transient targets: the paper's
-        #: N/8-byte stored result, the scope its children see (``stale-result``)
+        #: doc ids of the local permanent and transient targets, the scope
+        #: its children see: the paper's N/8-byte result, held in memory and
+        #: derived whenever the links are bound, never persisted
         self.result_cache = Bitmap()
         #: namespace id → virtual time since when that back-end has been
         #: unreachable; its links are last-known-good (stale) while listed
@@ -67,7 +73,6 @@ class SemanticDirState:
             "query": self.query.to_obj() if self.query is not None else None,
             "query_text": self.query_text,
             "links": self.links.to_obj(),
-            "result": self.result_cache.to_bytes(),
             "degraded_remote": dict(self.degraded_remote),
             "degraded_shards": dict(self.degraded_shards),
         }
@@ -80,7 +85,6 @@ class SemanticDirState:
             state.query = queryast.from_obj(obj["query"])
         state.query_text = obj["query_text"]
         state.links = LinkSets.from_obj(obj["links"])
-        state.result_cache = Bitmap.from_bytes(obj["result"])
         for field in ("degraded_remote", "degraded_shards"):
             setattr(state, field, {str(k): float(v)
                                    for k, v in obj[field].items()})

@@ -77,7 +77,9 @@ class CorpusGenerator:
         """Indices of the files that carry *topic* (deterministic)."""
         fraction = self.config.topics[topic]
         count = max(1, round(fraction * self.config.n_files))
-        rng = random.Random((self.config.seed, topic).__hash__() & 0x7FFFFFFF)
+        # a str seed is hashed by SHA-512, not by the per-process salted
+        # ``hash()``: the carriers are the same under every PYTHONHASHSEED
+        rng = random.Random(f"{self.config.seed}:{topic}")
         return sorted(rng.sample(range(self.config.n_files), count))
 
     def document(self, index: int) -> str:

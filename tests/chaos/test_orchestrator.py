@@ -45,6 +45,24 @@ def test_digest_reflects_observable_changes():
         state_digest(b, queries=PROBE_QUERIES)
 
 
+def test_digest_leaves_out_the_link_names_timing_picks():
+    """A file written and then renamed: the immediate world indexes the
+    write at once and links it under its old name, the batched one indexes
+    it after the rename and links it under its new one.  Same links."""
+    a, b = ChaosWorld(k=0), ChaosWorld(k=0, batched=True)
+    for world in (a, b):
+        world.hac.write_file("/notes/w1.txt", b"fingerprint extra\n")
+        world.hac.rename("/notes/w1.txt", "/notes/r2.txt")
+        world.hac.maintenance.drain(reason="test")
+    assert "w1.txt" in a.hac.links("/q-fp")
+    assert "r2.txt" in b.hac.links("/q-fp")
+    assert state_digest(a, queries=PROBE_QUERIES) == \
+        state_digest(b, queries=PROBE_QUERIES)
+    b.hac.make_permanent("/q-fp/r2.txt")
+    assert state_digest(a, queries=PROBE_QUERIES) != \
+        state_digest(b, queries=PROBE_QUERIES)
+
+
 def test_recover_rewires_the_world():
     world = ChaosWorld(k=0, batched=True, admission=True)
     world.recover()

@@ -15,7 +15,6 @@ from repro.core.hacfs import HacFileSystem
 from repro.errors import DeviceCrashed, NoSpace
 from repro.core.links import Target
 from repro.util import serialization
-from repro.util.bitmap import Bitmap
 from repro.vfs.blockdev import FaultPlan
 
 from tests.properties.reference import assert_links_from_scratch
@@ -137,9 +136,11 @@ class TestBugRegressions:
         populated.symlink("/mail/msg2.txt", "/fp/msg2.txt")
         assert len(state.result_cache) == 2
         assert populated.scopes.provided("/fp").local == state.result_cache
+        # the record holds what the user said; the result is derived
         record = serialization.loads(
             populated.fs.device.read_record(f"semdir:{state.uid}"))
-        assert Bitmap.from_bytes(record["result"]) == state.result_cache
+        assert "result" not in record
+        assert set(record["links"]) == {"permanent", "prohibited"}
         # a hand-made link to a file the query also finds: one link, the
         # permanent one, and the result counts the file once
         populated.symlink("/mail/msg1.txt", "/fp/mine.txt")
@@ -147,15 +148,16 @@ class TestBugRegressions:
         assert len(state.result_cache) == 2
         assert populated.fsck() == []
 
-    def test_fsck_reports_and_repairs_a_tampered_result(self, populated):
+    def test_a_reopen_derives_the_result_from_the_tree(self, populated):
         populated.smkdir("/fp", "fingerprint")
-        state = populated.meta.require(populated.dirmap.uid_of("/fp"))
-        good = state.result_cache.copy()
-        state.result_cache = Bitmap([0])
-        assert [f.kind for f in populated.fsck()] == ["stale-result"]
-        populated.fsck(repair=True)
+        populated.symlink("/notes/recipe.txt", "/fp/pin.txt")
+        populated.smkdir("/fp/sub", "alice OR recipe")
+        good = populated.meta.require(populated.dirmap.uid_of("/fp")).result_cache
+        again = HacFileSystem.restore(populated.fs)
+        state = again.meta.require(again.dirmap.uid_of("/fp"))
         assert state.result_cache == good
-        assert populated.fsck() == []
+        assert again.links("/fp/sub") == populated.links("/fp/sub")
+        assert again.fsck() == []
 
     def test_an_entry_already_gone_is_counted_not_swallowed(self, populated):
         """``_apply_transient`` swallowed every exception; now an entry
@@ -181,10 +183,9 @@ HAND_EDITS = {
 def test_a_fault_inside_a_hand_edit_never_tears_result_from_links(edit, fault):
     """``unlink`` / ``symlink`` / ``unprohibit`` of a tracked link run
     outside any journal intent, and a child directory (``/fp/sub``) is
-    evaluated over the stored result: the link tables and the result they
-    imply change together, in memory (a full device: the instance lives
-    on) and in the one record write (a crash: reopened).  Swept over every
-    record write of the edit and its cascade."""
+    evaluated over the result: the result is the link tables' own, in
+    memory (a full device: the instance lives on) and after a reopen (a
+    crash).  Swept over every record write of the edit and its cascade."""
     for offset in itertools.count():
         hac = HacFileSystem()
         hac.makedirs("/mail")
@@ -203,12 +204,11 @@ def test_a_fault_inside_a_hand_edit_never_tears_result_from_links(edit, fault):
         except (DeviceCrashed, NoSpace):
             dev.clear_faults()
         else:
-            assert offset >= 2, "the edit and its cascade write records"
+            assert offset >= 1, "the edit writes its record, its cascade none"
             return
         if fault == "crash_at":
             hac = HacFileSystem.restore(hac.fs)
         kinds = {f.kind for f in hac.fsck() if f.severity == "error"}
-        assert "stale-result" not in kinds, (edit, fault, offset)
         state = hac.meta.require(hac.dirmap.uid_of("/fp"))
         assert hac.scopes.provided("/fp").local \
             == hac.consistency.ids_of(state.links.all_targets())
@@ -281,13 +281,12 @@ class TestExactCounts:
         assert log.semdir() == ([], [])
         assert count("vfs.symlink") == count("vfs.unlink") == 0
 
-    def test_a_rewrite_that_moves_one_file_writes_one_record(self, six_views):
+    def test_a_rewrite_that_moves_one_file_writes_no_record(self, six_views):
         hac, tenant, log, walks = six_views
         hac.obs.enable()
         tenant.write_file("/src/f0.txt", b"tag0 tag3 text\n")
         tenant.barrier()
-        uid = hac.dirmap.uid_of("/tenants/main/q3")
-        assert log.semdir() == ([f"semdir:{uid}"], [f"semdir:{uid}"])
+        assert log.semdir() == ([], [])     # the new link is in the tree
         assert walks == ["/tenants/main"]
         assert hac.counters.get("consistency.unchanged") == 5
         assert hac.counters.get("vfs.symlink") == 1

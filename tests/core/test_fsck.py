@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.fsck import hacfsck
+from repro.core.hacfs import HacFileSystem
 from repro.core.links import Target
 
 
@@ -92,12 +93,17 @@ class TestRepair:
         populated.smkdir("/fp", "fingerprint")
         populated.fs.unlink("/fp/msg1.txt")
         hacfsck(populated, repair=True)
-        leftovers = [f for f in hacfsck(populated) if f.severity == "error"]
-        assert leftovers == []
-        # the dropped tracking can be regenerated by a sync
-        populated.ssync("/")
+        # a lost transient link is evaluation's to put back, and it does
         assert "msg1.txt" in populated.listdir("/fp")
         assert hacfsck(populated) == []
+
+    def test_repair_missing_permanent_drops_it(self, populated):
+        populated.smkdir("/fp", "fingerprint")
+        populated.symlink("/notes/recipe.txt", "/fp/pin.txt")
+        populated.fs.unlink("/fp/pin.txt")
+        assert "missing-permanent" in kinds(hacfsck(populated, repair=True))
+        assert "pin.txt" not in populated.links("/fp")
+        assert hacfsck(HacFileSystem.restore(populated.fs)) == []
 
     def test_repair_stale_link_text(self, populated):
         populated.smkdir("/fp", "fingerprint")

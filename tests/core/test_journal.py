@@ -21,6 +21,11 @@ def wal_keys(dev):
     return sorted(k for k in dev.record_keys() if k.startswith(WAL_PREFIX))
 
 
+def keys(pending):
+    """The record keys a recovered intent journaled, in capture order."""
+    return [p["key"] for p in pending.pre_images]
+
+
 class TestLifecycle:
     def test_commit_leaves_no_wal_records(self, dev, journal):
         intent = journal.begin("op", {"path": "/d"})
@@ -80,7 +85,7 @@ class TestPendingAndRollback:
 
         pending = journal.pending()
         assert [(p.seq, p.op) for p in pending] == [(intent.seq, "op")]
-        assert pending[0].keys == ["a", "b"]
+        assert keys(pending[0]) == ["a", "b"]
         journal.rollback_records(pending[0])
         assert dev.read_record("a") == b"a-old"
         assert dev.read_record("b") is None
@@ -128,7 +133,7 @@ class TestPendingAndRollback:
         # tear the SECOND pre-image: rollback must still restore the first
         dev.corrupt_record(f"{WAL_PREFIX}{intent.seq}:u1")
         pending = journal.pending()
-        assert pending[0].keys == ["a"]
+        assert keys(pending[0]) == ["a"]
 
     def test_rollback_active_is_atomicity_for_soft_failures(self, dev, journal):
         dev.write_record("a", b"a-old")
@@ -159,7 +164,7 @@ class TestCrashPoints:
         dev.clear_faults()
         reopened = Journal(dev, Counters())
         pending = reopened.pending()
-        assert len(pending) == 1 and pending[0].keys == []
+        assert len(pending) == 1 and keys(pending[0]) == []
         reopened.rollback_records(pending[0])
         assert dev.read_record("a") == b"a-old"
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cba.results import RemoteId
 from repro.core.links import LinkSets, Target
+from repro.vfs.inode import FileNode, SymlinkNode
 
 
 class TestTarget:
@@ -96,12 +97,35 @@ class TestLinkSets:
         assert sets.permanent  # untouched
 
     def test_obj_roundtrip(self, sets):
+        """The record holds what the user said: permanent and prohibited."""
+        sets.add_permanent("pin", Target.remote("n", "p"))
         sets.prohibit("perm.txt")
         sets.add_transient("r", Target.remote("n", "d"))
+        assert set(sets.to_obj()) == {"permanent", "prohibited"}
         restored = LinkSets.from_obj(sets.to_obj())
         assert restored.permanent == sets.permanent
-        assert restored.transient == sets.transient
         assert restored.prohibited == sets.prohibited
+        assert not restored.transient
+
+    def test_adopt_reads_the_transient_class_from_entries(self, sets):
+        """Every symlink not under a permanent name is transient; one that
+        resolves to nothing, or to a target already held, is debris."""
+        texts = {"/a": Target.local("f", 2), "/b": Target.local("f", 1),
+                 "ns://d": Target.remote("ns", "d")}
+        def link(ino, text):
+            return SymlinkNode(ino, 0o777, 0.0, text)
+
+        entries = {"perm.txt": link(1, "/b"), "a": link(2, "/a"),
+                   "again": link(3, "/a"), "pinned-twice": link(4, "/b"),
+                   "gone": link(5, "/nowhere"), "r": link(6, "ns://d"),
+                   "file": FileNode(7, 0o644, 0.0)}
+        restored = LinkSets.from_obj(sets.to_obj())
+        debris = restored.adopt(entries, texts.get)
+        assert debris == ["again", "pinned-twice", "gone"]
+        assert restored.transient == {"a": Target.local("f", 2),
+                                      "r": Target.remote("ns", "d")}
+        assert restored.remote == {Target.remote("ns", "d")}
+        assert restored.bound is None
 
     def test_repr(self, sets):
         assert "permanent=1" in repr(sets)

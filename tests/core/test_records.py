@@ -82,8 +82,8 @@ def test_record_catalogue():
 
 @pytest.mark.parametrize("bound, op", [
     (5, lambda t: t.mkdir("/m")),
-    (7, lambda t: t.smkdir("/s", "alpha")),
-    (6, lambda t: t.set_query("/q", "alpha AND 1")),
+    (6, lambda t: t.smkdir("/s", "alpha")),
+    (5, lambda t: t.set_query("/q", "alpha AND 1")),
     (5, lambda t: t.rename("/empty", "/moved")),
     (5, lambda t: t.rmdir("/empty")),
 ], ids=["mkdir", "smkdir", "set_query", "rename_dir", "rmdir"])
@@ -91,7 +91,8 @@ def test_structural_ops_write_each_fact_once(world, bound, op):
     """Device writes (deletes included) per call: the intent's begin, one
     pre-image and one write per record touched, the commit's deletes —
     and the one record touched is the directory's own: the global map is
-    derived from the places the records hold, never written."""
+    derived from the places the records hold, never written, and the
+    cascade that links the query's results writes no record at all."""
     hac, tenant = world
     tenant.smkdir("/q", "alpha")
     tenant.mkdir("/empty")
@@ -154,3 +155,72 @@ def test_restore_syncs_the_tree_once():
     assert beta.glimpse("fingerprint") == ["/a.txt"]
     beta.write_file("/b.txt", b"fingerprint more")
     assert beta.glimpse("fingerprint") == ["/a.txt", "/b.txt"]
+
+
+def semdir_traffic(device, op):
+    """``semdir:`` records written, and ``semdir:`` pre-images journaled,
+    while *op* runs."""
+    from repro.util import serialization
+
+    writes, preimages = [], []
+    write = device.write_record
+
+    def spy(key, data):
+        if key.startswith("semdir:"):
+            writes.append(key)
+        elif key.startswith("wal:") and ":u" in key and \
+                serialization.loads(data)["key"].startswith("semdir:"):
+            preimages.append(key)
+        return write(key, data)
+
+    device.write_record = spy
+    try:
+        op()
+    finally:
+        del device.write_record
+    return writes, preimages
+
+
+def linked_world(links):
+    """*links* files matching ``alpha`` under a watched ``/files``, and one
+    semantic directory linking every one of them."""
+    hac = HacFileSystem()
+    hac.mkdir("/files")
+    for i in range(links):
+        hac.write_file(f"/files/f{i:04d}.txt", b"alpha %d" % i)
+    hac.ssync("/")
+    hac.smkdir("/sem", "alpha")
+    hac.watch("/files")
+    assert len(hac.links("/sem")) == links
+    return hac
+
+
+@pytest.mark.parametrize("links", [10, 1000])
+def test_a_cascade_moving_one_link_writes_no_semdir_record(links):
+    """A cascade that adds or drops one transient link writes no
+    ``semdir:`` record and journals no ``semdir:`` pre-image, however many
+    links the directory holds: the link is a symlink in the tree."""
+    hac = linked_world(links)
+    device = hac.fs.device
+    added = semdir_traffic(
+        device, lambda: hac.write_file("/files/new.txt", b"alpha new"))
+    assert len(hac.links("/sem")) == links + 1
+    dropped = semdir_traffic(
+        device, lambda: hac.write_file("/files/f0000.txt", b"beta"))
+    assert len(hac.links("/sem")) == links
+    assert added == dropped == ([], [])
+
+
+def test_a_prohibition_writes_the_same_bytes_beside_any_number_of_links():
+    """Prohibiting one link writes the directory's record — the user's
+    facts only — so the bytes do not grow with the transient class beside
+    it (up to the length of the link's name)."""
+    def cost(links):
+        hac = linked_world(links)
+        written = bytes_and_key_lengths(
+            hac.fs.device, lambda: hac.unlink("/sem/f0000.txt"))
+        assert hac.prohibited("/sem")
+        return written
+
+    (small, _keys), (large, _keys) = cost(10), cost(1000)
+    assert abs(large - small) <= len("f0000.txt")

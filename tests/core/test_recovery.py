@@ -68,6 +68,33 @@ class TestEnospcAtomicity:
         assert populated.links("/fp") == before_links
         assert errors(populated) == []
 
+    @pytest.mark.parametrize("offset", range(5))
+    def test_enospc_anywhere_in_set_query_reevaluates_the_old_links(
+            self, populated, offset):
+        """The in-process rollback reloads the link tables from records
+        and tree, then re-evaluates: the links, and the result a child
+        would be evaluated over, are the old query's again."""
+        from tests.properties.derived import assert_links_are_derived
+        from tests.properties.reference import assert_links_from_scratch
+
+        populated.smkdir("/fp", "fingerprint")
+        old = dict(populated.links("/fp"))
+        dev = populated.fs.device
+        dev.set_fault_plan(
+            FaultPlan(enospc_at={dev.record_write_index + offset}))
+        try:
+            populated.set_query("/fp", "lunch")
+            applied = True
+        except NoSpace:
+            applied = False
+        dev.clear_faults()
+        assert populated.get_query("/fp") == ("lunch" if applied
+                                              else "fingerprint")
+        assert (populated.links("/fp") == old) != applied
+        assert_links_from_scratch(populated, offset)
+        assert_links_are_derived(populated, offset)
+        assert errors(populated) == []
+
     def test_failed_cycle_set_query_rolls_back_cleanly(self, populated):
         from repro.errors import DependencyCycle
 
@@ -119,6 +146,30 @@ class TestRestoreRecovery:
         assert errors(restored) == []
         # the torn record was rolled back to its pre-image (or removed)
         assert all(dev.verify_record(k) for k in dev.record_keys())
+
+    def test_reopen_keeps_link_names_and_the_users_links(self, populated):
+        """Transient names come back from the tree, permanent ones from
+        the record.  A symlink made before the query is permanent, and one
+        to a directory is the user's: both stay.  A dangling one names no
+        file, so a load cannot tell it from a transient link whose file
+        went, and drops it."""
+        from tests.properties.derived import assert_links_are_derived
+
+        populated.mkdir("/fp")
+        populated.symlink("/notes/recipe.txt", "/fp/early.txt")
+        populated.symlink("/notes", "/fp/notes")
+        populated.set_query("/fp", "fingerprint")
+        populated.symlink("/mail/msg2.txt", "/fp/pin.txt")
+        populated.symlink("/src", "/fp/src")
+        populated.symlink("/gone", "/fp/dangle")
+        before = populated.links("/fp")
+        assert before["early.txt"][0] == "permanent"
+        assert "match.c" in before
+        restored = HacFileSystem.restore(populated.fs)
+        assert restored.links("/fp") == before
+        assert set(restored.listdir("/fp")) == set(before) | {"notes", "src"}
+        assert errors(restored) == []
+        assert_links_are_derived(restored)
 
     def test_wal_left_by_crash_is_an_fsck_error_before_restore(self, populated):
         dev = populated.fs.device

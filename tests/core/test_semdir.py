@@ -28,16 +28,20 @@ class TestState:
         state.links.add_permanent("p", Target.local("f", 1))
         state.links.add_transient("t", Target.remote("n", "d"))
         state.links.prohibit("t")
+        state.links.add_transient("u", Target.local("f", 2))
         state.result_cache = Bitmap([3, 99])
         state.parent, state.name = 2, "raw/five"
-        restored = SemanticDirState.from_obj(state.to_obj())
+        obj = state.to_obj()
+        assert "result" not in obj
+        restored = SemanticDirState.from_obj(obj)
         assert restored.uid == 5
         assert (restored.parent, restored.name) == (2, "raw/five")
         assert restored.query == state.query
         assert restored.query_text == "a AND NOT b"
         assert restored.links.permanent == state.links.permanent
         assert restored.links.prohibited == state.links.prohibited
-        assert restored.result_cache == state.result_cache
+        # derived, not persisted: the tree and the engine give them back
+        assert not restored.links.transient and not restored.result_cache
 
     def test_plain_state_roundtrip(self):
         state = SemanticDirState(uid=1)

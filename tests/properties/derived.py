@@ -5,7 +5,9 @@ rebuild — the map from the places the device's ``semdir:`` records hold
 (:meth:`GlobalDirectoryMap.load_places`), the graph from that map and the
 directories' queries (:meth:`DependencyGraph.derive`).  Likewise the
 index: the device's segments, with the memtable folded on top, hold
-exactly the engine's live documents.
+exactly the engine's live documents.  And the link tables: the permanent
+and prohibited sets a load reads from the records, with the transient class
+read from the tree (:meth:`LinkSets.adopt`), are the tables HAC maintains.
 """
 
 from repro.cba.segments import Segment, SegmentStore
@@ -59,3 +61,28 @@ def assert_segments_are_derived(hac, where=None) -> None:
     live = {row.doc_id: (row.path, row.terms)
             for row in hac.engine.doc_rows().values()}
     assert persisted == live, where
+
+
+def assert_links_are_derived(hac, where=None) -> None:
+    """Every semantic directory's link tables, as a reload builds them from
+    the device's records plus the tree, equal the ones *hac* maintains:
+    names, targets, classes, and the result its children see.  The tree
+    holds no debris for the loader to unlink (a user's link to a directory
+    is not debris)."""
+    meta = MetaStore(hac.fs.device)
+    meta.reload_all()
+    semantic = {uid for uid in meta.uids() if meta.require(uid).is_semantic}
+    assert semantic == {uid for uid in hac.meta.uids()
+                        if hac.meta.require(uid).is_semantic}, where
+    for path in hac.semantic_dirs():
+        at = (where, path)
+        uid = hac.dirmap.uid_of(path)
+        kept, loaded = hac.meta.require(uid), meta.require(uid).links
+        entries = hac.fs.resolve(path).node.entries
+        unadopted = loaded.adopt(entries, hac._target_of_link_text)
+        assert all(hac.fs.isdir(f"{path}/{n}") for n in unadopted), at
+        assert loaded.permanent == kept.links.permanent, at
+        assert loaded.transient == kept.links.transient, at
+        assert loaded.prohibited == kept.links.prohibited, at
+        assert hac.consistency.ids_of(loaded.all_targets()) \
+            == kept.result_cache, at

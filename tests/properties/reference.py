@@ -166,8 +166,8 @@ def expected_links(hac, uid):
 
 def assert_links_from_scratch(hac, where=None) -> None:
     """Every semantic directory's link table, symlink entries, link texts
-    and stored result are what a from-scratch evaluation gives.  Only
-    meaningful on settled, index-fresh state: drains first."""
+    and result are what a from-scratch evaluation gives.  Only meaningful
+    on settled, index-fresh state: drains first."""
     hac.maintenance.barrier()
     for path in hac.semantic_dirs():
         at = (where, path)

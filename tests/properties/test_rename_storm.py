@@ -194,9 +194,11 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
     after **every** step, accepted or refused, the map HAC maintains is
     the map its records' places load, the graph HAC maintains is the
     graph its map and queries imply, every semantic directory's links
-    are the links a from-scratch evaluation gives, and fsck agrees."""
+    are the links a from-scratch evaluation gives and the ones its record
+    plus its tree load, and fsck agrees."""
     from repro.errors import ReproError
-    from tests.properties.derived import assert_is_derived
+    from tests.properties.derived import (assert_is_derived,
+                                         assert_links_are_derived)
     from tests.properties.reference import assert_links_from_scratch
 
     rng = random.Random(seed)
@@ -251,6 +253,7 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
             refused += 1
         assert_is_derived(hac, step)
         assert_links_from_scratch(hac, step)
+        assert_links_are_derived(hac, step)
         errors = [f for f in hac.fsck() if f.severity == "error"]
         assert errors == [], (step, [str(f) for f in errors])
 

@@ -13,8 +13,10 @@ topology of semantic directories, then check the invariant exhaustively.
 
 On a *watched* tree the index is fresh after every drain, so there the
 stronger claim holds step by step: what the cascade maintains — link
-tables, symlink entries, their texts, the stored result — is what a
-from-scratch evaluation gives (``reference.assert_links_from_scratch``).
+tables, symlink entries, their texts, the result — is what a from-scratch
+evaluation gives (``reference.assert_links_from_scratch``), and what a
+reload would build from the records and the tree
+(``derived.assert_links_are_derived``).
 """
 
 import random
@@ -28,6 +30,7 @@ from repro.core.hacfs import HacFileSystem
 from repro.core.links import Target
 from repro.util import pathutil
 
+from tests.properties.derived import assert_links_are_derived
 from tests.properties.reference import (assert_links_from_scratch,
                                         oracle_match)
 
@@ -162,6 +165,7 @@ def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
             # renames and link edits meet a queue and drain it themselves
             if mode == "eager" or step % 2:
                 assert_links_from_scratch(hac, (step, op, a, b))
+            assert_links_are_derived(hac, (step, op, a, b))
         assert_links_from_scratch(hac, "end")
         assert [f for f in hac.fsck() if f.severity != "info"] == []
 

@@ -1,7 +1,12 @@
 """The synthetic corpus generator: determinism and selectivity control."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.hacfs import HacFileSystem
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 
@@ -20,6 +25,20 @@ class TestDeterminism:
     def test_document_stable_across_calls(self):
         gen = CorpusGenerator(CorpusConfig(n_files=5))
         assert gen.document(3) == gen.document(3)
+
+    def test_topic_carriers_independent_of_hash_seed(self):
+        """``hash()`` of a str is salted per process; the carriers (and so
+        every selectivity the benches dial in) must not follow the salt."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("from repro.workloads.corpus import CorpusConfig, "
+                "CorpusGenerator as G; print(G(CorpusConfig(n_files=800, "
+                "topics={'rareword': 0.005}, seed=9)).topic_files('rareword'))")
+        seen = {subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src,
+                                PYTHONHASHSEED=str(salt))).stdout
+            for salt in (0, 1, 2)}
+        assert len(seen) == 1, seen
 
     def test_validation(self):
         with pytest.raises(ValueError):
