@@ -26,7 +26,7 @@ Public surface:
 * :class:`SimulatedSearchService`, :class:`RemoteHacFileSystem`,
   :class:`SharedDirectoryRegistry` — mountable remote name spaces
   (``repro.remote``);
-* baselines (Jade, Pseudo, SFS) under ``repro.baselines`` and workload
+* Table 2's baselines (Jade, Pseudo) under ``repro.baselines`` and workload
   generators under ``repro.workloads``.
 """
 

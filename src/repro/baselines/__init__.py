@@ -1,9 +1,8 @@
-"""Baseline systems the paper compares against or builds upon.
+"""Baselines the paper's tables measure HAC against.
 
-Table 2 compares HAC's Andrew-benchmark slowdown against two other
-*user-level* file systems; related work contrasts HAC with the MIT Semantic
-File System.  We reimplement the mechanism of each so those comparisons are
-measured, not quoted:
+Table 2 compares HAC's Andrew-benchmark slowdown with two other
+*user-level* file systems.  We reimplement the mechanism of each so the
+comparison is measured, not quoted:
 
 * :mod:`repro.baselines.jadefs` — a Jade-style logical name space: every
   path is translated through a per-user mapping table before reaching the
@@ -11,32 +10,15 @@ measured, not quoted:
 * :mod:`repro.baselines.pseudofs` — a Pseudo-FS-style interposition: every
   operation is marshalled, "sent" to a user-level server, executed, and the
   reply unmarshalled;
-* :mod:`repro.baselines.sfs` — the MIT Semantic File System: transducers
-  extract attribute/value pairs, virtual directories name conjunctive
-  attribute queries;
-* :mod:`repro.baselines.nebula` — Nebula: boolean-query views with
-  DAG-structured scopes, customised by scope editing rather than result
-  editing;
-* :mod:`repro.baselines.prospero` — Prospero: arbitrary filter programs on
-  links, composition, and — deliberately — no consistency guarantees.
+* :mod:`repro.baselines.scanengine` — the scan-everything Glimpse engine
+  that Table 4 and the engine ablations measure the fast engine against.
 
-The SFS and Nebula reimplementations power the executable related-work
-comparison in ``tests/integration/test_capability_matrix.py`` — each §5
-claim about what those systems can and cannot do is asserted against the
-real implementations.
+SFS, Nebula and Prospero appear only in §5's prose.  Tests are the only
+users of their reimplementations, so those live in ``tests/baselines/``
+beside the related-work table, ``tests/integration/test_capability_matrix.py``.
 """
 
 from repro.baselines.jadefs import JadeFileSystem
-from repro.baselines.nebula import NebulaFileSystem
-from repro.baselines.prospero import ProsperoFileSystem
 from repro.baselines.pseudofs import PseudoFileSystem
-from repro.baselines.sfs import SemanticFileSystem, Transducer
 
-__all__ = [
-    "JadeFileSystem",
-    "NebulaFileSystem",
-    "ProsperoFileSystem",
-    "PseudoFileSystem",
-    "SemanticFileSystem",
-    "Transducer",
-]
+__all__ = ["JadeFileSystem", "PseudoFileSystem"]

@@ -206,13 +206,17 @@ class HacFileSystem:
 
     def path_for_target(self, target: Target) -> Optional[str]:
         """Current host-name-space path of a local target, if it is alive."""
-        if not target.is_local:
-            return None
-        entry = self._fs_registry.get(target.realm)
+        return self._live_path(target.realm, target.ino) \
+            if target.is_local else None
+
+    def _live_path(self, fsid: str, ino: int) -> Optional[str]:
+        """Host-name-space path of a live, attached node: symlink-free,
+        with a mounted file system's prefix in front."""
+        entry = self._fs_registry.get(fsid)
         if entry is None:
             return None
         owner, prefix = entry
-        inner = owner.path_of_ino(target.ino)
+        inner = owner.path_of_ino(ino)
         if inner is None:
             return None
         return pathutil.join(prefix, inner.lstrip("/")) if prefix else inner
@@ -220,13 +224,8 @@ class HacFileSystem:
     def _canonical_dir(self, path: str) -> str:
         """The registered (symlink-free) path of an existing directory."""
         res = self.fs.resolve(path)
-        prefix = self._fs_registry.get(res.fs.fsid, (None, None))[1]
-        inner = res.fs.path_of_ino(res.node.ino)
-        if inner is None:
-            return pathutil.normalize(path)
-        if prefix:
-            return pathutil.join(prefix, inner.lstrip("/")) if inner != "/" else prefix
-        return inner
+        return self._live_path(res.fs.fsid, res.node.ino) \
+            or pathutil.normalize(path)
 
     def _uid_of_dir(self, path: str) -> int:
         uid = self.dirmap.uid_of(self._canonical_dir(path))
@@ -338,6 +337,18 @@ class HacFileSystem:
             pass  # the real operation will raise the precise error
         return norm
 
+    def _wrote(self, norm: str, stat: StatResult) -> str:
+        """Key the attribute cache on the live path of the node that the
+        name *norm* reached, and return that path for the watch (§4): a
+        write through a symlink lands where a direct stat looks.  The name
+        itself, if it differs, loses its now-stale entry."""
+        live = self._live_path(stat.fsid, stat.ino) or norm
+        if live != norm:
+            self._invalidate_attrs(norm)
+        self.attrcache.put(live, stat.attrs)
+        self._stat_identity[live] = (stat.fsid, stat.ino, stat.type)
+        return live
+
     def _invalidate_attrs(self, norm: str) -> None:
         self.attrcache.invalidate(norm)
         self._stat_identity.pop(norm, None)
@@ -403,9 +414,7 @@ class HacFileSystem:
             self.obs.trace.event("hac.create", path=path)
         norm = self._library_resolve(path)
         stat = self.fs.create(path, mode=mode)
-        self.attrcache.put(norm, stat.attrs)
-        self._stat_identity[norm] = (stat.fsid, stat.ino, stat.type)
-        self.watches.on_content_changed(norm)
+        self.watches.on_content_changed(self._wrote(norm, stat), stat)
         return stat
 
     def write_file(self, path: str, data: bytes, append: bool = False) -> int:
@@ -415,10 +424,8 @@ class HacFileSystem:
         n = self.fs.write_file(path, data, append=append)
         # maintain (rather than drop) the attribute-cache entry: HAC owns
         # the write path, so the fresh attributes are known here (§4)
-        stat = self.fs.lstat(path)
-        self.attrcache.put(norm, stat.attrs)
-        self._stat_identity[norm] = (stat.fsid, stat.ino, stat.type)
-        self.watches.on_content_changed(norm)
+        stat = self.fs.stat(path)
+        self.watches.on_content_changed(self._wrote(norm, stat), stat)
         return n
 
     def read_file(self, path: str) -> bytes:
@@ -434,9 +441,9 @@ class HacFileSystem:
 
     def truncate(self, path: str, size: int = 0) -> None:
         self.admission.admit_write(path)
-        self.fs.truncate(path, size)
-        self._invalidate_attrs(pathutil.normalize(path))
-        self.watches.on_content_changed(pathutil.normalize(path))
+        stat = self.fs.truncate(path, size)
+        self.watches.on_content_changed(
+            self._wrote(pathutil.normalize(path), stat), stat)
 
     def unlink(self, path: str) -> None:
         """Remove a file or link; deleting a tracked link in a semantic
@@ -614,8 +621,7 @@ class HacFileSystem:
         return self.fs.islink(path)
 
     def chmod(self, path: str, mode: int) -> None:
-        self.fs.chmod(path, mode)
-        self._invalidate_attrs(pathutil.normalize(path))
+        self._wrote(pathutil.normalize(path), self.fs.chmod(path, mode))
 
     # -- descriptor I/O through the per-process table ---------------------------
 
@@ -627,7 +633,9 @@ class HacFileSystem:
         self._library_resolve(path)
         fd = self.fs.open(self.fdtable, path, mode)
         if mode != "r":
-            self._invalidate_attrs(pathutil.normalize(path))
+            of = self.fdtable.get(fd)
+            self._wrote(pathutil.normalize(path), StatResult(
+                of.fs.fsid, of.node.ino, of.node.type, of.node.attrs))
         return fd
 
     def read(self, fd: int, size: int = -1) -> bytes:
@@ -635,12 +643,13 @@ class HacFileSystem:
 
     def write(self, fd: int, data: bytes) -> int:
         of = self.fdtable.get(fd)
-        live = of.fs.path_of_ino(of.node.ino)
+        live = self._live_path(of.fs.fsid, of.node.ino)
         self.admission.admit_write(live or "")
         n = self.fs.write(self.fdtable, fd, data)
         if live is not None:
             self._invalidate_attrs(live)
-            self.watches.on_content_changed(live)
+            self.watches.on_content_changed(live, StatResult(
+                of.fs.fsid, of.node.ino, of.node.type, of.node.attrs))
         return n
 
     def lseek(self, fd: int, offset: int, whence: int = 0) -> int:

@@ -26,7 +26,7 @@ single public API surface:
   :class:`~repro.core.scheduler.MaintenanceScheduler`).
 
 Isolation is load-bearing, not advisory: the tenant soak
-(:mod:`repro.chaos.tenantsoak`) drives two tenants, aims every fault at
+(``tests/chaos/tenantsoak.py``) drives two tenants, aims every fault at
 tenant A's ops, and asserts tenant B's state digest is bit-identical to a
 B-only fault-free oracle world.
 """

@@ -9,8 +9,8 @@ subtree (write, create, delete, move) immediately reindexes the touched
 file and runs the scope-consistency cascade, so query results update
 synchronously instead of at the next ``ssync``.
 
-The cost model is the interesting part — watches trade write latency for
-freshness, quantified by ``benchmarks/bench_ablation_watch.py``.
+The cost model is the interesting part: watches trade write latency for
+freshness.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from typing import List, Set, TYPE_CHECKING
 
 from repro.errors import VfsError
 from repro.util import pathutil
-from repro.vfs.inode import FileNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
+    from repro.vfs.filesystem import StatResult
 
 
 class WatchManager:
@@ -85,8 +85,9 @@ class WatchManager:
     # event handling (called by HacFileSystem after mutations)
     # ------------------------------------------------------------------
 
-    def on_content_changed(self, path: str) -> bool:
-        """A file under *path* was written or created; mark it dirty.
+    def on_content_changed(self, path: str, stat: "StatResult") -> bool:
+        """The file *stat* describes, whose live path is *path*, was
+        written or created; mark it dirty.
 
         The maintenance scheduler owns the actual index work: in eager
         mode (the default) the enqueue drains immediately — index update
@@ -95,15 +96,8 @@ class WatchManager:
         """
         if not self.covers(path):
             return False
-        try:
-            res = self.hacfs.fs.resolve(path, follow=False)
-        except Exception:
-            return False
-        node = res.node
-        if not isinstance(node, FileNode):
-            return False
-        key = (res.fs.fsid, node.ino)
-        self.hacfs.maintenance.note_upsert(key, path, node.attrs.mtime)
+        self.hacfs.maintenance.note_upsert((stat.fsid, stat.ino), path,
+                                           stat.attrs.mtime)
         self._stats.add("reindexed")
         return True
 

@@ -454,7 +454,7 @@ class FileSystem:
         node.attrs.atime = self.clock.now
         return bytes(node.data)
 
-    def truncate(self, path: str, size: int = 0) -> None:
+    def truncate(self, path: str, size: int = 0) -> StatResult:
         self._ops.add("truncate")
         res = self.resolve(path)
         node = res.node
@@ -466,6 +466,7 @@ class FileSystem:
         node.resize(size)
         node.attrs.mtime = self.clock.now
         self._notify("write", path=pathutil.normalize(path), fs=res.fs, node=node)
+        return StatResult(res.fs.fsid, node.ino, node.type, node.attrs.copy())
 
     def unlink(self, path: str) -> None:
         self._ops.add("unlink")
@@ -641,11 +642,13 @@ class FileSystem:
         except (FileNotFound, NotADirectory, SymlinkLoop):
             return False
 
-    def chmod(self, path: str, mode: int) -> None:
+    def chmod(self, path: str, mode: int) -> StatResult:
         res = self.resolve(path)
         res.node.attrs.mode = mode
         res.node.attrs.ctime = self.clock.now
         res.fs.device.charge_meta_write()
+        return StatResult(res.fs.fsid, res.node.ino, res.node.type,
+                          res.node.attrs.copy())
 
     # ------------------------------------------------------------------
     # descriptor-based I/O

@@ -12,7 +12,8 @@ available, so this package generates deterministic synthetic equivalents:
   (Makedir / Copy / Scan / Read / Make) over any of our file-system layers;
 * :mod:`repro.workloads.mailgen` — synthetic mail messages for the paper's
   running "fingerprint project" example;
-* :mod:`repro.workloads.trees` — random directory trees for property tests.
+* :mod:`repro.workloads.coderepo` / :mod:`repro.workloads.digilib` — the
+  source-tree churn and digital-library ingest workloads.
 """
 
 from repro.workloads.andrew import AndrewBenchmark, AndrewConfig

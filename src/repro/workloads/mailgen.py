@@ -3,7 +3,7 @@
 The fingerprint semantic directory is supposed to gather project mail,
 notes, source files, and articles scattered across the name space.  This
 generator produces deterministic mailbox files with ``From:`` / ``To:`` /
-``Subject:`` headers (which the SFS baseline's transducer also understands)
+``Subject:`` headers (which the engine's mail transducer understands)
 and topic-tagged bodies, so the examples and integration tests have a
 realistic mixed corpus.
 """

@@ -6,8 +6,8 @@ attribute tuples and content) and a **scope** — a set of other views whose
 referents the query is evaluated over.  Views form a DAG; users customise
 what a view shows by editing its *scope*, never its result.
 
-The reproduction exists for the ablation tests contrasting Nebula with HAC
-(§5's points, verbatim):
+The reproduction exists for the tests contrasting Nebula with HAC, its
+only users (§5's points, verbatim):
 
 * "views are not a part of the underlying physical file system and cannot
   be used to organize data" — :meth:`create_file_in_view` raises;

@@ -14,7 +14,7 @@ links.  The paper's verdict, reproduced here as behaviour:
   filter leaves the view stale until the user calls :meth:`run_filter`
   again.
 
-The capability-matrix tests lean on exactly this staleness.
+``tests/baselines/test_prospero.py`` leans on exactly this staleness.
 """
 
 from __future__ import annotations

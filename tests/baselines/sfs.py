@@ -5,8 +5,9 @@ virtual directory *is* a query, queries are conjunctions of attribute/value
 pairs, and ``/`` between virtual components means AND.  *Transducers*
 extract the attribute/value pairs from file contents.
 
-The reproduction exists for the ablation benches and tests that demonstrate
-precisely the limitations the paper lists (§5):
+The reproduction exists for the tests that demonstrate precisely the
+limitations the paper lists (§5); tests are its only users, so it lives
+under ``tests/``:
 
 * virtual directories are not part of the physical file system — you cannot
   create files in them;

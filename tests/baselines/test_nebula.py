@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baselines.nebula import NebulaFileSystem
 from repro.errors import DependencyCycle, InvalidArgument
 from repro.vfs.filesystem import FileSystem
+from tests.baselines.nebula import NebulaFileSystem
 
 
 @pytest.fixture

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.baselines.prospero import (
+from repro.errors import InvalidArgument
+from repro.vfs.filesystem import FileSystem
+from tests.baselines.prospero import (
     ProsperoFileSystem,
     grep_filter,
     suffix_filter,
 )
-from repro.errors import InvalidArgument
-from repro.vfs.filesystem import FileSystem
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baselines.sfs import SemanticFileSystem, default_transducer
 from repro.errors import InvalidArgument
 from repro.vfs.filesystem import FileSystem
+from tests.baselines.sfs import SemanticFileSystem, default_transducer
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Tenant-isolation soak: chaos aimed at tenant A must not touch tenant B.
 
-The multi-tenant contract is stronger than the PR 7 convergence story: it
-is not enough for the *whole world* to converge after faults — a tenant
+The multi-tenant contract is stronger than the chaos soak's convergence
+story: it is not enough for the *whole world* to converge after faults — a tenant
 that never saw a fault must end **bit-identical** to a twin world in
 which the noisy neighbour does not exist at all.  This soak proves that:
 
@@ -21,6 +21,10 @@ which the noisy neighbour does not exist at all.  This soak proves that:
 Crashes recover through :meth:`HacFileSystem.restore`, which re-attaches
 the tenant table from its persisted record; the soak re-fetches the
 facades afterwards, as a real client would.
+
+Tests are the soak's only users, so it lives here rather than in ``src/``:
+``tests/chaos/test_tenantsoak.py`` runs it short, and the CI ``tenant-*``
+cells run ``run_soak`` from the repository root.
 """
 
 from __future__ import annotations

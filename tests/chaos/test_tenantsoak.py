@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.chaos.tenantsoak import (TenantIsolationSoak, run_soak,
-                                    tenant_digest)
 from repro.core.hacfs import HacFileSystem
+from tests.chaos.tenantsoak import (TenantIsolationSoak, run_soak,
+                                    tenant_digest)
 
 
 class TestTenantDigest:

@@ -1,18 +1,29 @@
 """The paper's related-work comparison (§5), as one executable table.
 
 Each row of the paper's argument — what SFS, Nebula, and HAC can and
-cannot do — is asserted against our implementations of all three systems
-over the same corpus.  If a baseline gains an ability it should not have,
-or HAC loses one it claims, this file fails.
+cannot do — is asserted over the same corpus.  SFS and Nebula are the
+test-only reimplementations in ``tests/baselines/``; the paper measures
+neither.  The four ``test_hac_*`` tests are the half that concerns the
+product, and they assert HAC's claims on their own:
+
+* a semantic directory answers a boolean query over content and mail
+  attributes;
+* it is a real directory: a file written into it stays there and joins
+  the scope it provides;
+* its result is editable: a removed link becomes a prohibition, and a
+  link added by hand becomes permanent;
+* it is lazy about data but immediate about scope: a new matching file
+  appears only after ``ssync``, while a removal shows at once and holds
+  across the next re-evaluation.
 """
 
 import pytest
 
-from repro.baselines.nebula import NebulaFileSystem
-from repro.baselines.sfs import SemanticFileSystem
 from repro.core.hacfs import HacFileSystem
 from repro.errors import InvalidArgument
 from repro.vfs.filesystem import FileSystem
+from tests.baselines.nebula import NebulaFileSystem
+from tests.baselines.sfs import SemanticFileSystem
 
 DOCS = {
     "/docs/p1.txt": b"From: alice\nSubject: study\n\nfingerprint study\n",

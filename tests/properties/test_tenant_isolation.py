@@ -9,7 +9,7 @@ shared world additionally takes host-namespace noise (files outside
 ``/tenants``) that must be equally invisible.
 
 This is the fault-free half of the isolation story; the chaos half
-(faults aimed at one tenant) lives in :mod:`repro.chaos.tenantsoak`.
+(faults aimed at one tenant) lives in :mod:`tests.chaos.tenantsoak`.
 
 ``TENANT_SEED`` shifts the fuzz seeds and ``TENANT_K`` (>0) runs the
 shared world over a sharded search cluster (the CI ``sweeps`` matrix
@@ -20,9 +20,9 @@ also cross-checks cluster answers against monolith answers).
 import os
 import random
 
-from repro.chaos.tenantsoak import tenant_digest
 from repro.core.hacfs import HacFileSystem
 from repro.core.quota import QuotaSpec, recompute_usage
+from tests.chaos.tenantsoak import tenant_digest
 
 SEED = int(os.environ.get("TENANT_SEED", "0"))
 K = int(os.environ.get("TENANT_K", "0"))

@@ -2,9 +2,6 @@
 
 from repro.core.hacfs import HacFileSystem
 from repro.workloads.mailgen import MailGenerator
-from repro.workloads.trees import build_random_tree, random_ops
-
-import random
 
 
 class TestMailGenerator:
@@ -34,22 +31,3 @@ class TestMailGenerator:
         paths = MailGenerator().populate(hac, "/mail", count=6)
         assert len(paths) == 6
         assert hac.read_file(paths[0]).startswith(b"From: ")
-
-
-class TestRandomTrees:
-    def test_build_random_tree(self):
-        hac = HacFileSystem()
-        dirs, files = build_random_tree(hac, seed=1)
-        assert all(hac.isdir(d) for d in dirs)
-        assert all(hac.isfile(f) for f in files)
-
-    def test_random_ops_keep_model_in_sync(self):
-        hac = HacFileSystem()
-        dirs, files = build_random_tree(hac, seed=2)
-        rng = random.Random(9)
-        log = random_ops(hac, rng, dirs, files, count=30)
-        assert log
-        for f in files:
-            assert hac.exists(f, follow=False), f
-        for d in dirs:
-            assert hac.isdir(d), d
