@@ -21,9 +21,9 @@ Three consumers share the rows, and only the first one seals:
   :class:`~repro.core.hacfs.HacFileSystem` says *when*, and calls it
   *only inside journal intents* (the scheduler's ``sched_batch`` drains
   and ``reindex``), so the WAL's pre-images roll a mid-seal or
-  mid-compaction crash back to a consistent segment list.  Serialized
+  mid-compaction crash back to a consistent segment list.  Frozen
   segments drop the document text (recovery re-reads through the
-  loader) to keep WAL amplification flat.
+  loader), in memory and on the device.
 * **Publication** — ``publish()`` closes a *publication cut*
   (:meth:`SegmentStore.cut`): the rows noted since the last cut,
   coalesced per key, join an append-only log that replicas catch up
@@ -69,8 +69,9 @@ class SegmentRow(NamedTuple):
     ``kind`` is ``'upsert'`` (document present, with its term set),
     ``'remove'`` (a tombstone: the key is gone, shadowing any older
     segment's upsert), or ``'rename'`` (path-only refresh of a document
-    whose upsert lives in an older segment).  ``text`` rides along in
-    memory for replica catch-up but is never serialized.
+    whose upsert lives in an older segment).  ``text`` rides along in the
+    memtable and the publication cuts for replica catch-up; sealed and
+    compacted segments drop it, and it is never serialized.
     """
 
     kind: str
@@ -221,7 +222,11 @@ class SegmentStore:
         return len(self.frozen) > self.compact_threshold
 
     def _mint(self, rows: Iterable[SegmentRow]) -> Segment:
-        """A doc-id-sorted segment of *rows* under the next unused id."""
+        """A doc-id-sorted segment of *rows* under the next unused id,
+        without their text: only publication cuts are read for it, and a
+        frozen copy would hold the corpus in memory a second time."""
+        rows = (r._replace(text=None) if r.text is not None else r
+                for r in rows)
         seg = Segment(f"s{self._next_seg:06d}",
                       tuple(sorted(rows, key=lambda r: (r.doc_id, r.kind))))
         self._next_seg += 1

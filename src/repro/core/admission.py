@@ -8,7 +8,7 @@ bound while drains fail and requeue.  The
 :class:`AdmissionController` turns the same health signals into policy
 at the two points where load enters the system:
 
-* **reads** (``HacShell.glimpse``) — when any back-end is degraded, a
+* **reads** (``glimpse``) — when any back-end is degraded, a
   ``strong`` read is *downgraded* to ``snapshot``: the published-replica
   path is entirely in-process, so it keeps serving complete as-of-publish
   answers while the live scatter-gather would return partial results

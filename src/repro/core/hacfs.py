@@ -221,14 +221,14 @@ class HacFileSystem:
             return None
         return pathutil.join(prefix, inner.lstrip("/")) if prefix else inner
 
-    def _canonical_dir(self, path: str) -> str:
+    def canonical_dir(self, path: str) -> str:
         """The registered (symlink-free) path of an existing directory."""
         res = self.fs.resolve(path)
         return self._live_path(res.fs.fsid, res.node.ino) \
             or pathutil.normalize(path)
 
     def _uid_of_dir(self, path: str) -> int:
-        uid = self.dirmap.uid_of(self._canonical_dir(path))
+        uid = self.dirmap.uid_of(self.canonical_dir(path))
         if uid is None:
             raise FileNotFound(path, "directory unknown to HAC")
         return uid
@@ -236,7 +236,7 @@ class HacFileSystem:
     def _chain_uids(self, dirpath: str) -> List[int]:
         """UIDs of every directory from the root down to *dirpath*."""
         uids: List[int] = []
-        canon = self._canonical_dir(dirpath)
+        canon = self.canonical_dir(dirpath)
         for p in list(pathutil.ancestors(canon)) + [canon]:
             uid = self.dirmap.uid_of(p)
             if uid is not None:
@@ -247,7 +247,7 @@ class HacFileSystem:
         """Canonical path a not-yet-created entry will get (for intents)."""
         parent, name = pathutil.split(path)
         try:
-            parent = self._canonical_dir(parent)
+            parent = self.canonical_dir(parent)
         except Exception:
             pass
         return pathutil.join(parent, name)
@@ -370,7 +370,7 @@ class HacFileSystem:
         self._hac.add("mkdir")
         with self._journaled("mkdir", {"path": self._planned_path(path)}):
             stat = self.fs.mkdir(path, mode=mode)
-            self._register_dir(self._canonical_dir(path))
+            self._register_dir(self.canonical_dir(path))
         return stat
 
     def _register_dir(self, path: str) -> None:
@@ -399,7 +399,7 @@ class HacFileSystem:
 
     def rmdir(self, path: str) -> None:
         self._hac.add("rmdir")
-        canon = self._canonical_dir(path)
+        canon = self.canonical_dir(path)
         with self._journaled("rmdir", {"path": canon}):
             self.fs.rmdir(canon)
             if self.dirmap.uid_of(canon) is not None:
@@ -455,7 +455,7 @@ class HacFileSystem:
         norm = pathutil.normalize(path)
         parent_dir, name = pathutil.split(norm)
         if isinstance(res.node, SymlinkNode):
-            canon_dir = self._canonical_dir(parent_dir)
+            canon_dir = self.canonical_dir(parent_dir)
             uid = self.dirmap.uid_of(canon_dir)
             state = self.meta.get(uid) if uid is not None else None
             if state is not None and state.is_semantic \
@@ -494,7 +494,7 @@ class HacFileSystem:
         if self.obs.trace.enabled:
             self.obs.trace.event("hac.symlink", target=target, link=linkpath)
         parent_dir, name = pathutil.split(linkpath)
-        canon_dir = self._canonical_dir(parent_dir)
+        canon_dir = self.canonical_dir(parent_dir)
         uid = self.dirmap.uid_of(canon_dir)
         state = self.meta.get(uid) if uid is not None else None
         semantic = state is not None and state.is_semantic
@@ -536,7 +536,7 @@ class HacFileSystem:
         self._hac.add("rename")
         res = self.fs.resolve(old, follow=False)
         moving_dir = res.node.is_dir
-        old_canon = self._canonical_dir(old) if moving_dir else None
+        old_canon = self.canonical_dir(old) if moving_dir else None
         old_norm, new_norm = pathutil.normalize(old), pathutil.normalize(new)
         origins = self._chain_uids(pathutil.dirname(old_norm))
         payload = {"old": old_canon if moving_dir else old_norm,
@@ -544,7 +544,7 @@ class HacFileSystem:
         with self._journaled("rename", payload):
             self.fs.rename(old, new)
             if moving_dir:
-                new_canon = self._canonical_dir(new)
+                new_canon = self.canonical_dir(new)
                 moved = self.dirmap.rename_subtree(old_canon, new_canon)
                 # the edge first: a move the graph refuses as a cycle must
                 # not have touched the engine, which no rollback rewinds
@@ -675,7 +675,7 @@ class HacFileSystem:
                              {"path": self._planned_path(path),
                               "query": query}):
             self.mkdir(path)
-            canon = self._canonical_dir(path)
+            canon = self.canonical_dir(path)
             self.set_query(canon, query, resolve_dir=resolve_dir)
         return canon
 
@@ -783,6 +783,25 @@ class HacFileSystem:
             span.set(hits=len(hits))
         return surface.paths_of(hits)
 
+    def glimpse(self, query: str, scope_path: str = "/",
+                consistency: str = "strong") -> List[str]:
+        """Ad-hoc search without creating a semantic directory — the
+        'regular glimpse' usage the Table 4 bench compares against — as
+        sorted host paths under the directory *scope_path* provides.
+
+        The admission gate may first downgrade a strong read to snapshot
+        while back-ends are degraded (a no-op until ``admit on``).  Scopes
+        resolve through the *live* directory state at either level, so a
+        snapshot read scoped to a semantic directory can mix a fresher
+        membership with as-of-publish content; a snapshot read of ``/``
+        answers from the whole cut, not the live root's documents.
+        """
+        consistency = self.admission.admit_read(consistency)
+        ast = parse_query(query, resolve_dir=self.dirmap.uid_of)
+        if consistency == "snapshot" and self.canonical_dir(scope_path) == "/":
+            scope_path = None
+        return sorted(self.query_paths(ast, scope_path, consistency))
+
     def health(self, path: Optional[str] = None) -> Dict[str, object]:
         """One structured degradation report for the whole name space —
         the *only* status surface (the pre-PR 5 per-probe accessors are
@@ -848,7 +867,7 @@ class HacFileSystem:
         ``hac.health()`` can never disagree about what a scope contains
         or which parts of it are degraded.
         """
-        norm = self._canonical_dir(path)
+        norm = self.canonical_dir(path)
         out: Dict[str, object] = dict(self.scopes.provided(norm).describe())
         entry = self.health(norm)["directories"].get(norm)
         out["degraded_remote"] = dict(entry["degraded_remote"]) if entry else {}
@@ -936,7 +955,7 @@ class HacFileSystem:
         """Syntactic mount: graft *other* at *path* and adopt its
         directories into the HAC name space."""
         self._hac.add("mount")
-        canon = self._canonical_dir(path)
+        canon = self.canonical_dir(path)
         self.fs.mount(canon, other)
         self._fs_registry[other.fsid] = (other, canon)
         # adopt every directory of the mounted tree into map/graph/state
@@ -947,7 +966,7 @@ class HacFileSystem:
 
     def unmount(self, path: str) -> FileSystem:
         self._hac.add("unmount")
-        canon = self._canonical_dir(path)
+        canon = self.canonical_dir(path)
         detached = self.fs.unmount(canon)
         self._fs_registry.pop(detached.fsid, None)
         for uid in self.dirmap.subtree_uids(canon, strict=True):
@@ -958,14 +977,14 @@ class HacFileSystem:
     def smount(self, path: str, namespace: NameSpace) -> None:
         """Semantic mount: bind a remote query system at *path* (§3.1)."""
         self._hac.add("smount")
-        canon = self._canonical_dir(path)
+        canon = self.canonical_dir(path)
         self.semmounts.mount(canon, namespace)
         self.consistency.on_scope_changed(self._chain_uids(canon),
                                           include_origins=True)
 
     def sunmount(self, path: str, namespace_id: Optional[str] = None) -> None:
         self._hac.add("sunmount")
-        canon = self._canonical_dir(path)
+        canon = self.canonical_dir(path)
         self.semmounts.unmount(canon, namespace_id)
         self.consistency.on_scope_changed(self._chain_uids(canon),
                                           include_origins=True)
@@ -1008,7 +1027,7 @@ class HacFileSystem:
         # drain pending maintenance first: the tree walk below must see the
         # engine state those events (and their reserved doc ids) produce
         self.maintenance.barrier()
-        canon = self._canonical_dir(path)
+        canon = self.canonical_dir(path)
         current: List[Tuple[Tuple[str, int], str, float]] = []
         for dirpath, _dirs, filenames, (owner, dirnode) in walk(self.fs, canon):
             for name in filenames:
@@ -1038,7 +1057,7 @@ class HacFileSystem:
         the paper's ``ssync`` command plus the §2.4 settle-everything pass."""
         self._hac.add("ssync")
         self.maintenance.barrier()
-        canon = self._canonical_dir(path)
+        canon = self.canonical_dir(path)
         with self._journaled("ssync", {"path": canon}):
             plan = self.reindex(path)
             if canon == "/":

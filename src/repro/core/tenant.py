@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.errors import InvalidArgument, UnknownTenant
+from repro.errors import FileNotFound, InvalidArgument, UnknownTenant
 from repro.util import pathutil
 from repro.core.quota import (QuotaLedger, QuotaSpec, recompute_usage,
                               usage_at)
@@ -384,6 +384,13 @@ class Tenant:
         if "://" in text:
             return text
         return self._rel(pathutil.normalize(text)) or text
+
+    def canonical_dir(self, path: str) -> str:
+        canon = self._hacfs.canonical_dir(self._host(path))
+        rel = self._rel(canon)
+        if rel is None:
+            raise FileNotFound(path, "outside the tenant")
+        return rel
 
     def exists(self, path: str, follow: bool = True) -> bool:
         return self._hacfs.exists(self._host(path), follow=follow)

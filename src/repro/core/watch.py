@@ -41,7 +41,7 @@ class WatchManager:
         """Cover the subtree at *path* from now on; returns the canonical
         root.  The caller owes a sync covering the files already there
         (:meth:`add` runs one; ``restore`` ends in a whole-tree one)."""
-        root = self.hacfs._canonical_dir(path)
+        root = self.hacfs.canonical_dir(path)
         self._roots.add(root)
         self._stats.add("added")
         return root
@@ -59,7 +59,7 @@ class WatchManager:
         directory, whatever name (a symlink, say) asks for it — a
         directory that is gone has only its name."""
         try:
-            return self.hacfs._canonical_dir(path)
+            return self.hacfs.canonical_dir(path)
         except VfsError:
             return pathutil.normalize(path)
 

@@ -5,19 +5,22 @@ Starts with a small demo name space (notes, mail, and a mountable demo
 
     hac> smkdir fingerprint fingerprint
     hac> ls -l fingerprint
-    hac> sact fingerprint/msg0000.txt
-    hac> help
 
-This is a convenience for humans; programmatic users should drive
-:class:`~repro.shell.session.HacShell` directly.
+``verb [sub] args…`` calls :class:`~repro.shell.session.HacShell`'s
+``<verb>_<sub>`` if it has one, else ``<verb>``, binding the arguments by
+the method's signature; programmatic users drive the shell directly.
 """
 
 from __future__ import annotations
 
+import inspect
+import json
 import shlex
 import sys
+import typing
 from typing import List, Optional
 
+from repro.shell.formatting import render_metrics
 from repro.shell.session import HacShell
 from repro.remote.searchsvc import SimulatedSearchService
 from repro.workloads.mailgen import MailGenerator
@@ -26,42 +29,43 @@ HELP = """\
 commands:
   ls [-l] [path]        list a directory (with -l, show link classifications)
   cd PATH | pwd         navigate
-  mkdir/rmdir PATH      directories
+  mkdir/rmdir PATH | stat PATH  directories / a file's attributes
   cat PATH              show a file (remote links fetch over 'the network')
+  touch PATH | cp SRC DST  create an empty file / copy a file
   write PATH TEXT...    write a file
   mv SRC DST | rm PATH  move / remove (removing a query link prohibits it)
   ln TARGET LINK        symbolic link (permanent inside semantic dirs)
   smkdir PATH QUERY...  create a semantic directory
-  squery [PATH]         show a directory's query
+  squery [PATH] | schquery PATH QUERY..  show / change a directory's query
   sscope [PATH]         scope composition (local/remote/degraded breakdown)
-  schquery PATH QUERY.. change a directory's query
   sls [PATH]            classified link listing
+  sprohibited [PATH] | spermanent LINK  prohibited targets / pin a link
   sact LINK             show the matching lines behind a link
   ssync [--async] [PATH]  reindex + re-evaluate dependents (--async queues it)
   sched [status|mode M|drain|publish]  maintenance scheduler (modes: eager,
                         batched; publish forces a snapshot publish, no drain)
   sched lag ID N        lag replica ID (cluster: shard0 or shard0:r1) N publishes
   smount PATH demo      mount the demo digital library semantically
+  sunmount PATH [NS] | unmount PATH  remove a semantic / syntactic mount
   smkcluster [K]        shard the content index across K engines (default 3)
-  shards                per-shard doc counts, health, and RPC traffic
-  shards kill|restore S partition shard S off / heal it again
+  shards [kill|restore S]  per-shard docs, health, RPC traffic; partition
+                        shard S off / heal it again
   admit [status|on|off] breaker-driven admission gate (downgrade strong
                         reads, shed writes past the queue-depth bound)
-  chaos run [SEED [K [STEPS]]]  seeded fault-injection soak in a twin
-                        world, invariant-checked against a clean oracle
-  chaos status          report of the last chaos run
+  chaos run [SEED [K [STEPS]]] | chaos status  a seeded fault-injection soak
+                        in a twin world, checked against a clean oracle
   tenant create NAME [inodes=N] [bytes=N] [docs=N] [weight=N]
                         carve a tenant namespace with optional budgets
   tenant list           per-tenant root, usage, quota, and pending work
-  tenant use [NAME|-]   route glimpse through a tenant facade (- = host)
+  tenant use [NAME|-]   work inside a tenant: every path verb is rebased and
+                        charged, mounts are refused (- = back to the host)
   tenant quota NAME [inodes=N] [bytes=N] [docs=N] [weight=N]
                         replace a tenant's budgets / fair-share weight
-  glimpse QUERY...      ad-hoc search (tenant-scoped under 'tenant use')
+  glimpse QUERY...      ad-hoc search of the view (a tenant's own subtree)
   swatch/sunwatch PATH  automatic index maintenance for a subtree
   fsck [--repair]       audit HAC's internal structures
   hacstat [PREFIX]      counters, histograms, and span breakdown
-  trace on|off|clear    toggle span capture
-  trace show [NAME]     dump captured spans (optionally one span name)
+  trace on|off|clear | trace show [NAME]  toggle span capture / dump spans
   trace export PATH     write spans as JSONL into the file system
   help | quit
 """
@@ -87,6 +91,150 @@ _DEMO_LIBRARY_DOCS = {
     "glimpse-paper": "glimpse a tool to search through entire file systems",
 }
 
+#: what a bare group verb means
+_DEFAULT_SUB = {"sched": "status", "admit": "status", "chaos": "status",
+                "tenant": "list", "trace": "show"}
+#: REPL flags, and the boolean parameter each one sets
+_FLAGS = {"-l": "long", "--async": "asynchronous", "--repair": "repair"}
+#: verbs whose last required parameter takes the rest of the line, and
+#: what the joined text becomes
+_FREE_TEXT = {"write": "{}\n".format, "smkdir": str, "glimpse": str,
+              "schquery": lambda text: text or None}
+
+
+def _rows(template: str, empty: str):
+    return lambda rows, _args: "\n".join(
+        template.format(*row) for row in rows) if rows else empty
+
+
+def _tenant_rows(described: dict) -> str:
+    return "\n".join(
+        f"{name}  root={row['root']}  inodes={row['usage']['inodes']}  "
+        f"bytes={row['usage']['bytes']}  pending={row['pending']}  "
+        f"quota={row['quota']}"
+        for name, row in sorted(described.items()))
+
+
+def _chaos_report(report: dict, _args) -> str:
+    keys = "seed k steps applied shed failed crashes_hit recoveries ok"
+    return "\n".join([f"{key}: {report[key]}" for key in keys.split()] +
+                     [f"violation: {v}" for v in report["violations"]])
+
+
+def _render(result, _args) -> str:
+    if result is None:
+        return ""
+    if isinstance(result, list):
+        return "\n".join(map(str, result))
+    if isinstance(result, dict):
+        return "\n".join(f"{k}: {v}" for k, v in result.items())
+    return str(result)
+
+
+#: how a method's result prints, where :func:`_render` would not: a format
+#: string over ``result`` and the call's arguments, or a function of both
+_RENDER = {
+    "mkdir": "", "ln": "", "write": "",
+    "squery": lambda query, _args: str(query),
+    "smkdir": "semantic directory {result}",
+    "sls": _rows("{}  [{}]  {}", ""),
+    "ssync": lambda plan, _args: repr(plan) if plan is not None
+    else "sync queued behind the next drain",
+    "swatch": "watching {result}",
+    "sunwatch": lambda was, _args: "unwatched" if was else "was not watched",
+    "fsck": lambda findings, _args: "\n".join(findings) or "clean",
+    "hacstat": lambda snap, _args: render_metrics(snap),
+    "shards": _rows("{}  docs={}  {}  calls={}",
+                    "(engine is not a cluster — try 'smkcluster')"),
+    "shards_kill": "killed {result}", "shards_restore": "restored {result}",
+    "sched_status": lambda status, _args: "\n".join(
+        f"{k}: {v:g}" if isinstance(v, float) else f"{k}: {v}"
+        for k, v in status.items()),
+    "sched_mode": "scheduler mode: {mode}",
+    "sched_drain": "drained ({result} index ops)",
+    "sched_publish": "published snapshot version {result}",
+    "sched_lag": "lagged {result} by {publishes} publish(es)",
+    "chaos_run": _chaos_report,
+    "chaos_status": lambda report, _args: json.dumps(
+        report, indent=2, sort_keys=True, default=str) if report is not None
+    else "(no chaos run yet — try 'chaos run 1')",
+    "tenant_create": "tenant {name} at {result}",
+    "tenant_list": lambda rows, _args: _tenant_rows(rows) if rows
+    else "(no tenants — try 'tenant create NAME')",
+    "tenant_use": "view: {result}",
+    "tenant_quota": lambda row, args: _tenant_rows({args["name"]: row}),
+    "trace_on": "tracing on", "trace_off": "tracing off",
+    "trace_clear": "trace buffer cleared",
+    "trace_show": lambda spans, _args: "\n".join(
+        json.dumps(s, sort_keys=True) for s in spans)
+    or "(no spans captured — try 'trace on')",
+    "trace_export": lambda count, args: f"wrote {count} spans to "
+    f"{args['self'].resolve_path(args['path'])}",
+}
+
+
+class _Reply(Exception):
+    """A REPL answer that is not a command's result: usage, unknown verb."""
+
+
+def lookup(shell: HacShell, argv: List[str]):
+    """``(method name, its arguments)`` for one split command line."""
+    verb, args = argv[0], argv[1:]
+    known = [name for name, value in vars(type(shell)).items()
+             if not name.startswith("_") and callable(value)]
+    subs = [name[len(verb) + 1:] for name in known
+            if name.startswith(verb + "_")]
+    if args and args[0] in subs:
+        return f"{verb}_{args[0]}", args[1:]
+    if verb in known:
+        return verb, args
+    if subs and args:
+        raise _Reply(f"unknown {verb} subcommand: {args[0]} "
+                     f"({'|'.join(subs)})")
+    if verb not in _DEFAULT_SUB:
+        raise _Reply(f"unknown command: {verb} (try help)")
+    return f"{verb}_{_DEFAULT_SUB[verb]}", args
+
+
+def _bind(shell: HacShell, name: str, args: List[str]):
+    """Bind text *args* by method *name*'s signature: a flag sets its
+    boolean, ``KEY=N`` the int parameter ``KEY`` or ``max_KEY``, an int
+    parameter converts, and surplus arguments are ignored."""
+    sig = inspect.signature(getattr(type(shell), name), eval_str=True)
+    params = list(sig.parameters)[1:]
+    ints = {p for p, v in sig.parameters.items()
+            if int in (v.annotation, *typing.get_args(v.annotation))}
+    flags = {flag: param for flag, param in _FLAGS.items() if param in params}
+    kwargs = {flags[arg]: True for arg in args if arg in flags}
+    positional = []
+    for arg in (a for a in args if a not in flags):
+        key, eq, value = arg.partition("=")
+        key = next((k for k in (key, "max_" + key) if k in ints), None)
+        if eq and key:
+            kwargs[key] = int(value)
+        else:
+            positional.append(arg)
+    required = [p for p in params
+                if sig.parameters[p].default is inspect.Parameter.empty]
+    rest = len(required) - 1
+    if name in _FREE_TEXT and len(positional) >= rest:
+        positional[rest:] = [_FREE_TEXT[name](" ".join(positional[rest:]))]
+    limit = min([params.index(k) for k in kwargs] + [len(params)])
+    values = [int(a) if p in ints else a
+              for p, a in zip(params, positional[:limit])]
+    try:
+        return sig.bind(shell, *values, **kwargs)
+    except TypeError:
+        raise _Reply(" ".join(["usage:", name.replace("_", " ")]
+                              + [p.upper() for p in required])) from None
+
+
+def _smount_demo(shell: HacShell, path: str = "demo", *_rest) -> str:
+    path = "/library" if path == "demo" else path
+    shell.smount(path, SimulatedSearchService(
+        "demolib", documents=_DEMO_LIBRARY_DOCS))
+    return f"mounted demo library at {path}"
+
 
 def execute(shell: HacShell, line: str) -> Optional[str]:
     """Run one command line; returns output text (None to quit)."""
@@ -96,243 +244,24 @@ def execute(shell: HacShell, line: str) -> Optional[str]:
         return f"parse error: {exc}"
     if not argv:
         return ""
-    cmd, args = argv[0], argv[1:]
-    try:
-        return _dispatch(shell, cmd, args)
-    except SystemExit:
+    if argv[0] in ("quit", "exit"):
         return None
+    if argv[0] == "help":
+        return HELP
+    try:
+        if argv[0] == "smount":
+            return _smount_demo(shell, *argv[1:])
+        name, args = lookup(shell, argv)
+        bound = _bind(shell, name, args)
+        result = getattr(type(shell), name)(*bound.args, **bound.kwargs)
+        render = _RENDER.get(name, _render)
+        if isinstance(render, str):
+            return render.format(result=result, **bound.arguments)
+        return render(result, bound.arguments)
+    except _Reply as reply:
+        return str(reply)
     except Exception as exc:  # the REPL must survive any command error
         return f"error: {exc}"
-
-
-def _dispatch(shell: HacShell, cmd: str, args: List[str]) -> Optional[str]:
-    if cmd in ("quit", "exit"):
-        raise SystemExit
-    if cmd == "help":
-        return HELP
-    if cmd == "ls":
-        long = "-l" in args
-        paths = [a for a in args if a != "-l"]
-        return shell.ls(paths[0] if paths else "", long=long)
-    if cmd == "cd":
-        return shell.cd(args[0] if args else "/")
-    if cmd == "pwd":
-        return shell.pwd()
-    if cmd == "mkdir":
-        shell.mkdir(args[0])
-        return ""
-    if cmd == "rmdir":
-        shell.rmdir(args[0])
-        return ""
-    if cmd == "cat":
-        return shell.cat(args[0])
-    if cmd == "write":
-        shell.write(args[0], " ".join(args[1:]) + "\n")
-        return ""
-    if cmd == "mv":
-        shell.mv(args[0], args[1])
-        return ""
-    if cmd == "rm":
-        shell.rm(args[0])
-        return ""
-    if cmd == "ln":
-        shell.ln(args[0], args[1])
-        return ""
-    if cmd == "smkdir":
-        path = shell.smkdir(args[0], " ".join(args[1:]))
-        return f"semantic directory {path}"
-    if cmd == "squery":
-        return str(shell.squery(args[0] if args else ""))
-    if cmd == "sscope":
-        desc = shell.sscope(args[0] if args else "")
-        return "\n".join(f"{k}: {v}" for k, v in desc.items())
-    if cmd == "schquery":
-        shell.schquery(args[0], " ".join(args[1:]) or None)
-        return ""
-    if cmd == "sls":
-        rows = shell.sls(args[0] if args else "")
-        return "\n".join(f"{name}  [{cls}]  {tgt}" for name, cls, tgt in rows)
-    if cmd == "sact":
-        return "\n".join(shell.sact(args[0]))
-    if cmd == "ssync":
-        asynchronous = "--async" in args
-        paths = [a for a in args if a != "--async"]
-        plan = shell.ssync(paths[0] if paths else "/",
-                           asynchronous=asynchronous)
-        if plan is None:
-            return "sync queued behind the next drain"
-        return repr(plan)
-    if cmd == "sched":
-        return _sched_command(shell, args)
-    if cmd == "smount":
-        path = args[0] if args and args[0] != "demo" else "/library"
-        service = SimulatedSearchService("demolib", documents=_DEMO_LIBRARY_DOCS)
-        shell.smount(path, service)
-        return f"mounted demo library at {path}"
-    if cmd == "smkcluster":
-        return shell.smkcluster(int(args[0]) if args else 3)
-    if cmd == "shards":
-        if args and args[0] in ("kill", "restore"):
-            if len(args) < 2:
-                return f"usage: shards {args[0]} SHARD"
-            if args[0] == "kill":
-                return f"killed {shell.shards_kill(args[1])}"
-            return f"restored {shell.shards_restore(args[1])}"
-        rows = shell.shards()
-        if not rows:
-            return "(engine is not a cluster — try 'smkcluster')"
-        return "\n".join(f"{sid}  docs={docs}  {health}  calls={calls}"
-                         for sid, docs, health, calls in rows)
-    if cmd == "admit":
-        return _admit_command(shell, args)
-    if cmd == "chaos":
-        return _chaos_command(shell, args)
-    if cmd == "tenant":
-        return _tenant_command(shell, args)
-    if cmd == "glimpse":
-        return "\n".join(shell.glimpse(" ".join(args)))
-    if cmd == "swatch":
-        return f"watching {shell.swatch(args[0])}"
-    if cmd == "sunwatch":
-        return "unwatched" if shell.sunwatch(args[0]) else "was not watched"
-    if cmd == "fsck":
-        findings = shell.fsck(repair="--repair" in args)
-        return "\n".join(findings) if findings else "clean"
-    if cmd == "hacstat":
-        from repro.shell.formatting import render_metrics
-        return render_metrics(shell.hacstat(args[0] if args else ""))
-    if cmd == "trace":
-        return _trace_command(shell, args)
-    return f"unknown command: {cmd} (try help)"
-
-
-def _sched_command(shell: HacShell, args: List[str]) -> str:
-    sub = args[0] if args else "status"
-    if sub == "status":
-        status = shell.sched_status()
-        return "\n".join(f"{k}: {v:g}" if isinstance(v, float) else f"{k}: {v}"
-                         for k, v in status.items())
-    if sub == "mode":
-        if len(args) < 2:
-            return "usage: sched mode eager|batched"
-        return f"scheduler mode: {shell.sched_mode(args[1])}"
-    if sub == "drain":
-        return f"drained ({shell.sched_drain()} index ops)"
-    if sub == "publish":
-        return f"published snapshot version {shell.sched_publish()}"
-    if sub == "lag":
-        if len(args) < 3:
-            return "usage: sched lag REPLICA PUBLISHES"
-        lagged = shell.sched_lag(args[1], int(args[2]))
-        return f"lagged {lagged} by {args[2]} publish(es)"
-    return f"unknown sched subcommand: {sub} (status|mode|drain|publish|lag)"
-
-
-def _render_status(status: dict) -> str:
-    return "\n".join(f"{k}: {v}" for k, v in status.items())
-
-
-def _admit_command(shell: HacShell, args: List[str]) -> str:
-    sub = args[0] if args else "status"
-    if sub == "status":
-        return _render_status(shell.admit_status())
-    if sub == "on":
-        return _render_status(shell.admit_on())
-    if sub == "off":
-        return _render_status(shell.admit_off())
-    return f"unknown admit subcommand: {sub} (status|on|off)"
-
-
-def _chaos_command(shell: HacShell, args: List[str]) -> str:
-    sub = args[0] if args else "status"
-    if sub == "run":
-        seed = int(args[1]) if len(args) > 1 else 0
-        k = int(args[2]) if len(args) > 2 else 0
-        steps = int(args[3]) if len(args) > 3 else 40
-        report = shell.chaos_run(seed=seed, k=k, steps=steps)
-        lines = [f"{key}: {report[key]}"
-                 for key in ("seed", "k", "steps", "applied", "shed",
-                             "failed", "crashes_hit", "recoveries", "ok")]
-        lines.extend(f"violation: {v}" for v in report["violations"])
-        return "\n".join(lines)
-    if sub == "status":
-        report = shell.chaos_status()
-        if report is None:
-            return "(no chaos run yet — try 'chaos run 1')"
-        import json
-        return json.dumps(report, indent=2, sort_keys=True, default=str)
-    return f"unknown chaos subcommand: {sub} (run|status)"
-
-
-def _parse_quota_args(args: List[str]) -> dict:
-    """``inodes=10 bytes=4096 docs=5 weight=3`` → QuotaSpec kwargs."""
-    keys = {"inodes": "max_inodes", "bytes": "max_bytes",
-            "docs": "max_docs", "weight": "weight"}
-    out: dict = {}
-    for arg in args:
-        key, _, value = arg.partition("=")
-        if key not in keys or not value:
-            raise ValueError(f"expected KEY=N with KEY in {sorted(keys)}, "
-                             f"got {arg!r}")
-        out[keys[key]] = int(value)
-    return out
-
-
-def _render_tenant_rows(described: dict) -> str:
-    return "\n".join(
-        f"{name}  root={row['root']}  inodes={row['usage']['inodes']}  "
-        f"bytes={row['usage']['bytes']}  pending={row['pending']}  "
-        f"quota={row['quota']}"
-        for name, row in sorted(described.items()))
-
-
-def _tenant_command(shell: HacShell, args: List[str]) -> str:
-    sub = args[0] if args else "list"
-    if sub == "create":
-        if len(args) < 2:
-            return "usage: tenant create NAME [inodes=N] [bytes=N] [docs=N] [weight=N]"
-        root = shell.tenant_create(args[1], **_parse_quota_args(args[2:]))
-        return f"tenant {args[1]} at {root}"
-    if sub == "list":
-        rows = shell.tenant_list()
-        if not rows:
-            return "(no tenants — try 'tenant create NAME')"
-        return _render_tenant_rows(rows)
-    if sub == "use":
-        name = args[1] if len(args) > 1 and args[1] != "-" else None
-        return f"querying as {shell.tenant_use(name)}"
-    if sub == "quota":
-        if len(args) < 2:
-            return "usage: tenant quota NAME [inodes=N] [bytes=N] [docs=N] [weight=N]"
-        row = shell.tenant_quota(args[1], **_parse_quota_args(args[2:]))
-        return _render_tenant_rows({args[1]: row})
-    return f"unknown tenant subcommand: {sub} (create|list|use|quota)"
-
-
-def _trace_command(shell: HacShell, args: List[str]) -> str:
-    import json
-
-    sub = args[0] if args else "show"
-    if sub == "on":
-        shell.trace_on()
-        return "tracing on"
-    if sub == "off":
-        shell.trace_off()
-        return "tracing off"
-    if sub == "clear":
-        shell.trace_clear()
-        return "trace buffer cleared"
-    if sub == "show":
-        spans = shell.trace_spans(name=args[1] if len(args) > 1 else None)
-        if not spans:
-            return "(no spans captured — try 'trace on')"
-        return "\n".join(json.dumps(s, sort_keys=True) for s in spans)
-    if sub == "export":
-        if len(args) < 2:
-            return "usage: trace export PATH"
-        count = shell.trace_export(args[1])
-        return f"wrote {count} spans to {shell.resolve_path(args[1])}"
-    return f"unknown trace subcommand: {sub} (on|off|clear|show|export)"
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -367,6 +367,31 @@ class TestEngineIntegration:
         assert counters.get("engine.restored_docs") == 2
         assert revived._next_doc_id == eng._next_doc_id
 
+    def test_frozen_segments_hold_no_text(self):
+        """Seal and compaction keep terms, not the corpus: after a drained
+        batch and a reindex no frozen row carries text, while a replica
+        still verifies a snapshot scan against the text as of its
+        publish."""
+        from repro.core.hacfs import HacFileSystem
+
+        hac = HacFileSystem()
+        hac.makedirs("/d")
+        hac.watch("/d")
+        hac.maintenance.set_mode("batched")
+        hac.engine.snapshot_view()               # a replica reads the cuts
+        for i in range(200):
+            words = b"alpha beta\n" if i == 0 else b"beta gamma\n"
+            hac.write_file(f"/d/f{i:03d}.txt", words * 40)
+        hac.maintenance.drain()
+        hac.reindex("/")
+        frozen = hac.engine.segments.frozen
+        assert sum(len(seg) for seg in frozen) == 200
+        assert [r for seg in frozen for r in seg.rows if r.text is not None] \
+            == []
+        hac.write_file("/d/f000.txt", b"beta alpha\n")   # pending, unpublished
+        assert hac.glimpse('"alpha beta"', "/d", "snapshot") == ["/d/f000.txt"]
+        assert hac.glimpse('"alpha beta"', "/d") == []
+
     def test_doc_rows_mirror_live_state(self):
         eng, texts = build_engine()
         texts[("f", 1)] = "alpha beta"
