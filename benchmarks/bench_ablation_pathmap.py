@@ -20,7 +20,6 @@ corpus shapes the other ablations use:
 import pytest
 
 from repro.bench.harness import BenchResult, report, time_call
-from repro.cba.backend import open_backend
 from repro.core.hacfs import HacFileSystem
 from repro.vfs.filesystem import FileSystem
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
@@ -128,9 +127,8 @@ def test_segment_merge_vs_rebuild_recovery(benchmark, record_report):
 
         rebuild_world = build_corpus_world()
         rebuild_s, rebuilt = time_call(
-            lambda: HacFileSystem.restore(
-                rebuild_world.fs,
-                backend=open_backend("monolith", segmented=False)))
+            lambda: HacFileSystem.restore(rebuild_world.fs,
+                                          reuse_index=False))
         rebuild_tok = rebuilt.counters.get("engine.tokenisations")
         return merge_s, merge_tok, merge_docs, rebuild_s, rebuild_tok
 

@@ -1,11 +1,13 @@
 """Ablation G — recovery cost: rebuild the index vs restore the saved one.
 
 Real Glimpse persists its index files; recovery then costs whatever changed
-since the save rather than a full re-read of the corpus.  This ablation
-measures both recovery paths for the same HAC file system, plus the two
-costs the write-ahead intent journal introduces: replaying an interrupted
-intent on restore, and the steady-state write amplification of journaling
-every multi-structure mutation.
+since the save rather than a full re-read of the corpus.  Here the saved
+index is the monolith's segment list, which ``save_index`` merges into one
+segment, and a reopen folds it back.  This ablation measures both recovery
+paths for the same HAC file system, plus the two costs the write-ahead
+intent journal introduces: replaying an interrupted intent on restore, and
+the steady-state write amplification of journaling every multi-structure
+mutation.
 """
 
 import pytest
@@ -59,7 +61,7 @@ def test_rebuild_vs_restore(benchmark, record_report):
         BenchResult("recovery by full rebuild s", rebuild_s),
         BenchResult("recovery from saved index s", restore_s),
         BenchResult("rebuild / restore", rebuild_s / restore_s),
-        BenchResult("saved index bytes", saved_bytes),
+        BenchResult("saved segment bytes", saved_bytes),
         BenchResult("docs re-tokenised on restore", retokenised),
         BenchResult("docs re-tokenised on rebuild", rebuild_retokenised),
     ]

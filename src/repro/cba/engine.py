@@ -211,10 +211,11 @@ class CBAEngine(DocRegistry):
 
     # -- mutation funnels ----------------------------------------------------
     #
-    # Every way a document version reaches the index — a tokenised write,
-    # a replica replaying ops or folding segments, a restore merging
-    # persisted rows — lands in these three methods, so a new index
-    # dimension is wired here once.
+    # Every way a document version reaches a live index — a tokenised
+    # write, a replica replaying ops or folding segments — lands in these
+    # three methods, so a new index dimension is wired here once.  The two
+    # wholesale installs into an empty engine (`_adopt`, `from_segments`)
+    # bypass them and derive that dimension once, in `rebuild_cas`.
 
     def _upsert(self, doc_id: int, key: Hashable, path: str, mtime: float,
                 size: int, terms: Iterable[str]) -> None:
@@ -382,10 +383,11 @@ class CBAEngine(DocRegistry):
     def rebuild_cas(self) -> None:
         """Repopulate the CAS index from the registry and the block
         index's removal map — zero loader reads, zero tokenisations.
-        Wholesale adoption (:meth:`_adopt`) and fsck repair land here
-        because they bypass the per-mutation funnels.  Each document is
-        placed once: term-less inserts lay the partitions out, then every
-        document's terms land in its final partition."""
+        Wholesale installs (:meth:`_adopt`, :meth:`from_segments`) and
+        fsck repair land here because they bypass the per-mutation
+        funnels.  Each document is placed once: term-less inserts lay the
+        partitions out, then every document's terms land in its final
+        partition."""
         self.cas.clear()
         for doc_id, doc in sorted(self._docs.items()):
             self.cas.upsert(doc_id, doc.path, ())
@@ -830,28 +832,26 @@ class CBAEngine(DocRegistry):
                  **config) -> "CBAEngine":
         """Rebuild an engine from :meth:`to_obj` output without re-reading
         or re-tokenising a single document; *config* is any constructor
-        keyword but ``num_blocks``, which the persisted index fixes.  With
-        ``segmented``, the fresh store is seeded with a base segment
-        covering the restored documents, so later compactions and segment
-        restores have an upsert row for every live document.  The CAS
-        index is derived state (registry paths x index terms) and is
-        rebuilt, not persisted."""
+        keyword but ``num_blocks``, which the persisted index fixes.  An
+        engine with a segment store persists through its segments and
+        comes back with :meth:`from_segments`; this is the path of one
+        without (a cluster's shards, the store-less reference monolith).
+        The CAS index is derived state (registry paths x index terms) and
+        is rebuilt, not persisted."""
         engine = cls(loader, num_blocks=obj["index"]["num_blocks"], **config)
         engine._adopt(obj["index"],
                       (Document(doc_id, (raw_key[0], raw_key[1]), path, mtime,
                                 size)
                        for doc_id, raw_key, path, mtime, size in obj["docs"]),
                       obj["next"])
-        if engine.segments is not None:
-            engine.segments.seed_base(engine.doc_rows())
         engine._stats.add("restored_docs", len(engine._docs))
         return engine
 
     def doc_rows(self) -> Dict[Hashable, "SegmentRow"]:
         """Synthesize upsert :class:`SegmentRow`\\ s for every live
         document from the index's removal map (term ids → strings via the
-        lexicon) — no loader read, no tokenisation.  Text is omitted;
-        rows built here seed base segments, never replica catch-up."""
+        lexicon) — no loader read, no tokenisation.  Text is omitted:
+        these are the rows the persisted segments must fold to."""
         lexicon = self.index.lexicon
         rows: Dict[Hashable, SegmentRow] = {}
         for doc_id, doc in self._docs.items():
@@ -869,15 +869,19 @@ class CBAEngine(DocRegistry):
         reindex-as-merge.  Each document's newest upsert row carries the
         term set the original engine computed, so the rebuild is pure
         index insertion: zero loader reads, zero tokenisations (the
-        counter Ablation N's merge-vs-rebuild guard compares).  *config*
+        counter Ablation N's merge-vs-rebuild guard compares).  The rows
+        land in bulk, as :meth:`_adopt` installs a copied index: an empty
+        engine has no cache, memo or CAS partition to keep current per
+        document, so the CAS index is derived once, at the end.  *config*
         is any constructor keyword; ``segmented`` is implied."""
         engine = cls(loader, **dict(config, segmented=True))
         engine.segments = store
         rows = store.live_rows()
         for key, row in sorted(rows.items(), key=lambda kv: kv[1].doc_id):
-            engine._upsert(row.doc_id, key, row.path, row.mtime, row.size,
-                           row.terms)
+            engine.index.add(row.doc_id, row.terms)
+            engine._put(row.doc_id, key, row.path, row.mtime, row.size)
         engine._burn_ids(next_doc_id)
+        engine.rebuild_cas()
         engine._stats.add("restored_docs", len(engine._docs))
         engine._stats.add("merged_rows", len(rows))
         return engine

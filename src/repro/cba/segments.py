@@ -31,9 +31,10 @@ Three consumers share the rows, and only the first one seals:
   while a replica reads publications.  A cut is never persisted and
   never seals, so whether a snapshot reader exists changes nothing about
   what is written to the device, or when.
-* **Recovery** — restore folds the persisted segments back into engine
-  state with **zero tokenisation** (reindex-as-merge); rows that were
-  still in the memtable at the crash are healed by the recovery
+* **Recovery** — the segments are the monolith's only persisted index
+  (``save_index`` seals and merges them).  Restore folds them back into
+  engine state with **zero tokenisation** (reindex-as-merge); rows that
+  were still in the memtable at the crash are healed by the recovery
   ``ssync``'s mtime diff, exactly like any other un-reindexed write.
 
 Compaction policy: seal when the memtable holds ``seal_threshold`` rows
@@ -306,30 +307,18 @@ class SegmentStore:
                              int(manifest.get("next_seg", len(segments))))
         self._stats.add("segments_loaded", len(segments))
 
-    def resume(self, device) -> None:
-        """Continue segment ids above every ``seg:`` id *device* holds,
-        renumbering the segments minted before the device was known (a
-        base seeded over a restored ``cbaindex``).  :meth:`sync` takes an
-        id already on the device as written, so a reopen that reused one
-        would keep the stale record and delete every newer segment."""
-        held = [int(seg_id[1:]) for seg_id in _segment_ids(device)
-                if seg_id[1:].isdigit()]
-        self._next_seg = max([self._next_seg] + [n + 1 for n in held])
-        self.frozen = [self._mint(seg.rows) for seg in self.frozen]
-
-    def seed_base(self, rows: Dict[Hashable, SegmentRow]) -> None:
-        """Install a synthetic base segment covering *rows*.
-
-        Used when segments are enabled over pre-existing engine state
-        (e.g. a restore from a ``cbaindex`` snapshot): later compactions
-        and segment restores need every live document to have an upsert
-        row somewhere in the frozen list.
-        """
-        if not rows:
-            return
-        base = self._mint(rows.values())
-        self.frozen.insert(0, base)
-        self._stats.add("base_seeded", len(base))
+    @classmethod
+    def resume(cls, device, counters: Optional[Counters] = None
+               ) -> "SegmentStore":
+        """An empty store whose segment ids continue above every ``seg:``
+        id *device* holds.  :meth:`sync` takes an id already on the device
+        as written, so a store that reused one — a rebuild's first seal —
+        would keep the stale record under it."""
+        store = cls(counters=counters)
+        store._next_seg = max([0] + [int(seg_id[1:]) + 1
+                                     for seg_id in _segment_ids(device)
+                                     if seg_id[1:].isdigit()])
+        return store
 
     # ------------------------------------------------------------------
     # device records
@@ -365,6 +354,11 @@ class SegmentStore:
                 {"segments": live, "next_seg": self._next_seg,
                  "next": next_doc_id}))
 
+    def persisted_bytes(self, device) -> int:
+        """Bytes the frozen list's ``seg:`` records hold on *device*."""
+        return sum(len(device.read_record(SEGMENT_PREFIX + seg.seg_id))
+                   for seg in self.frozen)
+
     @classmethod
     def load(cls, device, counters: Counters
              ) -> Optional[Tuple["SegmentStore", int]]:
@@ -373,8 +367,9 @@ class SegmentStore:
         missing segment record is unusable (counted; a rebuild takes
         over) — recovery has already rolled incomplete intents back, so
         records were lost outside any journaled write.  An unreadable
-        record raises :class:`~repro.errors.CorruptRecord`, the same
-        acknowledge-your-data-loss contract as ``cbaindex``."""
+        record raises :class:`~repro.errors.CorruptRecord` (counted): the
+        caller acknowledges the data loss by asking for a rebuild.  Ids
+        continue above every segment the device holds (:meth:`resume`)."""
         restore_stats = counters.scoped("restore")
         try:
             manifest = _read(device, MANIFEST_RECORD)
@@ -390,8 +385,7 @@ class SegmentStore:
         except CorruptRecord:
             restore_stats.add("segment_corrupt")
             raise
-        store = cls(counters=counters)
-        store.resume(device)
+        store = cls.resume(device, counters)
         store.load_frozen(manifest, segments)
         return store, int(manifest.get("next", 0))
 

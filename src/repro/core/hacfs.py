@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.obs.trace import NOOP_SPAN
-from repro.util import pathutil
+from repro.util import pathutil, serialization
 from repro.util.clock import VirtualClock
 from repro.util.idmap import GlobalDirectoryMap
 from repro.util.stats import Counters
@@ -1011,9 +1011,9 @@ class HacFileSystem:
         an open journal intent: the store's record writes and deletes are
         then pre-imaged, so a crash at any of them rolls the whole segment
         list back.  The scheduler calls this from every ``sched_batch``
-        drain (threshold-policed); ``reindex`` forces a full seal + merge
-        — reindex *is* compaction in the segmented design.  Engines
-        without a store (clusters, segments-off) make this a no-op."""
+        drain (threshold-policed); ``reindex`` and ``save_index`` force a
+        full seal + merge (reindex *is* compaction).  Engines without a
+        store (clusters, segments-off) make this a no-op."""
         store = getattr(self.engine, "segments", None)
         if store is not None:
             store.sync(self.fs.device,
@@ -1110,20 +1110,22 @@ class HacFileSystem:
     # ==================================================================
 
     def save_index(self) -> int:
-        """Persist the content index to the device (Glimpse's index files).
-
-        :meth:`restore` will then rebuild the engine without re-reading the
-        corpus — recovery cost drops from Θ(corpus) to Θ(changes since the
-        save).  Returns the persisted record size in bytes.
-        """
+        """Persist the content index to the device (Glimpse's index files)
+        and return the bytes it takes there.  An engine with a segment
+        store persists through it alone — the seal and merge ``reindex``
+        does — and one without (a cluster) writes a ``cbaindex`` record.
+        :meth:`restore` then rebuilds the engine without re-reading the
+        corpus: Θ(changes since the save), not Θ(corpus)."""
         self._hac.add("save_index")
-        from repro.util import serialization
-
         self.maintenance.barrier()
-        record = serialization.dumps(self.engine.to_obj())
+        store = getattr(self.engine, "segments", None)
         with self._journaled("save_index", {}):
+            if store is not None:
+                self._persist_segments(force_seal=True, force_compact=True)
+                return store.persisted_bytes(self.fs.device)
+            record = serialization.dumps(self.engine.to_obj())
             self.fs.device.write_record("cbaindex", record)
-        return len(record)
+            return len(record)
 
     def metadata_bytes(self) -> int:
         return self.meta.metadata_bytes()
@@ -1160,16 +1162,15 @@ class HacFileSystem:
 
         Queries, permanent links and prohibitions come back verbatim from
         the records, the transient links (names and texts) from the tree,
-        and the closing sync re-evaluates every directory; the content
-        index is restored from the persisted copy when one exists (see
-        :meth:`save_index`), else — for a segmented monolith — merged back
-        from the persisted segment list with zero tokenisation
-        (reindex-as-merge), and brought current by an incremental sync;
-        it is rebuilt from scratch only when neither record exists.  All
-        three go through the one *backend* factory, with the block count
-        the original instance persisted.  An *unreadable* ``cbaindex``
-        record is neither: it raises :class:`~repro.errors.CorruptRecord`
-        (and counts ``restore.index_corrupt``) instead of silently
+        and the closing sync re-evaluates every directory and brings the
+        index current.  The index comes back through the one *backend*
+        factory, with the block count the original persisted: the
+        monolith folds its segments back with zero tokenisation, and a
+        rebuild (``reuse_index=False``, no manifest, or one naming a
+        missing segment) folds an empty store whose first seal replaces
+        every segment on the device; a cluster restores its ``cbaindex``.
+        An *unreadable* index record raises
+        :class:`~repro.errors.CorruptRecord` (counted) instead of silently
         rebuilding — a checksum failure means data loss the caller must
         acknowledge (``reuse_index=False`` opts into the rebuild)."""
         from repro.core.recovery import RecoveryReport, recover_records
@@ -1207,26 +1208,24 @@ class HacFileSystem:
         conf = hacfs.meta.load_aux(ENGINE_RECORD) or {}
         num_blocks = int(conf.get("num_blocks", DEFAULT_NUM_BLOCKS))
         site = hacfs._engine_site()
-        if saved is not None:
-            hacfs.engine = factory.from_obj(saved, **site)
-            store = getattr(hacfs.engine, "segments", None)
-            if store is not None:
-                # the seeded base must not reuse an id the device holds
-                store.resume(fs.device)
-            restore_stats.add("index_restored")
-        elif (reuse_index and factory.folds_segments
-              and (folded := SegmentStore.load(fs.device, hacfs.counters))
-              is not None):
-            store, next_doc = folded
+        if factory.folds_segments:
+            folded = reuse_index and SegmentStore.load(fs.device,
+                                                       hacfs.counters)
+            restore_stats.add("index_from_segments" if folded
+                              else "index_rebuilds")
+            store, next_doc = folded or (
+                SegmentStore.resume(fs.device, hacfs.counters), 0)
             hacfs.engine = factory.from_segments(
                 store, next_doc_id=next_doc, num_blocks=num_blocks, **site)
-            restore_stats.add("index_from_segments")
+        elif saved is not None:
+            hacfs.engine = factory.from_obj(saved, **site)
+            restore_stats.add("index_restored")
         else:
             hacfs.engine = factory(num_blocks=num_blocks, **site)
             restore_stats.add("index_rebuilds")
         hacfs._wire_obs()
         hacfs.tenants = TenantManager(hacfs)
         hacfs.tenants.reload()
-        # a saved index makes this incremental (Θ(changes), not Θ(corpus))
+        # a folded or saved index makes this incremental (Θ(changes))
         hacfs.ssync("/")
         return hacfs

@@ -176,38 +176,22 @@ class TestSegmentStore:
         assert revived._next_seg == store._next_seg
 
     def test_resume_continues_above_the_device(self):
-        """A store seeded before it knew the device (a reopen over a
-        ``cbaindex``) renumbers its base above every id the device holds,
-        so ``sync`` writes it instead of keeping a stale namesake."""
+        """A store built before it knew the device (a rebuild reopen)
+        seals above every id the device holds, so ``sync`` writes its
+        segment instead of keeping a stale namesake."""
         dev = BlockDevice()
         old = SegmentStore()
         old.note("index", 1, ("f", 1), "/a", 1.0, {"stale"}, "x")
         old.sync(dev, 2, NULL_TRACER, force_seal=True)
         dev.write_record("seg:s000004", serialization.dumps(["orphan"]))
-        store = SegmentStore()
-        store.seed_base({("f", 1): row("upsert", 1, ("f", 1),
-                                       terms={"fresh"})})
-        assert [seg.seg_id for seg in store.frozen] == ["s000000"]
-        store.resume(dev)
+        store = SegmentStore.resume(dev)
+        store.note("index", 1, ("f", 1), "/a", 2.0, {"fresh"}, "x")
+        store.sync(dev, 2, NULL_TRACER, force_seal=True)
         assert [seg.seg_id for seg in store.frozen] == ["s000005"]
-        store.sync(dev, 2, NULL_TRACER)
         assert sorted(dev.record_keys()) == ["seg:s000005", "segmanifest"]
         revived, _next = SegmentStore.load(dev, Counters())
         assert revived.live_rows()[("f", 1)].terms == frozenset({"fresh"})
         assert revived._next_seg == 6
-
-    def test_seed_base_prepends(self):
-        store = SegmentStore()
-        store.note("remove", 1, ("f", 1), "/a", 2.0)
-        store.seal()
-        store.seed_base({("f", 1): row("upsert", 1, ("f", 1), terms={"x"}),
-                         ("f", 2): row("upsert", 2, ("f", 2), terms={"y"})})
-        # the base segment folds *under* the sealed tombstone
-        live = store.live_rows()
-        assert ("f", 1) not in live
-        assert ("f", 2) in live
-        store.seed_base({})                  # empty: no-op
-        assert len(store.frozen) == 2
         assert "memtable" in repr(store)
 
 

@@ -17,9 +17,16 @@ def fs():
 
 
 @pytest.fixture
-def hacfs():
+def backend():
+    """The search backend the HAC fixtures are built on (the default);
+    parametrize ``backend`` to build them on another."""
+    return None
+
+
+@pytest.fixture
+def hacfs(backend):
     """A fresh empty HAC file system."""
-    return HacFileSystem()
+    return HacFileSystem(backend=backend)
 
 
 @pytest.fixture

@@ -89,21 +89,19 @@ class TestHacRecovery:
         assert "late.txt" in revived.listdir("/fp")
 
     def test_reopen_never_reuses_a_segment_id(self):
-        """Each reopen over a ``cbaindex`` seeds a base segment.  Had it
-        reused an id the device already held, ``sync`` would keep the
-        stale record under it, and a later reopen from segments alone
-        would bring back the old text."""
+        """A rebuild reopen starts a fresh store, and every save merges
+        into a new segment.  Had either reused an id the device already
+        held, ``sync`` would keep the stale record under it, and a later
+        reopen would fold the old text back in."""
         hac = HacFileSystem()
         hac.mkdir("/d")
         hac.write_file("/d/a.txt", b"alpha words here")
         hac.save_index()
-        hac = HacFileSystem.restore(hac.fs)
+        hac = HacFileSystem.restore(hac.fs, reuse_index=False)
         hac.watch("/d")
         hac.write_file("/d/a.txt", b"beta words here")
         hac.maintenance.drain()
         hac.save_index()
-        hac = HacFileSystem.restore(hac.fs)
-        hac.fs.device.delete_record("cbaindex")
         hac = HacFileSystem.restore(hac.fs)
         assert hac.counters.get("restore.index_from_segments") == 1
         assert hac.query_paths(parse_query("beta")) == ["/d/a.txt"]
@@ -120,7 +118,9 @@ class TestHacRecovery:
         """Block placement is ``doc_id % num_blocks`` and the stopword-region
         semantics depend on collocation, so every way ``restore`` builds an
         engine — saved index, segment merge, fresh rebuild — must come back
-        with the block count the original was constructed with."""
+        with the block count the original was constructed with.  The
+        monolith's saved index is its merged segment, a cluster's its
+        ``cbaindex``."""
         hac = HacFileSystem(num_blocks=256, backend=backend)
         hac.makedirs("/notes")
         for i in range(6):
@@ -138,7 +138,9 @@ class TestHacRecovery:
             assert again.engine.search(query).to_bytes() == want
         hac.save_index()
         again = HacFileSystem.restore(hac.fs, backend=backend)
-        assert again.counters.get("restore.index_restored") == 1
+        via = "index_from_segments" if backend == "monolith" \
+            else "index_restored"
+        assert again.counters.get(f"restore.{via}") == 1
         assert again.engine.num_blocks == 256
 
     def test_restored_world_is_fsck_clean(self, populated):

@@ -54,8 +54,10 @@ def reads_while_loading(device, reopen):
     return seen
 
 
-def test_record_catalogue():
-    hac = HacFileSystem()
+def catalogue(backend):
+    """The record families a two-tenant world on *backend* holds after
+    ``save_index``, and the ones a reopen of it reads while loading."""
+    hac = HacFileSystem(backend=backend)
     hac.maintenance.set_mode("batched")
     alpha, beta = hac.tenants.create("alpha"), hac.tenants.create("beta")
     for tenant in (alpha, beta):
@@ -67,17 +69,67 @@ def test_record_catalogue():
     hac.ssync("/")
     hac.save_index()
     device = hac.fs.device
-    assert families(device) == FAMILIES
+    held = families(device)
+    return held, reads_while_loading(device,
+                                     lambda: HacFileSystem.restore(hac.fs))
 
-    # every kind on the device is one the loader reads: with the saved
-    # index, and — the segment records' turn — without it
-    read = reads_while_loading(device, lambda: HacFileSystem.restore(hac.fs))
-    device.delete_record("cbaindex")
-    read |= reads_while_loading(device,
-                                lambda: HacFileSystem.restore(hac.fs))
-    for family in sorted(families(device) | {"cbaindex"}):
+
+def test_record_catalogue():
+    """The monolith's saved index is its segments; every kind the device
+    holds is one the loader reads."""
+    held, read = catalogue("monolith")
+    assert held == FAMILIES - {"cbaindex"}
+    for family in sorted(held):
         assert family in read, f"{family}: written, but restore never reads it"
-    assert families(device) == FAMILIES - {"cbaindex"}
+
+
+def test_record_catalogue_of_a_cluster():
+    """A cluster persists no segments: its saved index is ``cbaindex``."""
+    held, read = catalogue("cluster:3")
+    assert held == FAMILIES - {"seg", "segmanifest"}
+    for family in sorted(held):
+        assert family in read, f"{family}: written, but restore never reads it"
+
+
+def written_by(device, op):
+    """*op*'s result, and the record keys written and deleted while it
+    runs."""
+    wrote, deleted = [], []
+    write, delete = device.write_record, device.delete_record
+
+    def spy_write(key, data):
+        wrote.append(key)
+        return write(key, data)
+
+    def spy_delete(key):
+        deleted.append(key)
+        return delete(key)
+
+    device.write_record, device.delete_record = spy_write, spy_delete
+    try:
+        return op(), wrote, deleted
+    finally:
+        del device.write_record, device.delete_record
+
+
+def test_a_reopen_after_save_index_writes_only_its_begin(world):
+    """The segments are the monolith's index: ``save_index`` seals and
+    merges them and writes no second copy, so a reopen folds them back
+    and its closing sync finds nothing to write.  Each reopen — and a
+    second ``save_index`` with nothing noted — writes its own ``wal:``
+    begin, which its commit deletes, and nothing else."""
+    hac, _tenant = world
+    device = hac.fs.device
+    hac.save_index()
+    for _ in range(2):
+        hac, wrote, deleted = written_by(
+            device, lambda: HacFileSystem.restore(hac.fs))
+        assert len(wrote) == 1 and wrote[0].startswith("wal:"), wrote
+        assert deleted == wrote
+    _bytes, wrote, deleted = written_by(device, hac.save_index)
+    assert len(wrote) == 1 and wrote[0].startswith("wal:"), wrote
+    assert deleted == wrote
+    assert "cbaindex" not in device.record_keys()
 
 
 @pytest.mark.parametrize("bound, op", [

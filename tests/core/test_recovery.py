@@ -181,7 +181,72 @@ class TestRestoreRecovery:
         assert "pending-intent" in kinds
 
 
-class TestIndexRestoreDistinction:
+class _SavedIndexRecord:
+    """A saved index, wherever the backend keeps it: restoring it counts
+    its branch, an unreadable record raises ``CorruptRecord`` (counted)
+    and is an fsck finding, and ``reuse_index=False`` opts into a
+    rebuild.  Each subclass names the backend, the record damaged (by key
+    prefix), the counter a corrupt one bumps, and the restore branch."""
+
+    BACKEND = "monolith"
+    RECORD = "seg:"
+    CORRUPT = "restore.segment_corrupt"
+    RESTORED = "restore.index_from_segments"
+
+    @pytest.fixture
+    def backend(self):
+        return self.BACKEND
+
+    def corrupt_saved_record(self, hac):
+        """Save the index, then damage its record; returns the key."""
+        hac.save_index()
+        [key] = [k for k in hac.fs.device.record_keys()
+                 if k.startswith(self.RECORD)]
+        hac.fs.device.corrupt_record(key)
+        return key
+
+    def test_saved_record_restores_and_counts(self, populated):
+        from repro.util.stats import Counters
+
+        populated.save_index()
+        counters = Counters()
+        restored = HacFileSystem.restore(populated.fs, counters=counters)
+        assert type(restored.engine) is type(populated.engine)
+        assert counters.get(self.RESTORED) == 1
+        assert counters.get("restore.index_rebuilds") == 0
+        assert errors(restored) == []
+
+    def test_corrupt_record_raises_instead_of_silent_rebuild(self, populated):
+        from repro.util.stats import Counters
+
+        self.corrupt_saved_record(populated)
+        counters = Counters()
+        with pytest.raises(CorruptRecord):
+            HacFileSystem.restore(populated.fs, counters=counters)
+        assert counters.get(self.CORRUPT) == 1
+
+    def test_corrupt_record_is_an_fsck_finding(self, populated):
+        key = self.corrupt_saved_record(populated)
+        findings = [f for f in populated.fsck()
+                    if f.kind == "corrupt-record" and f.severity == "error"]
+        assert findings and findings[0].path == key
+
+    def test_reuse_index_false_opts_into_rebuild(self, populated):
+        self.corrupt_saved_record(populated)
+        restored = HacFileSystem.restore(populated.fs, reuse_index=False,
+                                         backend=self.BACKEND)
+        assert len(restored.engine) == 5
+        # a cluster's corrupt cbaindex stays until the next save_index
+        # overwrites it; the monolith's rebuild seals the corpus into a
+        # new segment, and its sync deletes the corrupt one and rewrites
+        # the manifest, so fsck is clean at once
+        corrupt = any(f.kind == "corrupt-record" for f in restored.fsck())
+        assert corrupt == (self.RECORD == "cbaindex")
+
+
+class TestIndexRestoreDistinction(_SavedIndexRecord):
+    """The monolith: its saved index is its merged segment."""
+
     def test_no_record_restores_from_segments_and_counts(self, populated):
         from repro.util.stats import Counters
 
@@ -203,41 +268,37 @@ class TestIndexRestoreDistinction:
         assert counters.get("restore.index_restored") == 0
         assert errors(restored) == []
 
-    def test_saved_record_restores_and_counts(self, populated):
-        from repro.util.stats import Counters
+    def test_rebuild_reopen_replaces_every_segment(self):
+        """A rebuild's first seal takes an id above every one the device
+        holds: had it reused one, sync would keep the stale record, and
+        the device's segments would miss what the rebuild indexed."""
+        from tests.properties.derived import assert_segments_are_derived
 
-        populated.save_index()
-        counters = Counters()
-        restored = HacFileSystem.restore(populated.fs, counters=counters)
-        assert counters.get("restore.index_restored") == 1
-        assert counters.get("restore.index_rebuilds") == 0
+        hac = HacFileSystem()
+        hac.mkdir("/d")
+        for i in range(3):
+            hac.write_file(f"/d/f{i}.txt", b"fingerprint %d" % i)
+        hac.ssync("/")
+        hac.write_file("/d/f3.txt", b"fingerprint 3")
+        restored = HacFileSystem.restore(hac.fs, reuse_index=False)
+        assert len(restored.engine) == 4
+        assert_segments_are_derived(restored)
         assert errors(restored) == []
 
-    def test_corrupt_record_raises_instead_of_silent_rebuild(self, populated):
-        from repro.util.stats import Counters
 
-        populated.save_index()
-        populated.fs.device.corrupt_record("cbaindex")
-        counters = Counters()
-        with pytest.raises(CorruptRecord):
-            HacFileSystem.restore(populated.fs, counters=counters)
-        assert counters.get("restore.index_corrupt") == 1
+class TestSegmentManifestRecord(_SavedIndexRecord):
+    """The monolith's manifest is part of its saved index."""
 
-    def test_corrupt_record_is_an_fsck_finding(self, populated):
-        populated.save_index()
-        populated.fs.device.corrupt_record("cbaindex")
-        findings = [f for f in populated.fsck()
-                    if f.kind == "corrupt-record" and f.severity == "error"]
-        assert findings and findings[0].path == "cbaindex"
+    RECORD = "segmanifest"
 
-    def test_reuse_index_false_opts_into_rebuild(self, populated):
-        populated.save_index()
-        populated.fs.device.corrupt_record("cbaindex")
-        restored = HacFileSystem.restore(populated.fs, reuse_index=False)
-        assert restored.engine is not None
-        # note: the corrupt record stays on the device and keeps being
-        # reported by fsck until the next save_index overwrites it
-        assert any(f.kind == "corrupt-record" for f in restored.fsck())
+
+class TestClusterIndexRecord(_SavedIndexRecord):
+    """A cluster persists no segments: its saved index is ``cbaindex``."""
+
+    BACKEND = "cluster:3"
+    RECORD = "cbaindex"
+    CORRUPT = "restore.index_corrupt"
+    RESTORED = "restore.index_restored"
 
 
 class TestPathMapAcrossRestore:

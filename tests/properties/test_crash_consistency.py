@@ -664,6 +664,66 @@ def test_crash_sweep_compact_intent():
     assert rollbacks_seen > 0
 
 
+def build_reopen_world() -> HacFileSystem:
+    """Several frozen segments on the device, and a write and an unlink
+    the index has not seen (batched, never drained): the next reopen
+    folds, catches up, merges and re-persists inside its closing sync."""
+    hac = build_compact_world()
+    hac.clock.tick()
+    hac.write_file("/docs/unseen.txt", b"fingerprint unseen\n")
+    hac.unlink("/docs/seg0.txt")
+    return hac
+
+
+def _reopen_crashing_at(fs, offset):
+    """Reopen *fs* with the device crashing at its *offset*-th record
+    write after the reboot (``restore`` lifts any plan set before it)."""
+    dev = fs.device
+    reboot = dev.clear_faults
+
+    def reboot_then_arm():
+        reboot()
+        dev.set_fault_plan(
+            FaultPlan(crash_at=dev.record_write_index + offset))
+
+    dev.clear_faults = reboot_then_arm
+    try:
+        with pytest.raises(DeviceCrashed):
+            HacFileSystem.restore(fs)
+    finally:
+        del dev.clear_faults
+
+
+def test_crash_sweep_reopen_with_work_to_do():
+    """Crash at every record write of a reopen whose closing sync has
+    segments to merge and writes to catch up on: the next reopen is fsck
+    clean, its segment list is whole and folds to its engine, the links
+    are current — and a reopen after that has nothing left to write."""
+    dry = build_reopen_world()
+    start = dry.fs.device.record_write_index
+    HacFileSystem.restore(dry.fs)
+    n_writes = dry.fs.device.record_write_index - start
+    assert len(_seg_keys(dry.fs.device)) == 1
+    assert n_writes > 4, "the reopen merged nothing"
+    for offset in range(n_writes):
+        hac = build_reopen_world()
+        _reopen_crashing_at(hac.fs, offset)
+        restored = HacFileSystem.restore(hac.fs)
+        errors = [f for f in restored.fsck() if f.severity == "error"]
+        assert errors == [], (offset, [str(f) for f in errors])
+        _assert_segment_list_consistent(restored, offset)
+        assert_segments_are_derived(restored, offset)
+        assert_links_hold(restored, offset)
+        names = fp_link_names(restored)
+        assert "unseen.txt" in names and "seg0.txt" not in names, offset
+        dev = restored.fs.device
+        keys, before = sorted(dev.record_keys()), dev.record_write_index
+        HacFileSystem.restore(restored.fs)
+        # its own wal: begin and the commit's delete of it, nothing else
+        assert dev.record_write_index - before == 2, offset
+        assert sorted(dev.record_keys()) == keys, offset
+
+
 def test_orphan_segment_record_is_an_fsck_error_and_repairable(populated):
     """A ``seg:`` record the manifest does not name (what an un-healed
     crashed seal would leave) is flagged, and ``repair`` drops it."""
