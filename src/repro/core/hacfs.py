@@ -34,6 +34,7 @@ from repro.errors import (
     FileNotFound,
     InvalidArgument,
     NotASemanticDirectory,
+    VfsError,
 )
 from repro.obs import Observability
 from repro.obs.trace import NOOP_SPAN
@@ -139,8 +140,6 @@ class HacFileSystem:
         self.scheduler = ReindexScheduler(self)
         self.watches = WatchManager(self)
         self.attrcache = AttributeCache(counters=self.counters)
-        #: path → (fsid, ino, type) companion to the attribute cache
-        self._stat_identity: Dict[str, Tuple[str, int, object]] = {}
         self.fdtable = FDTable()
         #: descriptor table the engine loader reads documents through
         self._loader_fds = FDTable()
@@ -310,7 +309,6 @@ class HacFileSystem:
         self.depgraph.tracer = self.obs.trace
         undo_tree(self, pending, report)
         self._load_links()
-        self._clear_attrs()
 
     def _load_links(self) -> None:
         """Every symlink in a semantic directory that is not a permanent
@@ -338,24 +336,10 @@ class HacFileSystem:
         return norm
 
     def _wrote(self, norm: str, stat: StatResult) -> str:
-        """Key the attribute cache on the live path of the node that the
-        name *norm* reached, and return that path for the watch (§4): a
-        write through a symlink lands where a direct stat looks.  The name
-        itself, if it differs, loses its now-stale entry."""
-        live = self._live_path(stat.fsid, stat.ino) or norm
-        if live != norm:
-            self._invalidate_attrs(norm)
-        self.attrcache.put(live, stat.attrs)
-        self._stat_identity[live] = (stat.fsid, stat.ino, stat.type)
-        return live
-
-    def _invalidate_attrs(self, norm: str) -> None:
-        self.attrcache.invalidate(norm)
-        self._stat_identity.pop(norm, None)
-
-    def _clear_attrs(self) -> None:
-        self.attrcache.clear()
-        self._stat_identity.clear()
+        """Cache the written node's key (§4) and return its live path for
+        the watch: a write through a symlink lands where the target is."""
+        self.attrcache.put((stat.fsid, stat.ino))
+        return self._live_path(stat.fsid, stat.ino) or norm
 
     def _state_of(self, path: str):
         uid = self._uid_of_dir(path)
@@ -404,7 +388,6 @@ class HacFileSystem:
             self.fs.rmdir(canon)
             if self.dirmap.uid_of(canon) is not None:
                 self._forget_dir(canon)
-            self._invalidate_attrs(canon)
 
     def create(self, path: str, mode: int = 0o644) -> StatResult:
         """Create a file; HAC also primes the attribute cache (§4)."""
@@ -474,13 +457,11 @@ class HacFileSystem:
                 self.consistency.on_scope_changed([uid], include_origins=True)
                 return
             self.fs.unlink(path)
-            self._invalidate_attrs(norm)
             self.consistency.on_scope_changed(self._chain_uids(parent_dir))
             return
         key = (res.fs.fsid, res.node.ino) if isinstance(res.node, FileNode) \
             else None
         self.fs.unlink(path)
-        self._invalidate_attrs(norm)
         # the index entry lingers until reindex (data inconsistency, §2.4) —
         # unless a watch covers the file, which withdraws it immediately
         if key is not None:
@@ -532,10 +513,16 @@ class HacFileSystem:
 
     def rename(self, old: str, new: str) -> None:
         """Move anything; directory moves update the global map so queries
-        referencing the moved directories stay valid (§2.5)."""
+        referencing the moved directories stay valid (§2.5).  A replaced
+        destination goes as it would by hand: an empty directory as an
+        ``rmdir``, a file as an ``unlink``."""
         self._hac.add("rename")
         res = self.fs.resolve(old, follow=False)
         moving_dir = res.node.is_dir
+        try:
+            over = None if moving_dir else self.fs.resolve(new, follow=False)
+        except VfsError:
+            over = None
         old_canon = self.canonical_dir(old) if moving_dir else None
         old_norm, new_norm = pathutil.normalize(old), pathutil.normalize(new)
         origins = self._chain_uids(pathutil.dirname(old_norm))
@@ -545,6 +532,9 @@ class HacFileSystem:
             self.fs.rename(old, new)
             if moving_dir:
                 new_canon = self.canonical_dir(new)
+                if new_canon != old_canon \
+                        and self.dirmap.uid_of(new_canon) is not None:
+                    self._forget_dir(new_canon)
                 moved = self.dirmap.rename_subtree(old_canon, new_canon)
                 # the edge first: a move the graph refuses as a cycle must
                 # not have touched the engine, which no rollback rewinds
@@ -557,7 +547,6 @@ class HacFileSystem:
                 # immediately, so scope: queries stay correct without
                 # waiting for an ssync to notice the drift
                 self.engine.rebase_paths(old_canon, new_canon)
-                self._clear_attrs()
                 # a directory placed under a moved one sits where it did:
                 # only those placed outside the move get a new place
                 moved_uids = {uid for uid, _old, _new in moved}
@@ -569,8 +558,11 @@ class HacFileSystem:
                 if moved_uid is not None:
                     origins.append(moved_uid)
             else:
-                self._invalidate_attrs(old_norm)
-                self._invalidate_attrs(new_norm)
+                if over is not None and over.node is not res.node \
+                        and isinstance(over.node, FileNode):
+                    self.watches.on_file_removed(
+                        (over.fs.fsid, over.node.ino),
+                        pathutil.dirname(new_norm))
                 if isinstance(res.node, FileNode):
                     key = (res.fs.fsid, res.node.ino)
                     live = self.path_for_target(Target.local(*key))
@@ -582,22 +574,21 @@ class HacFileSystem:
     # -- pass-throughs with caching ------------------------------------------
 
     def stat(self, path: str) -> StatResult:
-        """Stat with the shared attribute cache in front (§4, Scan phase)."""
+        """Stat with the shared attribute cache in front (§4, Scan phase):
+        the name resolves to its node as always, and a node whose key is
+        cached skips the metadata read."""
         self._hac.add("stat")
-        norm = pathutil.normalize(path)
-        cached = self.attrcache.get(norm)
-        identity = self._stat_identity.get(norm)
-        if cached is not None and identity is not None:
-            if self.obs.trace.enabled:
-                self.obs.trace.event("hac.stat", path=norm, cache="hit")
-            fsid, ino, node_type = identity
-            return StatResult(fsid, ino, node_type, cached)
+        res = self.fs.resolve(path)
+        key = (res.fs.fsid, res.node.ino)
+        hit = self.attrcache.hit(key)
         if self.obs.trace.enabled:
-            self.obs.trace.event("hac.stat", path=norm, cache="miss")
-        stat = self.fs.stat(path)
-        self.attrcache.put(norm, stat.attrs)
-        self._stat_identity[norm] = (stat.fsid, stat.ino, stat.type)
-        return stat
+            self.obs.trace.event("hac.stat", path=path,
+                                 cache="hit" if hit else "miss")
+        if not hit:
+            res.fs.device.charge_meta_read()
+            self.attrcache.put(key)
+        return StatResult(res.fs.fsid, res.node.ino, res.node.type,
+                          res.node.attrs.copy())
 
     def lstat(self, path: str) -> StatResult:
         return self.fs.lstat(path)
@@ -647,7 +638,6 @@ class HacFileSystem:
         self.admission.admit_write(live or "")
         n = self.fs.write(self.fdtable, fd, data)
         if live is not None:
-            self._invalidate_attrs(live)
             self.watches.on_content_changed(live, StatResult(
                 of.fs.fsid, of.node.ino, of.node.type, of.node.attrs))
         return n

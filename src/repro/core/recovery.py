@@ -147,13 +147,17 @@ def _undo_rename(hacfs: "HacFileSystem", payload, report) -> None:
         return
     # the moved directory's record was rolled back to its old place, so
     # the map derived from it has the old path; move the tree back
-    if payload.get("dir") and not (hacfs.dirmap.uid_of(old) is not None
-                                   and hacfs.dirmap.uid_of(new) is None):
+    if payload.get("dir") and hacfs.dirmap.uid_of(old) is None:
         return
     # a replaced destination inode is unrecoverable (no data journal);
     # reversing the move itself still restores name-level atomicity
     hacfs.fs.rename(new, old)
     report.tree_fixes += 1
+    if payload.get("dir") and hacfs.dirmap.uid_of(new) is not None:
+        # the rolled-back records place a directory at *new* too: the
+        # empty one the move replaced
+        hacfs.fs.mkdir(new)
+        report.tree_fixes += 1
     _retext_links(hacfs, new, old, report)
 
 

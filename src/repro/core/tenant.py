@@ -498,8 +498,9 @@ class Tenant:
             return self._rel(host_root) or host_root
 
     def unwatch(self, path: str = "/") -> bool:
-        host = self._hacfs.watches.root_named(self._host(path))
-        if host == self.root:
+        host = self._host(path)
+        if self._hacfs.isdir(host) \
+                and self._hacfs.canonical_dir(host) == self.root:
             raise InvalidArgument(path, "cannot lift the tenant root watch")
         with self._op("unwatch", path=path):
             return self._hacfs.unwatch(host)

@@ -9,6 +9,11 @@ subtree (write, create, delete, move) immediately reindexes the touched
 file and runs the scope-consistency cascade, so query results update
 synchronously instead of at the next ``ssync``.
 
+A watch holds its directory's uid, not its name: it follows the directory
+through renames, as a query's directory reference does (§2.5) and as
+inotify follows the inode, and removing the directory ends it — a uid is
+never handed out again, so a new directory at the old name is not watched.
+
 The cost model is the interesting part: watches trade write latency for
 freshness.
 """
@@ -30,7 +35,8 @@ class WatchManager:
 
     def __init__(self, hacfs: "HacFileSystem"):
         self.hacfs = hacfs
-        self._roots: Set[str] = set()
+        #: uids of the watched directories
+        self._uids: Set[int] = set()
         self._stats = hacfs.counters.scoped("watch")
 
     # ------------------------------------------------------------------
@@ -41,10 +47,10 @@ class WatchManager:
         """Cover the subtree at *path* from now on; returns the canonical
         root.  The caller owes a sync covering the files already there
         (:meth:`add` runs one; ``restore`` ends in a whole-tree one)."""
-        root = self.hacfs.canonical_dir(path)
-        self._roots.add(root)
+        uid = self.hacfs._uid_of_dir(path)
+        self._uids.add(uid)
         self._stats.add("added")
-        return root
+        return self.hacfs.dirmap.path_of(uid)
 
     def add(self, path: str) -> str:
         """Watch the subtree at *path*, syncing it first so the eager
@@ -54,32 +60,34 @@ class WatchManager:
         self.hacfs.ssync(root)
         return root
 
-    def root_named(self, path: str) -> str:
-        """The root a watch on *path* is registered under: its canonical
-        directory, whatever name (a symlink, say) asks for it — a
-        directory that is gone has only its name."""
-        try:
-            return self.hacfs.canonical_dir(path)
-        except VfsError:
-            return pathutil.normalize(path)
-
     def remove(self, path: str) -> bool:
-        root = self.root_named(path)
-        if root in self._roots:
-            self._roots.discard(root)
-            self._stats.add("removed")
-            return True
-        return False
+        """Lift the watch on the directory *path* names (a symlink to it,
+        say); False when there is none — also once the directory is gone,
+        which ended its watch."""
+        try:
+            uid = self.hacfs._uid_of_dir(path)
+        except VfsError:
+            return False
+        if uid not in self._uids:
+            return False
+        self._uids.discard(uid)
+        self._stats.add("removed")
+        return True
 
     def roots(self) -> List[str]:
-        return sorted(self._roots)
+        """Current paths of the watched directories that still exist."""
+        return sorted(filter(None, map(self.hacfs.dirmap.path_of,
+                                       self._uids)))
 
     def covers(self, path: str) -> bool:
-        if not self._roots:
+        if not self._uids:
             return False
         norm = pathutil.normalize(path)
-        return any(pathutil.is_ancestor(root, norm, strict=False)
-                   for root in self._roots)
+        for root in map(self.hacfs.dirmap.path_of, self._uids):
+            if root is not None \
+                    and pathutil.is_ancestor(root, norm, strict=False):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # event handling (called by HacFileSystem after mutations)

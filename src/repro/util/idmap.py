@@ -127,8 +127,10 @@ class GlobalDirectoryMap:
         order, the first claim on a path winning.  A record whose parent
         chain misses the root is never reached, so the pass ends on every
         input and leaves it out.  The allocator restarts above every UID a
-        record carries or a query *names*: a removed directory's UID lives
-        on in those queries and must keep meaning "gone"."""
+        record carries or a query *names*, and never moves back: a removed
+        directory's UID lives on in those queries, and in the watches held
+        in memory across an in-process reload, and must keep meaning
+        "gone"."""
         children: Dict[object, List[Tuple[int, str]]] = {}
         for uid, (parent, name) in sorted(places.items()):
             children.setdefault(parent, []).append((uid, name))
@@ -143,5 +145,6 @@ class GlobalDirectoryMap:
                     self._uid_to_path[uid] = path
                     self._path_to_uid[path] = uid
                     placed.append(uid)
-        self._fresh = itertools.count(
-            max(max(places, default=0), max(named, default=0)) + 1)
+        self._fresh = itertools.count(max(
+            next(self._fresh), max(places, default=0) + 1,
+            max(named, default=0) + 1))

@@ -1,9 +1,10 @@
 """A bounded least-recently-used mapping.
 
-Backs the per-process attribute cache (:mod:`repro.vfs.attrcache`): the paper
-keeps recently stat-ed file attributes in shared memory so Scan/Read phases
-avoid re-fetching inode metadata.  Eviction statistics are exposed so the
-space-overhead bench can report cache footprints.
+Backs the per-process attribute cache (:mod:`repro.vfs.attrcache`), which
+remembers the nodes whose attributes the paper keeps in shared memory so
+the Scan and Read phases avoid re-fetching inode metadata, and the Jade
+baseline's name cache.  Hit, miss and eviction counts are kept for
+callers that report them.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 The paper (Table 1 discussion): when HAC creates a file it also initialises
 an attribute cache entry in shared memory "so that different processes can
 access it", speeding up the Scan and Read phases.  This module reproduces
-that cache: a bounded LRU keyed by ``(fsid, ino)`` holding attribute
-snapshots, with explicit invalidation on writes/renames/unlinks.
+that cache as a bounded LRU of node identities, ``(fsid, ino)``: a node
+whose key is cached has its attributes "in shared memory", so a ``stat``
+of it skips the simulated metadata read on the block device.
 
-The HAC layer populates it on create and stat; `stat` hits served from here
-skip the simulated metadata read on the block device.
+The cache holds keys, not attribute snapshots: the attributes a ``stat``
+returns are always copied from the node itself, so no write, rename,
+alias or unmount can leave an entry stale, and nothing invalidates one.
 """
 
 from __future__ import annotations
@@ -16,39 +18,28 @@ from typing import Hashable, Optional
 
 from repro.util.lru import LRUCache
 from repro.util.stats import Counters
-from repro.vfs.inode import Attributes
 
-#: approximate bytes per cached entry, used by the space-overhead bench
-#: (the paper reports ~16 KB of shared memory per process overall).
+#: approximate bytes per cached entry (the paper reports ~16 KB of shared
+#: memory per process overall)
 ENTRY_BYTES = 56
 
 
 class AttributeCache:
-    """Bounded cache of ``key → Attributes`` snapshots.
-
-    Keys are opaque hashables; HAC keys by normalised path so a cache hit
-    skips both the name lookup's metadata read and the stat itself.
-    """
+    """Bounded LRU set of node keys whose attributes are cached."""
 
     def __init__(self, capacity: int = 256, counters: Optional[Counters] = None):
-        self._lru: LRUCache[Hashable, Attributes] = LRUCache(capacity)
+        self._lru: LRUCache[Hashable, bool] = LRUCache(capacity)
         self._stats = (counters or Counters()).scoped("attrcache")
 
-    def put(self, key: Hashable, attrs: Attributes) -> None:
-        self._lru.put(key, attrs.copy())
+    def put(self, key: Hashable) -> None:
+        self._lru.put(key, True)
         self._stats.add("put")
 
-    def get(self, key: Hashable) -> Optional[Attributes]:
-        attrs = self._lru.get(key)
-        self._stats.add("hit" if attrs is not None else "miss")
-        return attrs.copy() if attrs is not None else None
-
-    def invalidate(self, key: Hashable) -> None:
-        if self._lru.invalidate(key):
-            self._stats.add("invalidate")
-
-    def clear(self) -> None:
-        self._lru.clear()
+    def hit(self, key: Hashable) -> bool:
+        """Whether *key* is cached (refreshing its recency if so)."""
+        found = self._lru.get(key, False)
+        self._stats.add("hit" if found else "miss")
+        return found
 
     def __len__(self) -> int:
         return len(self._lru)

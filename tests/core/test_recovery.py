@@ -7,6 +7,8 @@ from repro.errors import CorruptRecord, DeviceCrashed, NoSpace
 from repro.core.hacfs import HacFileSystem
 from repro.vfs.blockdev import FaultPlan
 
+from tests.properties.derived import assert_is_derived
+
 
 def errors(hacfs):
     return [f for f in hacfs.fsck() if f.severity == "error"]
@@ -104,6 +106,71 @@ class TestEnospcAtomicity:
             populated.set_query("/a", "/b")
         assert populated.get_query("/a") == "fingerprint"
         assert errors(populated) == []
+
+
+class TestRenameOntoAnEmptyDirectory:
+    """POSIX lets a directory replace an empty one: HAC forgets the
+    replaced directory as an ``rmdir`` would, inside the move's intent, so
+    a rollback brings both back."""
+
+    @staticmethod
+    def build(hacfs):
+        hacfs.mkdir("/a")
+        hacfs.write_file("/a/x.txt", b"alpha")
+        hacfs.mkdir("/b")
+        return hacfs.dirmap.uid_of("/a"), hacfs.dirmap.uid_of("/b")
+
+    def test_the_move_replaces_the_empty_directory(self, hacfs):
+        moved, replaced = self.build(hacfs)
+        hacfs.rename("/a", "/b")
+        assert not hacfs.exists("/a")
+        assert hacfs.read_file("/b/x.txt") == b"alpha"
+        assert hacfs.dirmap.uid_of("/b") == moved
+        assert hacfs.dirmap.path_of(replaced) is None
+        assert errors(hacfs) == []
+        assert_is_derived(hacfs)
+        restored = HacFileSystem.restore(hacfs.fs)
+        assert errors(restored) == []
+        assert restored.dirmap.uid_of("/b") == moved
+        assert_is_derived(restored)
+
+    @pytest.mark.parametrize("offset", range(6))
+    def test_a_failure_mid_move_leaves_both_directories(self, hacfs, offset):
+        uids = self.build(hacfs)
+        dev = hacfs.fs.device
+        dev.set_fault_plan(
+            FaultPlan(enospc_at={dev.record_write_index + offset}))
+        try:
+            hacfs.rename("/a", "/b")
+            applied = True
+        except NoSpace:
+            applied = False
+        dev.clear_faults()
+        if applied:
+            assert hacfs.listdir("/b") == ["x.txt"]
+        else:
+            assert hacfs.listdir("/a") == ["x.txt"]
+            assert hacfs.listdir("/b") == []
+            assert (hacfs.dirmap.uid_of("/a"),
+                    hacfs.dirmap.uid_of("/b")) == uids
+        assert errors(hacfs) == []
+        assert_is_derived(hacfs)
+
+    @pytest.mark.parametrize("offset", range(6))
+    def test_a_crash_mid_move_restores_both_directories(self, hacfs, offset):
+        uids = self.build(hacfs)
+        dev = hacfs.fs.device
+        dev.set_fault_plan(FaultPlan(crash_at=dev.record_write_index + offset))
+        with pytest.raises(DeviceCrashed):
+            hacfs.rename("/a", "/b")
+        restored = HacFileSystem.restore(hacfs.fs)
+        assert restored.listdir("/a") == ["x.txt"]
+        assert restored.listdir("/b") == []
+        assert (restored.dirmap.uid_of("/a"),
+                restored.dirmap.uid_of("/b")) == uids
+        assert errors(restored) == []
+        restored.fsck(repair=True)
+        assert errors(restored) == []
 
 
 class TestRestoreRecovery:

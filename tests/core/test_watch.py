@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.errors import NoSpace
+from repro.vfs.blockdev import FaultPlan
+
 
 class TestWatchRegistration:
     def test_add_returns_canonical_root(self, populated):
@@ -33,7 +36,7 @@ class TestWatchRegistration:
         populated.mkdir("/tmp")
         populated.watch("/tmp")
         populated.rmdir("/tmp")
-        assert populated.unwatch("/tmp") is True
+        assert populated.unwatch("/tmp") is False
         assert populated.watches.roots() == []
 
     def test_register_covers_without_syncing(self, populated):
@@ -49,6 +52,57 @@ class TestWatchRegistration:
         assert populated.watches.covers("/mail/x.txt")
         assert populated.watches.covers("/mail")
         assert not populated.watches.covers("/notes/x.txt")
+
+
+class TestAWatchFollowsItsDirectory:
+    def test_rename_moves_the_watch(self, populated):
+        populated.smkdir("/fp", "fingerprint")
+        populated.mkdir("/w")
+        populated.watch("/w")
+        populated.rename("/w", "/v")
+        assert populated.watches.roots() == ["/v"]
+        populated.write_file("/v/b.txt", b"fingerprint after the move")
+        assert "b.txt" in populated.listdir("/fp")
+
+    def test_a_new_directory_at_the_old_name_is_not_watched(self, populated):
+        populated.mkdir("/w")
+        populated.watch("/w")
+        populated.rename("/w", "/v")
+        populated.mkdir("/w")
+        assert not populated.watches.covers("/w/a.txt")
+        assert populated.watches.roots() == ["/v"]
+
+    def test_rmdir_ends_the_watch(self, populated):
+        populated.mkdir("/w")
+        populated.watch("/w")
+        populated.rmdir("/w")
+        assert populated.watches.roots() == []
+        populated.mkdir("/w")
+        assert not populated.watches.covers("/w/a.txt")
+
+    def test_a_rolled_back_rmdir_keeps_the_watch(self, populated):
+        populated.mkdir("/w")
+        populated.watch("/w")
+        dev = populated.fs.device
+        dev.set_fault_plan(FaultPlan(enospc_at={dev.record_write_index + 1}))
+        with pytest.raises(NoSpace):
+            populated.rmdir("/w")
+        dev.clear_faults()
+        assert populated.isdir("/w")
+        assert populated.watches.roots() == ["/w"]
+
+    def test_a_rollback_gives_no_new_directory_an_ended_watch(
+            self, populated):
+        populated.mkdir("/w")
+        populated.watch("/w")
+        populated.rmdir("/w")
+        dev = populated.fs.device
+        dev.set_fault_plan(FaultPlan(enospc_at={dev.record_write_index + 1}))
+        with pytest.raises(NoSpace):
+            populated.mkdir("/y")
+        dev.clear_faults()
+        populated.mkdir("/z")
+        assert populated.watches.roots() == []
 
 
 class TestEagerVisibility:
@@ -102,6 +156,18 @@ class TestEagerVisibility:
         assert "msg1.txt" in populated.listdir("/named")
         populated.rename("/mail/msg1.txt", "/mail/other.txt")
         assert populated.listdir("/named") == []
+
+    def test_rename_over_withdraws_the_replaced_file(self, populated):
+        populated.mkdir("/w")
+        populated.watch("/w")
+        populated.write_file("/w/a.txt", b"alpha")
+        populated.write_file("/w/b.txt", b"beta")
+        populated.smkdir("/q", "beta")
+        assert populated.listdir("/q") == ["b.txt"]
+        populated.rename("/w/a.txt", "/w/b.txt")
+        assert populated.glimpse("beta") == []
+        assert populated.listdir("/q") == []
+        assert [f for f in populated.fsck() if f.severity != "info"] == []
 
     def test_truncate_triggers(self, populated):
         populated.smkdir("/fp", "fingerprint")

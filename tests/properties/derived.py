@@ -8,7 +8,13 @@ index: the device's segments, with the memtable folded on top, hold
 exactly the engine's live documents.  And the link tables: the permanent
 and prohibited sets a load reads from the records, with the transient class
 read from the tree (:meth:`LinkSets.adopt`), are the tables HAC maintains.
+And a ``stat``: the attribute cache keeps no attributes, so what HAC
+answers for a name is what the file system answers for it.
 """
+
+import pytest
+
+from repro.errors import ReproError
 
 from repro.cba.segments import Segment, SegmentStore
 from repro.core.depgraph import DependencyGraph
@@ -86,3 +92,19 @@ def assert_links_are_derived(hac, where=None) -> None:
         assert loaded.prohibited == kept.links.prohibited, at
         assert hac.consistency.ids_of(loaded.all_targets()) \
             == kept.result_cache, at
+
+
+def assert_stat_is_the_nodes(hac, paths, where=None) -> None:
+    """``hac.stat`` answers what the file system does for each of *paths*
+    (identity, type, size, mode, mtime), or raises what it raises."""
+    for path in paths:
+        try:
+            want = hac.fs.stat(path)
+        except ReproError as exc:
+            with pytest.raises(type(exc)):
+                hac.stat(path)
+            continue
+        got = hac.stat(path)
+        assert (got.fsid, got.ino, got.type, got.size, got.attrs.mode,
+                got.mtime) == (want.fsid, want.ino, want.type, want.size,
+                               want.attrs.mode, want.mtime), (where, path)

@@ -185,20 +185,38 @@ def build_hac(backend=None):
     return hac
 
 
+def all_names(fs: FileSystem):
+    """Every name in the tree, mounts included; links are not followed."""
+    out = []
+    stack = ["/"]
+    while stack:
+        path = stack.pop()
+        for name in fs.listdir(path):
+            child = (path.rstrip("/") or "") + "/" + name
+            out.append(child)
+            if not fs.islink(child) and fs.isdir(child):
+                stack.append(child)
+    return out
+
+
 @pytest.mark.parametrize("seed", [BASE_SEED, BASE_SEED + 1])
 def test_storm_keeps_the_graph_derived(seed, backend=None):
-    """Directory moves (under older and younger directories alike),
-    queries naming random directories (some rejected as cycles and rolled
-    back), detaches, removals of referenced directories, a mount and its
-    unmount, and a tenant resolving references in its own name space:
-    after **every** step, accepted or refused, the map HAC maintains is
-    the map its records' places load, the graph HAC maintains is the
-    graph its map and queries imply, every semantic directory's links
-    are the links a from-scratch evaluation gives and the ones its record
-    plus its tree load, and fsck agrees."""
+    """Directory moves (under older and younger directories alike, some
+    onto an empty directory they replace), queries naming random
+    directories (some rejected as cycles and rolled back), detaches,
+    removals of referenced directories, a mount and its unmount, writes
+    through a link to a file and through a link to a watched directory,
+    and a tenant resolving references in its own name space: after
+    **every** step, accepted or refused, the map HAC maintains is the map
+    its records' places load, the graph HAC maintains is the graph its map
+    and queries imply, every semantic directory's links are the links a
+    from-scratch evaluation gives and the ones its record plus its tree
+    load, fsck agrees, ``stat`` answers for the node each name reaches,
+    and the watch is on wherever its directory is now, or gone with it."""
     from repro.errors import ReproError
     from tests.properties.derived import (assert_is_derived,
-                                         assert_links_are_derived)
+                                         assert_links_are_derived,
+                                         assert_stat_is_the_nodes)
     from tests.properties.reference import assert_links_from_scratch
 
     rng = random.Random(seed)
@@ -211,6 +229,11 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
     subfs.write_file("/inner/i.txt", b"alpha mounted")
     mounted_at = None
     refused = 0
+    hac.write_file("/top.txt", b"alpha at the top")
+    hac.symlink("/top.txt", "/flink")
+    hac.symlink("/c/m0", "/dlink")
+    tenant_roots = hac.watches.roots()
+    watched = hac.fs.resolve(hac.watch("/c/m0")).node.ino
 
     for step in range(120):
         dirs = sorted(p for _uid, p in hac.dirmap.items()
@@ -223,28 +246,34 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
             if r < 0.30:
                 src = rng.choice(dirs)
                 dst = (rng.choice(dirs + ["/"]).rstrip("/")) + f"/r{step}"
-                if src == mounted_at:
+                empties = [d for d in dirs if not hac.listdir(d)]
+                if empties and rng.random() < 0.25:
+                    dst = rng.choice(empties)
+                if src == mounted_at or dst == mounted_at:
                     continue
                 hac.rename(src, dst)
-            elif r < 0.50:
+            elif r < 0.46:
                 parent = rng.choice(dirs + ["/"]).rstrip("/")
                 hac.smkdir(f"{parent}/q{step}", f"alpha AND ({naming})")
-            elif r < 0.65 and semantic:
+            elif r < 0.60 and semantic:
                 hac.set_query(rng.choice(semantic), f"alpha AND ({naming})")
-            elif r < 0.70 and semantic:
+            elif r < 0.64 and semantic:
                 hac.set_query(rng.choice(semantic), None)
-            elif r < 0.82:
+            elif r < 0.74:
                 victim = rng.choice(dirs)
                 if victim != mounted_at:
                     hac.rmdir(victim)
-            elif r < 0.88 and mounted_at is None:
+            elif r < 0.80 and mounted_at is None:
                 cover = f"/mnt{step}"
                 hac.mkdir(cover)
                 hac.mount(cover, subfs)
                 mounted_at = cover
-            elif r < 0.92 and mounted_at is not None:
+            elif r < 0.84 and mounted_at is not None:
                 hac.unmount(mounted_at)
                 mounted_at = None
+            elif r < 0.96:
+                hac.write_file(rng.choice(["/flink", "/dlink/f.txt"]),
+                               f"alpha written at {step}".encode())
             else:
                 tenant.smkdir(f"/q{step}", "alpha AND /src")
         except ReproError:
@@ -256,6 +285,11 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
         assert_links_are_derived(hac, step)
         errors = [f for f in hac.fsck() if f.severity == "error"]
         assert errors == [], (step, [str(f) for f in errors])
+        assert_stat_is_the_nodes(
+            hac, all_names(hac.fs) + ["/dlink/f.txt"], step)
+        live = hac.fs.path_of_ino(watched)
+        assert hac.watches.roots() \
+            == sorted(tenant_roots + ([live] if live else [])), step
 
     assert refused > 0
     assert hac.semantic_dirs()

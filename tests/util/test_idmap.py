@@ -110,6 +110,14 @@ class TestSubtreeAndSnapshot:
         restored.load_places({1: (0, "a"), 9: (4, "lost")}, ())
         assert restored.register("/new") == 10
 
+    def test_reload_never_moves_the_allocator_back(self):
+        gm = GlobalDirectoryMap()
+        gm.load_places({1: (0, "a")}, ())
+        assert gm.register("/b") == 2
+        # /b was removed and its record is gone; its uid stays spent
+        gm.load_places({1: (0, "a")}, ())
+        assert gm.register("/c") == 3
+
 
 class TestPlaces:
     """``load_places`` is the restore boundary: it ends, and gives one

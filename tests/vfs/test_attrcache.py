@@ -4,82 +4,57 @@ import pytest
 
 from repro.errors import NoSpace
 from repro.util.stats import Counters
-from repro.vfs.attrcache import AttributeCache
+from repro.vfs.attrcache import ENTRY_BYTES, AttributeCache
 from repro.vfs.blockdev import BlockDevice
-from repro.vfs.inode import Attributes
 
 
 class TestAttributeCache:
-    def test_put_get_copies(self):
-        cache = AttributeCache(capacity=4)
-        attrs = Attributes(mode=0o644, size=10)
-        cache.put("/f", attrs)
-        got = cache.get("/f")
-        assert got.size == 10
-        got.size = 99          # mutating the copy must not affect the cache
-        assert cache.get("/f").size == 10
-        attrs.size = 123       # nor does mutating the original
-        assert cache.get("/f").size == 10
+    """A bounded LRU of node keys: the attributes themselves are always
+    read from the node (``tests/core/test_node_identity.py``)."""
 
-    def test_miss_returns_none(self):
-        assert AttributeCache().get("/nope") is None
-
-    def test_invalidate(self):
-        cache = AttributeCache()
-        cache.put("/f", Attributes(mode=0o644))
-        cache.invalidate("/f")
-        assert cache.get("/f") is None
+    def test_miss_is_false(self):
+        assert AttributeCache().hit(("fs", 1)) is False
 
     def test_eviction_beyond_capacity(self):
         cache = AttributeCache(capacity=2)
-        for i in range(3):
-            cache.put(f"/f{i}", Attributes(mode=0o644))
+        for ino in range(3):
+            cache.put(("fs", ino))
         assert len(cache) == 2
-        assert cache.get("/f0") is None
+        assert not cache.hit(("fs", 0))
+        assert cache.hit(("fs", 2))
+
+    def test_a_hit_refreshes_recency(self):
+        cache = AttributeCache(capacity=2)
+        cache.put(("fs", 0))
+        cache.put(("fs", 1))
+        assert cache.hit(("fs", 0))
+        cache.put(("fs", 2))
+        assert cache.hit(("fs", 0))
+        assert not cache.hit(("fs", 1))
 
     def test_stats_counters(self):
         counters = Counters()
         cache = AttributeCache(counters=counters)
-        cache.put("/f", Attributes(mode=0o644))
-        cache.get("/f")
-        cache.get("/g")
+        cache.put(("fs", 1))
+        cache.hit(("fs", 1))
+        cache.hit(("fs", 2))
+        assert counters.get("attrcache.put") == 1
         assert counters.get("attrcache.hit") == 1
         assert counters.get("attrcache.miss") == 1
 
     def test_footprint(self):
         cache = AttributeCache()
         assert cache.approximate_bytes() == 0
-        cache.put("/f", Attributes(mode=0o644))
-        assert cache.approximate_bytes() > 0
-
-    def test_clear(self):
-        cache = AttributeCache()
-        cache.put("/f", Attributes(mode=0o644))
-        cache.put("/g", Attributes(mode=0o644))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("/f") is None
+        cache.put(("fs", 1))
+        assert cache.approximate_bytes() == ENTRY_BYTES
 
     def test_hit_rate(self):
         cache = AttributeCache()
-        cache.put("/f", Attributes(mode=0o644))
-        cache.get("/f")
-        cache.get("/f")
-        cache.get("/miss")
+        cache.put(("fs", 1))
+        cache.hit(("fs", 1))
+        cache.hit(("fs", 1))
+        cache.hit(("fs", 2))
         assert cache.hit_rate == pytest.approx(2 / 3)
-
-    def test_invalidate_missing_key_is_harmless(self):
-        cache = AttributeCache()
-        cache.invalidate("/never")  # must not raise
-        assert len(cache) == 0
-
-    def test_invalidate_counter(self):
-        counters = Counters()
-        cache = AttributeCache(counters=counters)
-        cache.put("/f", Attributes(mode=0o644))
-        cache.invalidate("/f")
-        assert counters.get("attrcache.invalidate") == 1
-        assert counters.get("attrcache.put") == 1
 
 
 class TestBlockDevice:

@@ -83,3 +83,29 @@ class TestPhases:
         b2.run()
         assert t1.fs.read_file("/andrew/dst/a.out") == \
             t2.fs.read_file("/andrew/dst/a.out")
+
+
+class TestTable1Counts:
+    """The §4 attribute cache's effect on Table 1's Scan and Read phases,
+    pinned as device operations at the bench's configuration: Scan pays
+    one metadata read per directory listing and per directory stat (the
+    copied files were cached when Copy wrote them), Read pays none."""
+
+    CFG = AndrewConfig(dirs=15, files_per_dir=10, functions_per_file=8)
+
+    def test_scan_and_read_charge_the_pinned_counts(self):
+        hac = HacFileSystem()
+        bench = AndrewBenchmark(hac, self.CFG)
+        bench.install_sources()
+        bench.phase_makedir()
+        bench.phase_copy()
+        counters = hac.counters
+        keys = ("blockdev.meta_read_ops", "attrcache.hit", "attrcache.miss")
+
+        def delta(phase):
+            before = [counters.get(k) for k in keys]
+            phase()
+            return [counters.get(k) - b for k, b in zip(keys, before)]
+
+        assert delta(bench.phase_scan) == [31, 150, 15]
+        assert delta(bench.phase_read) == [0, 0, 0]
