@@ -11,9 +11,11 @@ references was re-evaluated — HAC must re-establish the invariant:
 
 The algorithm, reproduced exactly: re-evaluate the query over the current
 scope; discard anything permanent or prohibited; what remains is the new
-transient set.  Permanent and prohibited sets are never touched.  Every
-directory that directly or indirectly depends on a changed directory is
-re-evaluated once, in topological order of the dependency DAG.
+transient set.  Permanent and prohibited sets are never touched.  A change
+at a directory seeds the semantic directories it can reach — never a plain
+one, whose scope is the tree's (docs/SEMANTICS.md §5) — and each of them,
+and each that depends on one, is re-evaluated once, in topological order
+of the dependency DAG.
 
 Remote results (paper §3): name spaces mounted within the scope import
 every hit for the (content projection of the) query; remote members already
@@ -25,7 +27,7 @@ degrades gracefully: its previous contributions to this directory are kept
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from repro.errors import BackendUnavailable
 from repro.util import pathutil
@@ -67,70 +69,57 @@ class ConsistencyManager:
     # entry points
     # ------------------------------------------------------------------
 
-    def on_scope_changed(self, origin_uids: List[int],
-                         include_origins: bool = False) -> int:
-        """Re-evaluate everything affected by scope changes at *origins*.
+    def on_scope_changed(self, changed: Iterable[int]) -> int:
+        """Re-evaluate what a change inside the *changed* directories can
+        reach (:meth:`_seeds`), each once, in one topological order.
 
         Returns the number of semantic directories whose result changed.
         """
-        graph = self.hacfs.depgraph
-        affected: Set[int] = set()
-        for uid in origin_uids:
-            if uid not in graph:
-                continue
-            affected.update(graph.affected_order(uid, include_start=include_origins))
-        if not affected:
+        return self._run(self.hacfs.depgraph.affected_order(
+            self._seeds(changed)))
+
+    def reevaluate_from(self, uid: int) -> int:
+        """Semantic *uid*'s own query or hand-curated links changed —
+        nothing a plain scope reads — so it, and what depends on it, are
+        re-evaluated."""
+        return self._run(self.hacfs.depgraph.affected_order([uid]))
+
+    def _run(self, order: List[int]) -> int:
+        if not order:
             return 0
-        order = graph.topo_order(affected)
-        touched = self._origin_tenants(origin_uids)
         with self.hacfs.obs.trace.span("hac.cascade",
                                        affected=len(order)) as span:
-            count = self._cascade(order, touched, span)
+            count = self._cascade(order, span)
         self._stats.add("cascades")
         return count
 
-    def _cascade(self, order: List[int], touched: Optional[Set[str]] = None,
-                 span=None) -> int:
+    def _seeds(self, changed: Iterable[int]) -> Set[int]:
+        """The seed rule (docs/SEMANTICS.md §5): a change at directory D
+        reaches D if semantic, the dependents of D and of its plain
+        ancestors, and what followed a symlink into D or below; a gone D
+        only what depends on its uid.  O(depth) per D."""
+        graph, dirmap = self.hacfs.depgraph, self.hacfs.dirmap
+        seeds: Set[int] = set()
+        for uid in changed:
+            seeds.add(uid)
+            seeds |= graph.dependents_of(uid)
+            path = dirmap.path_of(uid)
+            if path is None:
+                continue
+            seeds |= graph.fed_from(path)
+            for above in map(dirmap.uid_of, pathutil.ancestors(path)):
+                if not graph.is_semantic(above):
+                    seeds |= graph.dependents_of(above)
+        return seeds
+
+    def _cascade(self, order: List[int], span=None) -> int:
         """Re-evaluate each directory of *order* once (see :class:`_Cascade`)."""
         cascade = _Cascade()
-        count = 0
-        for uid in order:
-            if touched is not None and self._foreign_tenant_dir(uid, touched):
-                # a tenant's query is scope-filtered to its own subtree,
-                # so a mutation that stayed outside that subtree cannot
-                # change its results — skipping both saves the work and
-                # keeps another tenant's fault window off this record
-                self._stats.add("cross_tenant_skips")
-            elif self.reevaluate(uid, cascade):
-                count += 1
+        count = sum(self.reevaluate(uid, cascade) for uid in order)
         if span is not None:
             span.set(reevaluated=count, scope_reads=cascade.scope_reads,
                      unchanged=cascade.unchanged)
         return count
-
-    def _origin_tenants(self, origin_uids: List[int]) -> Optional[Set[str]]:
-        """Tenant subtrees the mutation touched — ``None`` disables the
-        cross-tenant cascade pruning entirely (no tenants registered)."""
-        tenants = getattr(self.hacfs, "tenants", None)
-        if not tenants:
-            return None
-        touched: Set[str] = set()
-        for uid in origin_uids:
-            path = self.hacfs.dirmap.path_of(uid)
-            if path is not None:
-                owner = tenants.tenant_of_path(path)
-                if owner is not None:
-                    touched.add(owner)
-        return touched
-
-    def _foreign_tenant_dir(self, uid: int, touched: Set[str]) -> bool:
-        """True for a directory owned by a tenant the mutation did not
-        touch (host-owned directories are never foreign)."""
-        path = self.hacfs.dirmap.path_of(uid)
-        if path is None:
-            return False
-        owner = self.hacfs.tenants.tenant_of_path(path)
-        return owner is not None and owner not in touched
 
     def reevaluate_all(self) -> int:
         """Global pass in full topological order (used after reindexing)."""
@@ -187,6 +176,12 @@ class ConsistencyManager:
         scope = self._parent_scope(pathutil.dirname(path), cascade)
         links = state.links
         degraded = (dict(state.degraded_remote), dict(state.degraded_shards))
+        fed = set(scope.fed)
+
+        def dirref_local(ref: int) -> Bitmap:
+            named = self.hacfs.scopes.provided_by_uid(ref)
+            fed.update(named.fed)
+            return named.local
 
         # 1. re-evaluate the query over the current scope.  A sharded
         # back-end accumulates the shards it could not reach during the
@@ -196,10 +191,16 @@ class ConsistencyManager:
         engine = self.hacfs.engine
         engine.reset_missing_shards()
         hits = evaluator.evaluate(
-            state.query, engine,
-            resolve_dirref=self._dirref_local, scope=scope.local)
+            state.query, engine, resolve_dirref=dirref_local,
+            scope=scope.local)
         remote_hits = self._remote_matches(state, scope)
         missing: Set[str] = set(engine.missing_shards)
+        # the symlinks the scopes followed, and where the permanent links'
+        # files live: a change there reaches this directory (their texts
+        # follow the files; a transient target is in the parent scope)
+        fed.update(pathutil.dirname(live) for live in map(
+            self.hacfs.path_for_target, links.permanent.values()) if live)
+        self.hacfs.depgraph.record_feeds(uid, fed)
 
         # 2. discard permanent and prohibited targets; the rest is transient
         # — in doc-id algebra, so only links that come or go are looked at
@@ -260,9 +261,6 @@ class ConsistencyManager:
         if changed:
             self._stats.add("transient_updates")
         return changed
-
-    def _dirref_local(self, uid: int) -> Bitmap:
-        return self.hacfs.scopes.provided_by_uid(uid).local
 
     # ------------------------------------------------------------------
     # remote evaluation

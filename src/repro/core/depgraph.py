@@ -1,20 +1,24 @@
-"""The dependency DAG over directories (paper §2.5).
+"""The dependency DAG over semantic directories (paper §2.5).
 
-``new`` *depends on* ``old`` when ``old``'s scope feeds ``new``'s query
-result.  Two edge kinds exist:
+The DAG orders the re-evaluation of query results, so its nodes are the
+semantic directories, plus the root.  ``new`` *depends on* ``old`` when
+``old``'s scope feeds ``new``'s query result, along two edge kinds:
 
-* **hierarchical** — every directory depends on its parent (under the
-  covers, the child's effective query is ``<query> AND <parent>``);
-* **reference** — a query that names another directory's path depends on
-  that directory, wherever it sits in the tree.
+* **hierarchical** — from its parent directory, plain or semantic (under
+  the covers, the child's effective query is ``<query> AND <parent>``);
+* **reference** — from each directory its query names, wherever it sits.
 
-Dependencies are transitive; cycles are rejected at the moment a query
-would create one ("we do not allow cycles to exist in this graph for
-obvious reasons").  When a directory's provided scope changes, every
-directory reachable along dependency edges must be re-evaluated — in
-topological order, so each is evaluated exactly once with its inputs
-already settled.  The root (UID 0) depends on nothing and precedes
-everything, exactly as the paper requires.
+A plain directory's scope is a function of the tree and the index
+(docs/SEMANTICS.md §3): it depends on nothing, so it is never a node, only
+a provider — one index, provider → semantic dependents, covers both kinds
+— and an edge from it closes no cycle.  An edge that would close one is
+refused ("we do not allow cycles to exist in this graph for obvious
+reasons").  From the seeds a change reaches (the consistency manager's
+rule), :meth:`affected_order` closes over semantic → semantic edges and
+sorts once, so each directory is evaluated once with its inputs settled.
+A plain scope also holds the targets of symlinks below it, which can live
+anywhere: the graph keeps where each directory's last evaluation followed
+symlinks to (:meth:`record_feeds`), in memory only.
 
 Nodes are directory UIDs from the global map, so renames never disturb the
 graph.
@@ -33,54 +37,51 @@ ROOT_UID = 0
 
 HIERARCHY = "hierarchy"
 REFERENCE = "reference"
+#: the link-fed key of a node any change may feed
+ANYWHERE = ""
 
 
 class DependencyGraph:
-    """Directed graph: provider → dependent, with labelled edge kinds.
+    """Directed graph: provider → semantic dependent, with labelled edge
+    kinds.
 
-    An index over the directories' records — the global map derived from
-    their places fixes every hierarchy edge, their queries every
-    reference edge — so it is never persisted: :meth:`derive` rebuilds
-    it on every load and the mutators below keep it current in between.
+    An index over the directories' records — the global map places each
+    semantic directory's parent, its query fixes its reference edges — so
+    it is never persisted: :meth:`derive` rebuilds it on every load and
+    the mutators below keep it current in between.
     """
 
     def __init__(self):
-        #: child uid → its hierarchy parent (the root has none)
-        self._parent: Dict[int, int] = {}
-        #: dependent uid → the providers its query references; a node is
-        #: in the graph exactly when it has an entry here
+        #: semantic uid → its parent directory's uid (None when no
+        #: registered directory is its parent); the root has no entry
+        self._parent: Dict[int, Optional[int]] = {}
+        #: node → the uids its query names, live or gone; a node is in the
+        #: graph exactly when it has an entry here
         self._refs: Dict[int, Set[int]] = {ROOT_UID: set()}
-        #: provider uid → dependents along either edge kind
-        self._dependents: Dict[int, Set[int]] = {ROOT_UID: set()}
+        #: provider uid (any directory, plain, semantic or gone) → its
+        #: semantic dependents along either edge kind; never an empty set
+        self._dependents: Dict[int, Set[int]] = {}
+        #: node → every prefix of a directory its last evaluation followed
+        #: a symlink into (``ANYWHERE`` until it is evaluated), and back
+        self._fed: Dict[int, Set[str]] = {}
+        self._fed_under: Dict[str, Set[int]] = {}
         #: observability hook (re-wired by HacFileSystem after every
         #: (re)construction, since the graph is rebuilt on every load)
         self.tracer = NULL_TRACER
 
     @classmethod
     def derive(cls, dirmap, meta) -> "DependencyGraph":
-        """The graph a name space implies: a node per registered
-        directory, a hierarchy edge to the directory registered at its
-        parent path, a reference edge per live directory its query names
-        (a dangling reference resolves empty and depends on nothing).
-        Adjacency is filled directly and validated once — a cycle among
-        the persisted queries raises :class:`DependencyCycle`."""
+        """The graph a name space implies: a node per directory with a
+        query, under the directory registered at its parent path, naming
+        what its query names (a gone directory too: it resolves empty).
+        Validated once — a cycle among the queries raises
+        :class:`DependencyCycle`."""
         graph = cls()
-        parent, refs, dependents = graph._parent, graph._refs, graph._dependents
-        uid_at = {path: uid for uid, path in dirmap.items()}
-        for uid in uid_at.values():
-            refs[uid] = set()
-            dependents[uid] = set()
-        for path, uid in uid_at.items():
-            above = uid_at.get(pathutil.dirname(path))
-            if uid != ROOT_UID and above is not None:
-                parent[uid] = above
-                dependents[above].add(uid)
+        for uid, path in dirmap.items():
             state = meta.get(uid)
             if state is not None and state.query is not None:
-                refs[uid] = {ref for ref in state.query.dir_refs()
-                             if ref != ROOT_UID and ref in refs}
-                for ref in refs[uid]:
-                    dependents[ref].add(uid)
+                graph._link(uid, dirmap.uid_of(pathutil.dirname(path)),
+                            state.query.dir_refs())
         graph.full_order()
         return graph
 
@@ -88,25 +89,39 @@ class DependencyGraph:
     # node / edge maintenance
     # ------------------------------------------------------------------
 
-    def add_node(self, uid: int) -> None:
+    def add_node(self, uid: int, parent: Optional[int],
+                 refs: Iterable[int] = ()) -> None:
+        """*uid* became semantic, under *parent*, naming *refs*.  Every
+        edge is validated before any is made."""
         if uid in self._refs:
             raise ValueError(f"node {uid} already in dependency graph")
-        self._refs[uid] = set()
-        self._dependents[uid] = set()
+        refs = set(refs)
+        for provider in refs | {parent}:
+            self._check_no_path(uid, provider)
+        self._link(uid, parent, refs)
+
+    def _link(self, uid: int, parent: Optional[int], refs: Iterable[int]):
+        if uid != ROOT_UID:
+            self._parent[uid] = parent
+            self.record_feeds(uid, ["/"])
+        self._refs[uid] = set(refs)
+        for provider in self.providers_of(uid):
+            self._dependents.setdefault(provider, set()).add(uid)
 
     def remove_node(self, uid: int) -> None:
-        """Drop a directory: its edges go with it; queries that referenced it
-        now have a dangling reference (resolved as empty by the evaluator)."""
+        """*uid* is semantic no more (plain, or gone): its own edges go.
+        Whatever depends on it keeps depending on the uid — a plain
+        provider, or a gone one that resolves empty."""
         if uid == ROOT_UID:
             raise ValueError("cannot remove the root")
+        self._unlink(uid)
+
+    def _unlink(self, uid: int) -> None:
         for provider in self.providers_of(uid):
-            self._dependents[provider].discard(uid)
+            _unfile(self._dependents, provider, uid)
         self._parent.pop(uid, None)
-        self._refs.pop(uid, None)
-        for dependent in self._dependents.pop(uid, ()):
-            self._refs[dependent].discard(uid)
-            if self._parent.get(dependent) == uid:
-                del self._parent[dependent]
+        del self._refs[uid]
+        self._unfeed(uid)
 
     def __contains__(self, uid: int) -> bool:
         return uid in self._refs
@@ -114,40 +129,33 @@ class DependencyGraph:
     def nodes(self) -> List[int]:
         return list(self._refs)
 
-    def set_hierarchy_edge(self, child: int, parent: int) -> None:
-        """(Re)attach *child* under *parent*; replaces any previous one."""
-        old_parent = self._parent.pop(child, None)
-        # a reference edge to the same provider survives independently
-        if old_parent is not None and old_parent not in self._refs[child]:
-            self._dependents[old_parent].discard(child)
+    def set_hierarchy_edge(self, child: int, parent: Optional[int]) -> None:
+        """Semantic *child* moved under *parent*; replaces the old edge."""
         self._check_no_path(child, parent)
-        self._parent[child] = parent
-        self._dependents[parent].add(child)
+        refs = self._refs[child]
+        self._unlink(child)
+        self._link(child, parent, refs)
 
     def set_reference_edges(self, dependent: int, providers: Iterable[int]) -> None:
         """Replace *dependent*'s reference edges with the given provider set
         (called whenever its query changes)."""
         wanted = set(providers)
-        wanted.discard(ROOT_UID)  # everything depends on root implicitly
-        wanted &= self._refs.keys()  # dangling: tolerated, resolves empty
-        current = self._refs[dependent]
         # validate every new edge before touching any: a cycle must leave
         # the old edges fully intact
-        for provider in wanted - current:
+        for provider in wanted - self._refs[dependent]:
             self._check_no_path(dependent, provider)
-        for provider in current - wanted:
-            # the hierarchy edge to the same provider survives independently
-            if provider != self._parent.get(dependent):
-                self._dependents[provider].discard(dependent)
-        for provider in wanted:
-            self._dependents[provider].add(dependent)
-        self._refs[dependent] = wanted
+        parent = self._parent.get(dependent)
+        self._unlink(dependent)
+        self._link(dependent, parent, wanted)
 
-    def _check_no_path(self, src: int, dst: int) -> None:
+    def _check_no_path(self, src: int, dst: Optional[int]) -> None:
         """Adding dst→src requires no existing path src→dst (else a cycle,
-        reported with the dependency path src ⇝ dst that closes it)."""
+        reported with the dependency path src ⇝ dst that closes it).  Only
+        a node can be on a path: a plain provider depends on nothing."""
         if src == dst:
             raise DependencyCycle(str(src), [src, src])
+        if dst not in self._refs:
+            return
         reached_from: Dict[int, int] = {src: src}
         frontier = deque([src])
         while frontier:
@@ -164,47 +172,68 @@ class DependencyGraph:
                 frontier.append(dependent)
 
     # ------------------------------------------------------------------
+    # link-fed records
+    # ------------------------------------------------------------------
+
+    def record_feeds(self, uid: int, dirs: Iterable[str]) -> None:
+        """*uid*'s evaluation followed symlinks to targets in *dirs*; ``/``
+        stands for one it cannot place, which any change may re-aim."""
+        self._unfeed(uid)
+        dirs = set(dirs)
+        self._fed[uid] = {ANYWHERE} if "/" in dirs else {
+            prefix for path in dirs
+            for prefix in (*pathutil.ancestors(path), path)}
+        for key in self._fed[uid]:
+            self._fed_under.setdefault(key, set()).add(uid)
+
+    def _unfeed(self, uid: int) -> None:
+        for key in self._fed.pop(uid, ()):
+            _unfile(self._fed_under, key, uid)
+
+    def fed_from(self, path: str) -> Set[int]:
+        """The nodes that followed a symlink into *path* or below it."""
+        return self._fed_under.get(path, set()) \
+            | self._fed_under.get(ANYWHERE, set())
+
+    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
     def providers_of(self, uid: int) -> Dict[int, str]:
         out = dict.fromkeys(self._refs.get(uid, ()), REFERENCE)
-        if uid in self._parent:
+        if self._parent.get(uid) is not None:
             out[self._parent[uid]] = HIERARCHY
         return out
 
     def dependents_of(self, uid: int) -> Set[int]:
-        return set(self._dependents.get(uid, set()))
+        return set(self._dependents.get(uid, ()))
 
     def hierarchy_parent(self, uid: int) -> Optional[int]:
         return self._parent.get(uid)
+
+    def is_semantic(self, uid: int) -> bool:
+        return uid in self._parent
 
     # ------------------------------------------------------------------
     # evaluation order
     # ------------------------------------------------------------------
 
-    def affected_order(self, start: int, include_start: bool = False) -> List[int]:
-        """Every transitive dependent of *start*, in topological order.
-
-        The order is computed by Kahn's algorithm restricted to the affected
-        subgraph, so each affected directory appears after all of its
-        affected providers — the paper's requirement for correct
-        re-evaluation.
-        """
-        affected: Set[int] = set()
-        frontier = deque([start])
+    def affected_order(self, seeds: Iterable[int]) -> List[int]:
+        """The semantic *seeds* and every transitive dependent of one, in
+        topological order (Kahn's algorithm over that subgraph, so each
+        appears after all of its affected providers — the paper's
+        requirement for correct re-evaluation).  Nothing affected, nothing
+        sorted."""
+        affected = {uid for uid in seeds if uid in self._parent}
+        frontier = list(affected)
         while frontier:
-            cur = frontier.popleft()
-            for dependent in self._dependents.get(cur, ()):
+            for dependent in self._dependents.get(frontier.pop(), ()):
                 if dependent not in affected:
                     affected.add(dependent)
                     frontier.append(dependent)
-        if include_start:
-            affected.add(start)
         if self.tracer.enabled:
-            self.tracer.event("dep.affected", start=start,
-                              affected=len(affected))
-        return self._topo_sort(affected)
+            self.tracer.event("dep.affected", affected=len(affected))
+        return self._topo_sort(affected) if affected else []
 
     def full_order(self) -> List[int]:
         """Topological order of the whole graph (global re-evaluation)."""
@@ -217,21 +246,15 @@ class DependencyGraph:
         return self._topo_sort({n for n in nodes if n in self._refs})
 
     def _topo_sort(self, nodes: Set[int]) -> List[int]:
-        indeg = {}
-        for n in nodes:
-            above = self._parent.get(n)
-            indeg[n] = int(above in nodes)
-            for provider in self._refs[n]:
-                # naming one's own parent adds no second edge
-                if provider in nodes and provider != above:
-                    indeg[n] += 1
+        # naming one's own parent adds no second edge
+        indeg = {n: len(self.providers_of(n).keys() & nodes) for n in nodes}
         ready = deque(sorted(n for n, d in indeg.items() if d == 0))
         order: List[int] = []
         while ready:
             cur = ready.popleft()
             order.append(cur)
             for dependent in sorted(self._dependents.get(cur, ())):
-                if dependent in indeg and dependent in nodes:
+                if dependent in indeg:
                     indeg[dependent] -= 1
                     if indeg[dependent] == 0:
                         ready.append(dependent)
@@ -239,3 +262,12 @@ class DependencyGraph:
             leftovers = sorted(nodes - set(order))
             raise DependencyCycle(str(leftovers[0]), leftovers)
         return order
+
+
+def _unfile(index: Dict, key, uid: int) -> None:
+    """Take *uid* out of ``index[key]``; an emptied key goes."""
+    members = index.get(key)
+    if members is not None:
+        members.discard(uid)
+        if not members:
+            del index[key]

@@ -12,9 +12,7 @@ Checks:
   directory is registered;
 * **state** — every registered directory owns a MetaStore record, and
   every record is one the map places (no orphan records);
-* **graph** — every directory is a graph node with a hierarchy edge to the
-  parent its record names; no dangling nodes; the graph is acyclic
-  (topological sort succeeds);
+* **graph** — the queries name each other in no cycle;
 * **links** — every tracked link name is a live symlink in its directory,
   and its text agrees with the tracked target (remote URIs, or the target's
   current path for local files);
@@ -33,6 +31,7 @@ from typing import List, NamedTuple, TYPE_CHECKING
 
 from repro.util import pathutil
 from repro.errors import DependencyCycle
+from repro.core.depgraph import DependencyGraph
 from repro.cba.segments import SegmentStore
 from repro.vfs.walker import walk
 
@@ -125,33 +124,13 @@ def _check_states(hacfs, repair: bool) -> List[Finding]:
 
 
 def _check_graph(hacfs) -> List[Finding]:
-    out: List[Finding] = []
-    registered = {uid for uid, _p in hacfs.dirmap.items()}
-    for uid in registered:
-        if uid not in hacfs.depgraph:
-            out.append(Finding("error", "missing-node",
-                               hacfs.dirmap.path_of(uid) or f"uid:{uid}",
-                               "directory absent from the dependency graph"))
-            continue
-        state = hacfs.meta.get(uid)
-        # one placed below a directory HAC does not know has no edge
-        if uid == 0 or state is None or "/" in state.name:
-            continue
-        actual = hacfs.depgraph.hierarchy_parent(uid)
-        if actual != state.parent:
-            out.append(Finding("error", "bad-hierarchy-edge",
-                               hacfs.dirmap.path_of(uid),
-                               f"graph parent {actual}, "
-                               f"record parent {state.parent}"))
-    for uid in hacfs.depgraph.nodes():
-        if uid not in registered:
-            out.append(Finding("warn", "orphan-node", f"uid:{uid}",
-                               "graph node for an unregistered directory"))
+    """The graph is derived from the map and the queries, which can still
+    name each other in a cycle (records written by another instance)."""
     try:
-        hacfs.depgraph.full_order()
+        DependencyGraph.derive(hacfs.dirmap, hacfs.meta)
     except DependencyCycle as exc:
-        out.append(Finding("error", "cycle", "/", str(exc)))
-    return out
+        return [Finding("error", "cycle", "/", str(exc))]
+    return []
 
 
 def _check_links(hacfs, repair: bool) -> List[Finding]:

@@ -232,15 +232,16 @@ class HacFileSystem:
             raise FileNotFound(path, "directory unknown to HAC")
         return uid
 
-    def _chain_uids(self, dirpath: str) -> List[int]:
-        """UIDs of every directory from the root down to *dirpath*."""
-        uids: List[int] = []
+    def changed_uid(self, dirpath: str) -> int:
+        """The uid a change inside *dirpath* is reported under: its own,
+        or its nearest registered ancestor's."""
         canon = self.canonical_dir(dirpath)
-        for p in list(pathutil.ancestors(canon)) + [canon]:
-            uid = self.dirmap.uid_of(p)
-            if uid is not None:
-                uids.append(uid)
-        return uids
+        uid = self.dirmap.uid_of(canon)
+        return uid if uid is not None else self.dirmap.place_of(canon)[0]
+
+    def _changed(self, dirpath: str) -> None:
+        """Re-evaluate what a change inside *dirpath* can reach."""
+        self.consistency.on_scope_changed([self.changed_uid(dirpath)])
 
     def _planned_path(self, path: str) -> str:
         """Canonical path a not-yet-created entry will get (for intents)."""
@@ -358,18 +359,15 @@ class HacFileSystem:
         return stat
 
     def _register_dir(self, path: str) -> None:
-        """A new directory's uid, graph node and record, which places it."""
+        """A new directory's uid and record, which places it."""
         uid = self.dirmap.register(path)
-        self.depgraph.add_node(uid)
-        parent_uid = self.dirmap.uid_of(pathutil.dirname(path))
-        if parent_uid is not None:
-            self.depgraph.set_hierarchy_edge(uid, parent_uid)
         self.meta.create(uid, *self.dirmap.place_of(path))
 
     def _forget_dir(self, path: str) -> None:
-        """A removed directory's uid, graph node and record go."""
+        """A removed directory's uid, record and graph node go."""
         uid = self.dirmap.unregister(path)
-        self.depgraph.remove_node(uid)
+        if uid in self.depgraph:
+            self.depgraph.remove_node(uid)
         self.meta.drop(uid)
         self.semmounts.drop_uid(uid)
 
@@ -435,38 +433,33 @@ class HacFileSystem:
         if self.obs.trace.enabled:
             self.obs.trace.event("hac.unlink", path=path)
         res = self.fs.resolve(path, follow=False)
-        norm = pathutil.normalize(path)
-        parent_dir, name = pathutil.split(norm)
-        if isinstance(res.node, SymlinkNode):
-            canon_dir = self.canonical_dir(parent_dir)
-            uid = self.dirmap.uid_of(canon_dir)
-            state = self.meta.get(uid) if uid is not None else None
-            if state is not None and state.is_semantic \
-                    and state.links.target_of(name) is not None:
-                # the prohibition lands before the symlink goes; a rollback
-                # puts the symlink back from the intent's text
-                with self._journaled("unlink",
-                                     {"path": pathutil.join(canon_dir, name),
-                                      "text": res.node.target}):
-                    state.links.prohibit(name)
-                    self.meta.flush(uid)
-                    self.fs.unlink(path)
-                self._hac.add("prohibitions")
-                # the directory's own result changed too: refresh it (the
-                # prohibition keeps the link out) and cascade to dependents
-                self.consistency.on_scope_changed([uid], include_origins=True)
-                return
-            self.fs.unlink(path)
-            self.consistency.on_scope_changed(self._chain_uids(parent_dir))
+        parent_dir, name = pathutil.split(pathutil.normalize(path))
+        canon_dir = self.canonical_dir(parent_dir)
+        uid = self.dirmap.uid_of(canon_dir)
+        state = self.meta.get(uid) if uid is not None else None
+        if isinstance(res.node, SymlinkNode) and state is not None \
+                and state.is_semantic \
+                and state.links.target_of(name) is not None:
+            # the prohibition lands before the symlink goes; a rollback
+            # puts the symlink back from the intent's text
+            with self._journaled("unlink",
+                                 {"path": pathutil.join(canon_dir, name),
+                                  "text": res.node.target}):
+                state.links.prohibit(name)
+                self.meta.flush(uid)
+                self.fs.unlink(path)
+            self._hac.add("prohibitions")
+            # the directory's own result changed too: refresh it (the
+            # prohibition keeps the link out) and cascade to dependents
+            self.consistency.reevaluate_from(uid)
             return
-        key = (res.fs.fsid, res.node.ino) if isinstance(res.node, FileNode) \
-            else None
         self.fs.unlink(path)
         # the index entry lingers until reindex (data inconsistency, §2.4) —
         # unless a watch covers the file, which withdraws it immediately
-        if key is not None:
-            self.watches.on_file_removed(key, parent_dir)
-        self.consistency.on_scope_changed(self._chain_uids(parent_dir))
+        if isinstance(res.node, FileNode):
+            self.watches.on_file_removed((res.fs.fsid, res.node.ino),
+                                         parent_dir)
+        self._changed(canon_dir)
 
     def symlink(self, target: str, linkpath: str) -> StatResult:
         """Create a link; inside a semantic directory it becomes permanent
@@ -494,9 +487,9 @@ class HacFileSystem:
             self._hac.add("permanent_links")
         if semantic:
             # its own result grew too (a transient link to the file gives way)
-            self.consistency.on_scope_changed([uid], include_origins=True)
+            self.consistency.reevaluate_from(uid)
         else:
-            self.consistency.on_scope_changed(self._chain_uids(parent_dir))
+            self._changed(canon_dir)
         return stat
 
     def _target_of_link_text(self, text: str) -> Optional[Target]:
@@ -525,7 +518,7 @@ class HacFileSystem:
             over = None
         old_canon = self.canonical_dir(old) if moving_dir else None
         old_norm, new_norm = pathutil.normalize(old), pathutil.normalize(new)
-        origins = self._chain_uids(pathutil.dirname(old_norm))
+        changed = [self.changed_uid(pathutil.dirname(old_norm))]
         payload = {"old": old_canon if moving_dir else old_norm,
                    "new": self._planned_path(new_norm), "dir": moving_dir}
         with self._journaled("rename", payload):
@@ -539,9 +532,9 @@ class HacFileSystem:
                 # the edge first: a move the graph refuses as a cycle must
                 # not have touched the engine, which no rollback rewinds
                 moved_uid = self.dirmap.uid_of(new_canon)
-                new_parent_uid = self.dirmap.uid_of(pathutil.dirname(new_canon))
-                if moved_uid is not None and new_parent_uid is not None:
-                    self.depgraph.set_hierarchy_edge(moved_uid, new_parent_uid)
+                if moved_uid in self.depgraph:
+                    self.depgraph.set_hierarchy_edge(moved_uid, self.dirmap.uid_of(
+                        pathutil.dirname(new_canon)))
                 # one-pass path rebase alongside the path map: registry
                 # paths and CAS prefix keys follow the moved subtree
                 # immediately, so scope: queries stay correct without
@@ -555,8 +548,8 @@ class HacFileSystem:
                     if state is not None and state.parent not in moved_uids:
                         state.parent, state.name = self.dirmap.place_of(path)
                         self.meta.flush(uid)
-                if moved_uid is not None:
-                    origins.append(moved_uid)
+                # every file below moved: a change inside each directory
+                changed.extend(moved_uids)
             else:
                 if over is not None and over.node is not res.node \
                         and isinstance(over.node, FileNode):
@@ -568,8 +561,8 @@ class HacFileSystem:
                     live = self.path_for_target(Target.local(*key))
                     if live is not None and not self.watches.on_file_moved(key, live):
                         self.maintenance.note_rename(key, live)
-            origins.extend(self._chain_uids(pathutil.dirname(new_norm)))
-            self.consistency.on_scope_changed(origins)
+            changed.append(self.changed_uid(pathutil.dirname(new_norm)))
+            self.consistency.on_scope_changed(changed)
 
     # -- pass-throughs with caching ------------------------------------------
 
@@ -681,10 +674,16 @@ class HacFileSystem:
                              if resolve_dir is not None
                              else self.dirmap.uid_of)
         with self._journaled("set_query", {"path": canon, "query": query}):
-            # validate/settle reference edges first: a cycle must leave the
-            # old query fully intact
-            self.depgraph.set_reference_edges(
-                uid, () if ast is None else ast.dir_refs())
+            # validate/settle the edges first: a cycle must leave the old
+            # query fully intact
+            graph, refs = self.depgraph, () if ast is None else ast.dir_refs()
+            if ast is None and graph.is_semantic(uid):
+                graph.remove_node(uid)
+            elif uid in graph:
+                graph.set_reference_edges(uid, refs)
+            elif ast is not None:
+                graph.add_node(uid, self.dirmap.uid_of(pathutil.dirname(canon)),
+                               refs)
             if ast is None:
                 # detach: drop transient links, keep permanent/prohibited
                 for name in list(state.links.transient):
@@ -702,10 +701,15 @@ class HacFileSystem:
                         if isinstance(node, SymlinkNode) else None
                     if target and name not in state.links.permanent:
                         state.links.add_permanent(name, target)
+            was_semantic = state.is_semantic
             state.query, state.query_text = ast, query
             self.meta.flush(uid)
-            self.consistency.on_scope_changed([uid],
-                                              include_origins=ast is not None)
+            if ast is None or (state.links.permanent and not was_semantic):
+                # it provides its subtree now, or its symlinks left what
+                # plain scopes read: a change at the directory
+                self.consistency.on_scope_changed([uid])
+            else:
+                self.consistency.reevaluate_from(uid)
 
     def get_query(self, path: str) -> Optional[str]:
         """The directory's query, rendered with *current* directory paths —
@@ -917,7 +921,7 @@ class HacFileSystem:
                                             "target": target_text}):
             state.links.unprohibit(target)
             self.meta.flush(uid)
-        self.consistency.on_scope_changed([uid], include_origins=True)
+        self.consistency.reevaluate_from(uid)
         return True
 
     def sact(self, link_path: str) -> List[str]:
@@ -952,16 +956,17 @@ class HacFileSystem:
         for dirpath, _dirs, _files, _listed in walk(self.fs, canon):
             if self.dirmap.uid_of(dirpath) is None:
                 self._register_dir(dirpath)
-        self.consistency.on_scope_changed(self._chain_uids(canon))
+        self._changed(canon)
 
     def unmount(self, path: str) -> FileSystem:
         self._hac.add("unmount")
         canon = self.canonical_dir(path)
         detached = self.fs.unmount(canon)
         self._fs_registry.pop(detached.fsid, None)
-        for uid in self.dirmap.subtree_uids(canon, strict=True):
+        gone = self.dirmap.subtree_uids(canon, strict=True)
+        for uid in gone:
             self._forget_dir(self.dirmap.path_of(uid))
-        self.consistency.on_scope_changed(self._chain_uids(canon))
+        self.consistency.on_scope_changed([self.changed_uid(canon), *gone])
         return detached
 
     def smount(self, path: str, namespace: NameSpace) -> None:
@@ -969,15 +974,13 @@ class HacFileSystem:
         self._hac.add("smount")
         canon = self.canonical_dir(path)
         self.semmounts.mount(canon, namespace)
-        self.consistency.on_scope_changed(self._chain_uids(canon),
-                                          include_origins=True)
+        self._changed(canon)
 
     def sunmount(self, path: str, namespace_id: Optional[str] = None) -> None:
         self._hac.add("sunmount")
         canon = self.canonical_dir(path)
         self.semmounts.unmount(canon, namespace_id)
-        self.consistency.on_scope_changed(self._chain_uids(canon),
-                                          include_origins=True)
+        self._changed(canon)
 
     # ==================================================================
     # data consistency
@@ -1053,8 +1056,9 @@ class HacFileSystem:
             if canon == "/":
                 self.consistency.reevaluate_all()
             else:
-                self.consistency.on_scope_changed(self._chain_uids(canon),
-                                                  include_origins=True)
+                # the reindex may have changed a file in any directory below
+                self.consistency.on_scope_changed(
+                    self.dirmap.subtree_uids(canon))
         self._publish_engine()
         return plan
 

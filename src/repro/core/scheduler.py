@@ -50,6 +50,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.links import Target
+from repro.util import pathutil
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
@@ -214,7 +215,7 @@ class MaintenanceScheduler:
                                path=path, mtime=mtime)
             self._enqueue(entry)
         entry.tenant = self._resolve_tenant(path)
-        self._note_origin(path)
+        self._note_origin(pathutil.dirname(path))
         self._after_event()
 
     def note_remove(self, key, parent_dir: str) -> bool:
@@ -238,7 +239,7 @@ class MaintenanceScheduler:
                                tombstoned=key in engine, path="", mtime=0.0)
             entry.tenant = self._resolve_tenant(parent_dir)
             self._enqueue(entry)
-        self._note_origin_dir(parent_dir)
+        self._note_origin(parent_dir)
         self._after_event()
         return had_doc
 
@@ -274,7 +275,7 @@ class MaintenanceScheduler:
                                    mtime=mtime)
             self._enqueue(entry)
         entry.tenant = self._resolve_tenant(new_path)
-        self._note_origin(new_path)
+        self._note_origin(pathutil.dirname(new_path))
         self._after_event()
 
     def note_rename(self, key, new_path: str) -> None:
@@ -447,22 +448,10 @@ class MaintenanceScheduler:
     def _split_origins(self, tenant: str):
         """Partition queued origin UIDs into (drained, kept): a tenant
         drain cascades only over directories inside the tenant subtree."""
-        resolver = self._tenant_resolver
-        drained: List[int] = []
-        kept: set = set()
-        for uid in self._origins:
-            path = self.hacfs.dirmap.path_of(uid)
-            owner = None
-            if path is not None and resolver is not None:
-                try:
-                    owner = resolver(path)
-                except Exception:
-                    owner = None
-            if owner == tenant:
-                drained.append(uid)
-            else:
-                kept.add(uid)
-        return sorted(drained), kept
+        path_of = self.hacfs.dirmap.path_of
+        drained = sorted(uid for uid in self._origins
+                         if self._resolve_tenant(path_of(uid)) == tenant)
+        return drained, self._origins.difference(drained)
 
     def _apply_batch(self, entries: List[PendingDoc],
                      origins: List[int],
@@ -484,8 +473,7 @@ class MaintenanceScheduler:
                     for entry in group:
                         ops += self._apply_one(entry)
             if origins:
-                self.hacfs.consistency.on_scope_changed(
-                    origins, include_origins=True)
+                self.hacfs.consistency.on_scope_changed(origins)
             # segmented storage rides the same intent: a memtable past its
             # seal threshold is frozen and the segment list synced to disk
             # under this batch's pre-image capture (no-op otherwise)
@@ -547,14 +535,10 @@ class MaintenanceScheduler:
             return
         self._pending[entry.key] = entry
 
-    def _note_origin(self, path: str) -> None:
-        from repro.util import pathutil
-
-        self._note_origin_dir(pathutil.dirname(pathutil.normalize(path)))
-
-    def _note_origin_dir(self, dirpath: str) -> None:
+    def _note_origin(self, dirpath: str) -> None:
+        """Queue the changed directory by uid, which a rename keeps."""
         try:
-            self._origins.update(self.hacfs._chain_uids(dirpath))
+            self._origins.add(self.hacfs.changed_uid(dirpath))
         except Exception:
             self._origins.add(0)
 

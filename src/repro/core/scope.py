@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Scope:
     """The scope a directory provides to queries beneath it."""
 
-    __slots__ = ("local", "remote", "namespaces")
+    __slots__ = ("local", "remote", "namespaces", "fed")
 
     def __init__(self, local: Optional[Bitmap] = None,
                  remote: Optional[Set[RemoteId]] = None,
@@ -46,6 +46,9 @@ class Scope:
         self.local = local if local is not None else Bitmap()
         self.remote = remote if remote is not None else set()
         self.namespaces = namespaces if namespaces is not None else set()
+        #: the directories of the local symlink targets followed (``/`` for
+        #: a text not its target's canonical path, which any change may re-aim)
+        self.fed: Set[str] = set()
 
     def describe(self) -> dict:
         """Structured composition, the shape ``hac.health()`` nests and the
@@ -103,25 +106,23 @@ class ScopeResolver:
         if links.bound is not self.hacfs.engine:
             state.result_cache = self.hacfs.consistency.ids_of(
                 links.all_targets())
-        local = state.result_cache & self.hacfs.engine.all_docs()
-        remote = {t.remote_id() for t in links.remote}
-        remote.update(t.remote_id() for t in links.permanent.values()
-                      if t.is_remote)
+        scope = Scope(local=state.result_cache & self.hacfs.engine.all_docs(),
+                      remote={t.remote_id() for t in links.remote},
+                      namespaces=set(self.hacfs.semmounts.namespaces_at(path)))
+        scope.remote.update(t.remote_id() for t in links.permanent.values()
+                            if t.is_remote)
         # regular files placed directly in the directory are part of the
         # curated result ("adding regular files to that directory", §2.3)
-        self._add_tree_members(path, local, remote, recurse=False)
-        namespaces = set(self.hacfs.semmounts.namespaces_at(path))
-        return Scope(local=local, remote=remote, namespaces=namespaces)
+        self._add_tree_members(path, scope, recurse=False)
+        return scope
 
     def _syntactic_scope(self, path: str) -> Scope:
-        local = Bitmap()
-        remote: Set[RemoteId] = set()
-        self._add_tree_members(path, local, remote, recurse=True)
-        namespaces = set(self.hacfs.semmounts.namespaces_under(path))
-        return Scope(local=local, remote=remote, namespaces=namespaces)
+        scope = Scope(namespaces=set(self.hacfs.semmounts.namespaces_under(path)))
+        self._add_tree_members(path, scope, recurse=True)
+        return scope
 
-    def _add_tree_members(self, top: str, local: Bitmap,
-                          remote: Set[RemoteId], recurse: bool) -> None:
+    def _add_tree_members(self, top: str, scope: Scope,
+                          recurse: bool) -> None:
         """One read of the live tree at *top*: every indexed regular file,
         plus the targets of symlinks in plain directories (a semantic
         directory's links are its result, taken from its link table)."""
@@ -135,9 +136,10 @@ class ScopeResolver:
             for name in filenames:
                 node = dirnode.entries[name]
                 if isinstance(node, FileNode):
-                    self._add_doc((owner.fsid, node.ino), local)
+                    self._add_doc((owner.fsid, node.ino), scope.local)
                 elif not dir_is_semantic:
-                    self._add_symlink_target(node, local, remote)
+                    self._add_symlink_target(pathutil.join(dirpath, name),
+                                             node, scope)
 
     def _add_doc(self, key, local: Bitmap) -> None:
         """Add the document indexed under *key*; an unindexed file is in
@@ -146,18 +148,22 @@ class ScopeResolver:
         if doc_id is not None:
             local.add(doc_id)
 
-    def _add_symlink_target(self, node: SymlinkNode,
-                            local: Bitmap, remote: Set[RemoteId]) -> None:
+    def _add_symlink_target(self, entry: str, node: SymlinkNode,
+                            scope: Scope) -> None:
+        """What the symlink at *entry* leads to, followed as a read would."""
         target = node.target
         if "://" in target:
             try:
-                remote.add(RemoteId.from_uri(target))
+                scope.remote.add(RemoteId.from_uri(target))
             except ValueError:
                 pass
             return
         try:
-            res = self.hacfs.fs.resolve(target, follow=True)
+            res = self.hacfs.fs.resolve(entry, follow=True)
         except Exception:
-            return  # dangling link: contributes nothing (data inconsistency)
+            scope.fed.add("/")   # dangling: nothing, until a change aims it
+            return
         if isinstance(res.node, FileNode):
-            self._add_doc((res.fs.fsid, res.node.ino), local)
+            self._add_doc((res.fs.fsid, res.node.ino), scope.local)
+        canonical = self.hacfs._live_path(res.fs.fsid, res.node.ino)
+        scope.fed.add(pathutil.dirname(target) if canonical == target else "/")

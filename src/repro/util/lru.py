@@ -51,10 +51,6 @@ class LRUCache(Generic[K, V]):
             return self._data.popitem(last=False)
         return None
 
-    def invalidate(self, key: K) -> bool:
-        """Drop *key*; True when it was present."""
-        return self._data.pop(key, _MISSING) is not _MISSING
-
     def clear(self) -> None:
         self._data.clear()
 

@@ -96,6 +96,69 @@ class TestNamedCases:
         assert names(watched, "/sem/sub") == {"new.txt"}
         assert_links_from_scratch(watched)
 
+    def test_a_link_fed_parent_sees_its_target_move_and_change(self):
+        """``/d0``'s scope holds ``/w/a.txt`` through a symlink, so a change
+        in ``/w`` reaches ``/d0/q`` although ``/w`` is no ancestor of it:
+        the target renamed away, renamed back, and rewritten."""
+        hac = HacFileSystem()
+        hac.makedirs("/w")
+        hac.makedirs("/d0")
+        hac.watch("/")
+        hac.write_file("/w/a.txt", b"alpha\n")
+        hac.symlink("/w/a.txt", "/d0/link")
+        hac.smkdir("/d0/q", "alpha")
+        assert names(hac, "/d0/q") == {"a.txt"}
+        hac.rename("/w/a.txt", "/w/b.txt")
+        assert names(hac, "/d0/q") == set()
+        assert_links_from_scratch(hac)
+        hac.rename("/w/b.txt", "/w/a.txt")
+        assert names(hac, "/d0/q") == {"a.txt"}
+        assert_links_from_scratch(hac)
+        hac.write_file("/w/a.txt", b"beta\n")
+        assert names(hac, "/d0/q") == set()
+        assert_links_from_scratch(hac)
+
+    def test_a_link_through_another_directory_counts_as_fed_from_anywhere(
+            self):
+        """``/d0/link`` reaches its file through ``/x/alias``: re-aiming
+        the alias changes ``/d0``'s scope from ``/x``, which is neither
+        above ``/d0`` nor above the file."""
+        hac = HacFileSystem()
+        for path in ("/w", "/v", "/x", "/d0"):
+            hac.mkdir(path)
+        hac.watch("/")
+        hac.write_file("/w/a.txt", b"alpha\n")
+        hac.write_file("/v/a.txt", b"beta\n")
+        hac.symlink("/w", "/x/alias")
+        hac.symlink("/x/alias/a.txt", "/d0/link")
+        hac.smkdir("/d0/q", "alpha")
+        assert names(hac, "/d0/q") == {"a.txt"}
+        hac.unlink("/x/alias")
+        hac.symlink("/v", "/x/alias")
+        assert names(hac, "/d0/q") == set()
+        assert_links_from_scratch(hac)
+
+    def test_a_query_set_over_links_changes_what_its_plain_parent_provides(
+            self):
+        """``/p/d``'s symlink feeds ``/p``'s scope while ``/p/d`` is plain;
+        given a query it becomes a permanent link, which no plain scope
+        reads, so ``/p/q`` (under ``/p``) loses the file — and gets it
+        back when the query goes."""
+        hac = HacFileSystem()
+        hac.makedirs("/files")
+        hac.makedirs("/p/d")
+        hac.watch("/")
+        hac.write_file("/files/x.txt", b"alpha\n")
+        hac.symlink("/files/x.txt", "/p/d/x")
+        hac.smkdir("/p/q", "alpha")
+        assert names(hac, "/p/q") == {"x.txt"}
+        hac.set_query("/p/d", "beta")
+        assert names(hac, "/p/q") == set()
+        assert_links_from_scratch(hac)
+        hac.set_query("/p/d", None)
+        assert names(hac, "/p/q") == {"x.txt"}
+        assert_links_from_scratch(hac)
+
     def test_killed_shard_keeps_links_flags_and_heals(self):
         hac = HacFileSystem(backend="cluster:3")
         hac.makedirs("/files")
@@ -118,14 +181,20 @@ class TestNamedCases:
 
 class TestBugRegressions:
     def test_permanent_link_follows_its_renamed_target(self, populated):
+        # /notes/fp sits under a plain directory the renames never touch:
+        # its permanent link's file is where a change must reach it from
         populated.smkdir("/fp", "fingerprint")
-        populated.symlink("/mail/msg2.txt", "/fp/msg2.txt")
+        populated.smkdir("/notes/fp", "recipe")
+        for sd in ("/fp", "/notes/fp"):
+            populated.symlink("/mail/msg2.txt", f"{sd}/msg2.txt")
         populated.rename("/mail/msg2.txt", "/mail/msg2b.txt")
-        assert populated.readlink("/fp/msg2.txt") == "/mail/msg2b.txt"
-        assert populated.exists("/fp/msg2.txt")
-        assert populated.classify("/fp/msg2.txt") == "permanent"
+        for sd in ("/fp", "/notes/fp"):
+            assert populated.readlink(f"{sd}/msg2.txt") == "/mail/msg2b.txt"
+            assert populated.exists(f"{sd}/msg2.txt")
+            assert populated.classify(f"{sd}/msg2.txt") == "permanent"
         populated.rename("/mail", "/post")
-        assert populated.readlink("/fp/msg2.txt") == "/post/msg2b.txt"
+        for sd in ("/fp", "/notes/fp"):
+            assert populated.readlink(f"{sd}/msg2.txt") == "/post/msg2b.txt"
         assert populated.readlink("/fp/msg1.txt") == "/post/msg1.txt"
         assert populated.fsck() == []
 
@@ -306,7 +375,7 @@ class TestExactCounts:
         hac.write_file("/a/b/f.txt", b"x\n")
         hac.counters.reset()
         hac.unlink("/a/b/f.txt")
-        assert hac.counters.get("consistency.cascades") == 1
+        assert hac.counters.get("consistency.cascades") == 0
         assert not [k for k, _v in hac.counters.items()
                     if k.startswith("consistency.") and k != "consistency.cascades"]
         assert hac.counters.get("sched.barrier_drains") == 0
@@ -320,3 +389,54 @@ class TestExactCounts:
                             lambda self: calls.append(1) or real(self))
         populated.smkdir("/fp", "fingerprint")
         assert len(names(populated, "/fp")) == 3 and calls == [1]
+
+
+@pytest.fixture
+def thousand_plain(monkeypatch):
+    """1 000 plain directories beside a watched ``/w`` holding one file,
+    and no semantic directory; yields (hac, sorts) where *sorts* counts
+    the dependency graph's topological sorts."""
+    from repro.core.depgraph import DependencyGraph
+
+    hac = HacFileSystem()
+    for i in range(1000):
+        hac.mkdir(f"/d{i}")
+    hac.mkdir("/w")
+    hac.watch("/w")
+    hac.write_file("/w/a.txt", b"alpha\n")
+    sorts = []
+    real = DependencyGraph._topo_sort
+    monkeypatch.setattr(DependencyGraph, "_topo_sort",
+                        lambda self, nodes: sorts.append(1) or real(self, nodes))
+    hac.counters.reset()
+    return hac, sorts
+
+
+class TestReach:
+    """A cascade reaches only what the change can reach: a plain
+    directory is no node of the dependency graph, so with no semantic
+    directory a change seeds nothing, and one beside the change is not
+    re-evaluated."""
+
+    @pytest.mark.parametrize("change", [
+        lambda hac: hac.rename("/w/a.txt", "/w/b.txt"),
+        lambda hac: hac.unlink("/w/a.txt"),
+        lambda hac: hac.write_file("/w/a.txt", b"beta\n"),
+    ], ids=["rename", "unlink", "watched-write"])
+    def test_no_semantic_directory_no_cascade_no_sort(self, thousand_plain,
+                                                      change):
+        hac, sorts = thousand_plain
+        change(hac)
+        assert hac.counters.get("consistency.cascades") == 0
+        assert sorts == []
+
+    def test_a_semantic_directory_beside_the_change_is_not_reevaluated(
+            self, thousand_plain):
+        hac, _sorts = thousand_plain
+        hac.smkdir("/d0/q", "alpha")
+        hac.counters.reset()
+        for i in range(20):
+            hac.rename("/w/a.txt", "/w/b.txt")
+            hac.rename("/w/b.txt", "/w/a.txt")
+        assert hac.counters.get("consistency.reevaluations") == 0
+        assert_links_from_scratch(hac)

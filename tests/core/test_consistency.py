@@ -134,7 +134,7 @@ class TestAlgorithmGuarantees:
             return hac, uid0
 
         topo, uid0 = chain_with_head_prohibition()
-        topo.consistency.on_scope_changed([uid0], include_origins=True)
+        topo.consistency.on_scope_changed([uid0])
         assert topo.counters.get("consistency.reevaluations") == depth
 
         blind, _ = chain_with_head_prohibition()
@@ -201,6 +201,32 @@ class TestDirRefQueries:
             populated.set_query("/a2", "fingerprint AND /b2")
         assert populated.get_query("/a2") == "fingerprint"
         assert names(populated, "/b2") == {"msg1.txt"}
+
+    def test_naming_a_plain_directory_below_is_no_cycle(self, populated):
+        """A plain scope excludes its semantic descendants' links, so a
+        plain directory depends on nothing: naming one below the query's
+        own directory closes no cycle.  Making it semantic would."""
+        from repro.errors import DependencyCycle
+        from tests.properties.reference import assert_links_from_scratch
+
+        populated.makedirs("/s/x")
+        populated.write_file("/s/x/in.txt", b"fingerprint below\n")
+        populated.write_file("/s/out.txt", b"fingerprint beside\n")
+        populated.makedirs("/s2/p")
+        populated.write_file("/s2/p/a.txt", b"fingerprint alice\n")
+        populated.write_file("/s2/p/b.txt", b"fingerprint bob\n")
+        populated.ssync("/")
+        populated.smkdir("/s2/p/t", "alice")
+        populated.set_query("/s", "fingerprint AND /s/x")
+        populated.set_query("/s2", "fingerprint AND NOT /s2/p/t")
+        assert names(populated, "/s") == {"in.txt"}
+        assert {"b.txt", "msg1.txt"} <= names(populated, "/s2")
+        assert "a.txt" not in names(populated, "/s2")
+        assert_links_from_scratch(populated)
+        with pytest.raises(DependencyCycle):
+            populated.set_query("/s/x", "fingerprint")
+        assert populated.get_query("/s/x") is None
+        assert_links_from_scratch(populated)
 
     def test_removed_referenced_dir_resolves_empty(self, populated):
         populated.smkdir("/fp", "fingerprint")

@@ -72,10 +72,16 @@ class TestDetection:
         assert "stale-link-text" in kinds(findings)
 
     def test_bad_hierarchy_edge(self, populated):
-        uid = populated.dirmap.uid_of("/notes")
-        other = populated.dirmap.uid_of("/mail")
-        populated.depgraph.set_hierarchy_edge(uid, other)
-        assert "bad-hierarchy-edge" in kinds(hacfsck(populated))
+        """Records that place a semantic directory under one whose query
+        names it: the hierarchy edge closes a cycle the graph refuses."""
+        from repro.cba.queryparser import parse_query
+
+        populated.smkdir("/fp", "fingerprint")
+        populated.smkdir("/fp/sub", "alice")
+        state = populated.meta.require(populated.dirmap.uid_of("/fp"))
+        state.query = parse_query("fingerprint OR /fp/sub",
+                                  resolve_dir=populated.dirmap.uid_of)
+        assert "cycle" in kinds(hacfsck(populated))
 
     def test_finding_str(self, populated):
         populated.meta.create(777, None, "stray")

@@ -13,8 +13,9 @@ class TestOrdinaryUse:
         uid = hacfs.dirmap.uid_of("/a")
         assert uid is not None
         assert hacfs.meta.get(uid) is not None
-        assert uid in hacfs.depgraph
-        assert hacfs.depgraph.hierarchy_parent(uid) == 0
+        # a plain directory depends on nothing: no node of the graph
+        assert uid not in hacfs.depgraph
+        assert hacfs.depgraph.dependents_of(uid) == set()
 
     def test_mkdir_persists_records(self, hacfs):
         before = hacfs.metadata_bytes()
@@ -130,7 +131,8 @@ class TestRenameBookkeeping:
         assert hacfs.dirmap.uid_of("/a/b/c") is None
 
     def test_dir_rename_reparents_depgraph(self, hacfs):
-        hacfs.makedirs("/a/b")
+        hacfs.makedirs("/a")
+        hacfs.smkdir("/a/b", "anything")
         hacfs.mkdir("/x")
         uid_b = hacfs.dirmap.uid_of("/a/b")
         uid_x = hacfs.dirmap.uid_of("/x")

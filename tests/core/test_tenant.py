@@ -319,13 +319,14 @@ class TestIsolationAndScoping:
         assert sorted(acme.links("/q")) == ["a.txt"]
 
     def test_cross_tenant_cascades_are_pruned(self, hac, acme, buyco):
+        """A tenant's directories have parents, references and link texts
+        inside its own root, so a change in another tenant seeds none."""
         acme.write_file("/a.txt", b"fingerprint alpha")
         buyco.smkdir("/q", "fingerprint")
         buyco.barrier()
         before = hac.counters.get("consistency.reevaluations")
         acme.write_file("/a2.txt", b"fingerprint alpha two")
         acme.barrier()
-        assert hac.counters.get("consistency.cross_tenant_skips") >= 1
         # buyco's directory did not re-evaluate on acme's write
         assert hac.counters.get("consistency.reevaluations") == before
 

@@ -105,7 +105,8 @@ class TestSoak:
         for uid, path in list(world.dirmap.items()):
             assert world.fs.isdir(path), path
             assert world.meta.get(uid) is not None, path
-            assert uid in world.depgraph
+            assert (uid in world.depgraph) \
+                == (uid == 0 or world.meta.get(uid).is_semantic), path
         # every live directory is registered
         from repro.vfs.walker import walk
         for dirpath, _d, _f, _listed in walk(world.fs, "/"):

@@ -25,10 +25,13 @@ from repro.util.stats import Counters
 
 def graph_shape(graph: DependencyGraph):
     """Everything a dependency graph says, as plain comparable data:
-    ``{uid: (hierarchy parent, providers by kind, dependents)}``."""
-    return {uid: (graph.hierarchy_parent(uid), graph.providers_of(uid),
-                  graph.dependents_of(uid))
-            for uid in graph.nodes()}
+    ``{node: (hierarchy parent, providers by kind)}`` and
+    ``{provider: dependents}`` over every node and every directory a node
+    depends on — plain and gone ones included."""
+    nodes = {uid: (graph.hierarchy_parent(uid), graph.providers_of(uid))
+             for uid in graph.nodes()}
+    providers = set(nodes).union(*(kinds for _p, kinds in nodes.values()))
+    return nodes, {uid: graph.dependents_of(uid) for uid in providers}
 
 
 def map_from_records(device) -> GlobalDirectoryMap:

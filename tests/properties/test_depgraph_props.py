@@ -1,11 +1,12 @@
 """Property tests: the dependency DAG cross-checked against networkx.
 
-Random edge-insertion histories must (a) accept exactly the edges networkx
-says keep the graph acyclic, (b) produce orders networkx validates as
-topological, and (c) leave the maintained graph equal, after every step,
-to the one ``derive`` rebuilds from a global map and the queries alone —
-whose single whole-graph validation must reject exactly what the per-edge
-check rejected — and that map equal to the one the records' places load.
+Random edge-insertion histories among semantic directories and the plain
+ones they may name must (a) accept exactly the edges networkx says keep
+the graph acyclic, (b) produce orders networkx validates as topological,
+and (c) leave the maintained graph equal, after every step, to the one
+``derive`` rebuilds from a global map and the queries alone — whose
+single whole-graph validation must reject exactly what the per-edge check
+rejected — and that map equal to the one the records' places load.
 """
 
 import networkx as nx
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DependencyCycle
-from repro.cba.queryast import DirRef, Or
+from repro.cba.queryast import DirRef, Or, Term
 from repro.core.depgraph import ROOT_UID, DependencyGraph
 from repro.core.semdir import MetaStore
 from repro.util.idmap import GlobalDirectoryMap
@@ -24,17 +25,19 @@ from repro.vfs.blockdev import BlockDevice
 from tests.properties.derived import assert_map_is_derived, graph_shape
 
 N_NODES = 8
+#: plain directories a query may name: providers that depend on nothing
+N_PLAIN = 2
 
 edge_ops = st.lists(
     st.tuples(st.integers(min_value=1, max_value=N_NODES),     # dependent
-              st.integers(min_value=1, max_value=N_NODES)),    # provider
+              st.integers(min_value=1, max_value=N_NODES + N_PLAIN)),
     max_size=25)
 
 
 def naming(uids):
     """A query whose directory references are exactly *uids*."""
     refs = [DirRef(uid) for uid in sorted(uids)]
-    return Or(refs) if len(refs) > 1 else refs[0]
+    return Or(refs) if len(refs) > 1 else refs[0] if refs else Term("x")
 
 
 def build(ops):
@@ -44,12 +47,14 @@ def build(ops):
     model = nx.DiGraph()
     model.add_node(ROOT_UID)
     dirmap, meta = GlobalDirectoryMap(), MetaStore(BlockDevice())
-    for uid in range(1, N_NODES + 1):
-        graph.add_node(uid)
-        graph.set_hierarchy_edge(uid, ROOT_UID)
-        model.add_edge(ROOT_UID, uid)
+    for uid in range(1, N_NODES + N_PLAIN + 1):
         assert dirmap.register(f"/d{uid}") == uid
         meta.create(uid, ROOT_UID, f"d{uid}")
+        model.add_node(uid)
+        if uid <= N_NODES:
+            graph.add_node(uid, ROOT_UID)
+            meta.require(uid).query = naming(())
+            model.add_edge(ROOT_UID, uid)
     refs = {uid: set() for uid in range(1, N_NODES + 1)}
     for dependent, provider in ops:
         wanted = refs[dependent] | {provider}
@@ -90,17 +95,19 @@ def test_cycle_rejection_matches_networkx(ops):
 def test_full_order_is_topological(ops):
     graph, model = build(ops)
     order = graph.full_order()
-    assert sorted(order) == sorted(model.nodes)
+    assert sorted(order) == list(range(N_NODES + 1))
     position = {uid: i for i, uid in enumerate(order)}
     for provider, dependent in model.edges:
-        assert position[provider] < position[dependent], (provider, dependent)
+        if provider <= N_NODES:   # a plain provider is no node
+            assert position[provider] < position[dependent], \
+                (provider, dependent)
 
 
 @settings(max_examples=50, deadline=None)
-@given(edge_ops, st.integers(min_value=0, max_value=N_NODES))
+@given(edge_ops, st.integers(min_value=0, max_value=N_NODES + N_PLAIN))
 def test_affected_set_matches_descendants(ops, start):
     graph, model = build(ops)
-    affected = graph.affected_order(start)
+    affected = graph.affected_order(graph.dependents_of(start))
     expected = nx.descendants(model, start) if start in model else set()
     assert set(affected) == expected
     position = {uid: i for i, uid in enumerate(affected)}

@@ -203,10 +203,11 @@ def all_names(fs: FileSystem):
 def test_storm_keeps_the_graph_derived(seed, backend=None):
     """Directory moves (under older and younger directories alike, some
     onto an empty directory they replace), queries naming random
-    directories (some rejected as cycles and rolled back), detaches,
+    directories (the ones that would close a cycle through semantic
+    directories rejected and rolled back), detaches,
     removals of referenced directories, a mount and its unmount, writes
     through a link to a file and through a link to a watched directory,
-    and a tenant resolving references in its own name space: after
+    renames of a file that a plain storm directory links to, and a tenant resolving references in its own name space: after
     **every** step, accepted or refused, the map HAC maintains is the map
     its records' places load, the graph HAC maintains is the graph its map
     and queries imply, every semantic directory's links are the links a
@@ -232,6 +233,9 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
     hac.write_file("/top.txt", b"alpha at the top")
     hac.symlink("/top.txt", "/flink")
     hac.symlink("/c/m0", "/dlink")
+    # a plain storm directory links to the file the writes go to and the
+    # renames move: a semantic directory placed under it is link-fed
+    hac.symlink("/c/m0/f.txt", "/a/m1/clink")
     tenant_roots = hac.watches.roots()
     watched = hac.fs.resolve(hac.watch("/c/m0")).node.ino
 
@@ -271,9 +275,15 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
             elif r < 0.84 and mounted_at is not None:
                 hac.unmount(mounted_at)
                 mounted_at = None
-            elif r < 0.96:
+            elif r < 0.92:
                 hac.write_file(rng.choice(["/flink", "/dlink/f.txt"]),
                                f"alpha written at {step}".encode())
+            elif r < 0.96:
+                # the linked file moves away and back
+                names = ["/dlink/f.txt", "/dlink/g.txt"]
+                if not hac.exists(names[0]):
+                    names.reverse()
+                hac.rename(*names)
             else:
                 tenant.smkdir(f"/q{step}", "alpha AND /src")
         except ReproError:

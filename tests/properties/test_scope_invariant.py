@@ -12,7 +12,9 @@ We drive a HAC file system with hypothesis-chosen operation sequences
 topology of semantic directories, then check the invariant exhaustively.
 
 On a *watched* tree the index is fresh after every drain, so there the
-stronger claim holds step by step: what the cascade maintains — link
+stronger claim holds step by step, over a topology that also has a plain
+directory of links (``/shelf``) feeding a semantic child and named by a
+query, and over moves of a plain directory that holds the files: what the cascade maintains — link
 tables, symlink entries, their texts, the result — is what a from-scratch
 evaluation gives (``reference.assert_links_from_scratch``), and what a
 reload would build from the records and the tree
@@ -43,19 +45,36 @@ ops = st.lists(
               st.integers(min_value=0, max_value=4)),
     max_size=14)
 
+#: the same mix plus edits of a plain directory that only links
+#: (``shelve``) and the move of a plain directory that holds files
+#: (``mvdir``, there and back on alternate calls)
+shelf_ops = st.lists(
+    st.tuples(st.sampled_from(["write", "unlink", "rename", "rmlink",
+                               "addlink", "requery", "tick", "shelve",
+                               "mvdir"]),
+              st.integers(min_value=0, max_value=9),
+              st.integers(min_value=0, max_value=4)),
+    max_size=14)
+
+
+def home(hac):
+    """Where the files live now: ``mvdir`` moves ``/files`` to ``/away``."""
+    return "/files" if hac.isdir("/files") else "/away"
+
 
 def apply_op(hac, op, a, b, rng):
     kind = op
+    files = home(hac)
     try:
         if kind == "write":
             text = " ".join(rng.choices(WORDS, k=rng.randint(2, 8)))
-            hac.write_file(f"/files/f{a}.txt", (text + "\n").encode())
+            hac.write_file(f"{files}/f{a}.txt", (text + "\n").encode())
         elif kind == "unlink":
-            path = f"/files/f{a}.txt"
+            path = f"{files}/f{a}.txt"
             if hac.isfile(path):
                 hac.unlink(path)
         elif kind == "rename":
-            src, dst = f"/files/f{a}.txt", f"/files/g{a}_{b}.txt"
+            src, dst = f"{files}/f{a}.txt", f"{files}/g{a}_{b}.txt"
             if hac.isfile(src) and not hac.exists(dst, follow=False):
                 hac.rename(src, dst)
         elif kind == "rmlink":
@@ -65,7 +84,7 @@ def apply_op(hac, op, a, b, rng):
                 hac.unlink(f"{sd}/{names[b % len(names)]}")
         elif kind == "addlink":
             sd = ["/sem1", "/sem2"][a % 2]
-            target = f"/files/f{b}.txt"
+            target = f"{files}/f{b}.txt"
             link = f"{sd}/manual{a}_{b}"
             if hac.isfile(target) and not hac.exists(link, follow=False):
                 hac.symlink(target, link)
@@ -74,6 +93,16 @@ def apply_op(hac, op, a, b, rng):
             hac.set_query(sd, WORDS[b % len(WORDS)])
         elif kind == "tick":
             hac.clock.tick()
+        elif kind == "shelve":
+            # the text spelt three ways: where the file is, relative to
+            # the shelf, and through another link; it may name no file
+            text = [f"{files}/f{b}.txt", f"..{files}/f{b}.txt",
+                    f"/shelf/l{b}"][a % 3]
+            link = f"/shelf/s{a}_{b}"
+            if not hac.exists(link, follow=False):
+                hac.symlink(text, link)
+        elif kind == "mvdir":
+            hac.rename(files, "/away" if files == "/files" else "/files")
     except Exception:
         raise
 
@@ -145,7 +174,7 @@ def test_scope_invariant_after_random_history(op_list, seed):
                                           ("cluster:3", "batched")])
 def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
     @settings(max_examples=15, deadline=None)
-    @given(ops, st.integers(min_value=0, max_value=99))
+    @given(shelf_ops, st.integers(min_value=0, max_value=99))
     def run(op_list, seed):
         rng = random.Random(seed)
         hac = HacFileSystem(backend=backend)
@@ -159,6 +188,13 @@ def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
         hac.smkdir("/sem1/sub", "kernel OR alpha OR fingerprint")
         hac.smkdir("/sem2", "beta OR /sem1")
         hac.smkdir("/files/own", "NOT gamma")
+        # a plain shelf of links: its child's parent scope is only link
+        # targets, and a directory under a plain parent names the shelf
+        hac.mkdir("/shelf")
+        for i in range(3):
+            hac.symlink(f"/files/f{i}.txt", f"/shelf/l{i}")
+        hac.smkdir("/shelf/pick", "alpha")
+        hac.smkdir("/files/shelved", "beta OR /shelf")
         for step, (op, a, b) in enumerate(op_list):
             apply_op(hac, op, a, b, rng)
             # batched: every other step stays pending into the next op, so

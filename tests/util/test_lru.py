@@ -34,13 +34,6 @@ class TestLRU:
         assert c.get("a") == 10
         assert len(c) == 2
 
-    def test_invalidate(self):
-        c = LRUCache(2)
-        c.put("a", 1)
-        assert c.invalidate("a") is True
-        assert c.invalidate("a") is False
-        assert c.get("a") is None
-
     def test_stats(self):
         c = LRUCache(1)
         c.put("a", 1)
