@@ -9,6 +9,8 @@ Absolute seconds are meaningless on a Python simulation; the ratios are
 the result.
 """
 
+import statistics
+
 import pytest
 
 from repro.bench.harness import assert_shape, report_phases
@@ -22,25 +24,42 @@ from repro.workloads.andrew import AndrewBenchmark, AndrewConfig, PHASES, RawFsA
 CFG = AndrewConfig(dirs=15, files_per_dir=10, functions_per_file=8)
 
 
-def _min_of(runs):
-    """Per-phase minimum across repetitions — the standard noise filter."""
-    out = {}
-    for phase in list(PHASES) + ["total"]:
-        out[phase] = min(r[phase] for r in runs)
+def _median_of(runs):
+    """Per-phase median across repetitions, and their sum as the total,
+    as the paper's total row sums its phases.  Not the minimum: on a
+    shared CPU the fastest of fifteen runs of a phase is an outlier of its
+    own, and the ratio of two such outliers swung Make from 0.80x to 1.33x
+    between processes."""
+    out = {phase: statistics.median(r[phase] for r in runs)
+           for phase in PHASES}
+    out["total"] = sum(out.values())
     return out
 
 
-def run_pair(repetitions: int = 3):
+def run_pair(repetitions: int = 15):
+    """UNIX and HAC interleaved phase by phase in every repetition, with
+    the side that goes first alternating, so a stretch of machine noise
+    lands on both sides of a phase alike; each side keeps its per-phase
+    median (a makedir phase is a few hundred microseconds)."""
     import gc
 
+    runs = {"unix": [], "hac": []}
     gc.collect()
     gc.disable()
     try:
-        unix = _min_of([AndrewBenchmark(RawFsAdapter(FileSystem()), CFG).run()
-                        for _ in range(repetitions)])
-        hac = _min_of([AndrewBenchmark(HacFileSystem(), CFG).run()
-                       for _ in range(repetitions)])
-        return unix, hac
+        for rep in range(repetitions):
+            gc.collect()
+            benches = {"unix": AndrewBenchmark(RawFsAdapter(FileSystem()), CFG),
+                       "hac": AndrewBenchmark(HacFileSystem(), CFG)}
+            for bench in benches.values():
+                bench.install_sources()
+            times = {side: {} for side in benches}
+            for i, phase in enumerate(PHASES):
+                for side in sorted(benches, reverse=bool((rep + i) % 2)):
+                    times[side][phase] = benches[side].run_phase(phase)
+            for side, phases in times.items():
+                runs[side].append(phases)
+        return _median_of(runs["unix"]), _median_of(runs["hac"])
     finally:
         gc.enable()
 

@@ -27,7 +27,7 @@ degrades gracefully: its previous contributions to this directory are kept
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.errors import BackendUnavailable
 from repro.util import pathutil
@@ -69,14 +69,16 @@ class ConsistencyManager:
     # entry points
     # ------------------------------------------------------------------
 
-    def on_scope_changed(self, changed: Iterable[int]) -> int:
-        """Re-evaluate what a change inside the *changed* directories can
-        reach (:meth:`_seeds`), each once, in one topological order.
+    def on_scope_changed(self, changed: Iterable[Tuple[str, int]],
+                         named: Iterable[int] = ()) -> int:
+        """Re-evaluate what a change inside the *changed* directories
+        (nodes ``(fsid, ino)``) and the *named* ones (uids) can reach
+        (:meth:`_seeds`), each once, in one topological order.
 
         Returns the number of semantic directories whose result changed.
         """
         return self._run(self.hacfs.depgraph.affected_order(
-            self._seeds(changed)))
+            self._seeds(changed, named)))
 
     def reevaluate_from(self, uid: int) -> int:
         """Semantic *uid*'s own query or hand-curated links changed —
@@ -93,19 +95,23 @@ class ConsistencyManager:
         self._stats.add("cascades")
         return count
 
-    def _seeds(self, changed: Iterable[int]) -> Set[int]:
-        """The seed rule (docs/SEMANTICS.md §5): a change at directory D
+    def _seeds(self, changed, named) -> Set[int]:
+        """The seed rule (docs/SEMANTICS.md §5): a change at directory D —
+        read at its node's live path, or at a named D's mapped path —
         reaches D if semantic, the dependents of D and of its plain
-        ancestors, and what followed a symlink into D or below; a gone D
-        only what depends on its uid.  O(depth) per D."""
+        ancestors, and what followed a symlink into D or below; a named D
+        the map forgot only what depends on its uid.  O(depth) per D."""
         graph, dirmap = self.hacfs.depgraph, self.hacfs.dirmap
         seeds: Set[int] = set()
-        for uid in changed:
-            seeds.add(uid)
+        paths = [self.hacfs._live_path(*node) for node in changed]
+        for uid in named:
             seeds |= graph.dependents_of(uid)
-            path = dirmap.path_of(uid)
-            if path is None:
-                continue
+            paths.append(dirmap.path_of(uid))
+        for path in filter(None, paths):
+            uid = dirmap.uid_of(path)
+            if uid is not None:
+                seeds.add(uid)
+                seeds |= graph.dependents_of(uid)
             seeds |= graph.fed_from(path)
             for above in map(dirmap.uid_of, pathutil.ancestors(path)):
                 if not graph.is_semantic(above):

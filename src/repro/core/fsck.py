@@ -8,14 +8,14 @@ the invariant "everything HAC believes is true of the tree".
 
 Checks:
 
-* **map↔tree** — every registered path is a live directory, every live
-  directory is registered;
+* **map↔tree** — every registered path is a live directory (a live
+  directory nothing names needs no uid: docs/SEMANTICS.md §1);
 * **state** — every registered directory owns a MetaStore record, and
   every record is one the map places (no orphan records);
 * **graph** — the queries name each other in no cycle;
 * **links** — every tracked link name is a live symlink in its directory,
-  and its text agrees with the tracked target (remote URIs, or the target's
-  current path for local files);
+  and its text leads to the tracked target (a remote URI, or the local
+  file read from the link's own directory);
 * **index** — every indexed document's key resolves to a live file
   (stale entries are legal between syncs — reported as ``stale-doc`` with
   severity "info" — but ino collisions are not).
@@ -33,7 +33,6 @@ from repro.util import pathutil
 from repro.errors import DependencyCycle
 from repro.core.depgraph import DependencyGraph
 from repro.cba.segments import SegmentStore
-from repro.vfs.walker import walk
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
@@ -70,10 +69,6 @@ def hacfsck(hacfs: "HacFileSystem", repair: bool = False) -> List[Finding]:
 # individual passes
 # ----------------------------------------------------------------------
 
-def _live_dirs(hacfs) -> List[str]:
-    return [dirpath for dirpath, _d, _f, _listed in walk(hacfs.fs, "/")]
-
-
 def _check_device(hacfs) -> List[Finding]:
     """Record-store health: checksums and leftover write-ahead intents."""
     out: List[Finding] = []
@@ -94,15 +89,10 @@ def _check_device(hacfs) -> List[Finding]:
 
 def _check_map_vs_tree(hacfs) -> List[Finding]:
     out: List[Finding] = []
-    live = set(_live_dirs(hacfs))
     for uid, path in list(hacfs.dirmap.items()):
-        if path not in live:
+        if not hacfs.is_dir_path(path):
             out.append(Finding("error", "ghost-path", path,
                                f"registered (uid {uid}) but not a live directory"))
-    for path in sorted(live):
-        if hacfs.dirmap.uid_of(path) is None:
-            out.append(Finding("error", "unregistered-dir", path,
-                               "live directory missing from the global map"))
     return out
 
 
@@ -161,7 +151,7 @@ def _check_links(hacfs, repair: bool) -> List[Finding]:
             if expected is None:
                 out.append(Finding("info", "dangling-target", entry,
                                    f"target {target} no longer resolves"))
-            elif text != expected:
+            elif text != expected and hacfs.scopes.link_target(path, text) != target:
                 out.append(Finding("warn", "stale-link-text", entry,
                                    f"symlink says {text!r}, target lives at "
                                    f"{expected!r}"))

@@ -5,9 +5,10 @@ file-system calls for a user's personal name space, with no kernel changes.
 This class is that library: every user-visible operation goes through it,
 and each one carries the extra HAC work the paper describes:
 
-* ``mkdir`` also registers the directory in the global map, creates and
-  persists its (empty) query/link-set record, and adds a node to the
-  dependency graph — the Makedir overhead of Table 1;
+* ``mkdir`` and ``rmdir`` resolve the path in the personal name space and
+  make the VFS call — the Makedir overhead of Table 1.  A directory gets a
+  uid and a record only once something names it: a query, a semantic
+  directory placed in it, or a semantic mount (docs/SEMANTICS.md §1);
 * ``create`` also initialises the attribute-cache entry — the Copy
   overhead;
 * ``stat`` consults the attribute cache — the Scan speed-up;
@@ -24,8 +25,8 @@ re-evaluate queries: data consistency is settled at reindex time (§2.4).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     CorruptRecord,
@@ -33,6 +34,7 @@ from repro.errors import (
     FileExists,
     FileNotFound,
     InvalidArgument,
+    NotADirectory,
     NotASemanticDirectory,
     VfsError,
 )
@@ -51,7 +53,7 @@ from repro.cba import agrep, evaluator
 from repro.cba.backend import open_backend
 from repro.cba.glimpse import DEFAULT_NUM_BLOCKS
 from repro.cba.incremental import ReindexPlan
-from repro.cba.queryast import content_projection
+from repro.cba.queryast import content_projection, rewrite_dir_refs
 from repro.cba.queryparser import parse_query
 from repro.cba.segments import SegmentStore
 from repro.cba.transducers import default_transducer
@@ -63,7 +65,7 @@ from repro.core.journal import Journal
 from repro.core.links import Target
 from repro.core.scheduler import MaintenanceScheduler
 from repro.core.scope import ScopeResolver
-from repro.core.semdir import MetaStore
+from repro.core.semdir import MetaStore, SemanticDirState
 from repro.core.watch import WatchManager
 from repro.core.tenant import TenantManager
 from repro.remote.namespace import NameSpace
@@ -226,22 +228,50 @@ class HacFileSystem:
         return self._live_path(res.fs.fsid, res.node.ino) \
             or pathutil.normalize(path)
 
-    def _uid_of_dir(self, path: str) -> int:
-        uid = self.dirmap.uid_of(self.canonical_dir(path))
-        if uid is None:
-            raise FileNotFound(path, "directory unknown to HAC")
-        return uid
+    def is_dir_path(self, path: str) -> bool:
+        """*path* is a live directory's own (symlink-free) path."""
+        return self.fs.isdir(path) and self.canonical_dir(path) == path
 
-    def changed_uid(self, dirpath: str) -> int:
-        """The uid a change inside *dirpath* is reported under: its own,
-        or its nearest registered ancestor's."""
-        canon = self.canonical_dir(dirpath)
-        uid = self.dirmap.uid_of(canon)
-        return uid if uid is not None else self.dirmap.place_of(canon)[0]
+    def dir_node(self, path: str) -> Tuple[str, int]:
+        """The node ``(fsid, ino)`` of the directory *path* names — what a
+        watch holds, and what a change inside the directory is reported
+        under: a rename keeps it, and the cascade reads its live path
+        (docs/SEMANTICS.md §5)."""
+        res = self.fs.resolve(path)
+        if not res.node.is_dir:
+            raise NotADirectory(path)
+        return res.fs.fsid, res.node.ino
 
     def _changed(self, dirpath: str) -> None:
         """Re-evaluate what a change inside *dirpath* can reach."""
-        self.consistency.on_scope_changed([self.changed_uid(dirpath)])
+        self.consistency.on_scope_changed([self.dir_node(dirpath)])
+
+    def _name(self, path: str) -> int:
+        """The uid of the directory at the canonical *path*, minted with
+        its record when nothing named it yet — inside the intent of the
+        op that names it (docs/SEMANTICS.md §1)."""
+        uid = self.dirmap.uid_of(path)
+        if uid is None:
+            uid = self.dirmap.register(path)
+            self.meta.create(uid, *self.dirmap.place_of(path))
+        return uid
+
+    def _parse(self, query: str, host_path=None):
+        """Parse *query* naming nothing, as a read must: its *n*-th
+        directory reference becomes ``DirRef(n)``, and the returned list's
+        *n*-th entry is that directory's path.  *host_path* maps a
+        reference to a host path first (a tenant's resolve in its own name
+        space)."""
+        paths: List[str] = []
+
+        def resolve(ref: str) -> Optional[int]:
+            path = pathutil.normalize(host_path(ref) if host_path else ref)
+            if not self.is_dir_path(path):
+                return None
+            paths.append(path)
+            return len(paths) - 1
+
+        return parse_query(query, resolve_dir=resolve), paths
 
     def _planned_path(self, path: str) -> str:
         """Canonical path a not-yet-created entry will get (for intents)."""
@@ -320,7 +350,8 @@ class HacFileSystem:
         for path in filter(self.fs.isdir, self.semantic_dirs()):
             state = self.meta.require(self.dirmap.uid_of(path))
             entries = self.fs.resolve(path).node.entries  # type: ignore[union-attr]
-            for name in state.links.adopt(entries, self._target_of_link_text):
+            for name in state.links.adopt(
+                    entries, lambda text: self.scopes.link_target(path, text)):
                 entry = pathutil.join(path, name)
                 if not self.fs.isdir(entry):
                     self.fs.unlink(entry)
@@ -343,49 +374,59 @@ class HacFileSystem:
         return self._live_path(stat.fsid, stat.ino) or norm
 
     def _state_of(self, path: str):
-        uid = self._uid_of_dir(path)
-        return uid, self.meta.require(uid)
+        """The uid and record of the directory *path* names — or, for one
+        nothing names, no uid and the empty record of a plain directory."""
+        uid = self.dirmap.uid_of(self.canonical_dir(path))
+        if uid is not None:
+            return uid, self.meta.require(uid)
+        self.dir_node(path)     # a directory, or raise
+        return None, SemanticDirState(None)
 
     # ==================================================================
     # intercepted hierarchical operations
     # ==================================================================
 
     def mkdir(self, path: str, mode: int = 0o755) -> StatResult:
-        """Create a directory plus its HAC bookkeeping (map, state, node)."""
+        """Create a directory: the VFS call behind the library's own
+        resolution (§4).  Nothing names it yet, so HAC writes nothing."""
         self._hac.add("mkdir")
-        with self._journaled("mkdir", {"path": self._planned_path(path)}):
-            stat = self.fs.mkdir(path, mode=mode)
-            self._register_dir(self.canonical_dir(path))
-        return stat
+        if self.obs.trace.enabled:
+            self.obs.trace.event("hac.mkdir", path=path)
+        self._library_resolve(path)
+        return self.fs.mkdir(path, mode=mode)
 
-    def _register_dir(self, path: str) -> None:
-        """A new directory's uid and record, which places it."""
-        uid = self.dirmap.register(path)
-        self.meta.create(uid, *self.dirmap.place_of(path))
-
-    def _forget_dir(self, path: str) -> None:
-        """A removed directory's uid, record and graph node go."""
+    def _forget_dir(self, path: str) -> int:
+        """A removed directory's uid, graph node and semantic mounts go;
+        returns the uid, whose record the caller drops."""
         uid = self.dirmap.unregister(path)
         if uid in self.depgraph:
             self.depgraph.remove_node(uid)
-        self.meta.drop(uid)
         self.semmounts.drop_uid(uid)
+        return uid
 
     def makedirs(self, path: str, mode: int = 0o755) -> None:
-        norm = pathutil.normalize(path)
+        """``mkdir -p``: each missing directory as ``mkdir`` makes it."""
         built = "/"
-        for comp in pathutil.split_components(norm):
+        for comp in pathutil.split_components(pathutil.normalize(path)):
             built = pathutil.join(built, comp)
             if not self.fs.exists(built):
                 self.mkdir(built, mode=mode)
 
     def rmdir(self, path: str) -> None:
+        """Remove a directory: the VFS call, and — when something named
+        it — its uid and record, under an intent."""
         self._hac.add("rmdir")
         canon = self.canonical_dir(path)
-        with self._journaled("rmdir", {"path": canon}):
+        uid = self.dirmap.uid_of(canon)
+        if uid is None:
             self.fs.rmdir(canon)
-            if self.dirmap.uid_of(canon) is not None:
-                self._forget_dir(canon)
+            return
+        with self._journaled("rmdir", {"path": canon}):
+            # the record goes first: a failure at its writes leaves the
+            # directory untouched — the very node a watch follows
+            self.meta.drop(uid)
+            self.fs.rmdir(canon)
+            self._forget_dir(canon)
 
     def create(self, path: str, mode: int = 0o644) -> StatResult:
         """Create a file; HAC also primes the attribute cache (§4)."""
@@ -472,7 +513,8 @@ class HacFileSystem:
         uid = self.dirmap.uid_of(canon_dir)
         state = self.meta.get(uid) if uid is not None else None
         semantic = state is not None and state.is_semantic
-        resolved = self._target_of_link_text(target) if semantic else None
+        resolved = self.scopes.link_target(canon_dir, target) \
+            if semantic else None
         if resolved is None:
             stat = self.fs.symlink(target, linkpath)
         else:
@@ -492,23 +534,13 @@ class HacFileSystem:
             self._changed(canon_dir)
         return stat
 
-    def _target_of_link_text(self, text: str) -> Optional[Target]:
-        if "://" in text:
-            namespace, _, doc = text.partition("://")
-            return Target.remote(namespace, doc)
-        try:
-            res = self.fs.resolve(text, follow=True)
-        except Exception:
-            return None
-        if isinstance(res.node, FileNode):
-            return Target.local(res.fs.fsid, res.node.ino)
-        return None
-
     def rename(self, old: str, new: str) -> None:
         """Move anything; directory moves update the global map so queries
         referencing the moved directories stay valid (§2.5).  A replaced
         destination goes as it would by hand: an empty directory as an
-        ``rmdir``, a file as an ``unlink``."""
+        ``rmdir``, a file as an ``unlink``.  A directory move that carries
+        and replaces no named directory writes nothing, so it opens no
+        intent."""
         self._hac.add("rename")
         res = self.fs.resolve(old, follow=False)
         moving_dir = res.node.is_dir
@@ -518,23 +550,28 @@ class HacFileSystem:
             over = None
         old_canon = self.canonical_dir(old) if moving_dir else None
         old_norm, new_norm = pathutil.normalize(old), pathutil.normalize(new)
-        changed = [self.changed_uid(pathutil.dirname(old_norm))]
+        new_planned = self._planned_path(new_norm)
+        changed, named = [self.dir_node(pathutil.dirname(old_norm))], ()
         payload = {"old": old_canon if moving_dir else old_norm,
-                   "new": self._planned_path(new_norm), "dir": moving_dir}
-        with self._journaled("rename", payload):
+                   "new": new_planned, "dir": moving_dir}
+        journaled = not moving_dir or self.dirmap.subtree_uids(old_canon) \
+            or self.dirmap.uid_of(new_planned) is not None
+        with self._journaled("rename", payload) if journaled \
+                else nullcontext():
             self.fs.rename(old, new)
             if moving_dir:
                 new_canon = self.canonical_dir(new)
                 if new_canon != old_canon \
                         and self.dirmap.uid_of(new_canon) is not None:
-                    self._forget_dir(new_canon)
+                    self.meta.drop(self._forget_dir(new_canon))
                 moved = self.dirmap.rename_subtree(old_canon, new_canon)
                 # the edge first: a move the graph refuses as a cycle must
-                # not have touched the engine, which no rollback rewinds
+                # not have touched the engine, which no rollback rewinds;
+                # a semantic directory's new parent is named by the move
                 moved_uid = self.dirmap.uid_of(new_canon)
                 if moved_uid in self.depgraph:
-                    self.depgraph.set_hierarchy_edge(moved_uid, self.dirmap.uid_of(
-                        pathutil.dirname(new_canon)))
+                    self.depgraph.set_hierarchy_edge(
+                        moved_uid, self._name(pathutil.dirname(new_canon)))
                 # one-pass path rebase alongside the path map: registry
                 # paths and CAS prefix keys follow the moved subtree
                 # immediately, so scope: queries stay correct without
@@ -548,8 +585,9 @@ class HacFileSystem:
                     if state is not None and state.parent not in moved_uids:
                         state.parent, state.name = self.dirmap.place_of(path)
                         self.meta.flush(uid)
-                # every file below moved: a change inside each directory
-                changed.extend(moved_uids)
+                # every file below moved: a change inside each named
+                # directory (and the old parent's reaches the rest)
+                named = moved_uids
             else:
                 if over is not None and over.node is not res.node \
                         and isinstance(over.node, FileNode):
@@ -561,8 +599,8 @@ class HacFileSystem:
                     live = self.path_for_target(Target.local(*key))
                     if live is not None and not self.watches.on_file_moved(key, live):
                         self.maintenance.note_rename(key, live)
-            changed.append(self.changed_uid(pathutil.dirname(new_norm)))
-            self.consistency.on_scope_changed(changed)
+            changed.append(self.dir_node(pathutil.dirname(new_norm)))
+            self.consistency.on_scope_changed(changed, named)
 
     # -- pass-throughs with caching ------------------------------------------
 
@@ -648,12 +686,16 @@ class HacFileSystem:
     def smkdir(self, path: str, query: str, resolve_dir=None) -> str:
         """Create a semantic directory: a real directory with a query.
 
-        *resolve_dir* overrides how the query's directory references map
-        to UIDs (the tenant facade resolves them inside its namespace).
+        *resolve_dir* maps the query's directory references to host paths
+        (the tenant facade resolves them inside its namespace).
         """
         self._hac.add("smkdir")
-        # one intent for the whole operation — the nested mkdir/set_query
-        # intents join it, so a crash anywhere undoes the directory entirely
+        # a rollback scrubs the directory at the path, so it must be this
+        # op's own
+        if self.fs.exists(path, follow=False):
+            raise FileExists(path)
+        # one intent for the whole operation — the nested set_query intent
+        # joins it, so a crash anywhere undoes the directory entirely
         with self._journaled("smkdir",
                              {"path": self._planned_path(path),
                               "query": query}):
@@ -664,16 +706,24 @@ class HacFileSystem:
 
     def set_query(self, path: str, query: Optional[str],
                   resolve_dir=None) -> None:
-        """Attach, change, or (with None) detach a directory's query."""
+        """Attach, change, or (with None) detach a directory's query.
+        Attaching names the directory, its parent and every directory the
+        query references (docs/SEMANTICS.md §1); *resolve_dir* maps a
+        reference to a host path first."""
         self._hac.add("set_query")
         uid, state = self._state_of(path)
-        canon = self.dirmap.path_of(uid)
+        canon = self.canonical_dir(path)
+        if uid is None and query is None:
+            return      # nothing names it: no query to detach
         # parse before opening the intent: a syntax error is not a mutation
-        ast = None if query is None \
-            else parse_query(query, resolve_dir=resolve_dir
-                             if resolve_dir is not None
-                             else self.dirmap.uid_of)
+        ast, paths = (None, ()) if query is None \
+            else self._parse(query, resolve_dir)
         with self._journaled("set_query", {"path": canon, "query": query}):
+            if ast is not None:
+                self._name(pathutil.dirname(canon))
+                uid = self._name(canon)
+                state = self.meta.require(uid)
+                ast = rewrite_dir_refs(ast, lambda n: self._name(paths[n]))
             # validate/settle the edges first: a cycle must leave the old
             # query fully intact
             graph, refs = self.depgraph, () if ast is None else ast.dir_refs()
@@ -697,7 +747,7 @@ class HacFileSystem:
                 # permanent, not the transient links a load would read
                 entries = self.fs.resolve(canon).node.entries  # type: ignore[union-attr]
                 for name, node in entries.items():
-                    target = self._target_of_link_text(node.target) \
+                    target = self.scopes.link_target(canon, node.target) \
                         if isinstance(node, SymlinkNode) else None
                     if target and name not in state.links.permanent:
                         state.links.add_permanent(name, target)
@@ -707,7 +757,7 @@ class HacFileSystem:
             if ast is None or (state.links.permanent and not was_semantic):
                 # it provides its subtree now, or its symlinks left what
                 # plain scopes read: a change at the directory
-                self.consistency.on_scope_changed([uid])
+                self._changed(canon)
             else:
                 self.consistency.reevaluate_from(uid)
 
@@ -722,7 +772,7 @@ class HacFileSystem:
     def is_semantic(self, path: str) -> bool:
         try:
             _uid, state = self._state_of(path)
-        except (FileNotFound, KeyError):
+        except (VfsError, KeyError):
             return False
         return state.is_semantic
 
@@ -742,7 +792,8 @@ class HacFileSystem:
 
     def query_paths(self, ast, scope: Optional[str] = None,
                     consistency: str = "strong",
-                    tenant: Optional[str] = None) -> List[str]:
+                    tenant: Optional[str] = None,
+                    refs: Sequence[str] = ()) -> List[str]:
         """Host paths of the documents matching a parsed query, unsorted
         — the one answer path behind every ad-hoc ``glimpse``.  The
         answer stays a bitmap until the last line, where the answering
@@ -754,7 +805,8 @@ class HacFileSystem:
         barrier at all.  *scope* is the directory whose provided scope
         bounds the answer — resolved after the barrier, because provided
         scopes read engine state — or ``None`` for everything the
-        answering surface holds.
+        answering surface holds.  *refs* are the paths of the query's
+        directory references (:meth:`_parse`).
         """
         if consistency not in ("strong", "snapshot"):
             raise ValueError(f"unknown consistency level: {consistency!r}")
@@ -773,7 +825,7 @@ class HacFileSystem:
         with span:
             hits = evaluator.evaluate(
                 ast, surface, scope=bitmap,
-                resolve_dirref=lambda uid: self.scopes.provided_by_uid(uid).local)
+                resolve_dirref=lambda n: self.scopes.provided(refs[n]).local)
             span.set(hits=len(hits))
         return surface.paths_of(hits)
 
@@ -791,10 +843,11 @@ class HacFileSystem:
         answers from the whole cut, not the live root's documents.
         """
         consistency = self.admission.admit_read(consistency)
-        ast = parse_query(query, resolve_dir=self.dirmap.uid_of)
+        ast, refs = self._parse(query)
         if consistency == "snapshot" and self.canonical_dir(scope_path) == "/":
             scope_path = None
-        return sorted(self.query_paths(ast, scope_path, consistency))
+        return sorted(self.query_paths(ast, scope_path, consistency,
+                                       refs=refs))
 
     def health(self, path: Optional[str] = None) -> Dict[str, object]:
         """One structured degradation report for the whole name space —
@@ -818,7 +871,8 @@ class HacFileSystem:
         self._hac.add("health")
         directories: Dict[str, Dict[str, object]] = {}
         if path is not None:
-            wanted = [self._uid_of_dir(path)]
+            uid, _state = self._state_of(path)
+            wanted = [uid] if uid is not None else []
         else:
             wanted = list(self.meta.uids())
         for uid in wanted:
@@ -912,7 +966,8 @@ class HacFileSystem:
     def unprohibit(self, dir_path: str, target_text: str) -> bool:
         """Lift a tombstone: *target_text* is a path or ``ns://doc`` URI."""
         uid, state = self._state_of(dir_path)
-        target = self._target_of_link_text(target_text)
+        target = self.scopes.link_target(self.canonical_dir(dir_path),
+                                         target_text)
         if target is None:
             return False
         if target not in state.links.prohibited:
@@ -946,33 +1001,36 @@ class HacFileSystem:
     # ==================================================================
 
     def mount(self, path: str, other: FileSystem) -> None:
-        """Syntactic mount: graft *other* at *path* and adopt its
-        directories into the HAC name space."""
+        """Syntactic mount: graft *other* at *path*.  Its directories are
+        plain ones until something names them."""
         self._hac.add("mount")
         canon = self.canonical_dir(path)
         self.fs.mount(canon, other)
         self._fs_registry[other.fsid] = (other, canon)
-        # adopt every directory of the mounted tree into map/graph/state
-        for dirpath, _dirs, _files, _listed in walk(self.fs, canon):
-            if self.dirmap.uid_of(dirpath) is None:
-                self._register_dir(dirpath)
         self._changed(canon)
 
     def unmount(self, path: str) -> FileSystem:
+        """Detach the file system mounted at *path*; the named directories
+        it held are forgotten, and its watches end."""
         self._hac.add("unmount")
         canon = self.canonical_dir(path)
         detached = self.fs.unmount(canon)
         self._fs_registry.pop(detached.fsid, None)
+        self.watches.forget_fs(detached.fsid)
         gone = self.dirmap.subtree_uids(canon, strict=True)
         for uid in gone:
-            self._forget_dir(self.dirmap.path_of(uid))
-        self.consistency.on_scope_changed([self.changed_uid(canon), *gone])
+            self.meta.drop(self._forget_dir(self.dirmap.path_of(uid)))
+        self.consistency.on_scope_changed([self.dir_node(canon)], gone)
         return detached
 
     def smount(self, path: str, namespace: NameSpace) -> None:
-        """Semantic mount: bind a remote query system at *path* (§3.1)."""
+        """Semantic mount: bind a remote query system at *path* (§3.1),
+        which names the directory."""
         self._hac.add("smount")
         canon = self.canonical_dir(path)
+        if self.dirmap.uid_of(canon) is None:
+            with self._journaled("smount", {"path": canon}):
+                self._name(canon)
         self.semmounts.mount(canon, namespace)
         self._changed(canon)
 
@@ -1058,7 +1116,8 @@ class HacFileSystem:
             else:
                 # the reindex may have changed a file in any directory below
                 self.consistency.on_scope_changed(
-                    self.dirmap.subtree_uids(canon))
+                    [self.dir_node(canon)],
+                    self.dirmap.subtree_uids(canon, strict=True))
         self._publish_engine()
         return plan
 

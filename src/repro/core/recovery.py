@@ -112,12 +112,13 @@ def undo_tree(hacfs: "HacFileSystem", pending: List[Intent | PendingIntent],
 def _undo_one(hacfs: "HacFileSystem", intent: Intent | PendingIntent,
               report: RecoveryReport) -> None:
     op, payload = intent.op, intent.payload
-    if op in ("mkdir", "smkdir"):
+    if op == "smkdir":
         path = str(payload.get("path", ""))
         if path and hacfs.dirmap.uid_of(path) is None and hacfs.fs.isdir(path):
             if _scrub_dir(hacfs, path, report):
                 report.tree_fixes += 1
     elif op == "rmdir":
+        # only a named directory's rmdir is journaled
         path = str(payload.get("path", ""))
         if path and hacfs.dirmap.uid_of(path) is not None \
                 and not hacfs.fs.exists(path, follow=False):
@@ -132,9 +133,9 @@ def _undo_one(hacfs: "HacFileSystem", intent: Intent | PendingIntent,
     elif op == "symlink" and hacfs.fs.islink(payload["path"]):
         hacfs.fs.unlink(payload["path"])
         report.tree_fixes += 1
-    # set_query / unprohibit / reindex / ssync / save_index / sched_batch
-    # touch no tree structure of their own; their symlink churn is
-    # re-evaluated away
+    # set_query / smount / unprohibit / reindex / ssync / save_index /
+    # sched_batch touch no tree structure of their own; their symlink
+    # churn is re-evaluated away
 
 
 def _undo_rename(hacfs: "HacFileSystem", payload, report) -> None:
@@ -145,10 +146,9 @@ def _undo_rename(hacfs: "HacFileSystem", payload, report) -> None:
         and not hacfs.fs.exists(old, follow=False)
     if not moved:
         return
-    # the moved directory's record was rolled back to its old place, so
-    # the map derived from it has the old path; move the tree back
-    if payload.get("dir") and hacfs.dirmap.uid_of(old) is None:
-        return
+    # the records of what the move carried — or of the directory it
+    # replaced — were rolled back: they place it at the old path, whether
+    # or not the moved directory itself is named, so move the tree back.
     # a replaced destination inode is unrecoverable (no data journal);
     # reversing the move itself still restores name-level atomicity
     hacfs.fs.rename(new, old)
@@ -179,7 +179,7 @@ def _retext_links(hacfs: "HacFileSystem", new: str, old: str,
 
 def _scrub_dir(hacfs: "HacFileSystem", path: str,
                report: RecoveryReport) -> bool:
-    """Remove an unregistered directory left by a crashed mkdir/smkdir.
+    """Remove the unnamed directory a crashed ``smkdir`` left.
 
     Only crash debris is removed: symlink entries (materialised links), then
     the directory if that leaves it empty.  Real files stop the scrub."""

@@ -106,8 +106,9 @@ class MaintenanceScheduler:
         self.op_budget = op_budget
         self.capacity = capacity
         self._pending: "OrderedDict[object, PendingDoc]" = OrderedDict()
-        #: directory UIDs whose scope the batch's events touched — the
-        #: drain runs ONE cascade over their union
+        #: nodes ``(fsid, ino)`` of the directories whose scope the
+        #: batch's events touched — the drain runs ONE cascade over their
+        #: union
         self._origins: set = set()
         #: ssync roots queued by ``request_sync`` (``ssync --async``)
         self._sync_roots: List[str] = []
@@ -446,11 +447,12 @@ class MaintenanceScheduler:
         return out
 
     def _split_origins(self, tenant: str):
-        """Partition queued origin UIDs into (drained, kept): a tenant
-        drain cascades only over directories inside the tenant subtree."""
-        path_of = self.hacfs.dirmap.path_of
-        drained = sorted(uid for uid in self._origins
-                         if self._resolve_tenant(path_of(uid)) == tenant)
+        """Partition queued origin directories into (drained, kept): a
+        tenant drain cascades only over directories inside the tenant
+        subtree."""
+        live_path = self.hacfs._live_path
+        drained = sorted(node for node in self._origins
+                         if self._resolve_tenant(live_path(*node)) == tenant)
         return drained, self._origins.difference(drained)
 
     def _apply_batch(self, entries: List[PendingDoc],
@@ -536,11 +538,12 @@ class MaintenanceScheduler:
         self._pending[entry.key] = entry
 
     def _note_origin(self, dirpath: str) -> None:
-        """Queue the changed directory by uid, which a rename keeps."""
+        """Queue the changed directory by its node, which a rename keeps
+        (the root's, when it is gone already)."""
         try:
-            self._origins.add(self.hacfs.changed_uid(dirpath))
+            self._origins.add(self.hacfs.dir_node(dirpath))
         except Exception:
-            self._origins.add(0)
+            self._origins.add(self.hacfs.dir_node("/"))
 
     def _after_event(self) -> None:
         if self._draining:

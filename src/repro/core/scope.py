@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from typing import Optional, Set, TYPE_CHECKING
 
+from repro.errors import VfsError
 from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.cba.results import RemoteId
+from repro.core.links import Target
 from repro.vfs.inode import FileNode, SymlinkNode
 from repro.vfs.walker import walk
 
@@ -130,16 +132,13 @@ class ScopeResolver:
                 self.hacfs.fs, top):
             if not recurse:
                 del dirnames[:]
-            dir_uid = self.hacfs.dirmap.uid_of(dirpath)
-            dir_state = self.hacfs.meta.get(dir_uid) if dir_uid is not None else None
-            dir_is_semantic = dir_state is not None and dir_state.is_semantic
+            dir_is_semantic = self.semantic_state(dirpath) is not None
             for name in filenames:
                 node = dirnode.entries[name]
                 if isinstance(node, FileNode):
                     self._add_doc((owner.fsid, node.ino), scope.local)
                 elif not dir_is_semantic:
-                    self._add_symlink_target(pathutil.join(dirpath, name),
-                                             node, scope)
+                    self._add_symlink_target(dirpath, node, scope)
 
     def _add_doc(self, key, local: Bitmap) -> None:
         """Add the document indexed under *key*; an unindexed file is in
@@ -148,19 +147,35 @@ class ScopeResolver:
         if doc_id is not None:
             local.add(doc_id)
 
-    def _add_symlink_target(self, entry: str, node: SymlinkNode,
+    def link_target(self, link_dir: str, text: str) -> Optional[Target]:
+        """The document a link with *text* in the directory *link_dir*
+        names: a remote one for a ``ns://doc`` text, else the file the
+        text leads to (:meth:`follow_link`) — None for no file."""
+        if "://" in text:
+            return Target.from_remote_id(RemoteId.from_uri(text))
+        res = self.follow_link(link_dir, text)
+        if res is not None and isinstance(res.node, FileNode):
+            return Target.local(res.fs.fsid, res.node.ino)
+        return None
+
+    def follow_link(self, link_dir: str, text: str):
+        """Where a local link's *text* leads, read from the link's own
+        directory *link_dir* and through any chain, as a read through the
+        link would: the resolved node, or None."""
+        try:
+            return self.hacfs.fs.resolve(pathutil.join(link_dir, text))
+        except VfsError:
+            return None
+
+    def _add_symlink_target(self, link_dir: str, node: SymlinkNode,
                             scope: Scope) -> None:
-        """What the symlink at *entry* leads to, followed as a read would."""
+        """What the symlink *node* in *link_dir* leads to."""
         target = node.target
         if "://" in target:
-            try:
-                scope.remote.add(RemoteId.from_uri(target))
-            except ValueError:
-                pass
+            scope.remote.add(RemoteId.from_uri(target))
             return
-        try:
-            res = self.hacfs.fs.resolve(entry, follow=True)
-        except Exception:
+        res = self.follow_link(link_dir, target)
+        if res is None:
             scope.fed.add("/")   # dangling: nothing, until a change aims it
             return
         if isinstance(res.node, FileNode):

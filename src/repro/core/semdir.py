@@ -1,26 +1,22 @@
 """Per-directory HAC state and its persistence (the MetaStore).
 
-The paper's Table 1 analysis is explicit about what HAC does on every
-``mkdir``: it creates and initialises *to empty* the data structures storing
-the directory's query, its query-result, and its permanent and prohibited
-link sets; records the directory in the global map; and adds an empty node
-to the dependency graph — all persisted to disk.  **Every** directory gets
-a :class:`SemanticDirState` and its record; a directory is "semantic"
-exactly when a query has been attached to it.  The record holds what the
-user said — the directory's place ``(parent uid, name)``, its query, the
-permanent and prohibited sets — and the degradation maps.  One deliberate
-departure from the paper's list: the query-result is not persisted.  It
-is the transient links plus the permanent ones, the transient links are
-symlinks in the tree already (read back on load), and the result bitmap
-is derived from them in memory, so nothing stored can go stale and a
-re-evaluation writes no record.  The global map and the dependency graph
-are likewise derived from these records on load, never persisted.
+The paper's Table 1 analysis has HAC create, on every ``mkdir``, the
+directory's empty query, query-result and link sets, its global-map entry
+and its graph node.  Here a directory gets a :class:`SemanticDirState` and
+its record only once something names it — a query, a semantic directory
+placed in it, a semantic mount (docs/SEMANTICS.md §1); a directory is
+"semantic" exactly when a query has been attached to it.  The record holds
+what the user said — the directory's place ``(parent uid, name)``, its
+query, the permanent and prohibited sets — and the degradation maps.  The
+query-result is not persisted: it is the transient links, which are
+symlinks in the tree already, plus the permanent ones, derived in memory.
+The global map and the dependency graph are likewise derived from these
+records on load, never persisted.
 
 :class:`MetaStore` persists each state record write-through onto the
-simulated block device using the record codec, so the Makedir/Copy overheads
-in the Table 1 bench come from real (simulated) I/O, and the space-overhead
-bench can report HAC's metadata footprint the way the paper does (222 KB vs
-210 KB in their example).
+simulated block device using the record codec, so the space-overhead bench
+reports HAC's metadata footprint the way the paper does (222 KB vs 210 KB
+in their example).
 """
 
 from __future__ import annotations
@@ -99,7 +95,8 @@ class MetaStore:
     """Write-through persistence of HAC state onto the block device.
 
     Records:
-      * ``semdir:<uid>`` — one per directory, the global map's source;
+      * ``semdir:<uid>`` — one per named directory, the global map's
+        source;
       * their owners' auxiliary records (:meth:`flush_aux`) —
         ``engineconf``, ``tenants``.
 

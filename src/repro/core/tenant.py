@@ -438,22 +438,18 @@ class Tenant:
 
     # -- semantic operations ------------------------------------------------
 
-    def _resolve_dir(self, path: str) -> Optional[int]:
-        """Query dir-references resolve in the *tenant's* namespace."""
-        return self._hacfs.dirmap.uid_of(self._host(path))
-
     def smkdir(self, path: str, query: str) -> str:
         host = self._host(path)
         with self._op("smkdir", (host,), creates="dir", path=path,
                       query=query):
-            canon = self._hacfs.smkdir(host, query,
-                                       resolve_dir=self._resolve_dir)
+            # query dir-references resolve in the *tenant's* namespace
+            canon = self._hacfs.smkdir(host, query, resolve_dir=self._host)
             return self._rel(canon) or canon
 
     def set_query(self, path: str, query: Optional[str]) -> None:
         with self._op("set_query", path=path):
             self._hacfs.set_query(self._host(path), query,
-                                  resolve_dir=self._resolve_dir)
+                                  resolve_dir=self._host)
 
     def get_query(self, path: str) -> Optional[str]:
         _uid, state = self._hacfs._state_of(self._host(path))
@@ -525,18 +521,18 @@ class Tenant:
         this tenant's bucket first (fair-share), ``snapshot`` answers from
         the last published version with no barrier at all.
         """
-        from repro.cba.queryparser import parse_query
         from repro.cba import queryast
 
         hacfs = self._hacfs
         consistency = hacfs.admission.admit_read(consistency)
         host_scope = self._host(scope_path)
         with self._op("glimpse", query=query, consistency=consistency):
-            ast = parse_query(query, resolve_dir=self._resolve_dir)
+            ast, refs = hacfs._parse(query, self._host)
             curated = hacfs.scopes.semantic_state(host_scope) is not None
             paths = hacfs.query_paths(
                 queryast.scoped(ast, self.root if curated else host_scope),
-                host_scope if curated else None, consistency, self.name)
+                host_scope if curated else None, consistency, self.name,
+                refs)
             paths.sort()
             # strings sorted between two that start with ``cut`` start
             # with it too: the ends prove confinement for the whole answer

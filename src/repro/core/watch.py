@@ -9,10 +9,11 @@ subtree (write, create, delete, move) immediately reindexes the touched
 file and runs the scope-consistency cascade, so query results update
 synchronously instead of at the next ``ssync``.
 
-A watch holds its directory's uid, not its name: it follows the directory
-through renames, as a query's directory reference does (§2.5) and as
-inotify follows the inode, and removing the directory ends it — a uid is
-never handed out again, so a new directory at the old name is not watched.
+A watch holds its directory's node ``(fsid, ino)``, not its name, and
+names nothing: it follows the directory through renames, as inotify
+follows the inode, and removing the directory (or unmounting its file
+system) ends it — an inode number is never handed out again, so a new
+directory at the old name is not watched.
 
 The cost model is the interesting part: watches trade write latency for
 freshness.
@@ -20,7 +21,7 @@ freshness.
 
 from __future__ import annotations
 
-from typing import List, Set, TYPE_CHECKING
+from typing import List, Set, Tuple, TYPE_CHECKING
 
 from repro.errors import VfsError
 from repro.util import pathutil
@@ -35,8 +36,8 @@ class WatchManager:
 
     def __init__(self, hacfs: "HacFileSystem"):
         self.hacfs = hacfs
-        #: uids of the watched directories
-        self._uids: Set[int] = set()
+        #: nodes ``(fsid, ino)`` of the watched directories
+        self._dirs: Set[Tuple[str, int]] = set()
         self._stats = hacfs.counters.scoped("watch")
 
     # ------------------------------------------------------------------
@@ -47,10 +48,10 @@ class WatchManager:
         """Cover the subtree at *path* from now on; returns the canonical
         root.  The caller owes a sync covering the files already there
         (:meth:`add` runs one; ``restore`` ends in a whole-tree one)."""
-        uid = self.hacfs._uid_of_dir(path)
-        self._uids.add(uid)
+        node = self.hacfs.dir_node(path)
+        self._dirs.add(node)
         self._stats.add("added")
-        return self.hacfs.dirmap.path_of(uid)
+        return self.hacfs._live_path(*node)
 
     def add(self, path: str) -> str:
         """Watch the subtree at *path*, syncing it first so the eager
@@ -65,25 +66,32 @@ class WatchManager:
         say); False when there is none — also once the directory is gone,
         which ended its watch."""
         try:
-            uid = self.hacfs._uid_of_dir(path)
+            node = self.hacfs.dir_node(path)
         except VfsError:
             return False
-        if uid not in self._uids:
+        if node not in self._dirs:
             return False
-        self._uids.discard(uid)
+        self._dirs.discard(node)
         self._stats.add("removed")
         return True
 
+    def forget_fs(self, fsid: str) -> None:
+        """The file system *fsid* was unmounted: its watches end, and a
+        later mount of it starts with none."""
+        self._dirs = {node for node in self._dirs if node[0] != fsid}
+
+    def _live_roots(self):
+        return (self.hacfs._live_path(*node) for node in self._dirs)
+
     def roots(self) -> List[str]:
         """Current paths of the watched directories that still exist."""
-        return sorted(filter(None, map(self.hacfs.dirmap.path_of,
-                                       self._uids)))
+        return sorted(filter(None, self._live_roots()))
 
     def covers(self, path: str) -> bool:
-        if not self._uids:
+        if not self._dirs:
             return False
         norm = pathutil.normalize(path)
-        for root in map(self.hacfs.dirmap.path_of, self._uids):
+        for root in self._live_roots():
             if root is not None \
                     and pathutil.is_ancestor(root, norm, strict=False):
                 return True

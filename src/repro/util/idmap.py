@@ -8,11 +8,15 @@ stable unique identifiers to current path names and stores only UIDs inside
 query ASTs.  A rename then updates this map once instead of rewriting
 queries.
 
-:class:`GlobalDirectoryMap` owns that mapping.  A rename of ``/a`` to ``/b``
-must also re-root every registered path under ``/a`` — the map handles the
-whole subtree in :meth:`rename_subtree`.
-It is never persisted: a directory's record holds its place
-(:meth:`place_of`), and a load folds the places back (:meth:`load_places`).
+:class:`GlobalDirectoryMap` owns that mapping.  It holds only the
+directories something names — a query, a semantic directory placed in
+them, a semantic mount (docs/SEMANTICS.md §1); any other directory is just
+the tree's.  A rename of ``/a`` to ``/b`` must also re-root every
+registered path under ``/a`` — the map handles the whole subtree in
+:meth:`rename_subtree`.  It is never persisted: a directory's record holds
+its place (:meth:`place_of`), a name of one or more components below its
+nearest registered ancestor, and a load folds the places back
+(:meth:`load_places`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from repro.util import pathutil
 
 
 class GlobalDirectoryMap:
-    """Bidirectional map between directory UIDs and their current paths.
+    """Bidirectional map between named directories' UIDs and their
+    current paths.
 
     The root directory is always registered with UID 0 at path ``/``.
     """
@@ -40,7 +45,8 @@ class GlobalDirectoryMap:
     # -- registration --------------------------------------------------------
 
     def register(self, path: str) -> int:
-        """Register a new directory; returns its fresh UID."""
+        """Register a directory something names now; returns its fresh
+        UID."""
         norm = pathutil.normalize(path)
         if norm in self._path_to_uid:
             raise ValueError(f"path already registered: {norm}")
@@ -50,7 +56,8 @@ class GlobalDirectoryMap:
         return uid
 
     def unregister(self, path: str) -> int:
-        """Remove a directory from the map (on rmdir); returns its UID."""
+        """Remove a named directory from the map (on rmdir or unmount);
+        returns its UID."""
         norm = pathutil.normalize(path)
         uid = self._path_to_uid.pop(norm)
         del self._uid_to_path[uid]
@@ -113,7 +120,7 @@ class GlobalDirectoryMap:
 
     def place_of(self, path: str) -> Tuple[int, str]:
         """The UID of *path*'s nearest registered proper ancestor and the
-        path below it — the name, unless an unknown directory is between."""
+        path below it — the name, unless an unnamed directory is between."""
         above = pathutil.dirname(path)
         while above not in self._path_to_uid:
             above = pathutil.dirname(above)

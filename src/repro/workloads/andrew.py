@@ -210,14 +210,16 @@ class AndrewBenchmark:
 
     # -- driver --------------------------------------------------------------------
 
+    def run_phase(self, phase: str) -> float:
+        """Run one phase; returns its wall-clock seconds."""
+        fn = getattr(self, f"phase_{phase}")
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
     def run(self) -> Dict[str, float]:
         """Install sources, run all five phases, return seconds per phase."""
         self.install_sources()
-        timings: Dict[str, float] = {}
-        for phase in PHASES:
-            fn = getattr(self, f"phase_{phase}")
-            start = time.perf_counter()
-            fn()
-            timings[phase] = time.perf_counter() - start
+        timings = {phase: self.run_phase(phase) for phase in PHASES}
         timings["total"] = sum(timings[p] for p in PHASES)
         return timings

@@ -440,3 +440,27 @@ class TestReach:
             hac.rename("/w/b.txt", "/w/a.txt")
         assert hac.counters.get("consistency.reevaluations") == 0
         assert_links_from_scratch(hac)
+
+    def test_a_write_under_a_bare_root_reaches_no_link_fed_directory(self):
+        """A change is reported by its directory's node, not by its nearest
+        named ancestor's uid: with nothing named on the way from the root,
+        a write in the plain ``/w`` is no change at ``/``, so a directory
+        link-fed from ``/x`` is not re-evaluated."""
+        hac = HacFileSystem()
+        hac.mkdir("/x")
+        hac.write_file("/x/f.txt", b"alpha\n")
+        hac.mkdir("/p")
+        hac.symlink("/x/f.txt", "/p/l")
+        hac.ssync("/")
+        hac.smkdir("/p/s", "alpha")
+        assert set(hac.links("/p/s")) == {"f.txt"}
+        hac.mkdir("/w")
+        hac.watch("/w")
+        hac.counters.reset()
+        for i in range(40):
+            hac.write_file(f"/w/f{i % 4}.txt", b"alpha %d\n" % i)
+        assert hac.counters.get("consistency.reevaluations") == 0
+        hac.write_file("/x/f.txt", b"alpha again\n")
+        hac.ssync("/x")
+        assert hac.counters.get("consistency.reevaluations") > 0
+        assert_links_from_scratch(hac)

@@ -134,7 +134,7 @@ class TestAlgorithmGuarantees:
             return hac, uid0
 
         topo, uid0 = chain_with_head_prohibition()
-        topo.consistency.on_scope_changed([uid0])
+        topo.consistency.on_scope_changed([topo.dir_node("/c0")])
         assert topo.counters.get("consistency.reevaluations") == depth
 
         blind, _ = chain_with_head_prohibition()

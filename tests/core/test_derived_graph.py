@@ -58,8 +58,8 @@ def test_reopen_never_reuses_a_uid_a_query_still_names(world):
     hac = HacFileSystem.restore(world.fs)
     assert dict(hac.dirmap.items()) == before
     assert_is_derived(hac)
-    hac.mkdir("/a/c")
-    hac.mkdir("/c")
+    hac.smkdir("/a/c", "fingerprint")
+    hac.smkdir("/c", "fingerprint")
     assert gone not in (hac.dirmap.uid_of("/a/c"), hac.dirmap.uid_of("/c"))
     assert_is_derived(hac)
     hac = HacFileSystem.restore(hac.fs)
@@ -69,9 +69,9 @@ def test_reopen_never_reuses_a_uid_a_query_still_names(world):
     dev = hac.fs.device
     dev.set_fault_plan(FaultPlan(enospc_at=[dev.record_write_index + 1]))
     with pytest.raises(NoSpace):
-        hac.mkdir("/a/c/d")
+        hac.smkdir("/a/c/d", "fingerprint")
     dev.clear_faults()
-    hac.mkdir("/d")
+    hac.smkdir("/d", "fingerprint")
     assert hac.dirmap.uid_of("/d") != gone
     assert_is_derived(hac)
 
@@ -125,16 +125,18 @@ def test_rejected_cycle_rolls_back_to_the_derived_graph(world):
 
 @pytest.mark.parametrize("op", [
     lambda h: h.smkdir("/q2", "fingerprint AND /notes/deep"),
-    lambda h: h.rename("/notes/deep", "/deep"),
+    lambda h: h.rename("/notes", "/papers"),
     lambda h: h.set_query("/q", "fingerprint AND /notes/deep"),
     lambda h: h.rmdir("/empty"),
 ], ids=["smkdir", "rename_dir", "set_query", "rmdir"])
 def test_soft_failure_reloads_the_same_graph(world, op):
     """An in-process rollback runs the loader a reopen runs: after a
     transient ENOSPC at any write of the operation the graph is the one
-    from before it, and a reopen derives that very graph again."""
-    world.smkdir("/q", "fingerprint AND /notes")
+    from before it, and a reopen derives that very graph again.  The
+    moved and the removed directory are named (a query references them),
+    so each op writes records."""
     world.mkdir("/empty")
+    world.smkdir("/q", "fingerprint AND (/notes OR /empty)")
     before = graph_shape(world.depgraph)
     dev = world.fs.device
     offset = 0

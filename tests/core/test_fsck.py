@@ -43,9 +43,14 @@ class TestCleanWorlds:
 
 class TestDetection:
     def test_ghost_path(self, populated):
-        populated.fs.mkdir("/raw")  # bypass HAC: unregistered
+        populated.mkdir("/empty")
+        populated.smkdir("/q", "fingerprint AND /empty")
+        populated.fs.rmdir("/empty")  # bypass HAC: a named directory goes
+        # a directory nothing names needs no uid, made behind HAC's back too
+        populated.fs.mkdir("/raw")
         findings = hacfsck(populated)
-        assert "unregistered-dir" in kinds(findings)
+        assert [(f.kind, f.path) for f in findings
+                if f.severity == "error"] == [("ghost-path", "/empty")]
 
     def test_orphan_state(self, populated):
         populated.meta.create(4242, None, "stray")
@@ -53,6 +58,7 @@ class TestDetection:
         assert "orphan-state" in kinds(findings)
 
     def test_missing_state(self, populated):
+        populated.smkdir("/q", "fingerprint AND /notes")
         uid = populated.dirmap.uid_of("/notes")
         populated.meta.drop(uid)
         assert "missing-state" in kinds(hacfsck(populated))

@@ -9,27 +9,38 @@ from repro.core.hacfs import HacFileSystem
 
 class TestOrdinaryUse:
     def test_mkdir_registers_bookkeeping(self, hacfs):
+        """A plain directory holds no uid until something names it; the
+        parent of a semantic directory then holds one and a record, and
+        is still no node of the graph: it depends on nothing."""
         hacfs.mkdir("/a")
+        assert hacfs.dirmap.uid_of("/a") is None
+        hacfs.smkdir("/a/s", "anything")
         uid = hacfs.dirmap.uid_of("/a")
         assert uid is not None
         assert hacfs.meta.get(uid) is not None
-        # a plain directory depends on nothing: no node of the graph
         assert uid not in hacfs.depgraph
-        assert hacfs.depgraph.dependents_of(uid) == set()
+        assert hacfs.depgraph.dependents_of(uid) == {
+            hacfs.dirmap.uid_of("/a/s")}
 
     def test_mkdir_persists_records(self, hacfs):
+        """A plain mkdir persists nothing; the op that names the
+        directory persists its record."""
         before = hacfs.metadata_bytes()
         hacfs.mkdir("/a")
+        assert hacfs.metadata_bytes() == before
+        hacfs.set_query("/a", "anything")
         assert hacfs.metadata_bytes() > before
 
     def test_makedirs(self, hacfs):
         hacfs.makedirs("/x/y/z")
         assert hacfs.isdir("/x/y/z")
-        assert hacfs.dirmap.uid_of("/x/y") is not None
+        assert hacfs.dirmap.uid_of("/x/y") is None
 
     def test_rmdir_cleans_bookkeeping(self, hacfs):
         hacfs.mkdir("/a")
+        hacfs.smkdir("/q", "anything AND /a")
         uid = hacfs.dirmap.uid_of("/a")
+        assert uid is not None
         hacfs.rmdir("/a")
         assert hacfs.dirmap.uid_of("/a") is None
         assert uid not in hacfs.depgraph
@@ -53,9 +64,46 @@ class TestOrdinaryUse:
     def test_mkdir_through_symlink_registers_canonical_path(self, hacfs):
         hacfs.mkdir("/real")
         hacfs.symlink("/real", "/alias")
-        hacfs.mkdir("/alias/sub")
+        hacfs.smkdir("/alias/sub", "anything")
         assert hacfs.dirmap.uid_of("/real/sub") is not None
         assert hacfs.dirmap.uid_of("/alias/sub") is None
+
+    def test_a_plain_directory_reads_as_an_empty_one(self, hacfs):
+        """Reads of a directory nothing names answer what an empty plain
+        directory's state says, name nothing and write nothing; a path
+        that is no directory still raises."""
+        hacfs.makedirs("/p/q")
+        dev = hacfs.fs.device
+        before = dev.record_write_index
+        assert hacfs.get_query("/p") is None
+        assert hacfs.links("/p") == {}
+        assert hacfs.prohibited("/p") == []
+        assert not hacfs.is_semantic("/p")
+        assert hacfs.classify("/p/q") is None
+        assert hacfs.health("/p")["directories"] == {}
+        assert not hacfs.unprohibit("/p", "/p/q")
+        hacfs.set_query("/p", None)
+        assert dev.record_write_index == before
+        assert hacfs.dirmap.uid_of("/p") is None
+        with pytest.raises(FileNotFound):
+            hacfs.links("/nope")
+
+    def test_a_named_directory_gone_behind_hacs_back(self, hacfs):
+        """A named directory removed from the tree directly (a ghost, as
+        fsck calls it) still reaches what names it: an ``ssync`` or a move
+        of its parent neither raises nor leaves the query's links stale."""
+        hacfs.makedirs("/a/b")
+        hacfs.write_file("/a/b/x.txt", b"alpha")
+        hacfs.clock.tick()
+        hacfs.ssync("/")
+        hacfs.smkdir("/q", "alpha AND /a/b")
+        assert hacfs.listdir("/q") == ["x.txt"]
+        hacfs.fs.unlink("/a/b/x.txt")
+        hacfs.fs.rmdir("/a/b")
+        hacfs.ssync("/a")
+        assert hacfs.listdir("/q") == []
+        hacfs.rename("/a", "/c")
+        assert hacfs.listdir("/q") == []
 
     def test_errors_pass_through(self, hacfs):
         with pytest.raises(FileNotFound):
@@ -135,8 +183,10 @@ class TestRenameBookkeeping:
         hacfs.smkdir("/a/b", "anything")
         hacfs.mkdir("/x")
         uid_b = hacfs.dirmap.uid_of("/a/b")
-        uid_x = hacfs.dirmap.uid_of("/x")
         hacfs.rename("/a/b", "/x/b")
+        # the move named the new parent of the semantic directory
+        uid_x = hacfs.dirmap.uid_of("/x")
+        assert uid_x is not None
         assert hacfs.depgraph.hierarchy_parent(uid_b) == uid_x
 
     def test_file_rename_updates_engine_path(self, populated):

@@ -18,8 +18,11 @@ class TestSyntacticMount:
     def test_mount_adopts_directories(self, populated, laptop):
         populated.mkdir("/laptop")
         populated.mount("/laptop", laptop)
-        assert populated.dirmap.uid_of("/laptop/code") is not None
+        # its directories are plain until something names them
+        assert populated.dirmap.uid_of("/laptop/code") is None
         assert populated.isdir("/laptop/code")
+        populated.smkdir("/laptop/code/fpq", "fingerprint")
+        assert populated.dirmap.uid_of("/laptop/code") is not None
 
     def test_mounted_files_indexed_after_sync(self, populated, laptop):
         populated.mkdir("/laptop")
@@ -41,10 +44,13 @@ class TestSyntacticMount:
         populated.mkdir("/laptop")
         populated.mount("/laptop", laptop)
         populated.ssync("/")
+        populated.smkdir("/laptop/code/fpq", "fingerprint")
+        named = populated.dirmap.uid_of("/laptop/code")
         detached = populated.unmount("/laptop")
         assert detached is laptop
         assert populated.dirmap.uid_of("/laptop/code") is None
-        assert populated.dirmap.uid_of("/laptop") is not None  # cover dir stays
+        assert populated.meta.get(named) is None
+        assert populated.isdir("/laptop")  # cover dir stays
         populated.ssync("/")
         populated.smkdir("/fp", "fingerprint")
         assert "fp.c" not in populated.links("/fp")

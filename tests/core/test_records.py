@@ -144,14 +144,70 @@ def test_structural_ops_write_each_fact_once(world, bound, op):
     pre-image and one write per record touched, the commit's deletes —
     and the one record touched is the directory's own: the global map is
     derived from the places the records hold, never written, and the
-    cascade that links the query's results writes no record at all."""
+    cascade that links the query's results writes no record at all.  A
+    query names ``/empty``, so its move and removal are journaled."""
     hac, tenant = world
     tenant.smkdir("/q", "alpha")
     tenant.mkdir("/empty")
+    tenant.smkdir("/r", "alpha AND NOT /empty")
     device = hac.fs.device
     before = device.record_write_index
     op(tenant)
     assert device.record_write_index - before <= bound
+
+
+@pytest.mark.parametrize("op", [
+    lambda t: t.mkdir("/m"),
+    lambda t: t.rename("/empty", "/moved"),
+    lambda t: t.rmdir("/empty"),
+    lambda t: t.rename("/crate", "/empty/crate"),
+], ids=["mkdir", "rename_dir", "rmdir", "rename_dir_of_files"])
+def test_a_plain_directory_writes_nothing(world, op):
+    """A directory nothing names is the tree's alone (docs/SEMANTICS.md
+    §1): its ``mkdir``, ``rmdir`` and ``rename`` make no device write —
+    no intent, no record — however many files it holds."""
+    hac, tenant = world
+    tenant.smkdir("/q", "alpha")
+    tenant.mkdir("/empty")
+    tenant.mkdir("/crate")
+    tenant.write_file("/crate/f.txt", b"alpha crate")
+    tenant.barrier()
+    device = hac.fs.device
+    before = device.record_write_index
+    op(tenant)
+    assert device.record_write_index - before == 0
+
+
+def test_naming_a_parent_writes_exactly_its_record(world):
+    """The first ``smkdir`` under a parent nothing names writes one record
+    more than one under a named parent — the parent's — and journals its
+    pre-image."""
+    hac, tenant = world
+    tenant.mkdir("/plain")
+    tenant.mkdir("/named")
+    tenant.smkdir("/named/first", "alpha")
+    device = hac.fs.device
+    named = semdir_traffic(device,
+                           lambda: tenant.smkdir("/named/s", "alpha"))
+    plain = semdir_traffic(device,
+                           lambda: tenant.smkdir("/plain/s", "alpha"))
+    parent = f"semdir:{hac.dirmap.uid_of('/tenants/a/plain')}"
+    new = f"semdir:{hac.dirmap.uid_of('/tenants/a/plain/s')}"
+    (named_writes, named_preimages), (writes, preimages) = named, plain
+    assert writes == [parent] + [new] * len(named_writes)
+    assert len(preimages) == len(named_preimages) + 1
+
+
+def test_a_glimpse_naming_a_plain_directory_writes_nothing(world):
+    """An ad-hoc query resolves a plain directory it names for that one
+    evaluation: a read mints no uid and writes no record."""
+    hac, tenant = world
+    device = hac.fs.device
+    before = device.record_write_index
+    assert len(tenant.glimpse("alpha AND /d")) == 20
+    assert len(hac.glimpse("alpha AND /tenants/a/d")) == 20
+    assert device.record_write_index - before == 0
+    assert hac.dirmap.uid_of("/tenants/a/d") is None
 
 
 def bytes_and_key_lengths(device, op):
@@ -175,16 +231,20 @@ def bytes_and_key_lengths(device, op):
 @pytest.mark.parametrize("op", [
     lambda h: h.mkdir("/new"),
     lambda h: h.rename("/d0005", "/moved"),
-], ids=["mkdir", "rename_dir"])
+    lambda h: h.smkdir("/d0005/new", "alpha"),
+], ids=["mkdir", "rename_dir", "smkdir"])
 def test_namespace_writes_are_flat_in_the_directory_count(op):
-    """A directory's record says where it sits, so a ``mkdir`` or a
-    directory ``rename`` writes the same bytes among 1 000 siblings as
-    among 10 — up to the longer uid and journal sequence in the record
-    names, which is all that may grow."""
+    """A directory's record says where it sits, so a ``mkdir``, a
+    directory ``rename`` or an ``smkdir`` writes the same bytes among
+    1 000 named siblings as among 10 — up to the longer uid and journal
+    sequence in the record names, which is all that may grow."""
     def cost(siblings):
         hac = HacFileSystem()
         for i in range(siblings):
             hac.mkdir(f"/d{i:04d}")
+        # one query names every sibling
+        hac.smkdir("/all", "alpha AND (%s)" % " OR ".join(
+            f"/d{i:04d}" for i in range(siblings)))
         return bytes_and_key_lengths(hac.fs.device, lambda: op(hac))
 
     (small, small_keys), (large, large_keys) = cost(10), cost(1000)

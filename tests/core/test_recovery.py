@@ -111,13 +111,15 @@ class TestEnospcAtomicity:
 class TestRenameOntoAnEmptyDirectory:
     """POSIX lets a directory replace an empty one: HAC forgets the
     replaced directory as an ``rmdir`` would, inside the move's intent, so
-    a rollback brings both back."""
+    a rollback brings both back.  A query names both, so both hold a
+    uid."""
 
     @staticmethod
     def build(hacfs):
         hacfs.mkdir("/a")
         hacfs.write_file("/a/x.txt", b"alpha")
         hacfs.mkdir("/b")
+        hacfs.smkdir("/q", "alpha AND (/a OR /b)")
         return hacfs.dirmap.uid_of("/a"), hacfs.dirmap.uid_of("/b")
 
     def test_the_move_replaces_the_empty_directory(self, hacfs):
@@ -195,6 +197,7 @@ class TestRestoreRecovery:
 
     def test_crash_mid_rmdir_restores_the_directory(self, populated):
         populated.mkdir("/victim")
+        populated.smkdir("/q", "fingerprint AND /victim")
         dev = populated.fs.device
         dev.set_fault_plan(FaultPlan(crash_at=dev.record_write_index + 1))
         with pytest.raises(DeviceCrashed):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NoSpace
 from repro.vfs.blockdev import FaultPlan
+from repro.vfs.filesystem import FileSystem
 
 
 class TestWatchRegistration:
@@ -80,8 +81,21 @@ class TestAWatchFollowsItsDirectory:
         populated.mkdir("/w")
         assert not populated.watches.covers("/w/a.txt")
 
+    def test_unmount_ends_the_watch_for_good(self, populated):
+        other = FileSystem(name="usb")
+        other.mkdir("/docs")
+        populated.mkdir("/mnt")
+        populated.mount("/mnt", other)
+        populated.watch("/mnt/docs")
+        populated.unmount("/mnt")
+        assert populated.watches.roots() == []
+        populated.mount("/mnt", other)     # the same file system again
+        assert populated.watches.roots() == []
+        assert not populated.watches.covers("/mnt/docs/a.txt")
+
     def test_a_rolled_back_rmdir_keeps_the_watch(self, populated):
         populated.mkdir("/w")
+        populated.smkdir("/q", "fingerprint AND /w")   # a journaled rmdir
         populated.watch("/w")
         dev = populated.fs.device
         dev.set_fault_plan(FaultPlan(enospc_at={dev.record_write_index + 1}))
@@ -99,9 +113,9 @@ class TestAWatchFollowsItsDirectory:
         dev = populated.fs.device
         dev.set_fault_plan(FaultPlan(enospc_at={dev.record_write_index + 1}))
         with pytest.raises(NoSpace):
-            populated.mkdir("/y")
+            populated.smkdir("/y", "fingerprint")
         dev.clear_faults()
-        populated.mkdir("/z")
+        populated.smkdir("/z", "fingerprint")
         assert populated.watches.roots() == []
 
 

@@ -93,7 +93,7 @@ class TestDeviceFull:
         hac = HacFileSystem(fs=fs)
         with pytest.raises(NoSpace):
             for i in range(200):
-                hac.mkdir(f"/d{i}")
+                hac.smkdir(f"/d{i}", "anything")
 
     def test_failed_write_leaves_fs_usable(self):
         device = BlockDevice(block_size=512, capacity_blocks=30)

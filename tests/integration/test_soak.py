@@ -107,10 +107,9 @@ class TestSoak:
             assert world.meta.get(uid) is not None, path
             assert (uid in world.depgraph) \
                 == (uid == 0 or world.meta.get(uid).is_semantic), path
-        # every live directory is registered
-        from repro.vfs.walker import walk
-        for dirpath, _d, _f, _listed in walk(world.fs, "/"):
-            assert world.dirmap.uid_of(dirpath) is not None, dirpath
+        # every directory something names is registered
+        from tests.properties.derived import assert_named_dirs_have_uids
+        assert_named_dirs_have_uids(world)
 
     def test_engine_registry_matches_live_files(self, world):
         live = {(res.fs.fsid, res.node.ino)

@@ -19,6 +19,7 @@ from repro.errors import ReproError
 from repro.cba.segments import Segment, SegmentStore
 from repro.core.depgraph import DependencyGraph
 from repro.core.semdir import MetaStore
+from repro.util import pathutil
 from repro.util.idmap import GlobalDirectoryMap
 from repro.util.stats import Counters
 
@@ -49,10 +50,24 @@ def assert_map_is_derived(dirmap, device, where=None) -> None:
 
 
 def assert_is_derived(hac, where=None) -> None:
-    """The map and the graph *hac* maintains are the ones it would load."""
+    """The map and the graph *hac* maintains are the ones it would load,
+    and every directory something names holds a uid."""
     assert_map_is_derived(hac.dirmap, hac.fs.device, where)
     derived = DependencyGraph.derive(hac.dirmap, hac.meta)
     assert graph_shape(derived) == graph_shape(hac.depgraph), where
+    assert_named_dirs_have_uids(hac, where)
+
+
+def assert_named_dirs_have_uids(hac, where=None) -> None:
+    """Every semantic directory, its parent, and every directory a
+    semantic mount sits on hold a uid (docs/SEMANTICS.md §1)."""
+    named = {path for path, _ids in hac.semmounts.mount_points()}
+    for path in hac.semantic_dirs():
+        named.update((path, pathutil.dirname(path)))
+    for path in sorted(named):
+        assert hac.dirmap.uid_of(path) is not None, (where, path)
+        assert hac.meta.get(hac.dirmap.uid_of(path)) is not None, \
+            (where, path)
 
 
 def assert_segments_are_derived(hac, where=None) -> None:
@@ -88,7 +103,8 @@ def assert_links_are_derived(hac, where=None) -> None:
         uid = hac.dirmap.uid_of(path)
         kept, loaded = hac.meta.require(uid), meta.require(uid).links
         entries = hac.fs.resolve(path).node.entries
-        unadopted = loaded.adopt(entries, hac._target_of_link_text)
+        unadopted = loaded.adopt(entries,
+                                 lambda text: hac.scopes.link_target(path, text))
         assert all(hac.fs.isdir(f"{path}/{n}") for n in unadopted), at
         assert loaded.permanent == kept.links.permanent, at
         assert loaded.transient == kept.links.transient, at

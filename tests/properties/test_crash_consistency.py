@@ -45,12 +45,17 @@ from tests.properties.reference import assert_links_from_scratch
 SEED = int(os.environ.get("CRASH_SWEEP_SEED", "0"))
 
 
-def build_world(trace: bool = False) -> HacFileSystem:
+def build_world(trace: bool = False, backend=None,
+                mode: str = "eager") -> HacFileSystem:
     """A small deterministic world: local corpus, one semantic dir, one
-    empty victim dir.  Layout varies slightly with the sweep seed."""
-    hac = HacFileSystem()
+    empty victim dir, and directories nothing names: ``/plain/a/b`` with a
+    file, and ``/shelf`` holding a file and the semantic
+    ``/shelf/box/sem`` beside it (which names ``/shelf/box``).  Layout
+    varies slightly with the sweep seed."""
+    hac = HacFileSystem(backend=backend)
     if trace:
         hac.obs.enable()
+    hac.maintenance.set_mode(mode)
     hac.makedirs("/docs")
     hac.write_file("/docs/a.txt", b"fingerprint ridge analysis notes\n")
     hac.write_file("/docs/b.txt", b"banana bread recipe\n")
@@ -59,10 +64,16 @@ def build_world(trace: bool = False) -> HacFileSystem:
                        b"fingerprint extras %d\n" % i)
     if SEED % 2:
         hac.mkdir("/spare")
+    hac.makedirs("/plain/a/b")
+    hac.write_file("/plain/a/b/notes.txt", b"fingerprint plain notes\n")
+    hac.makedirs("/shelf/box")
+    hac.write_file("/shelf/box/item.txt", b"fingerprint shelved item\n")
     hac.clock.tick()
     hac.ssync("/")
     hac.smkdir("/fp", "fingerprint")
+    hac.smkdir("/shelf/box/sem", "fingerprint")
     hac.mkdir("/victim")
+    hac.maintenance.drain()
     return hac
 
 
@@ -80,15 +91,10 @@ def assert_links_hold(hac, where) -> None:
 # "applied" | "absent" | "partial"
 
 def _state_mkdir(hac):
-    exists = hac.isdir("/newdir")
-    uid = hac.dirmap.uid_of("/newdir")
-    # a plain directory is no graph node: the sweep compares the graph
-    # with the dry run's
-    if exists and uid is not None and hac.meta.get(uid) is not None:
-        return "applied"
-    if not hac.exists("/newdir") and uid is None:
-        return "absent"
-    return "partial"
+    # nothing names a plain directory: it holds no uid either way
+    if hac.dirmap.uid_of("/newdir") is not None:
+        return "partial"
+    return "applied" if hac.isdir("/newdir") else "absent"
 
 
 def _state_smkdir(hac):
@@ -102,13 +108,9 @@ def _state_smkdir(hac):
 
 
 def _state_rmdir(hac):
-    uid = hac.dirmap.uid_of("/victim")
-    if not hac.exists("/victim") and uid is None:
-        return "applied"
-    if hac.isdir("/victim") and uid is not None \
-            and hac.meta.get(uid) is not None:
-        return "absent"
-    return "partial"
+    if hac.dirmap.uid_of("/victim") is not None:
+        return "partial"
+    return "absent" if hac.isdir("/victim") else "applied"
 
 
 def _state_set_query(hac):
@@ -150,6 +152,60 @@ def _state_rename_file(hac):
     return "partial"
 
 
+def _state_smkdir_under(parent):
+    """``parent/new`` made semantic, linking the plain file below
+    ``parent`` — or absent.  Which directories hold a uid is
+    ``assert_named_dirs_have_uids``'s to say."""
+    def state_of(hac):
+        new = f"{parent}/new"
+        if hac.is_semantic(new) and set(hac.links(new)) == {"notes.txt"}:
+            return "applied"
+        if not hac.exists(new):
+            return "absent"
+        return "partial"
+    return state_of
+
+
+def _state_query_plain_ref(hac):
+    if hac.get_query("/fp") == "fingerprint AND /plain/a" \
+            and fp_link_names(hac) == {"notes.txt"}:
+        return "applied"
+    if hac.get_query("/fp") == "fingerprint" \
+            and "a.txt" in fp_link_names(hac):
+        return "absent"
+    return "partial"
+
+
+def _state_shelf_at(applied_at, absent_at):
+    """``/shelf`` moved with the semantic directory it carries: applied
+    at *applied_at*, absent at *absent_at*."""
+    def at(hac, top):
+        return hac.isdir(top) and hac.dirmap.uid_of(f"{top}/box") is not None \
+            and hac.is_semantic(f"{top}/box/sem") \
+            and fp_link_names(hac, f"{top}/box/sem") == {"item.txt"}
+
+    def state_of(hac):
+        here, there = at(hac, applied_at), at(hac, absent_at)
+        if here and not hac.exists(absent_at):
+            return "applied"
+        if there and not hac.exists(applied_at):
+            return "absent"
+        return "partial"
+    return state_of
+
+
+def _watch_plain(hac):
+    """A watch on a plain directory follows it through a rename, keeps
+    what is written there fresh, and ends with its ``rmdir``."""
+    hac.rename("/watched", "/plain/watched")
+    hac.write_file("/plain/watched/hot.txt", b"fingerprint hot\n")
+    assert hac.watches.roots() == ["/plain/watched"]
+    assert hac.glimpse("hot") == ["/plain/watched/hot.txt"]
+    hac.unlink("/plain/watched/hot.txt")
+    hac.rmdir("/plain/watched")
+    assert hac.watches.roots() == []
+
+
 def _state_always_applied(hac):
     # ssync/save_index have no user-visible half state: restore() re-syncs,
     # so the world is simply current — the fsck gate is the real assertion
@@ -171,12 +227,55 @@ OPERATIONS = {
     "save_index": (lambda h: h.save_index(), _state_always_applied),
 }
 
+#: what a plain directory's op writes: nothing — so it has no crash point,
+#: and a reopen right after it finds it applied
+UNJOURNALED = {"mkdir", "rmdir", "glimpse_plain"}
 
-def _dry_run(op_name):
+#: the ops on directories nothing names (docs/SEMANTICS.md §1), swept on
+#: both back-ends and in both maintenance modes
+PLAIN_OPERATIONS = {
+    "smkdir_unnamed_parent": (lambda h: h.smkdir("/plain/new", "fingerprint"),
+                              _state_smkdir_under("/plain")),
+    "smkdir_nested": (lambda h: h.smkdir("/plain/a/b/new", "fingerprint"),
+                      _state_smkdir_under("/plain/a/b")),
+    "query_plain_ref": (lambda h: h.set_query("/fp",
+                                              "fingerprint AND /plain/a"),
+                        _state_query_plain_ref),
+    "rename_carrying": (lambda h: h.rename("/shelf", "/victim/shelf"),
+                        _state_shelf_at("/victim/shelf", "/shelf")),
+    "rename_carrying_back": (lambda h: h.rename("/victim/shelf", "/shelf"),
+                             _state_shelf_at("/shelf", "/victim/shelf")),
+    "watch_plain": (_watch_plain, _state_always_applied),
+    "glimpse_plain": (lambda h: h.glimpse("fingerprint AND /plain"),
+                      _state_always_applied),
+}
+OPERATIONS.update(PLAIN_OPERATIONS)
+
+#: what each op's world holds beyond :func:`build_world`
+SETUPS = {
+    "rename_carrying_back": lambda h: h.rename("/shelf", "/victim/shelf"),
+    "watch_plain": lambda h: (h.mkdir("/watched"), h.watch("/watched")),
+}
+
+#: (backend, maintenance mode) the plain-directory ops are swept on
+CONFIGS = [(None, "eager"), (None, "batched"), ("cluster:3", "batched")]
+
+
+def op_world(op_name, trace: bool = False, backend=None,
+             mode: str = "eager") -> HacFileSystem:
+    hac = build_world(trace, backend, mode)
+    setup = SETUPS.get(op_name)
+    if setup is not None:
+        setup(hac)
+        hac.maintenance.drain()
+    return hac
+
+
+def _dry_run(op_name, backend=None, mode="eager"):
     """Fault-free run: how many record writes the operation performs, and
     the dependency graph the world maintains without and with it."""
     mutate, _state = OPERATIONS[op_name]
-    hac = build_world()
+    hac = op_world(op_name, backend=backend, mode=mode)
     graphs = {"absent": graph_shape(hac.depgraph)}
     start = hac.fs.device.record_write_index
     mutate(hac)
@@ -188,7 +287,9 @@ def _assert_rollbacks_correlate(op_name, offset, crashed, recovery_obs,
                                 report):
     """Journal seq ↔ span op id, both ways: each rolled-back intent must
     match the crashed run's root span (stamped at ``begin``) and a
-    ``journal.rollback`` span emitted during recovery."""
+    ``journal.rollback`` span emitted during recovery.  A batch group
+    commit is stamped onto whatever forced the drain (as in
+    :func:`test_crash_sweep_sched_batch`)."""
     trace = crashed.obs.trace
     begin_seqs = {s.op_id for s in trace.spans(name="journal.begin")}
     for seq, op in report.rolled_back:
@@ -196,7 +297,9 @@ def _assert_rollbacks_correlate(op_name, offset, crashed, recovery_obs,
         assert seq in begin_seqs, where
         roots = [s for s in trace.spans(op_id=seq) if s.parent_id is None]
         assert len(roots) == 1, where
-        assert roots[0].name == f"hac.{op}", (where, roots[0].name)
+        assert roots[0].name in (("sched.drain", "hac.cascade")
+                                 if op == "sched_batch" else (f"hac.{op}",)), \
+            (where, roots[0].name)
         rollbacks = recovery_obs.trace.spans(name="journal.rollback",
                                              op_id=seq)
         assert len(rollbacks) == 1, where
@@ -206,29 +309,58 @@ def _assert_rollbacks_correlate(op_name, offset, crashed, recovery_obs,
         assert span.op_id in rolled_seqs, (op_name, offset, span.op_id)
 
 
-@pytest.mark.parametrize("op_name", sorted(OPERATIONS))
+def crash_points(n_writes):
+    """Every write index of an op — or, for one that writes nothing, one
+    run without a fault (``None``)."""
+    return range(n_writes) or [None]
+
+
+@pytest.mark.parametrize("op_name", sorted(set(OPERATIONS)
+                                           - set(PLAIN_OPERATIONS)))
 def test_crash_sweep(op_name):
+    sweep(op_name)
+
+
+@pytest.mark.parametrize("backend,mode", CONFIGS)
+@pytest.mark.parametrize("op_name", sorted(PLAIN_OPERATIONS))
+def test_crash_sweep_plain_directories(op_name, backend, mode):
+    """The ops on directories nothing names: a semantic directory made
+    under a plain parent and two deep, a query naming a plain directory,
+    a plain directory carrying a semantic one moved and moved back, a
+    watch on a plain directory through a rename and an ``rmdir``, an
+    ad-hoc glimpse naming a plain directory."""
+    sweep(op_name, backend, mode)
+
+
+def sweep(op_name, backend=None, mode="eager"):
     mutate, state_of = OPERATIONS[op_name]
-    n_writes, graphs = _dry_run(op_name)
-    assert n_writes > 0, f"{op_name} is not journaled (no record writes)"
+    n_writes, graphs = _dry_run(op_name, backend, mode)
+    if op_name in UNJOURNALED:
+        assert n_writes == 0, f"{op_name} of a plain directory writes"
+    else:
+        assert n_writes > 0, f"{op_name} is not journaled (no record writes)"
     rollbacks_seen = 0
-    for offset in range(n_writes):
-        hac = build_world(trace=True)
+    for offset in crash_points(n_writes):
+        hac = op_world(op_name, True, backend, mode)
         dev = hac.fs.device
-        dev.set_fault_plan(
-            FaultPlan(crash_at=dev.record_write_index + offset))
         raised = False
+        if offset is not None:
+            dev.set_fault_plan(
+                FaultPlan(crash_at=dev.record_write_index + offset))
         try:
             mutate(hac)
         except DeviceCrashed:
             raised = True
-        assert raised, (op_name, offset)  # the sweep covers every write
+        # the sweep covers every write
+        assert raised == (offset is not None), (op_name, offset)
         recovery_obs = Observability(enabled=True)
-        restored = HacFileSystem.restore(hac.fs, obs=recovery_obs)
+        restored = HacFileSystem.restore(hac.fs, obs=recovery_obs,
+                                         backend=backend)
         errors = [f for f in restored.fsck() if f.severity == "error"]
         assert errors == [], (op_name, offset, [str(f) for f in errors])
         state = state_of(restored)
-        assert state != "partial", (op_name, offset)
+        assert state == "applied" if offset is None \
+            else state != "partial", (op_name, offset, state)
         # the graph is derived on reopen, never read back: it must be the
         # one a world that never crashed maintains in the same state
         assert graph_shape(restored.depgraph) == graphs[state], \
@@ -241,13 +373,13 @@ def test_crash_sweep(op_name):
         rollbacks_seen += len(restored.last_recovery.rolled_back)
     # a sweep that never rolled anything back would vacuously pass the
     # correlation contract; every journaled op crashes mid-intent somewhere
-    assert rollbacks_seen > 0, op_name
+    assert (rollbacks_seen > 0) == (op_name not in UNJOURNALED), op_name
 
 
 def build_mount_world(unmounted: bool) -> HacFileSystem:
-    """The sweep world after a mount adopted two directories into the map
-    (each record placing its directory) and, when *unmounted*, after the
-    unmount dropped their records again."""
+    """The sweep world after a semantic directory inside a mount named two
+    of its directories (each record placing its directory) and, when
+    *unmounted*, after the unmount dropped their records again."""
     hac = build_world()
     other = FileSystem(name="other")
     other.mkdir("/inner")
@@ -255,6 +387,7 @@ def build_mount_world(unmounted: bool) -> HacFileSystem:
     other.write_file("/inner/c.txt", b"mounted fingerprint\n")
     hac.mkdir("/mnt")
     hac.mount("/mnt", other)
+    hac.smkdir("/mnt/inner/deeper/q", "fingerprint")
     if unmounted:
         hac.unmount("/mnt")
     return hac
@@ -273,14 +406,18 @@ def test_crash_sweep_keeps_adopted_places(op_name, unmounted):
     start = dry.fs.device.record_write_index
     mutate(dry)
     n_writes = dry.fs.device.record_write_index - start
-    for offset in range(n_writes):
+    assert (n_writes == 0) == (op_name in UNJOURNALED), op_name
+    for offset in crash_points(n_writes):
         hac = build_mount_world(unmounted)
         adopted = hac.dirmap.uid_of("/mnt/inner/deeper")
         dev = hac.fs.device
-        dev.set_fault_plan(
-            FaultPlan(crash_at=dev.record_write_index + offset))
-        with pytest.raises(DeviceCrashed):
+        if offset is None:
             mutate(hac)
+        else:
+            dev.set_fault_plan(
+                FaultPlan(crash_at=dev.record_write_index + offset))
+            with pytest.raises(DeviceCrashed):
+                mutate(hac)
         restored = HacFileSystem.restore(hac.fs)
         where = (op_name, unmounted, offset)
         errors = [f for f in restored.fsck() if f.severity == "error"]

@@ -121,6 +121,8 @@ def test_fuzz_roundtrip_with_dir_refs():
     hac = HacFileSystem()
     hac.makedirs("/projects/fbi")
     hac.mkdir("/mail")
+    # a query names the directories it references
+    hac.smkdir("/q", "x AND (/projects OR /projects/fbi OR /mail)")
     uids = [hac.dirmap.uid_of(p) for p in ("/projects", "/projects/fbi",
                                            "/mail")]
     assert all(uid is not None for uid in uids)

@@ -200,21 +200,27 @@ def all_names(fs: FileSystem):
 
 
 @pytest.mark.parametrize("seed", [BASE_SEED, BASE_SEED + 1])
-def test_storm_keeps_the_graph_derived(seed, backend=None):
+def test_storm_keeps_the_graph_derived(seed, backend=None, mode="eager"):
     """Directory moves (under older and younger directories alike, some
     onto an empty directory they replace), queries naming random
     directories (the ones that would close a cycle through semantic
     directories rejected and rolled back), detaches,
     removals of referenced directories, a mount and its unmount, writes
     through a link to a file and through a link to a watched directory,
-    renames of a file that a plain storm directory links to, and a tenant resolving references in its own name space: after
+    renames of a file that a plain storm directory links to, a tenant
+    resolving references in its own name space, and ad-hoc glimpses naming
+    a random directory (named or not, which must answer what that
+    directory's scope does): after
     **every** step, accepted or refused, the map HAC maintains is the map
     its records' places load, the graph HAC maintains is the graph its map
     and queries imply, every semantic directory's links are the links a
     from-scratch evaluation gives and the ones its record plus its tree
     load, fsck agrees, ``stat`` answers for the node each name reaches,
-    and the watch is on wherever its directory is now, or gone with it."""
+    and the watch is on wherever its directory is now, or gone with it.
+    Most storm directories are named by nothing, until a query, a
+    semantic directory placed in one, or a move of one names them."""
     from repro.errors import ReproError
+    from repro.vfs.walker import walk
     from tests.properties.derived import (assert_is_derived,
                                          assert_links_are_derived,
                                          assert_stat_is_the_nodes)
@@ -222,6 +228,7 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
 
     rng = random.Random(seed)
     hac = build_hac(backend)
+    hac.maintenance.set_mode(mode)
     tenant = hac.tenants.create("t")
     tenant.mkdir("/src")
     tenant.write_file("/src/x.txt", b"alpha tenant")
@@ -240,7 +247,7 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
     watched = hac.fs.resolve(hac.watch("/c/m0")).node.ino
 
     for step in range(120):
-        dirs = sorted(p for _uid, p in hac.dirmap.items()
+        dirs = sorted(p for p, _d, _f, _listed in walk(hac.fs, "/")
                       if p != "/" and not p.startswith("/tenants"))
         semantic = [p for p in hac.semantic_dirs()
                     if not p.startswith("/tenants")]
@@ -278,7 +285,11 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
             elif r < 0.92:
                 hac.write_file(rng.choice(["/flink", "/dlink/f.txt"]),
                                f"alpha written at {step}".encode())
-            elif r < 0.96:
+            elif r < 0.94:
+                ref = rng.choice(dirs)
+                assert hac.glimpse(f"alpha AND {ref}") \
+                    == hac.glimpse("alpha", scope_path=ref), (step, ref)
+            elif r < 0.97:
                 # the linked file moves away and back
                 names = ["/dlink/f.txt", "/dlink/g.txt"]
                 if not hac.exists(names[0]):
@@ -307,3 +318,7 @@ def test_storm_keeps_the_graph_derived(seed, backend=None):
 
 def test_storm_on_a_cluster():
     test_storm_keeps_the_graph_derived(BASE_SEED, backend="cluster:3")
+
+
+def test_storm_batched():
+    test_storm_keeps_the_graph_derived(BASE_SEED, mode="batched")

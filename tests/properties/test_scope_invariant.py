@@ -18,7 +18,9 @@ query, and over moves of a plain directory that holds the files: what the cascad
 tables, symlink entries, their texts, the result — is what a from-scratch
 evaluation gives (``reference.assert_links_from_scratch``), and what a
 reload would build from the records and the tree
-(``derived.assert_links_are_derived``).
+(``derived.assert_links_are_derived``), and the map and graph are the
+ones a load derives, with every directory something names holding a uid
+(``derived.assert_is_derived``).
 """
 
 import random
@@ -32,7 +34,8 @@ from repro.core.hacfs import HacFileSystem
 from repro.core.links import Target
 from repro.util import pathutil
 
-from tests.properties.derived import assert_links_are_derived
+from tests.properties.derived import (assert_is_derived,
+                                     assert_links_are_derived)
 from tests.properties.reference import (assert_links_from_scratch,
                                         oracle_match)
 
@@ -46,12 +49,19 @@ ops = st.lists(
     max_size=14)
 
 #: the same mix plus edits of a plain directory that only links
-#: (``shelve``) and the move of a plain directory that holds files
-#: (``mvdir``, there and back on alternate calls)
+#: (``shelve``), the move of a plain directory that holds files
+#: (``mvdir``, there and back on alternate calls), and the ops on
+#: directories nothing names (docs/SEMANTICS.md §1): a semantic directory
+#: under a plain parent or two deep (``plainsem``), a query naming a plain
+#: directory (``plainref``), the move of a plain directory carrying a
+#: semantic one under another plain directory and back (``mvcrate``), a
+#: watch on a plain directory through a rename to its ``rmdir``
+#: (``watchplain``), an ad-hoc glimpse naming one (``glimpse``)
 shelf_ops = st.lists(
     st.tuples(st.sampled_from(["write", "unlink", "rename", "rmlink",
                                "addlink", "requery", "tick", "shelve",
-                               "mvdir"]),
+                               "mvdir", "plainsem", "plainref", "mvcrate",
+                               "watchplain", "glimpse"]),
               st.integers(min_value=0, max_value=9),
               st.integers(min_value=0, max_value=4)),
     max_size=14)
@@ -103,8 +113,47 @@ def apply_op(hac, op, a, b, rng):
                 hac.symlink(text, link)
         elif kind == "mvdir":
             hac.rename(files, "/away" if files == "/files" else "/files")
+        elif kind == "plainsem":
+            path = f"{['/plain', '/plain/a/b'][a % 2]}/s{a}_{b}"
+            if not hac.exists(path, follow=False):
+                hac.smkdir(path, WORDS[b % len(WORDS)])
+        elif kind == "plainref":
+            sd = ["/sem1", "/sem1/sub", "/sem2"][a % 3]
+            hac.set_query(sd, f"{WORDS[b % len(WORDS)]} OR "
+                              f"{['/plain/a', '/plain/a/b'][a % 2]}")
+        elif kind == "mvcrate":
+            if hac.isdir("/crate"):
+                hac.rename("/crate", "/plain/a/crate")
+            else:
+                hac.rename("/plain/a/crate", "/crate")
+        elif kind == "watchplain":
+            step_watch(hac)
+        elif kind == "glimpse":
+            word, ref = WORDS[b % len(WORDS)], ["/plain", home(hac)][a % 2]
+            # a stand-in for the plain directory answers what its scope does
+            assert hac.glimpse(f"{word} AND {ref}") \
+                == hac.glimpse(word, scope_path=ref), (word, ref)
     except Exception:
         raise
+
+
+def step_watch(hac):
+    """One step of a watch's life on a plain directory: made and watched,
+    moved with a file written in it, emptied and removed.  The watch is on
+    wherever the directory is, and gone with it."""
+    others = [r for r in hac.watches.roots() if not r.endswith("/wp")]
+    if hac.isdir("/plain/wp"):
+        hac.unlink("/plain/wp/hot.txt")
+        hac.rmdir("/plain/wp")
+        assert hac.watches.roots() == others
+    elif hac.isdir("/wp"):
+        hac.rename("/wp", "/plain/wp")
+        hac.write_file("/plain/wp/hot.txt", b"alpha hot\n")
+        assert hac.watches.roots() == sorted(others + ["/plain/wp"])
+    else:
+        hac.mkdir("/wp")
+        hac.watch("/wp")
+        assert hac.watches.roots() == sorted(others + ["/wp"])
 
 
 def check_invariant(hac):
@@ -195,12 +244,19 @@ def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
             hac.symlink(f"/files/f{i}.txt", f"/shelf/l{i}")
         hac.smkdir("/shelf/pick", "alpha")
         hac.smkdir("/files/shelved", "beta OR /shelf")
+        # directories nothing names: a plain tree with a file, and a plain
+        # crate carrying a semantic directory
+        hac.makedirs("/plain/a/b")
+        hac.write_file("/plain/a/b/notes.txt", b"alpha beta plain\n")
+        hac.makedirs("/crate/box")
+        hac.smkdir("/crate/box/sem", "alpha OR beta")
         for step, (op, a, b) in enumerate(op_list):
             apply_op(hac, op, a, b, rng)
             # batched: every other step stays pending into the next op, so
             # renames and link edits meet a queue and drain it themselves
             if mode == "eager" or step % 2:
                 assert_links_from_scratch(hac, (step, op, a, b))
+            assert_is_derived(hac, (step, op, a, b))
             assert_links_are_derived(hac, (step, op, a, b))
         assert_links_from_scratch(hac, "end")
         assert [f for f in hac.fsck() if f.severity != "info"] == []
