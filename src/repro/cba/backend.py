@@ -69,7 +69,8 @@ class SearchBackend(Protocol):
         """Bring the index in line with *current* ``(key, path, mtime)``."""
 
     def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
-        """Directory rename: re-root every path under *old_prefix*."""
+        """Directory rename: re-root every path under *old_prefix*,
+        reading only the documents the move carried."""
 
     def reserve_doc_id(self) -> int:
         """Claim the next doc id now, for a later pinned ``index_document``."""

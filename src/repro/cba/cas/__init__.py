@@ -5,17 +5,18 @@ Per "Robust and Scalable Content-and-Structure Indexing" (Wellenzohn et
 al.), subtree-scoped queries (``scope:/projects/mail AND fingerprint``)
 should prune on *where* and *what* in one probe instead of evaluating
 content globally and filtering by path afterwards.  :class:`CASIndex`
-is that structure: documents are grouped into prefix partitions keyed
-by directory prefixes of their registered paths, and each partition
-interleaves a term → member-bitmap posting map, so a scoped probe
-touches only the partitions whose roots intersect the scope prefix.
+is that structure: documents are filed under their directory, each
+directory's partition interleaves a term → member-bitmap posting map,
+and a scoped probe ORs the partitions of one contiguous range of
+directory keys — the scope's subtree.
 
-Like the PR 8 path map, the CAS index is an **accelerator, never an
-authority**: the engine's document registry remains the source of truth
-for paths, and every CAS answer is exact with respect to it (the
-equivalence suite referees this bit-for-bit against scan-and-filter).
+Like the path map (:mod:`repro.vfs.pathmap`), the CAS index is an
+**accelerator, never an authority**: the engine's document registry
+remains the source of truth for paths, and every CAS answer is exact
+with respect to it (the equivalence suite referees this bit-for-bit
+against scan-and-filter).
 """
 
-from repro.cba.cas.index import CASIndex, SPLIT_THRESHOLD
+from repro.cba.cas.index import CASIndex
 
-__all__ = ["CASIndex", "SPLIT_THRESHOLD"]
+__all__ = ["CASIndex"]

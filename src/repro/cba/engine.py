@@ -16,10 +16,12 @@ match-line retrieval.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
+                    NamedTuple, Optional, Set, Tuple)
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_TRACER
+from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.util.stats import Counters
 from repro.cba import agrep, planner
@@ -47,6 +49,11 @@ from repro.cba.transducers import Transducer
 #: verification-memo entries kept before the memo is wholesale dropped —
 #: bounds memory on corpora with many distinct (doc, query) pairs
 MEMO_CAPACITY = 100_000
+
+
+def _name(path: str) -> str:
+    """A registered path's last component (bare names are their own)."""
+    return path.rpartition(pathutil.SEP)[2]
 
 
 class _CacheEntry(NamedTuple):
@@ -159,8 +166,14 @@ class CBAEngine(DocRegistry):
                             stopwords=self.stopwords)
         if self.transducer is not None:
             terms |= {f"{field}:{value}"
-                      for field, value in self.transducer(path, text)}
+                      for field, value in self._pairs(path, text)}
         return terms
+
+    def _pairs(self, path: str, text: str) -> FrozenSet[Tuple[str, str]]:
+        """The transducer's pairs for a document at *path*: it reads the
+        document's name, never its directory, so a directory move
+        changes no term."""
+        return frozenset(self.transducer(_name(path), text))
 
     def index_document(self, key: Hashable, path: str, mtime: float,
                        text: Optional[str] = None,
@@ -204,8 +217,15 @@ class CBAEngine(DocRegistry):
         return doc_id
 
     def rename_document(self, key: Hashable, new_path: str) -> None:
-        """Update the display path (contents unchanged, no retokenising)."""
+        """Move a document to *new_path*, contents unchanged.  A move
+        within its name re-tokenises nothing; a new name is an input of
+        the transducer's pairs, so the document is re-tokenised under it."""
         doc_id = self._indexed_id(key)
+        doc = self._docs[doc_id]
+        if self.transducer is not None and \
+                _name(doc.path) != _name(new_path):
+            self.update_document(key, new_path, doc.mtime)
+            return
         doc = self._repath(doc_id, new_path)
         self._emit("rename", doc_id, key, new_path, doc.mtime)
 
@@ -240,10 +260,9 @@ class CBAEngine(DocRegistry):
         """Move one document's registered path; contents are untouched."""
         doc = self._move(doc_id, new_path)
         self.cas.set_path(doc_id, new_path)
-        # transduced pairs and scope-term verdicts can depend on the path,
-        # so memoised verdicts for this doc — and cached results of
-        # scope-bearing queries — may no longer hold even though its
-        # mtime is unchanged
+        # scope-term verdicts depend on the path, so memoised verdicts for
+        # this doc — and cached results of scope-bearing queries — may no
+        # longer hold even though its mtime is unchanged
         self._purge_memo(doc_id)
         self._purge_scope_cache()
         return doc
@@ -259,23 +278,26 @@ class CBAEngine(DocRegistry):
         self.rebuild_cas()
 
     def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
-        """Directory rename: re-root every registered path under
-        *old_prefix* in one pass — the same one-pass rebase the path map
-        performs — and rebase the CAS index's prefix keys alongside.
+        """Directory rename: the CAS index re-keys the moved directories'
+        partitions, and exactly their members' rows are re-rooted under
+        *new_prefix* — no document the move did not carry is read.
         Contents are untouched: no loader read, no retokenisation, just
-        registry path rewrites, per-doc rename emission (so segments and
-        replicas follow), and scope-sensitive cache eviction.  Returns
-        documents moved.
-        """
-        moved = self._rebase_rows(old_prefix, new_prefix)
+        per-doc rename emission (so segments and replicas follow) and
+        scope-sensitive cache eviction.  Returns documents moved."""
+        return len(self._rebase(pathutil.normalize(old_prefix),
+                                pathutil.normalize(new_prefix)))
+
+    def _rebase(self, old: str, new: str) -> List[Document]:
+        """:meth:`rebase_paths` over normalised prefixes; returns the
+        moved rows as they now read."""
+        moved = self._rebase_rows(self.cas.rebase_prefix(old, new), old, new)
         for doc in moved:
             self._purge_memo(doc.doc_id)
             self._emit("rename", doc.doc_id, doc.key, doc.path, doc.mtime)
-        self.cas.rebase_prefix(old_prefix, new_prefix)
         if moved:
             self._purge_scope_cache()
             self._stats.add("paths_rebased", len(moved))
-        return len(moved)
+        return moved
 
     def reindex(self, current: Iterable[Tuple[Hashable, str, float]],
                 previous: Optional[Dict[Hashable, float]] = None) -> ReindexPlan:
@@ -382,18 +404,15 @@ class CBAEngine(DocRegistry):
 
     def rebuild_cas(self) -> None:
         """Repopulate the CAS index from the registry and the block
-        index's removal map — zero loader reads, zero tokenisations.
-        Wholesale installs (:meth:`_adopt`, :meth:`from_segments`) and
-        fsck repair land here because they bypass the per-mutation
-        funnels.  Each document is placed once: term-less inserts lay the
-        partitions out, then every document's terms land in its final
-        partition."""
+        index's removal map — zero loader reads, zero tokenisations, one
+        insert per document.  Wholesale installs (:meth:`_adopt`,
+        :meth:`from_segments`) and fsck repair land here because they
+        bypass the per-mutation funnels."""
         self.cas.clear()
-        for doc_id, doc in sorted(self._docs.items()):
-            self.cas.upsert(doc_id, doc.path, ())
         term, doc_terms = self.index.lexicon.term, self.index._doc_terms
-        self.cas.fill_terms(
-            lambda doc_id: [term(tid) for tid in doc_terms.get(doc_id, ())])
+        for doc_id, doc in self._docs.items():
+            self.cas.upsert(doc_id, doc.path,
+                            [term(tid) for tid in doc_terms.get(doc_id, ())])
 
     # -- postings answering ---------------------------------------------------
 
@@ -608,7 +627,7 @@ class CBAEngine(DocRegistry):
         text = self.loader(doc.key)
         self._stats.add("docs_scanned")
         self._stats.add("bytes_scanned", len(text))
-        pairs = (frozenset(self.transducer(doc.path, text))
+        pairs = (self._pairs(doc.path, text)
                  if needs_pairs else agrep.NO_PAIRS)
         return agrep.matches(text, query, pairs, path=doc.path)
 
@@ -627,7 +646,7 @@ class CBAEngine(DocRegistry):
                 continue
             self._stats.add("naive_docs_scanned")
             text = self.loader(doc.key)
-            pairs = (frozenset(self.transducer(doc.path, text))
+            pairs = (self._pairs(doc.path, text)
                      if needs_pairs else agrep.NO_PAIRS)
             if agrep.matches(text, query, pairs, path=doc.path):
                 result.add(doc_id)

@@ -84,16 +84,12 @@ def execute_reindex(backend,
     for key in plan.changed:
         path, mtime = listing[key]
         backend.update_document(key, path, mtime)
-    # paths may drift without mtime changes (rename); refresh cheaply —
-    # unless a transducer derives terms from the name, in which case the
-    # document must be re-tokenised under its new path
-    for key, (path, mtime) in listing.items():
+    # paths may drift without mtime changes (rename); the back-end
+    # re-tokenises only a document whose name changed
+    for key, (path, _mtime) in listing.items():
         doc = backend.doc_by_key(key)
         if doc is not None and doc.path != path:
-            if backend.transducer is not None:
-                backend.update_document(key, path, mtime)
-            else:
-                backend.rename_document(key, path)
+            backend.rename_document(key, path)
     backend._stats.add("reindex_runs")
     return plan
 

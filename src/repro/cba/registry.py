@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional
 
-from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 
 
@@ -31,7 +30,9 @@ class DocRegistry:
 
     Subclasses call :meth:`_init_registry` from their constructor and pair
     every index mutation with a row write here (:meth:`_put`, :meth:`_drop`,
-    :meth:`_move`, :meth:`_rebase_rows`, :meth:`_load`); nothing else
+    :meth:`_move`, :meth:`_load`, and :meth:`_rebase_rows` for the rows a
+    directory move carried, which the caller names: no write here reads a
+    row it does not change); nothing else
     assigns ``_docs``, ``_by_key`` or ``_next_doc_id``.  That one funnel
     keeps ``_paths`` — a dense ``doc_id -> path`` column beside the rows,
     ``None`` where an id is burned or withdrawn — exact, with
@@ -141,18 +142,14 @@ class DocRegistry:
         self._paths[doc_id] = new_path
         return doc
 
-    def _rebase_rows(self, old_prefix: str, new_prefix: str) -> List[Document]:
-        """Re-root every row at-or-below *old_prefix* under *new_prefix*;
-        returns the moved rows as they now read."""
-        old = pathutil.normalize(old_prefix)
-        below = old if old == pathutil.ROOT else old + pathutil.SEP
-        moved = []
-        for doc_id, doc in list(self._docs.items()):
-            path = pathutil.canonical(doc.path)
-            if path == old or path.startswith(below):
-                moved.append(self._move(
-                    doc_id, pathutil.rebase(path, old, new_prefix)))
-        return moved
+    def _rebase_rows(self, doc_ids: Iterable[int], old: str,
+                     new: str) -> List[Document]:
+        """Re-root the rows *doc_ids* — each registered below normalised
+        *old* — under normalised *new*, by prefix substitution; returns
+        them as they now read."""
+        cut = len(old)
+        return [self._move(doc_id, new + self._docs[doc_id].path[cut:])
+                for doc_id in doc_ids]
 
     def _load(self, docs: Iterable[Document], next_doc_id: int) -> None:
         """Replace the whole registry with persisted (or copied) rows."""

@@ -50,7 +50,7 @@ from typing import (Dict, Hashable, Iterable, List, NamedTuple, Optional,
                     Set, Tuple)
 
 from repro.errors import CorruptRecord
-from repro.util import pathutil, serialization
+from repro.util import serialization
 from repro.util.stats import Counters
 
 #: memtable rows before a drain-time seal
@@ -111,22 +111,6 @@ class Segment:
 
     def __repr__(self):
         return f"Segment({self.seg_id!r}, rows={len(self.rows)})"
-
-    def cas_runs(self) -> Dict[str, Tuple[SegmentRow, ...]]:
-        """The segment's CAS runs: upsert rows grouped by parent-directory
-        prefix, path-ordered within each run — the path-dimension view of
-        this immutable run of rows.  The CAS index itself is derived state
-        (rebuilt from registry + term store on restore), so runs are
-        materialised from the rows already persisted, never written twice;
-        audits fold them to cross-check prefix keys against the registry.
-        """
-        grouped: Dict[str, List[SegmentRow]] = {}
-        for row in self.rows:
-            if row.kind != "upsert":
-                continue
-            grouped.setdefault(pathutil.dirname(row.path), []).append(row)
-        return {prefix: tuple(sorted(rows, key=lambda r: (r.path, r.doc_id)))
-                for prefix, rows in grouped.items()}
 
     def to_obj(self):
         return {"id": self.seg_id, "rows": [r.to_obj() for r in self.rows]}

@@ -3,10 +3,12 @@
 SFS introduced transducers — programs that derive typed attribute/value
 pairs from files so queries like ``author:/smith`` work.  HAC's paper keeps
 its CBA interface mechanism-agnostic; this module hosts the SFS model
-inside our engine: a transducer is any ``f(path, text) -> [(field, value)]``
+inside our engine: a transducer is any ``f(name, text) -> [(field, value)]``
 callable, and the engine (a) indexes each pair under a ``field:value``
 token and (b) re-derives pairs at verification time so ``from:alice`` terms
-evaluate exactly.
+evaluate exactly.  *name* is the document's name — the last component of
+its path, never its directory — so moving a directory changes no pair,
+and the engine re-tokenises a document exactly when its name changes.
 
 Two stock transducers cover the common cases; users compose their own with
 :func:`combine`.
@@ -24,7 +26,7 @@ _HEADER_RE = re.compile(r"^(\w+):\s*(.+)$")
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
-def header_transducer(path: str, text: str) -> List[Tuple[str, str]]:
+def header_transducer(name: str, text: str) -> List[Tuple[str, str]]:
     """Mail-style headers: leading ``Field: value`` lines become pairs.
 
     Multi-word values contribute one pair per word, so ``Subject: budget
@@ -41,9 +43,10 @@ def header_transducer(path: str, text: str) -> List[Tuple[str, str]]:
     return pairs
 
 
-def filename_transducer(path: str, text: str) -> List[Tuple[str, str]]:
-    """``name:<basename>`` and ``ext:<suffix>`` pairs from the path."""
-    base = path.rsplit("/", 1)[-1].lower()
+def filename_transducer(name: str, text: str) -> List[Tuple[str, str]]:
+    """``name:<word>`` and ``ext:<suffix>`` pairs from the name (a path
+    is read by its last component)."""
+    base = name.rsplit("/", 1)[-1].lower()
     pairs = [("name", word) for word in _WORD_RE.findall(base)]
     if "." in base:
         pairs.append(("ext", base.rsplit(".", 1)[-1]))
@@ -53,10 +56,10 @@ def filename_transducer(path: str, text: str) -> List[Tuple[str, str]]:
 def combine(*transducers: Transducer) -> Transducer:
     """One transducer running several in sequence."""
 
-    def run(path: str, text: str) -> List[Tuple[str, str]]:
+    def run(name: str, text: str) -> List[Tuple[str, str]]:
         pairs: List[Tuple[str, str]] = []
         for t in transducers:
-            pairs.extend(t(path, text))
+            pairs.extend(t(name, text))
         return pairs
 
     return run

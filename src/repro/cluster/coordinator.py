@@ -52,6 +52,7 @@ from typing import (Callable, Dict, Hashable, Iterable, List, NamedTuple,
 from repro.errors import BackendUnavailable, ShardUnavailable
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NOOP_SPAN, NULL_TRACER
+from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.util.clock import VirtualClock
 from repro.util.stats import Counters
@@ -516,17 +517,18 @@ class ShardedSearchCluster(DocRegistry):
         self._move(doc_id, new_path)
 
     def rebase_paths(self, old_prefix: str, new_prefix: str) -> int:
-        """Directory rename: the engine's one-pass path rebase, mirrored
-        into the authoritative registry and fanned out to every shard
-        (each shard rebases its own registry slice and CAS prefix keys).
-        Maintenance-side like all mutations — no RPC.  Returns documents
-        moved in the coordinator registry."""
-        moved = len(self._rebase_rows(old_prefix, new_prefix))
-        for shard in self.shards.values():
-            shard.engine.rebase_paths(old_prefix, new_prefix)
+        """Directory rename: each shard re-keys its own CAS partitions and
+        rows, and the authoritative registry rewrites exactly the global
+        ids the shards report as moved.  Maintenance-side like all
+        mutations — no RPC.  Returns documents moved."""
+        old = pathutil.normalize(old_prefix)
+        new = pathutil.normalize(new_prefix)
+        moved = [doc.doc_id for shard in self.shards.values()
+                 for doc in shard.engine._rebase(old, new)]
+        self._rebase_rows(moved, old, new)
         if moved:
-            self._stats.add("paths_rebased", moved)
-        return moved
+            self._stats.add("paths_rebased", len(moved))
+        return len(moved)
 
     # ------------------------------------------------------------------
     # the path dimension (per-shard CAS indexes, merged by global ids)

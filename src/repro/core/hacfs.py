@@ -572,10 +572,10 @@ class HacFileSystem:
                 if moved_uid in self.depgraph:
                     self.depgraph.set_hierarchy_edge(
                         moved_uid, self._name(pathutil.dirname(new_canon)))
-                # one-pass path rebase alongside the path map: registry
-                # paths and CAS prefix keys follow the moved subtree
-                # immediately, so scope: queries stay correct without
-                # waiting for an ssync to notice the drift
+                # the moved directories' CAS partitions are re-keyed and
+                # exactly their documents' registry paths follow at once,
+                # so scope: queries stay correct without waiting for an
+                # ssync to notice the drift
                 self.engine.rebase_paths(old_canon, new_canon)
                 # a directory placed under a moved one sits where it did:
                 # only those placed outside the move get a new place

@@ -12,8 +12,8 @@ single public API surface:
   (``/tenants/<name>``) and reverse-maps every path in the result, so a
   tenant never sees — and can never name — another tenant's tree;
 * queries are scoped to the tenant subtree by wrapping the parsed AST in a
-  ``scope:`` term, which the CAS index answers from its prefix partitions
-  in one probe (PR 9) — the *index* stays shared, the *visibility* is
+  ``scope:`` term, which the CAS index answers from its directory
+  partitions in one probe — the *index* stays shared, the *visibility* is
   per-tenant;
 * mutations are charged against the tenant's :class:`QuotaSpec`
   (:mod:`repro.core.quota`) *before* any bytes land, composing with the
@@ -513,8 +513,8 @@ class Tenant:
         """Ad-hoc search confined to the tenant subtree.
 
         The parsed query is wrapped in a ``scope:`` term, so the CAS
-        index answers the subtree restriction from its prefix partitions
-        in one probe (PR 9) — no per-tenant index, no walk.  A plain
+        index answers the subtree restriction from its directory
+        partitions in one probe — no per-tenant index, no walk.  A plain
         *scope_path* is that term; a semantic one provides its curated
         result as the scope (docs/SEMANTICS.md §2, as in the shell) and
         the term confines it to the tenant root.  ``strong`` drains only

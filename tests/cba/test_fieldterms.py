@@ -138,3 +138,23 @@ class TestThroughHac:
         from repro.core.hacfs import HacFileSystem
         revived = HacFileSystem.restore(populated.fs)
         assert sorted(revived.links("/by-sender")) == ["msg1.txt"]
+
+    @pytest.mark.parametrize("backend", [None, "cluster:3"])
+    def test_a_renamed_file_answers_to_its_new_name(self, backend):
+        """A file moved outside any watch keeps no term of its old name,
+        and gets those of its new one — as a fresh world would index it."""
+        from repro.core.hacfs import HacFileSystem
+        hac = HacFileSystem(backend=backend)
+        hac.makedirs("/d")
+        hac.write_file("/d/alpha.txt", b"some text")
+        hac.ssync("/")
+        hac.rename("/d/alpha.txt", "/d/beta.txt")
+        hac.ssync("/")
+        assert hac.glimpse("name:alpha") == []
+        assert hac.glimpse("name:beta") == ["/d/beta.txt"]
+        # a directory move changes no term, and re-tokenises nothing
+        tokenised = hac.counters.get("engine.tokenisations")
+        hac.rename("/d", "/e")
+        hac.ssync("/")
+        assert hac.glimpse("name:beta") == ["/e/beta.txt"]
+        assert hac.counters.get("engine.tokenisations") == tokenised

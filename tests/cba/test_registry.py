@@ -12,6 +12,7 @@ import pytest
 
 from repro.cba.engine import CBAEngine
 from repro.cluster import ShardedSearchCluster
+from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 
 from tests.properties.reference import SEED, assert_paths_column
@@ -19,13 +20,29 @@ from tests.properties.reference import SEED, assert_paths_column
 WORDS = ["alpha", "beta", "gamma", "delta"]
 DIRS = ["/a", "/a/b", "/c", "/moved"]
 REBASES = [("/a", "/moved/a"), ("/moved/a", "/a"), ("/c", "/a/c"),
-           ("/a/c", "/c")]
+           ("/a/c", "/c"),
+           # onto a directory whose documents still hold its partition
+           ("/c", "/moved"),
+           # into a former sibling's subtree, and back
+           ("/a/b", "/c/b"), ("/c/b", "/a/b"),
+           # a directory holding no document
+           ("/none", "/c/none")]
+SCOPES = ["/", "/a", "/a/b", "/a/c", "/c", "/c/b", "/moved", "/moved/a",
+          "/none", "/c/none"]
 
 
 def build(kind, loader):
     if kind == "cluster":
         return ShardedSearchCluster(loader, ["s0", "s1", "s2"], latency=0.0)
     return CBAEngine(loader, segmented=(kind == "segmented"))
+
+
+def assert_scopes_scan(backend):
+    """Every scope answers what scan-and-filter over the rows does."""
+    for prefix in SCOPES:
+        want = Bitmap(d for d in backend.all_docs() if pathutil.is_ancestor(
+            prefix, backend.doc_by_id(d).path, strict=False))
+        assert backend.scope_docs(prefix) == want, prefix
 
 
 def assert_all_surfaces(backend):
@@ -69,6 +86,7 @@ def test_the_column_follows_every_row_write(kind):
         else:
             backend.rebase_paths(*rng.choice(REBASES))
         assert_paths_column(backend)
+        assert_scopes_scan(backend)
         if step % 8 == 0:
             assert_all_surfaces(backend)
     assert_all_surfaces(backend)
@@ -99,3 +117,32 @@ def test_paths_of_skips_withdrawn_and_never_indexed_ids():
     assert engine.paths_of(Bitmap()) == []
     with pytest.raises(IndexError):
         engine.paths_of(Bitmap([99]))             # an id nobody allocated
+
+
+@pytest.mark.parametrize("kind", ["monolith", "cluster"])
+def test_a_move_reads_only_what_it_moved(kind, monkeypatch):
+    """``rebase_paths`` makes as many path normalisations for a fixed
+    moved subtree whether 100 or 1 000 documents stay where they are: no
+    registry, CAS index or shard reads a document the move did not
+    carry."""
+    calls = []
+    for name in ("normalize", "canonical"):
+        real = getattr(pathutil, name)
+        monkeypatch.setattr(pathutil, name,
+                            lambda path, real=real: (calls.append(path),
+                                                     real(path))[1])
+
+    def normalisations(unmoved):
+        backend = build(kind, lambda key: "alpha beta")
+        for i in range(20):
+            backend.index_document(("moved", i), f"/top/sub{i % 3}/f{i}", 1.0)
+        for i in range(unmoved):
+            backend.index_document(("still", i), f"/still/d{i % 7}/f{i}", 1.0)
+        del calls[:]
+        assert backend.rebase_paths("/top", "/elsewhere/top") == 20
+        made = len(calls)
+        assert backend.scope_docs("/elsewhere/top/sub1") == Bitmap(
+            backend.doc_id_of(("moved", i)) for i in range(1, 20, 3))
+        return made
+
+    assert normalisations(100) == normalisations(1000)

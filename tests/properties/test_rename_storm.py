@@ -25,6 +25,7 @@ import random
 
 import pytest
 
+from repro.util import pathutil
 from repro.vfs.filesystem import FileSystem
 
 from tests.properties.reference import SEED as BASE_SEED
@@ -207,6 +208,7 @@ def test_storm_keeps_the_graph_derived(seed, backend=None, mode="eager"):
     directories rejected and rolled back), detaches,
     removals of referenced directories, a mount and its unmount, writes
     through a link to a file and through a link to a watched directory,
+    documents left lingering in the index by an unwatched unlink,
     renames of a file that a plain storm directory links to, a tenant
     resolving references in its own name space, and ad-hoc glimpses naming
     a random directory (named or not, which must answer what that
@@ -282,9 +284,20 @@ def test_storm_keeps_the_graph_derived(seed, backend=None, mode="eager"):
             elif r < 0.84 and mounted_at is not None:
                 hac.unmount(mounted_at)
                 mounted_at = None
-            elif r < 0.92:
+            elif r < 0.88:
                 hac.write_file(rng.choice(["/flink", "/dlink/f.txt"]),
                                f"alpha written at {step}".encode())
+            elif r < 0.92:
+                # a lingering document: indexed, then unlinked outside
+                # any watch, it stays registered under its directory
+                # until a sync reaches it, and moves with that directory
+                home = rng.choice(dirs)
+                if mounted_at is not None and \
+                        pathutil.is_ancestor(mounted_at, home, strict=False):
+                    continue
+                hac.write_file(f"{home}/l{step}.txt", b"alpha lingering")
+                hac.ssync(home)
+                hac.unlink(f"{home}/l{step}.txt")
             elif r < 0.94:
                 ref = rng.choice(dirs)
                 assert hac.glimpse(f"alpha AND {ref}") \
