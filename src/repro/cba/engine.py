@@ -514,7 +514,10 @@ class CBAEngine(DocRegistry):
         block intersects the entry's candidate blocks — SFS's
         virtual-directory caching with block-exact invalidation, valid here
         because content changes only become visible at reindex time anyway
-        (§2.4).
+        (§2.4).  A scope short of the whole index with fewer documents than
+        blocks is not cached: verifying it again costs less than keeping it
+        through every mutation's invalidation sweep (a drain's cascade asks
+        one such question per directory, never twice).
         """
         self._stats.add("searches")
         if scope is not None and not scope:
@@ -528,7 +531,9 @@ class CBAEngine(DocRegistry):
             if answer is not None:
                 return answer
             cache_key = None
-            if self._cache_capacity > 0:
+            if self._cache_capacity > 0 and (
+                    scope is None or len(scope) >= self.index.num_blocks
+                    or scope == self.index.all_docs()):
                 cache_key = (query, None if scope is None else scope.to_bytes())
                 cached = self._cache.get(cache_key)
                 if cached is not None:

@@ -49,13 +49,23 @@ class _Cascade:
     changes neither — it only moves symlinks inside semantic directories,
     which a tree read skips — so each plain parent is read once and every
     dependent gets the same :class:`Scope`.  A semantic parent is never
-    shared: it is re-evaluated first, and its scope is its link table."""
+    shared: it is re-evaluated first, and its scope is its link table.
 
-    __slots__ = ("scopes", "scope_reads", "unchanged")
+    A drain's cascade carries *delta*, the doc ids whose rows it changed,
+    and *linked*, the directories a symlink may have led to one of them
+    (docs/SEMANTICS.md §4)."""
 
-    def __init__(self):
+    __slots__ = ("scopes", "scope_reads", "unchanged", "delta", "linked",
+                 "deltas", "within", "moved")
+
+    def __init__(self, delta: Optional[Bitmap] = None,
+                 linked: Set[int] = frozenset()):
         self.scopes: Dict[str, Scope] = {}
-        self.scope_reads = self.unchanged = 0
+        self.scope_reads = self.unchanged = self.deltas = 0
+        self.delta, self.linked = delta, linked
+        #: plain parent → its documents; directory → ids its result moved by
+        self.within: Dict[str, Bitmap] = {}
+        self.moved: Dict[str, Bitmap] = {}
 
 
 class ConsistencyManager:
@@ -64,21 +74,26 @@ class ConsistencyManager:
     def __init__(self, hacfs: "HacFileSystem"):
         self.hacfs = hacfs
         self._stats = hacfs.counters.scoped("consistency")
+        #: uids whose last whole evaluation saw remote members or name
+        #: spaces in scope: a drain cannot tell what those answer now
+        self._remote_scoped: Set[int] = set()
 
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
 
     def on_scope_changed(self, changed: Iterable[Tuple[str, int]],
-                         named: Iterable[int] = ()) -> int:
+                         named: Iterable[int] = (),
+                         delta: Optional[Bitmap] = None) -> int:
         """Re-evaluate what a change inside the *changed* directories
         (nodes ``(fsid, ino)``) and the *named* ones (uids) can reach
-        (:meth:`_seeds`), each once, in one topological order.
+        (:meth:`_seeds`), each once, in one topological order.  A drain
+        passes *delta*, the doc ids whose index rows it changed.
 
         Returns the number of semantic directories whose result changed.
         """
         return self._run(self.hacfs.depgraph.affected_order(
-            self._seeds(changed, named)))
+            self._seeds(changed, named)), delta)
 
     def reevaluate_from(self, uid: int) -> int:
         """Semantic *uid*'s own query or hand-curated links changed —
@@ -86,12 +101,12 @@ class ConsistencyManager:
         re-evaluated."""
         return self._run(self.hacfs.depgraph.affected_order([uid]))
 
-    def _run(self, order: List[int]) -> int:
+    def _run(self, order: List[int], delta: Optional[Bitmap] = None) -> int:
         if not order:
             return 0
         with self.hacfs.obs.trace.span("hac.cascade",
                                        affected=len(order)) as span:
-            count = self._cascade(order, span)
+            count = self._cascade(order, span, delta)
         self._stats.add("cascades")
         return count
 
@@ -118,13 +133,17 @@ class ConsistencyManager:
                     seeds |= graph.dependents_of(above)
         return seeds
 
-    def _cascade(self, order: List[int], span=None) -> int:
+    def _cascade(self, order: List[int], span=None,
+                 delta: Optional[Bitmap] = None) -> int:
         """Re-evaluate each directory of *order* once (see :class:`_Cascade`)."""
-        cascade = _Cascade()
+        linked: Set[int] = set()
+        for doc in filter(None, map(self.hacfs.engine.doc_by_id, delta or ())):
+            linked |= self.hacfs.depgraph.fed_from(pathutil.dirname(doc.path))
+        cascade = _Cascade(delta, linked)
         count = sum(self.reevaluate(uid, cascade) for uid in order)
         if span is not None:
             span.set(reevaluated=count, scope_reads=cascade.scope_reads,
-                     unchanged=cascade.unchanged)
+                     unchanged=cascade.unchanged, delta=cascade.deltas)
         return count
 
     def reevaluate_all(self) -> int:
@@ -179,15 +198,9 @@ class ConsistencyManager:
 
     def _reevaluate_semantic(self, uid: int, state: "SemanticDirState",
                              path: str, cascade: "_Cascade") -> bool:
-        scope = self._parent_scope(pathutil.dirname(path), cascade)
+        parent = pathutil.dirname(path)
         links = state.links
         degraded = (dict(state.degraded_remote), dict(state.degraded_shards))
-        fed = set(scope.fed)
-
-        def dirref_local(ref: int) -> Bitmap:
-            named = self.hacfs.scopes.provided_by_uid(ref)
-            fed.update(named.fed)
-            return named.local
 
         # 1. re-evaluate the query over the current scope.  A sharded
         # back-end accumulates the shards it could not reach during the
@@ -196,17 +209,12 @@ class ConsistencyManager:
         # missing set is simply always empty).
         engine = self.hacfs.engine
         engine.reset_missing_shards()
-        hits = evaluator.evaluate(
-            state.query, engine, resolve_dirref=dirref_local,
-            scope=scope.local)
-        remote_hits = self._remote_matches(state, scope)
+        hits = self._delta_hits(uid, state, parent, cascade)
+        remote_hits: Set[RemoteId] = set()
+        if hits is None or engine.missing_shards:
+            engine.reset_missing_shards()
+            hits, remote_hits = self._whole_hits(uid, state, parent, cascade)
         missing: Set[str] = set(engine.missing_shards)
-        # the symlinks the scopes followed, and where the permanent links'
-        # files live: a change there reaches this directory (their texts
-        # follow the files; a transient target is in the parent scope)
-        fed.update(pathutil.dirname(live) for live in map(
-            self.hacfs.path_for_target, links.permanent.values()) if live)
-        self.hacfs.depgraph.record_feeds(uid, fed)
 
         # 2. discard permanent and prohibited targets; the rest is transient
         # — in doc-id algebra, so only links that come or go are looked at
@@ -261,12 +269,69 @@ class ConsistencyManager:
         gone += dead + [links.drop_transient_id(i) for i in removed]
         self._materialise(path, links, gone, added,
                           sorted(new_remote - old_remote), drifted)
+        old_result = state.result_cache
+        cascade.moved[path] = (result - old_result) | (old_result - result)
         state.result_cache = result
         if flags_moved:
             self.hacfs.meta.flush(uid)
         if changed:
             self._stats.add("transient_updates")
         return changed
+
+    def _whole_hits(self, uid: int, state: "SemanticDirState", parent: str,
+                    cascade: "_Cascade") -> Tuple[Bitmap, Set[RemoteId]]:
+        """The query over the parent's whole scope (rule 2), and what it
+        followed recorded for the seed rule."""
+        scope = self._parent_scope(parent, cascade)
+        fed = set(scope.fed)
+
+        def dirref_local(ref: int) -> Bitmap:
+            named = self.hacfs.scopes.provided_by_uid(ref)
+            fed.update(named.fed)
+            return named.local
+
+        hits = evaluator.evaluate(
+            state.query, self.hacfs.engine, resolve_dirref=dirref_local,
+            scope=scope.local)
+        remote_hits = self._remote_matches(state, scope)
+        # the symlinks the scopes followed, and where the permanent links'
+        # files live: a change there reaches this directory (their texts
+        # follow the files; a transient target is in the parent scope)
+        fed.update(pathutil.dirname(live) for live in map(
+            self.hacfs.path_for_target, state.links.permanent.values())
+            if live)
+        self.hacfs.depgraph.record_feeds(uid, fed)
+        self._remote_scoped.discard(uid)
+        if scope.remote or scope.namespaces:
+            self._remote_scoped.add(uid)
+        return hits, remote_hits
+
+    def _delta_hits(self, uid: int, state: "SemanticDirState", parent: str,
+                    cascade: "_Cascade") -> Optional[Bitmap]:
+        """Rule 2 by delta (docs/SEMANTICS.md §4): after a drain only the
+        drained documents — and, under a semantic parent, the ids its result
+        changed by — can have a new verdict or place in the parent's scope,
+        so only they are evaluated; None where the whole scope must be."""
+        delta, engine = cascade.delta, self.hacfs.engine
+        if delta is None or uid in self._remote_scoped \
+                or state.degraded_remote or state.degraded_shards \
+                or state.links.bound is not engine \
+                or not evaluator.is_content_only(state.query) \
+                or uid in cascade.linked:
+            return None
+        if parent == pathutil.ROOT:
+            within = engine.all_docs()
+        elif self.hacfs.scopes.semantic_state(parent) is None:
+            within = cascade.within.get(parent)
+            if within is None:
+                within = cascade.within[parent] = engine.scope_docs(parent)
+        else:
+            delta = delta | cascade.moved.get(parent, Bitmap())
+            within = self._parent_scope(parent, cascade).local
+        cascade.deltas += 1
+        self._stats.add("delta_evaluations")
+        return (state.links.transient_ids - delta) | evaluator.evaluate(
+            state.query, engine, resolve_dirref=None, scope=delta & within)
 
     # ------------------------------------------------------------------
     # remote evaluation

@@ -858,7 +858,8 @@ class HacFileSystem:
              "shards":      {shard_id: health},              # search back-end
              "tenants":     {name: {usage, quota, pending}}, # namespaces
              "cascades":    {cascades, reevaluations,        # consistency
-                             scope_reads, unchanged},        # counters
+                             scope_reads, unchanged,         # counters
+                             delta_evaluations},
              "directories": {dir_path: {
                  "degraded_remote": {ns_id: since},
                  "degraded_shards": {shard_id: since},
@@ -903,7 +904,8 @@ class HacFileSystem:
                 "tenants": self.tenants.describe(),
                 "cascades": {name: self.counters.get(f"consistency.{name}")
                              for name in ("cascades", "reevaluations",
-                                          "scope_reads", "unchanged")},
+                                          "scope_reads", "unchanged",
+                                          "delta_evaluations")},
                 "directories": directories}
 
     def describe_scope(self, path: str) -> Dict[str, object]:

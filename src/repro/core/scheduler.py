@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.links import Target
 from repro.util import pathutil
+from repro.util.bitmap import Bitmap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hacfs import HacFileSystem
@@ -468,14 +469,20 @@ class MaintenanceScheduler:
             payload["tenant"] = tenant
         with self.hacfs._journaled("sched_batch", payload) as intent:
             self._last_intent_seq = intent.seq if intent is not None else None
+            # the cascade's delta: the ids whose rows the batch changed,
+            # the old and the new one of each entry
+            ids = []
             for sid, group in groups.items():
                 with self.hacfs.obs.trace.span("sched.apply",
                                                shard=sid or "local",
                                                docs=len(group)):
                     for entry in group:
+                        ids.append(engine.doc_id_of(entry.key))
                         ops += self._apply_one(entry)
+                        ids.append(engine.doc_id_of(entry.key))
             if origins:
-                self.hacfs.consistency.on_scope_changed(origins)
+                self.hacfs.consistency.on_scope_changed(origins, delta=Bitmap(
+                    i for i in ids if i is not None))
             # segmented storage rides the same intent: a memtable past its
             # seal threshold is frozen and the segment list synced to disk
             # under this batch's pre-image capture (no-op otherwise)

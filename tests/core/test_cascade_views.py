@@ -344,9 +344,11 @@ class TestExactCounts:
         tenant.barrier()
         count = hac.counters.get
         assert count("consistency.reevaluations") == 6
-        assert count("consistency.scope_reads") == 1
+        # by delta: one CAS probe of the parent, no tree read at all
+        assert count("consistency.delta_evaluations") == 6
+        assert count("consistency.scope_reads") == 0
         assert count("consistency.unchanged") == 6
-        assert walks == ["/tenants/main"]          # one subtree, not six
+        assert walks == []
         assert log.semdir() == ([], [])
         assert count("vfs.symlink") == count("vfs.unlink") == 0
 
@@ -356,17 +358,61 @@ class TestExactCounts:
         tenant.write_file("/src/f0.txt", b"tag0 tag3 text\n")
         tenant.barrier()
         assert log.semdir() == ([], [])     # the new link is in the tree
-        assert walks == ["/tenants/main"]
+        assert walks == []
         assert hac.counters.get("consistency.unchanged") == 5
         assert hac.counters.get("vfs.symlink") == 1
         assert "f0.txt" in tenant.links("/q3") and "f0.txt" in tenant.links("/q0")
         # the same numbers where an operator looks: the span, and health()
         (span,) = hac.obs.trace.spans(name="hac.cascade")
         assert {k: span.attrs[k] for k in ("reevaluated", "scope_reads",
-                                           "unchanged")} \
-            == {"reevaluated": 1, "scope_reads": 1, "unchanged": 5}
+                                           "unchanged", "delta")} \
+            == {"reevaluated": 1, "scope_reads": 0, "unchanged": 5, "delta": 6}
         assert hac.health()["cascades"] == {
-            "cascades": 1, "reevaluations": 6, "scope_reads": 1, "unchanged": 5}
+            "cascades": 1, "reevaluations": 6, "scope_reads": 0, "unchanged": 5,
+            "delta_evaluations": 6}
+
+    @pytest.mark.parametrize("backend", [None, "cluster:3"])
+    def test_a_drain_evaluates_only_what_it_drained(self, backend,
+                                                    monkeypatch):
+        """A one-file rewrite under a flat parent costs the same beside 100
+        files as beside 1 000: no tree read, and the query is asked of the
+        one document the drain changed (a whole evaluation walks every
+        file and weighs every candidate)."""
+        from repro.core import scope
+
+        def cost(n):
+            hac = HacFileSystem(backend=backend)
+            hac.mkdir("/flat")
+            hac.watch("/flat")
+            hac.maintenance.set_mode("batched")
+            for i in range(n):
+                hac.write_file(f"/flat/f{i}.txt",
+                               f"alpha word{i % 7} body\n".encode())
+            hac.smkdir("/flat/pick", '"alpha word3"')
+            hac.maintenance.drain()
+            walked = []
+            real_walk = scope.walk
+
+            def walk(fs, top):
+                for step in real_walk(fs, top):
+                    walked.extend(step[2])
+                    yield step
+
+            monkeypatch.setattr(scope, "walk", walk)
+            hac.counters.reset()
+            hac.write_file("/flat/f3.txt", b"alpha word3 again\n")
+            hac.maintenance.drain()
+            monkeypatch.setattr(scope, "walk", real_walk)
+            counts = {k: v for k, v in hac.counters.items()
+                      if k.split(".")[0] in ("engine", "consistency", "vfs")}
+            assert "f3.txt" in names(hac, "/flat/pick")
+            assert_links_from_scratch(hac)
+            return len(walked), counts
+
+        small, large = cost(100), cost(1000)
+        assert small == large
+        assert small[0] == 0
+        assert small[1]["consistency.delta_evaluations"] == 1
 
     def test_a_cascade_without_semantic_directories_is_untouched(self):
         """The andrew_path contract: no barrier, no scope read, no counter."""

@@ -56,12 +56,15 @@ ops = st.lists(
 #: directory (``plainref``), the move of a plain directory carrying a
 #: semantic one under another plain directory and back (``mvcrate``), a
 #: watch on a plain directory through a rename to its ``rmdir``
-#: (``watchplain``), an ad-hoc glimpse naming one (``glimpse``)
+#: (``watchplain``), an ad-hoc glimpse naming one (``glimpse``); and for
+#: the drains evaluated by delta, a file placed directly in a semantic
+#: directory (``place``) and a prohibited file revived under a new doc id
+#: (``revive``)
 shelf_ops = st.lists(
     st.tuples(st.sampled_from(["write", "unlink", "rename", "rmlink",
                                "addlink", "requery", "tick", "shelve",
                                "mvdir", "plainsem", "plainref", "mvcrate",
-                               "watchplain", "glimpse"]),
+                               "watchplain", "glimpse", "place", "revive"]),
               st.integers(min_value=0, max_value=9),
               st.integers(min_value=0, max_value=4)),
     max_size=14)
@@ -128,6 +131,16 @@ def apply_op(hac, op, a, b, rng):
                 hac.rename("/plain/a/crate", "/crate")
         elif kind == "watchplain":
             step_watch(hac)
+        elif kind == "place":
+            # a file placed in /sem1 is in /sem1/sub's scope, not by a
+            # link; one placed in /sem1/sub is in no scope of theirs
+            path = f"{['/sem1', '/sem1/sub'][a % 2]}/own{a % 3}.txt"
+            if hac.isfile(path) and b % 2:
+                hac.unlink(path)
+            else:
+                hac.write_file(path, f"{WORDS[b]} placed\n".encode())
+        elif kind == "revive":
+            step_revive(hac, f"{files}/f{a}.txt")
         elif kind == "glimpse":
             word, ref = WORDS[b % len(WORDS)], ["/plain", home(hac)][a % 2]
             # a stand-in for the plain directory answers what its scope does
@@ -154,6 +167,20 @@ def step_watch(hac):
         hac.mkdir("/wp")
         hac.watch("/wp")
         assert hac.watches.roots() == sorted(others + ["/wp"])
+
+
+def step_revive(hac, path):
+    """Prohibit *path* in ``/sem1`` if a link there names it, then
+    withdraw and revive its document: the same key under a new doc id
+    (the scheduler's tombstone, one batch when batched)."""
+    if not hac.isfile(path):
+        return
+    for name in sorted(hac.links("/sem1")):
+        if hac.readlink(f"/sem1/{name}") == path:
+            hac.unlink(f"/sem1/{name}")
+    st = hac.stat(path)
+    hac.maintenance.note_remove((st.fsid, st.ino), pathutil.dirname(path))
+    hac.maintenance.note_upsert((st.fsid, st.ino), path, hac.clock.now)
 
 
 def check_invariant(hac):
@@ -220,6 +247,7 @@ def test_scope_invariant_after_random_history(op_list, seed):
 
 
 @pytest.mark.parametrize("backend,mode", [(None, "eager"), (None, "batched"),
+                                          ("cluster:3", "eager"),
                                           ("cluster:3", "batched")])
 def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
     @settings(max_examples=15, deadline=None)
@@ -244,6 +272,13 @@ def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
             hac.symlink(f"/files/f{i}.txt", f"/shelf/l{i}")
         hac.smkdir("/shelf/pick", "alpha")
         hac.smkdir("/files/shelved", "beta OR /shelf")
+        # a query with NOT over a directory, and a shelf whose one link
+        # has a relative text (which records ``/``): every drain evaluates
+        # these whole, beside the directories it evaluates by delta
+        hac.smkdir("/files/unpicked", "alpha AND NOT /sem1")
+        hac.mkdir("/rshelf")
+        hac.symlink("../files/f3.txt", "/rshelf/rel")
+        hac.smkdir("/rshelf/pick", "beta")
         # directories nothing names: a plain tree with a file, and a plain
         # crate carrying a semantic directory
         hac.makedirs("/plain/a/b")
