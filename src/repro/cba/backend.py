@@ -96,8 +96,10 @@ class SearchBackend(Protocol):
 
     # -- queries -------------------------------------------------------------
 
-    def search(self, query: Node, scope: Optional[Bitmap] = None) -> Bitmap:
-        """Evaluate a content-only query over an optional scope bitmap."""
+    def search(self, query: Node, scope: Optional[Bitmap] = None,
+               cache: bool = True) -> Bitmap:
+        """Evaluate a content-only query over an optional scope bitmap
+        (*cache* false: a one-off question, keep no cached answer)."""
 
     def search_blocks(self, query: Node, blocks: Bitmap,
                       scope: Optional[Bitmap] = None) -> Bitmap:

@@ -495,7 +495,8 @@ class CBAEngine(DocRegistry):
             return self.index.all_docs() - self._postings_eval(node.child)
         raise TypeError(f"not postings-answerable: {type(node).__name__}")
 
-    def search(self, query: Node, scope: Optional[Bitmap] = None) -> Bitmap:
+    def search(self, query: Node, scope: Optional[Bitmap] = None,
+               cache: bool = True) -> Bitmap:
         """Evaluate a *content-only* query; returns matching doc ids.
 
         The query is first run through the planner (normalisation +
@@ -514,10 +515,9 @@ class CBAEngine(DocRegistry):
         block intersects the entry's candidate blocks — SFS's
         virtual-directory caching with block-exact invalidation, valid here
         because content changes only become visible at reindex time anyway
-        (§2.4).  A scope short of the whole index with fewer documents than
-        blocks is not cached: verifying it again costs less than keeping it
-        through every mutation's invalidation sweep (a drain's cascade asks
-        one such question per directory, never twice).
+        (§2.4).  A one-off question (*cache* false, as a drain's delta
+        evaluation asks) is not kept: it would evict an entry and lengthen
+        every mutation's invalidation sweep until dropped.
         """
         self._stats.add("searches")
         if scope is not None and not scope:
@@ -531,9 +531,7 @@ class CBAEngine(DocRegistry):
             if answer is not None:
                 return answer
             cache_key = None
-            if self._cache_capacity > 0 and (
-                    scope is None or len(scope) >= self.index.num_blocks
-                    or scope == self.index.all_docs()):
+            if cache and self._cache_capacity > 0:
                 cache_key = (query, None if scope is None else scope.to_bytes())
                 cached = self._cache.get(cache_key)
                 if cached is not None:

@@ -97,6 +97,23 @@ def eval_blocks(node: Node, term_blocks: Callable[[str], Bitmap],
     raise TypeError(f"unknown query node: {type(node).__name__}")
 
 
+def nominates_own_matches(node: Node, indexable: Callable[[str], bool],
+                          conj: bool = True) -> bool:
+    """Is each document's verdict on *node* its own row's alone?  An
+    unindexed word nominates no block: on the pure-And spine (*conj*)
+    that empties every answer alike, but under ``Or`` a block-mate's word
+    can nominate the block and let the scanner match it there."""
+    if isinstance(node, Term):
+        return conj or indexable(node.word)
+    if isinstance(node, Phrase):
+        return conj or all(map(indexable, node.words))
+    if isinstance(node, (And, Or)):
+        conj = conj and isinstance(node, And)
+        return all(nominates_own_matches(c, indexable, conj)
+                   for c in node.children)
+    return True
+
+
 def estimate_docs(node: Node, df: Callable[[str], int], total: int,
                   scope_count: Optional[Callable[[str], int]] = None) -> int:
     """Upper-bound-ish estimate of matching documents for *node*.

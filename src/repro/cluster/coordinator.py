@@ -570,8 +570,10 @@ class ShardedSearchCluster(DocRegistry):
     # the scatter-gather query path
     # ------------------------------------------------------------------
 
-    def search(self, query: Node, scope: Optional[Bitmap] = None) -> Bitmap:
-        """Two-phase distributed evaluation; bit-identical to the monolith.
+    def search(self, query: Node, scope: Optional[Bitmap] = None,
+               cache: bool = True) -> Bitmap:
+        """Two-phase distributed evaluation; bit-identical to the monolith
+        (which alone caches answers: *cache* is moot here).
 
         Plans once with summed statistics, then runs
         :func:`_scatter_gather` over the live shards.  A planned ``MatchAll`` short-circuits from the coordinator's own

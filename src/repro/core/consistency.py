@@ -33,6 +33,7 @@ from repro.errors import BackendUnavailable
 from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.cba import evaluator
+from repro.cba.glimpse import nominates_own_matches
 from repro.cba.results import RemoteId
 from repro.core.links import LinkSets, Target
 from repro.core.scope import Scope
@@ -317,11 +318,10 @@ class ConsistencyManager:
                 or state.degraded_remote or state.degraded_shards \
                 or state.links.bound is not engine \
                 or not evaluator.is_content_only(state.query) \
+                or not nominates_own_matches(state.query, engine._indexable) \
                 or uid in cascade.linked:
             return None
-        if parent == pathutil.ROOT:
-            within = engine.all_docs()
-        elif self.hacfs.scopes.semantic_state(parent) is None:
+        if self.hacfs.scopes.semantic_state(parent) is None:
             within = cascade.within.get(parent)
             if within is None:
                 within = cascade.within[parent] = engine.scope_docs(parent)
@@ -330,8 +330,9 @@ class ConsistencyManager:
             within = self._parent_scope(parent, cascade).local
         cascade.deltas += 1
         self._stats.add("delta_evaluations")
-        return (state.links.transient_ids - delta) | evaluator.evaluate(
-            state.query, engine, resolve_dirref=None, scope=delta & within)
+        # a content-only query is one engine question, asked once
+        return (state.links.transient_ids - delta) | engine.search(
+            state.query, delta & within, cache=False)
 
     # ------------------------------------------------------------------
     # remote evaluation

@@ -96,6 +96,26 @@ class TestNamedCases:
         assert names(watched, "/sem/sub") == {"new.txt"}
         assert_links_from_scratch(watched)
 
+    @pytest.mark.parametrize("backend", [None, "cluster:3"])
+    def test_a_rewrite_moves_its_block_mates_verdict(self, backend):
+        """``of`` is a stopword: a document matches ``alpha OR of`` by it
+        only in a block where another holds ``alpha``.  So a drain that
+        gives or takes ``alpha`` from one document moves the verdict of
+        the others in its block, and the directory is evaluated whole."""
+        hac = HacFileSystem(backend=backend, num_blocks=2)
+        hac.makedirs("/files")
+        hac.watch("/")
+        for i in range(4):
+            hac.write_file(f"/files/f{i}.txt", b"beta of\n")
+        hac.smkdir("/stop", "alpha OR of")
+        assert names(hac, "/stop") == set()
+        hac.write_file("/files/f1.txt", b"alpha\n")
+        assert names(hac, "/stop") == {"f1.txt", "f3.txt"}
+        assert_links_from_scratch(hac)
+        hac.write_file("/files/f1.txt", b"gamma\n")
+        assert names(hac, "/stop") == set()
+        assert_links_from_scratch(hac)
+
     def test_a_link_fed_parent_sees_its_target_move_and_change(self):
         """``/d0``'s scope holds ``/w/a.txt`` through a symlink, so a change
         in ``/w`` reaches ``/d0/q`` although ``/w`` is no ancestor of it:

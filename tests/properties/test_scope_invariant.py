@@ -37,9 +37,11 @@ from repro.util import pathutil
 from tests.properties.derived import (assert_is_derived,
                                      assert_links_are_derived)
 from tests.properties.reference import (assert_links_from_scratch,
-                                        oracle_match)
+                                        oracle_match, term_blocks)
 
-WORDS = ["alpha", "beta", "gamma", "fingerprint", "kernel"]
+#: ``of`` is a stopword: the index never holds it, so a document matches
+#: ``alpha OR of`` by ``of`` only in a block where another holds ``alpha``
+WORDS = ["alpha", "beta", "gamma", "fingerprint", "kernel", "of"]
 
 ops = st.lists(
     st.tuples(st.sampled_from(["write", "unlink", "rename", "rmlink",
@@ -206,11 +208,11 @@ def check_invariant(hac):
 
         # clause 2 (local side): exactly the matching, non-permanent,
         # non-prohibited files
-        expected = set()
+        expected, blocks = set(), term_blocks(hac)
         for doc_id in scope_docs:
             doc = hac.engine.doc_by_id(doc_id)
             text = hac.engine.loader(doc.key)
-            if oracle_match(hac, state.query, doc.key, text):
+            if oracle_match(hac, state.query, doc.key, text, blocks):
                 target = Target.local(doc.key[0], doc.key[1])
                 if target not in permanent and target not in prohibited:
                     expected.add(target)
@@ -254,7 +256,8 @@ def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
     @given(shelf_ops, st.integers(min_value=0, max_value=99))
     def run(op_list, seed):
         rng = random.Random(seed)
-        hac = HacFileSystem(backend=backend)
+        # four blocks, so that documents share them
+        hac = HacFileSystem(backend=backend, num_blocks=4)
         hac.makedirs("/files")
         hac.watch("/")
         hac.maintenance.set_mode(mode)
@@ -276,6 +279,10 @@ def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
         # has a relative text (which records ``/``): every drain evaluates
         # these whole, beside the directories it evaluates by delta
         hac.smkdir("/files/unpicked", "alpha AND NOT /sem1")
+        # a stopword under OR: a rewrite can move a block-mate's verdict,
+        # so every drain evaluates this one whole too (at the root, which
+        # every change reaches: a write anywhere can move a verdict here)
+        hac.smkdir("/stop", "alpha OR of")
         hac.mkdir("/rshelf")
         hac.symlink("../files/f3.txt", "/rshelf/rel")
         hac.smkdir("/rshelf/pick", "beta")
