@@ -1,8 +1,8 @@
 """The seed scan-everything engine — the reference the fast engine is
 checked against, and the Glimpse-faithful baseline of the paper's tables.
 
-:class:`ScanEngine` evaluates a query exactly as the seed did, and as the
-real Glimpse binary does: the block index nominates candidate blocks, then
+:class:`ScanEngine` evaluates a query as the seed did, and as the real
+Glimpse binary does: the block index nominates candidate blocks, then
 *every* candidate document is fetched through the loader and verified by
 the agrep scanner, path predicate included.  No planner, no doc-level
 postings, no verification memo, no result cache, no CAS pruning.  It

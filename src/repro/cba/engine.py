@@ -16,6 +16,7 @@ match-line retrieval.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
                     NamedTuple, Optional, Set, Tuple)
 
@@ -43,7 +44,7 @@ from repro.cba.queryast import (
 )
 from repro.cba.registry import DocRegistry, Document
 from repro.cba.segments import SegmentRow, SegmentStore
-from repro.cba.tokenizer import DEFAULT_STOPWORDS, index_terms
+from repro.cba.tokenizer import DEFAULT_STOPWORDS, index_terms, indexable
 from repro.cba.transducers import Transducer
 
 #: verification-memo entries kept before the memo is wholesale dropped —
@@ -106,9 +107,11 @@ class CBAEngine(DocRegistry):
         #: both default to shared disabled instances
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
-        self.index = GlimpseIndex(num_blocks=num_blocks, counters=self.counters)
         self.min_term_length = min_term_length
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
+        self._indexable = partial(indexable, min_length=min_term_length,
+                                  stopwords=self.stopwords)
+        self.index = GlimpseIndex(num_blocks, self.counters, self._indexable)
         #: optional SFS-style attribute extractor; enables field:value terms
         self.transducer = transducer
         self._init_registry()
@@ -272,7 +275,8 @@ class CBAEngine(DocRegistry):
         """Install a persisted (or copied) block index and registry
         wholesale — no loader read, no tokenisation — and derive the CAS
         index from them."""
-        self.index = GlimpseIndex.from_obj(index_obj, counters=self.counters)
+        self.index = GlimpseIndex.from_obj(index_obj, self.counters,
+                                           self._indexable)
         self.index.scope_counter = self.scope_count
         self._load(docs, next_doc_id)
         self.rebuild_cas()
@@ -416,29 +420,16 @@ class CBAEngine(DocRegistry):
 
     # -- postings answering ---------------------------------------------------
 
-    def _indexable(self, word: str) -> bool:
-        return len(word) >= self.min_term_length and word not in self.stopwords
-
-    def _postings_answerable(self, node: Node, conj: bool = True) -> bool:
+    def _postings_answerable(self, node: Node) -> bool:
         """Can *node* be answered exactly from doc-level postings?
 
-        ``Term`` leaves must be indexable — a stopword/short token never
-        reaches the index, yet the scanner can still see it on candidate
-        docs nominated by *other* operands, so in general a non-indexable
-        leaf diverges.  The one sound exemption is a leaf on the pure-And
-        spine from the root (*conj*): there its empty block nomination is
-        intersected into the root candidate set, so both paths reach the
-        empty result.  That argument breaks the moment any other operator
-        intervenes: under ``Or`` the union keeps other branches' candidate
-        blocks alive, and block collocation lets the scanner match a doc
-        through the non-indexable branch the postings path evaluated as
-        empty; under ``Not`` the divergence inverts into all-docs.  So
-        *conj* goes false through both, and a non-indexable leaf there
-        forces the scan path.  ``Phrase``/``Approx`` need token order /
+        ``Term`` leaves must be indexable: the index never holds a
+        stopword or a too-short word, yet the scanner sees it, so a query
+        holding one is scanned.  ``Phrase``/``Approx`` need token order /
         fuzzy matching the postings cannot express.
         """
         if isinstance(node, Term):
-            return conj or self._indexable(node.word)
+            return self._indexable(node.word)
         if isinstance(node, FieldTerm):
             return True
         if isinstance(node, ScopeTerm):
@@ -447,14 +438,10 @@ class CBAEngine(DocRegistry):
             return True
         if isinstance(node, MatchAll):
             return True
-        if isinstance(node, And):
-            return all(self._postings_answerable(c, conj=conj)
-                       for c in node.children)
-        if isinstance(node, Or):
-            return all(self._postings_answerable(c, conj=False)
-                       for c in node.children)
+        if isinstance(node, (And, Or)):
+            return all(map(self._postings_answerable, node.children))
         if isinstance(node, Not):
-            return self._postings_answerable(node.child, conj=False)
+            return self._postings_answerable(node.child)
         return False
 
     def _postings_eval(self, node: Node) -> Bitmap:
@@ -556,13 +543,9 @@ class CBAEngine(DocRegistry):
 
         The coordinator has already normalised and selectivity-ordered the
         query and evaluated candidate blocks *globally* (over the union of
-        every shard's term→block postings), so this entry point must not
-        replan and must not substitute this shard's own, narrower block
-        candidacy: a term absent from this shard can still make one of its
-        blocks a candidate through a collocated document on another shard,
-        and the quirky stopword-region semantics depend on exactly that
-        collocation.  Results are not cached here — the answer depends on
-        *blocks*, which the coordinator owns.
+        every shard's term→block postings), so this entry point does not
+        replan or nominate again.  Results are not cached here — the
+        candidates come from *blocks*, which the coordinator owns.
         """
         self._stats.add("shard_searches")
         if scope is not None and not scope:

@@ -15,7 +15,10 @@ This module implements that structure:
   Glimpse rebuilds instead; we keep counts so incremental deletion works
   without a rebuild, and note the extra space in ``index_size_bytes``);
 * :meth:`candidate_blocks` evaluates a query AST at block granularity —
-  the coarse filter whose false positives the agrep scan removes.
+  the coarse filter whose false positives the agrep scan removes.  It
+  never decides a match: a word the index does not hold (a stopword, a
+  too-short word) nominates every occupied block, as an approximate word
+  does, so a document's verdict is agrep's on its own text.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Callable, Dict, Iterable, Optional, Set
 from repro.util.bitmap import Bitmap
 from repro.util.stats import Counters
 from repro.cba.lexicon import Lexicon
+from repro.cba.tokenizer import indexable as default_indexable
 from repro.cba.queryast import (
     And,
     Approx,
@@ -43,24 +47,30 @@ DEFAULT_NUM_BLOCKS = 64
 
 
 def eval_blocks(node: Node, term_blocks: Callable[[str], Bitmap],
-                all_blocks: Bitmap) -> Bitmap:
+                all_blocks: Bitmap,
+                indexable: Callable[[str], bool]) -> Bitmap:
     """Block-granularity evaluation of a query AST.
 
     *term_blocks(term)* returns a caller-owned bitmap of blocks whose
     member documents carry *term* (empty when the term is unknown);
-    *all_blocks* is the occupied block set.  Factored out of
+    *all_blocks* is the occupied block set; *indexable(word)* says
+    whether the index holds *word* at all — one it does not cannot
+    prune, so a ``Term`` of it nominates every block and a ``Phrase``
+    skips it.  Factored out of
     :class:`GlimpseIndex` so the cluster coordinator can evaluate the same
     algebra over the *union* of every shard's term→block postings: with
     global doc ids the blocks line up across shards, and candidate blocks
     computed here once are exactly the monolithic engine's.
     """
     if isinstance(node, Term):
-        return term_blocks(node.word)
+        if indexable(node.word):
+            return term_blocks(node.word)
+        return all_blocks.copy()
     if isinstance(node, FieldTerm):
         return term_blocks(f"{node.field}:{node.value}")
     if isinstance(node, Phrase):
         out = all_blocks.copy()
-        for word in node.words:
+        for word in filter(indexable, node.words):
             out &= term_blocks(word)
             if not out:
                 break
@@ -74,14 +84,14 @@ def eval_blocks(node: Node, term_blocks: Callable[[str], Bitmap],
     if isinstance(node, And):
         out = all_blocks.copy()
         for child in node.children:
-            out &= eval_blocks(child, term_blocks, all_blocks)
+            out &= eval_blocks(child, term_blocks, all_blocks, indexable)
             if not out:
                 break
         return out
     if isinstance(node, Or):
         out = Bitmap()
         for child in node.children:
-            out |= eval_blocks(child, term_blocks, all_blocks)
+            out |= eval_blocks(child, term_blocks, all_blocks, indexable)
         return out
     if isinstance(node, Not):
         # at block granularity NOT cannot prune: a block containing the
@@ -95,23 +105,6 @@ def eval_blocks(node: Node, term_blocks: Callable[[str], Bitmap],
         raise TypeError("DirRef reached the block index; the evaluator "
                         "must resolve directory references first")
     raise TypeError(f"unknown query node: {type(node).__name__}")
-
-
-def nominates_own_matches(node: Node, indexable: Callable[[str], bool],
-                          conj: bool = True) -> bool:
-    """Is each document's verdict on *node* its own row's alone?  An
-    unindexed word nominates no block: on the pure-And spine (*conj*)
-    that empties every answer alike, but under ``Or`` a block-mate's word
-    can nominate the block and let the scanner match it there."""
-    if isinstance(node, Term):
-        return conj or indexable(node.word)
-    if isinstance(node, Phrase):
-        return conj or all(map(indexable, node.words))
-    if isinstance(node, (And, Or)):
-        conj = conj and isinstance(node, And)
-        return all(nominates_own_matches(c, indexable, conj)
-                   for c in node.children)
-    return True
 
 
 def estimate_docs(node: Node, df: Callable[[str], int], total: int,
@@ -152,13 +145,18 @@ def estimate_docs(node: Node, df: Callable[[str], int], total: int,
 
 
 class GlimpseIndex:
-    """Block-level inverted index over bags of terms."""
+    """Block-level inverted index over bags of terms.
+
+    *indexable* is the rule the caller's tokenizer kept terms by (the
+    default is :func:`~repro.cba.tokenizer.index_terms`'s own)."""
 
     def __init__(self, num_blocks: int = DEFAULT_NUM_BLOCKS,
-                 counters: Optional[Counters] = None):
+                 counters: Optional[Counters] = None,
+                 indexable: Callable[[str], bool] = default_indexable):
         if num_blocks <= 0:
             raise ValueError("num_blocks must be positive")
         self.num_blocks = num_blocks
+        self.indexable = indexable
         self._stats = (counters or Counters()).scoped("glimpse")
         self.lexicon = Lexicon()
         #: term-id → bitmap of block ids
@@ -306,7 +304,8 @@ class GlimpseIndex:
         return blocks
 
     def _blocks(self, node: Node) -> Bitmap:
-        return eval_blocks(node, self.blocks_with_term, self._all_blocks)
+        return eval_blocks(node, self.blocks_with_term, self._all_blocks,
+                           self.indexable)
 
     def blocks_with_term(self, term: str) -> Bitmap:
         """Blocks whose member documents carry *term* (a fresh bitmap;
@@ -400,8 +399,9 @@ class GlimpseIndex:
         }
 
     @classmethod
-    def from_obj(cls, obj,
-                 counters: Optional[Counters] = None) -> "GlimpseIndex":
+    def from_obj(cls, obj, counters: Optional[Counters] = None,
+                 indexable: Callable[[str], bool] = default_indexable
+                 ) -> "GlimpseIndex":
         from array import array
 
         def unpack(raw):
@@ -409,7 +409,7 @@ class GlimpseIndex:
             arr.frombytes(raw)
             return arr
 
-        idx = cls(num_blocks=obj["num_blocks"], counters=counters)
+        idx = cls(obj["num_blocks"], counters, indexable)
         idx.lexicon = Lexicon.from_obj(obj["lexicon"])
         idx._postings = {int(t): Bitmap.from_bytes(raw)
                          for t, raw in obj["postings"].items()}

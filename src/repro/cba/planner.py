@@ -9,8 +9,7 @@ CSI-style engines order conjunctive predicates by selectivity (PAPERS.md:
 
 * :func:`normalize` flattens nested And/Or chains, removes duplicate
   operands, and drops neutral ``MatchAll`` elements — all answer-preserving
-  rewrites (double negation is deliberately *preserved*: cancelling it
-  would change answers for non-indexable leaves, see :func:`normalize`);
+  rewrites;
 * :func:`order_children` sorts the operands of a conjunction so the most
   selective (fewest estimated matching documents) runs first, shrinking
   the candidate set before the expensive operands see it;
@@ -41,13 +40,6 @@ def normalize(node: Node) -> Node:
     of that this removes duplicate operands (sets are idempotent), treats
     ``MatchAll`` as the neutral element of ``And`` and the absorbing element
     of ``Or``, and collapses single-operand compounds.
-
-    Double negation is deliberately *not* cancelled: block nomination is
-    incomplete for non-indexable leaves (a stopword term nominates no
-    blocks, so ``Term(stopword)`` finds nothing), and ``NOT`` flips that
-    incompleteness — ``NOT NOT x`` nominates every block and lets the
-    scanner see matches that ``x`` alone misses.  Rewriting one to the
-    other would change answers, not just cost.
     """
     if isinstance(node, (And, Or)):
         absorbing = isinstance(node, Or)

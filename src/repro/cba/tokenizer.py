@@ -38,13 +38,18 @@ def iter_tokens(text: str) -> Iterator[str]:
         yield m.group(0).lower()
 
 
+def indexable(word: str, min_length: int = 2,
+              stopwords: Set[str] = DEFAULT_STOPWORDS) -> bool:
+    """Does the index hold *word*?  A stopword or a word shorter than
+    *min_length* is seen by the scanner only."""
+    return len(word) >= min_length and word not in stopwords
+
+
 def index_terms(text: str, min_length: int = 2,
                 stopwords: Set[str] = DEFAULT_STOPWORDS) -> Set[str]:
     """The distinct terms a document contributes to the index."""
-    return {
-        tok for tok in iter_tokens(text)
-        if len(tok) >= min_length and tok not in stopwords
-    }
+    return {tok for tok in {t.lower() for t in _WORD_RE.findall(text)}
+            if indexable(tok, min_length, stopwords)}
 
 
 def tokenize_lines(text: str) -> List[List[str]]:

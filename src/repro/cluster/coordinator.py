@@ -22,11 +22,9 @@ it:
   the *union* of per-term block postings gathered in a probe phase — the
   union must happen per term, because block candidacy does not distribute
   over ``And``/``Phrase`` at whole-query granularity — and the resulting
-  global block set is shipped to every shard.  A shard must never
-  substitute its own narrower candidacy: a term it has never seen can
-  still make one of its blocks a candidate through a collocated document
-  on another shard, and Glimpse's block-granularity semantics (stopword
-  regions included) depend on exactly that collocation.
+  global block set is shipped to every shard.  Candidacy only narrows
+  the scan (a word the index does not hold nominates every block), so a
+  verdict is the scanner's on one document's own text.
 
 * **Gather by masked union.**  Per-shard result bitmaps are already in the
   global id space, so the merge is a union masked by each shard's member
@@ -71,7 +69,7 @@ from repro.cba.queryast import (
     Term,
 )
 from repro.cba.registry import DocRegistry
-from repro.cba.tokenizer import DEFAULT_STOPWORDS
+from repro.cba.tokenizer import DEFAULT_STOPWORDS, indexable
 from repro.cba.transducers import Transducer
 from repro.remote.rpc import CircuitBreaker, RpcTransport
 from repro.cluster.shard import SearchShard, ShardProbe, probe_index
@@ -83,24 +81,27 @@ BREAKER_THRESHOLD = 3
 BREAKER_COOLDOWN = 30.0
 
 
-def _probe_terms(node: Node, out: Set[str]) -> None:
+def _probe_terms(node: Node, out: Set[str],
+                 indexable: Callable[[str], bool]) -> None:
     """Every string :func:`~repro.cba.glimpse.eval_blocks` may look up —
-    exactly the postings the probe phase must fetch from each shard."""
+    exactly the postings the probe phase must fetch from each shard (a
+    word the index does not hold has none)."""
     if isinstance(node, Term):
-        out.add(node.word)
+        if indexable(node.word):
+            out.add(node.word)
     elif isinstance(node, FieldTerm):
         out.add(f"{node.field}:{node.value}")
     elif isinstance(node, Phrase):
-        out.update(node.words)
+        out.update(filter(indexable, node.words))
     elif isinstance(node, (And, Or)):
         for child in node.children:
-            _probe_terms(child, out)
+            _probe_terms(child, out, indexable)
     elif isinstance(node, ScopeTerm):
         pass  # the path dimension has no term postings: blocks are
         # path-blind, so a scope nominates every occupied block and the
         # pruning happens per shard through each engine's CAS index
     elif isinstance(node, Not):
-        _probe_terms(node.child, out)
+        _probe_terms(node.child, out, indexable)
     # Approx / MatchAll consult no term postings
 
 
@@ -180,7 +181,8 @@ def _gather(query: Node, blocks: Bitmap, scope: Optional[Bitmap],
 
 
 def _scatter_gather(query: Node, scope: Optional[Bitmap],
-                    parts: Iterable[_Part], missing: Set[str], stats,
+                    parts: Iterable[_Part], missing: Set[str],
+                    indexable: Callable[[str], bool], stats,
                     tracer, metrics) -> Tuple[Bitmap, Bitmap]:
     """Both phases over *parts*; returns ``(hits, candidate blocks)``.
 
@@ -193,7 +195,7 @@ def _scatter_gather(query: Node, scope: Optional[Bitmap],
     partition, so this is the only copy of the algebra.
     """
     terms: Set[str] = set()
-    _probe_terms(query, terms)
+    _probe_terms(query, terms, indexable)
     wanted = sorted(terms)
     term_blocks: Dict[str, Bitmap] = {}
     occupied = Bitmap()
@@ -220,7 +222,7 @@ def _scatter_gather(query: Node, scope: Optional[Bitmap],
         found = term_blocks.get(term)
         return found.copy() if found is not None else Bitmap()
 
-    blocks = eval_blocks(query, lookup, occupied)
+    blocks = eval_blocks(query, lookup, occupied, indexable)
     metrics.observe("cluster.candidate_blocks", len(blocks))
     metrics.observe("cluster.fanout", len(reachable))
     return _gather(query, blocks, scope, reachable, missing, stats, tracer,
@@ -309,8 +311,8 @@ class ClusterSnapshotView:
             # no transport in front of a replica: nothing can go missing,
             # and the cut stays out of the live path's spans and histograms
             result, blocks = _scatter_gather(
-                query, scope, self._parts(), set(), cluster._stats,
-                NULL_TRACER, NULL_METRICS)
+                query, scope, self._parts(), set(), cluster._indexable,
+                cluster._stats, NULL_TRACER, NULL_METRICS)
             span.set(blocks=len(blocks), hits=len(result))
             return result
 
@@ -361,6 +363,8 @@ class ShardedSearchCluster(DocRegistry):
         self.num_blocks = num_blocks
         self.min_term_length = min_term_length
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
+        self._indexable = partial(indexable, min_length=min_term_length,
+                                  stopwords=self.stopwords)
         self.transducer = transducer
         #: shard engines keep segmented (memtable + frozen segment)
         #: storage, so per-shard publishes hand replicas segment lists
@@ -534,9 +538,6 @@ class ShardedSearchCluster(DocRegistry):
     # the path dimension (per-shard CAS indexes, merged by global ids)
     # ------------------------------------------------------------------
 
-    def _indexable(self, word: str) -> bool:
-        return len(word) >= self.min_term_length and word not in self.stopwords
-
     def scope_docs(self, prefix: str) -> Bitmap:
         """Global ids registered under *prefix*: union of per-shard
         probes (the coordinator holds no CAS index of its own; shard
@@ -598,8 +599,8 @@ class ShardedSearchCluster(DocRegistry):
                 return answer
             missing: Set[str] = set()
             result, blocks = _scatter_gather(
-                query, scope, self._parts(), missing, self._stats,
-                self._tracer, self._metrics)
+                query, scope, self._parts(), missing, self._indexable,
+                self._stats, self._tracer, self._metrics)
             self._note_missing(missing)
             span.set(blocks=len(blocks), hits=len(result),
                      shards=len(self.shards), missing=sorted(missing))

@@ -33,7 +33,6 @@ from repro.errors import BackendUnavailable
 from repro.util import pathutil
 from repro.util.bitmap import Bitmap
 from repro.cba import evaluator
-from repro.cba.glimpse import nominates_own_matches
 from repro.cba.results import RemoteId
 from repro.core.links import LinkSets, Target
 from repro.core.scope import Scope
@@ -318,7 +317,6 @@ class ConsistencyManager:
                 or state.degraded_remote or state.degraded_shards \
                 or state.links.bound is not engine \
                 or not evaluator.is_content_only(state.query) \
-                or not nominates_own_matches(state.query, engine._indexable) \
                 or uid in cascade.linked:
             return None
         if self.hacfs.scopes.semantic_state(parent) is None:

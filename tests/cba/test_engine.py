@@ -6,6 +6,7 @@ from repro.baselines.scanengine import ScanEngine
 from repro.cba.engine import CBAEngine
 from repro.cba.queryast import MatchAll, Not, Term
 from repro.cba.queryparser import parse_query
+from repro.cluster import ShardedSearchCluster
 from repro.util.bitmap import Bitmap
 
 CORPUS = {
@@ -129,6 +130,49 @@ class TestSearch:
     def test_extract(self, engine):
         lines = engine.extract("d", Term("murder"))
         assert lines == ["notes on the murder case with fingerprint evidence"]
+
+
+#: ``of`` and ``the`` are stopwords: the scanner sees them, the index not
+UNINDEXED = {"a": "alpha of beta", "b": "of gamma", "c": "alpha delta",
+             "d": "the zeta"}
+UNINDEXED_ANSWERS = {"alpha AND of": ["a"], "alpha OR of": ["a", "b", "c"],
+                     "of": ["a", "b"], "NOT NOT of": ["a", "b"],
+                     '"alpha of"': ["a"]}
+
+
+def build_unindexed(backend, keys, num_blocks):
+    """:data:`UNINDEXED` indexed in the order of *keys* (so doc ids, and
+    with them blocks, follow that order)."""
+    if backend == "cluster":
+        eng = ShardedSearchCluster(UNINDEXED.get, ["s0", "s1", "s2"],
+                                   num_blocks=num_blocks, latency=0.0)
+    else:
+        eng = CBAEngine(UNINDEXED.get, num_blocks=num_blocks)
+    for key in keys:
+        eng.index_document(key, path=f"/{key}.txt", mtime=1.0)
+    return eng
+
+
+class TestUnindexedWords:
+    """A word the index does not hold nominates every block, so a
+    document's verdict is agrep's on its own text, wherever it lies."""
+
+    @pytest.mark.parametrize("backend", ["engine", "cluster"])
+    def test_answers_ignore_block_placement(self, backend):
+        for keys in (sorted(UNINDEXED), sorted(UNINDEXED, reverse=True)):
+            for num_blocks in (1, 4):
+                eng = build_unindexed(backend, keys, num_blocks)
+                for text, want in UNINDEXED_ANSWERS.items():
+                    got = keys_of(eng, eng.search(parse_query(text)))
+                    assert got == want, (keys, num_blocks, text)
+
+    def test_an_unindexed_word_scans_every_document(self):
+        eng = build_unindexed("engine", sorted(UNINDEXED), 4)
+        eng.counters.reset()
+        assert keys_of(eng, eng.search(parse_query("alpha"))) == ["a", "c"]
+        assert eng.counters.get("engine.docs_scanned") == 0
+        eng.search(parse_query("alpha OR of"))
+        assert eng.counters.get("engine.docs_scanned") == len(UNINDEXED)
 
 
 class TestReindex:

@@ -97,24 +97,45 @@ class TestNamedCases:
         assert_links_from_scratch(watched)
 
     @pytest.mark.parametrize("backend", [None, "cluster:3"])
-    def test_a_rewrite_moves_its_block_mates_verdict(self, backend):
-        """``of`` is a stopword: a document matches ``alpha OR of`` by it
-        only in a block where another holds ``alpha``.  So a drain that
-        gives or takes ``alpha`` from one document moves the verdict of
-        the others in its block, and the directory is evaluated whole."""
+    def test_a_rewrite_moves_only_its_own_verdict(self, backend):
+        """``of`` is a stopword: the index never holds it, so it nominates
+        every block and the scanner finds it in each document that holds
+        it.  A drain that gives or takes ``alpha`` from one document moves
+        that document's verdict only, and is evaluated by delta."""
         hac = HacFileSystem(backend=backend, num_blocks=2)
         hac.makedirs("/files")
         hac.watch("/")
         for i in range(4):
             hac.write_file(f"/files/f{i}.txt", b"beta of\n")
         hac.smkdir("/stop", "alpha OR of")
-        assert names(hac, "/stop") == set()
+        every = {f"f{i}.txt" for i in range(4)}
+        assert names(hac, "/stop") == every
         hac.write_file("/files/f1.txt", b"alpha\n")
-        assert names(hac, "/stop") == {"f1.txt", "f3.txt"}
+        assert names(hac, "/stop") == every
         assert_links_from_scratch(hac)
         hac.write_file("/files/f1.txt", b"gamma\n")
-        assert names(hac, "/stop") == set()
+        assert names(hac, "/stop") == every - {"f1.txt"}
         assert_links_from_scratch(hac)
+        assert hac.health()["cascades"]["delta_evaluations"] == 2
+
+    @pytest.mark.parametrize("mode", ["eager", "batched"])
+    @pytest.mark.parametrize("backend", [None, "cluster:3"])
+    def test_a_write_out_of_reach_moves_no_verdict(self, backend, mode):
+        """The seed rule (docs/SEMANTICS.md §5) lets a drain reach only
+        what the written directory reaches.  ``notes.txt`` shares a block
+        with ``/files/f0.txt``, yet giving it ``alpha`` moves no verdict
+        in ``/files/stop``: each file matches by its own text."""
+        hac = HacFileSystem(backend=backend, num_blocks=4)
+        hac.makedirs("/files")
+        hac.makedirs("/plain/a/b")
+        hac.watch("/")
+        hac.maintenance.set_mode(mode)
+        for i in range(4):
+            hac.write_file(f"/files/f{i}.txt", b"beta of\n")
+        hac.smkdir("/files/stop", "alpha OR of")
+        hac.write_file("/plain/a/b/notes.txt", b"alpha\n")
+        assert_links_from_scratch(hac)
+        assert names(hac, "/files/stop") == {f"f{i}.txt" for i in range(4)}
 
     def test_a_link_fed_parent_sees_its_target_move_and_change(self):
         """``/d0``'s scope holds ``/w/a.txt`` through a symlink, so a change

@@ -115,10 +115,10 @@ class TestHacRecovery:
 
     @pytest.mark.parametrize("backend", ["monolith", "cluster:3"])
     def test_restore_keeps_num_blocks_on_every_rebuild_path(self, backend):
-        """Block placement is ``doc_id % num_blocks`` and the stopword-region
-        semantics depend on collocation, so every way ``restore`` builds an
-        engine — saved index, segment merge, fresh rebuild — must come back
-        with the block count the original was constructed with.  The
+        """Block placement is ``doc_id % num_blocks``, so every way
+        ``restore`` builds an engine — saved index, segment merge, fresh
+        rebuild — must come back with the block count the original was
+        constructed with, or every document lands elsewhere.  The
         monolith's saved index is its merged segment, a cluster's its
         ``cbaindex``."""
         hac = HacFileSystem(num_blocks=256, backend=backend)

@@ -100,9 +100,11 @@ class TestOddContent:
 
 class TestQueryEdges:
     def test_query_of_only_stopwords(self, populated):
-        # stopwords are not indexed, so nothing can match the term
+        # stopwords are not indexed, so the term nominates every block and
+        # the scanner finds it in each file that holds it
         populated.smkdir("/q", "the")
-        assert populated.listdir("/q") == []
+        assert sorted(populated.listdir("/q")) == ["fp-design.txt",
+                                                   "msg1.txt"]
 
     def test_self_reference_rejected(self, populated):
         from repro.errors import DependencyCycle

@@ -26,7 +26,6 @@ from repro.baselines.scanengine import ScanEngine
 from repro.cba import agrep, evaluator
 from repro.cba import queryast as qa
 from repro.cba.engine import CBAEngine
-from repro.cba.tokenizer import index_terms
 from repro.cluster import ShardedSearchCluster
 from repro.cluster.coordinator import ClusterSnapshotView
 from repro.core.links import Target
@@ -140,66 +139,30 @@ def scope_keys(hac, path):
         t.key for t in state.links.all_targets() if t.is_local}
 
 
-def term_blocks(hac):
-    """Glimpse's first level, read from the texts: word → the blocks
-    (``doc_id % num_blocks``) of the documents that hold it as an indexed
-    word.  A stopword or a too-short word is in none."""
-    engine, out = hac.engine, {}
-    for doc_id in engine.all_docs():
-        text = engine.loader(engine.doc_by_id(doc_id).key)
-        for word in index_terms(text, min_length=engine.min_term_length,
-                                stopwords=engine.stopwords):
-            out.setdefault(word, set()).add(doc_id % engine.num_blocks)
-    return out
-
-
-def _nominated(node, blocks, block) -> bool:
-    """May content-only *node* match in *block*, by the first level?"""
-    if isinstance(node, qa.Term):
-        return block in blocks.get(node.word, ())
-    if isinstance(node, qa.Phrase):
-        return all(block in blocks.get(word, ()) for word in node.words)
-    if isinstance(node, (qa.And, qa.Or)):
-        hits = [_nominated(c, blocks, block) for c in node.children]
-        return all(hits) if isinstance(node, qa.And) else any(hits)
-    # NOT, approximate and scope terms never prune a block; nor, here, a
-    # field term (no suite mixes one with an unindexed word)
-    return True
-
-
-def oracle_match(hac, node, key, text, blocks=None) -> bool:
+def oracle_match(hac, node, key, text) -> bool:
     """Does one document match?  (The production evaluator is set-based;
-    this decides a document at a time.)  Each content-only subtree the
-    evaluator hands the engine as one question matches at Glimpse's two
-    levels: the scanner's verdict, in a block the query's words nominate
-    (*blocks*, :func:`term_blocks`) — so a document can match ``alpha OR
-    of`` by ``of`` only beside a document that holds ``alpha``."""
+    this decides a document at a time.)  A content-only subtree is
+    agrep's verdict on the document's own text."""
     if isinstance(node, qa.DirRef):
         path = hac.dirmap.path_of(node.uid)
         return path is not None and key in scope_keys(hac, path)
     if evaluator.is_content_only(node):
-        blocks = term_blocks(hac) if blocks is None else blocks
-        block = hac.engine.doc_id_of(key) % hac.engine.num_blocks
-        return agrep.matches(text, node) and _nominated(node, blocks, block)
+        return agrep.matches(text, node)
     if isinstance(node, qa.And):
-        return all(oracle_match(hac, c, key, text, blocks)
-                   for c in node.children)
+        return all(oracle_match(hac, c, key, text) for c in node.children)
     if isinstance(node, qa.Or):
-        return any(oracle_match(hac, c, key, text, blocks)
-                   for c in node.children)
+        return any(oracle_match(hac, c, key, text) for c in node.children)
     assert isinstance(node, qa.Not), node
-    return not oracle_match(hac, node.child, key, text, blocks)
+    return not oracle_match(hac, node.child, key, text)
 
 
 def expected_links(hac, uid):
     """transient = {f in scope(parent) : f matches} - permanent - prohibited"""
     state = hac.meta.require(uid)
     parent = pathutil.dirname(hac.dirmap.path_of(uid))
-    blocks = term_blocks(hac)
     hits = {Target.local(*key) for key in scope_keys(hac, parent)
             if key in hac.engine
-            and oracle_match(hac, state.query, key, hac.engine.loader(key),
-                             blocks)}
+            and oracle_match(hac, state.query, key, hac.engine.loader(key))}
     return hits - set(state.links.permanent.values()) - state.links.prohibited
 
 

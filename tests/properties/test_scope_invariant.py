@@ -37,10 +37,9 @@ from repro.util import pathutil
 from tests.properties.derived import (assert_is_derived,
                                      assert_links_are_derived)
 from tests.properties.reference import (assert_links_from_scratch,
-                                        oracle_match, term_blocks)
+                                        oracle_match)
 
-#: ``of`` is a stopword: the index never holds it, so a document matches
-#: ``alpha OR of`` by ``of`` only in a block where another holds ``alpha``
+#: ``of`` is a stopword: the index never holds it, yet the scanner sees it
 WORDS = ["alpha", "beta", "gamma", "fingerprint", "kernel", "of"]
 
 ops = st.lists(
@@ -208,11 +207,11 @@ def check_invariant(hac):
 
         # clause 2 (local side): exactly the matching, non-permanent,
         # non-prohibited files
-        expected, blocks = set(), term_blocks(hac)
+        expected = set()
         for doc_id in scope_docs:
             doc = hac.engine.doc_by_id(doc_id)
             text = hac.engine.loader(doc.key)
-            if oracle_match(hac, state.query, doc.key, text, blocks):
+            if oracle_match(hac, state.query, doc.key, text):
                 target = Target.local(doc.key[0], doc.key[1])
                 if target not in permanent and target not in prohibited:
                     expected.add(target)
@@ -279,9 +278,9 @@ def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
         # has a relative text (which records ``/``): every drain evaluates
         # these whole, beside the directories it evaluates by delta
         hac.smkdir("/files/unpicked", "alpha AND NOT /sem1")
-        # a stopword under OR: a rewrite can move a block-mate's verdict,
-        # so every drain evaluates this one whole too (at the root, which
-        # every change reaches: a write anywhere can move a verdict here)
+        # a stopword under OR: ``of`` narrows no block, so the scanner
+        # decides each file by its own text (at the root, which every
+        # change reaches)
         hac.smkdir("/stop", "alpha OR of")
         hac.mkdir("/rshelf")
         hac.symlink("../files/f3.txt", "/rshelf/rel")
