@@ -346,16 +346,13 @@ class CBAEngine(DocRegistry):
         if not self._cache:
             return
         block = self.index.block_of(doc_id)
-        survivors = 0
-        for key in list(self._cache):
-            entry = self._cache[key]
-            if block in entry.blocks or \
-                    (grew and block in self.index.candidate_blocks(key[0])):
-                del self._cache[key]
-            else:
-                survivors += 1
-        if survivors:
-            self._stats.add("cache_survivals", survivors)
+        stale = [key for key, entry in self._cache.items()
+                 if block in entry.blocks or
+                 (grew and block in self.index.candidate_blocks(key[0]))]
+        for key in stale:
+            del self._cache[key]
+        if self._cache:
+            self._stats.add("cache_survivals", len(self._cache))
 
     def _purge_memo(self, doc_id: int) -> None:
         dropped = self._verify_memo.pop(doc_id, None)

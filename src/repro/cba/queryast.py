@@ -20,7 +20,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 class Node:
     """Base class for query AST nodes."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def terms(self) -> Iterator[str]:
         """Every content word mentioned (for index lookups)."""
@@ -45,8 +45,15 @@ class Node:
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
+    def _seal(self) -> None:
+        """Store the structural hash.  A node never changes, so each
+        constructor computes it once, last; a sweep over cached queries
+        then never walks an AST."""
+        object.__setattr__(self, "_hash",
+                           hash((type(self).__name__,) + self._key()))
+
     def __hash__(self):
-        return hash((type(self).__name__,) + self._key())
+        return self._hash
 
     def __repr__(self):
         return self.to_text(lambda uid: f"<dir:{uid}>")
@@ -56,6 +63,9 @@ class MatchAll(Node):
     """Matches every document in scope (the empty query)."""
 
     __slots__ = ()
+
+    def __init__(self):
+        self._seal()
 
     def to_obj(self):
         return {"op": "all"}
@@ -74,6 +84,7 @@ class Term(Node):
 
     def __init__(self, word: str):
         object.__setattr__(self, "word", word.lower())
+        self._seal()
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Term is immutable")
@@ -101,6 +112,7 @@ class Approx(Node):
             raise ValueError("approximate distance must be >= 1")
         object.__setattr__(self, "word", word.lower())
         object.__setattr__(self, "k", int(k))
+        self._seal()
 
     def __setattr__(self, name, value):
         raise AttributeError("Approx is immutable")
@@ -135,6 +147,7 @@ class FieldTerm(Node):
     def __init__(self, field: str, value: str):
         object.__setattr__(self, "field", field.lower())
         object.__setattr__(self, "value", value.lower())
+        self._seal()
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldTerm is immutable")
@@ -162,6 +175,7 @@ class Phrase(Node):
         if not words:
             raise ValueError("empty phrase")
         object.__setattr__(self, "words", tuple(w.lower() for w in words))
+        self._seal()
 
     def __setattr__(self, name, value):
         raise AttributeError("Phrase is immutable")
@@ -195,6 +209,7 @@ class ScopeTerm(Node):
     def __init__(self, prefix: str):
         from repro.util import pathutil
         object.__setattr__(self, "prefix", pathutil.normalize(prefix))
+        self._seal()
 
     def __setattr__(self, name, value):
         raise AttributeError("ScopeTerm is immutable")
@@ -236,6 +251,7 @@ class DirRef(Node):
 
     def __init__(self, uid: int):
         object.__setattr__(self, "uid", int(uid))
+        self._seal()
 
     def __setattr__(self, name, value):
         raise AttributeError("DirRef is immutable")
@@ -272,6 +288,7 @@ class _Compound(Node):
         if len(flat) < 2:
             raise ValueError(f"{type(self).__name__} needs at least two operands")
         object.__setattr__(self, "children", tuple(flat))
+        self._seal()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -321,6 +338,7 @@ class Not(Node):
 
     def __init__(self, child: Node):
         object.__setattr__(self, "child", child)
+        self._seal()
 
     def __setattr__(self, name, value):
         raise AttributeError("Not is immutable")

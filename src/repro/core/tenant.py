@@ -25,10 +25,10 @@ single public API surface:
   the tenant's drain bucket (fair-share weighted round-robin — see
   :class:`~repro.core.scheduler.MaintenanceScheduler`).
 
-Isolation is load-bearing, not advisory: the tenant soak
-(``tests/chaos/tenantsoak.py``) drives two tenants, aims every fault at
-tenant A's ops, and asserts tenant B's state digest is bit-identical to a
-B-only fault-free oracle world.
+Isolation is load-bearing, not advisory: the soak's tenancy mode
+(``tests/chaos/soak.py``) drives two tenants, aims every fault at tenant
+A's ops, and asserts tenant B's digest is bit-identical to a B-only
+fault-free oracle world.
 """
 
 from __future__ import annotations

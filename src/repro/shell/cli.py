@@ -52,8 +52,6 @@ commands:
                         shard S off / heal it again
   admit [status|on|off] breaker-driven admission gate (downgrade strong
                         reads, shed writes past the queue-depth bound)
-  chaos run [SEED [K [STEPS]]] | chaos status  a seeded fault-injection soak
-                        in a twin world, checked against a clean oracle
   tenant create NAME [inodes=N] [bytes=N] [docs=N] [weight=N]
                         carve a tenant namespace with optional budgets
   tenant list           per-tenant root, usage, quota, and pending work
@@ -92,8 +90,8 @@ _DEMO_LIBRARY_DOCS = {
 }
 
 #: what a bare group verb means
-_DEFAULT_SUB = {"sched": "status", "admit": "status", "chaos": "status",
-                "tenant": "list", "trace": "show"}
+_DEFAULT_SUB = {"sched": "status", "admit": "status", "tenant": "list",
+                "trace": "show"}
 #: REPL flags, and the boolean parameter each one sets
 _FLAGS = {"-l": "long", "--async": "asynchronous", "--repair": "repair"}
 #: verbs whose last required parameter takes the rest of the line, and
@@ -113,12 +111,6 @@ def _tenant_rows(described: dict) -> str:
         f"bytes={row['usage']['bytes']}  pending={row['pending']}  "
         f"quota={row['quota']}"
         for name, row in sorted(described.items()))
-
-
-def _chaos_report(report: dict, _args) -> str:
-    keys = "seed k steps applied shed failed crashes_hit recoveries ok"
-    return "\n".join([f"{key}: {report[key]}" for key in keys.split()] +
-                     [f"violation: {v}" for v in report["violations"]])
 
 
 def _render(result, _args) -> str:
@@ -154,10 +146,6 @@ _RENDER = {
     "sched_drain": "drained ({result} index ops)",
     "sched_publish": "published snapshot version {result}",
     "sched_lag": "lagged {result} by {publishes} publish(es)",
-    "chaos_run": _chaos_report,
-    "chaos_status": lambda report, _args: json.dumps(
-        report, indent=2, sort_keys=True, default=str) if report is not None
-    else "(no chaos run yet — try 'chaos run 1')",
     "tenant_create": "tenant {name} at {result}",
     "tenant_list": lambda rows, _args: _tenant_rows(rows) if rows
     else "(no tenants — try 'tenant create NAME')",

@@ -293,24 +293,6 @@ class HacShell:
         self.hacfs.admission.disable()
         return self.hacfs.admission.status()
 
-    def chaos_run(self, seed: int = 0, k: int = 0, steps: int = 40,
-                  windows: int = 2, admission: bool = True) -> dict:
-        """Run one seeded chaos soak in a *throwaway* twin world (this
-        shell's file system is untouched) and return its report; the
-        report is kept for ``chaos_status``."""
-        # lazy: repro.chaos builds its worlds from this module (a cycle)
-        from repro.chaos import ChaosRun
-
-        run = ChaosRun(seed=seed, k=k, steps=steps, windows=windows,
-                       admission=admission)
-        run.run()
-        self._last_chaos = run.report()
-        return self._last_chaos
-
-    def chaos_status(self) -> Optional[dict]:
-        """The report of the last ``chaos_run`` in this session, if any."""
-        return getattr(self, "_last_chaos", None)
-
     def hacstat(self, prefix: str = "") -> dict:
         """Snapshot of counters, histograms, and the span breakdown,
         optionally restricted to counter names starting with *prefix*."""

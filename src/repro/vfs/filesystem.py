@@ -109,8 +109,8 @@ class FileSystem:
                  fsid: Optional[str] = None):
         self.name = name
         # fsid defaults to a process-unique id; callers needing runs that
-        # are reproducible across processes (the chaos soak hashes doc
-        # keys — which embed the fsid — onto shards) pin it explicitly
+        # are reproducible across processes (the soak hashes doc keys —
+        # which embed the fsid — onto shards) pin it explicitly
         self.fsid = fsid if fsid is not None else f"{name}#{next(_fsid_counter)}"
         self.clock = clock if clock is not None else VirtualClock()
         self.counters = counters if counters is not None else Counters()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cba import queryast
 from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
 from repro.util.bitmap import Bitmap
@@ -122,7 +123,9 @@ class TestInvalidation:
 class TestMutationSweepCost:
     """Condition (b) of the invalidation sweep — recomputing candidate
     blocks per cached entry — only runs when the mutation could have
-    raised some block's candidacy (a term its block lacked appeared)."""
+    raised some block's candidacy (a term its block lacked appeared).
+    Either way the sweep visits every entry without rebuilding its query's
+    structural key, which walks the whole AST."""
 
     def test_pure_removal_skips_candidate_recompute(self):
         eng = build()
@@ -159,6 +162,49 @@ class TestMutationSweepCost:
         after = eng.search(alpha)
         assert after == eng.naive_search(alpha)
         assert eng.doc_id_of("c") in after
+
+    @staticmethod
+    def _full_cache():
+        store = {f"d{i:03d}": f"u{i % 64}x filler" for i in range(128)}
+        eng = CBAEngine(loader=store.get, num_blocks=64)
+        eng.store = store
+        for key in sorted(store):
+            eng.index_document(key, path=f"/{key}", mtime=0.0)
+        pairs = [(a, b) for a in range(64) for b in range(a + 1, 64)]
+        for a, b in pairs[:64]:
+            k = (a + b + 5) % 64
+            eng.search(parse_query(f"(u{a}x OR u{b}x) AND NOT u{k}x"))
+        assert len(eng._cache) == 64
+        return eng
+
+    @staticmethod
+    def _count_keys(monkeypatch):
+        calls = []
+        stack = [queryast.Node]
+        while stack:
+            cls = stack.pop()
+            stack.extend(cls.__subclasses__())
+            if "_key" in vars(cls):
+                def counted(node, _key=vars(cls)["_key"]):
+                    calls.append(type(node))
+                    return _key(node)
+                monkeypatch.setattr(cls, "_key", counted)
+        return calls
+
+    def test_a_removal_sweeps_without_rehashing(self, monkeypatch):
+        eng = self._full_cache()
+        calls = self._count_keys(monkeypatch)
+        eng.remove_document("d003")
+        assert 0 < len(eng._cache) < 64   # swept: some dropped, most kept
+        assert calls == []
+
+    def test_a_growing_update_sweeps_without_rehashing(self, monkeypatch):
+        eng = self._full_cache()
+        calls = self._count_keys(monkeypatch)
+        eng.store["d004"] += " u1x u2x u3x novel"
+        eng.update_document("d004", path="/d004", mtime=1.0)
+        assert 0 < len(eng._cache) < 64
+        assert calls == []
 
 
 class TestLRUDiscipline:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.admission import AdmissionController
 from repro.errors import AdmissionRejected, BackendUnavailable
+from tests.chaos.soak import World
 
 
 def _clustered(populated, shards=2):
@@ -147,3 +148,65 @@ def test_status_shape_and_health_integration(populated):
     assert report["admission"]["state"] == "healthy"
     admission.disable()
     assert populated.health()["admission"]["enabled"] is False
+
+
+# -- the A/B: what the gate prevents, on deterministic counters --------------
+
+QUEUE_DEPTH = 8
+WRITE_BURST = 12
+
+
+def _admission_arm(enabled):
+    """One clustered soak world (synced and published), one script: kill
+    a shard, trip its breaker with three strong reads, then a strong read
+    and a write burst — with the gate off, or turned on once the breaker
+    is open."""
+    hac = World(k=3, batched=True).hac
+    snapshot_hits = hac.glimpse("fingerprint", consistency="snapshot")
+    hac.engine.kill_shard("shard0")
+    partials = "cluster.partial_results"
+    before = hac.counters.get(partials)
+    for _ in range(3):
+        hac.glimpse("fingerprint", consistency="strong")
+    trip_partials = hac.counters.get(partials) - before
+    assert hac.engine.breakers()["shard0"].state == "open"
+    if enabled:
+        hac.admission.max_queue_depth = QUEUE_DEPTH
+        hac.admission.enable()
+    before = hac.counters.get(partials)
+    strong_hits = hac.glimpse("fingerprint", consistency="strong")
+    read_partials = hac.counters.get(partials) - before
+    shed = 0
+    for index in range(WRITE_BURST):
+        try:
+            hac.write_file(f"/notes/burst{index:02d}.txt",
+                           b"fingerprint burst traffic\n")
+        except AdmissionRejected:
+            shed += 1
+    return dict(snapshot_hits=snapshot_hits, strong_hits=strong_hits,
+                still_serving=hac.glimpse("fingerprint",
+                                          consistency="snapshot"),
+                trip_partials=trip_partials, read_partials=read_partials,
+                shed=shed, pending=hac.maintenance.pending,
+                status=hac.admission.status())
+
+
+def test_the_gate_turns_partial_reads_and_an_unbounded_queue_around():
+    off, on = _admission_arm(False), _admission_arm(True)
+    # both arms tripped the breaker identically, with silent partials
+    assert off["trip_partials"] == on["trip_partials"] == 3
+    # off: strong reads silently lose the dead shard's documents...
+    assert off["read_partials"] > 0
+    assert set(off["strong_hits"]) < set(off["snapshot_hits"])
+    # ...and nothing bounds the queue (drains against the dead shard fail)
+    assert off["shed"] == 0 and off["pending"] > QUEUE_DEPTH
+    # on: downgraded reads answer complete from the published snapshot
+    assert on["read_partials"] == 0
+    assert on["strong_hits"] == on["snapshot_hits"]
+    assert on["status"]["downgraded_reads"] > 0
+    # ...and the burst is shed exactly past the bound, never before
+    assert on["pending"] == QUEUE_DEPTH
+    assert on["shed"] == on["status"]["shed_writes"] \
+        == WRITE_BURST - QUEUE_DEPTH
+    # snapshot reads kept serving in both arms
+    assert off["still_serving"] and on["still_serving"]

@@ -25,13 +25,11 @@ property against a sharded search cluster (CI matrix).
 
 import os
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from repro.cba.backend import open_backend
 from repro.cba.queryparser import parse_query
-from repro.chaos.invariants import state_digest
 from repro.core.hacfs import HacFileSystem
 from repro.errors import DeviceCrashed
 from repro.shell.session import HacShell
@@ -41,6 +39,7 @@ from repro.util.stats import Counters
 from repro.vfs.blockdev import FaultPlan
 from repro.vfs.filesystem import FileSystem
 
+from tests.chaos.soak import digest
 from tests.properties.derived import assert_segments_are_derived
 from tests.properties.reference import assert_paths_column
 
@@ -159,10 +158,6 @@ def raw_answer(hac: HacFileSystem, query: str) -> bytes:
     return hac.engine.search(ast).to_bytes()
 
 
-def as_world(shell: HacShell) -> SimpleNamespace:
-    return SimpleNamespace(hac=shell.hacfs, shell=shell)
-
-
 @pytest.mark.parametrize("seed",
                          [BASE_SEED, BASE_SEED + 1, BASE_SEED + 2])
 def test_segmented_is_bit_identical_to_monolithic(seed):
@@ -186,8 +181,7 @@ def test_segmented_is_bit_identical_to_monolithic(seed):
     assert serialization.dumps(mono.hacfs.engine.to_obj()) == \
         serialization.dumps(seg.hacfs.engine.to_obj()), seed
     assert set(mono.hacfs.links("/fp")) == set(seg.hacfs.links("/fp")), seed
-    assert state_digest(as_world(mono), queries=QUERIES) == \
-        state_digest(as_world(seg), queries=QUERIES), seed
+    assert digest(mono.hacfs, QUERIES) == digest(seg.hacfs, QUERIES), seed
 
     # and the segment plane actually engaged: rows coalesced into the
     # memtable, and the monolith sealed at every reindex.  A cluster's
@@ -229,6 +223,5 @@ def test_crash_recovery_converges_identically(seed):
         assert [f for f in revived.fsck() if f.severity == "error"] == [], \
             seed
         assert_segments_are_derived(revived, seed)
-        restored.append(as_world(HacShell(revived)))
-    assert state_digest(restored[0], queries=QUERIES) == \
-        state_digest(restored[1], queries=QUERIES), seed
+        restored.append(revived)
+    assert digest(restored[0], QUERIES) == digest(restored[1], QUERIES), seed

@@ -3,13 +3,14 @@
 For any fuzzed interleaving of two tenants' operation streams over one
 shared :class:`HacFileSystem`, every observable a tenant has — its tree,
 its semantic-directory links, its strong query answers, and the final
-``tenant_digest`` — must be identical to a *solo twin*: a world that
+``digest`` — must be identical to a *solo twin*: a world that
 hosts only that tenant and replays only that tenant's stream.  The
 shared world additionally takes host-namespace noise (files outside
 ``/tenants``) that must be equally invisible.
 
 This is the fault-free half of the isolation story; the chaos half
-(faults aimed at one tenant) lives in :mod:`tests.chaos.tenantsoak`.
+(faults aimed at one tenant) is the soak's tenancy mode
+(:mod:`tests.chaos.soak`).
 
 ``TENANT_SEED`` shifts the fuzz seeds and ``TENANT_K`` (>0) runs the
 shared world over a sharded search cluster (the CI ``sweeps`` matrix
@@ -22,7 +23,7 @@ import random
 
 from repro.core.hacfs import HacFileSystem
 from repro.core.quota import QuotaSpec, recompute_usage
-from tests.chaos.tenantsoak import tenant_digest
+from tests.chaos.soak import digest
 
 SEED = int(os.environ.get("TENANT_SEED", "0"))
 K = int(os.environ.get("TENANT_K", "0"))
@@ -163,8 +164,8 @@ def test_fuzzed_interleavings_match_solo_twins():
                 shared.write_file(f"/noise/h{round_no}_{step}.txt",
                                   b"host fingerprint noise")
         for name in ("alpha", "beta"):
-            assert tenant_digest(tenants[name]) == \
-                tenant_digest(solos[name]), (round_no, name)
+            assert digest(tenants[name], TERMS) == \
+                digest(solos[name], TERMS), (round_no, name)
 
 
 def test_neighbour_churn_never_leaks_into_query_answers():
@@ -188,4 +189,4 @@ def test_neighbour_churn_never_leaks_into_query_answers():
             (step, term)
     assert sorted(tenants["beta"].links("/hits")) == \
         sorted(solo_beta.links("/hits"))
-    assert tenant_digest(tenants["beta"]) == tenant_digest(solo_beta)
+    assert digest(tenants["beta"], TERMS) == digest(solo_beta, TERMS)

@@ -1,5 +1,5 @@
 """Shell surface for the fault plane: shards kill/restore, sched lag,
-admit on/off, and the chaos soak commands."""
+and admit on/off."""
 
 import pytest
 
@@ -119,29 +119,3 @@ def test_shed_write_surfaces_as_an_error(clustered):
     with pytest.raises(AdmissionRejected):
         clustered.write("/notes/shed.txt", "never lands")
     assert "error:" in execute(clustered, "write /notes/shed2.txt nope")
-
-
-# -- chaos run / status ------------------------------------------------------
-
-
-def test_chaos_run_uses_a_twin_world(shell):
-    before = sorted(shell.hacfs.listdir("/"))
-    report = shell.chaos_run(seed=2, k=0, steps=12, windows=1)
-    assert report["ok"], report["violations"]
-    assert shell.chaos_status() is report
-    # this shell's own file system was never touched
-    assert sorted(shell.hacfs.listdir("/")) == before
-
-
-def test_chaos_via_the_repl():
-    shell = build_demo_shell()
-    assert "no chaos run yet" in execute(shell, "chaos status")
-    out = execute(shell, "chaos run 4 0 12")
-    assert "ok: True" in out
-    assert "seed: 4" in out
-    assert '"ok": true' in execute(shell, "chaos status")
-    assert "unknown chaos subcommand" in execute(shell, "chaos bogus")
-
-
-def test_fresh_session_has_no_chaos_report():
-    assert HacShell().chaos_status() is None
