@@ -246,14 +246,15 @@ class HacFileSystem:
         """Re-evaluate what a change inside *dirpath* can reach."""
         self.consistency.on_scope_changed([self.dir_node(dirpath)])
 
-    def _name(self, path: str) -> int:
+    def _name(self, path: str, flush: bool = True) -> int:
         """The uid of the directory at the canonical *path*, minted with
         its record when nothing named it yet — inside the intent of the
-        op that names it (docs/SEMANTICS.md §1)."""
+        op that names it (docs/SEMANTICS.md §1).  A caller that writes the
+        record itself before its intent commits passes ``flush=False``."""
         uid = self.dirmap.uid_of(path)
         if uid is None:
             uid = self.dirmap.register(path)
-            self.meta.create(uid, *self.dirmap.place_of(path))
+            self.meta.create(uid, *self.dirmap.place_of(path), flush=flush)
         return uid
 
     def _parse(self, query: str, host_path=None):
@@ -721,7 +722,7 @@ class HacFileSystem:
         with self._journaled("set_query", {"path": canon, "query": query}):
             if ast is not None:
                 self._name(pathutil.dirname(canon))
-                uid = self._name(canon)
+                uid = self._name(canon, flush=False)   # flushed below
                 state = self.meta.require(uid)
                 ast = rewrite_dir_refs(ast, lambda n: self._name(paths[n]))
             # validate/settle the edges first: a cycle must leave the old

@@ -37,8 +37,8 @@ mode uses.  Doc ids are *reserved at enqueue time* and pinned at apply
 time, so a coalesced batch assigns the same ids — hence the same
 ``doc_id % num_blocks`` block placement, hence bit-identical query
 answers — as the eager sequence it replaced
-(``tests/properties/test_scheduler_equivalence.py`` fuzzes this).  The
-pipeline is back-end agnostic: it talks pure
+(``tests/properties/test_twins.py`` fuzzes this against an eager twin).
+The pipeline is back-end agnostic: it talks pure
 :class:`~repro.cba.backend.SearchBackend`, and a drain against a
 :class:`~repro.cluster.ShardedSearchCluster` routes per-shard sub-batches
 via the doc-id registry's ``shard_of``.

@@ -112,14 +112,15 @@ class MetaStore:
 
     # -- directory state ------------------------------------------------------
 
-    def create(self, uid: int, parent: Optional[int],
-               name: str) -> SemanticDirState:
+    def create(self, uid: int, parent: Optional[int], name: str,
+               flush: bool = True) -> SemanticDirState:
         if uid in self._states:
             raise ValueError(f"state already exists for uid {uid}")
         state = SemanticDirState(uid)
         state.parent, state.name = parent, name
         self._states[uid] = state
-        self.flush(uid)
+        if flush:
+            self.flush(uid)
         return state
 
     def get(self, uid: int) -> Optional[SemanticDirState]:

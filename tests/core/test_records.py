@@ -6,6 +6,7 @@ exactly once.  Exact counters throughout — no wall clock."""
 import pytest
 
 from repro.core.hacfs import HacFileSystem
+from repro.util import serialization
 
 #: every record kind HAC persists once its intents have committed
 FAMILIES = {"engineconf", "semdir", "tenants",
@@ -132,20 +133,24 @@ def test_a_reopen_after_save_index_writes_only_its_begin(world):
     assert "cbaindex" not in device.record_keys()
 
 
-@pytest.mark.parametrize("bound, op", [
-    (5, lambda t: t.mkdir("/m")),
-    (6, lambda t: t.smkdir("/s", "alpha")),
+@pytest.mark.parametrize("writes, op", [
+    (0, lambda t: t.mkdir("/m")),
+    (5, lambda t: t.smkdir("/s", "alpha")),
     (5, lambda t: t.set_query("/q", "alpha AND 1")),
+    (5, lambda t: t.set_query("/d", "alpha")),
     (5, lambda t: t.rename("/empty", "/moved")),
     (5, lambda t: t.rmdir("/empty")),
-], ids=["mkdir", "smkdir", "set_query", "rename_dir", "rmdir"])
-def test_structural_ops_write_each_fact_once(world, bound, op):
+], ids=["mkdir", "smkdir", "set_query", "set_query_unnamed", "rename_dir",
+        "rmdir"])
+def test_structural_ops_write_each_fact_once(world, writes, op):
     """Device writes (deletes included) per call: the intent's begin, one
     pre-image and one write per record touched, the commit's deletes —
-    and the one record touched is the directory's own: the global map is
-    derived from the places the records hold, never written, and the
-    cascade that links the query's results writes no record at all.  A
-    query names ``/empty``, so its move and removal are journaled."""
+    and the one record touched is the directory's own, written once even
+    when the op mints it (``smkdir``, a query on a directory nothing
+    named): the global map is derived from the places the records hold,
+    never written, and the cascade that links the query's results writes
+    no record at all.  A plain ``mkdir`` writes nothing.  A query names
+    ``/empty``, so its move and removal are journaled."""
     hac, tenant = world
     tenant.smkdir("/q", "alpha")
     tenant.mkdir("/empty")
@@ -153,7 +158,7 @@ def test_structural_ops_write_each_fact_once(world, bound, op):
     device = hac.fs.device
     before = device.record_write_index
     op(tenant)
-    assert device.record_write_index - before <= bound
+    assert device.record_write_index - before == writes
 
 
 @pytest.mark.parametrize("op", [
@@ -212,12 +217,20 @@ def test_a_glimpse_naming_a_plain_directory_writes_nothing(world):
 
 def bytes_and_key_lengths(device, op):
     """Bytes written to the device while *op* runs, and the summed length
-    of the record keys they were written under."""
+    of the record keys they name: the key each is written under, and, for
+    every op, the key a journal pre-image (``wal:<seq>:u<i>``) holds the
+    old bytes of — a pre-image carries its record's name in its body.  Of
+    the ops below only ``smkdir`` journals a record whose name grows with
+    the directory count (its new uid); ``mkdir`` writes nothing and a
+    directory ``rename`` journals the same record at both sizes."""
     written = []
     write = device.write_record
 
     def spy(key, data):
-        written.append((len(key), len(data)))
+        named = len(key)
+        if key.startswith("wal:") and ":u" in key:
+            named += len(serialization.loads(data)["key"])
+        written.append((named, len(data)))
         return write(key, data)
 
     device.write_record = spy

@@ -209,7 +209,9 @@ class TestRestoreRecovery:
 
     def test_torn_write_is_healed_by_the_journal(self, populated):
         dev = populated.fs.device
-        dev.set_fault_plan(FaultPlan(tear_at=dev.record_write_index + 3))
+        # the smkdir's writes: its begin, the new record's pre-image, then
+        # the record itself — the one torn here
+        dev.set_fault_plan(FaultPlan(tear_at=dev.record_write_index + 2))
         with pytest.raises(DeviceCrashed):
             populated.smkdir("/fp", "fingerprint")
         restored = HacFileSystem.restore(populated.fs)
@@ -406,3 +408,28 @@ class TestPathMapAcrossRestore:
         doc = next(again.engine.doc_by_id(d)
                    for d in again.engine.all_docs())
         assert doc.path == "/proj/b/f.txt"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="restore's catch-up sync finds changed files by "
+                   "mtime alone, so a rewrite within the sealed version's "
+                   "clock instant keeps the sealed row")
+def test_a_same_instant_rewrite_survives_a_crash():
+    """A file rewritten without a clock tick after ``save_index``, its new
+    text drained into the unsealed memtable, must answer from the new text
+    after a crash and a restore."""
+    hac = HacFileSystem()
+    hac.maintenance.set_mode("batched")
+    hac.mkdir("/d")
+    hac.watch("/d")
+    hac.write_file("/d/w.txt", b"alpha")
+    hac.save_index()
+    hac.write_file("/d/w.txt", b"beta")
+    hac.maintenance.drain()
+    dev = hac.fs.device
+    dev.set_fault_plan(FaultPlan(crash_at=dev.record_write_index))
+    with pytest.raises(DeviceCrashed):
+        hac.ssync("/")
+    restored = HacFileSystem.restore(hac.fs)
+    assert restored.glimpse("beta") == ["/d/w.txt"]
+    assert restored.glimpse("alpha") == []
