@@ -114,6 +114,39 @@ class CASIndex:
         self._docs[doc_id] = (part, terms)
         self._stats.add("upserts")
 
+    def install(self, docs: Iterable[Tuple[int, str, Tuple[str, ...]]]
+                ) -> None:
+        """Replace the whole index with *docs*, ``(doc id, path, terms)``
+        triples: what one :meth:`upsert` each builds, made per directory
+        — one member bitmap and one posting per (directory, term), and
+        one path coercion per distinct parent."""
+        self.clear()
+        groups: Dict[str, List[Tuple[int, Tuple[str, ...]]]] = {}
+        dirs: Dict[str, str] = {}
+        for doc_id, path, terms in docs:
+            head, _, name = path.rpartition(pathutil.SEP)
+            # every path that ends in a name below *head* files under the
+            # same directory
+            seen = head if name not in ("", ".") else path
+            directory = dirs.get(seen)
+            if directory is None:
+                directory = dirs[seen] = pathutil.dirname(
+                    pathutil.canonical(path))
+            groups.setdefault(directory, []).append((doc_id, terms))
+        for directory, members in groups.items():
+            part = self._parts[directory] = _Partition(directory)
+            bits: Dict[str, int] = {}
+            for doc_id, terms in members:
+                bit = 1 << doc_id
+                for term in terms:
+                    bits[term] = bits.get(term, 0) | bit
+                self._docs[doc_id] = (part, terms)
+            part.members = Bitmap(doc_id for doc_id, _terms in members)
+            part.postings = {term: Bitmap.from_int(n)
+                             for term, n in bits.items()}
+        self._keys = sorted(self._parts)
+        self._stats.add("upserts", len(self._docs))
+
     def remove(self, doc_id: int) -> None:
         entry = self._docs.pop(doc_id, None)
         if entry is None:

@@ -238,7 +238,7 @@ class CBAEngine(DocRegistry):
     # write, a replica replaying ops or folding segments — lands in these
     # three methods, so a new index dimension is wired here once.  The two
     # wholesale installs into an empty engine (`_adopt`, `from_segments`)
-    # bypass them and derive that dimension once, in `rebuild_cas`.
+    # bypass them and build each dimension in bulk.
 
     def _upsert(self, doc_id: int, key: Hashable, path: str, mtime: float,
                 size: int, terms: Iterable[str]) -> None:
@@ -406,14 +406,12 @@ class CBAEngine(DocRegistry):
     def rebuild_cas(self) -> None:
         """Repopulate the CAS index from the registry and the block
         index's removal map — zero loader reads, zero tokenisations, one
-        insert per document.  Wholesale installs (:meth:`_adopt`,
-        :meth:`from_segments`) and fsck repair land here because they
-        bypass the per-mutation funnels."""
-        self.cas.clear()
+        bulk install.  :meth:`_adopt` and fsck repair land here because
+        they bypass the per-mutation funnels."""
         term, doc_terms = self.index.lexicon.term, self.index._doc_terms
-        for doc_id, doc in self._docs.items():
-            self.cas.upsert(doc_id, doc.path,
-                            [term(tid) for tid in doc_terms.get(doc_id, ())])
+        self.cas.install(
+            (doc_id, doc.path, tuple(map(term, doc_terms.get(doc_id, ()))))
+            for doc_id, doc in self._docs.items())
 
     # -- postings answering ---------------------------------------------------
 
@@ -764,7 +762,7 @@ class CBAEngine(DocRegistry):
         if self.segments is not None:
             info["pending_ops"] = (
                 len(self.segments.unpublished or ())
-                + sum(len(cut) for cut in self.segments.log))
+                + sum(len(cut.rows) for cut in self.segments.log))
             info["segments"] = len(self.segments.frozen)
         return info
 
@@ -867,23 +865,26 @@ class CBAEngine(DocRegistry):
     def from_segments(cls, store: SegmentStore,
                       loader: Callable[[Hashable], str],
                       next_doc_id: int = 0, **config) -> "CBAEngine":
-        """Rebuild an engine by folding *store*'s frozen segments —
-        reindex-as-merge.  Each document's newest upsert row carries the
-        term set the original engine computed, so the rebuild is pure
-        index insertion: zero loader reads, zero tokenisations (the
-        counter Ablation N's merge-vs-rebuild guard compares).  The rows
-        land in bulk, as :meth:`_adopt` installs a copied index: an empty
-        engine has no cache, memo or CAS partition to keep current per
-        document, so the CAS index is derived once, at the end.  *config*
-        is any constructor keyword; ``segmented`` is implied."""
+        """Rebuild an engine from *store*'s frozen segments —
+        reindex-as-merge.  The store folds them into one columnar run of
+        live rows (:meth:`SegmentStore.fold`), each carrying the term ids
+        the original engine computed, and every dimension is installed
+        from it in bulk: the block index by term id, the registry, and
+        the CAS index per directory.  Zero loader reads, zero
+        tokenisations (the counter Ablation N's merge-vs-rebuild guard
+        compares), and no per-document funnel: an empty engine has no
+        cache or memo to keep current.  *config* is any constructor
+        keyword; ``segmented`` is implied."""
         engine = cls(loader, **dict(config, segmented=True))
         engine.segments = store
-        rows = store.live_rows()
-        for key, row in sorted(rows.items(), key=lambda kv: kv[1].doc_id):
-            engine.index.add(row.doc_id, row.terms)
-            engine._put(row.doc_id, key, row.path, row.mtime, row.size)
-        engine._burn_ids(next_doc_id)
-        engine.rebuild_cas()
+        live = store.fold()
+        runs = live.runs()
+        engine.index.install(live.terms, zip(live.doc_ids, runs))
+        engine._load(map(Document, live.doc_ids, live.keys, live.paths,
+                         live.mtimes, live.sizes), next_doc_id)
+        term = live.terms.__getitem__
+        engine.cas.install(zip(live.doc_ids, live.paths,
+                               (tuple(map(term, run)) for run in runs)))
         engine._stats.add("restored_docs", len(engine._docs))
-        engine._stats.add("merged_rows", len(rows))
+        engine._stats.add("merged_rows", len(live))
         return engine

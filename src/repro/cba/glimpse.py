@@ -23,7 +23,10 @@ This module implements that structure:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Set
+from collections import Counter
+from itertools import chain
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.util.bitmap import Bitmap
 from repro.util.stats import Counters
@@ -224,6 +227,44 @@ class GlimpseIndex:
         self._all_blocks.add(block)
         self._stats.add("docs_added")
         return grew
+
+    def install(self, terms: Sequence[str],
+                docs: Iterable[Tuple[int, Iterable[int]]]) -> None:
+        """Bulk-load this empty index with *docs*, ``(doc id, term ids)``
+        pairs whose ids index *terms* — a restore's folded rows.  The
+        result is what one :meth:`add` per document builds, made by term
+        id in one pass over the (doc, term) pairs: the doc postings and
+        per-block counts first, then the block postings per (block, term)
+        and the lexicon per term (ids as given, document frequency read
+        off the doc postings)."""
+        if self._doc_terms:
+            raise ValueError("install needs an empty index")
+        num_blocks, doc_terms = self.num_blocks, self._doc_terms
+        doc_bits: Dict[int, int] = {}
+        members: Dict[int, List[int]] = {}
+        for doc_id, tids in docs:
+            tids = doc_terms[doc_id] = set(tids)
+            bit = 1 << doc_id
+            for tid in tids:
+                doc_bits[tid] = doc_bits.get(tid, 0) | bit
+            members.setdefault(doc_id % num_blocks, []).append(doc_id)
+        block_bits: Dict[int, int] = {}
+        for block, doc_ids in members.items():
+            counts = self._block_counts[block] = dict(Counter(
+                chain.from_iterable(map(doc_terms.__getitem__, doc_ids))))
+            bit = 1 << block
+            for tid in counts:
+                block_bits[tid] = block_bits.get(tid, 0) | bit
+            self._block_docs[block] = Bitmap(doc_ids)
+        self._postings = {tid: Bitmap.from_int(bits)
+                          for tid, bits in block_bits.items()}
+        self._doc_postings = {tid: Bitmap.from_int(bits)
+                              for tid, bits in doc_bits.items()}
+        self.lexicon = Lexicon.from_obj({
+            terms[tid]: [tid, bits.bit_count()]
+            for tid, bits in doc_bits.items()})
+        self._all_docs = Bitmap(doc_terms)
+        self._all_blocks = Bitmap(members)
 
     def remove(self, doc_id: int) -> bool:
         """Withdraw a document, pruning postings that empty out.

@@ -95,6 +95,12 @@ class ConsistencyManager:
         return self._run(self.hacfs.depgraph.affected_order(
             self._seeds(changed, named)), delta)
 
+    def reaches(self, changed: Iterable[Tuple[str, int]]) -> bool:
+        """Whether :meth:`on_scope_changed` of the *changed* directories
+        would re-evaluate any semantic directory."""
+        return bool(self.hacfs.depgraph.affected_order(
+            self._seeds(changed, ())))
+
     def reevaluate_from(self, uid: int) -> int:
         """Semantic *uid*'s own query or hand-curated links changed —
         nothing a plain scope reads — so it, and what depends on it, are

@@ -497,11 +497,18 @@ class HacFileSystem:
             return
         self.fs.unlink(path)
         # the index entry lingers until reindex (data inconsistency, §2.4) —
-        # unless a watch covers the file, which withdraws it immediately
-        if isinstance(res.node, FileNode):
-            self.watches.on_file_removed((res.fs.fsid, res.node.ino),
-                                         parent_dir)
-        self._changed(canon_dir)
+        # unless a watch covers the file and queues its withdrawal, whose
+        # drain cascades from this directory.  When that cascade has a
+        # semantic directory to re-evaluate, a batched queue drains now,
+        # as the cascade's barrier would: a link to the file must not
+        # outlive it.  Either way the unlink cascades at most once.
+        if isinstance(res.node, FileNode) and self.watches.on_file_removed(
+                (res.fs.fsid, res.node.ino), parent_dir):
+            if self.maintenance.pending and \
+                    self.consistency.reaches([self.dir_node(canon_dir)]):
+                self.maintenance.barrier()
+        else:
+            self._changed(canon_dir)
 
     def symlink(self, target: str, linkpath: str) -> StatResult:
         """Create a link; inside a semantic directory it becomes permanent

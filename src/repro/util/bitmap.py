@@ -66,6 +66,14 @@ class Bitmap:
         bm._n = int.from_bytes(data, "little")
         return bm
 
+    @classmethod
+    def from_int(cls, n: int) -> "Bitmap":
+        """The set whose members are *n*'s one bits — for bulk builders
+        that OR ``1 << id`` into plain ints and wrap each result once."""
+        bm = cls.__new__(cls)
+        bm._n = n
+        return bm
+
     def to_bytes(self) -> bytes:
         """Serialise to the paper's N/8-byte on-disk form."""
         return self._n.to_bytes((self._n.bit_length() + 7) // 8, "little")

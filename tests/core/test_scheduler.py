@@ -92,6 +92,56 @@ class TestCoalescing:
         assert new_id is not None and new_id != old_id
 
 
+class TestUnlinkUnderAWatch:
+    """A watched unlink is queued like a write, and the drain's cascade
+    starts from its directory: the unlink runs no cascade of its own.  A
+    batched queue drains at once when that cascade reaches a semantic
+    directory, so no link outlives its file, and waits otherwise."""
+
+    @pytest.fixture
+    def hac(self, hacfs):
+        hacfs.makedirs("/t")
+        hacfs.smkdir("/q", "alpha")
+        hacfs.watch("/t")
+        for i in range(3):
+            hacfs.write_file(f"/t/m{i}.txt", b"alpha beta\n")
+        return hacfs
+
+    def test_batched_unlink_drains_once_and_cascades_once(self, hac):
+        batched(hac)
+        hac.clock.tick()
+        hac.write_file("/t/m1.txt", b"alpha gamma\n")
+        drains = hac.counters.get("sched.drains")
+        cascades = hac.counters.get("consistency.cascades")
+        hac.unlink("/t/m0.txt")
+        assert hac.counters.get("sched.drains") == drains + 1
+        assert hac.counters.get("consistency.cascades") == cascades + 1
+        assert hac.maintenance.pending == 0
+        assert sorted(hac.listdir("/q")) == ["m1.txt", "m2.txt"]
+
+    def test_batched_unlink_no_directory_reaches_only_queues(self, hacfs):
+        hacfs.makedirs("/t")
+        hacfs.makedirs("/elsewhere")
+        hacfs.smkdir("/elsewhere/q", "alpha")
+        hacfs.watch("/t")
+        for i in range(2):
+            hacfs.write_file(f"/t/m{i}.txt", b"alpha beta\n")
+        batched(hacfs)
+        hacfs.clock.tick()
+        hacfs.write_file("/t/m1.txt", b"alpha gamma\n")
+        drains = hacfs.counters.get("sched.drains")
+        hacfs.unlink("/t/m0.txt")
+        assert hacfs.counters.get("sched.drains") == drains
+        assert hacfs.maintenance.pending == 2
+
+    def test_eager_unlink_cascades_once(self, hac):
+        for name in ("/t/m0.txt", "/t/m2.txt"):
+            cascades = hac.counters.get("consistency.cascades")
+            hac.unlink(name)
+            assert hac.counters.get("consistency.cascades") == cascades + 1
+        assert hac.listdir("/q") == ["m1.txt"]
+
+
 class TestPolicyTriggers:
     def test_max_pending_threshold_drains(self, watched):
         hac = batched(watched)
