@@ -7,10 +7,13 @@ overhead.
 Our corpus defaults to ~1 500 files / ~2 MB (scale with HAC_BENCH_SCALE);
 "direct Glimpse" is the CBA engine fed from a plain dict, "through HAC" is
 a full ``reindex`` walking the live file system and charging the block
-device.  Space is what each side leaves on disk: the direct engine's
-serialised index against every record HAC's device holds afterwards (the
-persisted index segments plus file table, per-directory state, maps).
-Shape to reproduce: a modest positive overhead on both axes.
+device.  Space is what each side leaves on disk, in the same columnar
+form: the direct engine's live rows sealed into one segment record (what
+a cluster's ``save_index`` writes per shard,
+``CBAEngine.live_segment``) against every record HAC's device holds
+afterwards (its index segments plus per-directory state and engine
+configuration).  Shape to reproduce: a modest positive overhead on both
+axes, and metadata records beside HAC's index.
 """
 
 import pytest
@@ -18,8 +21,8 @@ import pytest
 from repro.bench.harness import BenchResult, assert_shape, report, time_call
 from repro.bench.tables import PAPER, slowdown_pct
 from repro.cba.engine import CBAEngine
+from repro.cba.segments import MANIFEST_RECORD, SEGMENT_PREFIX
 from repro.core.hacfs import HacFileSystem
-from repro.util import serialization
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 
 
@@ -29,19 +32,21 @@ def make_config(scale):
 
 
 def index_direct(gen, repetitions=2):
-    docs = dict(gen.documents())
+    # keyed like HAC's documents, (file system id, inode number), so the
+    # rows seal into a segment record
+    docs = {("direct", ino): doc for ino, doc in enumerate(gen.documents())}
 
     def run():
-        engine = CBAEngine(loader=docs.__getitem__)
-        for rel, text in docs.items():
-            engine.index_document(rel, path="/" + rel, mtime=1.0, text=text)
+        engine = CBAEngine(loader=lambda key: docs[key][1])
+        for key, (rel, text) in docs.items():
+            engine.index_document(key, path="/" + rel, mtime=1.0, text=text)
         return engine
 
     best = None
     for _ in range(repetitions):
         seconds, engine = time_call(run)
         best = seconds if best is None else min(best, seconds)
-    return best, len(serialization.dumps(engine.to_obj()))
+    return best, len(engine.live_segment().to_bytes())
 
 
 def index_through_hac(gen, repetitions=2):
@@ -52,7 +57,10 @@ def index_through_hac(gen, repetitions=2):
         hac.clock.tick()
         seconds, _plan = time_call(lambda: hac.reindex("/"))
         best = seconds if best is None else min(best, seconds)
-    return best, hac.fs.device.record_bytes
+    device = hac.fs.device
+    index = sum(len(device.read_record(key)) for key in device.record_keys()
+                if key.startswith(SEGMENT_PREFIX) or key == MANIFEST_RECORD)
+    return best, device.record_bytes, device.record_bytes - index
 
 
 @pytest.mark.benchmark(group="table3")
@@ -61,11 +69,10 @@ def test_table3_indexing_overhead(benchmark, record_report, scale):
 
     def run():
         direct_time, direct_space = index_direct(gen)
-        hac_time, hac_space = index_through_hac(gen)
-        return direct_time, direct_space, hac_time, hac_space
+        return (direct_time, direct_space) + index_through_hac(gen)
 
-    direct_time, direct_space, hac_time, hac_space = benchmark.pedantic(
-        run, rounds=1, iterations=1, warmup_rounds=1)
+    direct_time, direct_space, hac_time, hac_space, hac_meta = \
+        benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)
 
     time_overhead = slowdown_pct(hac_time, direct_time)
     space_overhead = slowdown_pct(hac_space, direct_space)
@@ -80,6 +87,8 @@ def test_table3_indexing_overhead(benchmark, record_report, scale):
         BenchResult("direct persisted index bytes", direct_space),
         BenchResult("through-HAC persisted bytes (index+metadata)",
                     hac_space),
+        BenchResult("through-HAC metadata bytes (non-index records)",
+                    hac_meta),
         BenchResult("space overhead %", space_overhead,
                     PAPER["table3"]["space_overhead_pct"]),
     ]
@@ -94,3 +103,9 @@ def test_table3_indexing_overhead(benchmark, record_report, scale):
         "HAC must store extra per-directory metadata on top of the index"
     assert space_overhead < 200.0, \
         "HAC metadata should stay a modest fraction of the index"
+    # both sides' index is columnar, but HAC's also carries transducer
+    # field terms and longer paths, so the overhead above stays positive
+    # without any metadata; this guard reads the metadata records alone
+    assert hac_meta > 0, \
+        "HAC must store per-directory state and engine configuration " \
+        "records beside its index"

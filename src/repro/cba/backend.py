@@ -139,13 +139,6 @@ class SearchBackend(Protocol):
     def health(self) -> Dict[str, str]:
         """Per-shard health (empty on an unsharded back-end)."""
 
-    # -- persistence ---------------------------------------------------------
-
-    def to_obj(self): ...
-
-    @classmethod
-    def from_obj(cls, obj, loader, **kwargs) -> "SearchBackend": ...
-
 
 # ======================================================================
 # unified backend construction
@@ -158,7 +151,7 @@ class BackendFactory:
     count, and the clock for engines that keep time — arrives per call;
     everything else (cluster topology, fault-injection knobs,
     ``segmented``) is fixed here as *options* and forwarded to the engine
-    class's constructor, ``from_obj`` and ``from_segments`` alike.
+    class's constructor and ``from_segments`` alike.
     """
 
     def __init__(self, engine_cls, clocked: bool = False, **options):
@@ -178,18 +171,18 @@ class BackendFactory:
         return self.engine_cls(loader, num_blocks=num_blocks,
                                **self._config(**site))
 
-    def from_obj(self, obj, *, loader, **site):
-        return self.engine_cls.from_obj(obj, loader, **self._config(**site))
-
-    @property
-    def folds_segments(self) -> bool:
-        """Whether a restore may merge this backend back from persisted
-        segments: a segmented single engine (a cluster persists none)."""
-        return bool(self.options.get("segmented")) and \
-            hasattr(self.engine_cls, "from_segments")
+    def installs(self, store) -> bool:
+        """Whether a restore installs this backend from *store*: not a
+        ``segmented=False`` one, nor a cluster without a shard map."""
+        return self.options.get("segmented", True) and (
+            store.shards is not None or "shard_ids" not in self.options)
 
     def from_segments(self, store, *, loader, next_doc_id: int,
                       num_blocks: int, **site):
+        """The engine installed from *store*; built empty (a rebuild)
+        unless this backend :meth:`installs` it."""
+        if not self.installs(store):
+            return self(loader, num_blocks=num_blocks, **site)
         return self.engine_cls.from_segments(
             store, loader, next_doc_id=next_doc_id, num_blocks=num_blocks,
             **self._config(**site))

@@ -43,7 +43,7 @@ from repro.cba.queryast import (
     required_scope_prefixes,
 )
 from repro.cba.registry import DocRegistry, Document
-from repro.cba.segments import SegmentRow, SegmentStore
+from repro.cba.segments import Segment, SegmentRow, SegmentStore, fold
 from repro.cba.tokenizer import DEFAULT_STOPWORDS, index_terms, indexable
 from repro.cba.transducers import Transducer
 
@@ -237,7 +237,7 @@ class CBAEngine(DocRegistry):
     # Every way a document version reaches a live index — a tokenised
     # write, a replica replaying ops or folding segments — lands in these
     # three methods, so a new index dimension is wired here once.  The two
-    # wholesale installs into an empty engine (`_adopt`, `from_segments`)
+    # wholesale installs into an empty engine (`_adopt`, `_install`)
     # bypass them and build each dimension in bulk.
 
     def _upsert(self, doc_id: int, key: Hashable, path: str, mtime: float,
@@ -814,12 +814,8 @@ class CBAEngine(DocRegistry):
     # ------------------------------------------------------------------
 
     def to_obj(self):
-        """Dump index + registry to plain primitives.
-
-        Document keys are assumed to be ``(str, int)`` pairs — the
-        ``(fsid, ino)`` keys HAC uses; generic callers with other key
-        shapes should persist their own registry.
-        """
+        """Index + registry as plain primitives, keys as ``(str, int)``
+        pairs.  Nothing persists it: a saved index is segments."""
         return {
             "index": self.index.to_obj(),
             "docs": [[doc.doc_id, list(doc.key), doc.path, doc.mtime,
@@ -830,14 +826,9 @@ class CBAEngine(DocRegistry):
     @classmethod
     def from_obj(cls, obj, loader: Callable[[Hashable], str],
                  **config) -> "CBAEngine":
-        """Rebuild an engine from :meth:`to_obj` output without re-reading
-        or re-tokenising a single document; *config* is any constructor
-        keyword but ``num_blocks``, which the persisted index fixes.  An
-        engine with a segment store persists through its segments and
-        comes back with :meth:`from_segments`; this is the path of one
-        without (a cluster's shards, the store-less reference monolith).
-        The CAS index is derived state (registry paths x index terms) and
-        is rebuilt, not persisted."""
+        """Inverse of :meth:`to_obj`, reading and tokenising nothing (the
+        CAS index is rebuilt); *config* is any constructor keyword but
+        ``num_blocks``, which the dump fixes."""
         engine = cls(loader, num_blocks=obj["index"]["num_blocks"], **config)
         engine._adopt(obj["index"],
                       (Document(doc_id, (raw_key[0], raw_key[1]), path, mtime,
@@ -847,44 +838,43 @@ class CBAEngine(DocRegistry):
         engine._stats.add("restored_docs", len(engine._docs))
         return engine
 
-    def doc_rows(self) -> Dict[Hashable, "SegmentRow"]:
-        """Synthesize upsert :class:`SegmentRow`\\ s for every live
-        document from the index's removal map (term ids → strings via the
-        lexicon) — no loader read, no tokenisation.  Text is omitted:
-        these are the rows the persisted segments must fold to."""
-        lexicon = self.index.lexicon
-        rows: Dict[Hashable, SegmentRow] = {}
-        for doc_id, doc in self._docs.items():
-            terms = frozenset(lexicon.term(tid)
-                              for tid in self.index._doc_terms.get(doc_id, ()))
-            rows[doc.key] = SegmentRow("upsert", doc_id, doc.key, doc.path,
-                                       doc.mtime, doc.size, terms, None)
-        return rows
+    def live_segment(self, seg_id: str = "live") -> Segment:
+        """Every live document as one segment of upserts, terms from the
+        index's removal map — no loader read, no tokenisation: what the
+        persisted segments must fold to, and a cluster shard's save."""
+        term = self.index.lexicon.term
+        return Segment(seg_id, (
+            SegmentRow("upsert", doc_id, doc.key, doc.path, doc.mtime,
+                       doc.size, frozenset(map(term, self.index._doc_terms
+                                               .get(doc_id, ()))))
+            for doc_id, doc in sorted(self._docs.items())))
 
     @classmethod
     def from_segments(cls, store: SegmentStore,
                       loader: Callable[[Hashable], str],
                       next_doc_id: int = 0, **config) -> "CBAEngine":
-        """Rebuild an engine from *store*'s frozen segments —
-        reindex-as-merge.  The store folds them into one columnar run of
-        live rows (:meth:`SegmentStore.fold`), each carrying the term ids
-        the original engine computed, and every dimension is installed
-        from it in bulk: the block index by term id, the registry, and
-        the CAS index per directory.  Zero loader reads, zero
-        tokenisations (the counter Ablation N's merge-vs-rebuild guard
-        compares), and no per-document funnel: an empty engine has no
-        cache or memo to keep current.  *config* is any constructor
-        keyword; ``segmented`` is implied."""
+        """Rebuild an engine from *store*'s frozen segments, folded into
+        one run (reindex-as-merge) and installed by :meth:`_install`.
+        *config* is any constructor keyword; ``segmented`` is implied."""
         engine = cls(loader, **dict(config, segmented=True))
         engine.segments = store
-        live = store.fold()
-        runs = live.runs()
-        engine.index.install(live.terms, zip(live.doc_ids, runs))
-        engine._load(map(Document, live.doc_ids, live.keys, live.paths,
-                         live.mtimes, live.sizes), next_doc_id)
-        term = live.terms.__getitem__
-        engine.cas.install(zip(live.doc_ids, live.paths,
-                               (tuple(map(term, run)) for run in runs)))
-        engine._stats.add("restored_docs", len(engine._docs))
-        engine._stats.add("merged_rows", len(live))
+        store.shards = None     # one engine: its manifest names no shards
+        engine._install(fold(store.frozen), next_doc_id)
         return engine
+
+    def _install(self, live: Segment, next_doc_id: int) -> None:
+        """Install a folded run of live rows, each carrying the term ids
+        the original engine computed, into this empty engine: the block
+        index by term id, the registry, and the CAS index per directory,
+        each in bulk.  Zero loader reads, zero tokenisations (the counter
+        Ablation N's merge-vs-rebuild guard compares), and no per-document
+        funnel: an empty engine has no cache or memo to keep current."""
+        runs = live.runs()
+        self.index.install(live.terms, zip(live.doc_ids, runs))
+        self._load(map(Document, live.doc_ids, live.keys, live.paths,
+                       live.mtimes, live.sizes), next_doc_id)
+        term = live.terms.__getitem__
+        self.cas.install(zip(live.doc_ids, live.paths,
+                             (tuple(map(term, run)) for run in runs)))
+        self._stats.add("restored_docs", len(self._docs))
+        self._stats.add("merged_rows", len(live))

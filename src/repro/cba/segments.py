@@ -41,13 +41,14 @@ Three consumers share the rows, and only the first one seals:
   while a replica reads publications.  A cut is never persisted and
   never seals, so whether a snapshot reader exists changes nothing about
   what is written to the device, or when.
-* **Recovery** — the segments are the monolith's only persisted index
-  (``save_index`` seals and merges them).  Restore folds them into one
-  columnar run of live rows (:meth:`SegmentStore.fold`), which the
-  engine installs in bulk by term id with **zero tokenisation**; rows
-  that were still in the memtable at the crash are healed by the
-  recovery ``ssync``'s mtime diff, exactly like any other un-reindexed
-  write.
+* **Recovery** — the segments are the only persisted index (the
+  monolith's ``save_index`` seals and merges them; a cluster's freezes
+  each shard's live rows as one segment, :meth:`SegmentStore.freeze_live`,
+  under the manifest's shard map).  Restore folds them into one columnar
+  run of live rows per engine (:func:`fold`), which the engine installs in
+  bulk by term id with **zero tokenisation**; rows that were still in the
+  memtable at the crash are healed by the recovery ``ssync``'s mtime
+  diff, exactly like any other un-reindexed write.
 
 Compaction policy: seal when the memtable holds ``seal_threshold`` rows
 (or when ``reindex`` forces it), compact when the frozen list exceeds
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import (Dict, Hashable, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
@@ -247,8 +248,8 @@ class Segment:
         """Decode a ``seg:`` record, checking that it holds together: the
         version is :data:`FORMAT_VERSION`, every column has one entry per
         row, the per-row id counts sum to the id array, every id is below
-        the dictionary's length, doc ids ascend, and no key or term
-        appears twice.  Anything else raises
+        the dictionary's length, doc ids ascend, no key or term appears
+        twice, and the id is *key*'s.  Anything else raises
         :class:`~repro.errors.CorruptRecord` naming *key*."""
         try:
             obj = serialization.loads(raw)
@@ -286,6 +287,8 @@ class Segment:
             keys = list(zip(map(fsids.__getitem__, fs), inos))
             if len(set(keys)) != n or len(set(terms)) != len(terms):
                 raise ValueError("a key or a term appears twice")
+            if key and key != SEGMENT_PREFIX + str(obj["id"]):
+                raise ValueError("the segment's id is not its record's")
             return cls._of(str(obj["id"]), terms, bytes(kinds), doc_ids,
                            keys, paths, mtimes, sizes,
                            list(accumulate(counts, initial=0)), ids)
@@ -397,6 +400,8 @@ class SegmentStore:
         self.seal_threshold = seal_threshold
         self.compact_threshold = compact_threshold
         self._next_seg = 0
+        #: a cluster's shard map: shard id → the ids of its segments
+        self.shards: Optional[Dict[str, List[str]]] = None
         counters = counters if counters is not None else Counters()
         self._stats = counters.scoped("segments")
 
@@ -471,9 +476,10 @@ class SegmentStore:
         full merge, an absent key *is* the tombstone) and renames fold
         into the upserts they refreshed.  Returns the merged segment and
         the replaced segment ids (whose device records are now garbage),
-        or ``None`` when there is nothing to merge down.
+        or ``None`` when there is nothing to merge down (one segment, or
+        a cluster's, whose shards each keep their own).
         """
-        if len(self.frozen) <= 1:
+        if len(self.frozen) <= 1 or self.shards is not None:
             return None
         refs = sorted((ref for ref in _fold(self.frozen).values()
                        if ref.kind != "remove"), key=_by_doc_id)
@@ -502,30 +508,15 @@ class SegmentStore:
     # recovery
     # ------------------------------------------------------------------
 
-    def fold(self) -> Segment:
-        """The frozen list (oldest → newest) folded into one doc-id-sorted
-        segment of the live documents' final rows.
-
-        Tombstoned keys and renames that never found their upsert are
-        dropped — what remains is exactly the document set a restore
-        should rebuild, with zero tokenisation.  A lone segment of
-        upserts (what ``save_index`` leaves) is its own fold."""
-        if len(self.frozen) == 1:
-            [seg] = self.frozen
-            if seg.kinds.count(_UPSERT) == len(seg):
-                return seg
-        return _gather("live", sorted(
-            (ref for ref in _fold(self.frozen).values()
-             if ref.kind == "upsert"), key=_by_doc_id))
-
     def live_rows(self) -> Dict[Hashable, SegmentRow]:
-        """:meth:`fold`'s rows spelled out, per document key."""
-        return {row.key: row for row in self.fold().rows}
+        """The frozen list's :func:`fold` spelled out, per document key."""
+        return {row.key: row for row in fold(self.frozen).rows}
 
     def load_frozen(self, manifest: Dict[str, object],
                     segments: List[Segment]) -> None:
-        """Adopt persisted segments as the frozen list (restore path)."""
+        """Adopt persisted segments and shard map (restore path)."""
         self.frozen = list(segments)
+        self.shards = manifest.get("shards")
         self._next_seg = max(self._next_seg,
                              int(manifest.get("next_seg", len(segments))))
         self._stats.add("segments_loaded", len(segments))
@@ -547,14 +538,27 @@ class SegmentStore:
     # device records
     # ------------------------------------------------------------------
 
+    def freeze_live(self, engine) -> None:
+        """Freeze *engine*'s live rows (:meth:`~repro.cba.engine.CBAEngine.
+        live_segment`) as one segment, or a cluster's as one per shard
+        under :attr:`shards`: the save of an engine without a store."""
+        shards = getattr(engine, "shards", None)
+        for part in [engine] if shards is None else shards.values():
+            self.frozen.append(getattr(part, "engine", part).live_segment(
+                self._next_id()))
+        if shards is not None:
+            self.shards = {sid: [seg.seg_id] for sid, seg in
+                           zip(shards, self.frozen[-len(shards):])}
+
     def sync(self, device, next_doc_id: int, tracer,
              force_seal: bool = False, force_compact: bool = False) -> None:
         """Seal and compact as the thresholds (or the caller) demand, then
-        make *device* hold exactly the frozen list.  MUST run inside an
-        open journal intent.  What to write and delete is derived from
-        the records the device holds, not from a memory of past syncs: a
-        soft-failure rollback can restore records underneath the store,
-        and re-deriving self-heals that divergence."""
+        make *device* hold exactly the frozen list, under a manifest that
+        carries :attr:`shards` when set.  MUST run inside an open journal
+        intent.  What to write and delete is derived from the records the
+        device holds, not from a memory of past syncs: a soft-failure
+        rollback can restore records underneath the store, and
+        re-deriving self-heals that divergence."""
         changed = False
         if force_seal or self.should_seal:
             with tracer.span("cba.seal", rows=len(self.memtable)):
@@ -573,9 +577,10 @@ class SegmentStore:
             device.delete_record(SEGMENT_PREFIX + seg_id)
             changed = True
         if changed:
+            shards = {} if self.shards is None else {"shards": self.shards}
             device.write_record(MANIFEST_RECORD, serialization.dumps(
                 {"v": FORMAT_VERSION, "segments": live,
-                 "next_seg": self._next_seg, "next": next_doc_id}))
+                 "next_seg": self._next_seg, "next": next_doc_id, **shards}))
 
     def persisted_bytes(self, device) -> int:
         """Bytes the frozen list's ``seg:`` records hold on *device*."""
@@ -591,8 +596,9 @@ class SegmentStore:
         over) — recovery has already rolled incomplete intents back, so
         records were lost outside any journaled write.  An unreadable
         record — a checksum failure, another format version, columns that
-        disagree, or a doc id at or above the manifest's allocator or
-        under two keys — raises :class:`~repro.errors.CorruptRecord`
+        disagree, a shard map that does not partition them, or a doc id at
+        or above the manifest's allocator or under two keys — raises
+        :class:`~repro.errors.CorruptRecord`
         (counted): the caller acknowledges the data loss by asking for a
         rebuild.  Ids continue above every segment the device holds
         (:meth:`resume`)."""
@@ -609,7 +615,8 @@ class SegmentStore:
                     restore_stats.add("segment_missing")
                     return None
                 segments.append(Segment.from_bytes(raw, key))
-            _check_doc_ids(segments, manifest["next"])
+            _check_doc_ids(segments, manifest["next"],
+                           "shards" in manifest)
         except CorruptRecord:
             restore_stats.add("segment_corrupt")
             raise
@@ -643,6 +650,23 @@ class SegmentStore:
                 f"log={len(self.log)})")
 
 
+def fold(segments: Sequence[Segment]) -> Segment:
+    """*segments* (oldest → newest) folded into one doc-id-sorted segment
+    of the live documents' final rows.
+
+    Tombstoned keys and renames that never found their upsert are dropped
+    — what remains is exactly the document set a restore should rebuild,
+    with zero tokenisation.  A lone segment of upserts (what
+    ``save_index`` leaves) is its own fold."""
+    if len(segments) == 1:
+        [seg] = segments
+        if seg.kinds.count(_UPSERT) == len(seg):
+            return seg
+    return _gather("live", sorted(
+        (ref for ref in _fold(segments).values() if ref.kind == "upsert"),
+        key=_by_doc_id))
+
+
 def _segment_ids(device) -> Set[str]:
     """Ids of the segment records *device* holds."""
     return {key[len(SEGMENT_PREFIX):] for key in device.record_keys()
@@ -666,22 +690,32 @@ def _manifest(device) -> Optional[Dict[str, object]]:
                         manifest[field] >= 0
                         for field in ("next_seg", "next")):
             raise ValueError("malformed manifest")
-    except (ValueError, TypeError, KeyError) as exc:
+        shards = manifest.get("shards", {"": manifest["segments"]})
+        if not shards or sorted(chain(*shards.values())) != \
+                sorted(manifest["segments"]):
+            raise ValueError("the shard map does not partition the segments")
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CorruptRecord(MANIFEST_RECORD,
                             f"unreadable manifest: {exc}") from None
     return manifest
 
 
-def _check_doc_ids(segments: List[Segment], next_doc_id: int) -> None:
+def _check_doc_ids(segments: List[Segment], next_doc_id: int,
+                   sharded: bool = False) -> None:
     """Every doc id lies below the allocator and names one key across
     the list (ids are never reused), so a bulk install cannot be handed
-    an id twice or one a bitmap would have to grow to."""
+    an id twice or one a bitmap would have to grow to, nor (*sharded*)
+    a document two shards hold."""
     owner: Dict[int, Hashable] = {}
+    keys: Set[Hashable] = set()
     for seg in segments:
         if seg.doc_ids and seg.doc_ids[-1] >= next_doc_id:
             raise CorruptRecord(SEGMENT_PREFIX + seg.seg_id,
                                 "doc id at or above the allocator")
         for doc_id, key in zip(seg.doc_ids, seg.keys):
-            if owner.setdefault(doc_id, key) != key:
+            if owner.setdefault(doc_id, key) != key or \
+                    sharded and key in keys:
                 raise CorruptRecord(SEGMENT_PREFIX + seg.seg_id,
-                                    f"doc id {doc_id} under two keys")
+                                    f"doc id {doc_id} under two keys "
+                                    "or in two shards")
+            keys.add(key)

@@ -69,6 +69,7 @@ from repro.cba.queryast import (
     Term,
 )
 from repro.cba.registry import DocRegistry
+from repro.cba.segments import SegmentStore, fold
 from repro.cba.tokenizer import DEFAULT_STOPWORDS, indexable
 from repro.cba.transducers import Transducer
 from repro.remote.rpc import CircuitBreaker, RpcTransport
@@ -824,10 +825,9 @@ class ShardedSearchCluster(DocRegistry):
                               for shard in self.shards.values())
 
     def to_obj(self):
-        """Dump shards + registry to plain primitives (same ``(str, int)``
-        key assumption as :meth:`CBAEngine.to_obj`)."""
+        """Shards + registry as plain primitives (:meth:`CBAEngine.to_obj`);
+        nothing persists it: a saved index is segments."""
         return {
-            "cluster": 1,
             "num_blocks": self.num_blocks,
             "shard_ids": list(self.shardmap.shard_ids),
             "shards": {sid: shard.engine.to_obj()
@@ -840,13 +840,10 @@ class ShardedSearchCluster(DocRegistry):
 
     @classmethod
     def from_obj(cls, obj, loader: Callable[[Hashable], str],
-                 shard_ids: Optional[Iterable[str]] = None,
                  **config) -> "ShardedSearchCluster":
-        """Rebuild a cluster from :meth:`to_obj` output without re-reading
-        or re-tokenising a single document.  *config* is any constructor
-        keyword but ``num_blocks``; *shard_ids* is accepted for symmetry
-        with the constructor and ignored — topology and block count are
-        whatever was persisted."""
+        """Inverse of :meth:`to_obj`, reading and tokenising nothing;
+        *config* is any constructor keyword but ``num_blocks`` and
+        ``shard_ids``, which the dump fixes."""
         cluster = cls(loader, obj["shard_ids"],
                       num_blocks=obj.get("num_blocks", DEFAULT_NUM_BLOCKS),
                       **config)
@@ -861,6 +858,27 @@ class ShardedSearchCluster(DocRegistry):
             cluster._all.add(doc_id)
         cluster._burn_ids(obj["next"])
         cluster._stats.add("restored_docs", len(cluster._docs))
+        return cluster
+
+    @classmethod
+    def from_segments(cls, store: SegmentStore,
+                      loader: Callable[[Hashable], str],
+                      next_doc_id: int = 0,
+                      **config) -> "ShardedSearchCluster":
+        """Install each shard engine from its shard-map entry's segments
+        (:meth:`CBAEngine._install`); doc ids are global, so the registry
+        is the shards' rows and a row's owner the shard that holds it."""
+        segs = {seg.seg_id: seg for seg in store.frozen}
+        cluster = cls(loader, **dict(config, shard_ids=list(store.shards)))
+        for sid, ids in store.shards.items():
+            seg = fold([segs[seg_id] for seg_id in ids])
+            cluster.shards[sid].engine._install(seg, next_doc_id)
+            cluster._owners.update(dict.fromkeys(seg.doc_ids, sid))
+            cluster._members[sid] = Bitmap(seg.doc_ids)
+            cluster._all |= cluster._members[sid]
+        cluster._load(sorted(doc for shard in cluster.shards.values()
+                             for doc in shard.engine._docs.values()),
+                      next_doc_id)
         return cluster
 
     def __repr__(self) -> str:

@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.obs.trace import NOOP_SPAN
-from repro.util import pathutil, serialization
+from repro.util import pathutil
 from repro.util.clock import VirtualClock
 from repro.util.idmap import GlobalDirectoryMap
 from repro.util.stats import Counters
@@ -55,7 +55,7 @@ from repro.cba.glimpse import DEFAULT_NUM_BLOCKS
 from repro.cba.incremental import ReindexPlan
 from repro.cba.queryast import content_projection, rewrite_dir_refs
 from repro.cba.queryparser import parse_query
-from repro.cba.segments import SegmentStore
+from repro.cba.segments import MANIFEST_RECORD, SegmentStore
 from repro.cba.transducers import default_transducer
 from repro.core.admission import AdmissionController
 from repro.core.consistency import ConsistencyManager
@@ -1074,7 +1074,8 @@ class HacFileSystem:
         list back.  The scheduler calls this from every ``sched_batch``
         drain (threshold-policed); ``reindex`` and ``save_index`` force a
         full seal + merge (reindex *is* compaction).  Engines without a
-        store (clusters, segments-off) make this a no-op."""
+        store (clusters, segments-off) make this a no-op, so their
+        segments are written by :meth:`save_index` alone."""
         store = getattr(self.engine, "segments", None)
         if store is not None:
             store.sync(self.fs.device,
@@ -1174,21 +1175,22 @@ class HacFileSystem:
 
     def save_index(self) -> int:
         """Persist the content index to the device (Glimpse's index files)
-        and return the bytes it takes there.  An engine with a segment
-        store persists through it alone — the seal and merge ``reindex``
-        does — and one without (a cluster) writes a ``cbaindex`` record.
-        :meth:`restore` then rebuilds the engine without re-reading the
+        as segments, and return the bytes they take there.  An engine
+        with a segment store persists through it alone — the seal and
+        merge ``reindex`` does — and one without (a cluster) replaces them
+        with a segment per shard (:meth:`SegmentStore.freeze_live`).
+        :meth:`restore` then installs the engine without re-reading the
         corpus: Θ(changes since the save), not Θ(corpus)."""
         self._hac.add("save_index")
         self.maintenance.barrier()
         store = getattr(self.engine, "segments", None)
         with self._journaled("save_index", {}):
-            if store is not None:
-                self._persist_segments(force_seal=True, force_compact=True)
-                return store.persisted_bytes(self.fs.device)
-            record = serialization.dumps(self.engine.to_obj())
-            self.fs.device.write_record("cbaindex", record)
-            return len(record)
+            if store is None:
+                store = SegmentStore.resume(self.fs.device, self.counters)
+                store.freeze_live(self.engine)
+            store.sync(self.fs.device, self.engine._next_doc_id,
+                       self.obs.trace, force_seal=True, force_compact=True)
+            return store.persisted_bytes(self.fs.device)
 
     def metadata_bytes(self) -> int:
         return self.meta.metadata_bytes()
@@ -1227,12 +1229,12 @@ class HacFileSystem:
         the records, the transient links (names and texts) from the tree,
         and the closing sync re-evaluates every directory and brings the
         index current.  The index comes back through the one *backend*
-        factory, with the block count the original persisted: the
-        monolith folds its segments back with zero tokenisation, and a
-        rebuild (``reuse_index=False``, no manifest, or one naming a
-        missing segment) folds an empty store whose first seal replaces
-        every segment on the device; a cluster restores its ``cbaindex``.
-        An *unreadable* index record raises
+        factory (a cluster's, if ``None`` and the manifest has a shard
+        map), with the block count the original persisted, installed from
+        its segments with zero tokenisation; a rebuild
+        (``reuse_index=False``, no manifest, or one naming a missing
+        segment) installs an empty store and replaces every segment on
+        the device.  An *unreadable* index record raises
         :class:`~repro.errors.CorruptRecord` (counted) instead of silently
         rebuilding — a checksum failure means data loss the caller must
         acknowledge (``reuse_index=False`` opts into the rebuild)."""
@@ -1254,41 +1256,31 @@ class HacFileSystem:
         hacfs.last_recovery = report
         hacfs._init_components()
         # the tree-level undo needs map + states loaded, but not the engine
-        hacfs.reload_persisted(pending, report)
-        restore_stats = hacfs.counters.scoped("restore")
-        saved = None
-        if reuse_index:
-            try:
-                saved = hacfs.meta.load_aux("cbaindex")
-            except CorruptRecord:
-                restore_stats.add("index_corrupt")
-                raise
-        if backend is None and isinstance(saved, dict) and saved.get("cluster"):
-            # a persisted sharded index restores as a cluster even when
-            # the caller did not name the backend it was built with
-            backend = "cluster"
+        try:
+            hacfs.reload_persisted(pending, report)
+        except CorruptRecord:       # only ``semdir:`` records are read
+            hacfs.counters.add("restore.semdir_corrupt")
+            raise
+        folded = reuse_index and SegmentStore.load(fs.device, hacfs.counters)
+        store, next_doc = folded or (
+            SegmentStore.resume(fs.device, hacfs.counters), 0)
+        if backend is None and store.shards is not None:
+            backend = "cluster"     # a saved cluster comes back as one
         factory = open_backend(backend)
         conf = hacfs.meta.load_aux(ENGINE_RECORD) or {}
         num_blocks = int(conf.get("num_blocks", DEFAULT_NUM_BLOCKS))
         site = hacfs._engine_site()
-        if factory.folds_segments:
-            folded = reuse_index and SegmentStore.load(fs.device,
-                                                       hacfs.counters)
-            restore_stats.add("index_from_segments" if folded
-                              else "index_rebuilds")
-            store, next_doc = folded or (
-                SegmentStore.resume(fs.device, hacfs.counters), 0)
-            hacfs.engine = factory.from_segments(
-                store, next_doc_id=next_doc, num_blocks=num_blocks, **site)
-        elif saved is not None:
-            hacfs.engine = factory.from_obj(saved, **site)
-            restore_stats.add("index_restored")
-        else:
-            hacfs.engine = factory(num_blocks=num_blocks, **site)
-            restore_stats.add("index_rebuilds")
+        installed = bool(folded) and factory.installs(store)
+        hacfs.counters.add("restore.index_from_segments" if installed
+                           else "restore.index_rebuilds")
+        hacfs.engine = factory.from_segments(
+            store, next_doc_id=next_doc, num_blocks=num_blocks, **site)
         hacfs._wire_obs()
         hacfs.tenants = TenantManager(hacfs)
         hacfs.tenants.reload()
-        # a folded or saved index makes this incremental (Θ(changes))
+        # an installed index makes this incremental (Θ(changes))
         hacfs.ssync("/")
+        if not installed and getattr(hacfs.engine, "segments", None) is None \
+                and MANIFEST_RECORD in fs.device.record_keys():
+            hacfs.save_index()      # the rebuild replaces the saved index
         return hacfs

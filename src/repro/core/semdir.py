@@ -148,7 +148,7 @@ class MetaStore:
 
     def load_aux(self, name: str):
         raw = self.device.read_record(name)
-        return serialization.loads(raw) if raw is not None else None
+        return None if raw is None else serialization.loads_record(name, raw)
 
     def uids(self) -> Iterator[int]:
         return iter(list(self._states))
@@ -177,5 +177,6 @@ class MetaStore:
                 raw = self.device.read_record(key)
                 if raw is None:
                     continue
-                state = SemanticDirState.from_obj(serialization.loads(raw))
+                state = serialization.loads_record(
+                    key, raw, SemanticDirState.from_obj)
                 self._states[state.uid] = state

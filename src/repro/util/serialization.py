@@ -17,6 +17,8 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, List, Tuple
 
+from repro.errors import CorruptRecord
+
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
 _TAG_FALSE = b"F"
@@ -45,6 +47,16 @@ def loads(data: bytes) -> Any:
     if offset != len(data):
         raise SerializationError(f"{len(data) - offset} trailing bytes")
     return value
+
+
+def loads_record(key: str, raw: bytes, build=lambda obj: obj) -> Any:
+    """*build* over record *raw* decoded; any decode, type or shape failure
+    raises :class:`~repro.errors.CorruptRecord` naming *key*."""
+    try:
+        return build(loads(raw))
+    except (ValueError, TypeError, KeyError, AttributeError,
+            IndexError) as exc:     # SerializationError is a ValueError
+        raise CorruptRecord(key, f"unreadable record: {exc}") from None
 
 
 def _encode(value: Any, out: bytearray) -> None:

@@ -382,7 +382,7 @@ class TestEngineIntegration:
         texts[("f", 1)] = "alpha beta"
         eng.index_document(("f", 1), path="/one", mtime=1.5,
                            text=texts[("f", 1)])
-        rows = eng.doc_rows()
+        rows = {row.key: row for row in eng.live_segment().rows}
         assert set(rows) == {("f", 1)}
         r = rows[("f", 1)]
         assert r.kind == "upsert"
@@ -544,11 +544,14 @@ class TestRestoredEngineEquivalence:
         assert engine_state(restored) != engine_state(eng)
         self.assert_twins(expected, expected_texts, restored)
 
-    def test_hac_restore_after_save_index_reads_and_tokenises_nothing(
-            self, monkeypatch):
+    @staticmethod
+    def saved_and_restored(backend, monkeypatch):
+        """A world on *backend* after churn and ``save_index``, and its
+        reopen with every loader read recorded; returns the world, the
+        reopen, the reopen's counters and the keys it read."""
         from repro.core.hacfs import HacFileSystem
 
-        hac = HacFileSystem()
+        hac = HacFileSystem(backend=backend)
         hac.makedirs("/d/e")
         for i in range(30):
             hac.write_file(f"/d{'/e' * (i % 2)}/f{i}.txt",
@@ -568,6 +571,36 @@ class TestRestoredEngineEquivalence:
         monkeypatch.setattr(HacFileSystem, "_load_doc", counting)
         counters = Counters()
         restored = HacFileSystem.restore(hac.fs, counters=counters)
+        return hac, restored, counters, reads
+
+    def test_hac_restore_after_save_index_reads_and_tokenises_nothing(
+            self, monkeypatch):
+        hac, restored, counters, reads = self.saved_and_restored(
+            "monolith", monkeypatch)
         assert counters.get("engine.tokenisations") == 0
         assert reads == []
         assert engine_state(restored.engine) == engine_state(hac.engine)
+
+    def test_a_cluster_restore_after_save_index_reads_and_tokenises_nothing(
+            self, monkeypatch):
+        """Each shard installs its own segment; the coordinator's registry
+        and owners are the shard rows'.  A shard's allocator comes back as
+        the cluster's: the coordinator pins every id it hands a shard."""
+        hac, restored, counters, reads = self.saved_and_restored(
+            "cluster:3", monkeypatch)
+        assert counters.get("engine.tokenisations") == 0
+        assert counters.get("restore.index_from_segments") == 1
+        assert reads == []
+        old, new = hac.engine, restored.engine
+        assert new._docs == old._docs and new._owners == old._owners
+        assert new._next_doc_id == old._next_doc_id
+        assert new.all_docs() == old.all_docs()
+        for sid, shard in old.shards.items():
+            assert new.members(sid) == old.members(sid)
+            state = engine_state(new.shards[sid].engine)
+            assert state.pop("next") == new._next_doc_id
+            want = engine_state(shard.engine)
+            want.pop("next")
+            assert state == want, sid
+        for path in ("/", "/d", "/d/g"):
+            assert new.scope_docs(path) == old.scope_docs(path), path

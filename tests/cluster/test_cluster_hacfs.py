@@ -158,6 +158,29 @@ class TestPersistence:
         assert set(again.links("/q")) == {"fp-design.txt", "msg1.txt",
                                           "match.c"}
 
+    @pytest.mark.parametrize("saved, reopened, via", [
+        ("monolith", "cluster:3", "restore.index_rebuilds"),
+        ("cluster:3", "monolith", "restore.index_from_segments")])
+    def test_a_saved_index_reopens_under_the_other_backend(self, saved,
+                                                           reopened, via):
+        """A monolith folds a cluster's shards into one run and reads and
+        tokenises nothing; a cluster has no shard map to install a
+        monolith's segments by, so it rebuilds and replaces them.  Either
+        way the answers hold and the next reopen is clean."""
+        hac = HacFileSystem(backend=saved)
+        populate(hac)
+        hac.smkdir("/q", "fingerprint")
+        hac.save_index()
+        again = HacFileSystem.restore(hac.fs, backend=reopened)
+        assert again.counters.get(via) == 1
+        if via == "restore.index_from_segments":
+            assert again.counters.get("engine.tokenisations") == 0
+        assert len(again.engine) == len(hac.engine)
+        assert set(again.links("/q")) == set(hac.links("/q"))
+        assert again.glimpse("banana") == ["/notes/recipe.txt"]
+        again.save_index()
+        assert HacFileSystem.restore(hac.fs).fsck() == []
+
     def test_restored_cluster_accepts_incremental_sync(self, cfs):
         cfs.save_index()
         again = HacFileSystem.restore(cfs.fs)

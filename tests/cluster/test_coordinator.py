@@ -6,12 +6,15 @@ import pytest
 from repro.cba.backend import open_backend
 from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
+from repro.cba.segments import SegmentStore
 from repro.cba.transducers import default_transducer
 from repro.cluster import RebalancePlan, ShardedSearchCluster, ShardMap
 from repro.obs import Observability
+from repro.obs.trace import NULL_TRACER
 from repro.util.bitmap import Bitmap
 from repro.util.clock import VirtualClock
 from repro.util.stats import Counters
+from repro.vfs.blockdev import BlockDevice
 
 TEXTS = {
     ("fs", 0): "alpha beta gamma",
@@ -398,8 +401,16 @@ class TestPersistence:
         assert clu.shardmap.shard_ids == ("shard0", "shard1")
         for key in sorted(store):
             clu.index_document(key, f"/f{key[1]}", 1.0)
-        again = factory.from_obj(clu.to_obj(),
-                                 loader=lambda k: store.get(k, ""))
+        # the save a store-less engine makes: one segment per shard
+        device, saved = BlockDevice(), SegmentStore()
+        saved.freeze_live(clu)
+        saved.sync(device, clu._next_doc_id, NULL_TRACER)
+        loaded, next_doc = SegmentStore.load(device, Counters())
+        again = factory.from_segments(
+            loaded, loader=lambda k: store.get(k, ""), next_doc_id=next_doc,
+            num_blocks=4)
+        assert again.shardmap.shard_ids == ("shard0", "shard1")
+        assert again._owners == clu._owners
         ast = parse_query("alpha AND beta")
         assert again.search(ast).to_bytes() == clu.search(ast).to_bytes()
 

@@ -9,8 +9,7 @@ from repro.core.hacfs import HacFileSystem
 from repro.util import serialization
 
 #: every record kind HAC persists once its intents have committed
-FAMILIES = {"engineconf", "semdir", "tenants",
-            "seg", "segmanifest", "cbaindex"}
+FAMILIES = {"engineconf", "semdir", "tenants", "seg", "segmanifest"}
 
 
 def families(device):
@@ -19,8 +18,12 @@ def families(device):
 
 @pytest.fixture
 def world():
+    return world_on("monolith")
+
+
+def world_on(backend):
     """One tenant over 20 files, batched maintenance, everything drained."""
-    hac = HacFileSystem()
+    hac = HacFileSystem(backend=backend)
     hac.maintenance.set_mode("batched")
     tenant = hac.tenants.create("a")
     tenant.makedirs("/d")
@@ -79,15 +82,16 @@ def test_record_catalogue():
     """The monolith's saved index is its segments; every kind the device
     holds is one the loader reads."""
     held, read = catalogue("monolith")
-    assert held == FAMILIES - {"cbaindex"}
+    assert held == FAMILIES
     for family in sorted(held):
         assert family in read, f"{family}: written, but restore never reads it"
 
 
 def test_record_catalogue_of_a_cluster():
-    """A cluster persists no segments: its saved index is ``cbaindex``."""
+    """A cluster's saved index is segments too: one per shard, under the
+    manifest's shard map."""
     held, read = catalogue("cluster:3")
-    assert held == FAMILIES - {"seg", "segmanifest"}
+    assert held == FAMILIES
     for family in sorted(held):
         assert family in read, f"{family}: written, but restore never reads it"
 
@@ -113,24 +117,36 @@ def written_by(device, op):
         del device.write_record, device.delete_record
 
 
-def test_a_reopen_after_save_index_writes_only_its_begin(world):
-    """The segments are the monolith's index: ``save_index`` seals and
-    merges them and writes no second copy, so a reopen folds them back
-    and its closing sync finds nothing to write.  Each reopen — and a
-    second ``save_index`` with nothing noted — writes its own ``wal:``
-    begin, which its commit deletes, and nothing else."""
-    hac, _tenant = world
-    device = hac.fs.device
-    hac.save_index()
-    for _ in range(2):
-        hac, wrote, deleted = written_by(
-            device, lambda: HacFileSystem.restore(hac.fs))
-        assert len(wrote) == 1 and wrote[0].startswith("wal:"), wrote
-        assert deleted == wrote
-    _bytes, wrote, deleted = written_by(device, hac.save_index)
-    assert len(wrote) == 1 and wrote[0].startswith("wal:"), wrote
-    assert deleted == wrote
-    assert "cbaindex" not in device.record_keys()
+def test_a_reopen_after_save_index_writes_only_its_begin():
+    """The segments are the index: the monolith's ``save_index`` seals
+    and merges them and writes no second copy, and a cluster's writes
+    each shard's live rows as one, so a reopen installs them back and its
+    closing sync finds nothing to write.  Each reopen writes its own
+    ``wal:`` begin, which its commit deletes, and nothing else.  So does
+    a second monolith ``save_index`` with nothing noted; a cluster's has
+    no memtable to say so, and replaces its segments in one intent."""
+    for backend in ("monolith", "cluster:3"):
+        hac, _tenant = world_on(backend)
+        device = hac.fs.device
+        hac.save_index()
+        for _ in range(2):
+            hac, wrote, deleted = written_by(
+                device, lambda: HacFileSystem.restore(hac.fs))
+            assert len(wrote) == 1 and wrote[0].startswith("wal:"), \
+                (backend, wrote)
+            assert deleted == wrote
+        old = sorted(k for k in device.record_keys() if k.startswith("seg"))
+        _bytes, wrote, deleted = written_by(device, hac.save_index)
+        assert "cbaindex" not in device.record_keys()
+        if backend == "monolith":
+            assert len(wrote) == 1 and wrote[0].startswith("wal:"), wrote
+            assert deleted == wrote
+        else:
+            records = [key for key in wrote if not key.startswith("wal:")]
+            assert len(records) == 4 and records[-1] == "segmanifest"
+            assert set(old) - {"segmanifest"} <= set(deleted)
+            assert [k for k in wrote if k.endswith(":begin")] == \
+                [wrote[0]], wrote
 
 
 @pytest.mark.parametrize("writes, op", [

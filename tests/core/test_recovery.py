@@ -270,10 +270,11 @@ class _SavedIndexRecord:
         return self.BACKEND
 
     def corrupt_saved_record(self, hac):
-        """Save the index, then damage its record; returns the key."""
+        """Save the index, then damage its (first) record; returns the
+        key."""
         hac.save_index()
-        [key] = [k for k in hac.fs.device.record_keys()
-                 if k.startswith(self.RECORD)]
+        key = min(k for k in hac.fs.device.record_keys()
+                  if k.startswith(self.RECORD))
         hac.fs.device.corrupt_record(key)
         return key
 
@@ -308,12 +309,10 @@ class _SavedIndexRecord:
         restored = HacFileSystem.restore(populated.fs, reuse_index=False,
                                          backend=self.BACKEND)
         assert len(restored.engine) == 5
-        # a cluster's corrupt cbaindex stays until the next save_index
-        # overwrites it; the monolith's rebuild seals the corpus into a
-        # new segment, and its sync deletes the corrupt one and rewrites
-        # the manifest, so fsck is clean at once
-        corrupt = any(f.kind == "corrupt-record" for f in restored.fsck())
-        assert corrupt == (self.RECORD == "cbaindex")
+        # the rebuild replaces every segment on the device — the
+        # monolith's first seal does, a cluster saves — and deletes the
+        # corrupt one and rewrites the manifest, so fsck is clean at once
+        assert not any(f.kind == "corrupt-record" for f in restored.fsck())
 
 
 class TestIndexRestoreDistinction(_SavedIndexRecord):
@@ -326,7 +325,6 @@ class TestIndexRestoreDistinction(_SavedIndexRecord):
         restored = HacFileSystem.restore(populated.fs, counters=counters)
         assert counters.get("restore.index_from_segments") == 1
         assert counters.get("restore.index_rebuilds") == 0
-        assert counters.get("restore.index_restored") == 0
         assert errors(restored) == []
 
     def test_no_record_no_segments_rebuilds_and_counts(self, populated):
@@ -337,7 +335,7 @@ class TestIndexRestoreDistinction(_SavedIndexRecord):
             populated.fs, counters=counters,
             backend=open_backend("monolith", segmented=False))
         assert counters.get("restore.index_rebuilds") == 1
-        assert counters.get("restore.index_restored") == 0
+        assert counters.get("restore.index_from_segments") == 0
         assert errors(restored) == []
 
     def test_rebuild_reopen_replaces_every_segment(self):
@@ -365,12 +363,10 @@ class TestSegmentManifestRecord(_SavedIndexRecord):
 
 
 class TestClusterIndexRecord(_SavedIndexRecord):
-    """A cluster persists no segments: its saved index is ``cbaindex``."""
+    """A cluster's saved index is one segment per shard, under the
+    manifest's shard map."""
 
     BACKEND = "cluster:3"
-    RECORD = "cbaindex"
-    CORRUPT = "restore.index_corrupt"
-    RESTORED = "restore.index_restored"
 
 
 class TestPathMapAcrossRestore:

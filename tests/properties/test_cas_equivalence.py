@@ -418,9 +418,9 @@ def _deep_world():
     return hac
 
 
-@pytest.mark.skipif(K > 0, reason="segment-merge restore is the monolith "
-                                  "engine's path; clusters restore via "
-                                  "their persisted cbaindex")
+@pytest.mark.skipif(K > 0, reason="a drain seals segments only on the "
+                                  "monolith; a cluster writes its "
+                                  "segments at save_index alone")
 @pytest.mark.parametrize("seed", [SEED, SEED + 1, SEED + 2])
 def test_crash_in_seal_drain_leaves_no_cas_divergence(seed):
     """Crash the device mid-drain — inside the journaled seal/compact

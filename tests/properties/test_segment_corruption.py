@@ -3,13 +3,17 @@
 A ``seg:`` or ``segmanifest`` record that passes its checksum can still be
 wrong: truncated, bit-flipped, or with columns that disagree (a term id
 beyond the dictionary, a length column one short, an unknown format
-version).  Each mutation is written back under a valid checksum, so only
-the decoder stands between it and the engine.  ``restore`` must then either
-finish or raise :class:`~repro.errors.CorruptRecord`, counted as
+version, a cluster's shard map that does not partition the segments).
+Each mutation is written back under a valid checksum, so only the decoder
+stands between it and the engine.  ``restore`` must then either finish or
+raise :class:`~repro.errors.CorruptRecord`, counted as
 ``restore.segment_corrupt``, after which ``reuse_index=False`` rebuilds an
 fsck-clean instance.  It never raises anything else — in particular no
 ``IndexError``, ``ValueError`` or ``UnicodeDecodeError`` from the decode or
-the bulk install.
+the bulk install.  Every case runs on a monolith's records and on a
+three-shard cluster's (one segment per shard under the shard map).  A
+``semdir:`` record is not derived state: a corrupt one is refused with a
+counted ``CorruptRecord`` that no rebuild gets past.
 
 ``CRASH_SWEEP_SEED`` (CI matrix) varies the world layout and the flipped
 bytes.
@@ -26,17 +30,19 @@ from repro.util import serialization
 from repro.util.stats import Counters
 
 SEED = int(os.environ.get("CRASH_SWEEP_SEED", "0"))
+#: the backends whose saved records are fuzzed
+WORLDS = ("monolith", "cluster:3")
 WORDS = ("fingerprint", "ridge", "minutiae", "sensor", "lunch", "banana",
          "recipe", "walnut", "matcher", "prototype")
 #: bytes flipped per record
 FLIPS = 24
 
 
-def saved_world() -> HacFileSystem:
+def saved_world(backend: str = "monolith") -> HacFileSystem:
     """A few directories of files, a semantic directory, some churn, and
-    one merged segment saved."""
+    the index saved: one merged segment, or one per shard."""
     rng = random.Random(SEED)
-    hac = HacFileSystem()
+    hac = HacFileSystem(backend=backend)
     for d in ("/docs", "/docs/deep", "/mail"):
         hac.makedirs(d)
     for i in range(6 + SEED % 4):
@@ -54,8 +60,23 @@ def saved_world() -> HacFileSystem:
 
 
 def segment_key(hac) -> str:
-    [key] = [k for k in hac.fs.device.record_keys() if k.startswith("seg:")]
-    return key
+    """The largest segment record: every field mutation below needs two
+    rows or more, and a cluster's other shards may hold fewer."""
+    dev = hac.fs.device
+    return max((k for k in dev.record_keys() if k.startswith("seg:")),
+               key=lambda k: (len(dev.read_record(k)), k))
+
+
+def shard_map_edits(shards):
+    """``(label, manifest fields)``: a cluster's shard map made to
+    disagree with the segment list it partitions."""
+    first, second = sorted(shards)[:2]
+    yield "shared-segment", {"shards": dict(
+        shards, **{second: shards[second] + shards[first]})}
+    yield "unknown-shard", {"shards": dict(shards, shard9=["s999999"])}
+    yield "non-string-id", {"shards": dict(shards, **{first: [7]})}
+    yield "not-a-map", {"shards": sorted(shards)}
+    yield "empty-map", {"shards": {}, "segments": []}
 
 
 def field_mutations(raw: bytes):
@@ -117,7 +138,15 @@ def byte_mutations(raw: bytes, rng):
         yield f"flip@{at}", raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:]
 
 
-def restore_or_rebuild(hac):
+def rebuild(hac, backend):
+    """The opt-in rebuild after a refused record: fsck-clean at once."""
+    rebuilt = HacFileSystem.restore(hac.fs, reuse_index=False,
+                                    backend=backend)
+    assert [f for f in rebuilt.fsck() if f.severity == "error"] == []
+    return rebuilt
+
+
+def restore_or_rebuild(hac, backend):
     """Restore *hac*'s device; on ``CorruptRecord`` (and only then)
     check it was counted and rebuild.  Returns the working instance."""
     counters = Counters()
@@ -125,13 +154,21 @@ def restore_or_rebuild(hac):
         return HacFileSystem.restore(hac.fs, counters=counters)
     except CorruptRecord:
         assert counters.get("restore.segment_corrupt") == 1
-    rebuilt = HacFileSystem.restore(hac.fs, reuse_index=False)
-    assert [f for f in rebuilt.fsck() if f.severity == "error"] == []
-    return rebuilt
+    return rebuild(hac, backend)
 
 
-def cases():
-    hac = saved_world()
+def manifest_edits(fields):
+    """``(label, manifest fields)`` edits every manifest must refuse."""
+    yield from (("version", {"v": 99}),
+                ("segments-not-a-list", {"segments": "s000001"}),
+                ("next-below-doc-ids", {"next": 0}),
+                ("next-negative", {"next": -1}))
+    if "shards" in fields:
+        yield from shard_map_edits(fields["shards"])
+
+
+def cases(backend):
+    hac = saved_world(backend)
     dev = hac.fs.device
     rng = random.Random(0xC0DE + SEED)
     seg = dev.read_record(segment_key(hac))
@@ -142,38 +179,69 @@ def cases():
             for label, data in byte_mutations(manifest, rng)]
     fields = serialization.loads(manifest)
     out += [("segmanifest", label, serialization.dumps(dict(fields, **edit)))
-            for label, edit in (("version", {"v": 99}),
-                                ("segments-not-a-list",
-                                 {"segments": "s000001"}),
-                                ("next-below-doc-ids", {"next": 0}),
-                                ("next-negative", {"next": -1}))]
-    return out
+            for label, edit in manifest_edits(fields)]
+    return [(backend,) + case for case in out]
 
 
-CASES = cases()
+CASES = [case for backend in WORLDS for case in cases(backend)]
 
 
-@pytest.mark.parametrize("record,label,data", CASES,
-                         ids=[f"{r}-{label}" for r, label, _d in CASES])
-def test_a_mutated_record_restores_or_raises_corrupt(record, label, data):
-    hac = saved_world()
+@pytest.mark.parametrize("backend,record,label,data", CASES,
+                         ids=[f"{r}-{label}-{b}" for b, r, label, _d in CASES])
+def test_a_mutated_record_restores_or_raises_corrupt(backend, record, label,
+                                                     data):
+    hac = saved_world(backend)
     key = segment_key(hac) if record == "seg" else record
     hac.fs.device.write_record(key, data)
-    restored = restore_or_rebuild(hac)
+    restored = restore_or_rebuild(hac, backend)
     assert restored.glimpse("fingerprint") is not None
 
 
+def refused(hac, key, data, label):
+    """Write *data* under *key*; a restore must refuse it, counted."""
+    hac.fs.device.write_record(key, data)
+    counters = Counters()
+    with pytest.raises(CorruptRecord):
+        HacFileSystem.restore(hac.fs, counters=counters)
+        pytest.fail(f"{label}: restored")
+    assert counters.get("restore.segment_corrupt") == 1, label
+
+
 def test_every_field_mutation_is_refused():
-    """A record whose columns disagree never reaches the engine."""
-    hac = saved_world()
-    key = segment_key(hac)
-    raw = hac.fs.device.read_record(key)
-    for label, data in field_mutations(raw):
-        hac.fs.device.write_record(key, data)
+    """A record whose columns disagree never reaches the engine — nor
+    does a manifest whose fields do, a cluster's shard map included; a
+    rebuild then comes back fsck-clean."""
+    for backend in WORLDS:
+        hac = saved_world(backend)
+        key = segment_key(hac)
+        raw = hac.fs.device.read_record(key)
+        for label, data in field_mutations(raw):
+            refused(hac, key, data, (backend, label))
+        hac.fs.device.write_record(key, raw)
+        HacFileSystem.restore(hac.fs)
+        manifest = hac.fs.device.read_record("segmanifest")
+        fields = serialization.loads(manifest)
+        for label, edit in manifest_edits(fields):
+            refused(hac, "segmanifest", serialization.dumps(
+                dict(fields, **edit)), (backend, label))
+            rebuild(hac, backend)
+            hac = saved_world(backend)
+
+
+@pytest.mark.parametrize("backend", WORLDS)
+def test_a_truncated_semdir_record_raises_a_counted_corrupt_record(backend):
+    """A ``semdir:`` record cut short under a fresh checksum is refused
+    by name and counted, not left to the decoder's own error; the
+    directory's query and prohibitions are the user's, so no rebuild
+    stands in for them."""
+    hac = saved_world(backend)
+    dev = hac.fs.device
+    key = min(k for k in dev.record_keys() if k.startswith("semdir:"))
+    dev.write_record(key, dev.read_record(key)[:-3])
+    for reuse_index in (True, False):
         counters = Counters()
-        with pytest.raises(CorruptRecord):
-            HacFileSystem.restore(hac.fs, counters=counters)
-            pytest.fail(f"{label}: restored")
-        assert counters.get("restore.segment_corrupt") == 1, label
-    hac.fs.device.write_record(key, raw)
-    HacFileSystem.restore(hac.fs)
+        with pytest.raises(CorruptRecord) as refusal:
+            HacFileSystem.restore(hac.fs, counters=counters,
+                                  reuse_index=reuse_index)
+        assert refusal.value.path == key
+        assert counters.get("restore.semdir_corrupt") == 1
