@@ -26,8 +26,7 @@ Public surface:
 * :class:`SimulatedSearchService`, :class:`RemoteHacFileSystem`,
   :class:`SharedDirectoryRegistry` — mountable remote name spaces
   (``repro.remote``);
-* Table 2's baselines (Jade, Pseudo) under ``repro.baselines`` and workload
-  generators under ``repro.workloads``.
+* workload generators under ``repro.workloads``.
 """
 
 from repro.core.hacfs import HacFileSystem

@@ -1,6 +1,6 @@
 """Ablation O — the CAS index vs scan-and-filter subtree queries.
 
-Two path-dimension claims from DESIGN.md §3j, measured on a deep tree
+Two path-dimension claims from DESIGN.md §3j, counted on a deep tree
 (the corpus shape where content-global evaluation hurts most):
 
 * **Candidate pruning**: a ``scope:<subtree> AND <phrase>`` query must
@@ -19,12 +19,9 @@ Two path-dimension claims from DESIGN.md §3j, measured on a deep tree
 
 import random
 
-import pytest
-
-from repro.baselines.scanengine import ScanEngine
-from repro.bench.harness import BenchResult, report, time_call
 from repro.cba.engine import CBAEngine
 from repro.cba.queryparser import parse_query
+from tests.baselines.scanengine import ScanEngine
 
 DEPTH = 8
 FANOUT = 3
@@ -54,13 +51,6 @@ def deep_corpus():
     return docs
 
 
-def build_engine(docs, cls):
-    engine = cls(loader=lambda k: docs[k][1], num_blocks=16)
-    for key, (path, _text) in docs.items():
-        engine.index_document(key, path=path, mtime=0.0)
-    return engine
-
-
 def scoped_queries(docs):
     """One phrase query per second-level subtree: deep scopes against a
     corpus that is mostly outside each of them."""
@@ -70,36 +60,33 @@ def scoped_queries(docs):
             for d in subtrees]
 
 
-@pytest.mark.benchmark(group="ablation-cas")
-def test_cas_probe_vs_scan_and_filter(benchmark, record_report):
-    def run():
-        docs = deep_corpus()
-        queries = scoped_queries(docs)
-        out = {}
-        for label, cls in (("scan", ScanEngine), ("cas", CBAEngine)):
-            engine = build_engine(docs, cls)
+def scoped_run(docs, queries, cls):
+    """(engine, verifications, answers) of the second of two cold runs of
+    *queries*: the first warms the block structures identically."""
+    engine = cls(loader=lambda k: docs[k][1], num_blocks=16)
+    for key, (path, _text) in docs.items():
+        engine.index_document(key, path=path, mtime=0.0)
 
-            def workload():
-                answers = []
-                for ast in queries:
-                    engine.clear_query_cache()  # cold, like real Glimpse
-                    answers.append(engine.search(ast).to_bytes())
-                return answers
+    def workload():
+        answers = []
+        for ast in queries:
+            engine.clear_query_cache()  # cold, like real Glimpse
+            answers.append(engine.search(ast).to_bytes())
+        return answers
 
-            workload()  # warm block structures identically
-            scanned0 = engine.counters.get("engine.docs_scanned")
-            secs, answers = time_call(workload)
-            out[label] = (secs,
-                          engine.counters.get("engine.docs_scanned")
-                          - scanned0,
-                          engine.counters.get("engine.cas_interleaved_probes"),
-                          answers, engine, len(docs), len(queries))
-        return out
+    workload()
+    scanned = engine.counters.get("engine.docs_scanned")
+    answers = workload()
+    return engine, engine.counters.get("engine.docs_scanned") - scanned, \
+        answers
 
-    out = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)
-    (scan_s, scan_verifs, _p, scan_answers, scan_engine,
-     n_docs, n_queries) = out["scan"]
-    (cas_s, cas_verifs, _p2, cas_answers, cas_engine, _n, _q) = out["cas"]
+
+def test_cas_probe_vs_scan_and_filter():
+    docs = deep_corpus()
+    queries = scoped_queries(docs)
+    scan_engine, scan_verifs, scan_answers = scoped_run(docs, queries,
+                                                        ScanEngine)
+    cas_engine, cas_verifs, cas_answers = scoped_run(docs, queries, CBAEngine)
 
     # bit-identity first — a fast wrong answer is worthless
     assert cas_answers == scan_answers
@@ -119,24 +106,6 @@ def test_cas_probe_vs_scan_and_filter(benchmark, record_report):
     assert cas_engine.counters.get("engine.docs_scanned") == before
     assert cas_engine.counters.get("engine.planner_empty_shortcircuit") \
         >= len(empties)
-
-    results = [
-        BenchResult("corpus files", n_docs),
-        BenchResult("tree depth", DEPTH),
-        BenchResult("scoped phrase queries", n_queries),
-        BenchResult("candidate verifications (scan-and-filter)",
-                    scan_verifs),
-        BenchResult("candidate verifications (CAS)", cas_verifs),
-        # a perfectly-pruned run verifies only true subtree members
-        BenchResult("verification ratio (scan / cas)",
-                    scan_verifs / max(cas_verifs, 1)),
-        BenchResult("CAS partitions",
-                    len(cas_engine.cas.roots())),
-        BenchResult("scan-and-filter s", scan_s),
-        BenchResult("cas s", cas_s),
-    ]
-    record_report(report("Ablation O: subtree-scoped queries — CAS probe "
-                         "vs scan-and-filter", results))
 
     # the contract: interleaving the path dimension prunes at least 2x
     # of the candidate-document verifications on a deep tree

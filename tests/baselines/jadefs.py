@@ -8,7 +8,7 @@ component, with a name cache in front.  Its published Andrew slowdown is
 
 This reimplementation reproduces the mechanism — longest-prefix translation
 through a user-defined table plus per-component logical name resolution and
-a bounded name cache — over our VFS, so the Table 2 bench measures the same
+a bounded name cache — over our VFS, so Table 2 measures the same
 *kind* of work Jade did rather than quoting its number.
 """
 

@@ -10,7 +10,7 @@ operation using the C-speed stdlib ``marshal`` codec (the channel must
 not dominate; real pseudo-device channels were kernel buffers).  As in Sprite, bulk *data* moves through
 a shared buffer rather than the request channel — only control information
 (paths, modes, sizes, buffer handles) is marshalled — so the per-operation
-interposition cost is what the Table 2 bench measures, not a memcpy tax
+interposition cost is what Table 2 measures, not a memcpy tax
 the original system never paid.
 """
 

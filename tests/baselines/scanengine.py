@@ -9,7 +9,7 @@ postings, no verification memo, no result cache, no CAS pruning.  It
 shares index maintenance with :class:`~repro.cba.engine.CBAEngine`, so the
 two differ in how they answer, never in what they index — which is what
 lets the equivalence suites demand bit-identical answers, and lets
-``bench_table4_queries`` / the block, fast-path and CAS ablations measure
+Table 4 and the block, fast-path and CAS ablations measure
 the scan without an engine mode.  Use it through the ordinary seam:
 ``HacFileSystem(backend=BackendFactory(ScanEngine, segmented=True))``.
 """

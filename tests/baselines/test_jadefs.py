@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.jadefs import JadeFileSystem
+from tests.baselines.jadefs import JadeFileSystem
 from repro.vfs.filesystem import FileSystem
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.pseudofs import PseudoFileSystem
+from tests.baselines.pseudofs import PseudoFileSystem
 from repro.errors import FileNotFound
 from repro.vfs.filesystem import FileSystem
 

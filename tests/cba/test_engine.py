@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.scanengine import ScanEngine
+from tests.baselines.scanengine import ScanEngine
 from repro.cba.engine import CBAEngine
 from repro.cba.queryast import MatchAll, Not, Term
 from repro.cba.queryparser import parse_query

@@ -4,7 +4,7 @@ The fast-path, query-fuzz and CAS suites all make the same claim: however
 a query is answered — planner, doc-level postings, verification memo,
 result cache, CAS probes, K shards — the answer serialises byte-for-byte
 equal to what the seed evaluation returns.  The seed evaluation lives on
-as :class:`repro.baselines.scanengine.ScanEngine`; :func:`build_pair`
+as :class:`tests.baselines.scanengine.ScanEngine`; :func:`build_pair`
 builds it next to the engine under test over the same keys, ids, paths
 and loader, and :class:`Pair` keeps the two in lockstep through
 mutations.
@@ -22,7 +22,7 @@ cluster under test instead of the monolithic engine (the CI
 
 import os
 
-from repro.baselines.scanengine import ScanEngine
+from tests.baselines.scanengine import ScanEngine
 from repro.cba import agrep, evaluator
 from repro.cba import queryast as qa
 from repro.cba.engine import CBAEngine

@@ -4,7 +4,7 @@ The query path (planner normalisation + selectivity ordering, doc-level
 postings answering, verification memoisation, block-exact cache
 invalidation) is pure optimisation: for any corpus, any mutation history,
 and any query, the engine must return exactly what the seed
-scan-everything reference (:class:`~repro.baselines.scanengine.ScanEngine`)
+scan-everything reference (:class:`~tests.baselines.scanengine.ScanEngine`)
 and the exhaustive per-document ``naive_search`` return.  These tests
 sample all of that, including the stopword corner where the postings path
 must refuse to answer (a stopword never reaches the index, but the

@@ -25,7 +25,7 @@ ones a load derives, with every directory something names holding a uid
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -176,9 +176,12 @@ def step_revive(hac, path):
     (the scheduler's tombstone, one batch when batched)."""
     if not hac.isfile(path):
         return
-    for name in sorted(hac.links("/sem1")):
-        if hac.readlink(f"/sem1/{name}") == path:
-            hac.unlink(f"/sem1/{name}")
+    # every text is read before any unlink: a batched unlink in a semantic
+    # directory drains the queue, and the drain may withdraw a listed link
+    named = [name for name in sorted(hac.links("/sem1"))
+             if hac.readlink(f"/sem1/{name}") == path]
+    for name in named:
+        hac.unlink(f"/sem1/{name}")
     st = hac.stat(path)
     hac.maintenance.note_remove((st.fsid, st.ino), pathutil.dirname(path))
     hac.maintenance.note_upsert((st.fsid, st.ino), path, hac.clock.now)
@@ -253,6 +256,11 @@ def test_scope_invariant_after_random_history(op_list, seed):
 def test_maintained_links_are_from_scratch_after_every_step(backend, mode):
     @settings(max_examples=15, deadline=None)
     @given(shelf_ops, st.integers(min_value=0, max_value=99))
+    # a file placed in /sem1 is linked there as own0.txt~2 (its own name
+    # is taken), then rewritten to match nothing, still pending when the
+    # revival's unlink of f0.txt drains the queue and withdraws the link
+    @example([("write", 0, 0), ("place", 0, 0), ("place", 0, 2),
+              ("revive", 0, 0)], 0)
     def run(op_list, seed):
         rng = random.Random(seed)
         # four blocks, so that documents share them

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.baselines.jadefs import JadeFileSystem
-from repro.baselines.pseudofs import PseudoFileSystem
+from tests.baselines.jadefs import JadeFileSystem
+from tests.baselines.pseudofs import PseudoFileSystem
 from repro.core.hacfs import HacFileSystem
 from repro.vfs.filesystem import FileSystem
 from repro.workloads.andrew import (
